@@ -12,13 +12,14 @@
 //! survive across `run_rows` calls and are only rebuilt when the row
 //! geometry changes the chunk size).
 
+use crate::pipeline::{for_each_chunk, timed};
 use crate::pool::{
-    lock_recover, resolve_threads, AbortSignal, CancelToken, RunControl, RunError, SendPtr,
-    Tickets, WorkerPanic, WorkerPool,
+    lock_recover, resolve_threads, AbortSignal, CancelToken, RunControl, WorkerPanic, WorkerPool,
 };
-use crate::runner::{fir_in_place, ParallelRunner, RunnerConfig};
+use crate::runner::{ParallelRunner, RunnerConfig};
 use crate::stats::RunStats;
 use crate::stream::RowStream;
+use plr_core::blocked::fir_in_place;
 use plr_core::element::Element;
 use plr_core::error::EngineError;
 use plr_core::kernel::KernelKind;
@@ -27,9 +28,7 @@ use plr_core::segmented::SegmentedPlan;
 use plr_core::signature::Signature;
 use plr_core::varying::VaryingPlan;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// The intra-row runner cached between `run_rows` calls, keyed by the
 /// chunk size its correction table was generated for.
@@ -43,12 +42,13 @@ struct CachedInner<T> {
 /// the streaming layer: in-place FIR map (skipped for pure-feedback
 /// signatures) followed by the in-place local solve, both timed.
 ///
-/// Extracted from `run_whole_rows` so `BatchRunner::run_rows` and
-/// [`RowStream`] dispatch rows through literally the same code — a
-/// streamed row cannot drift from its blocking counterpart. The same
-/// dispatch carries time-varying rows ([`RowTask::varying`]), so varying
-/// workloads inherit the batch and stream layers' cancel / deadline /
-/// fault semantics without a parallel code path.
+/// Every whole-row path — `run_rows` of the batch, varying and segmented
+/// runners, and [`RowStream`] — dispatches rows through literally this
+/// code, so a streamed row cannot drift from its blocking counterpart.
+/// The same dispatch carries time-varying ([`RowTask::varying`]) and
+/// segmented ([`RowTask::segmented`]) rows, so those workloads inherit
+/// the batch and stream layers' cancel / deadline / fault semantics
+/// without a parallel code path.
 #[derive(Debug, Clone)]
 pub struct RowTask<T> {
     inner: TaskInner<T>,
@@ -84,7 +84,7 @@ impl<T: Element> RowTask<T> {
     /// (chunk-size-0) plan served through the shared plan cache. Public so
     /// external row executors — notably the service core's shard workers —
     /// run rows through literally the same code path as
-    /// [`BatchRunner::run_rows`] and [`RowStream`](crate::stream::RowStream).
+    /// [`BatchRunner::run_rows`] and [`RowStream`].
     ///
     /// [`BatchRunner::run_rows`]: crate::batch::BatchRunner::run_rows
     pub fn new(signature: &Signature<T>) -> Self {
@@ -100,9 +100,7 @@ impl<T: Element> RowTask<T> {
 
     /// Builds the per-row work unit for a time-varying signature. Every
     /// row must have exactly the plan's bound length — the coefficients
-    /// are positional — and a row of any other length panics (surfacing
-    /// as [`EngineError::WorkerPanicked`] for that row through the usual
-    /// unwind guards).
+    /// are positional.
     pub fn varying(plan: Arc<VaryingPlan<T>>) -> Self {
         RowTask {
             inner: TaskInner::Varying { plan },
@@ -111,9 +109,7 @@ impl<T: Element> RowTask<T> {
 
     /// Builds the per-row work unit for a segmented workload. Every row
     /// must have exactly the plan's bound length — the segment boundaries
-    /// are positional — and a row of any other length panics (surfacing
-    /// as [`EngineError::WorkerPanicked`] for that row through the usual
-    /// unwind guards).
+    /// are positional.
     pub fn segmented(plan: Arc<SegmentedPlan<T>>) -> Self {
         RowTask {
             inner: TaskInner::Segmented { plan },
@@ -128,6 +124,12 @@ impl<T: Element> RowTask<T> {
     ///
     /// The worker/row indices feed the fault harness's `Solve` site (the
     /// same site the blocking path consults); they are unused otherwise.
+    ///
+    /// # Panics
+    ///
+    /// When a varying or segmented task is given a row without its plan's
+    /// bound length. The blocking row paths and [`RowStream`] reject such
+    /// rows with [`EngineError::LengthMismatch`] before they get here.
     pub fn apply(
         &self,
         row: &mut [T],
@@ -135,72 +137,110 @@ impl<T: Element> RowTask<T> {
         _index: usize,
         abort: Option<&AbortSignal>,
     ) -> (u64, u64, u64) {
+        if let Some(len) = self.bound_len() {
+            assert_eq!(
+                row.len(),
+                len,
+                "row length must match the task's bound length"
+            );
+        }
+        let mut fir_ns = 0u64;
         match &self.inner {
-            TaskInner::Constant { plan, pure, .. } => {
-                let mut fir_ns = 0u64;
-                if !pure {
-                    let start = Instant::now();
-                    fir_in_place(plan.fir(), &[], 0, row);
-                    fir_ns = start.elapsed().as_nanos() as u64;
-                }
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Solve, _worker, _index, abort);
-                let start = Instant::now();
-                let solved = plan
-                    .solve()
-                    .solve_in_place_sliced(row, &mut || abort.is_none_or(|a| !a.is_aborted()));
-                (fir_ns, start.elapsed().as_nanos() as u64, solved.slices)
+            TaskInner::Constant { plan, pure, .. } if !pure => {
+                timed(&mut fir_ns, || fir_in_place(plan.fir(), &[], 0, row));
             }
+            TaskInner::Segmented { plan } if !plan.is_pure_feedback() => {
+                timed(&mut fir_ns, || plan.fir_row_in_place(row));
+            }
+            _ => {}
+        }
+        #[cfg(feature = "fault-inject")]
+        crate::fault::check(crate::fault::FaultSite::Solve, _worker, _index, abort);
+        let keep_going = &mut || abort.is_none_or(|a| !a.is_aborted());
+        let mut solve_ns = 0u64;
+        // Rows are independent, so every row solves from zero (real)
+        // history and needs no correction.
+        let slices = timed(&mut solve_ns, || match &self.inner {
+            TaskInner::Constant { plan, .. } => {
+                plan.solve().solve_in_place_sliced(row, keep_going).slices
+            }
+            // Each segment restarts from zero history.
+            TaskInner::Segmented { plan } => plan.solve_row_in_place(row, keep_going).slices,
+            // A fused sweep over the plan's chunks: each continues from the
+            // previous chunk's real state, reusing constant-row kernels
+            // where the plan selected them.
             TaskInner::Varying { plan } => {
-                assert_eq!(
-                    row.len(),
-                    plan.len(),
-                    "varying row length must match the signature's bound length"
-                );
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Solve, _worker, _index, abort);
-                let start = Instant::now();
-                // Fused sequential sweep over the plan's chunks: each
-                // continues from the previous chunk's real state, reusing
-                // constant-row kernels where the plan selected them.
                 let m = plan.chunk_size();
                 let mut state = vec![T::zero(); plan.order()];
                 let mut slices = 0u64;
-                for c in 0..plan.num_chunks() {
-                    let s = c * m;
-                    let chunk = &mut row[s..(s + m).min(plan.len())];
-                    let out = plan.solve_chunk(c, Some(&state), chunk, &mut || {
-                        abort.is_none_or(|a| !a.is_aborted())
-                    });
+                for (c, chunk) in row.chunks_mut(m).enumerate() {
+                    let out = plan.solve_chunk(c, Some(&state), chunk, keep_going);
                     slices += out.slices;
                     if !out.completed {
                         break;
                     }
                     state = out.state;
                 }
-                (0, start.elapsed().as_nanos() as u64, slices)
+                slices
             }
+        });
+        (fir_ns, solve_ns, slices)
+    }
+
+    /// The length every row must have: the plan's bound length for
+    /// varying and segmented tasks (their coefficients or boundaries are
+    /// positional), `None` for constant tasks, which take any length.
+    pub(crate) fn bound_len(&self) -> Option<usize> {
+        match &self.inner {
+            TaskInner::Constant { .. } => None,
+            TaskInner::Varying { plan } => Some(plan.len()),
+            TaskInner::Segmented { plan } => Some(plan.len()),
+        }
+    }
+
+    /// The stats every whole-row run of `rows` rows reports: plan and
+    /// kernel summary, cache outcome, and chunks (the plan's chunks per
+    /// varying or segmented row, whose correction taps are reported too;
+    /// one per constant row).
+    pub(crate) fn base_stats(&self, rows: usize) -> RunStats {
+        let (correction_taps, chunks_per_row) = match &self.inner {
+            TaskInner::Constant { .. } => (0, 1),
+            TaskInner::Varying { plan } => (plan.order(), plan.num_chunks()),
             TaskInner::Segmented { plan } => {
-                assert_eq!(
-                    row.len(),
-                    plan.len(),
-                    "segmented row length must match the plan's bound length"
-                );
-                let mut fir_ns = 0u64;
-                if !plan.is_pure_feedback() {
-                    let start = Instant::now();
-                    plan.fir_row_in_place(row);
-                    fir_ns = start.elapsed().as_nanos() as u64;
-                }
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Solve, _worker, _index, abort);
-                let start = Instant::now();
-                // Each segment solves from zero (real) history — whole-row
-                // dispatch needs no correction, segmented or not.
-                let solved =
-                    plan.solve_row_in_place(row, &mut || abort.is_none_or(|a| !a.is_aborted()));
-                (fir_ns, start.elapsed().as_nanos() as u64, solved.slices)
+                (plan.correction().correction_taps(), plan.num_chunks())
             }
+        };
+        RunStats {
+            rows: rows as u64,
+            chunks: (rows * chunks_per_row) as u64,
+            plan_cache_hits: self.plan_cache_hits(),
+            plan_cache_misses: self.plan_cache_misses(),
+            plan_kind: self.plan_kind(),
+            kernel: self.kernel_kind(),
+            correction_taps: correction_taps as u64,
+            ..RunStats::default()
+        }
+    }
+
+    /// The number of `width`-element rows in `len` elements.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::UnsupportedSignature`] when `width == 0` or does not
+    /// divide `len`; [`EngineError::LengthMismatch`] when `width` is not
+    /// the task's [`bound_len`](Self::bound_len).
+    fn row_count(&self, len: usize, width: usize) -> Result<usize, EngineError> {
+        if width == 0 || !len.is_multiple_of(width) {
+            return Err(EngineError::UnsupportedSignature {
+                reason: format!("row width {width} does not divide the data length {len}"),
+            });
+        }
+        match self.bound_len() {
+            Some(expected) if width != expected => Err(EngineError::LengthMismatch {
+                expected,
+                got: width,
+            }),
+            _ => Ok(len / width),
         }
     }
 
@@ -239,20 +279,14 @@ impl<T: Element> RowTask<T> {
     /// Plan-cache hits to report for this task: `1`/`0` for constant
     /// tasks; `0` for varying tasks, which never consult the cache.
     pub fn plan_cache_hits(&self) -> u64 {
-        match &self.inner {
-            TaskInner::Constant { cache_hit, .. } => *cache_hit as u64,
-            TaskInner::Varying { .. } | TaskInner::Segmented { .. } => 0,
-        }
+        u64::from(self.cache_hit())
     }
 
     /// Plan-cache misses to report for this task: the complement of
     /// [`RowTask::plan_cache_hits`] for constant tasks; `0` for varying
     /// tasks, which never consult (or populate) the cache.
     pub fn plan_cache_misses(&self) -> u64 {
-        match &self.inner {
-            TaskInner::Constant { cache_hit, .. } => !*cache_hit as u64,
-            TaskInner::Varying { .. } | TaskInner::Segmented { .. } => 0,
-        }
+        u64::from(!self.cache_hit() && matches!(self.inner, TaskInner::Constant { .. }))
     }
 }
 
@@ -365,85 +399,19 @@ impl<T: Element> BatchRunner<T> {
         width: usize,
         cancel: Option<&CancelToken>,
     ) -> Result<RunStats, EngineError> {
-        if width == 0 || !data.len().is_multiple_of(width) {
-            return Err(EngineError::UnsupportedSignature {
-                reason: format!(
-                    "row width {width} does not divide the data length {}",
-                    data.len()
-                ),
-            });
-        }
-        let rows = data.len() / width;
+        let rows = self.task.row_count(data.len(), width)?;
         let threads = self.threads().max(1);
-
         if rows >= threads || rows == 0 {
-            self.run_whole_rows(data, width, rows, cancel)
+            let mut ctl = RunControl::new();
+            if let Some(token) = cancel {
+                ctl = ctl.with_cancel(token);
+            }
+            run_rows(self.pool(), &self.task, data, width, &ctl)
         } else {
             // Few long rows: parallelize inside each row instead, through
             // the cached intra-row runner (correction table reused).
             self.run_long_rows(data, width, threads, cancel)
         }
-    }
-
-    /// Whole rows per worker: embarrassingly parallel, fully in place
-    /// (in-place FIR + in-place feedback solve; rows are independent so
-    /// there are no cross-boundary inputs to stash).
-    fn run_whole_rows(
-        &self,
-        data: &mut [T],
-        width: usize,
-        rows: usize,
-        cancel: Option<&CancelToken>,
-    ) -> Result<RunStats, EngineError> {
-        let pool = self.pool();
-        let mut ctl = RunControl::new();
-        if let Some(token) = cancel {
-            ctl = ctl.with_cancel(token);
-        }
-        let task = &self.task;
-        let fir_nanos = AtomicU64::new(0);
-        let solve_nanos = AtomicU64::new(0);
-        let solve_slices = AtomicU64::new(0);
-        let aborts = AtomicU64::new(0);
-        let recovered_before = pool.recovered_workers();
-        let tickets = Tickets::new(rows);
-        let base = SendPtr::new(data.as_mut_ptr());
-        pool.run_ctl(&ctl, |worker, abort| {
-            let (mut fir_ns, mut solve_ns, mut slices) = (0u64, 0u64, 0u64);
-            while let Some(r) = tickets.claim() {
-                if abort.is_aborted() {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                // SAFETY: unique tickets make the rows disjoint; `data`
-                // outlives the blocking `pool.run` call.
-                let row =
-                    unsafe { std::slice::from_raw_parts_mut(base.ptr().add(r * width), width) };
-                let (f, s, sl) = task.apply(row, worker, r, Some(abort));
-                fir_ns += f;
-                solve_ns += s;
-                slices += sl;
-            }
-            fir_nanos.fetch_add(fir_ns, Ordering::Relaxed);
-            solve_nanos.fetch_add(solve_ns, Ordering::Relaxed);
-            solve_slices.fetch_add(slices, Ordering::Relaxed);
-        })
-        .map_err(RunError::into_engine_error)?;
-        Ok(RunStats {
-            rows: rows as u64,
-            chunks: rows as u64,
-            threads: pool.width() as u64,
-            aborts: aborts.load(Ordering::Relaxed),
-            workers_recovered: pool.recovered_workers() - recovered_before,
-            fir_nanos: fir_nanos.load(Ordering::Relaxed),
-            solve_nanos: solve_nanos.load(Ordering::Relaxed),
-            plan_cache_hits: self.task.plan_cache_hits(),
-            plan_cache_misses: self.task.plan_cache_misses(),
-            plan_kind: self.task.plan_kind(),
-            kernel: self.task.kernel_kind(),
-            solve_slices: solve_slices.load(Ordering::Relaxed),
-            ..RunStats::default()
-        })
     }
 
     /// Few long rows: chunked decoupled look-back inside each row via the
@@ -525,6 +493,50 @@ impl<T: Element> BatchRunner<T> {
         }
         Ok(stats)
     }
+}
+
+/// The one whole-row dispatch loop, behind [`BatchRunner::run_rows`],
+/// `VaryingRunner::run_rows` and `SegmentedRunner::run_rows`: rows of
+/// `width` elements are claimed whole by the pool's workers and solved in
+/// place through `task` (rows are independent, so there are no
+/// cross-boundary inputs to stash and nothing to correct).
+///
+/// # Errors
+///
+/// The width checks of [`RowTask::row_count`], plus whatever the pool
+/// run reports (worker panic, cancellation, deadline) — then `data` is
+/// left partially processed.
+pub(crate) fn run_rows<T: Element>(
+    pool: &WorkerPool,
+    task: &RowTask<T>,
+    data: &mut [T],
+    width: usize,
+    ctl: &RunControl,
+) -> Result<RunStats, EngineError> {
+    let rows = task.row_count(data.len(), width)?;
+    let recovered_before = pool.recovered_workers();
+    let totals = Mutex::new(RunStats::default());
+    for_each_chunk(
+        pool,
+        ctl,
+        data,
+        width,
+        &totals,
+        |worker, abort, r, row, tally| {
+            let (fir_nanos, solve_nanos, slices) = task.apply(row, worker, r, Some(abort));
+            tally.fir_nanos += fir_nanos;
+            tally.solve_nanos += solve_nanos;
+            tally.solve_slices += slices;
+            true
+        },
+    )?;
+    let mut stats = RunStats {
+        threads: pool.width() as u64,
+        workers_recovered: pool.recovered_workers() - recovered_before,
+        ..task.base_stats(rows)
+    };
+    stats.absorb(&totals.into_inner().unwrap_or_else(PoisonError::into_inner));
+    Ok(stats)
 }
 
 #[cfg(test)]

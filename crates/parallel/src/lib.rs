@@ -3,12 +3,37 @@
 //! A real multithreaded CPU runtime for linear recurrences — the paper's
 //! chunked decoupled-look-back algorithm mapped onto the hierarchy this
 //! reproduction environment actually has (CPU threads instead of GPU
-//! blocks).
+//! blocks). Within a chunk there are no lanes, so the local solve is
+//! serial (the degenerate form of Phase 1); across chunks the runtime is
+//! exactly the paper's Phase 2: local carries published early, variable
+//! look-back with cheap fix-ups, bounded spin waits.
 //!
-//! Within a chunk there are no lanes, so the local solve is serial (the
-//! degenerate form of Phase 1); across chunks the runtime is exactly the
-//! paper's Phase 2: local carries published early, variable look-back with
-//! `O(k²)` n-nacci fix-ups, bounded spin waits.
+//! ## One chunk pipeline, three carry algebras
+//!
+//! Phase 2 is one algorithm whatever the carry looks like, so the crate
+//! implements it once: a private pipeline module owns the run prologue,
+//! the look-back ticket loop, the two-pass strategy, the carry resolver
+//! and its spin wait, abort and `check_finite` handling and the
+//! [`RunStats`], generic over a *carry algebra* that supplies the
+//! per-chunk operations. The three chunked runners are thin constructors
+//! over it:
+//!
+//! - [`ParallelRunner`] — constant coefficients: the state is a chunk's
+//!   `k` carries, fixed forward and corrected with the n-nacci factors of
+//!   a [`CorrectionPlan`](plr_core::plan::CorrectionPlan).
+//! - [`SegmentedRunner`] — the same carries, clipped at segment
+//!   boundaries: a chunk holding a boundary publishes its global carries
+//!   at once and floors every later look-back; all-zero chunks skip their
+//!   local solve.
+//! - [`VaryingRunner`] — time-varying coefficients: the state crosses a
+//!   chunk through its affine map, and a chunk whose predecessor is
+//!   already resolved solves from real history instead (fusion).
+//!
+//! Both [`Strategy`] variants, cancellation, deadlines, `check_finite`,
+//! fault injection and the counters behave the same for all three.
+//! Whole-row work — [`BatchRunner::run_rows`], the varying and segmented
+//! `run_rows`, and every [`RowStream`] — goes through one row-dispatch
+//! loop over a [`RowTask`].
 //!
 //! ## Execution model: the persistent worker pool
 //!
@@ -17,25 +42,23 @@
 //! scheduled once per kernel, not once per chunk. This crate mirrors that
 //! with a persistent [`pool::WorkerPool`]:
 //!
-//! - **Spawn once, run many.** A [`ParallelRunner`] (or [`BatchRunner`])
-//!   lazily spawns its workers on the first `run()` and parks them on a
-//!   condvar between calls; repeated runs pay a wake-up, not a spawn. The
-//!   calling thread participates as worker 0, so one-thread configs run
-//!   inline with zero synchronization.
+//! - **Spawn once, run many.** Every runner lazily spawns its workers on
+//!   the first run and parks them on a condvar between calls; repeated
+//!   runs pay a wake-up, not a spawn. The calling thread participates as
+//!   worker 0, so one-thread configs run inline with zero synchronization.
 //! - **Ticket scheduling.** Within a run, workers claim chunk indices
 //!   from an atomic ticket counter. Claims are strictly increasing, which
 //!   preserves the decoupled look-back progress argument: when a worker
 //!   waits on a predecessor's carries, the predecessor's owner is already
-//!   running, and the chain bottoms out at chunk 0 (which publishes
-//!   unconditionally). At most `pool width` chunks are in flight, so
+//!   running, and every walk bottoms out at a chunk that publishes
+//!   unconditionally. At most `pool width` chunks are in flight, so
 //!   look-back depth — the paper's dynamic `c` — is bounded by the worker
 //!   count.
 //! - **In-place map stage.** Signatures with a feed-forward part apply
 //!   the FIR filter in place, fused into the same chunk pass as the local
 //!   solve: each chunk's few cross-boundary inputs are stashed up front,
 //!   and the chunk is mapped right-to-left so every read still sees
-//!   original input. No second full-size buffer, no copy-back — the map
-//!   costs one traversal instead of three.
+//!   original input. No second full-size buffer, no copy-back.
 //! - **Shared infrastructure.** [`BatchRunner`] runs whole rows on the
 //!   same pool, and its intra-row fallback caches a [`ParallelRunner`]
 //!   (correction table included) across `run_rows` calls, rebuilding only
@@ -85,7 +108,7 @@
 //!   threads that failed to spawn in the first place are retried there
 //!   too ([`RunStats::threads`] reports the effective width). Panic,
 //!   cancel, and deadline outcomes are tallied in
-//!   [`PoolCounters`](stats::PoolCounters).
+//!   [`PoolCounters`].
 //! - **Opt-in value validation.** [`RunnerConfig::check_finite`] aborts
 //!   float runs whose carries go NaN/Inf instead of propagating garbage
 //!   through the look-back chain.
@@ -121,6 +144,7 @@
 pub mod batch;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
+mod pipeline;
 pub mod pool;
 pub mod retry;
 pub mod runner;

@@ -1,38 +1,32 @@
-//! The multithreaded runner: chunked decoupled look-back on real threads.
+//! The constant-coefficient runner: chunked decoupled look-back on real
+//! threads.
 //!
-//! This is the paper's algorithm mapped onto the parallelism we actually
-//! have in this reproduction environment — CPU threads. Workers live in a
-//! persistent [`WorkerPool`] (spawned lazily on the first run, reused by
-//! every later one) and claim chunks in order from an atomic ticket
-//! counter. Each worker applies the FIR map stage *in place* on its chunk
-//! (cross-boundary inputs are stashed up front), solves its chunk locally
-//! (serial within a chunk is optimal when there are no intra-chunk lanes),
-//! publishes the chunk's *local* carries, derives its predecessor's
-//! *global* carries by variable look-back over already-published carries,
-//! corrects its chunk with the precomputed n-nacci factors, and publishes
-//! its own global carries.
-//!
-//! Progress argument (same as the GPU kernel's): tickets are claimed in
-//! order, every in-flight chunk publishes its local carries *before* any
-//! waiting, and the oldest in-flight chunk's predecessor globals always
-//! exist — so the look-back chain can always be resolved and the spin
-//! waits are bounded by the pipeline depth (the pool width).
+//! This is the paper's algorithm mapped onto the parallelism this
+//! reproduction environment actually has — CPU threads. [`ParallelRunner`]
+//! is a thin constructor over the crate's one chunk pipeline (the private
+//! `pipeline` module), whose carry algebra here is the [`CorrectionPlan`]:
+//! workers claim chunks in order from an atomic ticket counter, apply the
+//! FIR map *in place* (cross-boundary inputs are stashed up front), solve
+//! their chunk locally, publish its `k` local carries, derive the
+//! predecessor's *global* carries by variable look-back with `O(k²)`
+//! n-nacci fix-ups, correct the chunk with the precomputed factors, and
+//! publish their own global carries. A decay-truncated plan whose
+//! correction cannot reach a chunk's own carries resets the look-back
+//! chain there. The same pipeline, over other algebras, runs
+//! [`SegmentedRunner`](crate::SegmentedRunner) and
+//! [`VaryingRunner`](crate::VaryingRunner).
 
-use crate::pool::{
-    resolve_threads, AbortSignal, CancelToken, RunControl, RunError, SendPtr, Tickets, WorkerPanic,
-    WorkerPool,
-};
+use crate::pipeline::{runner_methods, CarryAlgebra, Pipeline, Solved};
+use crate::pool::{CancelToken, WorkerPool};
 use crate::stats::RunStats;
+use plr_core::blocked::fir_in_place;
 use plr_core::element::Element;
-use plr_core::engine::MAX_INPUT_LEN;
 use plr_core::error::EngineError;
 use plr_core::nacci::carries_of;
 use plr_core::plan::{self, CorrectionPlan, PlanMode, PlanRequest};
 use plr_core::signature::Signature;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// How the runner schedules the carry propagation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -111,71 +105,11 @@ impl Default for RunnerConfig {
 /// ```
 #[derive(Debug)]
 pub struct ParallelRunner<T> {
-    signature: Signature<T>,
-    /// The cached correction plan: factor table (decay-truncated when
-    /// sound), per-list strategies, FIR and local-solve kernels.
-    plan: Arc<CorrectionPlan<T>>,
-    /// Whether the plan came from the shared cache (reported in stats).
-    plan_cache_hit: bool,
-    config: RunnerConfig,
-    /// The persistent pool, created on first use (or inherited from a
-    /// [`crate::BatchRunner`] so both share one set of threads).
-    pool: OnceLock<Arc<WorkerPool>>,
-}
-
-/// Per-chunk carry slots, published lock-free through [`OnceLock`].
-pub(crate) struct Slot<T> {
-    pub(crate) local: OnceLock<Vec<T>>,
-    pub(crate) global: OnceLock<Vec<T>>,
-}
-
-impl<T> Slot<T> {
-    pub(crate) fn new() -> Self {
-        Slot {
-            local: OnceLock::new(),
-            global: OnceLock::new(),
-        }
-    }
-}
-
-/// Atomic accumulators for the per-phase wall times in [`RunStats`],
-/// plus the local-solve slice count (the abort-granularity metric).
-#[derive(Default)]
-pub(crate) struct PhaseClocks {
-    pub(crate) fir: AtomicU64,
-    pub(crate) solve: AtomicU64,
-    pub(crate) lookback: AtomicU64,
-    pub(crate) correct: AtomicU64,
-    pub(crate) slices: AtomicU64,
-}
-
-/// Per-worker tallies, flushed to the shared clocks once per job to keep
-/// atomic traffic off the per-chunk path.
-#[derive(Default)]
-pub(crate) struct PhaseTally {
-    pub(crate) fir: u64,
-    pub(crate) solve: u64,
-    pub(crate) lookback: u64,
-    pub(crate) correct: u64,
-    pub(crate) slices: u64,
-}
-
-impl PhaseTally {
-    pub(crate) fn flush(&self, clocks: &PhaseClocks) {
-        clocks.fir.fetch_add(self.fir, Ordering::Relaxed);
-        clocks.solve.fetch_add(self.solve, Ordering::Relaxed);
-        clocks.lookback.fetch_add(self.lookback, Ordering::Relaxed);
-        clocks.correct.fetch_add(self.correct, Ordering::Relaxed);
-        clocks.slices.fetch_add(self.slices, Ordering::Relaxed);
-    }
-}
-
-/// Times one closure, adding the elapsed nanoseconds to `slot`.
-pub(crate) fn timed<R>(slot: &mut u64, f: impl FnOnce() -> R) -> R {
-    let start = Instant::now();
-    let out = f();
-    *slot += start.elapsed().as_nanos() as u64;
-    out
+    /// The cached correction plan (factor table, decay-truncated when
+    /// sound; per-list strategies; FIR and local-solve kernels) driving
+    /// the shared pipeline. Its pool may be inherited from a
+    /// [`crate::BatchRunner`] so both share one set of threads.
+    pipeline: Pipeline<CorrectionPlan<T>>,
 }
 
 impl<T: Element> ParallelRunner<T> {
@@ -205,13 +139,9 @@ impl<T: Element> ParallelRunner<T> {
             mode: config.plan,
             ..PlanRequest::new::<T>(config.chunk_size)
         };
-        let (plan, plan_cache_hit) = plan::plan_for(&signature, req);
+        let (plan, cache_hit) = plan::plan_for(&signature, req);
         Ok(ParallelRunner {
-            signature,
-            plan,
-            plan_cache_hit,
-            config,
-            pool: OnceLock::new(),
+            pipeline: Pipeline::new(plan, config, Some(cache_hit)),
         })
     }
 
@@ -223,571 +153,98 @@ impl<T: Element> ParallelRunner<T> {
         pool: Arc<WorkerPool>,
     ) -> Result<Self, EngineError> {
         let runner = Self::with_config(signature, config)?;
-        let _ = runner.pool.set(pool);
-        Ok(runner)
+        Ok(ParallelRunner {
+            pipeline: runner.pipeline.with_pool(pool),
+        })
     }
 
-    /// The configured worker count (resolving `0` to the CPU count).
-    pub fn threads(&self) -> usize {
-        resolve_threads(self.config.threads)
-    }
-
-    /// The runner's configuration.
-    pub fn config(&self) -> &RunnerConfig {
-        &self.config
-    }
+    runner_methods!();
 
     /// The correction plan this runner executes (strategy selection,
     /// truncation depth, kernels) — shared through the global plan cache.
     pub fn plan(&self) -> &CorrectionPlan<T> {
-        &self.plan
+        &self.pipeline.plan
     }
 
-    /// The persistent pool, spawning it on first use.
-    fn pool(&self) -> &Arc<WorkerPool> {
-        self.pool
-            .get_or_init(|| Arc::new(WorkerPool::new(self.threads())))
-    }
-
-    /// Computes the recurrence over `input`, allocating the output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InputTooLarge`] beyond 2^30 elements,
-    /// [`EngineError::WorkerPanicked`] when a worker (or the calling
-    /// thread) panicked mid-run, [`EngineError::NonFiniteCarry`] when
-    /// [`RunnerConfig::check_finite`] is on and a chunk produced a NaN or
-    /// infinite carry, and [`EngineError::DeadlineExceeded`] when
-    /// [`RunnerConfig::deadline`] is set and the run outlived it. On
-    /// error the pool survives and the runner stays usable; the input
-    /// buffer's contents are unspecified (partially processed).
-    pub fn run(&self, input: &[T]) -> Result<Vec<T>, EngineError> {
-        let mut data = input.to_vec();
-        self.run_in_place(&mut data)?;
-        Ok(data)
-    }
-
-    /// Like [`ParallelRunner::run`], but observing a caller-held
-    /// [`CancelToken`]: cancelling any clone of `cancel` — before the
-    /// call or while it is executing — aborts the run cooperatively (the
-    /// same bail-out paths a worker panic uses; even carry spin-waits
-    /// notice within one poll interval) and the call returns
-    /// [`EngineError::Cancelled`]. The runner and its pool stay fully
-    /// usable afterwards.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Cancelled`] on cancellation, plus everything
-    /// [`ParallelRunner::run`] can return.
-    pub fn run_with_cancel(
-        &self,
-        input: &[T],
-        cancel: &CancelToken,
-    ) -> Result<Vec<T>, EngineError> {
-        let mut data = input.to_vec();
-        self.run_in_place_with_cancel(&mut data, cancel)?;
-        Ok(data)
-    }
-
-    /// Computes the recurrence in place, returning runtime statistics.
-    ///
-    /// # Errors
-    ///
-    /// See [`ParallelRunner::run`]; additionally, on error `data` is left
-    /// partially processed.
-    pub fn run_in_place(&self, data: &mut [T]) -> Result<RunStats, EngineError> {
-        self.execute(data, None)
-    }
-
-    /// In-place variant of [`ParallelRunner::run_with_cancel`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ParallelRunner::run_with_cancel`]; on error `data` is left
-    /// partially processed.
-    pub fn run_in_place_with_cancel(
-        &self,
-        data: &mut [T],
-        cancel: &CancelToken,
-    ) -> Result<RunStats, EngineError> {
-        self.execute(data, Some(cancel))
-    }
-
-    /// Shared entry point: builds the run's [`RunControl`] (cancel link +
-    /// deadline, resolved once so a multi-pass strategy spends a single
-    /// budget) and dispatches on the strategy.
+    /// The in-place entry point every public run method (and the batch
+    /// runner's long-rows path) goes through.
     pub(crate) fn execute(
         &self,
         data: &mut [T],
         cancel: Option<&CancelToken>,
     ) -> Result<RunStats, EngineError> {
-        if data.len() > MAX_INPUT_LEN {
-            return Err(EngineError::InputTooLarge {
-                len: data.len(),
-                max: MAX_INPUT_LEN,
-            });
-        }
-        if data.is_empty() {
-            // Report the worker count the run would have used; every other
-            // path resolves it the same way.
-            return Ok(RunStats {
-                threads: self.threads() as u64,
-                plan_cache_hits: self.plan_cache_hit as u64,
-                plan_cache_misses: !self.plan_cache_hit as u64,
-                plan_kind: self.plan.kind(),
-                correction_taps: self.plan.correction_taps() as u64,
-                kernel: self.plan.solve().kind(),
-                ..RunStats::default()
-            });
-        }
-        let mut ctl = RunControl::new();
-        if let Some(token) = cancel {
-            ctl = ctl.with_cancel(token);
-        }
-        if let Some(budget) = self.config.deadline {
-            ctl = ctl.with_deadline(budget);
-        }
-        let pool = self.pool();
-        match self.config.strategy {
-            Strategy::LookbackPipeline => self.run_lookback(data, pool, &ctl),
-            Strategy::TwoPass => self.run_two_pass(data, pool, &ctl),
+        self.pipeline.execute(data, cancel)
+    }
+}
+
+/// The constant algebra: the state is a chunk's last `k` outputs (its
+/// carries), fixed forward and corrected with the n-nacci factors.
+impl<T: Element> CarryAlgebra<T> for CorrectionPlan<T> {
+    fn base_stats(&self) -> RunStats {
+        RunStats {
+            plan_kind: self.kind(),
+            correction_taps: self.correction_taps() as u64,
+            kernel: self.solve().kind(),
+            ..RunStats::default()
         }
     }
 
-    /// Stashes, for every chunk after the first, the original inputs its
-    /// in-place FIR needs from across its left boundary (the `p - 1`
-    /// values before the chunk start; fewer near the front of the data).
-    ///
-    /// The stash is what lets the map stage run in place: by the time a
-    /// worker reads across its left boundary, the owner of that data may
-    /// already have overwritten it with mapped values.
-    fn stash_boundaries(&self, data: &[T], m: usize, num_chunks: usize) -> Vec<Vec<T>> {
-        let p = self.plan.fir().len();
-        if self.signature.is_pure_feedback() || p <= 1 {
+    fn has_fir(&self) -> bool {
+        !self.signature().is_pure_feedback()
+    }
+
+    /// The `p - 1` original inputs before each chunk start (fewer near
+    /// the front of the data): by the time a worker maps across its left
+    /// boundary, the owner of that data may already have overwritten it.
+    /// A one-tap FIR never reads across a boundary.
+    fn stash(&self, data: &[T]) -> Vec<Vec<T>> {
+        let p = self.fir().len();
+        if !CarryAlgebra::has_fir(self) || p <= 1 {
             return Vec::new();
         }
-        (1..num_chunks)
-            .map(|c| {
-                let start = c * m;
-                data[start.saturating_sub(p - 1)..start].to_vec()
-            })
+        let m = self.chunk_size();
+        (1..data.len().div_ceil(m))
+            .map(|c| data[(c * m).saturating_sub(p - 1)..c * m].to_vec())
             .collect()
     }
 
-    /// The FIR map for chunk `c` (`start = c·m`), in place. `boundaries`
-    /// comes from [`Self::stash_boundaries`].
-    fn fir_chunk(&self, chunk: &mut [T], c: usize, start: usize, boundaries: &[Vec<T>]) {
-        if self.signature.is_pure_feedback() {
-            return;
-        }
-        // `boundaries` is empty when `p <= 1`: a one-tap FIR never reads
-        // across a chunk boundary.
-        let prev: &[T] = if c == 0 || boundaries.is_empty() {
+    fn fir(&self, chunk: &mut [T], c: usize, stash: &[Vec<T>]) {
+        let prev: &[T] = if c == 0 || stash.is_empty() {
             &[]
         } else {
-            &boundaries[c - 1]
+            &stash[c - 1]
         };
-        fir_in_place(self.plan.fir(), prev, start, chunk);
+        fir_in_place(self.fir(), prev, c * self.chunk_size(), chunk);
     }
 
-    /// The single-pass decoupled look-back pipeline on the pool.
-    fn run_lookback(
+    fn solve(
         &self,
-        data: &mut [T],
-        pool: &WorkerPool,
-        ctl: &RunControl,
-    ) -> Result<RunStats, EngineError> {
-        let m = self.config.chunk_size;
-        let n = data.len();
-        let k = self.signature.order();
-        let num_chunks = n.div_ceil(m);
-        let boundaries = self.stash_boundaries(data, m, num_chunks);
-        let check_finite = self.config.check_finite && T::IS_FLOAT;
-
-        let slots: Vec<Slot<T>> = (0..num_chunks).map(|_| Slot::new()).collect();
-        let hops = AtomicU64::new(0);
-        let spins = AtomicU64::new(0);
-        let max_depth = AtomicU64::new(0);
-        let resets = AtomicU64::new(0);
-        let aborts = AtomicU64::new(0);
-        let clocks = PhaseClocks::default();
-        let failure: OnceLock<EngineError> = OnceLock::new();
-        let tickets = Tickets::new(num_chunks);
-        let base = SendPtr::new(data.as_mut_ptr());
-        let recovered_before = pool.recovered_workers();
-
-        let outcome = pool.run_ctl(ctl, |_worker, abort| {
-            let mut tally = PhaseTally::default();
-            while let Some(c) = tickets.claim() {
-                if abort.is_aborted() {
-                    // A worker died or a check failed: stop touching data
-                    // so the run can surface its error promptly.
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let start = c * m;
-                let len = m.min(n - start);
-                // SAFETY: tickets are unique, so chunk `c` is exclusively
-                // ours; `base` outlives `pool.run` (it blocks until every
-                // worker finishes, even when one of them panics).
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(start), len) };
-                timed(&mut tally.fir, || {
-                    self.fir_chunk(chunk, c, start, &boundaries)
-                });
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Solve, _worker, c, Some(abort));
-                // Local solve (time-sliced so a cancel or deadline lands
-                // mid-chunk, not after it), then publish local carries.
-                let solved = timed(&mut tally.solve, || {
-                    self.plan
-                        .solve()
-                        .solve_in_place_sliced(chunk, &mut || !abort.is_aborted())
-                });
-                tally.slices += solved.slices;
-                if !solved.completed {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let locals = carries_of(chunk, k);
-                if check_finite && !all_finite(&locals) {
-                    let _ = failure.set(EngineError::NonFiniteCarry { chunk: c });
-                    abort.trigger();
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                slots[c]
-                    .local
-                    .set(locals.clone())
-                    .expect("sole producer of local carries");
-                if c == 0 {
-                    slots[0]
-                        .global
-                        .set(locals)
-                        .expect("sole producer of chunk 0 globals");
-                    continue;
-                }
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Lookback, _worker, c, Some(abort));
-                // Variable look-back: walk back to the most recent
-                // published globals, then fix forward through the
-                // published locals. `None` means the run was aborted while
-                // we waited on carries that will never be published.
-                let Some(g) = timed(&mut tally.lookback, || {
-                    resolve_global(
-                        &self.plan,
-                        &slots,
-                        c - 1,
-                        m,
-                        n,
-                        &hops,
-                        &spins,
-                        &max_depth,
-                        &resets,
-                        abort,
-                    )
-                }) else {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                };
-                timed(&mut tally.correct, || self.plan.correct_chunk(chunk, &g));
-                let globals = carries_of(chunk, k);
-                if check_finite && !all_finite(&globals) {
-                    let _ = failure.set(EngineError::NonFiniteCarry { chunk: c });
-                    abort.trigger();
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                // A deeper look-back by a successor may already have
-                // derived (and published) our globals.
-                let _ = slots[c].global.set(globals);
-            }
-            tally.flush(&clocks);
-        });
-
-        outcome.map_err(RunError::into_engine_error)?;
-        if let Some(e) = failure.into_inner() {
-            return Err(e);
+        c: usize,
+        chunk: &mut [T],
+        _history: Option<&[T]>,
+        keep_going: &mut dyn FnMut() -> bool,
+    ) -> Solved<T> {
+        let solved = self.solve().solve_in_place_sliced(chunk, keep_going);
+        Solved {
+            slices: solved.slices,
+            state: solved.completed.then(|| self.local_state(c, chunk)),
         }
-        Ok(RunStats {
-            rows: 1,
-            chunks: num_chunks as u64,
-            lookback_hops: hops.load(Ordering::Relaxed),
-            spin_waits: spins.load(Ordering::Relaxed),
-            max_lookback_depth: max_depth.load(Ordering::Relaxed),
-            threads: pool.width() as u64,
-            aborts: aborts.load(Ordering::Relaxed),
-            workers_recovered: pool.recovered_workers() - recovered_before,
-            fir_nanos: clocks.fir.load(Ordering::Relaxed),
-            solve_nanos: clocks.solve.load(Ordering::Relaxed),
-            lookback_nanos: clocks.lookback.load(Ordering::Relaxed),
-            correct_nanos: clocks.correct.load(Ordering::Relaxed),
-            plan_cache_hits: self.plan_cache_hit as u64,
-            plan_cache_misses: !self.plan_cache_hit as u64,
-            plan_kind: self.plan.kind(),
-            fused_chunks: 0,
-            correction_taps: self.plan.correction_taps() as u64,
-            carry_resets: resets.load(Ordering::Relaxed),
-            kernel: self.plan.solve().kind(),
-            solve_slices: clocks.slices.load(Ordering::Relaxed),
-            reset_chunks: 0,
-            skipped_chunks: 0,
-        })
     }
 
-    /// The two-pass strategy: parallel map + local solves, one sequential
-    /// carry chain, parallel correction (the dependency structure of
-    /// [`plr_core::phase2::propagate_decoupled`] on real threads).
-    fn run_two_pass(
-        &self,
-        data: &mut [T],
-        pool: &WorkerPool,
-        ctl: &RunControl,
-    ) -> Result<RunStats, EngineError> {
-        let m = self.config.chunk_size;
-        let k = self.signature.order();
-        let n = data.len();
-        let num_chunks = n.div_ceil(m);
-        let boundaries = self.stash_boundaries(data, m, num_chunks);
-        let check_finite = self.config.check_finite && T::IS_FLOAT;
-        let clocks = PhaseClocks::default();
-        let aborts = AtomicU64::new(0);
-        let recovered_before = pool.recovered_workers();
-
-        // Pass A: in-place map + local solves in parallel.
-        let tickets = Tickets::new(num_chunks);
-        let base = SendPtr::new(data.as_mut_ptr());
-        pool.run_ctl(ctl, |_worker, abort| {
-            let mut tally = PhaseTally::default();
-            while let Some(c) = tickets.claim() {
-                if abort.is_aborted() {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let start = c * m;
-                let len = m.min(n - start);
-                // SAFETY: unique tickets make the chunks disjoint.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(start), len) };
-                timed(&mut tally.fir, || {
-                    self.fir_chunk(chunk, c, start, &boundaries)
-                });
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Solve, _worker, c, Some(abort));
-                let solved = timed(&mut tally.solve, || {
-                    self.plan
-                        .solve()
-                        .solve_in_place_sliced(chunk, &mut || !abort.is_aborted())
-                });
-                tally.slices += solved.slices;
-                if !solved.completed {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            }
-            tally.flush(&clocks);
-        })
-        .map_err(RunError::into_engine_error)?;
-
-        // Sequential chain: globals of chunk c from globals of c-1. This
-        // is worker 0's look-back stage; it runs outside the pool, so it
-        // gets its own unwind guard to keep the "panics become errors"
-        // contract uniform across strategies.
-        let chain_start = Instant::now();
-        let chain = catch_unwind(AssertUnwindSafe(
-            || -> Result<(Vec<Vec<T>>, u64, u64), EngineError> {
-                let mut hops = 0u64;
-                let mut resets = 0u64;
-                let mut globals: Vec<Vec<T>> = Vec::with_capacity(num_chunks);
-                globals.push(carries_of(&data[..m.min(n)], k));
-                for c in 1..num_chunks {
-                    // The chain runs outside the pool, so the watchdog
-                    // cannot see it; poll the control directly instead.
-                    ctl.status().map_err(RunError::into_engine_error)?;
-                    #[cfg(feature = "fault-inject")]
-                    crate::fault::check(crate::fault::FaultSite::Lookback, 0, c, None);
-                    let start = c * m;
-                    let end = (start + m).min(n);
-                    let locals = carries_of(&data[start..end], k);
-                    if check_finite && !all_finite(&locals) {
-                        return Err(EngineError::NonFiniteCarry { chunk: c });
-                    }
-                    // When chunk `c`'s correction cannot reach its own
-                    // carries (truncated plan, long enough chunk), its
-                    // globals equal its locals — the chain resets for free.
-                    if self.plan.resets_carries(end - start) {
-                        resets += 1;
-                        globals.push(locals);
-                    } else {
-                        globals.push(self.plan.fixup_carries(
-                            &globals[c - 1],
-                            &locals,
-                            end - start,
-                        ));
-                        hops += 1;
-                    }
-                }
-                Ok((globals, hops, resets))
-            },
-        ));
-        let (globals, hops, carry_resets) = match chain {
-            Ok(Ok(v)) => v,
-            Ok(Err(e)) => return Err(e),
-            Err(payload) => {
-                return Err(WorkerPanic::from_payload(0, payload.as_ref()).into_engine_error())
-            }
-        };
-        let lookback_nanos = chain_start.elapsed().as_nanos() as u64;
-
-        // Pass B: correct every chunk with its predecessor's globals, in
-        // parallel (chunk 0 is already global).
-        let tickets = Tickets::new(num_chunks.saturating_sub(1));
-        let base = SendPtr::new(data.as_mut_ptr());
-        let globals = &globals;
-        pool.run_ctl(ctl, |_worker, abort| {
-            let mut tally = PhaseTally::default();
-            while let Some(t) = tickets.claim() {
-                if abort.is_aborted() {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let c = t + 1;
-                let start = c * m;
-                let len = m.min(n - start);
-                // SAFETY: unique tickets make the chunks disjoint.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(start), len) };
-                timed(&mut tally.correct, || {
-                    self.plan.correct_chunk(chunk, &globals[c - 1])
-                });
-            }
-            tally.flush(&clocks);
-        })
-        .map_err(RunError::into_engine_error)?;
-
-        Ok(RunStats {
-            rows: 1,
-            chunks: num_chunks as u64,
-            lookback_hops: hops,
-            spin_waits: 0,
-            max_lookback_depth: 1,
-            threads: pool.width() as u64,
-            aborts: aborts.load(Ordering::Relaxed),
-            workers_recovered: pool.recovered_workers() - recovered_before,
-            fir_nanos: clocks.fir.load(Ordering::Relaxed),
-            solve_nanos: clocks.solve.load(Ordering::Relaxed),
-            lookback_nanos,
-            correct_nanos: clocks.correct.load(Ordering::Relaxed),
-            plan_cache_hits: self.plan_cache_hit as u64,
-            plan_cache_misses: !self.plan_cache_hit as u64,
-            plan_kind: self.plan.kind(),
-            fused_chunks: 0,
-            correction_taps: self.plan.correction_taps() as u64,
-            carry_resets,
-            kernel: self.plan.solve().kind(),
-            solve_slices: clocks.slices.load(Ordering::Relaxed),
-            reset_chunks: 0,
-            skipped_chunks: 0,
-        })
+    fn local_state(&self, _c: usize, chunk: &[T]) -> Vec<T> {
+        carries_of(chunk, self.order())
     }
-}
 
-/// Whether every carry in the slice widens to a finite `f64` (always true
-/// for integer elements).
-pub(crate) fn all_finite<T: Element>(carries: &[T]) -> bool {
-    carries.iter().all(|&c| c.to_f64().is_finite())
-}
-
-// The in-place FIR kernel moved into plr-core's register-blocked kernel
-// layer (branch-free steady state, unrolled small tap counts); the runner
-// and the batch executor share it from there.
-pub(crate) use plr_core::blocked::fir_in_place;
-
-/// Derives the global carries of chunk `j` from published state: walks back
-/// to the nearest chunk with published globals (spinning on chunk 0's if
-/// necessary), then fixes forward through published local carries.
-///
-/// When the plan's correction cannot reach chunk `j`'s own carries (a
-/// decay-truncated plan whose effective factors die out before the chunk's
-/// last `k` elements), chunk `j`'s globals equal its locals — the look-back
-/// chain resets there and the walk collapses to a single wait.
-///
-/// Returns `None` when the run was aborted while waiting on carries that
-/// will never be published (a dead worker claimed the chunk that owned
-/// them) — the caller must stop processing its chunk.
-#[allow(clippy::too_many_arguments)]
-fn resolve_global<T: Element>(
-    plan: &CorrectionPlan<T>,
-    slots: &[Slot<T>],
-    j: usize,
-    m: usize,
-    n: usize,
-    hops: &AtomicU64,
-    spins: &AtomicU64,
-    max_depth: &AtomicU64,
-    resets: &AtomicU64,
-    abort: &AbortSignal,
-) -> Option<Vec<T>> {
-    let len_j = m.min(n - j * m);
-    if j > 0 && plan.resets_carries(len_j) {
-        let locals = wait_for(&slots[j].local, spins, abort)?;
-        resets.fetch_add(1, Ordering::Relaxed);
-        max_depth.fetch_max(1, Ordering::Relaxed);
-        return Some(locals.clone());
+    fn fixup(&self, _c: usize, prev: &[T], local: &[T], len: usize) -> Vec<T> {
+        self.fixup_carries(prev, local, len)
     }
-    // Find the deepest published globals at or before j.
-    let mut start = j;
-    loop {
-        if slots[start].global.get().is_some() {
-            break;
-        }
-        if start == 0 {
-            // Chunk 0 publishes unconditionally right after its local
-            // solve; spin until it lands (or the run dies).
-            wait_for(&slots[0].global, spins, abort)?;
-            break;
-        }
-        start -= 1;
-    }
-    let mut g = slots[start]
-        .global
-        .get()
-        .expect("checked or awaited above")
-        .clone();
-    hops.fetch_add(1, Ordering::Relaxed);
-    max_depth.fetch_max((j - start + 1) as u64, Ordering::Relaxed);
-    for (h, slot) in slots.iter().enumerate().take(j + 1).skip(start + 1) {
-        let locals = wait_for(&slot.local, spins, abort)?;
-        let chunk_len = m.min(n - h * m);
-        g = plan.fixup_carries(&g, locals, chunk_len);
-        hops.fetch_add(1, Ordering::Relaxed);
-    }
-    Some(g)
-}
 
-/// Spins (with yields) until a carry set is published, or `None` once the
-/// run is aborted. The abort flag is polled only on the yield slots (every
-/// 64th iteration), keeping the fast path a pure `spin_loop`.
-pub(crate) fn wait_for<'a, T>(
-    cell: &'a OnceLock<Vec<T>>,
-    spins: &AtomicU64,
-    abort: &AbortSignal,
-) -> Option<&'a Vec<T>> {
-    let mut tries = 0u64;
-    loop {
-        if let Some(v) = cell.get() {
-            if tries > 0 {
-                spins.fetch_add(tries, Ordering::Relaxed);
-            }
-            return Some(v);
-        }
-        tries += 1;
-        if tries.is_multiple_of(64) {
-            if abort.is_aborted() {
-                spins.fetch_add(tries, Ordering::Relaxed);
-                return None;
-            }
-            std::thread::yield_now();
-        } else {
-            std::hint::spin_loop();
-        }
+    fn correct(&self, _c: usize, chunk: &mut [T], prev: &[T]) {
+        self.correct_chunk(chunk, prev);
+    }
+
+    fn carries_reset(&self, len: usize) -> bool {
+        self.resets_carries(len)
     }
 }
 
@@ -890,41 +347,39 @@ mod tests {
 
     #[test]
     fn check_finite_flags_divergent_float_runs() {
-        // y_i = 2·y_{i-1} + x_i diverges; f32 overflows to +inf inside the
-        // first chunk, so every strategy must report a non-finite carry.
+        // y_i = 2·y_{i-1} + x_i diverges. With 256-element chunks f32
+        // overflows to +inf inside the first chunk; with 64-element chunks
+        // every local carry stays finite and only a derived global carry
+        // (chunk 1's) overflows. Every strategy must report it either way.
         let sig: Signature<f32> = "1:2".parse().unwrap();
-        let input = vec![1.0f32; 4096];
-        let num_chunks = input.len() / 256;
-        for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-            let strict = ParallelRunner::with_config(
-                sig.clone(),
-                RunnerConfig {
-                    chunk_size: 256,
-                    threads: 4,
+        for (n, chunk_size, threads) in [(4096, 256, 4), (256, 64, 1), (256, 64, 2)] {
+            let input = vec![1.0f32; n];
+            let num_chunks = n / chunk_size;
+            for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
+                let config = RunnerConfig {
+                    chunk_size,
+                    threads,
                     strategy,
-                    check_finite: true,
                     ..Default::default()
-                },
-            )
-            .unwrap();
-            match strict.run(&input) {
-                Err(EngineError::NonFiniteCarry { chunk }) => assert!(chunk < num_chunks),
-                other => panic!("expected NonFiniteCarry ({strategy:?}), got {other:?}"),
+                };
+                let strict = ParallelRunner::with_config(
+                    sig.clone(),
+                    RunnerConfig {
+                        check_finite: true,
+                        ..config
+                    },
+                )
+                .unwrap();
+                match strict.run(&input) {
+                    Err(EngineError::NonFiniteCarry { chunk }) => assert!(chunk < num_chunks),
+                    other => panic!("expected NonFiniteCarry ({config:?}), got {other:?}"),
+                }
+                // The check is opt-in: by default the same run completes
+                // and silently propagates the non-finite values.
+                let lax = ParallelRunner::with_config(sig.clone(), config).unwrap();
+                let out = lax.run(&input).unwrap();
+                assert!(!out.last().unwrap().is_finite(), "{config:?}");
             }
-            // The check is opt-in: by default the same run completes and
-            // silently propagates the non-finite values.
-            let lax = ParallelRunner::with_config(
-                sig.clone(),
-                RunnerConfig {
-                    chunk_size: 256,
-                    threads: 4,
-                    strategy,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let out = lax.run(&input).unwrap();
-            assert!(!out.last().unwrap().is_finite(), "{strategy:?}");
         }
     }
 

@@ -1,7 +1,10 @@
 //! The multithreaded segmented runner: chunked decoupled look-back over
 //! inputs with in-input restart boundaries.
 //!
-//! A segment reset is a zero carry, and that makes segmented inputs *more*
+//! [`SegmentedRunner`] is a thin constructor over the crate's one chunk
+//! pipeline (the private `pipeline` module), with the [`SegmentedPlan`]
+//! (a correction plan plus a [`BoundaryMap`]) as its carry algebra. A
+//! segment reset is a zero carry, and that makes segmented inputs *more*
 //! parallel than plain ones, not less: the boundary map classifies every
 //! chunk up front, reset chunks publish their global carries straight off
 //! their local solve (their tail past the last in-chunk boundary never
@@ -17,23 +20,12 @@
 //! companion-power multiply) of zero locals. `RunStats` reports both
 //! classifications (`reset_chunks`, `skipped_chunks`).
 //!
-//! Progress argument (extending [`ParallelRunner`]'s): tickets are claimed
-//! in order, interior chunks publish locals before any waiting, reset
-//! chunks publish globals before any waiting, and the look-back floor of
-//! every walk is a chunk that publishes unconditionally (chunk 0 or the
-//! statically-known nearest reset chunk) — so every spin wait is bounded
-//! by the pipeline depth.
-//!
-//! [`ParallelRunner`]: crate::ParallelRunner
+//! [`BoundaryMap`]: plr_core::segmented::BoundaryMap
 
 use crate::batch::RowTask;
-use crate::pool::{
-    resolve_threads, AbortSignal, CancelToken, RunControl, RunError, SendPtr, Tickets, WorkerPanic,
-    WorkerPool,
-};
-use crate::runner::{
-    all_finite, timed, wait_for, PhaseClocks, PhaseTally, RunnerConfig, Slot, Strategy,
-};
+use crate::pipeline::{bound_row_methods, runner_methods, CarryAlgebra, Pipeline, Solved};
+use crate::pool::CancelToken;
+use crate::runner::RunnerConfig;
 use crate::stats::RunStats;
 use crate::stream::RowStream;
 use plr_core::element::Element;
@@ -41,14 +33,7 @@ use plr_core::error::EngineError;
 use plr_core::nacci::carries_of;
 use plr_core::segmented::{all_zero, SegmentedPlan, Segments};
 use plr_core::signature::Signature;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
-
-/// What the two-pass sequential chain produces: per-chunk global carries
-/// plus its `(hops, carry_resets, reset_chunks)` counters.
-type ChainOutcome<T> = (Vec<Vec<T>>, u64, u64, u64);
+use std::sync::Arc;
 
 /// A multithreaded executor for one signature over segmented inputs of a
 /// fixed length (boundary map and correction plan precomputed once,
@@ -69,12 +54,10 @@ type ChainOutcome<T> = (Vec<Vec<T>>, u64, u64, u64);
 /// ```
 #[derive(Debug)]
 pub struct SegmentedRunner<T> {
-    /// The precomputed plan: correction plan (built directly, never via
-    /// the shared constant-signature cache) + per-chunk boundary map.
-    plan: Arc<SegmentedPlan<T>>,
-    config: RunnerConfig,
-    /// The persistent pool, created on first use.
-    pool: OnceLock<Arc<WorkerPool>>,
+    /// The precomputed plan (correction plan, built directly and never
+    /// via the shared constant-signature cache, plus the per-chunk
+    /// boundary map) driving the shared pipeline.
+    pipeline: Pipeline<SegmentedPlan<T>>,
 }
 
 impl<T: Element> SegmentedRunner<T> {
@@ -120,692 +103,114 @@ impl<T: Element> SegmentedRunner<T> {
     pub fn from_plan(plan: SegmentedPlan<T>, mut config: RunnerConfig) -> Self {
         config.chunk_size = plan.chunk_size();
         SegmentedRunner {
-            plan: Arc::new(plan),
-            config,
-            pool: OnceLock::new(),
+            pipeline: Pipeline::new(Arc::new(plan), config, None),
         }
-    }
-
-    /// The configured worker count (resolving `0` to the CPU count).
-    pub fn threads(&self) -> usize {
-        resolve_threads(self.config.threads)
-    }
-
-    /// The runner's configuration.
-    pub fn config(&self) -> &RunnerConfig {
-        &self.config
     }
 
     /// The precomputed segmented plan (correction plan + boundary map),
     /// shared with rows dispatched through [`SegmentedRunner::run_rows`] /
     /// [`SegmentedRunner::stream`].
     pub fn plan(&self) -> &Arc<SegmentedPlan<T>> {
-        &self.plan
+        &self.pipeline.plan
     }
 
-    /// The persistent pool, spawning it on first use.
-    fn pool(&self) -> &Arc<WorkerPool> {
-        self.pool
-            .get_or_init(|| Arc::new(WorkerPool::new(self.threads())))
+    runner_methods!();
+    bound_row_methods!(RowTask::segmented);
+}
+
+/// The segmented algebra: the constant algebra's carries, clipped at
+/// segment boundaries. Chunks holding a boundary are resets (they publish
+/// the carries of their tail past the last boundary as their global
+/// state, and floor every look-back); all-zero chunks skip their solve
+/// when the plan's sparse path is on.
+impl<T: Element> CarryAlgebra<T> for SegmentedPlan<T> {
+    fn bound_len(&self) -> Option<usize> {
+        Some(self.len())
     }
 
-    /// Computes the segmented recurrence over `input`, allocating the
-    /// output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::LengthMismatch`] when `input` does not have
-    /// the plan's bound length, [`EngineError::WorkerPanicked`] when a
-    /// worker (or the calling thread) panicked mid-run,
-    /// [`EngineError::NonFiniteCarry`] when [`RunnerConfig::check_finite`]
-    /// is on and a chunk produced a NaN or infinite carry, and
-    /// [`EngineError::DeadlineExceeded`] when [`RunnerConfig::deadline`]
-    /// is set and the run outlived it. On error the pool survives and the
-    /// runner stays usable.
-    pub fn run(&self, input: &[T]) -> Result<Vec<T>, EngineError> {
-        let mut data = input.to_vec();
-        self.run_in_place(&mut data)?;
-        Ok(data)
-    }
-
-    /// Like [`SegmentedRunner::run`], but observing a caller-held
-    /// [`CancelToken`] — same semantics as
-    /// [`ParallelRunner::run_with_cancel`](crate::ParallelRunner::run_with_cancel).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Cancelled`] on cancellation, plus everything
-    /// [`SegmentedRunner::run`] can return.
-    pub fn run_with_cancel(
-        &self,
-        input: &[T],
-        cancel: &CancelToken,
-    ) -> Result<Vec<T>, EngineError> {
-        let mut data = input.to_vec();
-        self.run_in_place_with_cancel(&mut data, cancel)?;
-        Ok(data)
-    }
-
-    /// Computes the segmented recurrence in place, returning runtime
-    /// statistics.
-    ///
-    /// # Errors
-    ///
-    /// See [`SegmentedRunner::run`]; on error `data` is left partially
-    /// processed.
-    pub fn run_in_place(&self, data: &mut [T]) -> Result<RunStats, EngineError> {
-        self.execute(data, None)
-    }
-
-    /// In-place variant of [`SegmentedRunner::run_with_cancel`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SegmentedRunner::run_with_cancel`]; on error `data` is left
-    /// partially processed.
-    pub fn run_in_place_with_cancel(
-        &self,
-        data: &mut [T],
-        cancel: &CancelToken,
-    ) -> Result<RunStats, EngineError> {
-        self.execute(data, Some(cancel))
-    }
-
-    /// Shared entry point: validates the length, builds the run's
-    /// [`RunControl`], and dispatches on the strategy.
-    fn execute(
-        &self,
-        data: &mut [T],
-        cancel: Option<&CancelToken>,
-    ) -> Result<RunStats, EngineError> {
-        if data.len() != self.plan.len() {
-            return Err(EngineError::LengthMismatch {
-                expected: self.plan.len(),
-                got: data.len(),
-            });
-        }
-        if data.is_empty() {
-            return Ok(RunStats {
-                threads: self.threads() as u64,
-                plan_kind: self.plan.correction().kind(),
-                kernel: self.plan.correction().solve().kind(),
-                correction_taps: self.plan.correction().correction_taps() as u64,
-                ..RunStats::default()
-            });
-        }
-        let mut ctl = RunControl::new();
-        if let Some(token) = cancel {
-            ctl = ctl.with_cancel(token);
-        }
-        if let Some(budget) = self.config.deadline {
-            ctl = ctl.with_deadline(budget);
-        }
-        let pool = self.pool();
-        match self.config.strategy {
-            Strategy::LookbackPipeline => self.run_lookback(data, pool, &ctl),
-            Strategy::TwoPass => self.run_two_pass(data, pool, &ctl),
-        }
-    }
-
-    /// Seeds the stats every strategy shares: segmented runs never touch
-    /// the constant-signature plan cache, so both cache counters stay 0.
-    fn base_stats(&self, pool: &WorkerPool, num_chunks: usize) -> RunStats {
+    /// Never touches the constant-signature plan cache.
+    fn base_stats(&self) -> RunStats {
         RunStats {
-            rows: 1,
-            chunks: num_chunks as u64,
-            threads: pool.width() as u64,
-            plan_kind: self.plan.correction().kind(),
-            kernel: self.plan.correction().solve().kind(),
-            correction_taps: self.plan.correction().correction_taps() as u64,
+            plan_kind: self.correction().kind(),
+            kernel: self.correction().solve().kind(),
+            correction_taps: self.correction().correction_taps() as u64,
             ..RunStats::default()
         }
     }
 
-    /// The single-pass decoupled look-back pipeline, reset-aware.
-    fn run_lookback(
-        &self,
-        data: &mut [T],
-        pool: &WorkerPool,
-        ctl: &RunControl,
-    ) -> Result<RunStats, EngineError> {
-        let plan = &*self.plan;
-        let cp = plan.correction();
-        let m = plan.chunk_size();
-        let n = data.len();
-        let k = plan.order();
-        let num_chunks = plan.num_chunks();
-        let boundaries = plan.stash_boundaries(data);
-        let check_finite = self.config.check_finite && T::IS_FLOAT;
-
-        let slots: Vec<Slot<T>> = (0..num_chunks).map(|_| Slot::new()).collect();
-        let hops = AtomicU64::new(0);
-        let spins = AtomicU64::new(0);
-        let max_depth = AtomicU64::new(0);
-        let resets = AtomicU64::new(0);
-        let aborts = AtomicU64::new(0);
-        let reset_chunks = AtomicU64::new(0);
-        let skipped_chunks = AtomicU64::new(0);
-        let clocks = PhaseClocks::default();
-        let failure: OnceLock<EngineError> = OnceLock::new();
-        let tickets = Tickets::new(num_chunks);
-        let base = SendPtr::new(data.as_mut_ptr());
-        let recovered_before = pool.recovered_workers();
-
-        let outcome = pool.run_ctl(ctl, |_worker, abort| {
-            let mut tally = PhaseTally::default();
-            while let Some(c) = tickets.claim() {
-                if abort.is_aborted() {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let start = c * m;
-                let len = m.min(n - start);
-                // SAFETY: tickets are unique, so chunk `c` is exclusively
-                // ours; `base` outlives `pool.run_ctl` (it blocks until
-                // every worker finishes, even when one of them panics).
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(start), len) };
-                timed(&mut tally.fir, || plan.fir_chunk(chunk, c, &boundaries));
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Solve, _worker, c, Some(abort));
-                // Sparse fast path: an all-zero post-FIR chunk solves to
-                // zero bit-exactly, so skip the local solve outright; the
-                // correction pass below is its entire output, and its
-                // carries follow from the factor-table fix-up of zero
-                // locals — identical code to the dense path from here on.
-                if plan.sparse() && all_zero(chunk) {
-                    skipped_chunks.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    let solved = timed(&mut tally.solve, || {
-                        plan.solve_chunk(chunk, c, &mut || !abort.is_aborted())
-                    });
-                    tally.slices += solved.slices;
-                    if !solved.completed {
-                        aborts.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                }
-                if plan.map().has_resets(c) {
-                    // Reset chunk: its tail past the last in-chunk
-                    // boundary already has real (zero) history, so its
-                    // global carries are final now — publish before any
-                    // correction so successors never wait on our walk.
-                    reset_chunks.fetch_add(1, Ordering::Relaxed);
-                    let tail = plan.map().global_tail_start(c);
-                    let globals = carries_of(&chunk[tail..], k);
-                    if check_finite && !all_finite(&globals) {
-                        let _ = failure.set(EngineError::NonFiniteCarry { chunk: c });
-                        abort.trigger();
-                        aborts.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                    slots[c]
-                        .global
-                        .set(globals)
-                        .expect("sole producer of reset-chunk globals");
-                    // Only the prefix before the first boundary continues
-                    // the incoming segment; chunk 0's prefix starts the
-                    // data and is already global.
-                    let limit = plan.map().correct_limit(c, len);
-                    if c == 0 || limit == 0 {
-                        continue;
-                    }
-                    #[cfg(feature = "fault-inject")]
-                    crate::fault::check(crate::fault::FaultSite::Lookback, _worker, c, Some(abort));
-                    let Some(g) = timed(&mut tally.lookback, || {
-                        resolve_global_segmented(
-                            plan,
-                            &slots,
-                            c - 1,
-                            m,
-                            n,
-                            &hops,
-                            &spins,
-                            &max_depth,
-                            &resets,
-                            abort,
-                        )
-                    }) else {
-                        aborts.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    };
-                    timed(&mut tally.correct, || {
-                        cp.correct_chunk(&mut chunk[..limit], &g)
-                    });
-                    continue;
-                }
-                // Interior chunk: the ordinary pipeline.
-                let locals = carries_of(chunk, k);
-                if check_finite && !all_finite(&locals) {
-                    let _ = failure.set(EngineError::NonFiniteCarry { chunk: c });
-                    abort.trigger();
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                slots[c]
-                    .local
-                    .set(locals.clone())
-                    .expect("sole producer of local carries");
-                if c == 0 {
-                    slots[0]
-                        .global
-                        .set(locals)
-                        .expect("sole producer of chunk 0 globals");
-                    continue;
-                }
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Lookback, _worker, c, Some(abort));
-                let Some(g) = timed(&mut tally.lookback, || {
-                    resolve_global_segmented(
-                        plan,
-                        &slots,
-                        c - 1,
-                        m,
-                        n,
-                        &hops,
-                        &spins,
-                        &max_depth,
-                        &resets,
-                        abort,
-                    )
-                }) else {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                };
-                timed(&mut tally.correct, || cp.correct_chunk(chunk, &g));
-                let globals = carries_of(chunk, k);
-                if check_finite && !all_finite(&globals) {
-                    let _ = failure.set(EngineError::NonFiniteCarry { chunk: c });
-                    abort.trigger();
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                // A deeper look-back by a successor may already have
-                // derived (and published) our globals.
-                let _ = slots[c].global.set(globals);
-            }
-            tally.flush(&clocks);
-        });
-
-        outcome.map_err(RunError::into_engine_error)?;
-        if let Some(e) = failure.into_inner() {
-            return Err(e);
-        }
-        Ok(RunStats {
-            lookback_hops: hops.load(Ordering::Relaxed),
-            spin_waits: spins.load(Ordering::Relaxed),
-            max_lookback_depth: max_depth.load(Ordering::Relaxed),
-            aborts: aborts.load(Ordering::Relaxed),
-            workers_recovered: pool.recovered_workers() - recovered_before,
-            fir_nanos: clocks.fir.load(Ordering::Relaxed),
-            solve_nanos: clocks.solve.load(Ordering::Relaxed),
-            lookback_nanos: clocks.lookback.load(Ordering::Relaxed),
-            correct_nanos: clocks.correct.load(Ordering::Relaxed),
-            carry_resets: resets.load(Ordering::Relaxed),
-            solve_slices: clocks.slices.load(Ordering::Relaxed),
-            reset_chunks: reset_chunks.load(Ordering::Relaxed),
-            skipped_chunks: skipped_chunks.load(Ordering::Relaxed),
-            ..self.base_stats(pool, num_chunks)
-        })
+    fn has_fir(&self) -> bool {
+        !self.is_pure_feedback()
     }
 
-    /// The two-pass strategy: parallel map + piecewise local solves, one
-    /// sequential carry chain (restarting at every reset chunk), parallel
-    /// boundary-clipped correction.
-    fn run_two_pass(
+    fn stash(&self, data: &[T]) -> Vec<Vec<T>> {
+        self.stash_boundaries(data)
+    }
+
+    fn fir(&self, chunk: &mut [T], c: usize, stash: &[Vec<T>]) {
+        self.fir_chunk(chunk, c, stash);
+    }
+
+    fn solve(
         &self,
-        data: &mut [T],
-        pool: &WorkerPool,
-        ctl: &RunControl,
-    ) -> Result<RunStats, EngineError> {
-        let plan = &*self.plan;
-        let cp = plan.correction();
-        let m = plan.chunk_size();
-        let k = plan.order();
-        let n = data.len();
-        let num_chunks = plan.num_chunks();
-        let boundaries = plan.stash_boundaries(data);
-        let check_finite = self.config.check_finite && T::IS_FLOAT;
-        let clocks = PhaseClocks::default();
-        let aborts = AtomicU64::new(0);
-        let skipped_chunks = AtomicU64::new(0);
-        let recovered_before = pool.recovered_workers();
+        c: usize,
+        chunk: &mut [T],
+        _history: Option<&[T]>,
+        keep_going: &mut dyn FnMut() -> bool,
+    ) -> Solved<T> {
+        let solved = self.solve_chunk(chunk, c, keep_going);
+        Solved {
+            slices: solved.slices,
+            state: solved.completed.then(|| self.local_state(c, chunk)),
+        }
+    }
 
-        // Pass A: in-place map + piecewise local solves in parallel, with
-        // the sparse skip for all-zero chunks.
-        let tickets = Tickets::new(num_chunks);
-        let base = SendPtr::new(data.as_mut_ptr());
-        pool.run_ctl(ctl, |_worker, abort| {
-            let mut tally = PhaseTally::default();
-            while let Some(c) = tickets.claim() {
-                if abort.is_aborted() {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let start = c * m;
-                let len = m.min(n - start);
-                // SAFETY: unique tickets make the chunks disjoint.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(start), len) };
-                timed(&mut tally.fir, || plan.fir_chunk(chunk, c, &boundaries));
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Solve, _worker, c, Some(abort));
-                if plan.sparse() && all_zero(chunk) {
-                    skipped_chunks.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                let solved = timed(&mut tally.solve, || {
-                    plan.solve_chunk(chunk, c, &mut || !abort.is_aborted())
-                });
-                tally.slices += solved.slices;
-                if !solved.completed {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            }
-            tally.flush(&clocks);
-        })
-        .map_err(RunError::into_engine_error)?;
-
-        // Sequential chain: globals of chunk c from globals of c-1, except
-        // at reset chunks, whose tail carries are already global (the
-        // chain restarts there). Runs outside the pool, so it gets its own
-        // unwind guard to keep "panics become errors" uniform.
-        let chain_start = Instant::now();
-        let chain = catch_unwind(AssertUnwindSafe(
-            || -> Result<ChainOutcome<T>, EngineError> {
-                let mut hops = 0u64;
-                let mut resets = 0u64;
-                let mut reset_chunks = 0u64;
-                let mut globals: Vec<Vec<T>> = Vec::with_capacity(num_chunks);
-                for c in 0..num_chunks {
-                    if c > 0 {
-                        // The chain runs outside the pool, so the watchdog
-                        // cannot see it; poll the control directly.
-                        ctl.status().map_err(RunError::into_engine_error)?;
-                        #[cfg(feature = "fault-inject")]
-                        crate::fault::check(crate::fault::FaultSite::Lookback, 0, c, None);
-                    }
-                    let start = c * m;
-                    let end = (start + m).min(n);
-                    let g = if plan.map().has_resets(c) {
-                        reset_chunks += 1;
-                        carries_of(&data[start + plan.map().global_tail_start(c)..end], k)
-                    } else if c == 0 {
-                        carries_of(&data[..end], k)
-                    } else {
-                        let locals = carries_of(&data[start..end], k);
-                        if cp.resets_carries(end - start) {
-                            resets += 1;
-                            locals
-                        } else {
-                            hops += 1;
-                            cp.fixup_carries(&globals[c - 1], &locals, end - start)
-                        }
-                    };
-                    if check_finite && !all_finite(&g) {
-                        return Err(EngineError::NonFiniteCarry { chunk: c });
-                    }
-                    globals.push(g);
-                }
-                Ok((globals, hops, resets, reset_chunks))
-            },
-        ));
-        let (globals, hops, carry_resets, reset_chunks) = match chain {
-            Ok(Ok(v)) => v,
-            Ok(Err(e)) => return Err(e),
-            Err(payload) => {
-                return Err(WorkerPanic::from_payload(0, payload.as_ref()).into_engine_error())
-            }
+    fn local_state(&self, c: usize, chunk: &[T]) -> Vec<T> {
+        let tail = if self.map().has_resets(c) {
+            self.map().global_tail_start(c)
+        } else {
+            0
         };
-        let lookback_nanos = chain_start.elapsed().as_nanos() as u64;
-
-        // Pass B: correct every chunk's continuing prefix with its
-        // predecessor's globals, in parallel (chunk 0 is already global;
-        // chunks beginning on a boundary have nothing to correct).
-        let tickets = Tickets::new(num_chunks.saturating_sub(1));
-        let base = SendPtr::new(data.as_mut_ptr());
-        let globals = &globals;
-        pool.run_ctl(ctl, |_worker, abort| {
-            let mut tally = PhaseTally::default();
-            while let Some(t) = tickets.claim() {
-                if abort.is_aborted() {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let c = t + 1;
-                let start = c * m;
-                let len = m.min(n - start);
-                let limit = plan.map().correct_limit(c, len);
-                if limit == 0 {
-                    continue;
-                }
-                // SAFETY: unique tickets make the chunks disjoint.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(start), len) };
-                timed(&mut tally.correct, || {
-                    cp.correct_chunk(&mut chunk[..limit], &globals[c - 1])
-                });
-            }
-            tally.flush(&clocks);
-        })
-        .map_err(RunError::into_engine_error)?;
-
-        Ok(RunStats {
-            lookback_hops: hops,
-            spin_waits: 0,
-            max_lookback_depth: 1,
-            aborts: aborts.load(Ordering::Relaxed),
-            workers_recovered: pool.recovered_workers() - recovered_before,
-            fir_nanos: clocks.fir.load(Ordering::Relaxed),
-            solve_nanos: clocks.solve.load(Ordering::Relaxed),
-            lookback_nanos,
-            correct_nanos: clocks.correct.load(Ordering::Relaxed),
-            carry_resets,
-            solve_slices: clocks.slices.load(Ordering::Relaxed),
-            reset_chunks,
-            skipped_chunks: skipped_chunks.load(Ordering::Relaxed),
-            ..self.base_stats(pool, num_chunks)
-        })
+        carries_of(&chunk[tail..], self.order())
     }
 
-    /// Applies the segmented recurrence to each row of a row-major matrix
-    /// in place: every row is an independent input under the same segment
-    /// boundaries (so `width` must equal the plan's bound length). Rows
-    /// are distributed whole across the pool through the same [`RowTask`]
-    /// dispatch the constant batch runner and the streaming layer use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::UnsupportedSignature`] when `width == 0` or
-    /// does not divide the data length, [`EngineError::LengthMismatch`]
-    /// when `width` is not the plan's bound length, and
-    /// [`EngineError::WorkerPanicked`] when a worker panicked mid-run —
-    /// the pool survives and the runner stays usable, but `data` is left
-    /// partially processed.
-    pub fn run_rows(&self, data: &mut [T], width: usize) -> Result<RunStats, EngineError> {
-        self.run_rows_ctl(data, width, None)
+    fn fixup(&self, _c: usize, prev: &[T], local: &[T], len: usize) -> Vec<T> {
+        self.correction().fixup_carries(prev, local, len)
     }
 
-    /// Like [`SegmentedRunner::run_rows`], but observing a caller-held
-    /// [`CancelToken`] (cancelling aborts mid-row; completed rows keep
-    /// their results).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Cancelled`] on cancellation, plus everything
-    /// [`SegmentedRunner::run_rows`] can return.
-    pub fn run_rows_with_cancel(
-        &self,
-        data: &mut [T],
-        width: usize,
-        cancel: &CancelToken,
-    ) -> Result<RunStats, EngineError> {
-        self.run_rows_ctl(data, width, Some(cancel))
+    /// Only the prefix before the first in-chunk boundary continues the
+    /// incoming segment.
+    fn correct(&self, c: usize, chunk: &mut [T], prev: &[T]) {
+        let limit = self.map().correct_limit(c, chunk.len());
+        self.correction().correct_chunk(&mut chunk[..limit], prev);
     }
 
-    fn run_rows_ctl(
-        &self,
-        data: &mut [T],
-        width: usize,
-        cancel: Option<&CancelToken>,
-    ) -> Result<RunStats, EngineError> {
-        if width == 0 || !data.len().is_multiple_of(width) {
-            return Err(EngineError::UnsupportedSignature {
-                reason: format!(
-                    "row width {width} does not divide the data length {}",
-                    data.len()
-                ),
-            });
-        }
-        if width != self.plan.len() {
-            return Err(EngineError::LengthMismatch {
-                expected: self.plan.len(),
-                got: width,
-            });
-        }
-        let rows = data.len() / width;
-        let pool = self.pool();
-        let mut ctl = RunControl::new();
-        if let Some(token) = cancel {
-            ctl = ctl.with_cancel(token);
-        }
-        if let Some(budget) = self.config.deadline {
-            ctl = ctl.with_deadline(budget);
-        }
-        let task = RowTask::segmented(Arc::clone(&self.plan));
-        let fir_nanos = AtomicU64::new(0);
-        let solve_nanos = AtomicU64::new(0);
-        let solve_slices = AtomicU64::new(0);
-        let aborts = AtomicU64::new(0);
-        let recovered_before = pool.recovered_workers();
-        let tickets = Tickets::new(rows);
-        let base = SendPtr::new(data.as_mut_ptr());
-        pool.run_ctl(&ctl, |worker, abort| {
-            let (mut fir_ns, mut solve_ns, mut slices) = (0u64, 0u64, 0u64);
-            while let Some(r) = tickets.claim() {
-                if abort.is_aborted() {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                // SAFETY: unique tickets make the rows disjoint; `data`
-                // outlives the blocking `pool.run_ctl` call.
-                let row =
-                    unsafe { std::slice::from_raw_parts_mut(base.ptr().add(r * width), width) };
-                let (f, s, sl) = task.apply(row, worker, r, Some(abort));
-                fir_ns += f;
-                solve_ns += s;
-                slices += sl;
-            }
-            fir_nanos.fetch_add(fir_ns, Ordering::Relaxed);
-            solve_nanos.fetch_add(solve_ns, Ordering::Relaxed);
-            solve_slices.fetch_add(slices, Ordering::Relaxed);
-        })
-        .map_err(RunError::into_engine_error)?;
-        Ok(RunStats {
-            rows: rows as u64,
-            chunks: (rows * self.plan.num_chunks()) as u64,
-            aborts: aborts.load(Ordering::Relaxed),
-            workers_recovered: pool.recovered_workers() - recovered_before,
-            fir_nanos: fir_nanos.load(Ordering::Relaxed),
-            solve_nanos: solve_nanos.load(Ordering::Relaxed),
-            solve_slices: solve_slices.load(Ordering::Relaxed),
-            ..self.base_stats(pool, self.plan.num_chunks())
-        })
+    fn is_reset(&self, c: usize) -> bool {
+        self.map().has_resets(c)
     }
 
-    /// Opens a streaming submission channel for independent rows under
-    /// this segmented plan — the exact machinery of
-    /// [`BatchRunner::stream`](crate::BatchRunner::stream) (backpressure
-    /// window, per-row handles, cancel/deadline semantics), dispatching
-    /// each row through [`RowTask::segmented`]. Every pushed row must have
-    /// the plan's bound length; other lengths resolve that row's handle to
-    /// [`EngineError::WorkerPanicked`].
-    pub fn stream(&self) -> RowStream<T> {
-        self.stream_with_window(2 * self.threads().max(1))
+    fn is_skippable(&self, chunk: &[T]) -> bool {
+        self.sparse() && all_zero(chunk)
     }
 
-    /// Like [`SegmentedRunner::stream`] with an explicit in-flight window
-    /// (clamped to at least 1).
-    pub fn stream_with_window(&self, window: usize) -> RowStream<T> {
-        RowStream::launch(
-            Arc::clone(self.pool()),
-            RowTask::segmented(Arc::clone(&self.plan)),
-            window.max(1),
-        )
+    fn carries_reset(&self, len: usize) -> bool {
+        self.correction().resets_carries(len)
     }
-}
 
-/// Derives the global carries of chunk `j` from published state, with the
-/// look-back terminating at the nearest reset: a reset chunk's globals are
-/// published straight off its local solve (its locals never are), so the
-/// walk's floor is the statically-known nearest reset chunk at or before
-/// `j` — or chunk 0, which also publishes unconditionally.
-///
-/// Returns `None` when the run was aborted while waiting on carries that
-/// will never be published — the caller must stop processing its chunk.
-#[allow(clippy::too_many_arguments)]
-fn resolve_global_segmented<T: Element>(
-    plan: &SegmentedPlan<T>,
-    slots: &[Slot<T>],
-    j: usize,
-    m: usize,
-    n: usize,
-    hops: &AtomicU64,
-    spins: &AtomicU64,
-    max_depth: &AtomicU64,
-    resets: &AtomicU64,
-    abort: &AbortSignal,
-) -> Option<Vec<T>> {
-    let cp = plan.correction();
-    // A reset chunk publishes its (final) globals before any waiting;
-    // its locals are never derivable, so just wait for the real thing.
-    if plan.map().has_resets(j) {
-        let g = wait_for(&slots[j].global, spins, abort)?;
-        hops.fetch_add(1, Ordering::Relaxed);
-        max_depth.fetch_max(1, Ordering::Relaxed);
-        return Some(g.clone());
+    /// Carries never cross a boundary, and the nearest reset chunk
+    /// publishes unconditionally — the role chunk 0 plays otherwise.
+    fn lookback_floor(&self, j: usize) -> usize {
+        self.map().nearest_reset_at_or_before(j).unwrap_or(0)
     }
-    let len_j = m.min(n - j * m);
-    if j > 0 && cp.resets_carries(len_j) {
-        // Decay short-circuit: chunk j's correction cannot reach its own
-        // carries, so its globals equal its locals.
-        let locals = wait_for(&slots[j].local, spins, abort)?;
-        resets.fetch_add(1, Ordering::Relaxed);
-        max_depth.fetch_max(1, Ordering::Relaxed);
-        return Some(locals.clone());
+
+    fn needs_correction(&self, c: usize, len: usize) -> bool {
+        self.map().correct_limit(c, len) > 0
     }
-    // Find the deepest published globals at or before j; the walk never
-    // passes the nearest reset chunk (carries don't cross boundaries, and
-    // it publishes unconditionally — the same role chunk 0 plays).
-    let floor = plan.map().nearest_reset_at_or_before(j).unwrap_or(0);
-    let mut start = j;
-    loop {
-        if slots[start].global.get().is_some() {
-            break;
-        }
-        if start == floor {
-            wait_for(&slots[floor].global, spins, abort)?;
-            break;
-        }
-        start -= 1;
-    }
-    let mut g = slots[start]
-        .global
-        .get()
-        .expect("checked or awaited above")
-        .clone();
-    hops.fetch_add(1, Ordering::Relaxed);
-    max_depth.fetch_max((j - start + 1) as u64, Ordering::Relaxed);
-    for (h, slot) in slots.iter().enumerate().take(j + 1).skip(start + 1) {
-        let locals = wait_for(&slot.local, spins, abort)?;
-        let chunk_len = m.min(n - h * m);
-        g = cp.fixup_carries(&g, locals, chunk_len);
-        hops.fetch_add(1, Ordering::Relaxed);
-    }
-    Some(g)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Strategy;
     use plr_core::segmented::run_serial;
 
     fn sig2() -> Signature<i64> {
@@ -874,6 +279,43 @@ mod tests {
         );
         assert!(stats.skipped_chunks > 0, "zero chunks must be skipped");
         assert_eq!(stats.plan_cache_hits + stats.plan_cache_misses, 0);
+    }
+
+    #[test]
+    fn stream_rejects_wrong_length_rows() {
+        let width = 100;
+        let segments = Segments::uniform(30, width);
+        let runner = SegmentedRunner::with_config(
+            sig2(),
+            segments.clone(),
+            width,
+            RunnerConfig {
+                chunk_size: 16,
+                threads: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let stream = runner.stream();
+        for len in [width - 1, width + 1] {
+            let handle = stream.push_row(vec![1; len]);
+            assert!(handle.is_finished(), "a wrong-length row is never queued");
+            assert_eq!(handle.index(), usize::MAX);
+            let (data, outcome) = handle.join();
+            assert_eq!(data, vec![1; len], "the buffer comes back untouched");
+            match outcome {
+                Err(EngineError::LengthMismatch { expected, got }) => {
+                    assert_eq!((expected, got), (width, len))
+                }
+                other => panic!("expected LengthMismatch, got {other:?}"),
+            }
+        }
+        // The stream is unaffected: a row of the bound length solves.
+        let row: Vec<i64> = (0..width as i64).map(|i| i % 7 - 3).collect();
+        let (got, outcome) = stream.push_row(row.clone()).join();
+        outcome.unwrap();
+        assert_eq!(got, run_serial(&sig2(), &segments, &row));
+        assert_eq!(stream.finish().unwrap().rows, 1);
     }
 
     #[test]

@@ -176,6 +176,8 @@ pub struct RowStream<T> {
     handle: RunHandle,
     /// Pool width at launch, reported in the aggregate stats.
     threads: u64,
+    /// The length every row must have, if the task binds one.
+    bound_len: Option<usize>,
 }
 
 impl<T> std::fmt::Debug for RowStream<T> {
@@ -206,13 +208,7 @@ impl<T: Element> RowStream<T> {
                 // One plan consult backs the whole stream; seed the
                 // aggregate with its outcome rather than recounting it on
                 // every row.
-                stats: RunStats {
-                    plan_cache_hits: task.plan_cache_hits(),
-                    plan_cache_misses: task.plan_cache_misses(),
-                    plan_kind: task.plan_kind(),
-                    kernel: task.kernel_kind(),
-                    ..RunStats::default()
-                },
+                stats: task.base_stats(0),
                 next_row: 0,
             }),
             ready: Condvar::new(),
@@ -221,6 +217,7 @@ impl<T: Element> RowStream<T> {
         });
         let run_token = CancelToken::new();
         let threads = pool.width() as u64;
+        let bound_len = task.bound_len();
         let handle = {
             let shared = Arc::clone(&shared);
             let task = task.clone();
@@ -259,6 +256,7 @@ impl<T: Element> RowStream<T> {
             run_token,
             handle,
             threads,
+            bound_len,
         }
     }
 
@@ -278,12 +276,15 @@ impl<T: Element> RowStream<T> {
     /// the solved buffer back with [`RowHandle::join`]).
     ///
     /// Blocks while the in-flight window is full — that is the
-    /// backpressure contract. Rows may have any length, including
-    /// lengths that differ between pushes.
+    /// backpressure contract. Rows of a constant signature may have any
+    /// length, including lengths that differ between pushes; a varying
+    /// or segmented stream binds every row to its plan's length.
     ///
-    /// Pushing onto a closed or dead stream does not block: the returned
-    /// handle is already resolved to [`EngineError::Cancelled`] (closed)
-    /// or the stream's fatal error (dead), with the buffer untouched.
+    /// Pushing onto a closed or dead stream, or pushing a row of the
+    /// wrong length, does not block: the returned handle is already
+    /// resolved to [`EngineError::Cancelled`] (closed), the stream's
+    /// fatal error (dead), or [`EngineError::LengthMismatch`], with the
+    /// buffer untouched and nothing queued.
     pub fn push_row(&self, data: Vec<T>) -> RowHandle<T> {
         self.push_row_ctl(data, RunControl::new())
     }
@@ -368,6 +369,15 @@ impl<T: Element> RowStream<T> {
         };
         let deadline = budget.map(|b| Instant::now() + b);
         let inner = Arc::new(RowInner::new());
+        if let Some(expected) = self.bound_len {
+            if data.len() != expected {
+                let err = EngineError::LengthMismatch {
+                    expected,
+                    got: data.len(),
+                };
+                return Ok(RowHandle::resolved(inner, cancel, usize::MAX, data, err));
+            }
+        }
         let mut state = lock_recover(&self.shared.state);
         loop {
             if state.closed {
@@ -560,7 +570,7 @@ fn stream_worker<T: Element>(
 }
 
 /// Solves one popped row and resolves its handle — the streaming analogue
-/// of one `run_whole_rows` ticket, plus the per-row control plumbing
+/// of one whole-row dispatch ticket, plus the per-row control plumbing
 /// (cancel token attach, watchdog deadline, panic capture).
 fn process_one<T: Element>(
     pool: &Arc<WorkerPool>,
@@ -762,7 +772,8 @@ impl<T: Element> RowHandle<T> {
     }
 
     /// The row's submission index (0-based, in push order). Pushes that
-    /// were rejected outright (closed/dead stream) report `usize::MAX`.
+    /// were rejected outright (closed/dead stream, wrong row length)
+    /// report `usize::MAX`.
     pub fn index(&self) -> usize {
         self.index
     }

@@ -1,58 +1,39 @@
 //! Multithreaded execution of time-varying recurrences.
 //!
-//! [`VaryingRunner`] maps the matrix-carry lowering
-//! ([`plr_core::varying`]) onto the same chunked machinery the
-//! constant-coefficient [`ParallelRunner`](crate::ParallelRunner) uses:
-//! workers claim chunks from an atomic ticket counter, solve them locally
-//! from zero state, and stitch the chunks together through per-chunk
-//! *affine carry maps* `g ↦ M_c·g + local_c` instead of n-nacci
-//! correction factors. The transition matrices `M_c` depend only on the
-//! coefficients, so they are precomputed once per
-//! [`VaryingPlan`] and shared by every run.
+//! [`VaryingRunner`] is a thin constructor over the crate's one chunk
+//! pipeline (the private `pipeline` module), with the matrix-carry
+//! lowering ([`plr_core::varying`]) as its carry algebra: chunks are
+//! stitched together through per-chunk *affine carry maps*
+//! `g ↦ M_c·g + local_c` instead of n-nacci correction factors. The
+//! transition matrices `M_c` depend only on the coefficients, so they are
+//! precomputed once per [`VaryingPlan`] and shared by every run. Both
+//! [`Strategy`](crate::Strategy) variants, cancel tokens, deadlines,
+//! `check_finite`, fault injection, and the batch/stream layers
+//! ([`VaryingRunner::run_rows`], [`VaryingRunner::stream`]) behave exactly
+//! as they do for constant signatures.
 //!
-//! Both carry strategies carry over:
-//!
-//! * [`Strategy::LookbackPipeline`] — single pass; each worker publishes
-//!   its chunk's local state, resolves its predecessor's global state by
-//!   variable look-back over published carries, corrects its chunk with a
-//!   forward companion pass, and publishes its own global state. Workers
-//!   additionally *fuse* opportunistically: when a chunk's predecessor
-//!   global is already published at claim time (always true for chunk 0),
-//!   the chunk is solved directly from real history — no local publish,
-//!   no correction pass, no matrix math. On one thread every chunk fuses
-//!   and the run degenerates to the serial sweep, which is exactly the
-//!   work-optimal behavior. Float elements fuse only on a width-1 pool:
-//!   fused and corrected solves round differently, and fusing on a race
-//!   would make float outputs depend on scheduler timing.
-//! * [`Strategy::TwoPass`] — parallel local solves, one sequential
-//!   `O(chunks·k²)` affine-map chain, parallel correction.
-//!
-//! The look-back resolver must tolerate fused chunks, which never publish
-//! local state: it waits on *either* carry cell of a chunk and restarts
-//! the walk from a global whenever one lands first.
-//!
-//! Cancel tokens, deadlines, `check_finite`, fault injection, and the
-//! batch/stream layers ([`VaryingRunner::run_rows`],
-//! [`VaryingRunner::stream`]) all behave exactly as they do for constant
-//! signatures; the differential test suite holds the two executors to the
-//! same observable semantics.
+//! One capability is this algebra's alone: *opportunistic fusion* on the
+//! look-back strategy. When a chunk's predecessor global is already
+//! published at claim time (always true for chunk 0), the chunk is solved
+//! directly from real history — no local publish, no correction pass, no
+//! matrix math. On one thread every chunk fuses and the run degenerates to
+//! the serial sweep, which is exactly the work-optimal behavior. Float
+//! elements fuse only on a width-1 pool: fused and corrected solves round
+//! differently, and fusing on a race would make float outputs depend on
+//! scheduler timing.
 
 use crate::batch::RowTask;
-use crate::pool::{
-    resolve_threads, AbortSignal, CancelToken, RunControl, RunError, SendPtr, Tickets, WorkerPanic,
-    WorkerPool,
-};
-use crate::runner::{all_finite, timed, PhaseClocks, PhaseTally, RunnerConfig, Slot, Strategy};
+use crate::pipeline::{bound_row_methods, runner_methods, CarryAlgebra, Pipeline, Solved};
+use crate::pool::CancelToken;
+use crate::runner::RunnerConfig;
 use crate::stats::RunStats;
 use crate::stream::RowStream;
 use plr_core::element::Element;
 use plr_core::error::EngineError;
+use plr_core::nacci::carries_of;
 use plr_core::plan::PlanKind;
-use plr_core::varying::{advance_state, VaryingPlan, VaryingSignature};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use plr_core::varying::{VaryingPlan, VaryingSignature};
+use std::sync::Arc;
 
 /// A multithreaded executor for one time-varying signature: transition
 /// matrices and constant-chunk kernels precomputed once, worker threads
@@ -77,12 +58,9 @@ use std::time::Instant;
 /// ```
 #[derive(Debug)]
 pub struct VaryingRunner<T> {
-    /// The precomputed lowering: per-chunk transition matrices and
-    /// deduplicated constant-row kernels.
-    plan: Arc<VaryingPlan<T>>,
-    config: RunnerConfig,
-    /// The persistent pool, created on first use.
-    pool: OnceLock<Arc<WorkerPool>>,
+    /// The precomputed lowering (per-chunk transition matrices and
+    /// deduplicated constant-row kernels) driving the shared pipeline.
+    pipeline: Pipeline<VaryingPlan<T>>,
 }
 
 impl<T: Element> VaryingRunner<T> {
@@ -112,646 +90,95 @@ impl<T: Element> VaryingRunner<T> {
     ) -> Result<Self, EngineError> {
         let plan = VaryingPlan::build(signature, config.chunk_size)?;
         Ok(VaryingRunner {
-            plan: Arc::new(plan),
-            config,
-            pool: OnceLock::new(),
+            pipeline: Pipeline::new(Arc::new(plan), config, None),
         })
-    }
-
-    /// The configured worker count (resolving `0` to the CPU count).
-    pub fn threads(&self) -> usize {
-        resolve_threads(self.config.threads)
-    }
-
-    /// The runner's configuration.
-    pub fn config(&self) -> &RunnerConfig {
-        &self.config
     }
 
     /// The time-varying signature this runner executes.
     pub fn signature(&self) -> &VaryingSignature<T> {
-        self.plan.signature()
+        self.pipeline.plan.signature()
     }
 
     /// The precomputed matrix-carry plan (shared with every run and with
     /// rows dispatched through [`VaryingRunner::run_rows`] /
     /// [`VaryingRunner::stream`]).
     pub fn plan(&self) -> &Arc<VaryingPlan<T>> {
-        &self.plan
+        &self.pipeline.plan
     }
 
-    /// The persistent pool, spawning it on first use.
-    fn pool(&self) -> &Arc<WorkerPool> {
-        self.pool
-            .get_or_init(|| Arc::new(WorkerPool::new(self.threads())))
+    runner_methods!();
+    bound_row_methods!(RowTask::varying);
+}
+
+/// The varying algebra: the state is the `k` most recent outputs, carried
+/// across chunk `c` by its affine map `g ↦ M_c·g + local_c`. No FIR stage,
+/// no resets, no skips; fuses on the look-back strategy.
+impl<T: Element> CarryAlgebra<T> for VaryingPlan<T> {
+    fn bound_len(&self) -> Option<usize> {
+        Some(self.len())
     }
 
-    /// Computes the recurrence over `input`, allocating the output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::LengthMismatch`] when `input` does not have
-    /// the signature's bound length, [`EngineError::WorkerPanicked`] when
-    /// a worker (or the calling thread) panicked mid-run,
-    /// [`EngineError::NonFiniteCarry`] when [`RunnerConfig::check_finite`]
-    /// is on and a chunk produced a NaN or infinite carry, and
-    /// [`EngineError::DeadlineExceeded`] when [`RunnerConfig::deadline`]
-    /// is set and the run outlived it. On error the pool survives and the
-    /// runner stays usable.
-    pub fn run(&self, input: &[T]) -> Result<Vec<T>, EngineError> {
-        let mut data = input.to_vec();
-        self.run_in_place(&mut data)?;
-        Ok(data)
-    }
-
-    /// Like [`VaryingRunner::run`], but observing a caller-held
-    /// [`CancelToken`] — same semantics as
-    /// [`ParallelRunner::run_with_cancel`](crate::ParallelRunner::run_with_cancel).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Cancelled`] on cancellation, plus everything
-    /// [`VaryingRunner::run`] can return.
-    pub fn run_with_cancel(
-        &self,
-        input: &[T],
-        cancel: &CancelToken,
-    ) -> Result<Vec<T>, EngineError> {
-        let mut data = input.to_vec();
-        self.run_in_place_with_cancel(&mut data, cancel)?;
-        Ok(data)
-    }
-
-    /// Computes the recurrence in place, returning runtime statistics.
-    ///
-    /// # Errors
-    ///
-    /// See [`VaryingRunner::run`]; on error `data` is left partially
-    /// processed.
-    pub fn run_in_place(&self, data: &mut [T]) -> Result<RunStats, EngineError> {
-        self.execute(data, None)
-    }
-
-    /// In-place variant of [`VaryingRunner::run_with_cancel`].
-    ///
-    /// # Errors
-    ///
-    /// See [`VaryingRunner::run_with_cancel`]; on error `data` is left
-    /// partially processed.
-    pub fn run_in_place_with_cancel(
-        &self,
-        data: &mut [T],
-        cancel: &CancelToken,
-    ) -> Result<RunStats, EngineError> {
-        self.execute(data, Some(cancel))
-    }
-
-    /// Shared entry point: validates the length, builds the run's
-    /// [`RunControl`], and dispatches on the strategy.
-    fn execute(
-        &self,
-        data: &mut [T],
-        cancel: Option<&CancelToken>,
-    ) -> Result<RunStats, EngineError> {
-        if data.len() != self.plan.len() {
-            return Err(EngineError::LengthMismatch {
-                expected: self.plan.len(),
-                got: data.len(),
-            });
-        }
-        if data.is_empty() {
-            return Ok(RunStats {
-                threads: self.threads() as u64,
-                plan_kind: PlanKind::MatrixCarry,
-                kernel: self.plan.aggregate_kernel_kind(),
-                correction_taps: self.plan.order() as u64,
-                ..RunStats::default()
-            });
-        }
-        let mut ctl = RunControl::new();
-        if let Some(token) = cancel {
-            ctl = ctl.with_cancel(token);
-        }
-        if let Some(budget) = self.config.deadline {
-            ctl = ctl.with_deadline(budget);
-        }
-        let pool = self.pool();
-        match self.config.strategy {
-            Strategy::LookbackPipeline => self.run_lookback(data, pool, &ctl),
-            Strategy::TwoPass => self.run_two_pass(data, pool, &ctl),
-        }
-    }
-
-    /// Seeds the stats every strategy shares: the varying path has no FIR
-    /// stage, never touches the correction-plan cache, and reports the
-    /// plan's kernel summary ([`KernelKind::Mixed`] when constant-row
-    /// kernel chunks and varying scalar chunks coexist).
-    fn base_stats(&self, pool: &WorkerPool, num_chunks: usize) -> RunStats {
+    /// Never touches the correction-plan cache; reports the plan's kernel
+    /// summary ([`KernelKind::Mixed`](plr_core::kernel::KernelKind::Mixed)
+    /// when constant-row kernel chunks and varying scalar chunks coexist).
+    fn base_stats(&self) -> RunStats {
         RunStats {
-            rows: 1,
-            chunks: num_chunks as u64,
-            threads: pool.width() as u64,
             plan_kind: PlanKind::MatrixCarry,
-            kernel: self.plan.aggregate_kernel_kind(),
-            correction_taps: self.plan.order() as u64,
+            kernel: self.aggregate_kernel_kind(),
+            correction_taps: self.order() as u64,
             ..RunStats::default()
         }
     }
 
-    /// The single-pass decoupled look-back pipeline with opportunistic
-    /// fusion.
-    fn run_lookback(
+    fn solve(
         &self,
-        data: &mut [T],
-        pool: &WorkerPool,
-        ctl: &RunControl,
-    ) -> Result<RunStats, EngineError> {
-        let plan = &self.plan;
-        let m = plan.chunk_size();
-        let n = data.len();
-        let k = plan.order();
-        let num_chunks = plan.num_chunks();
-        let check_finite = self.config.check_finite && T::IS_FLOAT;
-
-        let slots: Vec<Slot<T>> = (0..num_chunks).map(|_| Slot::new()).collect();
-        let hops = AtomicU64::new(0);
-        let spins = AtomicU64::new(0);
-        let max_depth = AtomicU64::new(0);
-        let fused = AtomicU64::new(0);
-        let aborts = AtomicU64::new(0);
-        let clocks = PhaseClocks::default();
-        let failure: OnceLock<EngineError> = OnceLock::new();
-        let tickets = Tickets::new(num_chunks);
-        let base = SendPtr::new(data.as_mut_ptr());
-        let recovered_before = pool.recovered_workers();
-
-        let outcome = pool.run_ctl(ctl, |_worker, abort| {
-            let mut tally = PhaseTally::default();
-            while let Some(c) = tickets.claim() {
-                if abort.is_aborted() {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let start = c * m;
-                let len = m.min(n - start);
-                // SAFETY: tickets are unique, so chunk `c` is exclusively
-                // ours; `base` outlives `pool.run_ctl` (it blocks until
-                // every worker finishes, even when one of them panics).
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(start), len) };
-                // Fusion probe: chunk 0 always starts from real (zero)
-                // history; later chunks fuse whenever their predecessor's
-                // global state is already published at claim time. Float
-                // chunks only fuse on a width-1 pool (where every chunk
-                // fuses, deterministically): the fused direct solve rounds
-                // differently from local-solve-plus-correction, and letting
-                // the race decide would make float results depend on
-                // scheduling timing. Integer arithmetic is exact either
-                // way, so integers fuse freely.
-                let fusable = c == 0 || !T::IS_FLOAT || pool.width() == 1;
-                let prev: Option<Vec<T>> = if c == 0 {
-                    Some(vec![T::zero(); k])
-                } else if fusable {
-                    slots[c - 1].global.get().cloned()
-                } else {
-                    None
-                };
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Solve, _worker, c, Some(abort));
-                if let Some(state) = prev {
-                    // Fused: solve with real history; the result is global
-                    // immediately — no local publish, no correction.
-                    let out = timed(&mut tally.solve, || {
-                        plan.solve_chunk(c, Some(&state), chunk, &mut || !abort.is_aborted())
-                    });
-                    tally.slices += out.slices;
-                    if !out.completed {
-                        aborts.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                    if check_finite && !all_finite(&out.state) {
-                        let _ = failure.set(EngineError::NonFiniteCarry { chunk: c });
-                        abort.trigger();
-                        aborts.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                    fused.fetch_add(1, Ordering::Relaxed);
-                    slots[c]
-                        .global
-                        .set(out.state)
-                        .expect("sole producer of fused globals");
-                    continue;
-                }
-                // Decoupled: zero-state local solve, publish local state.
-                let out = timed(&mut tally.solve, || {
-                    plan.solve_chunk(c, None, chunk, &mut || !abort.is_aborted())
-                });
-                tally.slices += out.slices;
-                if !out.completed {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                if check_finite && !all_finite(&out.state) {
-                    let _ = failure.set(EngineError::NonFiniteCarry { chunk: c });
-                    abort.trigger();
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                slots[c]
-                    .local
-                    .set(out.state)
-                    .expect("sole producer of local state");
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Lookback, _worker, c, Some(abort));
-                // Variable look-back over published carries (fused chunks
-                // publish globals only; the resolver copes).
-                let Some(g) = timed(&mut tally.lookback, || {
-                    resolve_state(plan, &slots, c - 1, &hops, &spins, &max_depth, abort)
-                }) else {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                };
-                timed(&mut tally.correct, || plan.correct_chunk(c, &g, chunk));
-                let globals = advance_state(&g, chunk, k);
-                if check_finite && !all_finite(&globals) {
-                    let _ = failure.set(EngineError::NonFiniteCarry { chunk: c });
-                    abort.trigger();
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let _ = slots[c].global.set(globals);
-            }
-            tally.flush(&clocks);
-        });
-
-        outcome.map_err(RunError::into_engine_error)?;
-        if let Some(e) = failure.into_inner() {
-            return Err(e);
+        c: usize,
+        chunk: &mut [T],
+        history: Option<&[T]>,
+        keep_going: &mut dyn FnMut() -> bool,
+    ) -> Solved<T> {
+        let out = self.solve_chunk(c, history, chunk, keep_going);
+        Solved {
+            slices: out.slices,
+            state: out.completed.then_some(out.state),
         }
-        Ok(RunStats {
-            lookback_hops: hops.load(Ordering::Relaxed),
-            spin_waits: spins.load(Ordering::Relaxed),
-            max_lookback_depth: max_depth.load(Ordering::Relaxed),
-            aborts: aborts.load(Ordering::Relaxed),
-            workers_recovered: pool.recovered_workers() - recovered_before,
-            fused_chunks: fused.load(Ordering::Relaxed),
-            solve_nanos: clocks.solve.load(Ordering::Relaxed),
-            lookback_nanos: clocks.lookback.load(Ordering::Relaxed),
-            correct_nanos: clocks.correct.load(Ordering::Relaxed),
-            solve_slices: clocks.slices.load(Ordering::Relaxed),
-            ..self.base_stats(pool, num_chunks)
-        })
     }
 
-    /// The two-pass strategy: parallel local solves, one sequential
-    /// affine-map chain, parallel correction.
-    fn run_two_pass(
+    /// The zero-history state: the last `k` outputs, zero-filled past the
+    /// chunk's start.
+    fn local_state(&self, _c: usize, chunk: &[T]) -> Vec<T> {
+        let mut state = carries_of(chunk, self.order());
+        state.resize(self.order(), T::zero());
+        state
+    }
+
+    fn fixup(&self, c: usize, prev: &[T], local: &[T], _len: usize) -> Vec<T> {
+        self.fixup_state(c, prev, local)
+    }
+
+    fn correct(&self, c: usize, chunk: &mut [T], prev: &[T]) {
+        self.correct_chunk(c, prev, chunk);
+    }
+
+    /// Chunk 0 always fuses (its history is the zero state); later chunks
+    /// fuse when their predecessor's global is already published — for
+    /// floats only on a width-1 pool, where every chunk fuses
+    /// deterministically. Integer arithmetic is exact either way.
+    fn fused_history<'a>(
         &self,
-        data: &mut [T],
-        pool: &WorkerPool,
-        ctl: &RunControl,
-    ) -> Result<RunStats, EngineError> {
-        let plan = &self.plan;
-        let m = plan.chunk_size();
-        let n = data.len();
-        let num_chunks = plan.num_chunks();
-        let check_finite = self.config.check_finite && T::IS_FLOAT;
-        let clocks = PhaseClocks::default();
-        let aborts = AtomicU64::new(0);
-        let recovered_before = pool.recovered_workers();
-
-        // Pass A: zero-state local solves in parallel; each chunk's local
-        // carry state lands in its slot for the chain to consume.
-        let locals: Vec<OnceLock<Vec<T>>> = (0..num_chunks).map(|_| OnceLock::new()).collect();
-        let failure: OnceLock<EngineError> = OnceLock::new();
-        let tickets = Tickets::new(num_chunks);
-        let base = SendPtr::new(data.as_mut_ptr());
-        pool.run_ctl(ctl, |_worker, abort| {
-            let mut tally = PhaseTally::default();
-            while let Some(c) = tickets.claim() {
-                if abort.is_aborted() {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let start = c * m;
-                let len = m.min(n - start);
-                // SAFETY: unique tickets make the chunks disjoint.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(start), len) };
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Solve, _worker, c, Some(abort));
-                let out = timed(&mut tally.solve, || {
-                    plan.solve_chunk(c, None, chunk, &mut || !abort.is_aborted())
-                });
-                tally.slices += out.slices;
-                if !out.completed {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                if check_finite && !all_finite(&out.state) {
-                    let _ = failure.set(EngineError::NonFiniteCarry { chunk: c });
-                    abort.trigger();
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let _ = locals[c].set(out.state);
-            }
-            tally.flush(&clocks);
-        })
-        .map_err(RunError::into_engine_error)?;
-        if let Some(e) = failure.into_inner() {
-            return Err(e);
-        }
-
-        // Sequential chain: global state of chunk c from chunk c-1 through
-        // the precomputed affine map `g ↦ M_c·g + local_c`. Runs outside
-        // the pool, so it gets its own unwind guard (mirrors the constant
-        // runner's two-pass chain).
-        let chain_start = Instant::now();
-        let chain = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<Vec<T>>, EngineError> {
-            let mut globals: Vec<Vec<T>> = Vec::with_capacity(num_chunks);
-            globals.push(
-                locals[0]
-                    .get()
-                    .expect("pass A completed every chunk")
-                    .clone(),
-            );
-            for c in 1..num_chunks {
-                // The chain runs outside the pool, so the watchdog cannot
-                // see it; poll the control directly instead.
-                ctl.status().map_err(RunError::into_engine_error)?;
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Lookback, 0, c, None);
-                let local = locals[c].get().expect("pass A completed every chunk");
-                let g = plan.fixup_state(c, &globals[c - 1], local);
-                if check_finite && !all_finite(&g) {
-                    return Err(EngineError::NonFiniteCarry { chunk: c });
-                }
-                globals.push(g);
-            }
-            Ok(globals)
-        }));
-        let globals = match chain {
-            Ok(Ok(v)) => v,
-            Ok(Err(e)) => return Err(e),
-            Err(payload) => {
-                return Err(WorkerPanic::from_payload(0, payload.as_ref()).into_engine_error())
-            }
-        };
-        let lookback_nanos = chain_start.elapsed().as_nanos() as u64;
-
-        // Pass B: correct every chunk with its predecessor's global state,
-        // in parallel (chunk 0 is already global).
-        let tickets = Tickets::new(num_chunks.saturating_sub(1));
-        let base = SendPtr::new(data.as_mut_ptr());
-        let globals = &globals;
-        pool.run_ctl(ctl, |_worker, abort| {
-            let mut tally = PhaseTally::default();
-            while let Some(t) = tickets.claim() {
-                if abort.is_aborted() {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let c = t + 1;
-                let start = c * m;
-                let len = m.min(n - start);
-                // SAFETY: unique tickets make the chunks disjoint.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(start), len) };
-                timed(&mut tally.correct, || {
-                    plan.correct_chunk(c, &globals[c - 1], chunk)
-                });
-            }
-            tally.flush(&clocks);
-        })
-        .map_err(RunError::into_engine_error)?;
-
-        Ok(RunStats {
-            lookback_hops: num_chunks.saturating_sub(1) as u64,
-            max_lookback_depth: 1,
-            aborts: aborts.load(Ordering::Relaxed),
-            workers_recovered: pool.recovered_workers() - recovered_before,
-            solve_nanos: clocks.solve.load(Ordering::Relaxed),
-            lookback_nanos,
-            correct_nanos: clocks.correct.load(Ordering::Relaxed),
-            solve_slices: clocks.slices.load(Ordering::Relaxed),
-            ..self.base_stats(pool, num_chunks)
-        })
-    }
-
-    /// Applies the recurrence to each row of a row-major matrix in place:
-    /// every row is an independent sequence under the same time-varying
-    /// signature (so `width` must equal the signature's bound length).
-    /// Rows are distributed whole across the pool through the same
-    /// [`RowTask`] dispatch the constant batch runner and the streaming
-    /// layer use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::UnsupportedSignature`] when `width == 0` or
-    /// does not divide the data length, [`EngineError::LengthMismatch`]
-    /// when `width` is not the signature's bound length, and
-    /// [`EngineError::WorkerPanicked`] when a worker panicked mid-run —
-    /// the pool survives and the runner stays usable, but `data` is left
-    /// partially processed.
-    pub fn run_rows(&self, data: &mut [T], width: usize) -> Result<RunStats, EngineError> {
-        self.run_rows_ctl(data, width, None)
-    }
-
-    /// Like [`VaryingRunner::run_rows`], but observing a caller-held
-    /// [`CancelToken`] (cancelling aborts mid-row; completed rows keep
-    /// their results).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Cancelled`] on cancellation, plus everything
-    /// [`VaryingRunner::run_rows`] can return.
-    pub fn run_rows_with_cancel(
-        &self,
-        data: &mut [T],
+        c: usize,
         width: usize,
-        cancel: &CancelToken,
-    ) -> Result<RunStats, EngineError> {
-        self.run_rows_ctl(data, width, Some(cancel))
-    }
-
-    fn run_rows_ctl(
-        &self,
-        data: &mut [T],
-        width: usize,
-        cancel: Option<&CancelToken>,
-    ) -> Result<RunStats, EngineError> {
-        if width == 0 || !data.len().is_multiple_of(width) {
-            return Err(EngineError::UnsupportedSignature {
-                reason: format!(
-                    "row width {width} does not divide the data length {}",
-                    data.len()
-                ),
-            });
-        }
-        if width != self.plan.len() {
-            return Err(EngineError::LengthMismatch {
-                expected: self.plan.len(),
-                got: width,
-            });
-        }
-        let rows = data.len() / width;
-        let pool = self.pool();
-        let mut ctl = RunControl::new();
-        if let Some(token) = cancel {
-            ctl = ctl.with_cancel(token);
-        }
-        if let Some(budget) = self.config.deadline {
-            ctl = ctl.with_deadline(budget);
-        }
-        let task = RowTask::varying(Arc::clone(&self.plan));
-        let solve_nanos = AtomicU64::new(0);
-        let solve_slices = AtomicU64::new(0);
-        let aborts = AtomicU64::new(0);
-        let recovered_before = pool.recovered_workers();
-        let tickets = Tickets::new(rows);
-        let base = SendPtr::new(data.as_mut_ptr());
-        pool.run_ctl(&ctl, |worker, abort| {
-            let (mut solve_ns, mut slices) = (0u64, 0u64);
-            while let Some(r) = tickets.claim() {
-                if abort.is_aborted() {
-                    aborts.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                // SAFETY: unique tickets make the rows disjoint; `data`
-                // outlives the blocking `pool.run_ctl` call.
-                let row =
-                    unsafe { std::slice::from_raw_parts_mut(base.ptr().add(r * width), width) };
-                let (_, s, sl) = task.apply(row, worker, r, Some(abort));
-                solve_ns += s;
-                slices += sl;
-            }
-            solve_nanos.fetch_add(solve_ns, Ordering::Relaxed);
-            solve_slices.fetch_add(slices, Ordering::Relaxed);
-        })
-        .map_err(RunError::into_engine_error)?;
-        Ok(RunStats {
-            rows: rows as u64,
-            chunks: (rows * self.plan.num_chunks()) as u64,
-            aborts: aborts.load(Ordering::Relaxed),
-            workers_recovered: pool.recovered_workers() - recovered_before,
-            solve_nanos: solve_nanos.load(Ordering::Relaxed),
-            solve_slices: solve_slices.load(Ordering::Relaxed),
-            ..self.base_stats(pool, self.plan.num_chunks())
-        })
-    }
-
-    /// Opens a streaming submission channel for independent rows under
-    /// this time-varying signature — the exact machinery of
-    /// [`BatchRunner::stream`](crate::BatchRunner::stream) (backpressure
-    /// window, per-row handles, cancel/deadline semantics), dispatching
-    /// each row through [`RowTask::varying`]. Every pushed row must have
-    /// the signature's bound length; other lengths resolve that row's
-    /// handle to [`EngineError::WorkerPanicked`].
-    pub fn stream(&self) -> RowStream<T> {
-        self.stream_with_window(2 * self.threads().max(1))
-    }
-
-    /// Like [`VaryingRunner::stream`] with an explicit in-flight window
-    /// (clamped to at least 1).
-    pub fn stream_with_window(&self, window: usize) -> RowStream<T> {
-        RowStream::launch(
-            Arc::clone(self.pool()),
-            RowTask::varying(Arc::clone(&self.plan)),
-            window.max(1),
-        )
-    }
-}
-
-/// Derives the global carry state of chunk `j` from published state: walks
-/// back to the nearest chunk with published globals (chunk 0 publishes
-/// unconditionally), then fixes forward through the per-chunk affine maps.
-///
-/// Fused chunks never publish local state — only their global — so the
-/// forward walk waits on *either* cell of each chunk: when a global lands
-/// first (the chunk fused, or its owner finished correcting), the walk
-/// restarts from that deeper global instead of composing through a local.
-///
-/// Returns `None` when the run was aborted while waiting on carries that
-/// will never be published.
-fn resolve_state<T: Element>(
-    plan: &VaryingPlan<T>,
-    slots: &[Slot<T>],
-    j: usize,
-    hops: &AtomicU64,
-    spins: &AtomicU64,
-    max_depth: &AtomicU64,
-    abort: &AbortSignal,
-) -> Option<Vec<T>> {
-    // Find the deepest published globals at or before j.
-    let mut start = j;
-    loop {
-        if slots[start].global.get().is_some() {
-            break;
-        }
-        if start == 0 {
-            // Chunk 0 always fuses (zero history) and publishes its global
-            // right after its solve; spin until it lands or the run dies.
-            wait_for_either(&slots[0], spins, abort)?;
-            break;
-        }
-        start -= 1;
-    }
-    let mut g = slots[start]
-        .global
-        .get()
-        .expect("checked or awaited above")
-        .clone();
-    hops.fetch_add(1, Ordering::Relaxed);
-    max_depth.fetch_max((j - start + 1) as u64, Ordering::Relaxed);
-    for (h, slot) in slots.iter().enumerate().take(j + 1).skip(start + 1) {
-        match wait_for_either(slot, spins, abort)? {
-            Published::Global(gv) => g = gv.clone(),
-            Published::Local(lv) => g = plan.fixup_state(h, &g, lv),
-        }
-        hops.fetch_add(1, Ordering::Relaxed);
-    }
-    Some(g)
-}
-
-/// Which carry cell of a [`Slot`] was found published first.
-enum Published<'a, T> {
-    /// The chunk's global state (fused chunks only ever publish this).
-    Global(&'a Vec<T>),
-    /// The chunk's zero-history local state.
-    Local(&'a Vec<T>),
-}
-
-/// Spins (with yields) until *either* carry cell of `slot` is published,
-/// preferring the global (it subsumes the local), or `None` once the run
-/// is aborted. The abort flag is polled only on the yield slots (every
-/// 64th iteration), keeping the fast path a pure `spin_loop` — the same
-/// discipline as the constant runner's `wait_for`.
-fn wait_for_either<'a, T>(
-    slot: &'a Slot<T>,
-    spins: &AtomicU64,
-    abort: &AbortSignal,
-) -> Option<Published<'a, T>> {
-    let mut tries = 0u64;
-    loop {
-        if let Some(v) = slot.global.get() {
-            if tries > 0 {
-                spins.fetch_add(tries, Ordering::Relaxed);
-            }
-            return Some(Published::Global(v));
-        }
-        if let Some(v) = slot.local.get() {
-            if tries > 0 {
-                spins.fetch_add(tries, Ordering::Relaxed);
-            }
-            return Some(Published::Local(v));
-        }
-        tries += 1;
-        if tries.is_multiple_of(64) {
-            if abort.is_aborted() {
-                spins.fetch_add(tries, Ordering::Relaxed);
-                return None;
-            }
-            std::thread::yield_now();
+        prev: impl FnOnce() -> Option<&'a Vec<T>>,
+    ) -> Option<Vec<T>>
+    where
+        T: 'a,
+    {
+        if c == 0 {
+            Some(vec![T::zero(); self.order()])
+        } else if !T::IS_FLOAT || width == 1 {
+            prev().cloned()
         } else {
-            std::hint::spin_loop();
+            None
         }
     }
 }
@@ -759,6 +186,7 @@ fn wait_for_either<'a, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Strategy;
     use plr_core::varying::{reference, VaryingSignature};
 
     fn gates_f64(n: usize, k: usize) -> Vec<f64> {
@@ -978,6 +406,41 @@ mod tests {
         assert_eq!(stats.plan_kind, PlanKind::MatrixCarry);
         assert_eq!(stats.plan_cache_hits, 0);
         assert_eq!(stats.plan_cache_misses, 0);
+    }
+
+    #[test]
+    fn stream_rejects_wrong_length_rows() {
+        let width = 64;
+        let sig = VaryingSignature::first_order(coeffs_i64(width, 1)).unwrap();
+        let runner = VaryingRunner::with_config(
+            sig.clone(),
+            RunnerConfig {
+                chunk_size: 16,
+                threads: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let stream = runner.stream();
+        for len in [width - 1, width + 1] {
+            let handle = stream.push_row(vec![1; len]);
+            assert!(handle.is_finished(), "a wrong-length row is never queued");
+            assert_eq!(handle.index(), usize::MAX);
+            let (data, outcome) = handle.join();
+            assert_eq!(data, vec![1; len], "the buffer comes back untouched");
+            match outcome {
+                Err(EngineError::LengthMismatch { expected, got }) => {
+                    assert_eq!((expected, got), (width, len))
+                }
+                other => panic!("expected LengthMismatch, got {other:?}"),
+            }
+        }
+        // The stream is unaffected: a row of the bound length solves.
+        let row = input_i64(width);
+        let (got, outcome) = stream.push_row(row.clone()).join();
+        outcome.unwrap();
+        assert_eq!(got, reference(&sig, &row).unwrap());
+        assert_eq!(stream.finish().unwrap().rows, 1);
     }
 
     #[test]
