@@ -14,7 +14,8 @@
 
 use crate::pipeline::{for_each_chunk, timed};
 use crate::pool::{
-    lock_recover, resolve_threads, AbortSignal, CancelToken, RunControl, WorkerPanic, WorkerPool,
+    lock_recover, resolve_threads, AbortReason, AbortSignal, CancelToken, RunControl, WorkerExit,
+    WorkerPanic, WorkerPool,
 };
 use crate::runner::{ParallelRunner, RunnerConfig};
 use crate::stats::RunStats;
@@ -27,7 +28,7 @@ use plr_core::plan::{self, CorrectionPlan, PlanKind, PlanRequest};
 use plr_core::segmented::SegmentedPlan;
 use plr_core::signature::Signature;
 use plr_core::varying::VaryingPlan;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// The intra-row runner cached between `run_rows` calls, keyed by the
@@ -38,17 +39,20 @@ struct CachedInner<T> {
     runner: ParallelRunner<T>,
 }
 
-/// The per-row unit of work shared by the blocking whole-rows path and
-/// the streaming layer: in-place FIR map (skipped for pure-feedback
-/// signatures) followed by the in-place local solve, both timed.
+/// The per-row unit of work shared by the blocking whole-rows path, the
+/// streaming layer and the service core: in-place FIR map (skipped for
+/// pure-feedback signatures) followed by the in-place local solve, both
+/// timed.
 ///
 /// Every whole-row path — `run_rows` of the batch, varying and segmented
-/// runners, and [`RowStream`] — dispatches rows through literally this
-/// code, so a streamed row cannot drift from its blocking counterpart.
-/// The same dispatch carries time-varying ([`RowTask::varying`]) and
-/// segmented ([`RowTask::segmented`]) rows, so those workloads inherit
-/// the batch and stream layers' cancel / deadline / fault semantics
-/// without a parallel code path.
+/// runners, [`RowStream`] and the service core's shards — solves rows
+/// through literally this code ([`apply`](Self::apply)), and every
+/// queued row — streamed or service — runs through one per-row protocol
+/// around it ([`execute`](Self::execute)), so a row cannot drift between
+/// executors. The same dispatch carries time-varying
+/// ([`RowTask::varying`]) and segmented ([`RowTask::segmented`]) rows, so
+/// those workloads inherit the batch and stream layers' cancel /
+/// deadline / fault semantics without a parallel code path.
 #[derive(Debug, Clone)]
 pub struct RowTask<T> {
     inner: TaskInner<T>,
@@ -84,7 +88,8 @@ impl<T: Element> RowTask<T> {
     /// (chunk-size-0) plan served through the shared plan cache. Public so
     /// external row executors — notably the service core's shard workers —
     /// run rows through literally the same code path as
-    /// [`BatchRunner::run_rows`] and [`RowStream`].
+    /// [`BatchRunner::run_rows`] and [`RowStream`] (see
+    /// [`execute`](Self::execute)).
     ///
     /// [`BatchRunner::run_rows`]: crate::batch::BatchRunner::run_rows
     pub fn new(signature: &Signature<T>) -> Self {
@@ -185,6 +190,91 @@ impl<T: Element> RowTask<T> {
             }
         });
         (fir_ns, solve_ns, slices)
+    }
+
+    /// Runs one queued row through the per-row protocol every row
+    /// executor shares — the [`RowStream`] workers, the service core's
+    /// shard workers and a degraded shard's inline path — and hands the
+    /// buffer and outcome to `complete`:
+    ///
+    /// 1. a row whose `ctl` already tripped (cancelled or past its
+    ///    deadline while queued) fails fast, without work;
+    /// 2. otherwise a fresh per-row [`AbortSignal`] is linked to the
+    ///    owning drain run's token `run`, the row's own token and its
+    ///    deadline (armed on `pool`'s watchdog), so cancelling either
+    ///    token or missing the deadline lands mid-solve;
+    /// 3. the `Row` fault site and [`apply`](Self::apply) run under
+    ///    `catch_unwind`, so a panic fails only this row;
+    /// 4. the abort reason, if any, becomes the row's [`EngineError`];
+    /// 5. a solved row reports the same per-row [`RunStats`] `run_rows`
+    ///    aggregates: plan, kernel, chunks and taps, plus its timings.
+    ///
+    /// `complete` runs before a simulated thread death ([`WorkerExit`])
+    /// is re-raised, so the row is resolved before its worker retires.
+    /// `worker` and `index` identify the row to the fault harness.
+    #[allow(clippy::too_many_arguments)]
+    pub fn execute(
+        &self,
+        pool: &WorkerPool,
+        run: &CancelToken,
+        worker: usize,
+        index: usize,
+        ctl: &RunControl,
+        mut data: Vec<T>,
+        complete: impl FnOnce(Vec<T>, Result<RunStats, EngineError>),
+    ) {
+        if let Err(e) = ctl.status() {
+            complete(data, Err(e.into_engine_error()));
+            return;
+        }
+        let abort = Arc::new(AbortSignal::default());
+        let run_link = run.attach(&abort);
+        let row_link = ctl.cancel.as_ref().map(|t| t.attach(&abort));
+        let watch = ctl
+            .deadline
+            .and_then(|(at, _)| pool.watchdog_arm(at, &abort));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(feature = "fault-inject")]
+            crate::fault::check(crate::fault::FaultSite::Row, worker, index, Some(&abort));
+            self.apply(&mut data, worker, index, Some(&abort))
+        }));
+        // Disarm before reading the reason, mirroring `run_ctl`.
+        drop((watch, row_link, run_link));
+        match outcome {
+            Ok(timings) => {
+                let result = match abort.reason() {
+                    // A bare WorkerFault is job-owned elsewhere; nothing
+                    // trips it on a per-row signal, so treat it as clean.
+                    None | Some(AbortReason::WorkerFault) => Ok(self.row_stats(timings)),
+                    Some(AbortReason::Cancelled) => Err(EngineError::Cancelled),
+                    Some(AbortReason::DeadlineExceeded) => Err(EngineError::DeadlineExceeded {
+                        deadline: ctl.deadline.map(|(_, b)| b).unwrap_or_default(),
+                    }),
+                };
+                complete(data, result);
+            }
+            Err(payload) => {
+                let err = WorkerPanic::from_payload(worker, payload.as_ref()).into_engine_error();
+                complete(data, Err(err));
+                if payload.is::<WorkerExit>() {
+                    // Simulated thread death must still retire the worker
+                    // through the pool's machinery (lazy respawn & co).
+                    resume_unwind(payload);
+                }
+            }
+        }
+    }
+
+    /// One solved row's stats: [`base_stats(1)`](Self::base_stats) plus
+    /// the `(fir, solve, slices)` timings [`apply`](Self::apply) returned.
+    fn row_stats(&self, (fir_nanos, solve_nanos, solve_slices): (u64, u64, u64)) -> RunStats {
+        RunStats {
+            threads: 1,
+            fir_nanos,
+            solve_nanos,
+            solve_slices,
+            ..self.base_stats(1)
+        }
     }
 
     /// The length every row must have: the plan's bound length for
@@ -513,7 +603,7 @@ pub(crate) fn run_rows<T: Element>(
     width: usize,
     ctl: &RunControl,
 ) -> Result<RunStats, EngineError> {
-    let rows = task.row_count(data.len(), width)?;
+    task.row_count(data.len(), width)?;
     let recovered_before = pool.recovered_workers();
     let totals = Mutex::new(RunStats::default());
     for_each_chunk(
@@ -523,20 +613,32 @@ pub(crate) fn run_rows<T: Element>(
         width,
         &totals,
         |worker, abort, r, row, tally| {
-            let (fir_nanos, solve_nanos, slices) = task.apply(row, worker, r, Some(abort));
-            tally.fir_nanos += fir_nanos;
-            tally.solve_nanos += solve_nanos;
-            tally.solve_slices += slices;
+            absorb_row(
+                tally,
+                &task.row_stats(task.apply(row, worker, r, Some(abort))),
+            );
             true
         },
     )?;
     let mut stats = RunStats {
         threads: pool.width() as u64,
         workers_recovered: pool.recovered_workers() - recovered_before,
-        ..task.base_stats(rows)
+        ..task.base_stats(0)
     };
     stats.absorb(&totals.into_inner().unwrap_or_else(PoisonError::into_inner));
     Ok(stats)
+}
+
+/// Folds one row's stats into an aggregate over rows of one task, which
+/// starts from the task's [`base_stats(0)`](RowTask::base_stats) and so
+/// already counts the task's one plan-cache consult: the row's own
+/// consult is not counted again.
+pub(crate) fn absorb_row(total: &mut RunStats, row: &RunStats) {
+    total.absorb(&RunStats {
+        plan_cache_hits: 0,
+        plan_cache_misses: 0,
+        ..*row
+    });
 }
 
 #[cfg(test)]

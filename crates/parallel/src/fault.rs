@@ -44,10 +44,10 @@ pub enum FaultSite {
     HandleWait,
     /// At the top of each per-row dispatch: the long-rows path of
     /// [`BatchRunner::run_rows`] (cached intra-row runner; worker id 0,
-    /// row index as `chunk`) and each popped row of a [`RowStream`]
-    /// (solving worker's id, submission index as `chunk`, the *per-row*
-    /// abort signal — so a Delay here ends early when that one row is
-    /// cancelled or deadline-tripped, not only when the stream dies).
+    /// row index as `chunk`) and each row the per-row executor runs, a
+    /// [`RowStream`]'s or a service shard's (solving worker's id, row
+    /// index as `chunk`, the *per-row* abort signal — so a Delay here
+    /// ends early once that row, or its stream or shard, is aborted).
     ///
     /// [`BatchRunner::run_rows`]: crate::BatchRunner::run_rows
     /// [`RowStream`]: crate::RowStream

@@ -31,9 +31,11 @@
 //!
 //! Both [`Strategy`] variants, cancellation, deadlines, `check_finite`,
 //! fault injection and the counters behave the same for all three.
-//! Whole-row work — [`BatchRunner::run_rows`], the varying and segmented
-//! `run_rows`, and every [`RowStream`] — goes through one row-dispatch
-//! loop over a [`RowTask`].
+//! Whole-row work solves rows through one [`RowTask`]: blocking
+//! [`BatchRunner::run_rows`] and the varying and segmented `run_rows` in
+//! one dispatch loop, and every queued row — a [`RowStream`]'s, or a
+//! `plr-service` shard's — through one per-row executor,
+//! [`RowTask::execute`].
 //!
 //! ## Execution model: the persistent worker pool
 //!
@@ -100,9 +102,10 @@
 //!   [`RowStream`]: rows go in one at a time under a bounded
 //!   backpressure window, each returning a [`RowHandle`] with its own
 //!   result, [`RunStats`], cancel token, and deadline; a failed row
-//!   resolves only its own handle. The [`stream`] module also provides
-//!   the runtime-agnostic `Future` adapters ([`RowFuture`],
-//!   [`RunFuture`], [`block_on`]) built on the waker hooks.
+//!   resolves only its own handle. Row and run handles share one
+//!   first-completion-wins completion cell, which the [`stream`]
+//!   module's runtime-agnostic `Future` adapters ([`RowFuture`],
+//!   [`RunFuture`], [`block_on`]) poll.
 //! - **The pool survives.** Worker threads outlive job panics; a worker
 //!   that genuinely dies is respawned lazily at the next submission, and
 //!   threads that failed to spawn in the first place are retried there
@@ -155,12 +158,12 @@ pub mod varying;
 
 pub use batch::{BatchRunner, RowTask};
 pub use pool::{
-    resolve_threads, AbortReason, AbortSignal, CancelAttachment, CancelToken, RunControl, RunError,
-    RunHandle, WatchGuard, WorkerPanic, WorkerPool,
+    resolve_threads, AbortReason, AbortSignal, CancelToken, RunControl, RunError, RunHandle,
+    WorkerPanic, WorkerPool,
 };
 pub use retry::{retry_with_backoff, Backoff, RetryOutcome};
 pub use runner::{ParallelRunner, RunnerConfig, Strategy};
 pub use segmented::SegmentedRunner;
 pub use stats::{PoolCounters, RunStats};
-pub use stream::{block_on, PushError, RowFuture, RowHandle, RowStream, RunFuture};
+pub use stream::{block_on, PushError, RowFuture, RowHandle, RowResolver, RowStream, RunFuture};
 pub use varying::VaryingRunner;

@@ -104,6 +104,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::task::Context;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -274,10 +275,10 @@ impl CancelToken {
     /// Links a run's abort signal to this token for the run's duration.
     /// The returned guard unlinks on drop. A token cancelled concurrently
     /// with the attach still trips the signal (flag checked after
-    /// publication). Public so external drain loops (the streaming layer
-    /// in this crate, the service core's shard workers) can link per-row
-    /// tokens to per-row abort signals the same way the pool does.
-    pub fn attach(&self, abort: &Arc<AbortSignal>) -> CancelAttachment<'_> {
+    /// publication). The pool links whole runs this way, and the row
+    /// executor ([`RowTask::execute`](crate::RowTask::execute)) links each
+    /// row to its own token and to its drain run's.
+    pub(crate) fn attach(&self, abort: &Arc<AbortSignal>) -> CancelAttachment<'_> {
         {
             let mut watchers = lock_recover(&self.inner.watchers);
             watchers.retain(|w| w.strong_count() > 0);
@@ -294,7 +295,7 @@ impl CancelToken {
 }
 
 /// Unlinks a run's abort signal from its [`CancelToken`] on drop.
-pub struct CancelAttachment<'a> {
+pub(crate) struct CancelAttachment<'a> {
     token: &'a CancelToken,
     abort: Weak<AbortSignal>,
 }
@@ -343,17 +344,6 @@ impl RunControl {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
-    /// The cancel token this control observes, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
-    /// The resolved deadline, if any: `(absolute instant, original
-    /// budget)`.
-    pub fn deadline(&self) -> Option<(Instant, Duration)> {
-        self.deadline
-    }
-
     /// Fails fast when the control is already cancelled or past its
     /// deadline; used by the pool before starting a run and by multi-pass
     /// runners between (and inside) passes.
@@ -382,9 +372,8 @@ pub struct WorkerPanic {
 
 impl WorkerPanic {
     /// Builds a `WorkerPanic` from a caught panic payload (used by every
-    /// layer that wraps job execution in `catch_unwind`, including the
-    /// service core's shard workers).
-    pub fn from_payload(worker: usize, payload: &(dyn Any + Send)) -> Self {
+    /// layer that wraps job execution in `catch_unwind`).
+    pub(crate) fn from_payload(worker: usize, payload: &(dyn Any + Send)) -> Self {
         let payload = if payload.is::<WorkerExit>() {
             "worker exited (injected thread death)".to_string()
         } else if let Some(s) = payload.downcast_ref::<&str>() {
@@ -529,10 +518,10 @@ struct Workers {
 }
 
 /// The deadline watchdog's shared state. Blocking submissions are
-/// serialized, so they arm at most one watch at a time — but a streamed
-/// row submission ([`crate::stream::RowStream`]) arms one watch *per
-/// in-flight row with a deadline*, so the watchdog tracks a set of
-/// watches and always sleeps until the earliest one.
+/// serialized, so they arm at most one watch at a time — but the row
+/// executor behind [`crate::stream::RowStream`] and the service shards
+/// arms one watch *per in-flight row with a deadline*, so the watchdog
+/// tracks a set of watches and always sleeps until the earliest one.
 struct WatchdogShared {
     state: Mutex<WatchState>,
     cv: Condvar,
@@ -584,8 +573,8 @@ fn watchdog_loop(shared: &WatchdogShared) {
     }
 }
 
-/// Disarms the watchdog for a completed run (or streamed row) on drop.
-pub struct WatchGuard<'a> {
+/// Disarms the watchdog for a completed run (or executed row) on drop.
+pub(crate) struct WatchGuard<'a> {
     watchdog: &'a WatchdogShared,
     id: u64,
 }
@@ -839,12 +828,15 @@ impl WorkerPool {
         }
     }
 
-    /// Puts a run — or one streamed row — under deadline watch; the guard
-    /// disarms on drop. Any number of watches may be armed concurrently
-    /// (the streaming layer and the service core's shards arm one per
-    /// in-flight row with a deadline).
-    /// `None` when the watchdog thread could not be spawned.
-    pub fn watchdog_arm(&self, at: Instant, abort: &Arc<AbortSignal>) -> Option<WatchGuard<'_>> {
+    /// Puts a run — or one executing row — under deadline watch; the
+    /// guard disarms on drop. Any number of watches may be armed
+    /// concurrently (the row executor arms one per in-flight row with a
+    /// deadline). `None` when the watchdog thread could not be spawned.
+    pub(crate) fn watchdog_arm(
+        &self,
+        at: Instant,
+        abort: &Arc<AbortSignal>,
+    ) -> Option<WatchGuard<'_>> {
         if !self.ensure_watchdog() {
             return None;
         }
@@ -1051,20 +1043,11 @@ impl WorkerPool {
             cancel: Some(cancel.clone()),
             deadline: ctl.deadline,
         };
-        let inner = Arc::new(HandleInner {
-            state: Mutex::new(HandleState {
-                result: None,
-                waker: None,
-            }),
-            done: Condvar::new(),
-        });
+        let cell = Arc::new(Completion::new());
         let task: Submission = {
             let pool = Arc::clone(self);
-            let inner = Arc::clone(&inner);
-            Box::new(move || {
-                let result = pool.run_ctl(&ctl, job);
-                HandleInner::complete(&inner, result);
-            })
+            let cell = Arc::clone(&cell);
+            Box::new(move || cell.complete(pool.run_ctl(&ctl, job)))
         };
         if self.ensure_driver() {
             let mut state = lock_recover(&self.driver.state);
@@ -1074,7 +1057,7 @@ impl WorkerPool {
             task();
         }
         RunHandle {
-            inner,
+            cell,
             cancel,
             _pool: Arc::clone(self),
         }
@@ -1127,35 +1110,114 @@ impl Drop for WorkerPool {
     }
 }
 
-struct HandleState {
-    result: Option<Result<(), RunError>>,
-    waker: Option<Box<dyn FnOnce() + Send>>,
-}
-
-struct HandleInner {
-    state: Mutex<HandleState>,
+/// A first-completion-wins result cell shared by a handle and whoever
+/// resolves it: the one completion cell behind [`RunHandle`], the
+/// streaming layer's [`RowHandle`](crate::RowHandle) and the service
+/// core's handles. Waiters block on it (optionally with a bound), one
+/// waker callback fires when it resolves, and the owner can move the
+/// value out.
+pub(crate) struct Completion<V> {
+    state: Mutex<CompletionState<V>>,
     done: Condvar,
 }
 
-impl HandleInner {
-    fn complete(inner: &Arc<HandleInner>, result: Result<(), RunError>) {
+struct CompletionState<V> {
+    value: Option<V>,
+    waker: Option<Box<dyn FnOnce() + Send>>,
+}
+
+impl<V> Completion<V> {
+    pub(crate) fn new() -> Self {
+        Completion {
+            state: Mutex::new(CompletionState {
+                value: None,
+                waker: None,
+            }),
+            done: Condvar::new(),
+        }
+    }
+
+    /// Publishes `value`, wakes blocked waiters, and fires the waker
+    /// outside the lock. The first completion wins; later ones are
+    /// ignored.
+    pub(crate) fn complete(&self, value: V) {
         let waker = {
-            let mut state = lock_recover(&inner.state);
-            debug_assert!(state.result.is_none(), "a submission completes once");
-            state.result = Some(result);
-            inner.done.notify_all();
+            let mut state = lock_recover(&self.state);
+            if state.value.is_some() {
+                return;
+            }
+            state.value = Some(value);
+            self.done.notify_all();
             state.waker.take()
         };
         if let Some(wake) = waker {
             wake();
         }
     }
+
+    pub(crate) fn is_complete(&self) -> bool {
+        lock_recover(&self.state).value.is_some()
+    }
+
+    /// Blocks until the cell resolves, then reads its value.
+    pub(crate) fn wait<R>(&self, read: impl FnOnce(&V) -> R) -> R {
+        read(self.resolved().value.as_ref().expect("resolved"))
+    }
+
+    /// [`wait`](Self::wait) for at most `budget` (spurious wakeups re-wait
+    /// for the remainder); `None` if the cell is still unresolved then.
+    pub(crate) fn wait_timeout<R>(
+        &self,
+        budget: Duration,
+        read: impl FnOnce(&V) -> R,
+    ) -> Option<R> {
+        let (state, _) = self
+            .done
+            .wait_timeout_while(lock_recover(&self.state), budget, |s| s.value.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        state.value.as_ref().map(read)
+    }
+
+    /// Blocks until the cell resolves, then moves the value out.
+    pub(crate) fn take(&self) -> V {
+        self.resolved().value.take().expect("resolved")
+    }
+
+    fn resolved(&self) -> MutexGuard<'_, CompletionState<V>> {
+        self.done
+            .wait_while(lock_recover(&self.state), |s| s.value.is_none())
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Whether the cell has resolved; if not, `cx`'s waker is registered
+    /// (replacing any earlier one) to fire when it does.
+    pub(crate) fn poll_ready(&self, cx: &Context<'_>) -> bool {
+        let mut state = lock_recover(&self.state);
+        if state.value.is_none() {
+            let waker = cx.waker().clone();
+            state.waker = Some(Box::new(move || waker.wake()));
+        }
+        state.value.is_some()
+    }
+
+    /// Registers a callback invoked exactly once when the cell resolves
+    /// (immediately if it already has). A second registration replaces
+    /// the first.
+    pub(crate) fn on_complete(&self, wake: impl FnOnce() + Send + 'static) {
+        let mut state = lock_recover(&self.state);
+        if state.value.is_some() {
+            drop(state);
+            wake();
+        } else {
+            state.waker = Some(Box::new(wake));
+        }
+    }
 }
 
 /// A non-blocking run in flight (see [`WorkerPool::submit`]).
 ///
-/// Completion is signalled, not joined: poll [`is_finished`]
-/// (`Self::is_finished`), block with [`wait`](Self::wait) /
+/// Completion is signalled, not joined: poll
+/// [`is_finished`](Self::is_finished), block with [`wait`](Self::wait) /
 /// [`wait_timeout`](Self::wait_timeout), or register a waker callback
 /// with [`on_complete`](Self::on_complete) so an async executor can be
 /// woken to poll again.
@@ -1165,7 +1227,7 @@ impl HandleInner {
 /// executing with nobody obligated to observe it (the same invariant the
 /// caller-panic path upholds for borrowed jobs).
 pub struct RunHandle {
-    inner: Arc<HandleInner>,
+    pub(crate) cell: Arc<Completion<Result<(), RunError>>>,
     cancel: CancelToken,
     /// Keeps the pool (and its driver) alive until the run is observed.
     _pool: Arc<WorkerPool>,
@@ -1183,7 +1245,7 @@ impl std::fmt::Debug for RunHandle {
 impl RunHandle {
     /// Whether the run has completed (successfully or not).
     pub fn is_finished(&self) -> bool {
-        lock_recover(&self.inner.state).result.is_some()
+        self.cell.is_complete()
     }
 
     /// Blocks until the run completes and returns its outcome. Callable
@@ -1191,15 +1253,7 @@ impl RunHandle {
     pub fn wait(&self) -> Result<(), RunError> {
         #[cfg(feature = "fault-inject")]
         crate::fault::check(crate::fault::FaultSite::HandleWait, 0, 0, None);
-        let mut state = lock_recover(&self.inner.state);
-        while state.result.is_none() {
-            state = self
-                .inner
-                .done
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        state.result.clone().expect("checked above")
+        self.cell.wait(Clone::clone)
     }
 
     /// Blocks up to `budget` for completion; `None` on timeout (the run
@@ -1208,21 +1262,7 @@ impl RunHandle {
     pub fn wait_timeout(&self, budget: Duration) -> Option<Result<(), RunError>> {
         #[cfg(feature = "fault-inject")]
         crate::fault::check(crate::fault::FaultSite::HandleWait, 0, 0, None);
-        let deadline = Instant::now() + budget;
-        let mut state = lock_recover(&self.inner.state);
-        while state.result.is_none() {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            state = self
-                .inner
-                .done
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-        Some(state.result.clone().expect("checked above"))
+        self.cell.wait_timeout(budget, Clone::clone)
     }
 
     /// Cancels the run through its token (idempotent; the run still has
@@ -1242,29 +1282,15 @@ impl RunHandle {
     /// needs to `poll` the handle without spinning. A second registration
     /// replaces the first.
     pub fn on_complete(&self, wake: impl FnOnce() + Send + 'static) {
-        let mut state = lock_recover(&self.inner.state);
-        if state.result.is_some() {
-            drop(state);
-            wake();
-        } else {
-            state.waker = Some(Box::new(wake));
-        }
+        self.cell.on_complete(wake);
     }
 }
 
 impl Drop for RunHandle {
     fn drop(&mut self) {
-        if self.is_finished() {
-            return;
-        }
-        self.cancel.cancel();
-        let mut state = lock_recover(&self.inner.state);
-        while state.result.is_none() {
-            state = self
-                .inner
-                .done
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+        if !self.is_finished() {
+            self.cancel.cancel();
+            self.cell.wait(|_| ());
         }
     }
 }

@@ -282,6 +282,47 @@ mod tests {
     }
 
     #[test]
+    fn streamed_row_stats_match_run_rows() {
+        let n = 4096;
+        let segments = Segments::uniform(1000, n);
+        let runner = SegmentedRunner::with_config(
+            sig2(),
+            segments,
+            n,
+            RunnerConfig {
+                chunk_size: 512,
+                threads: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let input: Vec<i64> = (0..n as i64).map(|i| i % 7 - 3).collect();
+        let mut blocked = input.clone();
+        let blocking = runner.run_rows(&mut blocked, n).unwrap();
+        let stream = runner.stream();
+        let (streamed, outcome) = stream.push_row(input).join();
+        let row = outcome.unwrap();
+        assert_eq!(streamed, blocked);
+        assert_eq!(blocking.chunks, 8);
+        let shape = |s: &RunStats| {
+            (
+                s.rows,
+                s.chunks,
+                s.correction_taps,
+                s.plan_kind,
+                s.kernel,
+                s.plan_cache_hits + s.plan_cache_misses,
+            )
+        };
+        assert_eq!(shape(&row), shape(&blocking), "per-row stream stats");
+        assert_eq!(
+            shape(&stream.finish().unwrap()),
+            shape(&blocking),
+            "stream aggregate"
+        );
+    }
+
+    #[test]
     fn stream_rejects_wrong_length_rows() {
         let width = 100;
         let segments = Segments::uniform(30, width);

@@ -13,9 +13,10 @@
 //! `stream()` submits **one long-lived run** to the pool (via
 //! [`WorkerPool::submit`], so the caller's thread is never borrowed);
 //! every pool worker loops popping rows from a shared bounded queue and
-//! solving them through the same [`RowTask`] code path blocking
-//! `run_rows` uses — a streamed row cannot drift from its blocking
-//! counterpart. The queue admits at most `window` unfinished rows:
+//! runs each through [`RowTask::execute`] — the one per-row executor,
+//! which the service core's shards use too, around the solve blocking
+//! `run_rows` uses — so a streamed row cannot drift from a blocking or a
+//! service row. The queue admits at most `window` unfinished rows:
 //! `push_row` blocks once the window is full, which is the backpressure
 //! that stops a fast producer from buffering an unbounded batch.
 //!
@@ -24,7 +25,8 @@
 //! handle implements [`IntoFuture`]), cancel it through its own
 //! [`CancelToken`], or bound it with a per-row deadline via
 //! [`RowStream::push_row_ctl`] — all reusing the [`RunControl`]
-//! machinery, enforced per row by the pool's multi-watch watchdog.
+//! machinery, enforced per row by the pool's multi-watch watchdog. Row
+//! and run handles share one first-completion-wins completion cell.
 //!
 //! ## Error & ordering guarantees
 //!
@@ -42,21 +44,21 @@
 //!
 //! ## The `Future` adapter
 //!
-//! [`RowFuture`] / [`RunFuture`] wrap the waker hooks
-//! ([`RowHandle::on_complete`], [`RunHandle::on_complete`]) as
-//! runtime-agnostic `std` futures — no executor dependency, no busy
-//! polling: `poll` registers the task waker and returns `Pending`
-//! exactly until the completion callback fires. [`block_on`] is a
-//! minimal park-based executor for synchronous callers and tests.
+//! [`RowFuture`] / [`RunFuture`] turn a [`RowHandle`] / [`RunHandle`]
+//! into a runtime-agnostic `std` future — no executor dependency, no busy
+//! polling: `poll` registers the task waker with the handle's completion
+//! cell and returns `Pending` exactly until the cell resolves.
+//! [`block_on`] is a minimal park-based executor for synchronous callers
+//! and tests.
 //!
 //! [`BatchRunner::run_rows`]: crate::BatchRunner::run_rows
 //! [`BatchRunner::stream`]: crate::BatchRunner::stream
-//! [`RowTask`]: crate::batch::RowTask
+//! [`RowTask::execute`]: crate::batch::RowTask::execute
 
-use crate::batch::RowTask;
+use crate::batch::{absorb_row, RowTask};
 use crate::pool::{
-    lock_recover, AbortReason, AbortSignal, CancelToken, RunControl, RunHandle, WorkerExit,
-    WorkerPanic, WorkerPool,
+    lock_recover, AbortReason, AbortSignal, CancelToken, Completion, RunControl, RunHandle,
+    WorkerPool,
 };
 use crate::stats::RunStats;
 use plr_core::element::Element;
@@ -64,7 +66,6 @@ use plr_core::error::EngineError;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::future::{Future, IntoFuture};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::task::{Context, Poll, Wake, Waker};
@@ -115,7 +116,7 @@ struct QueuedRow<T> {
     index: usize,
     data: Vec<T>,
     ctl: RunControl,
-    inner: Arc<RowInner<T>>,
+    resolver: RowResolver<T>,
 }
 
 /// Mutable stream state, guarded by [`StreamShared::state`].
@@ -368,31 +369,24 @@ impl<T: Element> RowStream<T> {
             deadline: ctl.deadline,
         };
         let deadline = budget.map(|b| Instant::now() + b);
-        let inner = Arc::new(RowInner::new());
         if let Some(expected) = self.bound_len {
             if data.len() != expected {
                 let err = EngineError::LengthMismatch {
                     expected,
                     got: data.len(),
                 };
-                return Ok(RowHandle::resolved(inner, cancel, usize::MAX, data, err));
+                return Ok(RowHandle::resolved(cancel, data, err));
             }
         }
         let mut state = lock_recover(&self.shared.state);
         loop {
             if state.closed {
                 drop(state);
-                return Ok(RowHandle::resolved(
-                    inner,
-                    cancel,
-                    usize::MAX,
-                    data,
-                    EngineError::Cancelled,
-                ));
+                return Ok(RowHandle::resolved(cancel, data, EngineError::Cancelled));
             }
             if let Some(err) = state.dead.clone() {
                 drop(state);
-                return Ok(RowHandle::resolved(inner, cancel, usize::MAX, data, err));
+                return Ok(RowHandle::resolved(cancel, data, err));
             }
             if state.in_flight < self.shared.window {
                 break;
@@ -423,20 +417,17 @@ impl<T: Element> RowStream<T> {
         let index = state.next_row;
         state.next_row += 1;
         state.in_flight += 1;
+        let (mut handle, resolver) = RowHandle::pending(cancel, index);
+        handle.detached = false; // a pushed row's handle cancels on drop
         state.queue.push_back(QueuedRow {
             index,
             data,
             ctl,
-            inner: Arc::clone(&inner),
+            resolver,
         });
         drop(state);
         self.shared.ready.notify_one();
-        Ok(RowHandle {
-            inner,
-            cancel,
-            index,
-            detached: false,
-        })
+        Ok(handle)
     }
 
     /// Aborts the whole stream (idempotent): every queued or in-flight
@@ -494,11 +485,7 @@ fn drain_pending<T: Element>(shared: &StreamShared<T>, err: EngineError) {
     let leftovers: Vec<QueuedRow<T>> = state.queue.drain(..).collect();
     state.in_flight -= leftovers.len();
     for _ in &leftovers {
-        state.stats.absorb(&RunStats {
-            rows: 1,
-            aborts: 1,
-            ..RunStats::default()
-        });
+        state.stats.absorb(&failed_row());
     }
     if state.first_error.is_none() && !leftovers.is_empty() {
         state.first_error = Some(err.clone());
@@ -507,7 +494,16 @@ fn drain_pending<T: Element>(shared: &StreamShared<T>, err: EngineError) {
     shared.ready.notify_all();
     shared.space.notify_all();
     for row in leftovers {
-        RowInner::complete(&row.inner, row.data, Err(err.clone()));
+        row.resolver.resolve(row.data, Err(err.clone()));
+    }
+}
+
+/// What a failed row adds to the stream's aggregate.
+fn failed_row() -> RunStats {
+    RunStats {
+        rows: 1,
+        aborts: 1,
+        ..RunStats::default()
     }
 }
 
@@ -515,7 +511,7 @@ fn drain_pending<T: Element>(shared: &StreamShared<T>, err: EngineError) {
 /// it, repeat; exit when the stream is closed and drained, or when the
 /// run itself is aborted (draining leftovers with the abort's reason).
 fn stream_worker<T: Element>(
-    pool: &Arc<WorkerPool>,
+    pool: &WorkerPool,
     shared: &StreamShared<T>,
     task: &RowTask<T>,
     run_token: &CancelToken,
@@ -565,162 +561,46 @@ fn stream_worker<T: Element>(
                     .0;
             }
         };
-        process_one(pool, shared, task, run_token, worker, row);
-    }
-}
-
-/// Solves one popped row and resolves its handle — the streaming analogue
-/// of one whole-row dispatch ticket, plus the per-row control plumbing
-/// (cancel token attach, watchdog deadline, panic capture).
-fn process_one<T: Element>(
-    pool: &Arc<WorkerPool>,
-    shared: &StreamShared<T>,
-    task: &RowTask<T>,
-    run_token: &CancelToken,
-    worker: usize,
-    row: QueuedRow<T>,
-) {
-    let QueuedRow {
-        index,
-        mut data,
-        ctl,
-        inner,
-    } = row;
-    if let Err(e) = ctl.status() {
-        // Cancelled or expired while queued: fail fast, no work.
-        finish_row(shared, &inner, data, Err(e.into_engine_error()));
-        return;
-    }
-    let abort = Arc::new(AbortSignal::default());
-    // Stream-level cancellation (drop, explicit run cancel) must reach a
-    // row mid-solve — e.g. one wedged in an injected delay — so the
-    // stream's quiesce is bounded by one poll, not by the row.
-    let run_att = run_token.attach(&abort);
-    let row_att = ctl.cancel.as_ref().map(|t| t.attach(&abort));
-    let watch = ctl
-        .deadline
-        .and_then(|(at, _)| pool.watchdog_arm(at, &abort));
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        #[cfg(feature = "fault-inject")]
-        crate::fault::check(crate::fault::FaultSite::Row, worker, index, Some(&abort));
-        task.apply(&mut data, worker, index, Some(&abort))
-    }));
-    // Disarm before reading the reason, mirroring `run_ctl`.
-    drop(watch);
-    drop(row_att);
-    drop(run_att);
-    match outcome {
-        Ok((fir_nanos, solve_nanos, solve_slices)) => {
-            let result = match abort.reason() {
-                // A bare WorkerFault is job-owned elsewhere; nothing trips
-                // it on a per-row signal, so treat it as clean.
-                None | Some(AbortReason::WorkerFault) => Ok(RunStats {
-                    rows: 1,
-                    chunks: 1,
-                    threads: 1,
-                    fir_nanos,
-                    solve_nanos,
-                    plan_kind: task.plan_kind(),
-                    kernel: task.kernel_kind(),
-                    solve_slices,
-                    ..RunStats::default()
-                }),
-                Some(AbortReason::Cancelled) => Err(EngineError::Cancelled),
-                Some(AbortReason::DeadlineExceeded) => Err(EngineError::DeadlineExceeded {
-                    deadline: ctl.deadline.map(|(_, b)| b).unwrap_or_default(),
-                }),
-            };
-            finish_row(shared, &inner, data, result);
-        }
-        Err(payload) => {
-            // The panic stays contained: only this row's handle errors,
-            // the worker keeps draining the queue. Resolve the handle
-            // *before* any rethrow so it can never be left dangling.
-            let err = WorkerPanic::from_payload(worker, payload.as_ref()).into_engine_error();
-            finish_row(shared, &inner, data, Err(err));
-            if payload.is::<WorkerExit>() {
-                // Simulated thread death must still retire the worker
-                // through the pool's machinery (lazy respawn & co).
-                resume_unwind(payload);
-            }
-        }
+        task.execute(
+            pool,
+            run_token,
+            worker,
+            row.index,
+            &row.ctl,
+            row.data,
+            |data, result| finish_row(shared, row.resolver, data, result),
+        );
     }
 }
 
 /// Resolves a row's handle and updates the stream's aggregate state.
-fn finish_row<T: Element>(
+fn finish_row<T>(
     shared: &StreamShared<T>,
-    inner: &Arc<RowInner<T>>,
+    resolver: RowResolver<T>,
     data: Vec<T>,
     result: Result<RunStats, EngineError>,
 ) {
-    let row_stats = match &result {
-        Ok(stats) => *stats,
-        Err(_) => RunStats {
-            rows: 1,
-            aborts: 1,
-            ..RunStats::default()
-        },
+    let (row_stats, err) = match &result {
+        Ok(stats) => (*stats, None),
+        Err(e) => (failed_row(), Some(e.clone())),
     };
-    let err = result.as_ref().err().cloned();
-    RowInner::complete(inner, data, result);
+    resolver.resolve(data, result);
     let mut state = lock_recover(&shared.state);
     state.in_flight -= 1;
-    state.stats.absorb(&row_stats);
-    if let Some(e) = err {
-        if state.first_error.is_none() {
-            state.first_error = Some(e);
-        }
+    absorb_row(&mut state.stats, &row_stats);
+    if state.first_error.is_none() {
+        state.first_error = err;
     }
     drop(state);
     shared.space.notify_all();
 }
 
-struct RowState<T> {
-    /// `(solved buffer, outcome)` once the row is done.
-    outcome: Option<(Vec<T>, Result<RunStats, EngineError>)>,
-    waker: Option<Box<dyn FnOnce() + Send>>,
-}
+/// `(solved buffer, outcome)`: what a resolved row hands back.
+type RowOutcome<T> = (Vec<T>, Result<RunStats, EngineError>);
 
-/// Shared completion cell between a [`RowHandle`] and the worker solving
-/// its row — the row-granular analogue of the pool's `HandleInner`.
-struct RowInner<T> {
-    state: Mutex<RowState<T>>,
-    done: Condvar,
-}
-
-impl<T> RowInner<T> {
-    fn new() -> Self {
-        RowInner {
-            state: Mutex::new(RowState {
-                outcome: None,
-                waker: None,
-            }),
-            done: Condvar::new(),
-        }
-    }
-
-    /// Publishes the outcome, wakes blocked waiters, and fires the waker
-    /// outside the lock. Idempotent: the first completion wins (the
-    /// worker-side drain and the run-end sweep may race on a dying
-    /// stream).
-    fn complete(inner: &Arc<Self>, data: Vec<T>, result: Result<RunStats, EngineError>) {
-        let waker = {
-            let mut state = lock_recover(&inner.state);
-            if state.outcome.is_some() {
-                return;
-            }
-            state.outcome = Some((data, result));
-            inner.done.notify_all();
-            state.waker.take()
-        };
-        if let Some(wake) = waker {
-            wake();
-        }
-    }
-}
-
-/// One streamed row in flight (see [`RowStream::push_row`]).
+/// One row in flight — pushed onto a [`RowStream`] (see
+/// [`RowStream::push_row`]) or queued by an executor outside this crate
+/// (see [`RowHandle::pending`]).
 ///
 /// Completion is signalled, not joined: poll
 /// [`is_finished`](Self::is_finished), block with [`wait`](Self::wait) /
@@ -729,46 +609,69 @@ impl<T> RowInner<T> {
 /// implements [`IntoFuture`], resolving to the solved buffer plus the
 /// outcome). [`join`](Self::join) returns the buffer synchronously.
 ///
-/// Dropping an unfinished handle **cancels its row** (non-blocking; the
-/// worker observes the cancel at its next consult and resolves the
-/// abandoned row to [`EngineError::Cancelled`]) — a caller that walks
-/// away from a row does not leak work. Use [`detach`](Self::detach) to
-/// drop the handle and let the row run to completion anyway.
+/// Dropping an unfinished pushed row's handle **cancels its row**
+/// (non-blocking; the worker observes the cancel at its next consult and
+/// resolves the abandoned row to [`EngineError::Cancelled`]) — a caller
+/// that walks away from a row does not leak work. Use
+/// [`detach`](Self::detach) to drop the handle and let the row run to
+/// completion anyway.
 pub struct RowHandle<T> {
-    inner: Arc<RowInner<T>>,
+    cell: Arc<Completion<RowOutcome<T>>>,
     cancel: CancelToken,
     index: usize,
     detached: bool,
+}
+
+/// The half of a pending [`RowHandle`] that resolves it (see
+/// [`RowHandle::pending`]).
+pub struct RowResolver<T> {
+    cell: Arc<Completion<RowOutcome<T>>>,
+}
+
+impl<T> RowResolver<T> {
+    /// Resolves the row's handle with its buffer and outcome.
+    pub fn resolve(self, data: Vec<T>, result: Result<RunStats, EngineError>) {
+        self.cell.complete((data, result));
+    }
 }
 
 impl<T> std::fmt::Debug for RowHandle<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RowHandle")
             .field("index", &self.index)
-            .field(
-                "finished",
-                &lock_recover(&self.inner.state).outcome.is_some(),
-            )
+            .field("finished", &self.is_finished())
             .finish()
     }
 }
 
-impl<T: Element> RowHandle<T> {
-    /// A handle born already resolved (push onto a closed/dead stream).
-    fn resolved(
-        inner: Arc<RowInner<T>>,
-        cancel: CancelToken,
-        index: usize,
-        data: Vec<T>,
-        err: EngineError,
-    ) -> Self {
-        RowInner::complete(&inner, data, Err(err));
-        RowHandle {
-            inner,
+impl<T> RowHandle<T> {
+    /// A pending handle for row `index`, cancelled through `cancel`, and
+    /// the [`RowResolver`] that completes it — for an executor that
+    /// queues rows itself (the service core's shards) and runs each
+    /// through [`RowTask::execute`](crate::RowTask::execute). Unlike a
+    /// pushed row's handle, this one does not cancel its row on drop: the
+    /// row belongs to the executor that queued it, and cancelling it
+    /// takes [`cancel`](Self::cancel) or the token.
+    pub fn pending(cancel: CancelToken, index: usize) -> (Self, RowResolver<T>) {
+        let cell = Arc::new(Completion::new());
+        let resolver = RowResolver {
+            cell: Arc::clone(&cell),
+        };
+        let handle = RowHandle {
+            cell,
             cancel,
             index,
-            detached: false,
-        }
+            detached: true,
+        };
+        (handle, resolver)
+    }
+
+    /// A handle born already resolved (push onto a closed/dead stream,
+    /// or of the wrong length).
+    fn resolved(cancel: CancelToken, data: Vec<T>, err: EngineError) -> Self {
+        let (handle, resolver) = Self::pending(cancel, usize::MAX);
+        resolver.resolve(data, Err(err));
+        handle
     }
 
     /// The row's submission index (0-based, in push order). Pushes that
@@ -780,7 +683,7 @@ impl<T: Element> RowHandle<T> {
 
     /// Whether the row has completed (successfully or not).
     pub fn is_finished(&self) -> bool {
-        lock_recover(&self.inner.state).outcome.is_some()
+        self.cell.is_complete()
     }
 
     /// Blocks until the row completes and returns its outcome (the per-row
@@ -789,15 +692,7 @@ impl<T: Element> RowHandle<T> {
     pub fn wait(&self) -> Result<RunStats, EngineError> {
         #[cfg(feature = "fault-inject")]
         crate::fault::check(crate::fault::FaultSite::HandleWait, 0, self.index, None);
-        let mut state = lock_recover(&self.inner.state);
-        while state.outcome.is_none() {
-            state = self
-                .inner
-                .done
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        state.outcome.as_ref().expect("checked above").1.clone()
+        self.cell.wait(|(_, result)| result.clone())
     }
 
     /// Blocks up to `budget` for completion; `None` on timeout (the row
@@ -807,21 +702,7 @@ impl<T: Element> RowHandle<T> {
     pub fn wait_timeout(&self, budget: Duration) -> Option<Result<RunStats, EngineError>> {
         #[cfg(feature = "fault-inject")]
         crate::fault::check(crate::fault::FaultSite::HandleWait, 0, self.index, None);
-        let deadline = Instant::now() + budget;
-        let mut state = lock_recover(&self.inner.state);
-        while state.outcome.is_none() {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            state = self
-                .inner
-                .done
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-        Some(state.outcome.as_ref().expect("checked above").1.clone())
+        self.cell.wait_timeout(budget, |(_, result)| result.clone())
     }
 
     /// Blocks until the row completes and returns the buffer together
@@ -830,10 +711,7 @@ impl<T: Element> RowHandle<T> {
     pub fn join(mut self) -> (Vec<T>, Result<RunStats, EngineError>) {
         let _ = self.wait();
         self.detached = true; // the drop below must not cancel
-        lock_recover(&self.inner.state)
-            .outcome
-            .take()
-            .expect("wait() returned, the outcome is set")
+        self.cell.take()
     }
 
     /// Cancels this row (idempotent): if it has not started it fails fast
@@ -849,16 +727,11 @@ impl<T: Element> RowHandle<T> {
     }
 
     /// Registers a callback invoked exactly once when the row completes
-    /// (immediately if it already has) — the waker hook behind the
-    /// `Future` adapter. A second registration replaces the first.
+    /// (immediately if it already has) — a completion waker for callers
+    /// that drive the handle themselves. A second registration replaces
+    /// the first.
     pub fn on_complete(&self, wake: impl FnOnce() + Send + 'static) {
-        let mut state = lock_recover(&self.inner.state);
-        if state.outcome.is_some() {
-            drop(state);
-            wake();
-        } else {
-            state.waker = Some(Box::new(wake));
-        }
+        self.cell.on_complete(wake);
     }
 
     /// Drops the handle *without* cancelling the row: it runs to
@@ -870,10 +743,7 @@ impl<T: Element> RowHandle<T> {
 
 impl<T> Drop for RowHandle<T> {
     fn drop(&mut self) {
-        if self.detached {
-            return;
-        }
-        if lock_recover(&self.inner.state).outcome.is_none() {
+        if !self.detached && !self.is_finished() {
             // Non-blocking by design: the worker resolves the abandoned
             // row to Cancelled on its own schedule; `RowStream::finish`
             // (or the stream's drop) is the quiesce point.
@@ -889,8 +759,8 @@ impl<T> Drop for RowHandle<T> {
 /// A [`RowHandle`] as a runtime-agnostic [`Future`], created by
 /// `await`ing the handle (its [`IntoFuture`] impl) — resolves to the
 /// solved buffer plus the row's outcome, exactly like
-/// [`RowHandle::join`], waking the task through
-/// [`RowHandle::on_complete`] (no polling loop, no executor dependency).
+/// [`RowHandle::join`], woken by the row's completion cell (no polling
+/// loop, no executor dependency).
 pub struct RowFuture<T> {
     handle: Option<RowHandle<T>>,
 }
@@ -903,19 +773,12 @@ impl<T: Element> Future for RowFuture<T> {
             .handle
             .as_ref()
             .expect("RowFuture polled after completion");
-        if !handle.is_finished() {
-            let waker = cx.waker().clone();
-            // If the row completed between the check and this call, the
-            // callback fires immediately and the executor re-polls — no
-            // lost wakeup. Re-registration replaces the previous waker,
-            // so the row wakes each poller at most once: no double-wake.
-            handle.on_complete(move || waker.wake());
-            if !self.handle.as_ref().expect("set above").is_finished() {
-                return Poll::Pending;
-            }
+        // Checks and registers under one lock: no lost wakeup, and each
+        // poll replaces the previous waker, so no double-wake either.
+        if !handle.cell.poll_ready(cx) {
+            return Poll::Pending;
         }
-        let handle = self.handle.take().expect("checked above");
-        Poll::Ready(handle.join())
+        Poll::Ready(self.handle.take().expect("checked above").join())
     }
 }
 
@@ -929,8 +792,8 @@ impl<T: Element> IntoFuture for RowHandle<T> {
 }
 
 /// A [`RunHandle`] as a runtime-agnostic [`Future`], created by
-/// `await`ing the handle — resolves to the run's outcome, waking the
-/// task through [`RunHandle::on_complete`].
+/// `await`ing the handle — resolves to the run's outcome, woken by the
+/// run's completion cell.
 pub struct RunFuture {
     handle: Option<RunHandle>,
 }
@@ -943,17 +806,12 @@ impl Future for RunFuture {
             .handle
             .as_ref()
             .expect("RunFuture polled after completion");
-        if !handle.is_finished() {
-            let waker = cx.waker().clone();
-            handle.on_complete(move || waker.wake());
-            if !self.handle.as_ref().expect("set above").is_finished() {
-                return Poll::Pending;
-            }
+        if !handle.cell.poll_ready(cx) {
+            return Poll::Pending;
         }
         // Finished: wait() returns without blocking; dropping the handle
         // afterwards is a no-op.
-        let handle = self.handle.take().expect("checked above");
-        Poll::Ready(handle.wait())
+        Poll::Ready(self.handle.take().expect("checked above").wait())
     }
 }
 

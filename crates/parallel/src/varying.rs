@@ -409,6 +409,45 @@ mod tests {
     }
 
     #[test]
+    fn streamed_row_stats_match_run_rows() {
+        let n = 4096;
+        let sig = VaryingSignature::first_order(coeffs_i64(n, 1)).unwrap();
+        let runner = VaryingRunner::with_config(
+            sig,
+            RunnerConfig {
+                chunk_size: 512,
+                threads: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let input = input_i64(n);
+        let mut blocked = input.clone();
+        let blocking = runner.run_rows(&mut blocked, n).unwrap();
+        let stream = runner.stream();
+        let (streamed, outcome) = stream.push_row(input).join();
+        let row = outcome.unwrap();
+        assert_eq!(streamed, blocked);
+        assert_eq!((blocking.chunks, blocking.correction_taps), (8, 1));
+        let shape = |s: &RunStats| {
+            (
+                s.rows,
+                s.chunks,
+                s.correction_taps,
+                s.plan_kind,
+                s.kernel,
+                s.plan_cache_hits + s.plan_cache_misses,
+            )
+        };
+        assert_eq!(shape(&row), shape(&blocking), "per-row stream stats");
+        assert_eq!(
+            shape(&stream.finish().unwrap()),
+            shape(&blocking),
+            "stream aggregate"
+        );
+    }
+
+    #[test]
     fn stream_rejects_wrong_length_rows() {
         let width = 64;
         let sig = VaryingSignature::first_order(coeffs_i64(width, 1)).unwrap();

@@ -192,6 +192,7 @@ fn all_executor_outputs<T: Element>(
 /// ragged chunk geometries, and thread counts.
 #[test]
 fn int_executors_bit_exact_across_orders_geometries_chunks_threads() {
+    let _g = lock_global();
     let n = 1537;
     let input = int_input(n);
     for k in 1..=4usize {
@@ -222,6 +223,7 @@ fn int_executors_bit_exact_across_orders_geometries_chunks_threads() {
 /// the plain serial evaluator bit-for-bit.
 #[test]
 fn single_segment_equals_unsegmented_run() {
+    let _g = lock_global();
     let n = 3000;
     let input = int_input(n);
     let segments = Segments::from_starts(vec![0]).unwrap();
@@ -242,6 +244,7 @@ fn single_segment_equals_unsegmented_run() {
 /// bound carries over unchanged.
 #[test]
 fn contractive_floats_within_ulps_of_reference() {
+    let _g = lock_global();
     let n = 6000;
     let input = positive_input(n);
     for k in 1..=4usize {
@@ -274,6 +277,7 @@ fn contractive_floats_within_ulps_of_reference() {
 /// serial reference.
 #[test]
 fn sparse_skip_matches_dense_on_zero_padded_ints() {
+    let _g = lock_global();
     let n = 8192;
     let chunk = 256;
     let segments = Segments::uniform(1000, n);
@@ -319,6 +323,7 @@ fn sparse_skip_matches_dense_on_zero_padded_ints() {
 /// differences are forbidden.
 #[test]
 fn sparse_skip_is_bit_identical_to_dense_on_floats() {
+    let _g = lock_global();
     let n = 8192;
     let chunk = 256;
     let segments = Segments::uniform(1500, n);
@@ -361,6 +366,7 @@ fn sparse_skip_is_bit_identical_to_dense_on_floats() {
 /// segment existed).
 #[test]
 fn empty_input_runs_to_empty_result_everywhere() {
+    let _g = lock_global();
     let segments = Segments::uniform(4, 0);
     assert!(
         segments.starts().is_empty(),
@@ -447,6 +453,7 @@ fn segmented_runs_bypass_the_constant_plan_cache() {
 /// segmented run before it touches the data, for both strategies.
 #[test]
 fn pre_cancelled_token_and_zero_deadline_reject_promptly() {
+    let _g = lock_global();
     let n = 4096;
     let segments = Segments::uniform(500, n);
     let sig = int_sig(2);
@@ -501,6 +508,7 @@ proptest! {
         chunk_sel in 0usize..3,
         threads in 1usize..=4,
     ) {
+        let _g = lock_global();
         let sig = int_sig(k);
         let mut rng = xorshift(seed);
         let mut starts = vec![0usize];
@@ -525,12 +533,14 @@ proptest! {
     }
 }
 
-/// Fault-injection legs (CI's `segmented` job runs this file with
+/// Fault-injection legs (CI's `fault-inject` matrix runs this file with
 /// `--features fault-inject`): an injected worker fault in a segmented
 /// run must surface as `WorkerPanicked` — never a hang — and the same
 /// runner (same pool) must complete a fault-free, bit-exact rerun. The
 /// delay legs wedge a pipeline stage to prove cancellation and deadlines
-/// reclaim a stuck segmented run.
+/// reclaim a stuck segmented run. The armed plan is one-shot and
+/// process-global, so every test in this file that runs a runner holds
+/// `lock_global()`: no other test can consume it.
 #[cfg(feature = "fault-inject")]
 mod fault_legs {
     use super::*;

@@ -164,6 +164,7 @@ fn all_executor_outputs<T: Element>(
 /// counts.
 #[test]
 fn int_executors_bit_exact_across_orders_chunks_threads() {
+    let _g = lock_global();
     let n = 1537;
     let input = int_input(n);
     for k in 1..=4usize {
@@ -189,6 +190,7 @@ fn int_executors_bit_exact_across_orders_chunks_threads() {
 /// bit-exact everywhere.
 #[test]
 fn int_offsets_bit_exact() {
+    let _g = lock_global();
     let n = 997;
     let input = int_input(n);
     let mut rng = xorshift(0x0ff5e7);
@@ -217,6 +219,7 @@ fn positive_input(n: usize) -> Vec<f64> {
 /// distance meaningless — are covered by the relative-bound leg below.)
 #[test]
 fn contractive_floats_within_ulps_of_reference() {
+    let _g = lock_global();
     let n = 6000;
     let input = positive_input(n);
     for k in 1..=4usize {
@@ -244,6 +247,7 @@ fn contractive_floats_within_ulps_of_reference() {
 /// here, but must stay far below any meaningful divergence.
 #[test]
 fn wide_gate_floats_within_relative_bound() {
+    let _g = lock_global();
     let n = 8000;
     let input = float_input(n);
     for k in [1usize, 2] {
@@ -372,6 +376,7 @@ fn varying_runs_bypass_the_constant_plan_cache() {
 /// the output stays bit-exact; a one-thread run fuses every chunk.
 #[test]
 fn lookback_fusion_counts_and_stays_exact() {
+    let _g = lock_global();
     let n = 4096;
     let sig = VaryingSignature::first_order(int_coeffs(n, 1, 0xf05e)).unwrap();
     let input = int_input(n);
@@ -406,6 +411,7 @@ proptest! {
         chunk_sel in 0usize..3,
         threads in 1usize..=4,
     ) {
+        let _g = lock_global();
         let sig = VaryingSignature::new(k, int_coeffs(n, k, seed)).unwrap();
         let mut rng = xorshift(seed ^ 0x5555_5555);
         let data: Vec<i64> = (0..n).map(|_| (rng() % 41) as i64 - 20).collect();
@@ -420,10 +426,12 @@ proptest! {
     }
 }
 
-/// Fault-injection legs (CI's `varying` job runs this file with
+/// Fault-injection legs (CI's `fault-inject` matrix runs this file with
 /// `--features fault-inject`): an injected worker fault in a varying run
 /// must surface as `WorkerPanicked` — never a hang — and the same runner
-/// (same pool) must complete a fault-free, bit-exact rerun.
+/// (same pool) must complete a fault-free, bit-exact rerun. The armed
+/// plan is one-shot and process-global, so every test in this file that
+/// runs a runner holds `lock_global()`: no other test can consume it.
 #[cfg(feature = "fault-inject")]
 mod fault_legs {
     use super::*;

@@ -1,13 +1,13 @@
 //! The multi-tenant service core: tenant registry, admission control, and
 //! the sharded execution fabric behind it.
 
-use crate::handle::{HandleInner, ServiceHandle};
+use crate::handle::ServiceHandle;
 use crate::lock_recover;
 use crate::shard::{Shard, ShardStats};
 use crate::tenant::{TenantCounters, TenantId, TenantRuntime, TenantSpec, TenantStats};
 use plr_core::element::Element;
 use plr_core::error::EngineError;
-use plr_parallel::{resolve_threads, CancelToken, RunControl};
+use plr_parallel::{resolve_threads, CancelToken};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
@@ -189,24 +189,16 @@ impl<T: Element> ServiceCore<T> {
             .iter()
             .min_by_key(|s| s.est_delay_ns())
             .expect("at least one shard");
-        let token = opts.cancel.unwrap_or_default();
-        let mut ctl = RunControl::new().with_cancel(&token);
-        if let Some(budget) = opts.deadline {
-            ctl = ctl.with_deadline(budget);
-        }
-        let inner = Arc::new(HandleInner::new());
         match shard.admit(
             tenant.0,
             &runtime,
             data,
-            ctl,
-            opts.deadline,
-            &inner,
+            opts,
             self.config.max_queue_or_default(),
         ) {
-            Ok(()) => {
+            Ok(row) => {
                 TenantCounters::bump(&runtime.counters.admitted);
-                Ok(ServiceHandle::new(inner, token, tenant))
+                Ok(ServiceHandle::new(row, tenant))
             }
             Err(e) => {
                 TenantCounters::bump(&runtime.counters.shed_overload);

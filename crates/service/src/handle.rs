@@ -1,54 +1,23 @@
-//! Per-row completion handles for admitted service rows.
+//! Per-row completion handles for admitted service rows: a
+//! [`RowHandle`] — the execution layer's one completion cell, resolved
+//! by the shard worker that runs the row — that does not cancel on drop,
+//! plus the row's tenant.
 
 use crate::tenant::TenantId;
 use plr_core::error::EngineError;
-use plr_parallel::{CancelToken, RunStats};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
-
-/// `(solved buffer, outcome)` once the row is done.
-type Outcome<T> = (Vec<T>, Result<RunStats, EngineError>);
-
-/// Shared completion cell between a [`ServiceHandle`] and the shard
-/// worker solving its row — the service-layer analogue of the streaming
-/// layer's `RowInner`.
-pub(crate) struct HandleInner<T> {
-    state: Mutex<Option<Outcome<T>>>,
-    done: Condvar,
-}
-
-impl<T> HandleInner<T> {
-    pub fn new() -> Self {
-        HandleInner {
-            state: Mutex::new(None),
-            done: Condvar::new(),
-        }
-    }
-
-    /// Resolves the cell; first completion wins, later calls are ignored
-    /// (a row cancelled concurrently with finishing keeps whichever
-    /// outcome landed first, like every other first-trip-wins surface in
-    /// the execution layer).
-    pub fn complete(inner: &Arc<Self>, data: Vec<T>, result: Result<RunStats, EngineError>) {
-        let mut state = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if state.is_none() {
-            *state = Some((data, result));
-            inner.done.notify_all();
-        }
-    }
-}
+use plr_parallel::{RowHandle, RunStats};
+use std::time::Duration;
 
 /// Handle to one admitted row: wait on it, join it for the solved buffer,
 /// or cancel it.
 ///
-/// Unlike a streaming [`RowHandle`](plr_parallel::RowHandle), dropping a
-/// `ServiceHandle` does **not** cancel the row — an admitted row is the
-/// service's obligation (it was charged against the tenant's quota and
-/// queue share), so fire-and-forget submission is the default and
-/// cancellation is always explicit.
+/// Unlike a streaming [`RowHandle`], dropping a `ServiceHandle` does
+/// **not** cancel the row — an admitted row is the service's obligation
+/// (it was charged against the tenant's quota and queue share), so
+/// fire-and-forget submission is the default and cancellation is always
+/// explicit.
 pub struct ServiceHandle<T> {
-    inner: Arc<HandleInner<T>>,
-    cancel: CancelToken,
+    row: RowHandle<T>,
     tenant: TenantId,
 }
 
@@ -62,12 +31,10 @@ impl<T> std::fmt::Debug for ServiceHandle<T> {
 }
 
 impl<T> ServiceHandle<T> {
-    pub(crate) fn new(inner: Arc<HandleInner<T>>, cancel: CancelToken, tenant: TenantId) -> Self {
-        ServiceHandle {
-            inner,
-            cancel,
-            tenant,
-        }
+    /// Wraps a [`RowHandle::pending`] handle, which does not cancel its
+    /// row on drop.
+    pub(crate) fn new(row: RowHandle<T>, tenant: TenantId) -> Self {
+        ServiceHandle { row, tenant }
     }
 
     /// The tenant this row was admitted for.
@@ -77,85 +44,33 @@ impl<T> ServiceHandle<T> {
 
     /// Whether the row has resolved (successfully or not).
     pub fn is_finished(&self) -> bool {
-        self.inner
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_some()
+        self.row.is_finished()
     }
 
     /// Requests cancellation of this row (idempotent). A row still queued
     /// resolves to [`EngineError::Cancelled`] without running; a row
     /// mid-solve is interrupted at its next abort poll.
     pub fn cancel(&self) {
-        self.cancel.cancel();
+        self.row.cancel();
     }
 
     /// Blocks until the row resolves and returns its outcome (stats on
     /// success, the row's error otherwise). The solved buffer stays in
     /// the handle — retrieve it with [`join`](Self::join).
     pub fn wait(&self) -> Result<RunStats, EngineError> {
-        let mut state = self
-            .inner
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some((_, result)) = state.as_ref() {
-                return result.clone();
-            }
-            state = self
-                .inner
-                .done
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        self.row.wait()
     }
 
     /// Like [`wait`](Self::wait) with a bound: `None` if the row is still
     /// unresolved after `budget`.
     pub fn wait_timeout(&self, budget: Duration) -> Option<Result<RunStats, EngineError>> {
-        let deadline = Instant::now() + budget;
-        let mut state = self
-            .inner
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some((_, result)) = state.as_ref() {
-                return Some(result.clone());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            state = self
-                .inner
-                .done
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
+        self.row.wait_timeout(budget)
     }
 
     /// Blocks until the row resolves, then returns the buffer (solved on
     /// success, untouched or partially solved on failure) and the
     /// outcome.
     pub fn join(self) -> (Vec<T>, Result<RunStats, EngineError>) {
-        let mut state = self
-            .inner
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some((data, result)) = state.take() {
-                return (data, result);
-            }
-            state = self
-                .inner
-                .done
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        self.row.join()
     }
 }

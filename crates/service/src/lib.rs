@@ -5,9 +5,10 @@
 //! handles back, while the core keeps the machine healthy under overload.
 //!
 //! The execution fabric is a set of **shards**, each a private
-//! [`plr_parallel::WorkerPool`] running the same per-row work unit
-//! ([`plr_parallel::RowTask`]) as the batch and streaming layers — the
-//! service changes *which rows run when*, never *how a row runs*.
+//! [`plr_parallel::WorkerPool`] running rows through the streaming
+//! layer's per-row executor ([`plr_parallel::RowTask::execute`]) and
+//! handing back the streaming layer's row handle — the service changes
+//! *which rows run when*, never *how a row runs*.
 //!
 //! What sits between `submit` and a worker:
 //!

@@ -2,33 +2,36 @@
 //! queue of admitted rows, with service-time estimation, relaunch-on-fault,
 //! and a serial degraded mode.
 //!
-//! The drain loop deliberately mirrors the streaming layer
-//! (`plr_parallel::stream`): one long-lived `pool.submit` run whose
-//! workers pop rows and execute them through [`RowTask::apply`] under
-//! per-row `catch_unwind`, cancel-token attachment, and watchdog
-//! deadlines. The differences are the service concerns layered on top:
+//! The shard runs one long-lived `pool.submit` drain run whose workers pop
+//! rows and hand each to the execution layer's one per-row executor,
+//! [`RowTask::execute`](plr_parallel::RowTask::execute), the code every
+//! streamed row runs: a per-row abort signal linked to the shard's token
+//! (so [`abort`](Shard::abort) reaches rows mid-solve), the row's own
+//! token and its watchdog deadline, `catch_unwind` around the solve. What
+//! the shard adds is its own drain loop and bookkeeping:
 //!
-//! - rows come out of a [`Wfq`] (per-tenant weighted shares), not a FIFO;
+//! - rows come out of a [`Wfq`] (per-tenant weighted shares), not a FIFO,
+//!   and a run that dies to a worker fault leaves the queue intact;
 //! - every executed row feeds a per-shard EWMA of service time, which is
 //!   what admission control turns into queue-delay estimates;
 //! - a run that dies to a worker fault is **relaunched** (bounded times
 //!   between observed progress) instead of killing the shard, and past
 //!   the bound the shard *degrades* to executing admitted rows serially
-//!   on the submitter's thread rather than going dark.
+//!   on the submitter's thread — through the same executor — rather than
+//!   going dark.
 
-use crate::handle::HandleInner;
+use crate::core::SubmitOptions;
 use crate::lock_recover;
 use crate::tenant::{TenantCounters, TenantRuntime};
 use crate::wfq::Wfq;
 use plr_core::element::Element;
 use plr_core::error::EngineError;
-use plr_parallel::pool::WorkerExit;
 use plr_parallel::{
-    AbortReason, AbortSignal, CancelToken, RunControl, RunHandle, RunStats, WorkerPanic, WorkerPool,
+    AbortReason, AbortSignal, CancelToken, RowHandle, RowResolver, RunControl, RunHandle,
+    WorkerPool,
 };
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -61,12 +64,12 @@ impl Drop for InlineLaunchGuard {
 }
 
 /// One admitted row queued on a shard.
-pub(crate) struct ServiceRow<T> {
-    pub index: usize,
-    pub data: Vec<T>,
-    pub ctl: RunControl,
-    pub inner: Arc<HandleInner<T>>,
-    pub runtime: Arc<TenantRuntime<T>>,
+struct ServiceRow<T> {
+    index: usize,
+    data: Vec<T>,
+    ctl: RunControl,
+    resolver: RowResolver<T>,
+    runtime: Arc<TenantRuntime<T>>,
 }
 
 struct ShardState<T> {
@@ -93,8 +96,8 @@ pub(crate) struct ShardShared<T> {
     queued: AtomicUsize,
     /// Rows popped but not yet resolved.
     in_service: AtomicUsize,
-    /// Rows executed (including degraded-inline ones); progress signal
-    /// for the relaunch bound.
+    /// Rows resolved by the executor (including degraded-inline ones);
+    /// progress signal for the relaunch bound.
     processed: AtomicU64,
     /// Per-shard row sequence for fault-site targeting and diagnostics.
     next_index: AtomicUsize,
@@ -123,7 +126,9 @@ pub struct ShardStats {
     pub in_service: usize,
     /// EWMA of per-row service time in nanoseconds (0 = no sample yet).
     pub ewma_service_nanos: u64,
-    /// Rows executed on this shard since creation.
+    /// Rows the shard's executor resolved since creation (including rows
+    /// that failed fast because they were cancelled or expired in the
+    /// queue).
     pub processed: u64,
     /// Times the drain run was relaunched after a worker fault.
     pub relaunches: u64,
@@ -187,38 +192,27 @@ impl<T: Element> Shard<T> {
         }
     }
 
-    /// Admission decision for one row, made under the shard lock. `None`
-    /// verdict means admitted (enqueued or executed inline when
-    /// degraded); `Some(err)` is the shed verdict, in precedence order:
-    /// hard queue cap, per-tenant weighted backlog cap, deadline
-    /// feasibility.
-    #[allow(clippy::too_many_arguments)]
+    /// Admission decision for one row, made under the shard lock:
+    /// admitted rows (enqueued, or executed inline when degraded) get a
+    /// pending handle, shed rows an error, in precedence order: hard
+    /// queue cap, per-tenant weighted backlog cap, deadline feasibility.
     pub fn admit(
         &self,
         tenant: usize,
         runtime: &Arc<TenantRuntime<T>>,
         data: Vec<T>,
-        ctl: RunControl,
-        deadline_budget: Option<Duration>,
-        inner: &Arc<HandleInner<T>>,
+        opts: SubmitOptions,
         max_queue: usize,
-    ) -> Result<(), EngineError> {
+    ) -> Result<RowHandle<T>, EngineError> {
         let ewma = self.shared.ewma_ns.load(Ordering::Relaxed);
         let mut st = lock_recover(&self.shared.state);
         if st.degraded {
             // Serial fallback: the shard's parallel run is gone for good,
             // but admitted traffic still completes — on this thread.
             drop(st);
-            let index = self.shared.next_index.fetch_add(1, Ordering::Relaxed);
-            let row = ServiceRow {
-                index,
-                data,
-                ctl,
-                inner: Arc::clone(inner),
-                runtime: Arc::clone(runtime),
-            };
-            execute_row_inline(&self.pool, &self.shared, row);
-            return Ok(());
+            let (handle, row) = self.admitted_row(runtime, data, opts);
+            execute_row_inline(&self.pool, &self.shared, &self.token, row);
+            return Ok(handle);
         }
         let queued = st.wfq.len();
         // 1. Hard cap: the queue is a bounded resource, full stop.
@@ -256,7 +250,7 @@ impl<T: Element> Shard<T> {
         //    a proportionally longer delay (and is therefore shed first
         //    as pressure builds, which is the intended degradation
         //    order).
-        if let Some(budget) = deadline_budget {
+        if let Some(budget) = opts.deadline {
             let weight = f64::from(runtime.weight.max(1));
             let active = {
                 let mut a = st.wfq.active_weight();
@@ -279,24 +273,39 @@ impl<T: Element> Shard<T> {
                 });
             }
         }
-        let index = self.shared.next_index.fetch_add(1, Ordering::Relaxed);
         let cost = data.len() as f64;
-        st.wfq.push(
-            tenant,
-            runtime.weight,
-            cost,
-            ServiceRow {
-                index,
-                data,
-                ctl,
-                inner: Arc::clone(inner),
-                runtime: Arc::clone(runtime),
-            },
-        );
+        let (handle, row) = self.admitted_row(runtime, data, opts);
+        st.wfq.push(tenant, runtime.weight, cost, row);
         self.shared.queued.fetch_add(1, Ordering::Relaxed);
         drop(st);
         self.shared.ready.notify_one();
-        Ok(())
+        Ok(handle)
+    }
+
+    /// Gives an admitted row its control (its deadline budget starts
+    /// now), its shard-local index (fault-site targeting and diagnostics)
+    /// and its pending handle.
+    fn admitted_row(
+        &self,
+        runtime: &Arc<TenantRuntime<T>>,
+        data: Vec<T>,
+        opts: SubmitOptions,
+    ) -> (RowHandle<T>, ServiceRow<T>) {
+        let token = opts.cancel.unwrap_or_default();
+        let mut ctl = RunControl::new().with_cancel(&token);
+        if let Some(budget) = opts.deadline {
+            ctl = ctl.with_deadline(budget);
+        }
+        let index = self.shared.next_index.fetch_add(1, Ordering::Relaxed);
+        let (handle, resolver) = RowHandle::pending(token, index);
+        let row = ServiceRow {
+            index,
+            data,
+            ctl,
+            resolver,
+            runtime: Arc::clone(runtime),
+        };
+        (handle, row)
     }
 
     /// Closes intake for shutdown: workers exit once the queue drains.
@@ -343,11 +352,14 @@ fn submit_run<T: Element>(
     let handle = {
         let job_shared = Arc::clone(shared);
         let job_pool = Arc::clone(pool);
+        let job_token = token.clone();
         INLINE_LAUNCH.with(|f| f.set(true));
         let _guard = InlineLaunchGuard;
         pool.submit(
             RunControl::new().with_cancel(token),
-            move |worker, run_abort| shard_worker(&job_pool, &job_shared, worker, run_abort),
+            move |worker, run_abort| {
+                shard_worker(&job_pool, &job_shared, &job_token, worker, run_abort)
+            },
         )
     };
     {
@@ -386,7 +398,7 @@ fn on_run_complete<T: Element>(
         let rows = take_rows(&mut st, shared);
         drop(st);
         for row in rows {
-            execute_row_inline(pool, shared, row);
+            execute_row_inline(pool, shared, token, row);
         }
         return;
     }
@@ -402,7 +414,7 @@ fn on_run_complete<T: Element>(
         let rows = take_rows(&mut st, shared);
         drop(st);
         for row in rows {
-            execute_row_inline(pool, shared, row);
+            execute_row_inline(pool, shared, token, row);
         }
         return;
     }
@@ -427,15 +439,17 @@ fn drain_with<T: Element>(shared: &ShardShared<T>, err: EngineError) {
     };
     for row in rows {
         TenantCounters::bump(&row.runtime.counters.failed);
-        HandleInner::complete(&row.inner, row.data, Err(err.clone()));
+        row.resolver.resolve(row.data, Err(err.clone()));
     }
 }
 
-/// The long-lived drain loop every pool worker runs, mirroring
-/// `stream_worker` with the WFQ pop in place of the FIFO pop.
+/// The long-lived drain loop every pool worker runs: pop the WFQ, run the
+/// row; on shutdown or abort resolve the queue, on a worker fault leave
+/// it for the relaunched run.
 fn shard_worker<T: Element>(
-    pool: &Arc<WorkerPool>,
-    shared: &Arc<ShardShared<T>>,
+    pool: &WorkerPool,
+    shared: &ShardShared<T>,
+    token: &CancelToken,
     worker: usize,
     run_abort: &AbortSignal,
 ) {
@@ -478,112 +492,55 @@ fn shard_worker<T: Element>(
                     .0;
             }
         };
-        process_row(pool, shared, worker, row);
+        process_row(pool, shared, token, worker, row);
     }
 }
 
-/// Executes one row end to end: per-row abort signal, cancel attachment,
-/// watchdog deadline, `catch_unwind`, EWMA/counter updates, handle
-/// resolution. The execution core is byte-for-byte the streaming layer's
-/// `process_one`.
+/// Runs one popped row through the shared row executor. Before the row's
+/// handle resolves, the shard does its bookkeeping: in-service and
+/// processed counts, the service-time EWMA and the tenant's counters.
 fn process_row<T: Element>(
-    pool: &Arc<WorkerPool>,
+    pool: &WorkerPool,
     shared: &ShardShared<T>,
+    token: &CancelToken,
     worker: usize,
     row: ServiceRow<T>,
 ) {
     let ServiceRow {
         index,
-        mut data,
+        data,
         ctl,
-        inner,
+        resolver,
         runtime,
     } = row;
-    if let Err(e) = ctl.status() {
-        // Cancelled or expired while queued: fail fast, no work.
-        shared.in_service.fetch_sub(1, Ordering::Relaxed);
-        TenantCounters::bump(&runtime.counters.failed);
-        HandleInner::complete(&inner, data, Err(e.into_engine_error()));
-        return;
-    }
-    let abort = Arc::new(AbortSignal::default());
-    let row_att = ctl.cancel_token().map(|t| t.attach(&abort));
-    let watch = ctl
-        .deadline()
-        .and_then(|(at, _)| pool.watchdog_arm(at, &abort));
     let start = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        #[cfg(feature = "fault-inject")]
-        plr_parallel::fault::check(
-            plr_parallel::fault::FaultSite::Row,
-            worker,
-            index,
-            Some(&abort),
-        );
-        runtime.task.apply(&mut data, worker, index, Some(&abort))
-    }));
-    let wall = start.elapsed().as_nanos() as u64;
-    drop(watch);
-    drop(row_att);
-    shared.in_service.fetch_sub(1, Ordering::Relaxed);
-    shared.processed.fetch_add(1, Ordering::Relaxed);
-    match outcome {
-        Ok((fir_nanos, solve_nanos, solve_slices)) => {
-            let result = match abort.reason() {
-                None | Some(AbortReason::WorkerFault) => {
-                    ewma_update(shared, wall);
-                    note_success(&runtime, wall, data.len());
-                    Ok(RunStats {
-                        rows: 1,
-                        chunks: 1,
-                        threads: 1,
-                        fir_nanos,
-                        solve_nanos,
-                        solve_slices,
-                        plan_kind: runtime.task.plan_kind(),
-                        kernel: runtime.task.kernel_kind(),
-                        plan_cache_hits: runtime.plan_cache_hit as u64,
-                        plan_cache_misses: !runtime.plan_cache_hit as u64,
-                        ..RunStats::default()
-                    })
-                }
-                Some(AbortReason::Cancelled) => {
-                    TenantCounters::bump(&runtime.counters.failed);
-                    Err(EngineError::Cancelled)
-                }
-                Some(AbortReason::DeadlineExceeded) => {
-                    TenantCounters::bump(&runtime.counters.failed);
-                    Err(EngineError::DeadlineExceeded {
-                        deadline: ctl.deadline().map(|(_, b)| b).unwrap_or_default(),
-                    })
-                }
-            };
-            HandleInner::complete(&inner, data, result);
-        }
-        Err(payload) => {
-            // The panic stays contained to this row: resolve its handle
-            // first so nothing can dangle, then rethrow only the
-            // worker-death sentinel so the pool retires the thread.
-            TenantCounters::bump(&runtime.counters.failed);
-            let err = WorkerPanic::from_payload(worker, payload.as_ref()).into_engine_error();
-            HandleInner::complete(&inner, data, Err(err));
-            if payload.is::<WorkerExit>() {
-                resume_unwind(payload);
+    runtime
+        .task
+        .execute(pool, token, worker, index, &ctl, data, |data, result| {
+            shared.in_service.fetch_sub(1, Ordering::Relaxed);
+            shared.processed.fetch_add(1, Ordering::Relaxed);
+            if result.is_ok() {
+                let wall = start.elapsed().as_nanos() as u64;
+                ewma_update(shared, wall);
+                note_success(&runtime, wall, data.len());
+            } else {
+                TenantCounters::bump(&runtime.counters.failed);
             }
-        }
-    }
+            resolver.resolve(data, result);
+        });
 }
 
 /// Serial fallback: executes one admitted row synchronously on the
 /// current thread (degraded shards and post-degradation backlog). Worker
 /// id 0 — the caller is the worker, exactly like a width-1 pool.
 fn execute_row_inline<T: Element>(
-    pool: &Arc<WorkerPool>,
+    pool: &WorkerPool,
     shared: &ShardShared<T>,
+    token: &CancelToken,
     row: ServiceRow<T>,
 ) {
     shared.in_service.fetch_add(1, Ordering::Relaxed);
-    process_row(pool, shared, 0, row);
+    process_row(pool, shared, token, 0, row);
 }
 
 fn note_success<T>(runtime: &TenantRuntime<T>, wall: u64, elems: usize) {

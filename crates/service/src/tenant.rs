@@ -96,30 +96,42 @@ pub(crate) struct TenantRuntime<T> {
     pub name: String,
     pub weight: u32,
     /// The tenant's per-row work unit — the same `RowTask` the batch and
-    /// streaming layers execute, so a service row cannot drift from its
-    /// single-tenant counterpart.
+    /// streaming layers execute, run through the same per-row executor,
+    /// so a service row cannot drift from its single-tenant counterpart.
+    /// It also records whether the tenant's plan was a plan-cache hit.
     pub task: RowTask<T>,
-    /// Whether this tenant's plan was served from the shared plan cache
-    /// (per-tenant hit/miss attribution of the cross-tenant cache).
-    pub plan_cache_hit: bool,
     pub bucket: Mutex<TokenBucket>,
     pub counters: TenantCounters,
 }
 
 impl<T: Element> TenantRuntime<T> {
     pub fn new(spec: TenantSpec<T>) -> Self {
-        let task = RowTask::new(&spec.signature);
-        let plan_cache_hit = task.cache_hit();
         TenantRuntime {
             name: spec.name,
             weight: spec.weight.max(1),
-            task,
-            plan_cache_hit,
+            task: RowTask::new(&spec.signature),
             bucket: Mutex::new(match spec.quota {
                 Some((rate, burst)) => TokenBucket::new(rate, burst),
                 None => TokenBucket::unlimited(),
             }),
             counters: TenantCounters::default(),
+        }
+    }
+
+    pub fn snapshot(&self) -> TenantStats {
+        let c = &self.counters;
+        TenantStats {
+            name: self.name.clone(),
+            weight: self.weight,
+            submitted: c.submitted.load(Ordering::Relaxed),
+            admitted: c.admitted.load(Ordering::Relaxed),
+            completed: c.completed.load(Ordering::Relaxed),
+            failed: c.failed.load(Ordering::Relaxed),
+            shed_quota: c.shed_quota.load(Ordering::Relaxed),
+            shed_overload: c.shed_overload.load(Ordering::Relaxed),
+            service_nanos: c.service_nanos.load(Ordering::Relaxed),
+            completed_elems: c.completed_elems.load(Ordering::Relaxed),
+            plan_cache_hit: self.task.cache_hit(),
         }
     }
 }
@@ -151,23 +163,4 @@ pub struct TenantStats {
     /// Whether the tenant's plan was a shared-plan-cache hit when the
     /// tenant registered.
     pub plan_cache_hit: bool,
-}
-
-impl<T> TenantRuntime<T> {
-    pub fn snapshot(&self) -> TenantStats {
-        let c = &self.counters;
-        TenantStats {
-            name: self.name.clone(),
-            weight: self.weight,
-            submitted: c.submitted.load(Ordering::Relaxed),
-            admitted: c.admitted.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            shed_quota: c.shed_quota.load(Ordering::Relaxed),
-            shed_overload: c.shed_overload.load(Ordering::Relaxed),
-            service_nanos: c.service_nanos.load(Ordering::Relaxed),
-            completed_elems: c.completed_elems.load(Ordering::Relaxed),
-            plan_cache_hit: self.plan_cache_hit,
-        }
-    }
 }

@@ -15,8 +15,8 @@ use plr_core::signature::Signature;
 use plr_parallel::fault::{self, FaultPlan, FaultSite};
 use plr_service::{ServiceConfig, ServiceCore, SubmitOptions, TenantSpec};
 use proptest::prelude::*;
-use std::sync::{Mutex, PoisonError};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 /// The fault plan is process-global: tests must not interleave arming.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -163,5 +163,55 @@ proptest! {
             );
         }
         core.shutdown();
+    }
+}
+
+/// `abort()` reaches a row mid-solve: with one single-worker shard and a
+/// 30 s stall injected at the row's `Row` site, the abort cancels the
+/// held row through the shard's token instead of waiting out the stall,
+/// and the row resolves `Cancelled`.
+#[test]
+fn abort_cancels_a_row_held_mid_solve() {
+    let _serial = serialize();
+    quiet_injected_panics();
+    fault::disarm();
+
+    let core = Arc::new(ServiceCore::new(ServiceConfig {
+        shards: 1,
+        threads_per_shard: 1,
+        max_queue: 256,
+    }));
+    let tenant = core.add_tenant(TenantSpec::new("t", "1:1".parse().unwrap()));
+    fault::arm(FaultPlan::delay_at_chunk(
+        FaultSite::Row,
+        0,
+        Duration::from_secs(30),
+    ));
+    let held = core
+        .submit(tenant, input(4096, 1), SubmitOptions::default())
+        .expect("unloaded core must admit");
+    let start = Instant::now();
+    while core.stats().shards[0].in_service != 1 {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "the row never reached a worker"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let aborting = Arc::clone(&core);
+    let took = watchdog(5, move || {
+        let start = Instant::now();
+        aborting.abort();
+        start.elapsed()
+    });
+    fault::disarm();
+    assert!(
+        took < Duration::from_secs(5),
+        "abort must not wait out the stall, took {took:?}"
+    );
+    match watchdog(5, move || held.wait()) {
+        Err(EngineError::Cancelled) => {}
+        other => panic!("the held row must resolve Cancelled, got {other:?}"),
     }
 }
