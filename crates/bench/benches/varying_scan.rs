@@ -5,7 +5,8 @@
 //!
 //! * **order-1 selective scan** (the Mamba/SSM recurrence
 //!   `y[i] = x[i] + a[i]·y[i-1]` with per-element gates) — f32, 1M
-//!   elements;
+//!   elements, with fast-decay gates in `[0.1, 0.5]` and with the
+//!   performance ledger's slow-decay gates in `[0.5, 0.99)`;
 //! * **order-2 adaptive filter** (per-element biquad feedback) — f64.
 //!
 //! The baseline is the *naive* varying evaluator
@@ -18,6 +19,7 @@
 //! sample counts — the CI smoke mode.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use plr_core::element::Element;
 use plr_core::varying::{reference, VaryingSignature};
 use plr_parallel::{RunnerConfig, Strategy, VaryingRunner};
 use std::hint::black_box;
@@ -36,6 +38,21 @@ fn gates_f32(n: usize) -> Vec<f32> {
             s ^= s >> 7;
             s ^= s << 17;
             0.1 + 0.4 * ((s >> 40) as f32 / (1u64 << 24) as f32)
+        })
+        .collect()
+}
+
+/// Deterministic gates in `[0.5, 0.99)`, the `ssm_f32_512ki` ledger
+/// workload's regime: each chunk's transition product underflows within a
+/// few hundred elements, where the plan truncates the correction.
+fn slow_decay_gates_f32(n: usize) -> Vec<f32> {
+    let mut s = 0x853c49e6748fea9bu64;
+    (0..n)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            0.5 + 0.49 * ((s >> 40) as f32 / (1u64 << 24) as f32)
         })
         .collect()
 }
@@ -66,18 +83,14 @@ fn input_f64(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i % 13) as f64) * 0.25 - 1.5).collect()
 }
 
-/// Order-1 f32 selective scan at 1M elements: naive serial evaluator vs
-/// the matrix-carry runner at 1/2/4 workers. This is the acceptance
-/// measurement: `plr` at ≥2 threads must beat `serial_naive`.
-fn bench_selective_scan(c: &mut Criterion) {
-    let n = 1 << 20;
-    let sig = VaryingSignature::first_order(gates_f32(n)).unwrap();
-    let data = input_f32(n);
-    let mut g = c.benchmark_group("varying_scan_order1_1M");
-    g.throughput(Throughput::Elements(n as u64));
+/// One group: the naive serial evaluator, then the matrix-carry runner
+/// at 1/2/4 workers with 64 Ki-element chunks.
+fn runner_group<T: Element>(c: &mut Criterion, name: &str, sig: VaryingSignature<T>, data: &[T]) {
+    let mut g = c.benchmark_group(name);
+    g.throughput(Throughput::Elements(data.len() as u64));
     g.sample_size(if quick() { 10 } else { 20 });
     g.bench_function("serial_naive", |b| {
-        b.iter(|| reference(black_box(&sig), black_box(&data)).unwrap());
+        b.iter(|| reference(black_box(&sig), black_box(data)).unwrap());
     });
     for threads in [1usize, 2, 4] {
         let runner = VaryingRunner::with_config(
@@ -91,10 +104,24 @@ fn bench_selective_scan(c: &mut Criterion) {
         )
         .unwrap();
         g.bench_function(BenchmarkId::new("plr", threads), |b| {
-            b.iter(|| runner.run(black_box(&data)).unwrap());
+            b.iter(|| runner.run(black_box(data)).unwrap());
         });
     }
     g.finish();
+}
+
+/// Order-1 f32 selective scan at 1M elements: naive serial evaluator vs
+/// the matrix-carry runner at 1/2/4 workers. This is the acceptance
+/// measurement: `plr` at ≥2 threads must beat `serial_naive`. The
+/// slow-decay group runs the ledger's gates, whose unflushed transition
+/// products stick at the smallest denormal instead of reaching zero.
+fn bench_selective_scan(c: &mut Criterion) {
+    let n = 1 << 20;
+    let data = input_f32(n);
+    let sig = VaryingSignature::first_order(gates_f32(n)).unwrap();
+    runner_group(c, "varying_scan_order1_1M", sig, &data);
+    let sig = VaryingSignature::first_order(slow_decay_gates_f32(n)).unwrap();
+    runner_group(c, "varying_scan_slow_decay_order1_1M", sig, &data);
 }
 
 /// Order-2 f64 adaptive filter: the matrix-carry path where the carry is
@@ -102,29 +129,8 @@ fn bench_selective_scan(c: &mut Criterion) {
 fn bench_adaptive_filter(c: &mut Criterion) {
     let n = if quick() { 1 << 19 } else { 1 << 20 };
     let sig = VaryingSignature::new(2, coeffs_f64_order2(n)).unwrap();
-    let data = input_f64(n);
-    let mut g = c.benchmark_group(format!("varying_filter_order2_{}k", n >> 10));
-    g.throughput(Throughput::Elements(n as u64));
-    g.sample_size(if quick() { 10 } else { 20 });
-    g.bench_function("serial_naive", |b| {
-        b.iter(|| reference(black_box(&sig), black_box(&data)).unwrap());
-    });
-    for threads in [1usize, 2, 4] {
-        let runner = VaryingRunner::with_config(
-            sig.clone(),
-            RunnerConfig {
-                chunk_size: 1 << 16,
-                threads,
-                strategy: Strategy::default(),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        g.bench_function(BenchmarkId::new("plr", threads), |b| {
-            b.iter(|| runner.run(black_box(&data)).unwrap());
-        });
-    }
-    g.finish();
+    let name = format!("varying_filter_order2_{}k", n >> 10);
+    runner_group(c, &name, sig, &input_f64(n));
 }
 
 criterion_group!(benches, bench_selective_scan, bench_adaptive_filter);

@@ -147,6 +147,11 @@ impl<T: Element> Matrix<T> {
         self.data[..k].copy_from_slice(&top);
     }
 
+    /// Whether every entry is zero.
+    pub fn is_zero(&self) -> bool {
+        self.data.iter().all(|x| x.is_zero())
+    }
+
     /// Matrix-vector product.
     ///
     /// # Panics

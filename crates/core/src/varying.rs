@@ -56,6 +56,20 @@
 //!   / SIMD [`SolveKernel`] for it directly (no [`crate::plan`] involved
 //!   — varying signatures never touch the correction-plan cache) and its
 //!   transition matrix collapses to a companion power.
+//! * **Truncated corrections** (the paper's decay truncation, which a
+//!   [`crate::plan::PlanKind::Truncated`] constant plan applies to its
+//!   factor lists): [`VaryingPlan::build`] composes each chunk's
+//!   transition and stops at the first element `d_c` where every entry
+//!   of the product flushes to zero ([`Element::flush_denormal`]: below
+//!   `MIN_POSITIVE` for floats, exactly zero for integers). That chunk's
+//!   matrix is zero, and [`VaryingPlan::correct_chunk`] corrects only
+//!   its first `d_c` elements ([`VaryingPlan::correction_len`]). The rule
+//!   applies only where the dropped tail is provably negligible: to float
+//!   chunks whose every row is non-expansive (`Σ_j |a_j[i]| ≤ 1`, false
+//!   for a NaN or infinite coefficient), where a transition below the
+//!   flush threshold cannot regrow; and to integer chunks at an exactly
+//!   zero product, which wrapping arithmetic keeps zero. Every other
+//!   chunk keeps its full transition and full-length correction.
 
 use std::sync::Arc;
 
@@ -381,6 +395,97 @@ fn solve_span<T: Element>(sig: &VaryingSignature<T>, start: usize, state: &[T], 
     }
 }
 
+/// `Σ_j |a_j| ≤ 1`: the row cannot grow a state vector's largest entry.
+/// False for a NaN or infinite coefficient.
+fn non_expansive<T: Element>(row: &[T]) -> bool {
+    row.iter().map(|a| a.to_f64().abs()).sum::<f64>() <= 1.0
+}
+
+/// [`non_expansive`] over every `k`-coefficient row of `rows`. The folds
+/// are branch-free so the order-1 pass vectorizes.
+fn all_non_expansive<T: Element>(rows: &[T], k: usize) -> bool {
+    if k == 1 {
+        return rows
+            .iter()
+            .fold(true, |ok, a| ok & (a.to_f64().abs() <= 1.0));
+    }
+    rows.chunks_exact(k)
+        .fold(true, |ok, row| ok & non_expansive(row))
+}
+
+/// Whether every entry of `mtx` flushes to zero
+/// ([`Element::flush_denormal`]): below `MIN_POSITIVE` for floats,
+/// exactly zero for integers.
+fn underflowed<T: Element>(mtx: &Matrix<T>) -> bool {
+    let k = mtx.dim();
+    (0..k * k).all(|e| mtx.get(e / k, e % k).flush_denormal().is_zero())
+}
+
+/// Chunk `[start, start + len)`'s transition matrix and how many of its
+/// leading elements the correction reaches: see [`compose`], which
+/// truncates where the rule applies (module docs).
+fn chunk_transition<T: Element>(
+    sig: &VaryingSignature<T>,
+    start: usize,
+    len: usize,
+    constant: Option<&[T]>,
+) -> (Matrix<T>, usize) {
+    let k = sig.order();
+    let truncatable = !T::IS_FLOAT
+        || match constant {
+            Some(row) => non_expansive(row),
+            None => all_non_expansive(&sig.coeffs()[start * k..(start + len) * k], k),
+        };
+    if let Some(row) = constant {
+        // A constant chunk's transition is a companion power, composed
+        // for its decay point only when the power itself has underflowed.
+        let power = Matrix::companion(row).pow(len as u64);
+        if truncatable && underflowed(&power) {
+            let (zero, d) = compose(sig, start, len, true);
+            if d < len {
+                return (zero, d);
+            }
+        }
+        return (power, len);
+    }
+    compose(sig, start, len, truncatable)
+}
+
+/// Composes the transition of the `len` rows from `start`. With
+/// `truncate`, composition stops at the first element `d` whose product
+/// has [`underflowed`] and returns a zero matrix and `d`; otherwise it
+/// returns the product and `len`.
+fn compose<T: Element>(
+    sig: &VaryingSignature<T>,
+    start: usize,
+    len: usize,
+    truncate: bool,
+) -> (Matrix<T>, usize) {
+    let k = sig.order();
+    let zero = || Matrix::from_parts(k, vec![T::zero(); k * k]);
+    if k == 1 && truncate {
+        // The scalar form of `companion_push`, equal to it bit for bit on
+        // a truncatable chunk's rows (finite for floats) until the
+        // product underflows.
+        let mut p = T::one();
+        for (i, &a) in sig.coeffs()[start..start + len].iter().enumerate() {
+            p = p.mul(a);
+            if p.flush_denormal().is_zero() {
+                return (zero(), i);
+            }
+        }
+        return (Matrix::from_parts(1, vec![p]), len);
+    }
+    let mut mtx = Matrix::identity(k);
+    for i in 0..len {
+        mtx.companion_push(sig.row(start + i));
+        if truncate && underflowed(&mtx) {
+            return (zero(), i);
+        }
+    }
+    (mtx, len)
+}
+
 /// Outcome of [`VaryingPlan::solve_chunk`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct VaryingSolve<T> {
@@ -401,8 +506,10 @@ pub struct VaryingSolve<T> {
 
 /// Per-chunk geometry of a [`VaryingSignature`], with everything that
 /// depends only on the coefficients hoisted out of the run path: the
-/// chunk transition matrices (the generalized carries) and, for chunks
-/// whose rows are all equal, a constant-coefficient [`SolveKernel`].
+/// chunk transition matrices (the generalized carries), each chunk's
+/// correction length (its decay point where the transition underflows)
+/// and, for chunks whose rows are all equal, a constant-coefficient
+/// [`SolveKernel`].
 ///
 /// Kernels are selected directly — a varying plan never consults (or
 /// populates) the constant path's correction-plan cache.
@@ -411,13 +518,16 @@ pub struct VaryingPlan<T> {
     sig: VaryingSignature<T>,
     chunk_size: usize,
     matrices: Vec<Matrix<T>>,
+    correction_lens: Vec<usize>,
     kernels: Vec<SolveKernel<T>>,
     chunk_kernel: Vec<Option<u16>>,
 }
 
 impl<T: Element> VaryingPlan<T> {
     /// Builds the plan: classifies every chunk (constant rows → kernel)
-    /// and composes every chunk's transition matrix.
+    /// and composes every chunk's transition matrix, truncated at its
+    /// decay point where that is sound (module docs, "Truncated
+    /// corrections").
     ///
     /// # Errors
     ///
@@ -439,6 +549,7 @@ impl<T: Element> VaryingPlan<T> {
         let m = chunk_size;
         let num_chunks = n.div_ceil(m);
         let mut matrices = Vec::with_capacity(num_chunks);
+        let mut correction_lens = Vec::with_capacity(num_chunks);
         let mut kernels: Vec<SolveKernel<T>> = Vec::new();
         let mut chunk_kernel = Vec::with_capacity(num_chunks);
         for c in 0..num_chunks {
@@ -459,23 +570,15 @@ impl<T: Element> VaryingPlan<T> {
                 _ => None,
             };
             chunk_kernel.push(kernel);
-            let matrix = match constant {
-                // A constant chunk's transition is a companion power.
-                Some(row) => Matrix::companion(row).pow(len as u64),
-                None => {
-                    let mut mtx = Matrix::identity(k);
-                    for i in start..start + len {
-                        mtx.companion_push(sig.row(i));
-                    }
-                    mtx
-                }
-            };
+            let (matrix, correction_len) = chunk_transition(&sig, start, len, constant);
             matrices.push(matrix);
+            correction_lens.push(correction_len);
         }
         Ok(VaryingPlan {
             sig,
             chunk_size,
             matrices,
+            correction_lens,
             kernels,
             chunk_kernel,
         })
@@ -511,9 +614,17 @@ impl<T: Element> VaryingPlan<T> {
         self.matrices.len()
     }
 
-    /// Chunk `c`'s precomputed transition matrix `M_c`.
+    /// Chunk `c`'s precomputed transition matrix `M_c` (zero for a chunk
+    /// truncated at its decay point).
     pub fn matrix(&self, c: usize) -> &Matrix<T> {
         &self.matrices[c]
+    }
+
+    /// How many leading elements of chunk `c` [`Self::correct_chunk`]
+    /// corrects: the decay point `d_c` of a truncated chunk, else the
+    /// chunk's length.
+    pub fn correction_len(&self, c: usize) -> usize {
+        self.correction_lens[c]
     }
 
     /// The kernel class chunk `c`'s local solve dispatches to.
@@ -615,11 +726,17 @@ impl<T: Element> VaryingPlan<T> {
 
     /// Adds the boundary correction to a locally-solved chunk `c`: the
     /// forward companion pass `v ← C_i·v`, `y[i] += v[0]`, seeded with
-    /// the predecessor's global state. `O(k)` per element; the order-1
-    /// fast path is the scalar loop `v *= a[i]; y[i] += v`.
+    /// the predecessor's global state, over the chunk's first
+    /// [`Self::correction_len`] elements (past a truncated chunk's decay
+    /// point the correction has underflowed and is dropped, so a
+    /// non-finite carry reaches only the first `d_c` elements). `O(k)`
+    /// per element; the order-1 fast path is the scalar loop
+    /// `v *= a[i]; y[i] += v`.
     pub fn correct_chunk(&self, c: usize, carry: &[T], data: &mut [T]) {
         let k = self.sig.order();
         let start = c * self.chunk_size;
+        let reach = self.correction_lens[c].min(data.len());
+        let data = &mut data[..reach];
         if k == 1 {
             let a = self.sig.coeffs();
             let mut v = carry[0];
@@ -655,8 +772,11 @@ impl<T: Element> VaryingPlan<T> {
 /// decoupled three-stage form (local solves, matrix carry chain,
 /// per-chunk corrections) that the parallel strategies distribute.
 /// `local_solve` and `flush_denormals` are inert here: within a chunk
-/// there are no lanes to double across, and varying coefficients are
-/// used exactly as given.
+/// there are no lanes to double across, and the plan's truncation rule
+/// (module docs, "Truncated corrections") decides on its own where
+/// underflowed transitions cut corrections short (`flush_denormals:
+/// false` does not turn it off); the solves use the coefficients
+/// exactly as given.
 #[derive(Debug)]
 pub struct VaryingEngine<T> {
     plan: Arc<VaryingPlan<T>>,
@@ -1037,6 +1157,162 @@ mod tests {
         let sig = VaryingSignature::first_order(Vec::<i64>::new()).unwrap();
         let engine = VaryingEngine::with_config(sig, sequential(8)).unwrap();
         assert_eq!(engine.run(&[]).unwrap(), Vec::<i64>::new());
+    }
+
+    /// f32 gates in `[0.5, 0.99)`: the transition of a 1024-element
+    /// chunk underflows within a few hundred elements.
+    fn decaying_gates(n: usize) -> Vec<f32> {
+        pattern(21, n)
+            .iter()
+            .map(|v| (0.745 + 0.49 * v) as f32)
+            .collect()
+    }
+
+    /// The transition before truncation: the unflushed companion product.
+    fn untruncated_transition<T: Element>(
+        sig: &VaryingSignature<T>,
+        start: usize,
+        len: usize,
+    ) -> Matrix<T> {
+        let mut mtx = Matrix::identity(sig.order());
+        for i in start..start + len {
+            mtx.companion_push(sig.row(i));
+        }
+        mtx
+    }
+
+    /// The order-1 decoupled engine before truncation: local solves, the
+    /// chain through untruncated transitions, full-length corrections.
+    fn untruncated_decoupled(sig: &VaryingSignature<f32>, m: usize, input: &[f32]) -> Vec<f32> {
+        let plan = VaryingPlan::build(sig.clone(), m).unwrap();
+        let mut data = input.to_vec();
+        let mut global = 0.0f32;
+        for (c, chunk) in data.chunks_mut(m).enumerate() {
+            let local = plan.solve_chunk(c, None, chunk, &mut || true).state[0];
+            let carry = global;
+            global = local;
+            if c == 0 {
+                continue;
+            }
+            let mut v = carry;
+            for (y, &a) in chunk.iter_mut().zip(&sig.coeffs()[c * m..]) {
+                v *= a;
+                *y += v;
+            }
+            let mtx = untruncated_transition(sig, c * m, chunk.len());
+            global = mtx.apply(&[carry])[0] + local;
+        }
+        data
+    }
+
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    #[test]
+    fn decaying_float_chunks_truncate_at_their_decay_point() {
+        let m = 1024;
+        let sig = VaryingSignature::first_order(decaying_gates(4 * m + 100)).unwrap();
+        let plan = VaryingPlan::build(sig.clone(), m).unwrap();
+        for c in 0..4 {
+            let d = plan.correction_len(c);
+            assert!(d > 0 && d < m, "chunk {c} decays at {d}");
+            assert!(plan.matrix(c).is_zero(), "chunk {c}");
+            // The product just before the decay point is still a normal
+            // float, so composition stopped at the first underflow.
+            let before = untruncated_transition(&sig, c * m, d).get(0, 0);
+            assert!(before.abs() >= f32::MIN_POSITIVE, "chunk {c}: {before:e}");
+        }
+        // The 100-element tail never decays: it keeps its transition.
+        assert_eq!(plan.correction_len(4), 100);
+        assert_eq!(plan.matrix(4), &untruncated_transition(&sig, 4 * m, 100));
+    }
+
+    #[test]
+    fn expansive_nan_and_infinite_rows_are_never_truncated() {
+        let m = 1024;
+        let n = 4 * m;
+        let input: Vec<f32> = pattern(22, n).iter().map(|v| (1.0 + v) as f32).collect();
+        // Past the last chunk's decay point, where truncation would cut
+        // the row off.
+        let at = 3 * m + 700;
+        let clean =
+            VaryingPlan::build(VaryingSignature::first_order(decaying_gates(n)).unwrap(), m)
+                .unwrap();
+        assert!(clean.correction_len(3) < 700);
+        for hostile in [1.5f32, f32::NAN, f32::INFINITY] {
+            let mut gates = decaying_gates(n);
+            gates[at] = hostile;
+            let sig = VaryingSignature::first_order(gates).unwrap();
+            let plan = VaryingPlan::build(sig.clone(), m).unwrap();
+            for c in 0..3 {
+                assert!(plan.matrix(c).is_zero(), "{hostile}: chunk {c}");
+            }
+            assert_eq!(plan.correction_len(3), m, "{hostile}");
+            let got = plan.matrix(3).get(0, 0);
+            let want = untruncated_transition(&sig, 3 * m, m).get(0, 0);
+            assert!(same_bits(&[got], &[want]), "{hostile}: {got:e} vs {want:e}");
+            let engine = VaryingEngine::with_config(sig.clone(), decoupled(m)).unwrap();
+            assert!(
+                same_bits(
+                    &engine.run(&input).unwrap(),
+                    &untruncated_decoupled(&sig, m, &input)
+                ),
+                "{hostile}"
+            );
+        }
+        // Order 2: one row with Σ|a| = 1.5 keeps its chunk untruncated.
+        let mut coeffs: Vec<f32> = decaying_gates(2 * n).iter().map(|a| a / 2.0).collect();
+        coeffs[2 * at..2 * at + 2].copy_from_slice(&[0.75, 0.75]);
+        let sig = VaryingSignature::new(2, coeffs).unwrap();
+        let plan = VaryingPlan::build(sig.clone(), m).unwrap();
+        assert!(plan.correction_len(2) < m && plan.matrix(2).is_zero());
+        assert_eq!(plan.correction_len(3), m);
+        assert_eq!(plan.matrix(3), &untruncated_transition(&sig, 3 * m, m));
+    }
+
+    #[test]
+    fn integer_chunks_truncate_exactly_at_a_zero_product() {
+        let m = 64;
+        let n = 4 * m + 10;
+        let z = 2 * m + 37;
+        let input = int_pattern(23, n, 50);
+        for k in [1usize, 2] {
+            // Odd coefficients: no product of them wraps to zero.
+            let mut coeffs: Vec<i64> = int_pattern(24 + k as u64, n * k, 4)
+                .iter()
+                .map(|&a| a | 1)
+                .collect();
+            // k consecutive zero rows from z zero the order-k product.
+            coeffs[z * k..(z + k) * k].fill(0);
+            let sig = VaryingSignature::new(k, coeffs)
+                .unwrap()
+                .with_offsets(int_pattern(25, n, 9))
+                .unwrap();
+            let plan = VaryingPlan::build(sig.clone(), m).unwrap();
+            for c in 0..plan.num_chunks() {
+                let len = m.min(n - c * m);
+                if c == 2 {
+                    assert!(plan.matrix(c).is_zero(), "k={k}");
+                    assert_eq!(plan.correction_len(c), z + k - 1 - c * m, "k={k}");
+                } else {
+                    assert_eq!(plan.correction_len(c), len, "k={k} chunk {c}");
+                    assert_eq!(
+                        plan.matrix(c),
+                        &untruncated_transition(&sig, c * m, len),
+                        "k={k} chunk {c}"
+                    );
+                }
+            }
+            let expect = reference(&sig, &input).unwrap();
+            for config in [sequential(m), decoupled(m)] {
+                let engine = VaryingEngine::with_config(sig.clone(), config).unwrap();
+                assert_eq!(engine.run(&input).unwrap(), expect, "k={k}");
+            }
+        }
     }
 
     #[test]

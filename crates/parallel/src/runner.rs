@@ -58,7 +58,10 @@ pub struct RunnerConfig {
     /// abort the run with [`EngineError::NonFiniteCarry`] instead of
     /// silently propagating garbage through the look-back chain. Only
     /// the carries are scanned (`O(k)` per chunk, off the element-wise
-    /// hot path); a no-op for integer elements. Default `false`.
+    /// hot path); a no-op for integer elements. Default `false`. Without
+    /// it, a [`crate::VaryingRunner`] carries a non-finite state only
+    /// into the first `d_c` outputs of a chunk whose transition
+    /// underflows (see its docs).
     pub check_finite: bool,
     /// Wall-clock budget per `run` call, enforced by the worker pool's
     /// watchdog thread: a run that outlives it — even one wedged in a

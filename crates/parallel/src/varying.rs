@@ -43,6 +43,17 @@ use std::sync::Arc;
 /// the *input length* (coefficients are positional), so every run must
 /// supply exactly `plan.len()` elements per sequence.
 ///
+/// A chunk whose transition underflows is corrected only up to its
+/// decay point `d_c` ([`VaryingPlan::correction_len`]; the truncation
+/// rule is in [`plr_core::varying`]'s module docs), as a truncated
+/// constant-coefficient plan corrects only a prefix. So a NaN or
+/// infinite carry reaches only the first `d_c` outputs of such a chunk,
+/// and the chunk's global state becomes NaN (`0·inf`), where the serial
+/// recurrence is non-finite from the bad value on.
+/// [`RunnerConfig::check_finite`] rejects such a run at the first chunk
+/// whose state is not finite. No configuration turns the truncation
+/// off; `EngineConfig::flush_denormals` does not control it.
+///
 /// # Examples
 ///
 /// ```
@@ -518,6 +529,134 @@ mod tests {
             match runner.run(&input) {
                 Err(EngineError::DeadlineExceeded { .. }) => {}
                 other => panic!("expected DeadlineExceeded ({strategy:?}), got {other:?}"),
+            }
+        }
+    }
+
+    /// f32 gates in `[0.5, 0.99)`: every 1024-element chunk's transition
+    /// underflows within a few hundred elements.
+    fn slow_decay_gates(n: usize) -> Vec<f32> {
+        gates_f64(n, 1)
+            .iter()
+            .map(|a| (0.5 + 1.225 * (a - 0.1)) as f32)
+            .collect()
+    }
+
+    /// A decaying f32 chunk holding an expansive (1.5), NaN or infinite
+    /// gate past its decay point is never truncated: both strategies
+    /// give the decoupled engine's outputs (which the plan-layer tests
+    /// pin to the untruncated pipeline's), and `check_finite` flags
+    /// exactly the chunks that produce a non-finite state.
+    #[test]
+    fn hostile_gates_keep_untruncated_outputs_and_check_finite_verdicts() {
+        use plr_core::engine::{CarryPropagation, EngineConfig, LocalSolve};
+        use plr_core::varying::VaryingEngine;
+        let m = 1024;
+        let n = 4 * m;
+        let input: Vec<f32> = (0..n).map(|i| 0.5 + (i % 11) as f32 * 0.1).collect();
+        for hostile in [1.5f32, f32::NAN, f32::INFINITY] {
+            let mut gates = slow_decay_gates(n);
+            gates[3 * m + 700] = hostile;
+            let sig = VaryingSignature::first_order(gates).unwrap();
+            let engine = VaryingEngine::with_config(
+                sig.clone(),
+                EngineConfig {
+                    chunk_size: m,
+                    carry_propagation: CarryPropagation::Decoupled,
+                    local_solve: LocalSolve::Serial,
+                    flush_denormals: false,
+                },
+            )
+            .unwrap();
+            let expect = engine.run(&input).unwrap();
+            assert!(engine.plan().matrix(2).is_zero(), "{hostile}");
+            assert_eq!(engine.plan().correction_len(3), m, "{hostile}");
+            for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
+                for check_finite in [false, true] {
+                    let runner = VaryingRunner::with_config(
+                        sig.clone(),
+                        RunnerConfig {
+                            chunk_size: m,
+                            threads: 2,
+                            strategy,
+                            check_finite,
+                            ..Default::default()
+                        },
+                    )
+                    .unwrap();
+                    match runner.run(&input) {
+                        Err(EngineError::NonFiniteCarry { chunk: 3 })
+                            if check_finite && !hostile.is_finite() => {}
+                        Ok(got) if !check_finite || hostile.is_finite() => {
+                            let same = got.iter().zip(&expect).all(|(g, e)| {
+                                g.to_bits() == e.to_bits() || (g.is_nan() && e.is_nan())
+                            });
+                            assert!(same, "{hostile} {strategy:?} check_finite={check_finite}");
+                        }
+                        other => panic!(
+                            "{hostile} {strategy:?} check_finite={check_finite}: got {other:?}"
+                        ),
+                    }
+                }
+            }
+        }
+    }
+
+    /// An infinite or NaN input in a decaying f32 chunk. `check_finite`
+    /// rejects the run at that chunk, the first whose state is not
+    /// finite. Without it, each later chunk is corrected only up to its
+    /// decay point `d_c`: its first `d_c` outputs are not finite, the
+    /// rest are its local solve, and its global state is `0·inf` or
+    /// `0·NaN`, which is NaN. (The serial reference is not finite from
+    /// the bad input on.) On two threads no float chunk past chunk 0
+    /// fuses, so both strategies give exactly these outputs.
+    #[test]
+    fn non_finite_inputs_reach_only_the_decay_prefix_of_later_chunks() {
+        let m = 1024;
+        let n = 4 * m;
+        let sig = VaryingSignature::first_order(slow_decay_gates(n)).unwrap();
+        let plan = VaryingPlan::build(sig.clone(), m).unwrap();
+        let at = m + 700;
+        for bad in [f32::INFINITY, f32::NAN] {
+            let mut input: Vec<f32> = (0..n).map(|i| 0.5 + (i % 11) as f32 * 0.1).collect();
+            input[at] = bad;
+            for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
+                for check_finite in [false, true] {
+                    let runner = VaryingRunner::with_config(
+                        sig.clone(),
+                        RunnerConfig {
+                            chunk_size: m,
+                            threads: 2,
+                            strategy,
+                            check_finite,
+                            ..Default::default()
+                        },
+                    )
+                    .unwrap();
+                    let label = format!("{bad} {strategy:?} check_finite={check_finite}");
+                    let got = runner.run(&input);
+                    if check_finite {
+                        assert_eq!(
+                            got,
+                            Err(EngineError::NonFiniteCarry { chunk: 1 }),
+                            "{label}"
+                        );
+                        continue;
+                    }
+                    let got = got.unwrap();
+                    assert!(got[..at].iter().all(|y| y.is_finite()), "{label}");
+                    assert!(got[at..2 * m].iter().all(|y| !y.is_finite()), "{label}");
+                    for c in 2..4 {
+                        let d = plan.correction_len(c);
+                        assert!(d > 0 && d < m, "{label}: chunk {c} decays at {d}");
+                        let out = &got[c * m..(c + 1) * m];
+                        assert!(out[..d].iter().all(|y| !y.is_finite()), "{label}");
+                        let mut local = input[c * m..(c + 1) * m].to_vec();
+                        plan.solve_chunk(c, None, &mut local, &mut || true);
+                        let bits = |v: &[f32]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&out[d..]), bits(&local[d..]), "{label}: chunk {c}");
+                    }
+                }
             }
         }
     }

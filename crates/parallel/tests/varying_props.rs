@@ -21,7 +21,7 @@
 use plr_core::engine::{CarryPropagation, EngineConfig, LocalSolve};
 use plr_core::kernel::KernelKind;
 use plr_core::plan::{self, PlanKind};
-use plr_core::varying::{reference, VaryingEngine, VaryingSignature};
+use plr_core::varying::{reference, VaryingEngine, VaryingPlan, VaryingSignature};
 use plr_core::{set_kernel_override, Element, KernelTier};
 use plr_parallel::runner::{RunnerConfig, Strategy};
 use plr_parallel::VaryingRunner;
@@ -238,6 +238,113 @@ fn contractive_floats_within_ulps_of_reference() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Gates in `[0.5, 0.99)`, split evenly across a row's `k` taps so that
+/// `Σ|a| < 0.99`: the selective-scan regime of the performance ledger.
+/// A chunk's transition underflows within a few thousand elements, and
+/// a gate above 0.5 rounds a product at the smallest denormal back up
+/// to it instead of down to zero.
+fn slow_decay_gates(n: usize, k: usize, seed: u64) -> Vec<f64> {
+    let mut rng = xorshift(seed);
+    (0..n * k)
+        .map(|_| (0.5 + 0.49 * ((rng() >> 11) as f64 / (1u64 << 53) as f64)) / k as f64)
+        .collect()
+}
+
+/// [`ulps64`] for `f32`.
+fn ulps32(a: f32, b: f32) -> i64 {
+    let key = |x: f32| -> i64 {
+        let bits = x.to_bits() as i32;
+        if bits >= 0 {
+            bits as i64
+        } else {
+            (i32::MIN as i64) - (bits as i64)
+        }
+    };
+    (key(a) - key(b)).abs()
+}
+
+/// The slow-decay regime: every full chunk's transition underflows, so
+/// the plan stores it as exactly zero and its correction stops at the
+/// decay point, while every executor stays within 4 ULP of the reference
+/// and the truncated order-1 correction equals the full-length pass bit
+/// for bit.
+#[test]
+fn slow_decay_gates_truncate_corrections_and_stay_within_ulps() {
+    let _g = lock_global();
+    let chunk = 4096;
+    let n = 4 * chunk + 517;
+    let input = positive_input(n);
+    for k in [1usize, 2] {
+        let gates = slow_decay_gates(n, k, 0x51_0de + k as u64);
+        let sig = VaryingSignature::new(k, gates.iter().map(|&a| a as f32).collect()).unwrap();
+        let input32: Vec<f32> = input.iter().map(|&x| x as f32).collect();
+        assert_slow_decay_contract(&sig, &input32, chunk, ulps32);
+        let sig = VaryingSignature::new(k, gates).unwrap();
+        assert_slow_decay_contract(&sig, &input, chunk, ulps64);
+    }
+}
+
+fn assert_slow_decay_contract<T: Element>(
+    sig: &VaryingSignature<T>,
+    input: &[T],
+    chunk: usize,
+    ulps: fn(T, T) -> i64,
+) {
+    let k = sig.order();
+    let n = input.len();
+    let ty = std::any::type_name::<T>();
+    let plan = VaryingPlan::build(sig.clone(), chunk).unwrap();
+    // (a) Every full chunk's transition has underflowed to exact zero.
+    for c in 0..n / chunk {
+        let m = plan.matrix(c);
+        for i in 0..k {
+            for j in 0..k {
+                assert!(
+                    m.get(i, j).is_zero(),
+                    "{ty} k={k}: chunk {c} transition entry ({i}, {j}) is {:?}",
+                    m.get(i, j)
+                );
+            }
+        }
+    }
+    // (b) Every executor within 4 ULP of the serial reference.
+    let expect = reference(sig, input).unwrap();
+    for threads in [1usize, 2, 4] {
+        for (label, got) in all_executor_outputs(sig, input, chunk, threads) {
+            for (i, (&g, &e)) in got.iter().zip(&expect).enumerate() {
+                let d = ulps(g, e);
+                assert!(
+                    d <= 4,
+                    "{label}: {ty} k={k} threads={threads} i={i}: {g} vs {e} ({d} ULPs)"
+                );
+            }
+        }
+    }
+    // (c) Order 1: the truncated correction of a locally solved chunk is
+    // the full-length `v *= a[i]; y[i] += v` pass, bit for bit.
+    if k == 1 {
+        for c in 1..plan.num_chunks() {
+            let span = c * chunk..((c + 1) * chunk).min(n);
+            let mut local = input[span.clone()].to_vec();
+            assert!(
+                plan.solve_chunk(c, None, &mut local, &mut || true)
+                    .completed
+            );
+            let carry = expect[span.start - 1];
+            let mut truncated = local.clone();
+            plan.correct_chunk(c, &[carry], &mut truncated);
+            let mut full = local;
+            let mut v = carry;
+            for (y, &a) in full.iter_mut().zip(&sig.coeffs()[span]) {
+                v = v.mul(a);
+                *y = y.add(v);
+            }
+            let bits = |d: &[T]| d.iter().map(|x| x.key_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&truncated), bits(&full), "{ty}: chunk {c}");
         }
     }
 }

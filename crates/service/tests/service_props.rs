@@ -205,11 +205,15 @@ fn overload_sheds_at_admission_and_admitted_rows_still_complete() {
     let tenant = core.add_tenant(TenantSpec::new("flood", sig.clone()));
     let data = input(1 << 18, 7);
     let expect = serial::run(&sig, &data);
+    // The flood's rows are built up front: each submit moves a ready
+    // buffer instead of cloning 2 MiB, so the loop fills the 4-deep queue
+    // faster than the single worker drains it.
+    let flood = vec![data; 32];
 
     let mut handles = Vec::new();
     let mut sheds = 0u32;
-    for _ in 0..512 {
-        match core.submit(tenant, data.clone(), SubmitOptions::default()) {
+    for row in flood {
+        match core.submit(tenant, row, SubmitOptions::default()) {
             Ok(h) => handles.push(h),
             Err(e) => {
                 assert!(
@@ -227,7 +231,7 @@ fn overload_sheds_at_admission_and_admitted_rows_still_complete() {
     }
     assert!(
         sheds >= 1,
-        "512 instant submissions into a 4-deep single-thread queue must shed"
+        "32 instant submissions into a 4-deep single-thread queue must shed"
     );
     for h in handles {
         let (data, result) = h.join();
