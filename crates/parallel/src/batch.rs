@@ -193,9 +193,9 @@ impl<T: Element> RowTask<T> {
     }
 
     /// Runs one queued row through the per-row protocol every row
-    /// executor shares — the [`RowStream`] workers, the service core's
-    /// shard workers and a degraded shard's inline path — and hands the
-    /// buffer and outcome to `complete`:
+    /// executor shares — the [`Drain`](crate::Drain) runs of a
+    /// [`RowStream`] and of a service shard, and a degraded shard's
+    /// inline path — and hands the buffer and outcome to `complete`:
     ///
     /// 1. a row whose `ctl` already tripped (cancelled or past its
     ///    deadline while queued) fails fast, without work;
@@ -207,16 +207,19 @@ impl<T: Element> RowTask<T> {
     ///    `catch_unwind`, so a panic fails only this row;
     /// 4. the abort reason, if any, becomes the row's [`EngineError`];
     /// 5. a solved row reports the same per-row [`RunStats`] `run_rows`
-    ///    aggregates: plan, kernel, chunks and taps, plus its timings.
+    ///    aggregates: plan, kernel, chunks and taps, plus its timings;
+    /// 6. a simulated thread death ([`WorkerExit`]) trips `run_abort`,
+    ///    the drain run's signal, *before* `complete` resolves the row,
+    ///    and is re-raised after it: the dying run pops no later row, and
+    ///    the worker still retires through the pool.
     ///
-    /// `complete` runs before a simulated thread death ([`WorkerExit`])
-    /// is re-raised, so the row is resolved before its worker retires.
     /// `worker` and `index` identify the row to the fault harness.
     #[allow(clippy::too_many_arguments)]
     pub fn execute(
         &self,
         pool: &WorkerPool,
         run: &CancelToken,
+        run_abort: &AbortSignal,
         worker: usize,
         index: usize,
         ctl: &RunControl,
@@ -255,8 +258,15 @@ impl<T: Element> RowTask<T> {
             }
             Err(payload) => {
                 let err = WorkerPanic::from_payload(worker, payload.as_ref()).into_engine_error();
+                let exit = payload.is::<WorkerExit>();
+                if exit {
+                    // A dying worker ends its drain run. The abort goes
+                    // first, so once this row resolves no later row can
+                    // start on the run.
+                    run_abort.trigger();
+                }
                 complete(data, Err(err));
-                if payload.is::<WorkerExit>() {
+                if exit {
                     // Simulated thread death must still retire the worker
                     // through the pool's machinery (lazy respawn & co).
                     resume_unwind(payload);

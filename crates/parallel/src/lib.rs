@@ -34,8 +34,8 @@
 //! Whole-row work solves rows through one [`RowTask`]: blocking
 //! [`BatchRunner::run_rows`] and the varying and segmented `run_rows` in
 //! one dispatch loop, and every queued row — a [`RowStream`]'s, or a
-//! `plr-service` shard's — through one per-row executor,
-//! [`RowTask::execute`].
+//! `plr-service` shard's — through one drain run ([`Drain`]) and one
+//! per-row executor, [`RowTask::execute`].
 //!
 //! ## Execution model: the persistent worker pool
 //!
@@ -145,6 +145,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod batch;
+mod drain;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 mod pipeline;
@@ -157,6 +158,7 @@ pub mod stream;
 pub mod varying;
 
 pub use batch::{BatchRunner, RowTask};
+pub use drain::{Drain, DrainQueue};
 pub use pool::{
     resolve_threads, AbortReason, AbortSignal, CancelToken, RunControl, RunError, RunHandle,
     WorkerPanic, WorkerPool,

@@ -853,7 +853,7 @@ impl WorkerPool {
 
     /// Ensures the submit driver thread is running; `false` when it could
     /// not be spawned (submissions then execute synchronously).
-    fn ensure_driver(&self) -> bool {
+    pub(crate) fn ensure_driver(&self) -> bool {
         let mut slot = lock_recover(&self.driver_thread);
         if slot.is_some() {
             return true;

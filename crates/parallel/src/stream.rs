@@ -10,15 +10,17 @@
 //!
 //! ## Execution model
 //!
-//! `stream()` submits **one long-lived run** to the pool (via
-//! [`WorkerPool::submit`], so the caller's thread is never borrowed);
-//! every pool worker loops popping rows from a shared bounded queue and
-//! runs each through [`RowTask::execute`] — the one per-row executor,
-//! which the service core's shards use too, around the solve blocking
-//! `run_rows` uses — so a streamed row cannot drift from a blocking or a
-//! service row. The queue admits at most `window` unfinished rows:
-//! `push_row` blocks once the window is full, which is the backpressure
-//! that stops a fast producer from buffering an unbounded batch.
+//! `stream()` launches **one drain run** ([`Drain`]) over the stream's
+//! bounded FIFO: one long-lived [`WorkerPool::submit`] run, so the
+//! caller's thread is never borrowed, whose workers pop rows and run each
+//! through [`RowTask::execute`] — the one per-row executor, which the
+//! service core's shards use too, around the solve blocking `run_rows`
+//! uses — so a streamed row cannot drift from a blocking or a service
+//! row. The service shards' drain runs are the same loop over a
+//! weighted-fair queue. The queue admits at most `window` unfinished
+//! rows: `push_row` blocks once the window is full, which is the
+//! backpressure that stops a fast producer from buffering an unbounded
+//! batch.
 //!
 //! Each pushed row gets a [`RowHandle`]: poll it, block on it (with or
 //! without a timeout), register a completion waker, `await` it (the
@@ -33,6 +35,10 @@
 //! - A failed row (panic, cancel, deadline) resolves **only its own
 //!   handle**; the workers and every other row are unaffected, and the
 //!   pool stays usable afterwards.
+//! - A worker thread's death ends the stream: its row, the rows still
+//!   queued and every later push resolve to
+//!   [`EngineError::WorkerPanicked`]. Rows already being solved on other
+//!   workers finish normally.
 //! - Rows complete in whatever order workers finish them; handles are
 //!   the ordering authority, not wall-clock.
 //! - [`RowStream::finish`] drains the queue, waits for quiescence, and
@@ -56,35 +62,17 @@
 //! [`RowTask::execute`]: crate::batch::RowTask::execute
 
 use crate::batch::{absorb_row, RowTask};
-use crate::pool::{
-    lock_recover, AbortReason, AbortSignal, CancelToken, Completion, RunControl, RunHandle,
-    WorkerPool,
-};
+use crate::drain::{Drain, DrainQueue};
+use crate::pool::{AbortSignal, CancelToken, Completion, RunControl, RunHandle, WorkerPool};
 use crate::stats::RunStats;
 use plr_core::element::Element;
 use plr_core::error::EngineError;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::future::{Future, IntoFuture};
 use std::pin::Pin;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
-
-/// How often a parked stream worker re-checks the run-level abort flag
-/// while waiting for rows (bounds drop/cancel latency).
-const POLL: Duration = Duration::from_millis(10);
-
-thread_local! {
-    /// True on a thread that is currently *inside* [`RowStream::launch`]'s
-    /// `submit` call. If the pool's driver thread could not be spawned,
-    /// `submit` degrades to executing the job synchronously on the calling
-    /// thread — which for a stream would deadlock (the worker would wait
-    /// for rows the blocked caller can never push). The worker detects
-    /// that degenerate re-entry through this flag and declares the stream
-    /// dead instead, so pushes fail fast rather than hang.
-    static INLINE_LAUNCH: Cell<bool> = const { Cell::new(false) };
-}
 
 /// A non-blocking or bounded-wait push found the backpressure window
 /// still full — the `WouldBlock` verdict of [`RowStream::try_push_row`] /
@@ -119,7 +107,7 @@ struct QueuedRow<T> {
     resolver: RowResolver<T>,
 }
 
-/// Mutable stream state, guarded by [`StreamShared::state`].
+/// Mutable stream state, the queue of [`StreamShared::drain`].
 struct StreamState<T> {
     queue: VecDeque<QueuedRow<T>>,
     /// Rows pushed but not yet completed (queued + being solved); the
@@ -137,24 +125,24 @@ struct StreamState<T> {
     next_row: usize,
 }
 
-struct StreamShared<T> {
-    state: Mutex<StreamState<T>>,
-    /// Signalled when rows arrive or the stream closes/dies (workers wait
-    /// here).
-    ready: Condvar,
-    /// Signalled when a row completes or the stream dies (pushers blocked
-    /// on the window wait here).
-    space: Condvar,
-    window: usize,
+impl<T: Element> DrainQueue for StreamState<T> {
+    type Item = QueuedRow<T>;
+
+    fn pop(&mut self) -> Option<QueuedRow<T>> {
+        self.queue.pop_front()
+    }
+
+    fn is_closed(&self) -> bool {
+        self.closed
+    }
 }
 
-/// Clears [`INLINE_LAUNCH`] even if `submit` panics.
-struct InlineLaunchGuard;
-
-impl Drop for InlineLaunchGuard {
-    fn drop(&mut self) {
-        INLINE_LAUNCH.with(|f| f.set(false));
-    }
+struct StreamShared<T> {
+    drain: Drain<StreamState<T>>,
+    /// Signalled when a row completes or the stream dies (pushers blocked
+    /// on the window wait here, under the drain's lock).
+    space: Condvar,
+    window: usize,
 }
 
 /// A streaming submission channel over a [`BatchRunner`]'s pool — see the
@@ -165,6 +153,10 @@ impl Drop for InlineLaunchGuard {
 /// still queued or in flight (their handles resolve to
 /// [`EngineError::Cancelled`]) and blocks until the workers quiesce.
 ///
+/// A worker thread's death ends the stream: its row, the rows still
+/// queued and every later push resolve to [`EngineError::WorkerPanicked`],
+/// and so does [`finish`](Self::finish).
+///
 /// [`BatchRunner`]: crate::BatchRunner
 /// [`BatchRunner::stream`]: crate::BatchRunner::stream
 /// [`BatchRunner::stream_with_window`]: crate::BatchRunner::stream_with_window
@@ -172,9 +164,10 @@ pub struct RowStream<T> {
     shared: Arc<StreamShared<T>>,
     /// Cancelling this token aborts the whole stream run.
     run_token: CancelToken,
-    /// The long-lived pool run draining the queue; dropping it (stream
-    /// drop without `finish`) cancels and quiesces.
-    handle: RunHandle,
+    /// The drain run serving the queue; dropping it (stream drop without
+    /// `finish`) cancels and quiesces. `None` when the pool could not
+    /// spawn its submit driver, which leaves the stream dead from birth.
+    handle: Option<RunHandle>,
     /// Pool width at launch, reported in the aggregate stats.
     threads: u64,
     /// The length every row must have, if the task binds one.
@@ -183,7 +176,7 @@ pub struct RowStream<T> {
 
 impl<T> std::fmt::Debug for RowStream<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = lock_recover(&self.shared.state);
+        let state = self.shared.drain.lock();
         f.debug_struct("RowStream")
             .field("window", &self.shared.window)
             .field("in_flight", &state.in_flight)
@@ -194,13 +187,13 @@ impl<T> std::fmt::Debug for RowStream<T> {
 }
 
 impl<T: Element> RowStream<T> {
-    /// Starts the long-lived pool run that drains the row queue. Called
-    /// by [`BatchRunner::stream`].
+    /// Launches the drain run that serves the row queue. Called by
+    /// [`BatchRunner::stream`].
     ///
     /// [`BatchRunner::stream`]: crate::BatchRunner::stream
     pub(crate) fn launch(pool: Arc<WorkerPool>, task: RowTask<T>, window: usize) -> Self {
         let shared = Arc::new(StreamShared {
-            state: Mutex::new(StreamState {
+            drain: Drain::new(StreamState {
                 queue: VecDeque::new(),
                 in_flight: 0,
                 closed: false,
@@ -212,45 +205,44 @@ impl<T: Element> RowStream<T> {
                 stats: task.base_stats(0),
                 next_row: 0,
             }),
-            ready: Condvar::new(),
             space: Condvar::new(),
             window,
         });
         let run_token = CancelToken::new();
         let threads = pool.width() as u64;
         let bound_len = task.bound_len();
-        let handle = {
-            let shared = Arc::clone(&shared);
-            let task = task.clone();
-            let run_token = run_token.clone();
-            let job_pool = Arc::clone(&pool);
-            INLINE_LAUNCH.with(|f| f.set(true));
-            let _guard = InlineLaunchGuard;
-            pool.submit(
-                RunControl::new().with_cancel(&run_token),
-                move |worker, run_abort| {
-                    stream_worker(&job_pool, &shared, &task, &run_token, worker, run_abort)
-                },
-            )
+        let serve = {
+            let (shared, run_token, pool) = (Arc::clone(&shared), run_token.clone(), pool.clone());
+            move |row: QueuedRow<T>, worker, abort: &AbortSignal| {
+                let finish = |data, result| finish_row(&shared, row.resolver, data, result);
+                task.execute(
+                    &pool, &run_token, abort, worker, row.index, &row.ctl, row.data, finish,
+                );
+            }
         };
-        // Final sweep once the run is over (normal close, abort, or the
-        // degenerate no-worker paths): anything still queued will never be
-        // popped — complete those handles and unblock pushers, so no
-        // handle and no `push_row` can wedge on a finished run.
-        {
-            let shared = Arc::clone(&shared);
-            let run_token = run_token.clone();
-            handle.on_complete(move || {
-                let err = if run_token.is_cancelled() {
-                    EngineError::Cancelled
-                } else {
-                    EngineError::WorkerPanicked {
-                        worker: 0,
-                        payload: "stream run ended with rows still queued".to_string(),
-                    }
-                };
-                drain_pending(&shared, err);
-            });
+        let ctl = RunControl::new().with_cancel(&run_token);
+        let handle = shared.drain.launch(&pool, ctl, serve);
+        // The one sweep, once the run is over (close, cancel or a worker's
+        // death): anything still queued will never be popped — complete
+        // those handles and unblock pushers, so no handle and no
+        // `push_row` can wedge on a finished run. Without a run the
+        // stream is dead at once.
+        match &handle {
+            Some(handle) => {
+                let (shared, run_token) = (Arc::clone(&shared), run_token.clone());
+                handle.on_complete(move || {
+                    let err = if run_token.is_cancelled() {
+                        EngineError::Cancelled
+                    } else {
+                        EngineError::WorkerPanicked {
+                            worker: 0,
+                            payload: "a worker died; the stream run ended".to_string(),
+                        }
+                    };
+                    drain_pending(&shared, err);
+                });
+            }
+            None => drain_pending(&shared, EngineError::Cancelled),
         }
         RowStream {
             shared,
@@ -269,7 +261,7 @@ impl<T: Element> RowStream<T> {
 
     /// Rows pushed but not yet completed.
     pub fn in_flight(&self) -> usize {
-        lock_recover(&self.shared.state).in_flight
+        self.shared.drain.lock().in_flight
     }
 
     /// Submits one row for solving, taking ownership of its buffer, and
@@ -378,7 +370,7 @@ impl<T: Element> RowStream<T> {
                 return Ok(RowHandle::resolved(cancel, data, err));
             }
         }
-        let mut state = lock_recover(&self.shared.state);
+        let mut state = self.shared.drain.lock();
         loop {
             if state.closed {
                 drop(state);
@@ -426,7 +418,7 @@ impl<T: Element> RowStream<T> {
             resolver,
         });
         drop(state);
-        self.shared.ready.notify_one();
+        self.shared.drain.notify_one();
         Ok(handle)
     }
 
@@ -444,10 +436,8 @@ impl<T: Element> RowStream<T> {
     /// [`finish`](Self::finish) (or outstanding [`RowHandle`]s) to wait
     /// for the rows already in flight.
     pub fn close(&self) {
-        let mut state = lock_recover(&self.shared.state);
-        state.closed = true;
-        drop(state);
-        self.shared.ready.notify_all();
+        self.shared.drain.lock().closed = true;
+        self.shared.drain.notify_all();
         self.shared.space.notify_all();
     }
 
@@ -459,11 +449,10 @@ impl<T: Element> RowStream<T> {
     /// individual handles either way.
     pub fn finish(self) -> Result<RunStats, EngineError> {
         self.close();
-        let run = self.handle.wait();
-        let state = lock_recover(&self.shared.state);
-        if let Err(e) = run {
+        if let Some(Err(e)) = self.handle.as_ref().map(RunHandle::wait) {
             return Err(e.into_engine_error());
         }
+        let state = self.shared.drain.lock();
         if let Some(e) = &state.first_error {
             return Err(e.clone());
         }
@@ -474,11 +463,10 @@ impl<T: Element> RowStream<T> {
 }
 
 /// Completes every row still in the queue with `err` and marks the
-/// stream dead so pushers fail fast. Safe to call repeatedly and
-/// concurrently with the worker-side drain — each row is popped exactly
-/// once under the state lock.
+/// stream dead so pushers fail fast: the sweep once the drain run is over
+/// (or was never launched), when no worker can pop a row any more.
 fn drain_pending<T: Element>(shared: &StreamShared<T>, err: EngineError) {
-    let mut state = lock_recover(&shared.state);
+    let mut state = shared.drain.lock();
     if state.dead.is_none() {
         state.dead = Some(err.clone());
     }
@@ -491,7 +479,6 @@ fn drain_pending<T: Element>(shared: &StreamShared<T>, err: EngineError) {
         state.first_error = Some(err.clone());
     }
     drop(state);
-    shared.ready.notify_all();
     shared.space.notify_all();
     for row in leftovers {
         row.resolver.resolve(row.data, Err(err.clone()));
@@ -507,72 +494,6 @@ fn failed_row() -> RunStats {
     }
 }
 
-/// The per-worker loop of the stream's long-lived run: pop a row, solve
-/// it, repeat; exit when the stream is closed and drained, or when the
-/// run itself is aborted (draining leftovers with the abort's reason).
-fn stream_worker<T: Element>(
-    pool: &WorkerPool,
-    shared: &StreamShared<T>,
-    task: &RowTask<T>,
-    run_token: &CancelToken,
-    worker: usize,
-    run_abort: &AbortSignal,
-) {
-    loop {
-        let row = {
-            let mut state = lock_recover(&shared.state);
-            loop {
-                if run_abort.is_aborted() {
-                    drop(state);
-                    let err = match run_abort.reason() {
-                        Some(AbortReason::DeadlineExceeded) => EngineError::DeadlineExceeded {
-                            deadline: Duration::ZERO,
-                        },
-                        Some(AbortReason::WorkerFault) => EngineError::WorkerPanicked {
-                            worker,
-                            payload: "a worker fault aborted the stream".to_string(),
-                        },
-                        Some(AbortReason::Cancelled) | None => EngineError::Cancelled,
-                    };
-                    drain_pending(shared, err);
-                    return;
-                }
-                if let Some(row) = state.queue.pop_front() {
-                    break row;
-                }
-                if state.closed {
-                    return;
-                }
-                if INLINE_LAUNCH.with(Cell::get) {
-                    // Degenerate synchronous fallback (driver thread could
-                    // not spawn): we are running *inside* `launch` on the
-                    // caller's thread; no rows can ever arrive. Declare
-                    // the stream dead instead of deadlocking.
-                    drop(state);
-                    drain_pending(shared, EngineError::Cancelled);
-                    return;
-                }
-                // Timed wait so an abort tripped while we are parked is
-                // still noticed within one poll interval.
-                state = shared
-                    .ready
-                    .wait_timeout(state, POLL)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
-            }
-        };
-        task.execute(
-            pool,
-            run_token,
-            worker,
-            row.index,
-            &row.ctl,
-            row.data,
-            |data, result| finish_row(shared, row.resolver, data, result),
-        );
-    }
-}
-
 /// Resolves a row's handle and updates the stream's aggregate state.
 fn finish_row<T>(
     shared: &StreamShared<T>,
@@ -585,7 +506,7 @@ fn finish_row<T>(
         Err(e) => (failed_row(), Some(e.clone())),
     };
     resolver.resolve(data, result);
-    let mut state = lock_recover(&shared.state);
+    let mut state = shared.drain.lock();
     state.in_flight -= 1;
     absorb_row(&mut state.stats, &row_stats);
     if state.first_error.is_none() {

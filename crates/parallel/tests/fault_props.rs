@@ -747,6 +747,71 @@ fn stream_row_panic_faults_only_that_row() {
     assert_eq!(stats.threads, threads() as u64, "pool width must be healed");
 }
 
+/// A worker thread's death on a streamed row ends the stream before any
+/// later row can run on the dying drain run: the dead row resolves
+/// `WorkerPanicked`, and so do a row pushed the moment its handle
+/// resolves and `finish`. Rows solved before the death stay bit-exact,
+/// rows still queued either ran before it or fail, and the pool heals for
+/// a blocking rerun. Five rounds on one runner.
+#[test]
+fn stream_worker_death_fails_every_later_row() {
+    let _serial = serialize();
+    quiet_injected_panics();
+    let sig: Signature<i64> = "1:2,-1".parse().unwrap();
+    let mut runner = BatchRunner::new(sig.clone(), threads());
+    let mut rows = stream_rows(9, 512);
+    let late_row = rows.pop().expect("nine rows");
+    let expect: Vec<Vec<i64>> = rows.iter().map(|r| serial::run(&sig, r)).collect();
+
+    for round in 0..5 {
+        fault::arm(FaultPlan::exit_at_chunk(FaultSite::Row, 3));
+        let (back, outcomes, late, finished) = {
+            let (rows, late_row) = (rows.clone(), late_row.clone());
+            watchdog(60, move || {
+                let stream = runner.stream_with_window(8);
+                let handles: Vec<_> = rows.into_iter().map(|r| stream.push_row(r)).collect();
+                let _ = handles[3].wait();
+                let late = stream.push_row(late_row).join().1;
+                let outcomes: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+                let finished = stream.finish();
+                (runner, outcomes, late, finished)
+            })
+        };
+        runner = back;
+        let fired = !fault::is_armed();
+        fault::disarm();
+        assert!(fired, "round {round}: the exit plan must fire on row 3");
+        for (i, ((data, result), expect)) in outcomes.into_iter().zip(&expect).enumerate() {
+            match result {
+                Ok(_) if i != 3 => assert_eq!(&data, expect, "round {round}: row {i} bit-exact"),
+                Err(EngineError::WorkerPanicked { .. }) if i >= 3 => {}
+                other => panic!("round {round}: unexpected outcome for row {i}: {other:?}"),
+            }
+        }
+        match late {
+            Err(EngineError::WorkerPanicked { .. }) => {}
+            other => panic!("round {round}: a row pushed after the death ran: {other:?}"),
+        }
+        match finished {
+            Err(EngineError::WorkerPanicked { .. }) => {}
+            other => panic!("round {round}: finish must surface the death, got {other:?}"),
+        }
+
+        let mut rerun: Vec<i64> = rows.concat();
+        let stats = runner.run_rows(&mut rerun, 512).unwrap();
+        assert_eq!(
+            rerun,
+            expect.concat(),
+            "round {round}: post-fault blocking rerun"
+        );
+        assert_eq!(
+            stats.threads,
+            threads() as u64,
+            "round {round}: pool healed"
+        );
+    }
+}
+
 /// A delay injected into a mid-stream row stalls that row but corrupts
 /// nothing: every handle still resolves `Ok` with bit-exact data and the
 /// aggregate stats count all rows.

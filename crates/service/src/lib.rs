@@ -5,10 +5,11 @@
 //! handles back, while the core keeps the machine healthy under overload.
 //!
 //! The execution fabric is a set of **shards**, each a private
-//! [`plr_parallel::WorkerPool`] running rows through the streaming
-//! layer's per-row executor ([`plr_parallel::RowTask::execute`]) and
-//! handing back the streaming layer's row handle — the service changes
-//! *which rows run when*, never *how a row runs*.
+//! [`plr_parallel::WorkerPool`] serving its queue with the streaming
+//! layer's drain run ([`plr_parallel::Drain`]) and per-row executor
+//! ([`plr_parallel::RowTask::execute`]) and handing back the streaming
+//! layer's row handle — the service changes *which rows run when*, never
+//! *how a row runs*.
 //!
 //! What sits between `submit` and a worker:
 //!
@@ -30,10 +31,11 @@
 //!   the expensive way (timing out after queueing). Both rejection
 //!   errors are retryable; pair them with
 //!   [`plr_parallel::retry_with_backoff`].
-//! - **Graceful degradation**: a shard whose run keeps dying to worker
-//!   faults relaunches it a bounded number of times between observed
-//!   progress, then falls back to executing admitted rows serially on
-//!   the submitter's thread — reduced throughput, never a black hole.
+//! - **Graceful degradation**: a shard relaunches a run that died to a
+//!   worker fault, a bounded number of times between observed progress;
+//!   past that bound, or when its pool cannot spawn the thread that
+//!   drives the run, it falls back to executing admitted rows serially
+//!   on the submitter's thread — reduced throughput, never a black hole.
 //!
 //! ```
 //! use plr_service::{ServiceConfig, ServiceCore, SubmitOptions, TenantSpec};

@@ -2,13 +2,14 @@
 //! queue of admitted rows, with service-time estimation, relaunch-on-fault,
 //! and a serial degraded mode.
 //!
-//! The shard runs one long-lived `pool.submit` drain run whose workers pop
-//! rows and hand each to the execution layer's one per-row executor,
-//! [`RowTask::execute`](plr_parallel::RowTask::execute), the code every
-//! streamed row runs: a per-row abort signal linked to the shard's token
-//! (so [`abort`](Shard::abort) reaches rows mid-solve), the row's own
-//! token and its watchdog deadline, `catch_unwind` around the solve. What
-//! the shard adds is its own drain loop and bookkeeping:
+//! The shard runs the execution layer's drain run ([`Drain`]), the loop
+//! every streamed row is served by, over its own queue. Its workers hand
+//! each row to the one per-row executor,
+//! [`RowTask::execute`](plr_parallel::RowTask::execute): a per-row abort
+//! signal linked to the shard's token (so [`abort`](Shard::abort) reaches
+//! rows mid-solve), the row's own token and its watchdog deadline,
+//! `catch_unwind` around the solve. What the shard adds is its queue and
+//! bookkeeping:
 //!
 //! - rows come out of a [`Wfq`] (per-tenant weighted shares), not a FIFO,
 //!   and a run that dies to a worker fault leaves the queue intact;
@@ -18,50 +19,29 @@
 //!   between observed progress) instead of killing the shard, and past
 //!   the bound the shard *degrades* to executing admitted rows serially
 //!   on the submitter's thread — through the same executor — rather than
-//!   going dark.
+//!   going dark. A worker fault resolves its row first, which counts as
+//!   progress, so in practice only a pool that cannot spawn its submit
+//!   driver thread degrades a shard.
 
 use crate::core::SubmitOptions;
-use crate::lock_recover;
 use crate::tenant::{TenantCounters, TenantRuntime};
 use crate::wfq::Wfq;
 use plr_core::element::Element;
 use plr_core::error::EngineError;
 use plr_parallel::{
-    AbortReason, AbortSignal, CancelToken, RowHandle, RowResolver, RunControl, RunHandle,
-    WorkerPool,
+    AbortSignal, CancelToken, Drain, DrainQueue, RowHandle, RowResolver, RunControl, RunHandle,
+    RunStats, WorkerPool,
 };
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// How often a parked shard worker re-checks the run-level abort flag
-/// while waiting for rows (bounds shutdown/cancel latency).
-const POLL: Duration = Duration::from_millis(10);
 
 /// Consecutive run relaunches tolerated without a single row of progress
 /// before the shard degrades to serial fallback. Any processed row resets
 /// the streak, so a long-lived shard can survive arbitrarily many faults
 /// as long as it keeps doing work between them.
 const MAX_RELAUNCHES: u32 = 16;
-
-thread_local! {
-    /// True while this thread is inside a `submit` call launching the
-    /// shard run. If the pool's driver cannot spawn, `submit` degrades to
-    /// running the job synchronously on this very thread — which for a
-    /// drain loop means no row could ever arrive. The worker detects the
-    /// re-entry and flips the shard to degraded mode instead of spinning.
-    static INLINE_LAUNCH: Cell<bool> = const { Cell::new(false) };
-}
-
-struct InlineLaunchGuard;
-
-impl Drop for InlineLaunchGuard {
-    fn drop(&mut self) {
-        INLINE_LAUNCH.with(|f| f.set(false));
-    }
-}
 
 /// One admitted row queued on a shard.
 struct ServiceRow<T> {
@@ -86,9 +66,23 @@ struct ShardState<T> {
     run: Option<RunHandle>,
 }
 
+impl<T: Element> DrainQueue for ShardState<T> {
+    type Item = ServiceRow<T>;
+
+    fn pop(&mut self) -> Option<ServiceRow<T>> {
+        self.wfq.pop().map(|(_, row)| row)
+    }
+
+    fn is_closed(&self) -> bool {
+        self.closed
+    }
+}
+
 pub(crate) struct ShardShared<T> {
-    state: Mutex<ShardState<T>>,
-    ready: Condvar,
+    drain: Drain<ShardState<T>>,
+    pool: Arc<WorkerPool>,
+    /// Cancelling it aborts the drain run and every row mid-solve.
+    token: CancelToken,
     /// EWMA of per-row wall service time in nanoseconds (0 = no sample
     /// yet; admission is optimistic until the first rows complete).
     ewma_ns: AtomicU64,
@@ -107,11 +101,10 @@ pub(crate) struct ShardShared<T> {
     width: usize,
 }
 
-/// One shard: pool + shared drain state + shutdown token.
+/// One shard: pool, drain state and shutdown token, shared with the
+/// drain run and its completion callback.
 pub(crate) struct Shard<T: Element> {
-    pool: Arc<WorkerPool>,
     shared: Arc<ShardShared<T>>,
-    token: CancelToken,
 }
 
 /// Point-in-time shard health, from
@@ -139,7 +132,7 @@ pub struct ShardStats {
 impl<T: Element> Shard<T> {
     pub fn new(width: usize) -> Self {
         let shared = Arc::new(ShardShared {
-            state: Mutex::new(ShardState {
+            drain: Drain::new(ShardState {
                 wfq: Wfq::new(),
                 closed: false,
                 degraded: false,
@@ -148,7 +141,8 @@ impl<T: Element> Shard<T> {
                 run_gen: 0,
                 run: None,
             }),
-            ready: Condvar::new(),
+            pool: Arc::new(WorkerPool::new(width.max(1))),
+            token: CancelToken::new(),
             ewma_ns: AtomicU64::new(0),
             queued: AtomicUsize::new(0),
             in_service: AtomicUsize::new(0),
@@ -157,13 +151,8 @@ impl<T: Element> Shard<T> {
             total_relaunches: AtomicU64::new(0),
             width: width.max(1),
         });
-        let shard = Shard {
-            pool: Arc::new(WorkerPool::new(width.max(1))),
-            shared,
-            token: CancelToken::new(),
-        };
-        submit_run(&shard.pool, &shard.shared, &shard.token);
-        shard
+        submit_run(&shared);
+        Shard { shared }
     }
 
     /// Estimated queue delay for a newly admitted row, in nanoseconds:
@@ -180,7 +169,7 @@ impl<T: Element> Shard<T> {
     }
 
     pub fn stats(&self) -> ShardStats {
-        let degraded = lock_recover(&self.shared.state).degraded;
+        let degraded = self.shared.drain.lock().degraded;
         ShardStats {
             width: self.shared.width,
             queued: self.shared.queued.load(Ordering::Relaxed),
@@ -205,13 +194,12 @@ impl<T: Element> Shard<T> {
         max_queue: usize,
     ) -> Result<RowHandle<T>, EngineError> {
         let ewma = self.shared.ewma_ns.load(Ordering::Relaxed);
-        let mut st = lock_recover(&self.shared.state);
+        let mut st = self.shared.drain.lock();
         if st.degraded {
             // Serial fallback: the shard's parallel run is gone for good,
             // but admitted traffic still completes — on this thread.
-            drop(st);
-            let (handle, row) = self.admitted_row(runtime, data, opts);
-            execute_row_inline(&self.pool, &self.shared, &self.token, row);
+            let handle = self.enqueue(&mut st, tenant, runtime, data, opts);
+            run_inline(&self.shared, st);
             return Ok(handle);
         }
         let queued = st.wfq.len();
@@ -273,24 +261,23 @@ impl<T: Element> Shard<T> {
                 });
             }
         }
-        let cost = data.len() as f64;
-        let (handle, row) = self.admitted_row(runtime, data, opts);
-        st.wfq.push(tenant, runtime.weight, cost, row);
-        self.shared.queued.fetch_add(1, Ordering::Relaxed);
+        let handle = self.enqueue(&mut st, tenant, runtime, data, opts);
         drop(st);
-        self.shared.ready.notify_one();
+        self.shared.drain.notify_one();
         Ok(handle)
     }
 
-    /// Gives an admitted row its control (its deadline budget starts
-    /// now), its shard-local index (fault-site targeting and diagnostics)
-    /// and its pending handle.
-    fn admitted_row(
+    /// Queues an admitted row, costed by its length, with its control
+    /// (its deadline budget starts now), its shard-local index
+    /// (fault-site targeting and diagnostics) and its pending handle.
+    fn enqueue(
         &self,
+        st: &mut ShardState<T>,
+        tenant: usize,
         runtime: &Arc<TenantRuntime<T>>,
         data: Vec<T>,
         opts: SubmitOptions,
-    ) -> (RowHandle<T>, ServiceRow<T>) {
+    ) -> RowHandle<T> {
         let token = opts.cancel.unwrap_or_default();
         let mut ctl = RunControl::new().with_cancel(&token);
         if let Some(budget) = opts.deadline {
@@ -298,6 +285,7 @@ impl<T: Element> Shard<T> {
         }
         let index = self.shared.next_index.fetch_add(1, Ordering::Relaxed);
         let (handle, resolver) = RowHandle::pending(token, index);
+        let cost = data.len() as f64;
         let row = ServiceRow {
             index,
             data,
@@ -305,25 +293,27 @@ impl<T: Element> Shard<T> {
             resolver,
             runtime: Arc::clone(runtime),
         };
-        (handle, row)
+        st.wfq.push(tenant, runtime.weight, cost, row);
+        self.shared.queued.fetch_add(1, Ordering::Relaxed);
+        handle
     }
 
     /// Closes intake for shutdown: workers exit once the queue drains.
     pub fn close(&self) {
-        lock_recover(&self.shared.state).closed = true;
-        self.shared.ready.notify_all();
+        self.shared.drain.lock().closed = true;
+        self.shared.drain.notify_all();
     }
 
     /// Cancels everything in flight (rows resolve `Cancelled`).
     pub fn abort(&self) {
-        self.token.cancel();
+        self.shared.token.cancel();
     }
 
     /// Waits for the drain run to finish (call after [`close`](Self::close)
     /// or [`abort`](Self::abort)); any rows the run left behind resolve
     /// `Cancelled`.
     pub fn join(&self) {
-        let run = lock_recover(&self.shared.state).run.take();
+        let run = self.shared.drain.lock().run.take();
         if let Some(handle) = run {
             let _ = handle.wait();
         }
@@ -333,46 +323,38 @@ impl<T: Element> Shard<T> {
     }
 }
 
-/// Launches (or relaunches) the shard's drain run. The generation counter
+/// Launches (or relaunches) the shard's drain run; a pool without a
+/// submit driver degrades the shard instead. The generation counter
 /// closes the race between storing the new [`RunHandle`] and the previous
 /// run's completion callback relaunching concurrently: the handle slot
 /// only accepts the handle of the *current* generation, and a stale
 /// handle is dropped only after its run has already finished (so the
 /// drop-cancels semantics cannot kill a live run).
-fn submit_run<T: Element>(
-    pool: &Arc<WorkerPool>,
-    shared: &Arc<ShardShared<T>>,
-    token: &CancelToken,
-) {
+fn submit_run<T: Element>(shared: &Arc<ShardShared<T>>) {
     let gen = {
-        let mut st = lock_recover(&shared.state);
+        let mut st = shared.drain.lock();
         st.run_gen += 1;
         st.run_gen
     };
-    let handle = {
-        let job_shared = Arc::clone(shared);
-        let job_pool = Arc::clone(pool);
-        let job_token = token.clone();
-        INLINE_LAUNCH.with(|f| f.set(true));
-        let _guard = InlineLaunchGuard;
-        pool.submit(
-            RunControl::new().with_cancel(token),
-            move |worker, run_abort| {
-                shard_worker(&job_pool, &job_shared, &job_token, worker, run_abort)
-            },
-        )
-    };
-    {
-        let cb_shared = Arc::downgrade(shared);
-        let cb_pool = Arc::clone(pool);
-        let cb_token = token.clone();
-        handle.on_complete(move || {
-            if let Some(shared) = cb_shared.upgrade() {
-                on_run_complete(&cb_pool, &shared, &cb_token);
-            }
+    let job_shared = Arc::clone(shared);
+    let ctl = RunControl::new().with_cancel(&shared.token);
+    let launched = shared
+        .drain
+        .launch(&shared.pool, ctl, move |row, worker, abort| {
+            job_shared.queued.fetch_sub(1, Ordering::Relaxed);
+            process_row(&job_shared, worker, abort, row);
         });
-    }
-    let mut st = lock_recover(&shared.state);
+    let Some(handle) = launched else {
+        run_inline(shared, shared.drain.lock());
+        return;
+    };
+    let cb_shared = Arc::downgrade(shared);
+    handle.on_complete(move || {
+        if let Some(shared) = cb_shared.upgrade() {
+            on_run_complete(&shared);
+        }
+    });
+    let mut st = shared.drain.lock();
     if st.run_gen == gen {
         st.run = Some(handle);
     }
@@ -380,48 +362,34 @@ fn submit_run<T: Element>(
     // newer generation; `handle` is finished and safe to drop here.
 }
 
-/// Decides what happens when a drain run ends: graceful close → drain
-/// leftovers; worker fault with budget left → relaunch; budget exhausted
-/// → degrade to serial and execute the backlog inline.
-fn on_run_complete<T: Element>(
-    pool: &Arc<WorkerPool>,
-    shared: &Arc<ShardShared<T>>,
-    token: &CancelToken,
-) {
-    let mut st = lock_recover(&shared.state);
-    if st.closed || token.is_cancelled() {
+/// Decides what happens when a drain run ends, the one place its
+/// leftover rows are handled: graceful close or abort → resolve them
+/// `Cancelled`; worker fault with budget left → relaunch, keeping them
+/// queued; budget exhausted → degrade to serial and execute them inline.
+fn on_run_complete<T: Element>(shared: &Arc<ShardShared<T>>) {
+    let mut st = shared.drain.lock();
+    if st.closed || shared.token.is_cancelled() {
         drop(st);
         drain_with(shared, EngineError::Cancelled);
         return;
     }
-    if st.degraded {
-        let rows = take_rows(&mut st, shared);
-        drop(st);
-        for row in rows {
-            execute_row_inline(pool, shared, token, row);
-        }
-        return;
-    }
     // The run died to a worker fault. Relaunch while the shard is making
     // progress; give up (degrade) after MAX_RELAUNCHES barren attempts.
+    // The faulted row itself counts as progress, so this bound holds the
+    // ladder's last rung, not a path any fault site reaches.
     let processed = shared.processed.load(Ordering::Relaxed);
     if processed > st.last_processed {
         st.relaunches = 0;
         st.last_processed = processed;
     }
     if st.relaunches >= MAX_RELAUNCHES {
-        st.degraded = true;
-        let rows = take_rows(&mut st, shared);
-        drop(st);
-        for row in rows {
-            execute_row_inline(pool, shared, token, row);
-        }
+        run_inline(shared, st);
         return;
     }
     st.relaunches += 1;
     shared.total_relaunches.fetch_add(1, Ordering::Relaxed);
     drop(st);
-    submit_run(pool, shared, token);
+    submit_run(shared);
 }
 
 /// Pops everything out of the queue (state lock held by the caller).
@@ -434,7 +402,7 @@ fn take_rows<T>(st: &mut ShardState<T>, shared: &ShardShared<T>) -> VecDeque<Ser
 /// Resolves every queued row with `err` (shutdown/abort path).
 fn drain_with<T: Element>(shared: &ShardShared<T>, err: EngineError) {
     let rows = {
-        let mut st = lock_recover(&shared.state);
+        let mut st = shared.drain.lock();
         take_rows(&mut st, shared)
     };
     for row in rows {
@@ -443,69 +411,17 @@ fn drain_with<T: Element>(shared: &ShardShared<T>, err: EngineError) {
     }
 }
 
-/// The long-lived drain loop every pool worker runs: pop the WFQ, run the
-/// row; on shutdown or abort resolve the queue, on a worker fault leave
-/// it for the relaunched run.
-fn shard_worker<T: Element>(
-    pool: &WorkerPool,
+/// Runs one popped row through the shared row executor, on `worker` of
+/// the drain run aborted through `run_abort`. Before the row's handle
+/// resolves, the shard does its bookkeeping: in-service and processed
+/// counts, the service-time EWMA and the tenant's counters.
+fn process_row<T: Element>(
     shared: &ShardShared<T>,
-    token: &CancelToken,
     worker: usize,
     run_abort: &AbortSignal,
-) {
-    loop {
-        let row = {
-            let mut st = lock_recover(&shared.state);
-            loop {
-                if run_abort.is_aborted() {
-                    drop(st);
-                    if matches!(run_abort.reason(), Some(AbortReason::Cancelled) | None) {
-                        // Shutdown/abort: the queue will never drain
-                        // normally; resolve it now.
-                        drain_with(shared, EngineError::Cancelled);
-                    }
-                    // Worker fault: leave the queue intact for the
-                    // relaunched run to pick up.
-                    return;
-                }
-                if let Some((_, row)) = st.wfq.pop() {
-                    shared.queued.fetch_sub(1, Ordering::Relaxed);
-                    shared.in_service.fetch_add(1, Ordering::Relaxed);
-                    break row;
-                }
-                if st.closed {
-                    return;
-                }
-                if INLINE_LAUNCH.with(Cell::get) {
-                    // Degenerate synchronous launch (no driver thread):
-                    // no rows can ever arrive on this call. Flip to
-                    // serial fallback and let admission execute inline.
-                    st.degraded = true;
-                    return;
-                }
-                // Timed wait so parked workers notice aborts within one
-                // poll even if no notify ever arrives.
-                st = shared
-                    .ready
-                    .wait_timeout(st, POLL)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
-            }
-        };
-        process_row(pool, shared, token, worker, row);
-    }
-}
-
-/// Runs one popped row through the shared row executor. Before the row's
-/// handle resolves, the shard does its bookkeeping: in-service and
-/// processed counts, the service-time EWMA and the tenant's counters.
-fn process_row<T: Element>(
-    pool: &WorkerPool,
-    shared: &ShardShared<T>,
-    token: &CancelToken,
-    worker: usize,
     row: ServiceRow<T>,
 ) {
+    shared.in_service.fetch_add(1, Ordering::Relaxed);
     let ServiceRow {
         index,
         data,
@@ -514,33 +430,36 @@ fn process_row<T: Element>(
         runtime,
     } = row;
     let start = Instant::now();
+    let complete = |data: Vec<T>, result: Result<RunStats, EngineError>| {
+        shared.in_service.fetch_sub(1, Ordering::Relaxed);
+        shared.processed.fetch_add(1, Ordering::Relaxed);
+        if result.is_ok() {
+            let wall = start.elapsed().as_nanos() as u64;
+            ewma_update(shared, wall);
+            note_success(&runtime, wall, data.len());
+        } else {
+            TenantCounters::bump(&runtime.counters.failed);
+        }
+        resolver.resolve(data, result);
+    };
+    let (pool, token) = (&shared.pool, &shared.token);
     runtime
         .task
-        .execute(pool, token, worker, index, &ctl, data, |data, result| {
-            shared.in_service.fetch_sub(1, Ordering::Relaxed);
-            shared.processed.fetch_add(1, Ordering::Relaxed);
-            if result.is_ok() {
-                let wall = start.elapsed().as_nanos() as u64;
-                ewma_update(shared, wall);
-                note_success(&runtime, wall, data.len());
-            } else {
-                TenantCounters::bump(&runtime.counters.failed);
-            }
-            resolver.resolve(data, result);
-        });
+        .execute(pool, token, run_abort, worker, index, &ctl, data, complete);
 }
 
-/// Serial fallback: executes one admitted row synchronously on the
-/// current thread (degraded shards and post-degradation backlog). Worker
-/// id 0 — the caller is the worker, exactly like a width-1 pool.
-fn execute_row_inline<T: Element>(
-    pool: &WorkerPool,
-    shared: &ShardShared<T>,
-    token: &CancelToken,
-    row: ServiceRow<T>,
-) {
-    shared.in_service.fetch_add(1, Ordering::Relaxed);
-    process_row(pool, shared, token, 0, row);
+/// Serial fallback: marks the shard degraded and executes its whole
+/// backlog synchronously on the current thread, through the same
+/// executor. Worker id 0 — the caller is the worker, exactly like a
+/// width-1 pool — under an abort signal of its own, as no drain run is
+/// left to abort.
+fn run_inline<T: Element>(shared: &ShardShared<T>, mut st: MutexGuard<'_, ShardState<T>>) {
+    st.degraded = true;
+    let rows = take_rows(&mut st, shared);
+    drop(st);
+    for row in rows {
+        process_row(shared, 0, &AbortSignal::default(), row);
+    }
 }
 
 fn note_success<T>(runtime: &TenantRuntime<T>, wall: u64, elems: usize) {
