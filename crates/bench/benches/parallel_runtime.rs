@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use plr_core::plan::PlanMode;
 use plr_core::serial;
 use plr_core::signature::Signature;
-use plr_parallel::{ParallelRunner, RunnerConfig, Strategy};
+use plr_parallel::{ParallelRunner, RunnerConfig};
 use std::hint::black_box;
 
 fn quick() -> bool {
@@ -43,7 +43,6 @@ fn bench_speedup_int(c: &mut Criterion) {
             RunnerConfig {
                 chunk_size: 1 << 16,
                 threads,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
         )
@@ -72,7 +71,6 @@ fn bench_speedup_filter(c: &mut Criterion) {
             RunnerConfig {
                 chunk_size: 1 << 16,
                 threads,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
         )
@@ -100,7 +98,6 @@ fn bench_prefix_sum(c: &mut Criterion) {
         RunnerConfig {
             chunk_size: 1 << 17,
             threads: 0,
-            strategy: Strategy::default(),
             ..Default::default()
         },
     )
@@ -108,36 +105,6 @@ fn bench_prefix_sum(c: &mut Criterion) {
     g.bench_function("plr_all_cores", |b| {
         b.iter(|| runner.run(black_box(&data)).unwrap());
     });
-    g.finish();
-}
-
-fn bench_strategies(c: &mut Criterion) {
-    // Look-back pipeline (single pass over the data, spins on carries) vs
-    // two-pass (barrier + sequential chain, touches the data twice).
-    let n = if quick() { 1 << 20 } else { 1 << 23 };
-    let data = int_input(n);
-    let mut g = c.benchmark_group(format!("strategy_order2_{}M", n >> 20));
-    g.throughput(Throughput::Elements(n as u64));
-    g.sample_size(if quick() { 10 } else { 15 });
-    let sig: Signature<i64> = "1:2,-1".parse().unwrap();
-    for (name, strategy) in [
-        ("lookback", Strategy::LookbackPipeline),
-        ("two_pass", Strategy::TwoPass),
-    ] {
-        let runner = ParallelRunner::with_config(
-            sig.clone(),
-            RunnerConfig {
-                chunk_size: 1 << 16,
-                threads: 0,
-                strategy,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        g.bench_function(name, |b| {
-            b.iter(|| runner.run(black_box(&data)).unwrap());
-        });
-    }
     g.finish();
 }
 
@@ -169,7 +136,6 @@ fn bench_plan_modes(c: &mut Criterion) {
                 RunnerConfig {
                     chunk_size: chunk,
                     threads: 0,
-                    strategy: Strategy::default(),
                     plan: mode,
                     ..Default::default()
                 },
@@ -188,7 +154,6 @@ criterion_group!(
     bench_speedup_int,
     bench_speedup_filter,
     bench_prefix_sum,
-    bench_strategies,
     bench_plan_modes
 );
 criterion_main!(benches);

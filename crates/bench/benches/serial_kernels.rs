@@ -8,8 +8,8 @@
 //! dependency — and the explicit SIMD kernels hand that independent work
 //! to the vector unit directly, with no reliance on `target-cpu=native`
 //! autovectorization. This bench quantifies what each layer buys per
-//! order and size; for i64 it additionally pins the AVX2 half-width
-//! multiply emulation so the AVX-512 `vpmullq` advantage is visible.
+//! order and size; the i64 group's explicit kernel runs on AVX-512
+//! (`vpmullq`), the one ISA i64 has.
 //!
 //! Orders 1–4 use the cascaded low-pass feedback families from the
 //! paper's evaluation (stable, so values stay in range however many
@@ -19,7 +19,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use plr_core::blocked::BlockedKernel;
 use plr_core::serial;
-use plr_core::simd::{best_isa, Isa, SimdKernel};
+use plr_core::simd::SimdKernel;
 use std::hint::black_box;
 
 /// Stable feedback vectors: 1–4 cascaded `(1 : 0.8)` stages.
@@ -84,7 +84,7 @@ fn bench_solve_kernels(c: &mut Criterion) {
                     BatchSize::LargeInput,
                 );
             });
-            if let Some(simd) = SimdKernel::preferred(feedback) {
+            if let Some(simd) = SimdKernel::try_new(feedback) {
                 g.bench_function(format!("simd_{:?}", simd.isa()).to_lowercase(), |b| {
                     b.iter_batched(
                         || input.clone(),
@@ -144,21 +144,14 @@ fn bench_solve_kernels_int(c: &mut Criterion) {
             BatchSize::LargeInput,
         );
     });
-    // Every explicit integer ISA, so the AVX2 multiply emulation and the
-    // AVX-512 `vpmullq` path are measured side by side where present.
-    for isa in [Isa::Portable, Isa::Avx2, Isa::Avx512] {
-        let Some(simd) = SimdKernel::try_new_with(feedback, isa) else {
-            continue;
-        };
-        let label = if best_isa::<i64>() == Some(isa) {
-            format!("simd_{isa:?}_best").to_lowercase()
-        } else {
-            format!("simd_{isa:?}").to_lowercase()
-        };
+    // The explicit kernel on i64's one ISA (AVX-512 `vpmullq`), where
+    // present; the `_best` suffix keeps the recorded bench ID.
+    if let Some(simd) = SimdKernel::try_new(feedback) {
+        let isa = simd.isa();
         let mut check = input.clone();
         simd.solve_in_place(&mut check);
         assert_eq!(scalar_out, check, "{isa:?} i64 kernel must agree exactly");
-        g.bench_function(label, |b| {
+        g.bench_function(format!("simd_{isa:?}_best").to_lowercase(), |b| {
             b.iter_batched(
                 || input.clone(),
                 |mut buf| {

@@ -21,7 +21,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use plr_core::element::Element;
 use plr_core::varying::{reference, VaryingSignature};
-use plr_parallel::{RunnerConfig, Strategy, VaryingRunner};
+use plr_parallel::{RunnerConfig, VaryingRunner};
 use std::hint::black_box;
 
 fn quick() -> bool {
@@ -98,7 +98,6 @@ fn runner_group<T: Element>(c: &mut Criterion, name: &str, sig: VaryingSignature
             RunnerConfig {
                 chunk_size: 1 << 16,
                 threads,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
         )

@@ -15,11 +15,11 @@
 //! cargo run --release -p plr-bench --bin tune_long_rows [-- --kernel <tier>]
 //! ```
 //!
-//! `--kernel scalar|blocked|simd|auto` pins the serial solve kernel for
-//! the whole sweep (same knob as the `PLR_KERNEL` env var), so the
-//! dispatch band can be re-tuned per kernel tier: the SIMD solve shifts
-//! the per-chunk fixed-cost balance exactly the way the blocked kernels
-//! did when these constants were last revisited.
+//! `--kernel scalar|blocked|auto` pins the serial solve kernel for the
+//! whole sweep (same knob as the `PLR_KERNEL` env var), so the dispatch
+//! band can be re-tuned per kernel tier: the SIMD solve `auto` runs
+//! shifts the per-chunk fixed-cost balance exactly the way the blocked
+//! kernels did when these constants were last revisited.
 
 use plr_core::signature::Signature;
 use plr_core::{set_kernel_override, KernelTier};
@@ -104,7 +104,6 @@ fn parse_kernel_arg() -> Option<KernelTier> {
         tier = Some(match value.as_str() {
             "scalar" => KernelTier::Scalar,
             "blocked" => KernelTier::Blocked,
-            "simd" => KernelTier::Simd,
             "auto" => KernelTier::Auto,
             other => usage(&format!("unknown kernel tier {other:?}")),
         });
@@ -113,7 +112,7 @@ fn parse_kernel_arg() -> Option<KernelTier> {
 }
 
 fn usage(problem: &str) -> ! {
-    eprintln!("{problem}\nusage: tune_long_rows [--kernel scalar|blocked|simd|auto]");
+    eprintln!("{problem}\nusage: tune_long_rows [--kernel scalar|blocked|auto]");
     std::process::exit(2);
 }
 

@@ -166,9 +166,8 @@ impl<T: Element> BlockedKernel<T> {
     }
 
     /// One block: triangular-FIR local solution, then carry application.
-    /// (Shared with the portable tier of [`crate::simd`].)
     #[inline]
-    pub(crate) fn solve_block(&self, block: &mut [T; BLOCK], carries: &[T; MAX_BLOCKED_ORDER]) {
+    fn solve_block(&self, block: &mut [T; BLOCK], carries: &[T; MAX_BLOCKED_ORDER]) {
         let t = *block;
         // h[0] = 1: every input contributes itself; start from a copy and
         // add the j ≥ 1 impulse taps. Each j-pass is dependency-free.
@@ -247,10 +246,9 @@ impl<T: Element> SolveKernel<T> {
     /// [`kernel::tier`]. With the default [`KernelTier::Auto`]:
     ///
     /// * orders `1..=`[`MAX_BLOCKED_ORDER`] of the four builtin scalar
-    ///   types get the explicit SIMD kernel when a hardware vector ISA
-    ///   is detected (`i64` only from AVX-512 up: `vpmullq` exists
-    ///   there, while the AVX2 half-width multiply emulation measured
-    ///   below the scalar chain — see [`crate::simd::best_isa`]);
+    ///   types get the explicit SIMD kernel when the CPU has the type's
+    ///   one vector ISA ([`crate::simd::best_isa`]: AVX2+FMA, and for
+    ///   `i64` AVX-512VL+DQ, whose `vpmullq` AVX2 lacks);
     /// * floats *and* integers fall back to the autovectorizable blocked
     ///   kernel otherwise — the historical ~25% integer blocking
     ///   regression is gone now that the blocked tables feed the
@@ -263,30 +261,19 @@ impl<T: Element> SolveKernel<T> {
     }
 
     /// [`SolveKernel::select`] with an explicit tier (differential tests
-    /// and benches). Forced tiers degrade gracefully: `simd` falls back
-    /// to blocked-then-scalar where no explicit kernel exists, `blocked`
-    /// to scalar.
+    /// and benches). Forcing `blocked` degrades gracefully to scalar.
     pub fn select_with_tier(feedback: &[T], tier: KernelTier) -> Self {
-        let blocked_or_scalar = |feedback: &[T]| match BlockedKernel::try_new(feedback) {
+        if tier == KernelTier::Scalar {
+            return SolveKernel::Scalar(feedback.to_vec());
+        }
+        if tier == KernelTier::Auto {
+            if let Some(k) = SimdKernel::try_new(feedback) {
+                return SolveKernel::Simd(k);
+            }
+        }
+        match BlockedKernel::try_new(feedback) {
             Some(k) => SolveKernel::Blocked(k),
             None => SolveKernel::Scalar(feedback.to_vec()),
-        };
-        match tier {
-            KernelTier::Scalar => SolveKernel::Scalar(feedback.to_vec()),
-            KernelTier::Blocked => blocked_or_scalar(feedback),
-            KernelTier::Simd => match SimdKernel::try_new(feedback) {
-                Some(k) => SolveKernel::Simd(k),
-                None => blocked_or_scalar(feedback),
-            },
-            KernelTier::Auto => {
-                if let Some(k) = SimdKernel::preferred(feedback) {
-                    return SolveKernel::Simd(k);
-                }
-                match BlockedKernel::try_new(feedback) {
-                    Some(kernel) => SolveKernel::Blocked(kernel),
-                    None => SolveKernel::Scalar(feedback.to_vec()),
-                }
-            }
         }
     }
 
@@ -304,7 +291,6 @@ impl<T: Element> SolveKernel<T> {
     pub fn kind(&self) -> KernelKind {
         match self {
             SolveKernel::Simd(k) => match k.isa() {
-                simd::Isa::Portable => KernelKind::SimdPortable,
                 simd::Isa::Avx2 => KernelKind::SimdAvx2,
                 simd::Isa::Avx512 => KernelKind::SimdAvx512,
             },
@@ -559,12 +545,7 @@ mod tests {
         // Exotic elements (max-plus semiring) opt out of blocking
         // entirely via `Element::BLOCKABLE` — on every tier.
         assert!(BlockedKernel::try_new(&[MaxPlus::new(1.0)]).is_none());
-        for tier in [
-            KernelTier::Auto,
-            KernelTier::Scalar,
-            KernelTier::Blocked,
-            KernelTier::Simd,
-        ] {
+        for tier in [KernelTier::Auto, KernelTier::Scalar, KernelTier::Blocked] {
             assert!(SolveKernel::select_with_tier(&[MaxPlus::new(1.0)], tier).is_scalar());
         }
     }
@@ -579,18 +560,6 @@ mod tests {
         assert_eq!(
             SolveKernel::select_with_tier(&fb, KernelTier::Blocked).kind(),
             KernelKind::Blocked
-        );
-        // Forced simd always lands on *some* simd tier for builtin
-        // floats (portable when no vector ISA is detected).
-        assert!(matches!(
-            SolveKernel::select_with_tier(&fb, KernelTier::Simd).kind(),
-            KernelKind::SimdPortable | KernelKind::SimdAvx2 | KernelKind::SimdAvx512
-        ));
-        // ...and degrades to blocked for floats with no explicit kernel
-        // support only via order/type gates (order > 4 → scalar).
-        assert_eq!(
-            SolveKernel::select_with_tier(&[0.1f64; 5], KernelTier::Simd).kind(),
-            KernelKind::Scalar
         );
     }
 

@@ -6,16 +6,17 @@
 //! * **scalar** — the reference loops of [`crate::serial`];
 //! * **blocked** — the register-blocked, autovectorizable kernels of
 //!   [`crate::blocked`];
-//! * **simd** — the explicit `core::arch` kernels of [`crate::simd`],
-//!   dispatched at runtime on the detected ISA.
+//! * **auto** — the explicit `core::arch` kernels of [`crate::simd`] on
+//!   the element type's one vector ISA when the CPU has it
+//!   ([`crate::simd::best_isa`]), blocked otherwise.
 //!
 //! [`SolveKernel::select`](crate::blocked::SolveKernel::select) consults
-//! [`tier`] so every executor — `Engine`, both `ParallelRunner`
-//! strategies, `BatchRunner`, `RowStream` — picks the same tier without
-//! rebuild flags. The default ([`KernelTier::Auto`]) chooses the fastest
-//! sound kernel for the element type and the CPU the process is running
-//! on; forcing a tier is for differential testing, benchmarking, and
-//! bisecting.
+//! [`tier`] so every executor — `Engine`, `ParallelRunner`,
+//! `BatchRunner`, `RowStream` — picks the same tier without rebuild
+//! flags. The default ([`KernelTier::Auto`]) chooses the fastest sound
+//! kernel for the element type and the CPU the process is running on;
+//! forcing `scalar` or `blocked` is for differential testing,
+//! benchmarking, and bisecting.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -35,9 +36,6 @@ pub enum KernelTier {
     /// Allow the register-blocked kernels but not the explicit SIMD
     /// ones (the pre-dispatch behavior, useful for bisecting).
     Blocked,
-    /// Prefer the explicit SIMD kernels wherever one exists for the
-    /// element type, falling back portably where none does.
-    Simd,
 }
 
 /// Which kernel actually ran, reported through run statistics.
@@ -50,8 +48,6 @@ pub enum KernelKind {
     Scalar,
     /// Register-blocked autovectorizable kernel.
     Blocked,
-    /// Explicit SIMD layer, portable (lane-array) fallback.
-    SimdPortable,
     /// Explicit SIMD layer, x86-64 AVX2(+FMA) kernels.
     SimdAvx2,
     /// Explicit SIMD layer, x86-64 AVX-512(VL+DQ) kernels.
@@ -60,7 +56,7 @@ pub enum KernelKind {
     Mixed,
 }
 
-/// 0 = follow the `PLR_KERNEL` environment variable; 1..=4 force a tier.
+/// 0 = follow the `PLR_KERNEL` environment variable; 1..=3 force a tier.
 static TIER_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 static ENV_TIER: OnceLock<KernelTier> = OnceLock::new();
 
@@ -68,7 +64,6 @@ fn parse_tier(value: &str) -> KernelTier {
     match value.trim().to_ascii_lowercase().as_str() {
         "scalar" => KernelTier::Scalar,
         "blocked" => KernelTier::Blocked,
-        "simd" => KernelTier::Simd,
         // "auto", unset, empty, and anything unrecognized: the default.
         _ => KernelTier::Auto,
     }
@@ -76,14 +71,13 @@ fn parse_tier(value: &str) -> KernelTier {
 
 /// The kernel tier in effect: a programmatic override when one was set
 /// via [`set_kernel_override`], otherwise the `PLR_KERNEL` environment
-/// variable (`scalar` | `blocked` | `simd` | `auto`, read once per
-/// process), otherwise [`KernelTier::Auto`].
+/// variable (`scalar` | `blocked` | `auto`, read once per process),
+/// otherwise [`KernelTier::Auto`].
 pub fn tier() -> KernelTier {
     match TIER_OVERRIDE.load(Ordering::Relaxed) {
         1 => KernelTier::Auto,
         2 => KernelTier::Scalar,
         3 => KernelTier::Blocked,
-        4 => KernelTier::Simd,
         _ => *ENV_TIER.get_or_init(|| {
             std::env::var("PLR_KERNEL")
                 .map(|v| parse_tier(&v))
@@ -105,7 +99,6 @@ pub fn set_kernel_override(tier: Option<KernelTier>) {
         Some(KernelTier::Auto) => 1,
         Some(KernelTier::Scalar) => 2,
         Some(KernelTier::Blocked) => 3,
-        Some(KernelTier::Simd) => 4,
     };
     TIER_OVERRIDE.store(v, Ordering::Relaxed);
 }
@@ -118,7 +111,7 @@ mod tests {
     fn parses_tier_names() {
         assert_eq!(parse_tier("scalar"), KernelTier::Scalar);
         assert_eq!(parse_tier("Blocked "), KernelTier::Blocked);
-        assert_eq!(parse_tier("SIMD"), KernelTier::Simd);
+        assert_eq!(parse_tier("SIMD"), KernelTier::Auto);
         assert_eq!(parse_tier("auto"), KernelTier::Auto);
         assert_eq!(parse_tier(""), KernelTier::Auto);
         assert_eq!(parse_tier("bogus"), KernelTier::Auto);
@@ -128,12 +121,7 @@ mod tests {
     fn override_round_trips() {
         // Serialized with other override users by being the only test in
         // this binary that sets it; always restores the default.
-        for t in [
-            KernelTier::Scalar,
-            KernelTier::Blocked,
-            KernelTier::Simd,
-            KernelTier::Auto,
-        ] {
+        for t in [KernelTier::Scalar, KernelTier::Blocked, KernelTier::Auto] {
             set_kernel_override(Some(t));
             assert_eq!(tier(), t);
         }

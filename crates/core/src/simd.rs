@@ -26,28 +26,22 @@
 //! * **correction apply** — the dense / truncated-tail
 //!   `chunk[i] += list[i]·carry` folds from [`crate::plan`].
 //!
-//! Integer kernels are **exact** (wrapping lane arithmetic matches the
-//! scalar loops bit for bit). `i64` has no 64-bit lane multiply below
-//! AVX-512: the AVX2 kernel builds the wrapping product from half-width
-//! (32-bit) pieces — `lo·lo + ((lo·hi + hi·lo) << 32)` via
-//! `_mm256_mul_epu32`/`_mm256_mullo_epi32` — and the AVX-512(VL+DQ)
-//! kernel uses `_mm256_mullo_epi64` directly. This is what finally makes
-//! integer blocking *win* rather than regress. Float kernels contract
-//! multiply-adds with FMA, so they differ from the scalar reference at
-//! the ULP level (same class of reassociation the blocked kernels
-//! already accept).
-//!
-//! The portable tier ([`Isa::Portable`]) reuses the blocked formulation
-//! and compiles everywhere (including non-x86 targets such as aarch64,
-//! where the autovectorizer sees the same dependency-free loops);
-//! explicit NEON lanes are a possible follow-up but are not required for
-//! correctness anywhere.
+//! Each builtin element type has exactly one vector ISA, its
+//! [`best_isa`]: AVX2+FMA for `f32`, `f64` and `i32`, and AVX-512VL+DQ
+//! for `i64`, whose kernels need the native 64-bit lane multiply
+//! (`_mm256_mullo_epi64`, `vpmullq`) that AVX2 lacks. Integer kernels are
+//! **exact** (wrapping lane arithmetic matches the scalar loops bit for
+//! bit). Float kernels contract multiply-adds with FMA, so they differ
+//! from the scalar reference at the ULP level (same class of
+//! reassociation the blocked kernels already accept). Without the ISA —
+//! on other CPUs and non-x86 targets — the blocked and scalar kernels
+//! serve.
 //!
 //! Which tier actually runs is governed by [`crate::kernel`]
 //! (`PLR_KERNEL` env / programmatic override) through
 //! [`SolveKernel::select`](crate::blocked::SolveKernel::select); the
-//! `*_with` entry points here take an explicit [`Isa`] for differential
-//! tests and benches.
+//! `*_ungated` entry points here ignore the tier, so differential tests
+//! and benches reach the vector kernels under any `PLR_KERNEL` setting.
 
 use crate::blocked::{BlockedKernel, BLOCK, MAX_BLOCKED_ORDER};
 use crate::element::Element;
@@ -59,29 +53,14 @@ use std::any::TypeId;
 /// unrolled scalar specializations in [`crate::blocked::fir_in_place`]).
 pub const MAX_FIR_TAPS: usize = 4;
 
-/// Instruction-set tier an explicit kernel targets.
+/// The vector instruction set an explicit kernel runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Isa {
-    /// The blocked formulation in plain Rust — compiled everywhere, no
-    /// feature detection needed.
-    Portable,
-    /// x86-64 AVX2 + FMA 256-bit kernels (i64 multiplies emulated from
-    /// 32-bit halves).
+    /// x86-64 AVX2 + FMA 256-bit kernels: `f32`, `f64` and `i32`.
     Avx2,
-    /// x86-64 AVX-512VL+DQ 256-bit kernels (native 64-bit lane
-    /// multiply via `vpmullq`); only the `i64` kernels differ from AVX2.
+    /// x86-64 AVX-512VL+DQ 256-bit kernels with the native 64-bit lane
+    /// multiply (`vpmullq`): `i64`.
     Avx512,
-}
-
-impl Isa {
-    /// Whether the running CPU can execute kernels of this tier.
-    pub fn available(self) -> bool {
-        match self {
-            Isa::Portable => true,
-            Isa::Avx2 => have_avx2(),
-            Isa::Avx512 => have_avx512(),
-        }
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -118,42 +97,22 @@ pub fn supported<T: Element>() -> bool {
     is::<T, f32>() || is::<T, f64>() || is::<T, i32>() || is::<T, i64>()
 }
 
-/// Every ISA with a working *solve* kernel for `T` on this CPU, slowest
-/// first. Empty for unsupported element types. Used by the differential
-/// suite to exercise each kernel the dispatcher could pick.
-pub fn available_isas<T: Element>() -> Vec<Isa> {
-    if !supported::<T>() {
-        return Vec::new();
-    }
-    let mut isas = vec![Isa::Portable];
-    if have_avx2() {
-        isas.push(Isa::Avx2);
-    }
-    // Only the i64 kernels have a distinct AVX-512 form (vpmullq).
-    if is::<T, i64>() && have_avx512() {
-        isas.push(Isa::Avx512);
-    }
-    isas
-}
-
-/// The vector ISA [`KernelTier::Auto`] dispatch prefers for `T`, `None`
-/// when no *hardware* vector tier is detected (the portable tier is
-/// never "preferred": without vector units the blocked/scalar kernels
-/// are already the right call).
+/// The one vector ISA `T`'s explicit kernels run on, `None` when this CPU
+/// lacks it or `T` has no explicit kernels: [`Isa::Avx2`] for `f32`,
+/// `f64` and `i32`, [`Isa::Avx512`] for `i64`. [`KernelTier::Auto`]
+/// dispatch runs the explicit kernels exactly when this is `Some`.
 ///
-/// `i64` is the deliberate exception: it gets a hardware tier only with
-/// AVX-512 (`vpmullq`). The AVX2 half-width multiply emulation is kept
-/// for differential coverage, but at ~5 instructions per lane multiply
-/// it measured *below* the scalar chain on the transposed-convolution
-/// solve, so auto dispatch prefers the blocked formulation there.
+/// `i64` needs AVX-512 because AVX2 has no 64-bit lane multiply: built
+/// from 32-bit halves, at ~5 instructions per lane multiply, it measured
+/// *below* the scalar chain on the transposed-convolution solve.
 pub fn best_isa<T: Element>() -> Option<Isa> {
-    if !supported::<T>() {
-        return None;
-    }
     if is::<T, i64>() {
-        return have_avx512().then_some(Isa::Avx512);
+        have_avx512().then_some(Isa::Avx512)
+    } else if supported::<T>() {
+        have_avx2().then_some(Isa::Avx2)
+    } else {
+        None
     }
-    have_avx2().then_some(Isa::Avx2)
 }
 
 // ---------------------------------------------------------------------
@@ -209,31 +168,17 @@ pub struct SimdKernel<T> {
 }
 
 impl<T: Element> SimdKernel<T> {
-    /// Builds a kernel on the best tier this CPU offers for `T`, falling
-    /// back to the portable formulation when no vector ISA is detected.
-    /// `None` when the element type has no explicit kernels or the order
-    /// is outside `1..=`[`MAX_BLOCKED_ORDER`].
+    /// Builds a kernel on `T`'s [`best_isa`]: the kernel
+    /// [`KernelTier::Auto`] dispatch runs. `None` when the CPU lacks that
+    /// ISA, the element type has no explicit kernels, or the order is
+    /// outside `1..=`[`MAX_BLOCKED_ORDER`] (the caller then falls back to
+    /// blocked/scalar selection).
     pub fn try_new(feedback: &[T]) -> Option<Self> {
-        Self::try_new_with(feedback, best_isa::<T>().unwrap_or(Isa::Portable))
-    }
-
-    /// Builds a kernel pinned to one [`Isa`] (differential tests and
-    /// benches). `None` additionally when the CPU lacks the ISA.
-    pub fn try_new_with(feedback: &[T], isa: Isa) -> Option<Self> {
-        if !supported::<T>() || !isa.available() {
-            return None;
-        }
+        let isa = best_isa::<T>()?;
         Some(SimdKernel {
             inner: BlockedKernel::try_new(feedback)?,
             isa,
         })
-    }
-
-    /// The kernel [`KernelTier::Auto`] dispatch would run for this
-    /// feedback, `None` when no hardware vector tier is detected (the
-    /// caller then falls back to blocked/scalar selection).
-    pub fn preferred(feedback: &[T]) -> Option<Self> {
-        Self::try_new_with(feedback, best_isa::<T>()?)
     }
 
     /// The ISA this kernel executes on.
@@ -276,15 +221,15 @@ impl<T: Element> SimdKernel<T> {
     /// updating `carries` (most recent output first) and returning the
     /// element count processed.
     fn solve_vector_blocks(&self, carries: &mut [T; MAX_BLOCKED_ORDER], data: &mut [T]) -> usize {
-        let k = self.order();
         #[cfg(target_arch = "x86_64")]
-        if self.isa != Isa::Portable {
+        {
+            let k = self.order();
             let imp = self.inner.impulse();
             let rows = self.inner.factors();
             if let (Some(d), Some(c)) = (cast_mut::<T, f64>(data), cast_carries::<T, f64>(carries))
             {
                 let (imp, rows) = (cast_block(imp).unwrap(), cast_rows(rows).unwrap());
-                // SAFETY: construction verified AVX2+FMA is available.
+                // SAFETY: construction checked `best_isa`: AVX2+FMA here.
                 return unsafe { x86::solve_f64_avx2(imp, rows, k, c, d) };
             }
             if let (Some(d), Some(c)) = (cast_mut::<T, f32>(data), cast_carries::<T, f32>(carries))
@@ -302,64 +247,50 @@ impl<T: Element> SimdKernel<T> {
             if let (Some(d), Some(c)) = (cast_mut::<T, i64>(data), cast_carries::<T, i64>(carries))
             {
                 let (imp, rows) = (cast_block(imp).unwrap(), cast_rows(rows).unwrap());
-                // SAFETY: construction verified the specific ISA.
-                return match self.isa {
-                    Isa::Avx512 => unsafe { x86::solve_i64_avx512(imp, rows, k, c, d) },
-                    _ => unsafe { x86::solve_i64_avx2(imp, rows, k, c, d) },
-                };
+                // SAFETY: construction checked `best_isa`: AVX-512VL+DQ here.
+                return unsafe { x86::solve_i64_avx512(imp, rows, k, c, d) };
             }
         }
-        // Portable tier (and any unreachable type/ISA residue): the
-        // blocked formulation, block by block.
-        let n = data.len() - data.len() % BLOCK;
-        for block in data[..n].chunks_exact_mut(BLOCK) {
-            let block: &mut [T; BLOCK] = block.try_into().expect("exact chunks");
-            self.inner.solve_block(block, carries);
-            for (r, c) in carries.iter_mut().enumerate().take(k) {
-                *c = block[BLOCK - 1 - r];
-            }
-        }
-        n
+        // Unreachable: kernels exist only for the four builtin types on
+        // x86-64. Returning 0 leaves everything to the serial tail.
+        let _ = (carries, data);
+        0
     }
 }
 
-/// `true` when the effective kernel tier permits the explicit-SIMD map
-/// and correction loops (`Auto` and `Simd`; forcing `scalar` or
-/// `blocked` keeps those stages on their reference loops so the forced
-/// tier is a true baseline).
+/// `true` when the effective kernel tier is `Auto`: forcing `scalar` or
+/// `blocked` keeps the map and correction stages on their reference
+/// loops, so the forced tier is a true baseline.
 fn tier_allows() -> bool {
-    matches!(kernel::tier(), KernelTier::Auto | KernelTier::Simd)
+    kernel::tier() == KernelTier::Auto
 }
 
-/// Vectorizes the top of [`fir_in_place`]'s steady state on the best
-/// detected ISA: processes the highest `⌊(len−head)/L⌋·L` elements in
+/// Vectorizes the top of [`fir_in_place`]'s steady state on `T`'s
+/// [`best_isa`]: processes the highest `⌊(len−head)/L⌋·L` elements in
 /// descending vector windows and returns how many it handled (0 when the
 /// tier, type, tap count or CPU rule it out). The caller finishes
 /// `[head, len−returned)` with the scalar steady loop.
 ///
 /// [`fir_in_place`]: crate::blocked::fir_in_place
 pub fn fir_steady_in_place<T: Element>(fir: &[T], chunk: &mut [T], head: usize) -> usize {
-    if !tier_allows() {
-        return 0;
-    }
-    match best_isa::<T>() {
-        Some(isa) => fir_steady_with(isa, fir, chunk, head),
-        None => 0,
+    if tier_allows() {
+        fir_steady_ungated(fir, chunk, head)
+    } else {
+        0
     }
 }
 
-/// [`fir_steady_in_place`] pinned to one [`Isa`] (no tier gating) —
-/// differential tests and benches. Returns 0 for [`Isa::Portable`],
-/// whose steady state *is* the scalar loop.
-pub fn fir_steady_with<T: Element>(isa: Isa, fir: &[T], chunk: &mut [T], head: usize) -> usize {
+/// [`fir_steady_in_place`] without the tier gate — differential tests
+/// and benches.
+pub fn fir_steady_ungated<T: Element>(fir: &[T], chunk: &mut [T], head: usize) -> usize {
     let p = fir.len();
-    if p == 0 || p > MAX_FIR_TAPS || chunk.len() <= head || !isa.available() {
+    if best_isa::<T>().is_none() || p == 0 || p > MAX_FIR_TAPS || chunk.len() <= head {
         return 0;
     }
     #[cfg(target_arch = "x86_64")]
-    if isa != Isa::Portable {
+    {
         if let (Some(c), Some(f)) = (cast_mut::<T, f64>(chunk), cast_ref::<T, f64>(fir)) {
-            // SAFETY: `isa.available()` verified AVX2+FMA above.
+            // SAFETY: `best_isa` checked AVX2+FMA above.
             return unsafe { x86::fir_steady_f64_avx2(f, c, head) };
         }
         if let (Some(c), Some(f)) = (cast_mut::<T, f32>(chunk), cast_ref::<T, f32>(fir)) {
@@ -371,47 +302,35 @@ pub fn fir_steady_with<T: Element>(isa: Isa, fir: &[T], chunk: &mut [T], head: u
             return unsafe { x86::fir_steady_i32_avx2(f, c, head) };
         }
         if let (Some(c), Some(f)) = (cast_mut::<T, i64>(chunk), cast_ref::<T, i64>(fir)) {
-            // SAFETY: Avx512 availability implies its feature bits.
-            return match isa {
-                Isa::Avx512 => unsafe { x86::fir_steady_i64_avx512(f, c, head) },
-                _ => unsafe { x86::fir_steady_i64_avx2(f, c, head) },
-            };
+            // SAFETY: `best_isa` checked AVX-512VL+DQ above.
+            return unsafe { x86::fir_steady_i64_avx512(f, c, head) };
         }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = isa;
     0
 }
 
 /// Correction-apply fold `dst[i] += list[i]·carry` over
-/// `min(dst.len(), list.len())` elements on the best detected ISA.
+/// `min(dst.len(), list.len())` elements on `T`'s [`best_isa`].
 /// Returns `false` (touching nothing) when the tier, element type or CPU
 /// rules the vector form out — the caller then runs its scalar fold.
 pub fn axpy_in_place<T: Element>(dst: &mut [T], list: &[T], carry: T) -> bool {
-    if !tier_allows() {
-        return false;
-    }
-    match best_isa::<T>() {
-        Some(isa) => axpy_with(isa, dst, list, carry),
-        None => false,
-    }
+    tier_allows() && axpy_ungated(dst, list, carry)
 }
 
-/// [`axpy_in_place`] pinned to one [`Isa`] (no tier gating) —
-/// differential tests and benches. `false` for [`Isa::Portable`].
-pub fn axpy_with<T: Element>(isa: Isa, dst: &mut [T], list: &[T], carry: T) -> bool {
-    if !isa.available() {
+/// [`axpy_in_place`] without the tier gate — differential tests and
+/// benches.
+pub fn axpy_ungated<T: Element>(dst: &mut [T], list: &[T], carry: T) -> bool {
+    if best_isa::<T>().is_none() {
         return false;
     }
-    let n = dst.len().min(list.len());
     #[cfg(target_arch = "x86_64")]
-    if isa != Isa::Portable {
+    {
         let done = if let (Some(d), Some(l), Some(c)) = (
             cast_mut::<T, f64>(dst),
             cast_ref::<T, f64>(list),
             cast_val::<T, f64>(carry),
         ) {
-            // SAFETY: `isa.available()` verified AVX2+FMA above.
+            // SAFETY: `best_isa` checked AVX2+FMA above.
             Some(unsafe { x86::axpy_f64_avx2(d, l, c) })
         } else if let (Some(d), Some(l), Some(c)) = (
             cast_mut::<T, f32>(dst),
@@ -432,22 +351,21 @@ pub fn axpy_with<T: Element>(isa: Isa, dst: &mut [T], list: &[T], carry: T) -> b
             cast_ref::<T, i64>(list),
             cast_val::<T, i64>(carry),
         ) {
-            // SAFETY: Avx512 availability implies its feature bits.
-            Some(match isa {
-                Isa::Avx512 => unsafe { x86::axpy_i64_avx512(d, l, c) },
-                _ => unsafe { x86::axpy_i64_avx2(d, l, c) },
-            })
+            // SAFETY: `best_isa` checked AVX-512VL+DQ above.
+            Some(unsafe { x86::axpy_i64_avx512(d, l, c) })
         } else {
             None
         };
         if let Some(done) = done {
             // Scalar remainder above the vector prefix.
-            for i in done..n {
+            for i in done..dst.len().min(list.len()) {
                 dst[i] = dst[i].add(list[i].mul(carry));
             }
             return true;
         }
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (dst, list, carry);
     false
 }
 
@@ -460,19 +378,6 @@ mod x86 {
 
     use super::BLOCK;
     use core::arch::x86_64::*;
-
-    /// Wrapping 64×64→64 lane multiply from 32-bit halves (AVX2 has no
-    /// `vpmullq`): `a·b mod 2⁶⁴ = aL·bL + ((aL·bH + aH·bL) << 32)`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_epi64_avx2(a: __m256i, b: __m256i) -> __m256i {
-        let bswap = _mm256_shuffle_epi32::<0xB1>(b); // [bH, bL] per lane
-        let prodlh = _mm256_mullo_epi32(a, bswap); // [aL·bH, aH·bL] (low 32)
-        let prodlh2 = _mm256_hadd_epi32(prodlh, _mm256_setzero_si256());
-        let prodlh3 = _mm256_shuffle_epi32::<0x73>(prodlh2); // (sums) << 32
-        let prodll = _mm256_mul_epu32(a, b); // aL·bL, full 64
-        _mm256_add_epi64(prodll, prodlh3)
-    }
 
     /// AVX-512VL+DQ native wrapping 64-bit lane multiply.
     #[inline]
@@ -799,16 +704,6 @@ mod x86 {
         bcast_lane32
     );
     int_solve!(
-        solve_i64_avx2,
-        "avx2",
-        i64,
-        4,
-        _mm256_set1_epi64x,
-        _mm256_add_epi64,
-        mul_epi64_avx2,
-        bcast_lane64
-    );
-    int_solve!(
         solve_i64_avx512,
         "avx2,avx512dq,avx512vl",
         i64,
@@ -853,15 +748,6 @@ mod x86 {
         _mm256_mullo_epi32
     );
     int_fir!(
-        fir_steady_i64_avx2,
-        "avx2",
-        i64,
-        4,
-        _mm256_set1_epi64x,
-        _mm256_add_epi64,
-        mul_epi64_avx2
-    );
-    int_fir!(
         fir_steady_i64_avx512,
         "avx2,avx512dq,avx512vl",
         i64,
@@ -901,15 +787,6 @@ mod x86 {
         _mm256_mullo_epi32
     );
     int_axpy!(
-        axpy_i64_avx2,
-        "avx2",
-        i64,
-        4,
-        _mm256_set1_epi64x,
-        _mm256_add_epi64,
-        mul_epi64_avx2
-    );
-    int_axpy!(
         axpy_i64_avx512,
         "avx2,avx512dq,avx512vl",
         i64,
@@ -929,25 +806,7 @@ mod tests {
         assert!(supported::<f32>() && supported::<f64>());
         assert!(supported::<i32>() && supported::<i64>());
         assert!(!supported::<crate::tropical::MaxPlus>());
-        assert!(available_isas::<crate::tropical::MaxPlus>().is_empty());
-    }
-
-    #[test]
-    fn portable_is_always_available() {
-        assert!(Isa::Portable.available());
-        assert_eq!(available_isas::<f64>()[0], Isa::Portable);
-    }
-
-    #[test]
-    fn portable_kernel_matches_scalar_exactly() {
-        let fb = [2i64, -1];
-        let kernel = SimdKernel::try_new_with(&fb, Isa::Portable).unwrap();
-        let input: Vec<i64> = (0..100).map(|i| (i % 7) - 3).collect();
-        let mut got = input.clone();
-        kernel.solve_in_place(&mut got);
-        let mut expect = input;
-        serial::recursive_in_place(&fb, &mut expect);
-        assert_eq!(got, expect);
+        assert!(best_isa::<crate::tropical::MaxPlus>().is_none());
     }
 
     #[test]

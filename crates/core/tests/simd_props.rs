@@ -1,27 +1,29 @@
 //! Differential property tests for the explicit SIMD kernel layer.
 //!
 //! Every kernel tier the runtime can dispatch to — forced scalar, forced
-//! blocked, and an explicit [`SimdKernel`] on *each* ISA the machine
-//! reports (always including [`Isa::Portable`]) — must agree on the same
-//! inputs: bit-exactly for the wrapping integers (including the AVX2
-//! half-width i64 multiply emulation and the AVX-512 `vpmullq` path, both
-//! exercised here whenever the CPU has them), and within reassociation
-//! tolerance for floats (the vector kernels contract multiply-add chains
-//! into FMAs, so results differ from the scalar loop by rounding only).
+//! blocked, and auto, which runs the explicit [`SimdKernel`] on the
+//! element type's one vector ISA when the machine has it — must agree on
+//! the same inputs: bit-exactly for the wrapping integers (including the
+//! AVX-512 `vpmullq` i64 path, exercised here whenever the CPU has it),
+//! and within reassociation tolerance for floats (the vector kernels
+//! contract multiply-add chains into FMAs, so results differ from the
+//! scalar loop by rounding only).
 //!
 //! The same treatment covers the two steady-state helpers the executors
-//! lean on: the FIR map tail ([`fir_steady_with`]) and the correction
-//! fold ([`axpy_with`]).
+//! lean on: the FIR map tail ([`fir_steady_ungated`]) and the correction
+//! fold ([`axpy_ungated`]).
 //!
-//! These tests construct kernels through the explicit `*_with` entry
-//! points rather than the process-global `PLR_KERNEL` override, so they
-//! are safe under the parallel test harness.
+//! These tests pick tiers through `select_with_tier` and the `*_ungated`
+//! entry points rather than the process-global `PLR_KERNEL` override, so
+//! they are safe under the parallel test harness.
+//!
+//! [`SimdKernel`]: plr_core::simd::SimdKernel
 
 use plr_core::blocked::{SolveKernel, BLOCK, MAX_BLOCKED_ORDER};
 use plr_core::element::Element;
 use plr_core::kernel::KernelTier;
 use plr_core::serial;
-use plr_core::simd::{available_isas, axpy_with, fir_steady_with, SimdKernel, MAX_FIR_TAPS};
+use plr_core::simd::{axpy_ungated, fir_steady_ungated, MAX_FIR_TAPS};
 use proptest::prelude::*;
 
 /// Lengths exercising every vector-block boundary around a random base.
@@ -76,9 +78,10 @@ fn scalar_ref<T: Element>(fb: &[T], history: &[T], input: &[T]) -> Vec<T> {
 }
 
 /// Every solver the dispatcher can hand out for this feedback: the three
-/// forced tiers plus one explicit SIMD kernel per available ISA.
+/// tiers (auto is the explicit SIMD kernel when the CPU has the type's
+/// ISA).
 fn all_solvers<T: Element>(fb: &[T]) -> Vec<(String, SolveKernel<T>)> {
-    let mut out = vec![
+    vec![
         (
             "tier=scalar".to_string(),
             SolveKernel::select_with_tier(fb, KernelTier::Scalar),
@@ -88,20 +91,10 @@ fn all_solvers<T: Element>(fb: &[T]) -> Vec<(String, SolveKernel<T>)> {
             SolveKernel::select_with_tier(fb, KernelTier::Blocked),
         ),
         (
-            "tier=simd".to_string(),
-            SolveKernel::select_with_tier(fb, KernelTier::Simd),
-        ),
-        (
             "tier=auto".to_string(),
             SolveKernel::select_with_tier(fb, KernelTier::Auto),
         ),
-    ];
-    for isa in available_isas::<T>() {
-        if let Some(k) = SimdKernel::try_new_with(fb, isa) {
-            out.push((format!("isa={isa:?}"), SolveKernel::Simd(k)));
-        }
-    }
-    out
+    ]
 }
 
 /// ULP-scaled closeness: reassociation and FMA contraction move each
@@ -247,15 +240,13 @@ proptest! {
                 }
                 expect[i] = acc;
             }
-            for isa in available_isas::<i64>() {
-                let mut got = input.to_vec();
-                let done = fir_steady_with(isa, &fir, &mut got, head);
-                prop_assert!(done <= n.saturating_sub(head), "{isa:?}: did too much");
-                prop_assert_eq!(&got[..n - done], &input[..n - done],
-                    "{:?} fir={:?} n={}: prefix touched", isa, &fir, n);
-                prop_assert_eq!(&got[n - done..], &expect[n - done..],
-                    "{:?} fir={:?} n={} done={}", isa, &fir, n, done);
-            }
+            let mut got = input.to_vec();
+            let done = fir_steady_ungated(&fir, &mut got, head);
+            prop_assert!(done <= n.saturating_sub(head), "did too much");
+            prop_assert_eq!(&got[..n - done], &input[..n - done],
+                "fir={:?} n={}: prefix touched", &fir, n);
+            prop_assert_eq!(&got[n - done..], &expect[n - done..],
+                "fir={:?} n={} done={}", &fir, n, done);
         }
     }
 
@@ -276,15 +267,13 @@ proptest! {
                 }
                 expect[i] = acc;
             }
-            for isa in available_isas::<f64>() {
-                let mut got = input.to_vec();
-                let done = fir_steady_with(isa, &fir, &mut got, head);
-                prop_assert!(done <= n.saturating_sub(head), "{isa:?}: did too much");
-                assert_close(&expect[n - done..], &got[n - done..], 64.0,
-                    &format!("{isa:?} fir={fir:?} n={n} done={done}"))?;
-                prop_assert_eq!(&got[..n - done], &input[..n - done],
-                    "{:?} fir={:?} n={}: prefix touched", isa, &fir, n);
-            }
+            let mut got = input.to_vec();
+            let done = fir_steady_ungated(&fir, &mut got, head);
+            prop_assert!(done <= n.saturating_sub(head), "did too much");
+            assert_close(&expect[n - done..], &got[n - done..], 64.0,
+                &format!("fir={fir:?} n={n} done={done}"))?;
+            prop_assert_eq!(&got[..n - done], &input[..n - done],
+                "fir={:?} n={}: prefix touched", &fir, n);
         }
     }
 
@@ -299,12 +288,10 @@ proptest! {
         for (d, &f) in expect[..lim].iter_mut().zip(&list) {
             *d = d.wrapping_add(f.wrapping_mul(carry));
         }
-        for isa in available_isas::<i64>() {
-            let mut got = dst.clone();
-            if axpy_with(isa, &mut got[..lim], &list, carry) {
-                prop_assert_eq!(&got[..lim], &expect[..lim], "{:?} lim={}", isa, lim);
-                prop_assert_eq!(&got[lim..], &dst[lim..], "{:?}: tail touched", isa);
-            }
+        let mut got = dst.clone();
+        if axpy_ungated(&mut got[..lim], &list, carry) {
+            prop_assert_eq!(&got[..lim], &expect[..lim], "lim={}", lim);
+            prop_assert_eq!(&got[lim..], &dst[lim..], "tail touched");
         }
     }
 
@@ -319,27 +306,10 @@ proptest! {
         for (d, &f) in expect[..lim].iter_mut().zip(&list) {
             *d += f * carry;
         }
-        for isa in available_isas::<f64>() {
-            let mut got = dst.clone();
-            if axpy_with(isa, &mut got[..lim], &list, carry) {
-                assert_close(&expect[..lim], &got[..lim], 64.0, &format!("{isa:?} lim={lim}"))?;
-                prop_assert_eq!(&got[lim..], &dst[lim..], "{:?}: tail touched", isa);
-            }
+        let mut got = dst.clone();
+        if axpy_ungated(&mut got[..lim], &list, carry) {
+            assert_close(&expect[..lim], &got[..lim], 64.0, &format!("lim={lim}"))?;
+            prop_assert_eq!(&got[lim..], &dst[lim..], "tail touched");
         }
     }
-}
-
-#[test]
-fn forced_simd_tier_reports_a_simd_kind() {
-    use plr_core::kernel::KernelKind;
-    let fb = [2i64, -1];
-    let kernel = SolveKernel::select_with_tier(&fb, KernelTier::Simd);
-    assert!(
-        matches!(
-            kernel.kind(),
-            KernelKind::SimdPortable | KernelKind::SimdAvx2 | KernelKind::SimdAvx512
-        ),
-        "forced SIMD must land on a SIMD kernel (got {:?})",
-        kernel.kind()
-    );
 }

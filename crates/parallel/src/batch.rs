@@ -577,8 +577,7 @@ impl<T: Element> BatchRunner<T> {
             }
             // The per-row dispatch happens on the calling thread, outside
             // any `pool.run`; guard it so an injected fault here still
-            // honors the panics-become-errors contract (mirrors the
-            // two-pass sequential chain).
+            // honors the panics-become-errors contract.
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 #[cfg(feature = "fault-inject")]
                 crate::fault::check(crate::fault::FaultSite::Row, 0, _r, None);

@@ -12,11 +12,10 @@
 //!
 //! Phase 2 is one algorithm whatever the carry looks like, so the crate
 //! implements it once: a private pipeline module owns the run prologue,
-//! the look-back ticket loop, the two-pass strategy, the carry resolver
-//! and its spin wait, abort and `check_finite` handling and the
-//! [`RunStats`], generic over a *carry algebra* that supplies the
-//! per-chunk operations. The three chunked runners are thin constructors
-//! over it:
+//! the look-back ticket loop, the carry resolver and its spin wait,
+//! abort and `check_finite` handling and the [`RunStats`], generic over
+//! a *carry algebra* that supplies the per-chunk operations. The three
+//! chunked runners are thin constructors over it:
 //!
 //! - [`ParallelRunner`] — constant coefficients: the state is a chunk's
 //!   `k` carries, fixed forward and corrected with the n-nacci factors of
@@ -29,8 +28,8 @@
 //!   chunk through its affine map, and a chunk whose predecessor is
 //!   already resolved solves from real history instead (fusion).
 //!
-//! Both [`Strategy`] variants, cancellation, deadlines, `check_finite`,
-//! fault injection and the counters behave the same for all three.
+//! Cancellation, deadlines, `check_finite`, fault injection and the
+//! counters behave the same for all three.
 //! Whole-row work solves rows through one [`RowTask`]: blocking
 //! [`BatchRunner::run_rows`] and the varying and segmented `run_rows` in
 //! one dispatch loop, and every queued row — a [`RowStream`]'s, or a
@@ -164,7 +163,7 @@ pub use pool::{
     WorkerPanic, WorkerPool,
 };
 pub use retry::{retry_with_backoff, Backoff, RetryOutcome};
-pub use runner::{ParallelRunner, RunnerConfig, Strategy};
+pub use runner::{ParallelRunner, RunnerConfig};
 pub use segmented::SegmentedRunner;
 pub use stats::{PoolCounters, RunStats};
 pub use stream::{block_on, PushError, RowFuture, RowHandle, RowResolver, RowStream, RunFuture};

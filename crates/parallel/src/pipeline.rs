@@ -4,8 +4,8 @@
 //! like: chunks publish their local state, look back to the nearest
 //! published global state, fix it forward through the local states in
 //! between, correct themselves, and publish their own global state.
-//! [`Pipeline`] implements that once — the `execute` prologue, both
-//! [`Strategy`] variants, one look-back resolver over one spin-wait loop,
+//! [`Pipeline`] implements that once — the `execute` prologue, the
+//! look-back ticket loop, one look-back resolver over one spin-wait loop,
 //! the abort / fault-site / `check_finite` plumbing and the run's
 //! [`RunStats`] — generic over a [`CarryAlgebra`] that supplies the
 //! per-chunk operations of one recurrence family. Its three impls sit
@@ -28,14 +28,13 @@
 
 use crate::pool::{
     lock_recover, resolve_threads, AbortSignal, CancelToken, RunControl, RunError, SendPtr,
-    Tickets, WorkerPanic, WorkerPool,
+    Tickets, WorkerPool,
 };
-use crate::runner::{RunnerConfig, Strategy};
+use crate::runner::RunnerConfig;
 use crate::stats::RunStats;
 use plr_core::element::Element;
 use plr_core::engine::MAX_INPUT_LEN;
 use plr_core::error::EngineError;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -190,8 +189,8 @@ impl<A> Pipeline<A> {
     }
 
     /// A call's run control: the caller's cancel token plus the
-    /// configured deadline, resolved once so a multi-pass strategy
-    /// spends a single budget.
+    /// configured deadline, resolved once so the whole call spends a
+    /// single budget.
     pub(crate) fn control(&self, cancel: Option<&CancelToken>) -> RunControl {
         let mut ctl = RunControl::new();
         if let Some(token) = cancel {
@@ -218,7 +217,7 @@ impl<A> Pipeline<A> {
     }
 
     /// Runs the recurrence over `data` in place: validates the length,
-    /// then dispatches on the configured strategy.
+    /// then runs the look-back pipeline over its chunks.
     pub(crate) fn execute<T: Element>(
         &self,
         data: &mut [T],
@@ -263,10 +262,7 @@ impl<A> Pipeline<A> {
             self.config.check_finite,
         );
         let totals = Mutex::new(RunStats::default());
-        match self.config.strategy {
-            Strategy::LookbackPipeline => run.lookback(data, pool, &ctl, &totals)?,
-            Strategy::TwoPass => run.two_pass(data, pool, &ctl, &totals)?,
-        }
+        run.lookback(data, pool, &ctl, &totals)?;
         let mut stats = RunStats {
             rows: 1,
             chunks: run.num_chunks as u64,
@@ -344,9 +340,9 @@ impl<'a, T: Element, A: CarryAlgebra<T>> Run<'a, T, A> {
     }
 
     /// Chunk `c`'s global state from its predecessor's and its own local
-    /// state. Every path derives it this way — a look-back walk, the
-    /// two-pass chain, a chunk publishing its own — so float runs agree
-    /// bit for bit whichever path the schedule takes.
+    /// state. Every path derives it this way — a look-back walk or a
+    /// chunk publishing its own — so float runs agree bit for bit
+    /// whichever path the schedule takes.
     fn advance(&self, c: usize, prev: &[T], local: &[T]) -> Vec<T> {
         let len = self.len(c);
         if self.alg.carries_reset(len) {
@@ -372,7 +368,7 @@ impl<'a, T: Element, A: CarryAlgebra<T>> Run<'a, T, A> {
         Some(state)
     }
 
-    /// What both strategies do to a claimed chunk first: FIR, the
+    /// What the pipeline does to a claimed chunk first: FIR, the
     /// `Solve` fault site, the sparse skip or the solve itself, and the
     /// finiteness check of the state the chunk publishes. `None`: stop
     /// this worker (the solve was interrupted, or the check failed).
@@ -510,104 +506,6 @@ impl<'a, T: Element, A: CarryAlgebra<T>> Run<'a, T, A> {
             tally.lookback_hops += 1;
         }
         Some(g)
-    }
-
-    /// The two-pass strategy: parallel FIR + local solves, one sequential
-    /// chain of global states, parallel correction.
-    fn two_pass(
-        &self,
-        data: &mut [T],
-        pool: &WorkerPool,
-        ctl: &RunControl,
-        totals: &Mutex<RunStats>,
-    ) -> Result<(), EngineError> {
-        let alg = self.alg;
-        let locals: Vec<OnceLock<Vec<T>>> = (0..self.num_chunks).map(|_| OnceLock::new()).collect();
-        for_each_chunk(
-            pool,
-            ctl,
-            data,
-            self.m,
-            totals,
-            |_worker, abort, c, chunk, tally| match self
-                .settle(_worker, c, chunk, None, abort, tally)
-            {
-                Some(state) => {
-                    publish(&locals[c], state);
-                    true
-                }
-                None => false,
-            },
-        )?;
-        self.outcome()?;
-        // The chain is worker 0's look-back stage run outside the pool, so
-        // it gets its own unwind guard: panics become errors on every path.
-        let start = Instant::now();
-        let globals = match catch_unwind(AssertUnwindSafe(|| self.chain(locals, ctl))) {
-            Ok(Ok((globals, tally))) => {
-                lock_recover(totals).absorb(&RunStats {
-                    lookback_nanos: start.elapsed().as_nanos() as u64,
-                    ..tally
-                });
-                globals
-            }
-            Ok(Err(e)) => return Err(e),
-            Err(payload) => {
-                return Err(WorkerPanic::from_payload(0, payload.as_ref()).into_engine_error())
-            }
-        };
-        // Chunk 0 is already global.
-        for_each_chunk(pool, ctl, data, self.m, totals, |_, _, c, chunk, tally| {
-            if c > 0 && alg.needs_correction(c, chunk.len()) {
-                timed(&mut tally.correct_nanos, || {
-                    alg.correct(c, chunk, &globals[c - 1])
-                });
-            }
-            true
-        })
-    }
-
-    /// The sequential chain: every chunk's global state from its
-    /// predecessor's and its own published state, checking every derived
-    /// state under `check_finite`.
-    fn chain(
-        &self,
-        locals: Vec<OnceLock<Vec<T>>>,
-        ctl: &RunControl,
-    ) -> Result<(Vec<Vec<T>>, RunStats), EngineError> {
-        let alg = self.alg;
-        let mut tally = RunStats {
-            max_lookback_depth: 1,
-            ..RunStats::default()
-        };
-        let mut globals: Vec<Vec<T>> = Vec::with_capacity(self.num_chunks);
-        for (c, local) in locals.into_iter().enumerate() {
-            let local = local
-                .into_inner()
-                .expect("the first pass settled every chunk");
-            if c > 0 {
-                // Outside the pool the watchdog cannot see the chain;
-                // poll the control directly instead.
-                ctl.status().map_err(RunError::into_engine_error)?;
-                #[cfg(feature = "fault-inject")]
-                crate::fault::check(crate::fault::FaultSite::Lookback, 0, c, None);
-            }
-            let g = if c == 0 || alg.is_reset(c) {
-                local
-            } else if alg.carries_reset(self.len(c)) {
-                tally.carry_resets += 1;
-                local
-            } else {
-                tally.lookback_hops += 1;
-                let g = alg.fixup(c, &globals[c - 1], &local, self.len(c));
-                if self.check_finite && !all_finite(&g) {
-                    return Err(EngineError::NonFiniteCarry { chunk: c });
-                }
-                g
-            };
-            globals.push(g);
-        }
-        Ok((globals, tally))
     }
 }
 
@@ -900,14 +798,22 @@ mod tests {
             locals.push(local);
         }
 
-        let cells = locals.iter().cloned().map(OnceLock::from).collect();
-        let (globals, _) = run.chain(cells, &RunControl::new()).unwrap();
+        // The sequential reference: each global state from its
+        // predecessor's, chunk by chunk.
+        let mut globals: Vec<Vec<i64>> = Vec::with_capacity(run.num_chunks);
+        for (c, local) in locals.iter().enumerate() {
+            let g = match globals.last() {
+                Some(prev) if !alg.is_reset(c) => run.advance(c, prev, local),
+                _ => local.clone(),
+            };
+            globals.push(g);
+        }
         let abort = AbortSignal::default();
         for j in 0..run.num_chunks {
             for s in alg.lookback_floor(j)..=j {
                 // Only `s` has published its global state; every chunk
                 // past it has published its local state, as in a run
-                // whose workers raced ahead of the chain.
+                // whose workers raced ahead of every walk.
                 let slots: Vec<Slot<i64>> = (0..run.num_chunks).map(|_| Slot::default()).collect();
                 publish(&slots[s].global, globals[s].clone());
                 for h in (s + 1).max(1)..=j {
@@ -945,23 +851,22 @@ mod tests {
     }
 
     /// Every global state is derived the same way whichever path a
-    /// schedule takes, so a float look-back run matches the two-pass
-    /// chain bit for bit, run after run.
+    /// schedule takes, so float runs are bit-identical at every pool
+    /// width, run after run. Varying runs only from width 2: at width 1
+    /// every chunk fuses, solving from real history instead of
+    /// correcting, which rounds differently.
     #[test]
-    fn float_strategies_agree_bit_for_bit() {
-        use crate::{
-            ParallelRunner, RunnerConfig, SegmentedRunner, Strategy as RunStrategy, VaryingRunner,
-        };
+    fn float_runs_agree_bit_for_bit_across_thread_counts() {
+        use crate::{ParallelRunner, RunnerConfig, SegmentedRunner, VaryingRunner};
         let n = 40_000;
         let input: Vec<f64> = (0..n).map(|i| ((i * 29 % 19) as f64) * 0.1 - 0.9).collect();
         let gates: Vec<f64> = (0..n).map(|i| 0.5 + ((i * 7 % 11) as f64) * 0.04).collect();
         let sig: Signature<f64> = "0.04:1.6,-0.64".parse().unwrap();
         let segments = Segments::uniform(3000, n);
-        let runs = |strategy| {
+        let runs = |threads| {
             let config = RunnerConfig {
                 chunk_size: 512,
-                threads: 4,
-                strategy,
+                threads,
                 ..RunnerConfig::default()
             };
             let constant = ParallelRunner::with_config(sig.clone(), config).unwrap();
@@ -977,12 +882,18 @@ mod tests {
                 segmented.run(&input).unwrap(),
                 varying.run(&input).unwrap(),
             ]
+            .map(|o| o.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
         };
-        let bits =
-            |outs: [Vec<f64>; 3]| outs.map(|o| o.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
-        let two_pass = bits(runs(RunStrategy::TwoPass));
-        for _ in 0..3 {
-            assert!(bits(runs(RunStrategy::LookbackPipeline)) == two_pass);
+        let [constant, segmented, varying] = runs(2);
+        for threads in [1, 2, 4] {
+            for _ in 0..3 {
+                let [c, s, v] = runs(threads);
+                assert!(c == constant, "constant at {threads} threads");
+                assert!(s == segmented, "segmented at {threads} threads");
+                if threads > 1 {
+                    assert!(v == varying, "varying at {threads} threads");
+                }
+            }
         }
     }
 

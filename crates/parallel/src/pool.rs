@@ -308,8 +308,8 @@ impl Drop for CancelAttachment<'_> {
 
 /// Per-run control: an optional caller-held [`CancelToken`] and an
 /// optional wall-clock deadline, resolved to an absolute instant when the
-/// control is built (so a multi-pass run spends one budget, not one per
-/// pass).
+/// control is built (so everything run under one control spends one
+/// budget).
 #[derive(Debug, Clone, Default)]
 pub struct RunControl {
     pub(crate) cancel: Option<CancelToken>,
@@ -345,8 +345,8 @@ impl RunControl {
     }
 
     /// Fails fast when the control is already cancelled or past its
-    /// deadline; used by the pool before starting a run and by multi-pass
-    /// runners between (and inside) passes.
+    /// deadline; used by the pool before starting a run and by the
+    /// per-row executor before each row.
     pub fn status(&self) -> Result<(), RunError> {
         if self.is_cancelled() {
             return Err(RunError::Cancelled);

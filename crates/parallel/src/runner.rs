@@ -28,21 +28,6 @@ use plr_core::signature::Signature;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How the runner schedules the carry propagation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Strategy {
-    /// Single pass with decoupled look-back: each worker publishes local
-    /// carries, resolves its predecessor's global carries from whatever is
-    /// already published, corrects, and publishes — the paper's pipelined
-    /// Phase 2 on threads.
-    #[default]
-    LookbackPipeline,
-    /// Two passes with a barrier: parallel local solves, a sequential
-    /// `O(chunks·k²)` carry chain on one thread, then parallel correction.
-    /// Simpler, no spinning, but touches every chunk's data twice.
-    TwoPass,
-}
-
 /// Configuration for [`ParallelRunner`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunnerConfig {
@@ -51,8 +36,6 @@ pub struct RunnerConfig {
     pub chunk_size: usize,
     /// Worker threads; `0` means one per available CPU.
     pub threads: usize,
-    /// Carry-propagation strategy.
-    pub strategy: Strategy,
     /// Opt-in finiteness validation for float runs: after each chunk's
     /// local solve and correction, scan its `k` carries for NaN/Inf and
     /// abort the run with [`EngineError::NonFiniteCarry`] instead of
@@ -67,9 +50,8 @@ pub struct RunnerConfig {
     /// watchdog thread: a run that outlives it — even one wedged in a
     /// spin-wait or starved by the OS — is aborted cooperatively and
     /// returns [`EngineError::DeadlineExceeded`] instead of hanging. One
-    /// budget covers the whole call (both passes of
-    /// [`Strategy::TwoPass`], every chunk of the pipeline). Default
-    /// `None` (unbounded).
+    /// budget covers the whole call (every chunk of the pipeline).
+    /// Default `None` (unbounded).
     pub deadline: Option<Duration>,
     /// Correction-plan mode: [`PlanMode::Auto`] (default) picks the
     /// cheapest sound strategy per factor list through the shared plan
@@ -83,7 +65,6 @@ impl Default for RunnerConfig {
         RunnerConfig {
             chunk_size: 1 << 16,
             threads: 0,
-            strategy: Strategy::default(),
             check_finite: false,
             deadline: None,
             plan: PlanMode::default(),
@@ -282,7 +263,6 @@ mod tests {
                     RunnerConfig {
                         chunk_size: 1 << 10,
                         threads,
-                        strategy: Strategy::default(),
                         ..Default::default()
                     },
                     0.0,
@@ -300,7 +280,6 @@ mod tests {
                 RunnerConfig {
                     chunk_size: 4096,
                     threads: 4,
-                    strategy: Strategy::default(),
                     ..Default::default()
                 },
                 1e-3,
@@ -353,36 +332,33 @@ mod tests {
         // y_i = 2·y_{i-1} + x_i diverges. With 256-element chunks f32
         // overflows to +inf inside the first chunk; with 64-element chunks
         // every local carry stays finite and only a derived global carry
-        // (chunk 1's) overflows. Every strategy must report it either way.
+        // (chunk 1's) overflows. The run must report it either way.
         let sig: Signature<f32> = "1:2".parse().unwrap();
         for (n, chunk_size, threads) in [(4096, 256, 4), (256, 64, 1), (256, 64, 2)] {
             let input = vec![1.0f32; n];
             let num_chunks = n / chunk_size;
-            for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-                let config = RunnerConfig {
-                    chunk_size,
-                    threads,
-                    strategy,
-                    ..Default::default()
-                };
-                let strict = ParallelRunner::with_config(
-                    sig.clone(),
-                    RunnerConfig {
-                        check_finite: true,
-                        ..config
-                    },
-                )
-                .unwrap();
-                match strict.run(&input) {
-                    Err(EngineError::NonFiniteCarry { chunk }) => assert!(chunk < num_chunks),
-                    other => panic!("expected NonFiniteCarry ({config:?}), got {other:?}"),
-                }
-                // The check is opt-in: by default the same run completes
-                // and silently propagates the non-finite values.
-                let lax = ParallelRunner::with_config(sig.clone(), config).unwrap();
-                let out = lax.run(&input).unwrap();
-                assert!(!out.last().unwrap().is_finite(), "{config:?}");
+            let config = RunnerConfig {
+                chunk_size,
+                threads,
+                ..Default::default()
+            };
+            let strict = ParallelRunner::with_config(
+                sig.clone(),
+                RunnerConfig {
+                    check_finite: true,
+                    ..config
+                },
+            )
+            .unwrap();
+            match strict.run(&input) {
+                Err(EngineError::NonFiniteCarry { chunk }) => assert!(chunk < num_chunks),
+                other => panic!("expected NonFiniteCarry ({config:?}), got {other:?}"),
             }
+            // The check is opt-in: by default the same run completes
+            // and silently propagates the non-finite values.
+            let lax = ParallelRunner::with_config(sig.clone(), config).unwrap();
+            let out = lax.run(&input).unwrap();
+            assert!(!out.last().unwrap().is_finite(), "{config:?}");
         }
     }
 
@@ -408,7 +384,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 64,
                 threads: 4,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
             0.0,
@@ -419,7 +394,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 64,
                 threads: 4,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
             0.0,
@@ -430,7 +404,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 64,
                 threads: 4,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
             0.0,
@@ -441,7 +414,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 64,
                 threads: 4,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
             0.0,
@@ -463,7 +435,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 64,
                 threads: 3,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
         )
@@ -488,7 +459,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 2048,
                 threads: 8,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
         )
@@ -507,7 +477,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 1024,
                 threads: 4,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
         )
@@ -525,32 +494,23 @@ mod tests {
         let mut input: Vec<f64> = (0..200_000)
             .map(|i| ((i % 13) as f64) * 0.1 - 0.6)
             .collect();
-        for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-            let runner = ParallelRunner::with_config(
-                sig.clone(),
-                RunnerConfig {
-                    chunk_size: 4096,
-                    threads: 4,
-                    strategy,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let stats = runner.run_in_place(&mut input).unwrap();
-            assert!(
-                stats.solve_nanos > 0,
-                "{strategy:?}: local solve must be timed"
-            );
-            assert!(stats.fir_nanos > 0, "{strategy:?}: FIR stage must be timed");
-            assert!(
-                stats.correct_nanos > 0,
-                "{strategy:?}: correction must be timed"
-            );
-            assert!(
-                stats.busy_nanos() >= stats.solve_nanos,
-                "{strategy:?}: total covers the parts"
-            );
-        }
+        let runner = ParallelRunner::with_config(
+            sig.clone(),
+            RunnerConfig {
+                chunk_size: 4096,
+                threads: 4,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let stats = runner.run_in_place(&mut input).unwrap();
+        assert!(stats.solve_nanos > 0, "local solve must be timed");
+        assert!(stats.fir_nanos > 0, "FIR stage must be timed");
+        assert!(stats.correct_nanos > 0, "correction must be timed");
+        assert!(
+            stats.busy_nanos() >= stats.solve_nanos,
+            "total covers the parts"
+        );
     }
 
     #[test]
@@ -561,7 +521,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 1024,
                 threads: 2,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
         )
@@ -581,7 +540,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 512,
                 threads: 4,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
         )
@@ -605,7 +563,6 @@ mod tests {
                 RunnerConfig {
                     chunk_size: 2,
                     threads: 1,
-                    strategy: Strategy::default(),
                     ..Default::default()
                 }
             ),
@@ -616,7 +573,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 3,
                 threads: 1,
-                strategy: Strategy::default(),
                 ..Default::default()
             }
         )
@@ -631,7 +587,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 1024,
                 threads: 4,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
             1e-6,
@@ -643,24 +598,17 @@ mod tests {
         // p - 1 > m: the boundary stash must reach past the immediately
         // preceding chunk into earlier ones.
         let sig: Signature<i64> = "1,1,1,1,1,1,1:1".parse().unwrap();
-        for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-            let input: Vec<i64> = (0..1000).map(|i| (i % 9) as i64 - 4).collect();
-            let runner = ParallelRunner::with_config(
-                sig.clone(),
-                RunnerConfig {
-                    chunk_size: 4,
-                    threads: 4,
-                    strategy,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                runner.run(&input).unwrap(),
-                serial::run(&sig, &input),
-                "{strategy:?}"
-            );
-        }
+        let input: Vec<i64> = (0..1000).map(|i| (i % 9) as i64 - 4).collect();
+        let runner = ParallelRunner::with_config(
+            sig.clone(),
+            RunnerConfig {
+                chunk_size: 4,
+                threads: 4,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(runner.run(&input).unwrap(), serial::run(&sig, &input));
     }
 
     #[test]
@@ -687,69 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn two_pass_strategy_matches_serial() {
-        for threads in [1usize, 4] {
-            for text in ["1:1", "1:2,-1", "1:0,0,1"] {
-                check::<i64>(
-                    text,
-                    77_777,
-                    RunnerConfig {
-                        chunk_size: 1024,
-                        threads,
-                        strategy: Strategy::TwoPass,
-                        ..Default::default()
-                    },
-                    0.0,
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn two_pass_and_lookback_agree_exactly_on_ints() {
-        let sig: Signature<i64> = "1:3,-3,1".parse().unwrap();
-        let input: Vec<i64> = (0..120_000).map(|i| (i % 17) as i64 - 8).collect();
-        let base = RunnerConfig {
-            chunk_size: 4096,
-            threads: 4,
-            strategy: Strategy::default(),
-            ..Default::default()
-        };
-        let a = ParallelRunner::with_config(sig.clone(), base)
-            .unwrap()
-            .run(&input)
-            .unwrap();
-        let two = RunnerConfig {
-            strategy: Strategy::TwoPass,
-            ..base
-        };
-        let b = ParallelRunner::with_config(sig, two)
-            .unwrap()
-            .run(&input)
-            .unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn two_pass_has_no_spin_waits() {
-        let sig: Signature<i64> = "1:1".parse().unwrap();
-        let runner = ParallelRunner::with_config(
-            sig,
-            RunnerConfig {
-                chunk_size: 512,
-                threads: 8,
-                strategy: Strategy::TwoPass,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut data: Vec<i64> = (0..50_000).map(|i| i as i64 % 5).collect();
-        let stats = runner.run_in_place(&mut data).unwrap();
-        assert_eq!(stats.spin_waits, 0);
-        assert_eq!(stats.lookback_hops, stats.chunks - 1);
-    }
-
-    #[test]
     fn single_thread_equals_multi_thread_for_ints() {
         let sig: Signature<i64> = "1:2,-1".parse().unwrap();
         let input: Vec<i64> = (0..50_000).map(|i| (i % 31) as i64 - 15).collect();
@@ -758,7 +643,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 4096,
                 threads: 1,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
         )
@@ -770,7 +654,6 @@ mod tests {
             RunnerConfig {
                 chunk_size: 4096,
                 threads: 8,
-                strategy: Strategy::default(),
                 ..Default::default()
             },
         )
@@ -800,45 +683,39 @@ mod tests {
     fn uncancelled_token_changes_nothing() {
         let sig: Signature<i64> = "1:3,-3,1".parse().unwrap();
         let input: Vec<i64> = (0..50_000).map(|i| (i % 13) as i64 - 6).collect();
-        for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-            let runner = ParallelRunner::with_config(
-                sig.clone(),
-                RunnerConfig {
-                    chunk_size: 1024,
-                    threads: 4,
-                    strategy,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let token = CancelToken::new();
-            let got = runner.run_with_cancel(&input, &token).unwrap();
-            assert_eq!(got, serial::run(&sig, &input), "{strategy:?}");
-        }
+        let runner = ParallelRunner::with_config(
+            sig.clone(),
+            RunnerConfig {
+                chunk_size: 1024,
+                threads: 4,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let token = CancelToken::new();
+        let got = runner.run_with_cancel(&input, &token).unwrap();
+        assert_eq!(got, serial::run(&sig, &input));
     }
 
     #[test]
-    fn expired_deadline_rejects_the_run_for_both_strategies() {
+    fn expired_deadline_rejects_the_run() {
         let sig: Signature<i64> = "1:2,-1".parse().unwrap();
         let input: Vec<i64> = (0..10_000).map(|i| (i % 5) as i64).collect();
-        for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-            let runner = ParallelRunner::with_config(
-                sig.clone(),
-                RunnerConfig {
-                    chunk_size: 512,
-                    threads: 4,
-                    strategy,
-                    deadline: Some(Duration::ZERO),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            match runner.run(&input) {
-                Err(EngineError::DeadlineExceeded { deadline }) => {
-                    assert_eq!(deadline, Duration::ZERO, "{strategy:?}")
-                }
-                other => panic!("expected DeadlineExceeded ({strategy:?}), got {other:?}"),
+        let runner = ParallelRunner::with_config(
+            sig,
+            RunnerConfig {
+                chunk_size: 512,
+                threads: 4,
+                deadline: Some(Duration::ZERO),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        match runner.run(&input) {
+            Err(EngineError::DeadlineExceeded { deadline }) => {
+                assert_eq!(deadline, Duration::ZERO)
             }
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
     }
 

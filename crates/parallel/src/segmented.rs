@@ -210,7 +210,6 @@ impl<T: Element> CarryAlgebra<T> for SegmentedPlan<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Strategy;
     use plr_core::segmented::run_serial;
 
     fn sig2() -> Signature<i64> {
@@ -218,17 +217,10 @@ mod tests {
     }
 
     fn check_config(segments: &Segments, input: &[i64], config: RunnerConfig) {
-        for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-            let runner = SegmentedRunner::with_config(
-                sig2(),
-                segments.clone(),
-                input.len(),
-                RunnerConfig { strategy, ..config },
-            )
-            .unwrap();
-            let got = runner.run(input).unwrap();
-            assert_eq!(got, run_serial(&sig2(), segments, input), "{strategy:?}");
-        }
+        let runner =
+            SegmentedRunner::with_config(sig2(), segments.clone(), input.len(), config).unwrap();
+        let got = runner.run(input).unwrap();
+        assert_eq!(got, run_serial(&sig2(), segments, input));
     }
 
     #[test]

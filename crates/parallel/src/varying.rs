@@ -6,18 +6,18 @@
 //! stitched together through per-chunk *affine carry maps*
 //! `g ↦ M_c·g + local_c` instead of n-nacci correction factors. The
 //! transition matrices `M_c` depend only on the coefficients, so they are
-//! precomputed once per [`VaryingPlan`] and shared by every run. Both
-//! [`Strategy`](crate::Strategy) variants, cancel tokens, deadlines,
-//! `check_finite`, fault injection, and the batch/stream layers
-//! ([`VaryingRunner::run_rows`], [`VaryingRunner::stream`]) behave exactly
-//! as they do for constant signatures.
+//! precomputed once per [`VaryingPlan`] and shared by every run. Cancel
+//! tokens, deadlines, `check_finite`, fault injection, and the
+//! batch/stream layers ([`VaryingRunner::run_rows`],
+//! [`VaryingRunner::stream`]) behave exactly as they do for constant
+//! signatures.
 //!
-//! One capability is this algebra's alone: *opportunistic fusion* on the
-//! look-back strategy. When a chunk's predecessor global is already
-//! published at claim time (always true for chunk 0), the chunk is solved
-//! directly from real history — no local publish, no correction pass, no
-//! matrix math. On one thread every chunk fuses and the run degenerates to
-//! the serial sweep, which is exactly the work-optimal behavior. Float
+//! One capability is this algebra's alone: *opportunistic fusion*. When
+//! a chunk's predecessor global is already published at claim time
+//! (always true for chunk 0), the chunk is solved directly from real
+//! history — no local publish, no correction pass, no matrix math. On
+//! one thread every chunk fuses and the run degenerates to the serial
+//! sweep, which is exactly the work-optimal behavior. Float
 //! elements fuse only on a width-1 pool: fused and corrected solves round
 //! differently, and fusing on a race would make float outputs depend on
 //! scheduler timing.
@@ -123,7 +123,7 @@ impl<T: Element> VaryingRunner<T> {
 
 /// The varying algebra: the state is the `k` most recent outputs, carried
 /// across chunk `c` by its affine map `g ↦ M_c·g + local_c`. No FIR stage,
-/// no resets, no skips; fuses on the look-back strategy.
+/// no resets, no skips; fuses when the predecessor is already resolved.
 impl<T: Element> CarryAlgebra<T> for VaryingPlan<T> {
     fn bound_len(&self) -> Option<usize> {
         Some(self.len())
@@ -197,7 +197,6 @@ impl<T: Element> CarryAlgebra<T> for VaryingPlan<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Strategy;
     use plr_core::varying::{reference, VaryingSignature};
 
     fn gates_f64(n: usize, k: usize) -> Vec<f64> {
@@ -256,50 +255,27 @@ mod tests {
     }
 
     #[test]
-    fn two_pass_matches_lookback_exactly_on_ints() {
-        let n = 4097;
-        let k = 2;
-        let sig = VaryingSignature::new(k, coeffs_i64(n, k)).unwrap();
-        let input = input_i64(n);
-        let expect = reference(&sig, &input).unwrap();
-        let two = VaryingRunner::with_config(
-            sig,
-            RunnerConfig {
-                chunk_size: 128,
-                threads: 4,
-                strategy: Strategy::TwoPass,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(two.run(&input).unwrap(), expect);
-    }
-
-    #[test]
     fn float_runs_stay_close_to_reference() {
         let n = 10_000;
         let k = 2;
         let sig = VaryingSignature::new(k, gates_f64(n, k)).unwrap();
         let input: Vec<f64> = (0..n).map(|i| ((i % 13) as f64) * 0.25 - 1.5).collect();
         let expect = reference(&sig, &input).unwrap();
-        for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-            let runner = VaryingRunner::with_config(
-                sig.clone(),
-                RunnerConfig {
-                    chunk_size: 512,
-                    threads: 4,
-                    strategy,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let got = runner.run(&input).unwrap();
-            for (i, (&g, &e)) in got.iter().zip(&expect).enumerate() {
-                assert!(
-                    (g - e).abs() <= 1e-9 * e.abs().max(1.0),
-                    "{strategy:?} i={i}: {g} vs {e}"
-                );
-            }
+        let runner = VaryingRunner::with_config(
+            sig.clone(),
+            RunnerConfig {
+                chunk_size: 512,
+                threads: 4,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let got = runner.run(&input).unwrap();
+        for (i, (&g, &e)) in got.iter().zip(&expect).enumerate() {
+            assert!(
+                (g - e).abs() <= 1e-9 * e.abs().max(1.0),
+                "i={i}: {g} vs {e}"
+            );
         }
     }
 
@@ -510,26 +486,23 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_rejects_the_run_for_both_strategies() {
+    fn expired_deadline_rejects_the_run() {
         let n = 10_000;
         let sig = VaryingSignature::first_order(coeffs_i64(n, 1)).unwrap();
         let input = input_i64(n);
-        for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-            let runner = VaryingRunner::with_config(
-                sig.clone(),
-                RunnerConfig {
-                    chunk_size: 512,
-                    threads: 4,
-                    strategy,
-                    deadline: Some(std::time::Duration::ZERO),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            match runner.run(&input) {
-                Err(EngineError::DeadlineExceeded { .. }) => {}
-                other => panic!("expected DeadlineExceeded ({strategy:?}), got {other:?}"),
-            }
+        let runner = VaryingRunner::with_config(
+            sig.clone(),
+            RunnerConfig {
+                chunk_size: 512,
+                threads: 4,
+                deadline: Some(std::time::Duration::ZERO),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        match runner.run(&input) {
+            Err(EngineError::DeadlineExceeded { .. }) => {}
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
     }
 
@@ -543,8 +516,8 @@ mod tests {
     }
 
     /// A decaying f32 chunk holding an expansive (1.5), NaN or infinite
-    /// gate past its decay point is never truncated: both strategies
-    /// give the decoupled engine's outputs (which the plan-layer tests
+    /// gate past its decay point is never truncated: the runner gives
+    /// the decoupled engine's outputs (which the plan-layer tests
     /// pin to the untruncated pipeline's), and `check_finite` flags
     /// exactly the chunks that produce a non-finite state.
     #[test]
@@ -571,32 +544,28 @@ mod tests {
             let expect = engine.run(&input).unwrap();
             assert!(engine.plan().matrix(2).is_zero(), "{hostile}");
             assert_eq!(engine.plan().correction_len(3), m, "{hostile}");
-            for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-                for check_finite in [false, true] {
-                    let runner = VaryingRunner::with_config(
-                        sig.clone(),
-                        RunnerConfig {
-                            chunk_size: m,
-                            threads: 2,
-                            strategy,
-                            check_finite,
-                            ..Default::default()
-                        },
-                    )
-                    .unwrap();
-                    match runner.run(&input) {
-                        Err(EngineError::NonFiniteCarry { chunk: 3 })
-                            if check_finite && !hostile.is_finite() => {}
-                        Ok(got) if !check_finite || hostile.is_finite() => {
-                            let same = got.iter().zip(&expect).all(|(g, e)| {
-                                g.to_bits() == e.to_bits() || (g.is_nan() && e.is_nan())
-                            });
-                            assert!(same, "{hostile} {strategy:?} check_finite={check_finite}");
-                        }
-                        other => panic!(
-                            "{hostile} {strategy:?} check_finite={check_finite}: got {other:?}"
-                        ),
+            for check_finite in [false, true] {
+                let runner = VaryingRunner::with_config(
+                    sig.clone(),
+                    RunnerConfig {
+                        chunk_size: m,
+                        threads: 2,
+                        check_finite,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+                match runner.run(&input) {
+                    Err(EngineError::NonFiniteCarry { chunk: 3 })
+                        if check_finite && !hostile.is_finite() => {}
+                    Ok(got) if !check_finite || hostile.is_finite() => {
+                        let same = got
+                            .iter()
+                            .zip(&expect)
+                            .all(|(g, e)| g.to_bits() == e.to_bits() || (g.is_nan() && e.is_nan()));
+                        assert!(same, "{hostile} check_finite={check_finite}");
                     }
+                    other => panic!("{hostile} check_finite={check_finite}: got {other:?}"),
                 }
             }
         }
@@ -609,7 +578,7 @@ mod tests {
     /// rest are its local solve, and its global state is `0·inf` or
     /// `0·NaN`, which is NaN. (The serial reference is not finite from
     /// the bad input on.) On two threads no float chunk past chunk 0
-    /// fuses, so both strategies give exactly these outputs.
+    /// fuses, so the runner gives exactly these outputs.
     #[test]
     fn non_finite_inputs_reach_only_the_decay_prefix_of_later_chunks() {
         let m = 1024;
@@ -620,42 +589,39 @@ mod tests {
         for bad in [f32::INFINITY, f32::NAN] {
             let mut input: Vec<f32> = (0..n).map(|i| 0.5 + (i % 11) as f32 * 0.1).collect();
             input[at] = bad;
-            for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-                for check_finite in [false, true] {
-                    let runner = VaryingRunner::with_config(
-                        sig.clone(),
-                        RunnerConfig {
-                            chunk_size: m,
-                            threads: 2,
-                            strategy,
-                            check_finite,
-                            ..Default::default()
-                        },
-                    )
-                    .unwrap();
-                    let label = format!("{bad} {strategy:?} check_finite={check_finite}");
-                    let got = runner.run(&input);
-                    if check_finite {
-                        assert_eq!(
-                            got,
-                            Err(EngineError::NonFiniteCarry { chunk: 1 }),
-                            "{label}"
-                        );
-                        continue;
-                    }
-                    let got = got.unwrap();
-                    assert!(got[..at].iter().all(|y| y.is_finite()), "{label}");
-                    assert!(got[at..2 * m].iter().all(|y| !y.is_finite()), "{label}");
-                    for c in 2..4 {
-                        let d = plan.correction_len(c);
-                        assert!(d > 0 && d < m, "{label}: chunk {c} decays at {d}");
-                        let out = &got[c * m..(c + 1) * m];
-                        assert!(out[..d].iter().all(|y| !y.is_finite()), "{label}");
-                        let mut local = input[c * m..(c + 1) * m].to_vec();
-                        plan.solve_chunk(c, None, &mut local, &mut || true);
-                        let bits = |v: &[f32]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(bits(&out[d..]), bits(&local[d..]), "{label}: chunk {c}");
-                    }
+            for check_finite in [false, true] {
+                let runner = VaryingRunner::with_config(
+                    sig.clone(),
+                    RunnerConfig {
+                        chunk_size: m,
+                        threads: 2,
+                        check_finite,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+                let label = format!("{bad} check_finite={check_finite}");
+                let got = runner.run(&input);
+                if check_finite {
+                    assert_eq!(
+                        got,
+                        Err(EngineError::NonFiniteCarry { chunk: 1 }),
+                        "{label}"
+                    );
+                    continue;
+                }
+                let got = got.unwrap();
+                assert!(got[..at].iter().all(|y| y.is_finite()), "{label}");
+                assert!(got[at..2 * m].iter().all(|y| !y.is_finite()), "{label}");
+                for c in 2..4 {
+                    let d = plan.correction_len(c);
+                    assert!(d > 0 && d < m, "{label}: chunk {c} decays at {d}");
+                    let out = &got[c * m..(c + 1) * m];
+                    assert!(out[..d].iter().all(|y| !y.is_finite()), "{label}");
+                    let mut local = input[c * m..(c + 1) * m].to_vec();
+                    plan.solve_chunk(c, None, &mut local, &mut || true);
+                    let bits = |v: &[f32]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&out[d..]), bits(&local[d..]), "{label}: chunk {c}");
                 }
             }
         }
@@ -664,26 +630,23 @@ mod tests {
     #[test]
     fn check_finite_flags_divergent_varying_floats() {
         // Gain 2 everywhere: f32 state overflows to +inf within the first
-        // few chunks; both strategies must surface NonFiniteCarry.
+        // few chunks; the run must surface NonFiniteCarry.
         let n = 8192;
         let sig = VaryingSignature::first_order(vec![2.0f32; n]).unwrap();
         let input = vec![1.0f32; n];
-        for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-            let strict = VaryingRunner::with_config(
-                sig.clone(),
-                RunnerConfig {
-                    chunk_size: 256,
-                    threads: 4,
-                    strategy,
-                    check_finite: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            match strict.run(&input) {
-                Err(EngineError::NonFiniteCarry { chunk }) => assert!(chunk < n / 256),
-                other => panic!("expected NonFiniteCarry ({strategy:?}), got {other:?}"),
-            }
+        let strict = VaryingRunner::with_config(
+            sig.clone(),
+            RunnerConfig {
+                chunk_size: 256,
+                threads: 4,
+                check_finite: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        match strict.run(&input) {
+            Err(EngineError::NonFiniteCarry { chunk }) => assert!(chunk < n / 256),
+            other => panic!("expected NonFiniteCarry, got {other:?}"),
         }
     }
 }

@@ -11,7 +11,7 @@ use plr_core::kernel::KernelKind;
 use plr_core::serial;
 use plr_core::signature::Signature;
 use plr_core::{set_kernel_override, KernelTier};
-use plr_parallel::{BatchRunner, CancelToken, ParallelRunner, RunnerConfig, Strategy};
+use plr_parallel::{BatchRunner, CancelToken, ParallelRunner, RunnerConfig};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
@@ -43,22 +43,19 @@ fn run_stats_report_the_dispatched_kernel() {
     let expect = SolveKernel::select(sig.feedback()).kind();
     assert_ne!(expect, KernelKind::Unknown);
     let data = input(10_000);
-    for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-        let runner = ParallelRunner::with_config(
-            sig.clone(),
-            RunnerConfig {
-                chunk_size: 512,
-                threads: 2,
-                strategy,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut got = data.clone();
-        let stats = runner.run_in_place(&mut got).unwrap();
-        assert_eq!(stats.kernel, expect, "{strategy:?}");
-        assert_eq!(got, serial::run(&sig, &data), "{strategy:?}");
-    }
+    let runner = ParallelRunner::with_config(
+        sig.clone(),
+        RunnerConfig {
+            chunk_size: 512,
+            threads: 2,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mut got = data.clone();
+    let stats = runner.run_in_place(&mut got).unwrap();
+    assert_eq!(stats.kernel, expect);
+    assert_eq!(got, serial::run(&sig, &data));
 }
 
 /// The batch whole-rows path and the streaming path report the kernel
@@ -108,14 +105,6 @@ fn forced_tiers_surface_in_stats() {
     for (tier, accept) in [
         (KernelTier::Scalar, &[KernelKind::Scalar][..]),
         (KernelTier::Blocked, &[KernelKind::Blocked][..]),
-        (
-            KernelTier::Simd,
-            &[
-                KernelKind::SimdPortable,
-                KernelKind::SimdAvx2,
-                KernelKind::SimdAvx512,
-            ][..],
-        ),
     ] {
         set_kernel_override(Some(tier));
         let runner = ParallelRunner::with_config(

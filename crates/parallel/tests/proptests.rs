@@ -3,7 +3,7 @@
 
 use plr_core::serial;
 use plr_core::signature::Signature;
-use plr_parallel::{ParallelRunner, RunnerConfig, Strategy as RunStrategy};
+use plr_parallel::{ParallelRunner, RunnerConfig};
 use proptest::prelude::*;
 
 /// Arbitrary integer signatures with FIR length 1–4 and feedback order
@@ -33,11 +33,8 @@ proptest! {
         input in proptest::collection::vec(-40i64..40, 0..2000),
         chunk_pow in 2usize..9,
         threads in 1usize..9,
-        two_pass in proptest::bool::ANY,
     ) {
-        let strategy =
-            if two_pass { RunStrategy::TwoPass } else { RunStrategy::LookbackPipeline };
-        let config = RunnerConfig { chunk_size: 1 << chunk_pow, threads, strategy, ..Default::default() };
+        let config = RunnerConfig { chunk_size: 1 << chunk_pow, threads, ..Default::default() };
         let runner = ParallelRunner::with_config(sig.clone(), config).unwrap();
         let got = runner.run(&input).unwrap();
         let expect = serial::run(&sig, &input);
@@ -50,7 +47,7 @@ proptest! {
         threads in 1usize..9,
     ) {
         let sig: Signature<i64> = "1:2,-1".parse().unwrap();
-        let config = RunnerConfig { chunk_size: 64, threads, strategy: RunStrategy::default(), ..Default::default() };
+        let config = RunnerConfig { chunk_size: 64, threads, ..Default::default() };
         let runner = ParallelRunner::with_config(sig, config).unwrap();
         let mut data = input;
         let stats = runner.run_in_place(&mut data).unwrap();

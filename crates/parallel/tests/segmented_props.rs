@@ -2,8 +2,8 @@
 //!
 //! The contract: every executor of one signature over one segment
 //! geometry — the serial per-segment reference [`run_serial`], the
-//! chunked demonstrator [`run_chunked`], both [`SegmentedRunner`] carry
-//! strategies, the whole-row batch path, and the streaming layer —
+//! chunked demonstrator [`run_chunked`], the [`SegmentedRunner`], the
+//! whole-row batch path, and the streaming layer —
 //! computes the *same segmented recurrence*. For integer elements the
 //! arithmetic is wrapping and exactly reassociable, so every executor
 //! must agree **bit-exactly** across orders, segment geometries, chunk
@@ -25,7 +25,7 @@ use plr_core::plan;
 use plr_core::segmented::{run_chunked, run_serial, SegmentedPlan, Segments};
 use plr_core::{serial, Element, Signature};
 use plr_parallel::pool::CancelToken;
-use plr_parallel::runner::{RunnerConfig, Strategy};
+use plr_parallel::runner::RunnerConfig;
 use plr_parallel::SegmentedRunner;
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -128,7 +128,6 @@ fn runner_with<T: Element>(
     len: usize,
     chunk: usize,
     threads: usize,
-    strategy: Strategy,
 ) -> SegmentedRunner<T> {
     SegmentedRunner::with_config(
         sig.clone(),
@@ -137,7 +136,6 @@ fn runner_with<T: Element>(
         RunnerConfig {
             chunk_size: chunk,
             threads,
-            strategy,
             ..Default::default()
         },
     )
@@ -159,19 +157,9 @@ fn all_executor_outputs<T: Element>(
             run_chunked(sig, segments, input, chunk).unwrap(),
         ));
     }
-    for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-        let runner = runner_with(sig, segments, input.len(), chunk, threads, strategy);
-        outs.push((format!("runner/{strategy:?}"), runner.run(input).unwrap()));
-    }
+    let runner = runner_with(sig, segments, input.len(), chunk, threads);
+    outs.push(("runner".into(), runner.run(input).unwrap()));
     // Batch and stream entry points, two rows each (they share RowTask).
-    let runner = runner_with(
-        sig,
-        segments,
-        input.len(),
-        chunk,
-        threads,
-        Strategy::LookbackPipeline,
-    );
     let mut rows: Vec<T> = input.iter().chain(input).copied().collect();
     runner.run_rows(&mut rows, input.len()).unwrap();
     for (r, row) in rows.chunks(input.len()).enumerate() {
@@ -231,10 +219,8 @@ fn single_segment_equals_unsegmented_run() {
         let sig = int_sig(k);
         let plain = serial::run(&sig, &input);
         assert_eq!(run_serial(&sig, &segments, &input), plain, "k={k}");
-        for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-            let runner = runner_with(&sig, &segments, n, 256, 4, strategy);
-            assert_eq!(runner.run(&input).unwrap(), plain, "k={k} {strategy:?}");
-        }
+        let runner = runner_with(&sig, &segments, n, 256, 4);
+        assert_eq!(runner.run(&input).unwrap(), plain, "k={k}");
     }
 }
 
@@ -289,32 +275,29 @@ fn sparse_skip_matches_dense_on_zero_padded_ints() {
     }
     let sig = int_sig(2);
     let expect = run_serial(&sig, &segments, &input);
-    for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-        let sparse = runner_with(&sig, &segments, n, chunk, 4, strategy);
-        let dense_plan = SegmentedPlan::build(&sig, segments.clone(), n, chunk)
-            .unwrap()
-            .with_sparse(false);
-        let dense = SegmentedRunner::from_plan(
-            dense_plan,
-            RunnerConfig {
-                threads: 4,
-                strategy,
-                ..Default::default()
-            },
-        );
-        let mut sparse_data = input.clone();
-        let sparse_stats = sparse.run_in_place(&mut sparse_data).unwrap();
-        let mut dense_data = input.clone();
-        let dense_stats = dense.run_in_place(&mut dense_data).unwrap();
-        assert_eq!(sparse_data, expect, "{strategy:?} sparse");
-        assert_eq!(dense_data, expect, "{strategy:?} dense");
-        assert!(
-            sparse_stats.skipped_chunks > 0,
-            "{strategy:?}: zero chunks must be skipped, got {sparse_stats:?}"
-        );
-        assert_eq!(dense_stats.skipped_chunks, 0, "{strategy:?} dense");
-        assert!(sparse_stats.reset_chunks > 0, "{strategy:?}");
-    }
+    let sparse = runner_with(&sig, &segments, n, chunk, 4);
+    let dense_plan = SegmentedPlan::build(&sig, segments.clone(), n, chunk)
+        .unwrap()
+        .with_sparse(false);
+    let dense = SegmentedRunner::from_plan(
+        dense_plan,
+        RunnerConfig {
+            threads: 4,
+            ..Default::default()
+        },
+    );
+    let mut sparse_data = input.clone();
+    let sparse_stats = sparse.run_in_place(&mut sparse_data).unwrap();
+    let mut dense_data = input.clone();
+    let dense_stats = dense.run_in_place(&mut dense_data).unwrap();
+    assert_eq!(sparse_data, expect, "sparse");
+    assert_eq!(dense_data, expect, "dense");
+    assert!(
+        sparse_stats.skipped_chunks > 0,
+        "zero chunks must be skipped, got {sparse_stats:?}"
+    );
+    assert_eq!(dense_stats.skipped_chunks, 0, "dense");
+    assert!(sparse_stats.reset_chunks > 0);
 }
 
 /// The same contract for floats, held to the strongest bound: the skip
@@ -332,31 +315,28 @@ fn sparse_skip_is_bit_identical_to_dense_on_floats() {
         *v = ((i % 13) as f64) * 0.1 + 0.5;
     }
     let sig = contractive_sig(2);
-    for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-        let sparse = runner_with(&sig, &segments, n, chunk, 4, strategy);
-        let dense_plan = SegmentedPlan::build(&sig, segments.clone(), n, chunk)
-            .unwrap()
-            .with_sparse(false);
-        let dense = SegmentedRunner::from_plan(
-            dense_plan,
-            RunnerConfig {
-                threads: 4,
-                strategy,
-                ..Default::default()
-            },
+    let sparse = runner_with(&sig, &segments, n, chunk, 4);
+    let dense_plan = SegmentedPlan::build(&sig, segments.clone(), n, chunk)
+        .unwrap()
+        .with_sparse(false);
+    let dense = SegmentedRunner::from_plan(
+        dense_plan,
+        RunnerConfig {
+            threads: 4,
+            ..Default::default()
+        },
+    );
+    let mut sparse_data = input.clone();
+    let stats = sparse.run_in_place(&mut sparse_data).unwrap();
+    let mut dense_data = input.clone();
+    dense.run_in_place(&mut dense_data).unwrap();
+    assert!(stats.skipped_chunks > 0);
+    for (i, (g, e)) in sparse_data.iter().zip(&dense_data).enumerate() {
+        assert_eq!(
+            g.to_bits(),
+            e.to_bits(),
+            "i={i}: sparse {g} != dense {e} (bitwise)"
         );
-        let mut sparse_data = input.clone();
-        let stats = sparse.run_in_place(&mut sparse_data).unwrap();
-        let mut dense_data = input.clone();
-        dense.run_in_place(&mut dense_data).unwrap();
-        assert!(stats.skipped_chunks > 0, "{strategy:?}");
-        for (i, (g, e)) in sparse_data.iter().zip(&dense_data).enumerate() {
-            assert_eq!(
-                g.to_bits(),
-                e.to_bits(),
-                "{strategy:?} i={i}: sparse {g} != dense {e} (bitwise)"
-            );
-        }
     }
 }
 
@@ -378,18 +358,16 @@ fn empty_input_runs_to_empty_result_everywhere() {
         run_chunked(&sig, &segments, &[], 8).unwrap(),
         Vec::<i64>::new()
     );
-    for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-        let runner = runner_with(&sig, &segments, 0, 8, 2, strategy);
-        assert_eq!(runner.run(&[]).unwrap(), Vec::<i64>::new(), "{strategy:?}");
-        let stats = runner.run_in_place(&mut []).unwrap();
-        assert_eq!(stats.chunks, 0, "{strategy:?}");
-        // A zero-length plan has no row width; the batch path must
-        // reject rather than divide by zero.
-        assert!(matches!(
-            runner.run_rows(&mut [], 0),
-            Err(EngineError::UnsupportedSignature { .. })
-        ));
-    }
+    let runner = runner_with(&sig, &segments, 0, 8, 2);
+    assert_eq!(runner.run(&[]).unwrap(), Vec::<i64>::new());
+    let stats = runner.run_in_place(&mut []).unwrap();
+    assert_eq!(stats.chunks, 0);
+    // A zero-length plan has no row width; the batch path must
+    // reject rather than divide by zero.
+    assert!(matches!(
+        runner.run_rows(&mut [], 0),
+        Err(EngineError::UnsupportedSignature { .. })
+    ));
 }
 
 /// Satellite contract: segmented runs never touch the constant
@@ -408,15 +386,13 @@ fn segmented_runs_bypass_the_constant_plan_cache() {
     let segments = Segments::uniform(333, n);
     let sig = int_sig(2);
     let input = int_input(n);
-    for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-        let runner = runner_with(&sig, &segments, n, 128, 2, strategy);
-        let mut data = input.clone();
-        let stats = runner.run_in_place(&mut data).unwrap();
-        assert_eq!(stats.plan_cache_hits, 0, "{strategy:?}");
-        assert_eq!(stats.plan_cache_misses, 0, "{strategy:?}");
-    }
+    let runner = runner_with(&sig, &segments, n, 128, 2);
+    let mut data = input.clone();
+    let stats = runner.run_in_place(&mut data).unwrap();
+    assert_eq!(stats.plan_cache_hits, 0);
+    assert_eq!(stats.plan_cache_misses, 0);
     // Batch + stream entry points are cache-silent too.
-    let runner = runner_with(&sig, &segments, n, 128, 2, Strategy::LookbackPipeline);
+    let runner = runner_with(&sig, &segments, n, 128, 2);
     let mut rows = input.clone();
     let stats = runner.run_rows(&mut rows, n).unwrap();
     assert_eq!(stats.plan_cache_hits + stats.plan_cache_misses, 0);
@@ -450,7 +426,7 @@ fn segmented_runs_bypass_the_constant_plan_cache() {
 }
 
 /// A pre-cancelled token and an already-expired deadline both reject a
-/// segmented run before it touches the data, for both strategies.
+/// segmented run before it touches the data.
 #[test]
 fn pre_cancelled_token_and_zero_deadline_reject_promptly() {
     let _g = lock_global();
@@ -458,38 +434,34 @@ fn pre_cancelled_token_and_zero_deadline_reject_promptly() {
     let segments = Segments::uniform(500, n);
     let sig = int_sig(2);
     let input = int_input(n);
-    for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-        let runner = runner_with(&sig, &segments, n, 256, 4, strategy);
-        let token = CancelToken::new();
-        token.cancel();
-        match runner.run_with_cancel(&input, &token) {
-            Err(EngineError::Cancelled) => {}
-            other => panic!("{strategy:?}: expected Cancelled, got {other:?}"),
-        }
-        let expired = SegmentedRunner::with_config(
-            sig.clone(),
-            segments.clone(),
-            n,
-            RunnerConfig {
-                chunk_size: 256,
-                threads: 4,
-                strategy,
-                deadline: Some(Duration::ZERO),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        match expired.run(&input) {
-            Err(EngineError::DeadlineExceeded { .. }) => {}
-            other => panic!("{strategy:?}: expected DeadlineExceeded, got {other:?}"),
-        }
-        // The runner (and its pool) survives both rejections.
-        assert_eq!(
-            runner.run(&input).unwrap(),
-            run_serial(&sig, &segments, &input),
-            "{strategy:?}"
-        );
+    let runner = runner_with(&sig, &segments, n, 256, 4);
+    let token = CancelToken::new();
+    token.cancel();
+    match runner.run_with_cancel(&input, &token) {
+        Err(EngineError::Cancelled) => {}
+        other => panic!("expected Cancelled, got {other:?}"),
     }
+    let expired = SegmentedRunner::with_config(
+        sig.clone(),
+        segments.clone(),
+        n,
+        RunnerConfig {
+            chunk_size: 256,
+            threads: 4,
+            deadline: Some(Duration::ZERO),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    match expired.run(&input) {
+        Err(EngineError::DeadlineExceeded { .. }) => {}
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    }
+    // The runner (and its pool) survives both rejections.
+    assert_eq!(
+        runner.run(&input).unwrap(),
+        run_serial(&sig, &segments, &input),
+    );
 }
 
 proptest! {
@@ -593,16 +565,16 @@ mod fault_legs {
         Segments::uniform(1000, N)
     }
 
-    fn faulted_runner(strategy: Strategy) -> SegmentedRunner<i64> {
-        runner_with(&int_sig(2), &segments(), N, CHUNK, 4, strategy)
+    fn faulted_runner() -> SegmentedRunner<i64> {
+        runner_with(&int_sig(2), &segments(), N, CHUNK, 4)
     }
 
-    fn assert_fault_contract(strategy: Strategy, plan: FaultPlan) {
+    fn assert_fault_contract(plan: FaultPlan) {
         let _g = lock_global();
         quiet_injected_panics();
         let data = int_input(N);
         let expect = run_serial(&int_sig(2), &segments(), &data);
-        let runner = faulted_runner(strategy);
+        let runner = faulted_runner();
 
         // Warm the pool so the fault hits resident, parked workers.
         assert_eq!(runner.run(&data).unwrap(), expect, "warm-up must validate");
@@ -623,47 +595,23 @@ mod fault_legs {
         // Same pool, fault-free rerun: bit-exact recovery.
         let data = int_input(N);
         let got = watchdog(60, move || runner.run(&data).unwrap());
-        assert_eq!(
-            got, expect,
-            "rerun after fault must validate ({strategy:?})"
-        );
+        assert_eq!(got, expect, "rerun after fault must validate");
     }
 
     #[test]
     fn solve_fault_errors_and_recovers_lookback() {
-        assert_fault_contract(
-            Strategy::LookbackPipeline,
-            FaultPlan::panic_at_chunk(FaultSite::Solve, (N / CHUNK) / 2),
-        );
-    }
-
-    #[test]
-    fn solve_fault_errors_and_recovers_two_pass() {
-        assert_fault_contract(
-            Strategy::TwoPass,
-            FaultPlan::panic_at_chunk(FaultSite::Solve, (N / CHUNK) / 2),
-        );
+        assert_fault_contract(FaultPlan::panic_at_chunk(FaultSite::Solve, (N / CHUNK) / 2));
     }
 
     /// Chunk 16 spans `[4096, 4352)` — no segment boundary inside, so it
     /// is an interior chunk and consults the look-back site
-    /// unconditionally under the pipeline strategy.
+    /// unconditionally.
     #[test]
     fn lookback_fault_errors_and_recovers_lookback() {
-        assert_fault_contract(
-            Strategy::LookbackPipeline,
-            FaultPlan::panic_at_chunk(FaultSite::Lookback, (N / CHUNK) / 2),
-        );
-    }
-
-    /// Under two-pass the same site is the sequential carry chain
-    /// (consulted with worker id 0 for every chunk past the first).
-    #[test]
-    fn lookback_fault_errors_and_recovers_two_pass() {
-        assert_fault_contract(
-            Strategy::TwoPass,
-            FaultPlan::panic_at_chunk(FaultSite::Lookback, (N / CHUNK) / 2),
-        );
+        assert_fault_contract(FaultPlan::panic_at_chunk(
+            FaultSite::Lookback,
+            (N / CHUNK) / 2,
+        ));
     }
 
     /// A short stall at a mid-pipeline solve drives successors into
@@ -675,7 +623,7 @@ mod fault_legs {
         quiet_injected_panics();
         let data = int_input(N);
         let expect = run_serial(&int_sig(2), &segments(), &data);
-        let runner = faulted_runner(Strategy::LookbackPipeline);
+        let runner = faulted_runner();
         runner.run(&data).unwrap(); // warm: resident, parked workers
         fault::arm(FaultPlan::delay_at_chunk(
             FaultSite::Solve,
@@ -698,7 +646,7 @@ mod fault_legs {
         quiet_injected_panics();
         let data = int_input(N);
         let expect = run_serial(&int_sig(2), &segments(), &data);
-        let runner = faulted_runner(Strategy::LookbackPipeline);
+        let runner = faulted_runner();
         runner.run(&data).unwrap(); // warm (fault-free)
         fault::arm(FaultPlan::delay_at_chunk(
             FaultSite::Solve,
@@ -733,7 +681,7 @@ mod fault_legs {
         assert_eq!(got, expect, "rerun after cancellation must validate");
     }
 
-    /// The deadline watchdog trips a segmented two-pass run wedged in a
+    /// The deadline watchdog trips a segmented run wedged in a
     /// 45s injected stall, well inside the test budget.
     #[test]
     fn deadline_trips_a_wedged_segmented_run() {
@@ -747,7 +695,6 @@ mod fault_legs {
             RunnerConfig {
                 chunk_size: CHUNK,
                 threads: 4,
-                strategy: Strategy::TwoPass,
                 deadline: Some(Duration::from_millis(500)),
                 ..Default::default()
             },

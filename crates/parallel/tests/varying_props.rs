@@ -1,9 +1,9 @@
 //! Differential gauntlet for the time-varying matrix-carry lowering.
 //!
 //! The contract: every executor of a [`VaryingSignature`] — the serial
-//! reference evaluator, both [`VaryingEngine`] carry strategies, both
-//! [`VaryingRunner`] strategies, the whole-row batch path, and the
-//! streaming layer — computes the *same recurrence*. For integer
+//! reference evaluator, both [`VaryingEngine`] carry strategies, the
+//! [`VaryingRunner`], the whole-row batch path, and the streaming
+//! layer — computes the *same recurrence*. For integer
 //! elements the arithmetic is wrapping and therefore exactly
 //! reassociable: every executor must agree **bit-exactly** across
 //! orders, chunk sizes, and thread counts. For floats the chunked
@@ -23,7 +23,7 @@ use plr_core::kernel::KernelKind;
 use plr_core::plan::{self, PlanKind};
 use plr_core::varying::{reference, VaryingEngine, VaryingPlan, VaryingSignature};
 use plr_core::{set_kernel_override, Element, KernelTier};
-use plr_parallel::runner::{RunnerConfig, Strategy};
+use plr_parallel::runner::RunnerConfig;
 use plr_parallel::VaryingRunner;
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -99,14 +99,12 @@ fn runner_with<T: Element>(
     sig: &VaryingSignature<T>,
     chunk: usize,
     threads: usize,
-    strategy: Strategy,
 ) -> VaryingRunner<T> {
     VaryingRunner::with_config(
         sig.clone(),
         RunnerConfig {
             chunk_size: chunk,
             threads,
-            strategy,
             ..Default::default()
         },
     )
@@ -142,12 +140,9 @@ fn all_executor_outputs<T: Element>(
         let engine = engine_with(sig, chunk, carry);
         outs.push((format!("engine/{carry:?}"), engine.run(input).unwrap()));
     }
-    for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-        let runner = runner_with(sig, chunk, threads, strategy);
-        outs.push((format!("runner/{strategy:?}"), runner.run(input).unwrap()));
-    }
+    let runner = runner_with(sig, chunk, threads);
+    outs.push(("runner".into(), runner.run(input).unwrap()));
     // Batch and stream entry points, one row each (they share RowTask).
-    let runner = runner_with(sig, chunk, threads, Strategy::LookbackPipeline);
     let mut rows = input.to_vec();
     runner.run_rows(&mut rows, input.len().max(1)).unwrap();
     outs.push(("batch/run_rows".into(), rows));
@@ -159,7 +154,7 @@ fn all_executor_outputs<T: Element>(
     outs
 }
 
-/// Integers: all six executor paths bit-exact against the naive
+/// Integers: all five executor paths bit-exact against the naive
 /// reference, across orders 1–4, ragged chunk geometries, and thread
 /// counts.
 #[test]
@@ -399,7 +394,7 @@ fn mixed_constant_and_varying_chunks_report_mixed_kernel() {
     let sig = VaryingSignature::first_order(coeffs).unwrap();
     let input = float_input(n);
     let expect = reference(&sig, &input).unwrap();
-    let runner = runner_with(&sig, chunk, 2, Strategy::TwoPass);
+    let runner = runner_with(&sig, chunk, 2);
     let mut data = input.clone();
     let stats = runner.run_in_place(&mut data).unwrap();
     set_kernel_override(None);
@@ -417,7 +412,7 @@ fn mixed_constant_and_varying_chunks_report_mixed_kernel() {
 
     // All-varying: every chunk is the scalar matrix-carry loop.
     let all_varying = VaryingSignature::first_order(contractive_gates(n, 1, 0xa11)).unwrap();
-    let runner = runner_with(&all_varying, chunk, 2, Strategy::TwoPass);
+    let runner = runner_with(&all_varying, chunk, 2);
     let mut data = float_input(n);
     let stats = runner.run_in_place(&mut data).unwrap();
     assert_eq!(stats.kernel, KernelKind::Scalar);
@@ -437,16 +432,14 @@ fn varying_runs_bypass_the_constant_plan_cache() {
     let n = 3000;
     let sig = VaryingSignature::new(2, int_coeffs(n, 2, 0xcac4e)).unwrap();
     let input = int_input(n);
-    for strategy in [Strategy::LookbackPipeline, Strategy::TwoPass] {
-        let runner = runner_with(&sig, 128, 2, strategy);
-        let mut data = input.clone();
-        let stats = runner.run_in_place(&mut data).unwrap();
-        assert_eq!(stats.plan_kind, PlanKind::MatrixCarry, "{strategy:?}");
-        assert_eq!(stats.plan_cache_hits, 0, "{strategy:?}");
-        assert_eq!(stats.plan_cache_misses, 0, "{strategy:?}");
-    }
+    let runner = runner_with(&sig, 128, 2);
+    let mut data = input.clone();
+    let stats = runner.run_in_place(&mut data).unwrap();
+    assert_eq!(stats.plan_kind, PlanKind::MatrixCarry);
+    assert_eq!(stats.plan_cache_hits, 0);
+    assert_eq!(stats.plan_cache_misses, 0);
     // Batch + stream entry points are cache-silent too.
-    let runner = runner_with(&sig, 128, 2, Strategy::LookbackPipeline);
+    let runner = runner_with(&sig, 128, 2);
     let mut rows = input.clone();
     let stats = runner.run_rows(&mut rows, n).unwrap();
     assert_eq!(stats.plan_cache_hits + stats.plan_cache_misses, 0);
@@ -488,7 +481,7 @@ fn lookback_fusion_counts_and_stays_exact() {
     let sig = VaryingSignature::first_order(int_coeffs(n, 1, 0xf05e)).unwrap();
     let input = int_input(n);
     let expect = reference(&sig, &input).unwrap();
-    let one = runner_with(&sig, 256, 1, Strategy::LookbackPipeline);
+    let one = runner_with(&sig, 256, 1);
     let mut data = input.clone();
     let stats = one.run_in_place(&mut data).unwrap();
     assert_eq!(data, expect);
@@ -496,7 +489,7 @@ fn lookback_fusion_counts_and_stays_exact() {
         stats.fused_chunks, stats.chunks,
         "a single worker claims chunks in order, so every chunk fuses"
     );
-    let four = runner_with(&sig, 256, 4, Strategy::LookbackPipeline);
+    let four = runner_with(&sig, 256, 4);
     let mut data = input.clone();
     let stats = four.run_in_place(&mut data).unwrap();
     assert_eq!(data, expect);
@@ -507,7 +500,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Randomized differential sweep: arbitrary small-coefficient varying
-    /// signatures, arbitrary inputs, random geometry — all six executor
+    /// signatures, arbitrary inputs, random geometry — all five executor
     /// paths bit-exact against the reference. (The vendored proptest stub
     /// has no flat-map, so dependent shapes derive from a drawn seed.)
     #[test]
@@ -586,18 +579,27 @@ mod fault_legs {
     const N: usize = 8192;
     const CHUNK: usize = 256;
 
-    fn assert_fault_contract(strategy: Strategy, plan: FaultPlan) {
+    /// Runs `sig` over `data` on a 4-wide pool: the faulted run must fail
+    /// with `WorkerPanicked`, and a rerun on the same pool must reproduce
+    /// the warm-up output bit for bit. Integer warm-ups must also match
+    /// the sequential reference exactly.
+    fn assert_fault_contract<T: Element>(sig: VaryingSignature<T>, data: Vec<T>, plan: FaultPlan) {
         let _g = lock_global();
         quiet_injected_panics();
-        let sig = VaryingSignature::new(2, int_coeffs(N, 2, 0xfa117)).unwrap();
-        let data = int_input(N);
-        let expect = reference(&sig, &data).unwrap();
-        let runner = runner_with(&sig, CHUNK, 4, strategy);
+        let runner = runner_with(&sig, CHUNK, 4);
 
         // Warm the pool so the fault hits resident, parked workers.
-        assert_eq!(runner.run(&data).unwrap(), expect, "warm-up must validate");
+        let expect = runner.run(&data).unwrap();
+        if !T::IS_FLOAT {
+            assert_eq!(
+                expect,
+                reference(&sig, &data).unwrap(),
+                "warm-up must validate"
+            );
+        }
 
         fault::arm(plan.clone());
+        let rerun = data.clone();
         let (runner, faulted) = watchdog(60, move || {
             let r = runner.run(&data);
             (runner, r)
@@ -611,37 +613,27 @@ mod fault_legs {
         }
 
         // Same pool, fault-free rerun: bit-exact recovery.
-        let data = int_input(N);
-        let got = watchdog(60, move || runner.run(&data).unwrap());
-        assert_eq!(
-            got, expect,
-            "rerun after fault must validate ({strategy:?})"
-        );
+        let got = watchdog(60, move || runner.run(&rerun).unwrap());
+        assert_eq!(got, expect, "rerun after fault must validate");
     }
 
     #[test]
     fn solve_fault_errors_and_recovers_lookback() {
         assert_fault_contract(
-            Strategy::LookbackPipeline,
+            VaryingSignature::new(2, int_coeffs(N, 2, 0xfa117)).unwrap(),
+            int_input(N),
             FaultPlan::panic_at_chunk(FaultSite::Solve, (N / CHUNK) / 2),
         );
     }
 
+    /// The look-back site is skipped by chunks that fuse, which integers
+    /// do opportunistically; float chunks past the first never fuse on a
+    /// pool wider than 1, so a float run pins the site every time.
     #[test]
-    fn solve_fault_errors_and_recovers_two_pass() {
+    fn lookback_fault_errors_and_recovers() {
         assert_fault_contract(
-            Strategy::TwoPass,
-            FaultPlan::panic_at_chunk(FaultSite::Solve, (N / CHUNK) / 2),
-        );
-    }
-
-    /// The look-back site is only consulted unconditionally by the
-    /// two-pass chain (lookback-pipeline chunks skip it when they fuse,
-    /// which integers do opportunistically), so the chain leg pins it.
-    #[test]
-    fn chain_fault_errors_and_recovers() {
-        assert_fault_contract(
-            Strategy::TwoPass,
+            VaryingSignature::new(2, contractive_gates(N, 2, 0xfa117)).unwrap(),
+            float_input(N),
             FaultPlan::panic_at_chunk(FaultSite::Lookback, (N / CHUNK) / 2),
         );
     }
@@ -656,7 +648,7 @@ mod fault_legs {
         let sig = VaryingSignature::first_order(int_coeffs(n, 1, 0x57f)).unwrap();
         let input = int_input(n);
         let expect = reference(&sig, &input).unwrap();
-        let runner = runner_with(&sig, 64, 2, Strategy::LookbackPipeline);
+        let runner = runner_with(&sig, 64, 2);
         let stream = runner.stream();
         fault::arm(FaultPlan::panic_at_chunk(FaultSite::Row, 0));
         let bad = stream.push_row(input.clone());

@@ -16,7 +16,7 @@
 //! ```
 
 use plr::core::{filters, serial, validate};
-use plr::{ParallelRunner, RunnerConfig, Signature, Strategy};
+use plr::{ParallelRunner, RunnerConfig, Signature};
 use std::f64::consts::TAU;
 use std::time::Instant;
 
@@ -61,7 +61,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         RunnerConfig {
             chunk_size: 1 << 15,
             threads: 0,
-            strategy: Strategy::default(),
             ..Default::default()
         },
     )?;
@@ -89,7 +88,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         RunnerConfig {
             chunk_size: 1 << 15,
             threads: 0,
-            strategy: Strategy::default(),
             ..Default::default()
         },
     )?;

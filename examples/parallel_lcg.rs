@@ -15,7 +15,7 @@
 //! cargo run --release --example parallel_lcg
 //! ```
 
-use plr::{ParallelRunner, RunnerConfig, Signature, Strategy};
+use plr::{ParallelRunner, RunnerConfig, Signature};
 use std::time::Instant;
 
 /// Knuth's MMIX LCG constants.
@@ -46,7 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         RunnerConfig {
             chunk_size: 1 << 16,
             threads: 0,
-            strategy: Strategy::default(),
             ..Default::default()
         },
     )?;
