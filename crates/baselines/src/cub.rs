@@ -18,12 +18,13 @@
 //! CUB does not support general recurrences: correction factors other than
 //! one never arise in its carry math, so filters are rejected.
 
-use crate::executor::{classify_prefix_family, PrefixFamily, RecurrenceExecutor};
+use crate::executor::RecurrenceExecutor;
 use crate::stream::{account_pass, estimate_pass, PassProfile};
 use plr_core::element::Element;
 use plr_core::error::EngineError;
+use plr_core::prefix::{self, classify_prefix_family, PrefixFamily};
+use plr_core::serial;
 use plr_core::signature::Signature;
-use plr_core::{prefix, serial};
 use plr_sim::timing::Workload;
 use plr_sim::{DeviceConfig, GlobalMemory, RunReport};
 

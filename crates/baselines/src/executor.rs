@@ -5,6 +5,9 @@ use plr_core::error::EngineError;
 use plr_core::signature::Signature;
 use plr_sim::{DeviceConfig, RunReport};
 
+/// The prefix-sum family CUB and SAM support, classified in plr-core.
+pub use plr_core::prefix::{classify_prefix_family, PrefixFamily};
+
 /// A recurrence executor that runs on the machine model.
 ///
 /// Implementations mirror the paper's comparison codes: each declares which
@@ -51,104 +54,4 @@ pub trait RecurrenceExecutor<T: Element> {
         n: usize,
         device: &DeviceConfig,
     ) -> Result<RunReport<T>, EngineError>;
-}
-
-/// The prefix-sum family CUB and SAM support.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrefixFamily {
-    /// The standard prefix sum `(1 : 1)`.
-    Standard,
-    /// An `s`-tuple prefix sum `(1 : 0, …, 0, 1)` with `s >= 2`.
-    Tuple(usize),
-    /// An order-`r` prefix sum (binomial feedback) with `r >= 2`.
-    HigherOrder(usize),
-}
-
-/// Classifies a signature into the prefix-sum family, if it belongs.
-///
-/// # Examples
-///
-/// ```
-/// use plr_baselines::executor::{classify_prefix_family, PrefixFamily};
-/// use plr_core::signature::Signature;
-///
-/// let sig: Signature<i32> = "1: 0, 1".parse()?;
-/// assert_eq!(classify_prefix_family(&sig), Some(PrefixFamily::Tuple(2)));
-/// let filt: Signature<f32> = "0.2: 0.8".parse()?;
-/// assert_eq!(classify_prefix_family(&filt), None);
-/// # Ok::<(), plr_core::error::SignatureError>(())
-/// ```
-pub fn classify_prefix_family<T: Element>(signature: &Signature<T>) -> Option<PrefixFamily> {
-    if !signature.is_pure_feedback() {
-        return None;
-    }
-    let fb = signature.feedback();
-    let k = fb.len();
-    if k == 1 && fb[0].is_one() {
-        return Some(PrefixFamily::Standard);
-    }
-    // Tuple: all zero except a trailing one.
-    if fb[..k - 1].iter().all(|c| c.is_zero()) && fb[k - 1].is_one() {
-        return Some(PrefixFamily::Tuple(k));
-    }
-    // Higher order: b-j = (-1)^(j+1)·C(k, j).
-    let mut binom: i64 = 1;
-    for (j, &b) in fb.iter().enumerate() {
-        let jj = (j + 1) as i64;
-        binom = binom * (k as i64 - jj + 1) / jj;
-        let expect = if (j + 1) % 2 == 1 { binom } else { -binom };
-        if b.to_f64() != expect as f64 {
-            return None;
-        }
-    }
-    Some(PrefixFamily::HigherOrder(k))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use plr_core::prefix;
-
-    #[test]
-    fn classifies_standard() {
-        assert_eq!(
-            classify_prefix_family(&prefix::prefix_sum::<i32>()),
-            Some(PrefixFamily::Standard)
-        );
-    }
-
-    #[test]
-    fn classifies_tuples() {
-        for s in 2..=5 {
-            assert_eq!(
-                classify_prefix_family(&prefix::tuple_prefix_sum::<i64>(s)),
-                Some(PrefixFamily::Tuple(s))
-            );
-        }
-    }
-
-    #[test]
-    fn classifies_higher_orders() {
-        for r in 2..=5 {
-            assert_eq!(
-                classify_prefix_family(&prefix::higher_order_prefix_sum::<i64>(r)),
-                Some(PrefixFamily::HigherOrder(r))
-            );
-        }
-    }
-
-    #[test]
-    fn rejects_filters_and_general_recurrences() {
-        let filt: Signature<f32> = "0.2:0.8".parse().unwrap();
-        assert_eq!(classify_prefix_family(&filt), None);
-        let gen: Signature<i32> = "1: 1, 2".parse().unwrap();
-        assert_eq!(classify_prefix_family(&gen), None);
-        let fir: Signature<i32> = "1, 1: 1".parse().unwrap();
-        assert_eq!(classify_prefix_family(&fir), None);
-        let neg: Signature<i32> = "1: -1".parse().unwrap();
-        assert_eq!(classify_prefix_family(&neg), None);
-        // Looks like order-2 but wrong second coefficient.
-        let almost: Signature<i32> = "1: 2, 1".parse().unwrap();
-        assert_eq!(classify_prefix_family(&almost), None);
-    }
 }

@@ -15,10 +15,11 @@
 //!   same candidate set using the cost model, mirroring the install-time
 //!   tuning run.
 
-use crate::executor::{classify_prefix_family, PrefixFamily, RecurrenceExecutor};
+use crate::executor::RecurrenceExecutor;
 use crate::stream::{account_pass, estimate_pass, PassProfile};
 use plr_core::element::Element;
 use plr_core::error::EngineError;
+use plr_core::prefix::{classify_prefix_family, PrefixFamily};
 use plr_core::serial;
 use plr_core::signature::Signature;
 use plr_sim::timing::Workload;

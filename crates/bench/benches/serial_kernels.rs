@@ -9,7 +9,9 @@
 //! to the vector unit directly, with no reliance on `target-cpu=native`
 //! autovectorization. This bench quantifies what each layer buys per
 //! order and size; the i64 group's explicit kernel runs on AVX-512
-//! (`vpmullq`), the one ISA i64 has.
+//! (`vpmullq`), the one ISA i64 has. The i64 group also times `auto`,
+//! the kernel dispatch actually runs: for its second-order prefix sum,
+//! the add-only cascade of two running sums.
 //!
 //! Orders 1–4 use the cascaded low-pass feedback families from the
 //! paper's evaluation (stable, so values stay in range however many
@@ -17,7 +19,7 @@
 //! with few samples — the CI smoke mode.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use plr_core::blocked::BlockedKernel;
+use plr_core::blocked::{BlockedKernel, SolveKernel};
 use plr_core::serial;
 use plr_core::simd::SimdKernel;
 use std::hint::black_box;
@@ -139,6 +141,27 @@ fn bench_solve_kernels_int(c: &mut Criterion) {
             || input.clone(),
             |mut buf| {
                 kernel.solve_in_place(black_box(&mut buf));
+                buf
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    // What `SolveKernel::select` dispatches under the process's tier:
+    // with the default `auto`, the cascade kernel.
+    let auto = SolveKernel::select(feedback);
+    let mut check = input.clone();
+    auto.solve_in_place(&mut check);
+    assert_eq!(
+        scalar_out,
+        check,
+        "{:?} kernel must agree exactly",
+        auto.kind()
+    );
+    g.bench_function("auto", |b| {
+        b.iter_batched(
+            || input.clone(),
+            |mut buf| {
+                auto.solve_in_place(black_box(&mut buf));
                 buf
             },
             BatchSize::LargeInput,

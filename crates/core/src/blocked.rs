@@ -30,17 +30,19 @@
 //! the scalar reference path verbatim (e.g. the max-plus semiring in
 //! [`crate::tropical`]) opt out via [`Element::BLOCKABLE`].
 //!
-//! [`SolveKernel`] is the dispatch layer the executors embed: it selects
-//! the blocked kernel by order (`1..=`[`MAX_BLOCKED_ORDER`]) and element
-//! type (floats, whose multiply-add chains are latency-bound), and falls
-//! back to the scalar loops of [`crate::serial`] for high orders,
-//! integers, and exotic elements. [`fir_in_place`] is the matching
-//! map-stage kernel: a branch-free steady-state loop with unrolled
-//! specializations for small tap counts.
+//! [`SolveKernel`] is the dispatch layer the executors embed. Under
+//! [`KernelTier::Auto`] it picks the add-only cascade kernel of
+//! [`crate::prefix`] for the integer binomial prefix sums, then the
+//! explicit SIMD kernel of [`crate::simd`], then the blocked kernel by
+//! order (`1..=`[`MAX_BLOCKED_ORDER`]), and falls back to the scalar
+//! loops of [`crate::serial`] for high orders and exotic elements.
+//! [`fir_in_place`] is the matching map-stage kernel: a branch-free
+//! steady-state loop with unrolled specializations for small tap counts.
 
 use crate::element::Element;
 use crate::kernel::{self, KernelKind, KernelTier};
 use crate::nacci::{carries_of, impulse_response, CorrectionTable};
+use crate::prefix::CascadeKernel;
 use crate::serial;
 use crate::simd::{self, SimdKernel};
 
@@ -206,11 +208,12 @@ pub struct SlicedSolve {
     pub slices: u64,
 }
 
-/// The solve-kernel dispatch the executors embed: explicit SIMD where
-/// the CPU and element type support it, register-blocked where only the
-/// blocked form applies, scalar reference loop everywhere else. The
-/// effective [`KernelTier`] (the `PLR_KERNEL` environment variable or
-/// its programmatic override — see [`crate::kernel`]) can force a tier.
+/// The solve-kernel dispatch the executors embed: cascaded running sums
+/// for the integer binomial prefix sums, explicit SIMD where the CPU and
+/// element type support it, register-blocked where only the blocked form
+/// applies, scalar reference loop everywhere else. The effective
+/// [`KernelTier`] (the `PLR_KERNEL` environment variable or its
+/// programmatic override — see [`crate::kernel`]) can force a tier.
 ///
 /// # Examples
 ///
@@ -226,9 +229,17 @@ pub struct SlicedSolve {
 /// // Forced tiers pin the choice regardless of the CPU.
 /// let forced = SolveKernel::select_with_tier(&fb, KernelTier::Blocked);
 /// assert_eq!(forced.kind(), KernelKind::Blocked);
+/// // The integer second-order prefix sum is two running sums.
+/// let psum2 = SolveKernel::select_with_tier(&[2i64, -1], KernelTier::Auto);
+/// assert_eq!(psum2.kind(), KernelKind::Cascade);
 /// ```
 #[derive(Debug, Clone)]
 pub enum SolveKernel<T> {
+    /// Add-only cascaded running sums (integer binomial prefix sums
+    /// `(1 − z⁻¹)^q`, `q = 1..=`[`MAX_CASCADE_ORDER`]).
+    ///
+    /// [`MAX_CASCADE_ORDER`]: crate::prefix::MAX_CASCADE_ORDER
+    Cascade(CascadeKernel<T>),
     /// Explicit SIMD kernel (orders `1..=`[`MAX_BLOCKED_ORDER`], builtin
     /// scalar types, dispatched on the detected ISA).
     Simd(SimdKernel<T>),
@@ -245,15 +256,16 @@ impl<T: Element> SolveKernel<T> {
     /// Picks the kernel for a feedback vector under the process-wide
     /// [`kernel::tier`]. With the default [`KernelTier::Auto`]:
     ///
-    /// * orders `1..=`[`MAX_BLOCKED_ORDER`] of the four builtin scalar
+    /// * the `i32`/`i64` binomial prefix sums `(1: 1)`, `(1: 2, -1)`,
+    ///   `(1: 3, -3, 1)` and `(1: 4, -6, 4, -1)` get the add-only cascade
+    ///   kernel ([`CascadeKernel`]), exact in wrapping arithmetic and
+    ///   faster than every multiply-based kernel;
+    /// * other orders `1..=`[`MAX_BLOCKED_ORDER`] of the four builtin scalar
     ///   types get the explicit SIMD kernel when the CPU has the type's
     ///   one vector ISA ([`crate::simd::best_isa`]: AVX2+FMA, and for
     ///   `i64` AVX-512VL+DQ, whose `vpmullq` AVX2 lacks);
-    /// * floats *and* integers fall back to the autovectorizable blocked
-    ///   kernel otherwise — the historical ~25% integer blocking
-    ///   regression is gone now that the blocked tables feed the
-    ///   transposed-convolution form, and blocked i64 measures at or
-    ///   above the scalar chain even on a plain SSE2 build;
+    /// * floats and integers fall back to the autovectorizable blocked
+    ///   kernel otherwise;
     /// * high orders, order zero, and exotic elements keep the scalar
     ///   reference loop.
     pub fn select(feedback: &[T]) -> Self {
@@ -267,6 +279,9 @@ impl<T: Element> SolveKernel<T> {
             return SolveKernel::Scalar(feedback.to_vec());
         }
         if tier == KernelTier::Auto {
+            if let Some(k) = CascadeKernel::try_new(feedback) {
+                return SolveKernel::Cascade(k);
+            }
             if let Some(k) = SimdKernel::try_new(feedback) {
                 return SolveKernel::Simd(k);
             }
@@ -290,6 +305,7 @@ impl<T: Element> SolveKernel<T> {
     /// Which kernel this dispatch runs, as reported in run statistics.
     pub fn kind(&self) -> KernelKind {
         match self {
+            SolveKernel::Cascade(_) => KernelKind::Cascade,
             SolveKernel::Simd(k) => match k.isa() {
                 simd::Isa::Avx2 => KernelKind::SimdAvx2,
                 simd::Isa::Avx512 => KernelKind::SimdAvx512,
@@ -302,6 +318,7 @@ impl<T: Element> SolveKernel<T> {
     /// The feedback vector this kernel solves.
     pub fn feedback(&self) -> &[T] {
         match self {
+            SolveKernel::Cascade(k) => k.feedback(),
             SolveKernel::Simd(k) => k.feedback(),
             SolveKernel::Blocked(k) => &k.feedback,
             SolveKernel::Scalar(fb) => fb,
@@ -311,6 +328,7 @@ impl<T: Element> SolveKernel<T> {
     /// Solves the pure-feedback recurrence in place with zero history.
     pub fn solve_in_place(&self, data: &mut [T]) {
         match self {
+            SolveKernel::Cascade(k) => k.solve_in_place(data),
             SolveKernel::Simd(k) => k.solve_in_place(data),
             SolveKernel::Blocked(k) => k.solve_in_place(data),
             SolveKernel::Scalar(fb) => serial::recursive_in_place(fb, data),
@@ -321,6 +339,7 @@ impl<T: Element> SolveKernel<T> {
     /// the value just before `data[0]`; missing entries are zero).
     pub fn solve_in_place_with_history(&self, history: &[T], data: &mut [T]) {
         match self {
+            SolveKernel::Cascade(k) => k.solve_in_place_with_history(history, data),
             SolveKernel::Simd(k) => k.solve_in_place_with_history(history, data),
             SolveKernel::Blocked(k) => k.solve_in_place_with_history(history, data),
             SolveKernel::Scalar(fb) => serial::recursive_in_place_with_history(fb, history, data),
@@ -525,10 +544,9 @@ mod tests {
         // Order above the cap and order zero fall back.
         assert!(auto(&[0.1f64; MAX_BLOCKED_ORDER + 1]).is_scalar());
         assert!(auto(&[]).is_scalar());
-        // Integers ride the blocked tables too now: with a vector ISA
-        // they go SIMD (i64 only from AVX-512, where `vpmullq` exists),
-        // otherwise the blocked form — at or above the scalar chain
-        // since the transposed-convolution rework.
+        // Integers outside the binomial prefix sums ride the blocked
+        // tables: with a vector ISA they go SIMD (i64 only from AVX-512,
+        // where `vpmullq` exists), otherwise the blocked form.
         assert!(BlockedKernel::try_new(&[1i32, 2, 3, 4]).is_some());
         let int_kernel = SolveKernel::select_with_tier(&[1i32, 2, 3, 4], KernelTier::Auto);
         assert!(!int_kernel.is_scalar());
@@ -536,12 +554,17 @@ mod tests {
             int_kernel.kind(),
             KernelKind::Blocked | KernelKind::SimdAvx2 | KernelKind::SimdAvx512
         ));
-        let i64_kernel = SolveKernel::select_with_tier(&[2i64, -1], KernelTier::Auto);
-        assert!(!i64_kernel.is_scalar());
+        let i64_kernel = SolveKernel::select_with_tier(&[1i64, 1], KernelTier::Auto);
         assert!(matches!(
             i64_kernel.kind(),
             KernelKind::Blocked | KernelKind::SimdAvx512
         ));
+        // The integer binomial prefix sums are cascaded running sums on
+        // every CPU.
+        for fb in [&[1i64][..], &[2, -1], &[3, -3, 1], &[4, -6, 4, -1]] {
+            let kernel = SolveKernel::select_with_tier(fb, KernelTier::Auto);
+            assert_eq!(kernel.kind(), KernelKind::Cascade, "{fb:?}");
+        }
         // Exotic elements (max-plus semiring) opt out of blocking
         // entirely via `Element::BLOCKABLE` — on every tier.
         assert!(BlockedKernel::try_new(&[MaxPlus::new(1.0)]).is_none());

@@ -6,9 +6,11 @@
 //! * **scalar** — the reference loops of [`crate::serial`];
 //! * **blocked** — the register-blocked, autovectorizable kernels of
 //!   [`crate::blocked`];
-//! * **auto** — the explicit `core::arch` kernels of [`crate::simd`] on
-//!   the element type's one vector ISA when the CPU has it
-//!   ([`crate::simd::best_isa`]), blocked otherwise.
+//! * **auto** — first the add-only cascade kernel of [`crate::prefix`]
+//!   for the integer binomial prefix sums `(1 − z⁻¹)^q`, `q <= 4`; then
+//!   the explicit `core::arch` kernels of [`crate::simd`] on the element
+//!   type's one vector ISA when the CPU has it
+//!   ([`crate::simd::best_isa`]); blocked otherwise.
 //!
 //! [`SolveKernel::select`](crate::blocked::SolveKernel::select) consults
 //! [`tier`] so every executor — `Engine`, `ParallelRunner`,
@@ -52,6 +54,9 @@ pub enum KernelKind {
     SimdAvx2,
     /// Explicit SIMD layer, x86-64 AVX-512(VL+DQ) kernels.
     SimdAvx512,
+    /// Add-only cascaded running sums for the integer binomial prefix
+    /// sums (see [`crate::prefix::CascadeKernel`]).
+    Cascade,
     /// Aggregated statistics absorbed runs with different kernels.
     Mixed,
 }

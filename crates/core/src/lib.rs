@@ -37,9 +37,11 @@
 //!   domain-specific optimizations;
 //! * [`plan`] — runtime correction plans: cached per-signature strategy
 //!   selection (scalar fold / conditional add / periodic / decay-truncated
-//!   / dense) consulted by every executor;
-//! * [`poly`], [`filters`], [`stability`], [`prefix`] — filter design,
-//!   signature catalogs, and stability analysis;
+//!   / polynomial / dense) consulted by every executor;
+//! * [`prefix`] — the prefix-sum family: constructors, the classifier, and
+//!   the add-only cascade kernels for its binomial members;
+//! * [`poly`], [`filters`], [`stability`] — filter design, signature
+//!   catalogs, and stability analysis;
 //! * [`compose`] — z-transform combination/decomposition of recurrences
 //!   (the paper's "offline" cascade step);
 //! * [`response`] — frequency- and impulse-response analysis;

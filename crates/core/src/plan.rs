@@ -31,6 +31,19 @@
 //! If either check fails the plan falls back to the dense table. The
 //! analytic estimate is therefore a *performance* hint; correctness rests
 //! on the materialized zeros.
+//!
+//! # Polynomial corrections
+//!
+//! For the integer binomial prefix sums `(1 − z⁻¹)^q`, `q = 2..=4`, the
+//! factor lists are polynomials of degree `q − 1` in the position, and
+//! the correction is the carries' zero-input response: `q` cascaded
+//! running sums with zero input. A [`PlanKind::Polynomial`] plan adds it
+//! in one add-only pass by forward differences
+//! ([`CascadeKernel::add_carry_response`]) instead of `q` table axpys.
+//! In wrapping integer arithmetic this is the same sum in another order,
+//! so its output is bit-identical to the dense table's. The table stays:
+//! [`CorrectionPlan::fixup_carries`] reads its entries near each chunk's
+//! end.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -42,6 +55,7 @@ use crate::blocked::SolveKernel;
 use crate::element::Element;
 use crate::kernel::{self, KernelTier};
 use crate::nacci::{carries_of, CorrectionTable};
+use crate::prefix::CascadeKernel;
 use crate::signature::Signature;
 use crate::simd;
 use crate::stability::{self, StabilityReport};
@@ -89,6 +103,10 @@ pub enum PlanKind {
     /// Every list decays to exact zeros: corrections touch only a bounded
     /// prefix of each chunk and full-size chunks reset the carry chain.
     Truncated,
+    /// The lists are polynomials in the position (integer binomial prefix
+    /// sums of order 2 to 4): one add-only forward-difference pass
+    /// replaces the per-list folds.
+    Polynomial,
     /// Lists landed on different strategies.
     Mixed,
     /// The time-varying lowering ran: carries are per-chunk transition
@@ -142,6 +160,8 @@ pub struct CorrectionPlan<T> {
     solve: SolveKernel<T>,
     table: CorrectionTable<T>,
     strategies: Vec<FactorPattern<T>>,
+    /// Set for [`PlanKind::Polynomial`] plans: corrects every list at once.
+    polynomial: Option<CascadeKernel<T>>,
     chunk_size: usize,
     /// Max nonzero-prefix length across lists when `tail_zero`; otherwise
     /// the chunk size.
@@ -244,12 +264,17 @@ impl<T: Element> CorrectionPlan<T> {
         } else {
             m
         };
+        // Order 1 keeps its scalar fold, already one add per element.
+        let polynomial = CascadeKernel::try_new(&feedback)
+            .filter(|c| req.mode == PlanMode::Auto && m > 0 && c.order() >= 2);
         let kind = if m == 0 {
             // Whole-row dispatch: the plan only carries the FIR and solve
             // kernels; no correction strategy exists to report.
             PlanKind::Unplanned
         } else if req.mode == PlanMode::Dense {
             PlanKind::Dense
+        } else if polynomial.is_some() {
+            PlanKind::Polynomial
         } else {
             summarize(&strategies, tail_zero)
         };
@@ -261,6 +286,7 @@ impl<T: Element> CorrectionPlan<T> {
             solve,
             table,
             strategies,
+            polynomial,
             chunk_size: m,
             effective_len,
             tail_zero,
@@ -293,7 +319,9 @@ impl<T: Element> CorrectionPlan<T> {
         &self.table
     }
 
-    /// Per-list strategies (index 0 = distance-1 carry).
+    /// Per-list strategies (index 0 = distance-1 carry). A
+    /// [`PlanKind::Polynomial`] plan corrects every list in one pass and
+    /// does not consult them.
     pub fn strategies(&self) -> &[FactorPattern<T>] {
         &self.strategies
     }
@@ -359,7 +387,9 @@ impl<T: Element> CorrectionPlan<T> {
     }
 
     /// Planned equivalent of [`CorrectionTable::correct_chunk`]: adds
-    /// `list(r)[i]·carries[r]` to `chunk[i]`, using each list's strategy.
+    /// `list(r)[i]·carries[r]` to `chunk[i]`, using each list's strategy,
+    /// or for a [`PlanKind::Polynomial`] plan the carries' zero-input
+    /// response by forward differences.
     ///
     /// Produces bit-identical results to the dense path for integers, and
     /// differs for floats only by skipping additions of exact-zero terms
@@ -375,6 +405,10 @@ impl<T: Element> CorrectionPlan<T> {
             chunk.len(),
             self.chunk_size
         );
+        if let Some(cascade) = &self.polynomial {
+            cascade.add_carry_response(carries, chunk);
+            return;
+        }
         for (r, &carry) in carries.iter().enumerate().take(self.order()) {
             if carry.is_zero() {
                 continue;
@@ -732,10 +766,21 @@ mod tests {
     }
 
     #[test]
-    fn higher_order_prefix_sum_stays_dense() {
-        let p = auto_plan::<i64>("1:2,-1", 64);
-        assert_eq!(p.kind(), PlanKind::Dense);
-        assert_eq!(p.table().len(), 64);
+    fn integer_higher_order_prefix_sums_are_polynomial() {
+        for text in ["1:2,-1", "1:3,-3,1", "1:4,-6,4,-1"] {
+            let p = auto_plan::<i64>(text, 64);
+            assert_eq!(p.kind(), PlanKind::Polynomial, "{text}");
+            // The table stays full length: the fix-up reads it.
+            assert_eq!(p.table().len(), 64);
+            assert_eq!(auto_plan::<i32>(text, 64).kind(), PlanKind::Polynomial);
+        }
+        // Floats, order 5 and whole-row plans keep their kinds.
+        assert_eq!(auto_plan::<f64>("1:2,-1", 64).kind(), PlanKind::Dense);
+        assert_eq!(
+            auto_plan::<i64>("1:5,-10,10,-5,1", 64).kind(),
+            PlanKind::Dense
+        );
+        assert_eq!(auto_plan::<i64>("1:2,-1", 0).kind(), PlanKind::Unplanned);
     }
 
     #[test]
@@ -810,7 +855,15 @@ mod tests {
 
     #[test]
     fn planned_corrections_match_dense_for_ints() {
-        for text in ["1:1", "1:0,1", "1:-1", "1:2,-1", "1:0,0,1", "1:3,-3,1"] {
+        for text in [
+            "1:1",
+            "1:0,1",
+            "1:-1",
+            "1:2,-1",
+            "1:0,0,1",
+            "1:3,-3,1",
+            "1:4,-6,4,-1",
+        ] {
             let s = sig::<i64>(text);
             let m = 16;
             let plan = CorrectionPlan::build(&s, PlanRequest::new::<i64>(m));

@@ -7,10 +7,16 @@
 //! straddle every register-block boundary: `BLOCK - 1`, `BLOCK`,
 //! `BLOCK + 1`, and non-multiples. Exactly for the wrapping integers;
 //! within reassociation tolerance for floats.
+//!
+//! The cascade kernel [`KernelTier::Auto`] picks for the integer binomial
+//! prefix sums gets the same check with inputs over the full range, so
+//! the wrapping arithmetic overflows, at every history length and at
+//! lengths spanning several [`SOLVE_SLICE`]s.
 
-use plr_core::blocked::{BlockedKernel, SolveKernel, BLOCK, MAX_BLOCKED_ORDER};
+use plr_core::blocked::{BlockedKernel, SolveKernel, BLOCK, MAX_BLOCKED_ORDER, SOLVE_SLICE};
 use plr_core::serial;
-use plr_core::KernelTier;
+use plr_core::tropical::MaxPlus;
+use plr_core::{KernelKind, KernelTier};
 use proptest::prelude::*;
 
 /// Lengths exercising every block-boundary case around a random base:
@@ -182,5 +188,103 @@ proptest! {
         kernel.solve_in_place_with_history(&history, &mut r);
         l.extend(r);
         assert_close(&whole, &l, 8192.0, &format!("{fb:?} split={split}"))?;
+    }
+}
+
+/// The binomial prefix sums `(1 − z⁻¹)^q`, `q = 1..=4`.
+const BINOMIALS: [&[i64]; 4] = [&[1], &[2, -1], &[3, -3, 1], &[4, -6, 4, -1]];
+
+/// The cascade against the scalar chain: every history length `0..=q`,
+/// the shortest lengths, the whole input, and the sliced solve against
+/// the unsliced one.
+fn check_cascade<T: plr_core::element::Element>(
+    fb: &[T],
+    input: &[T],
+    history: &[T],
+) -> Result<(), TestCaseError> {
+    let q = fb.len();
+    let kernel = SolveKernel::select_with_tier(fb, KernelTier::Auto);
+    prop_assert_eq!(kernel.kind(), KernelKind::Cascade, "{:?}", fb);
+    for h in 0..=q {
+        for n in [0, 1, q, q + 1, input.len()] {
+            let n = n.min(input.len());
+            let mut got = input[..n].to_vec();
+            kernel.solve_in_place_with_history(&history[..h], &mut got);
+            prop_assert_eq!(
+                &got,
+                &scalar_ref(fb, &history[..h], &input[..n]),
+                "{:?} history {:?} n={}",
+                fb,
+                &history[..h],
+                n
+            );
+        }
+    }
+    let mut whole = input.to_vec();
+    kernel.solve_in_place(&mut whole);
+    let mut sliced = input.to_vec();
+    let out = kernel.solve_in_place_sliced(&mut sliced, &mut || true);
+    prop_assert!(out.completed);
+    prop_assert_eq!(
+        out.slices as usize,
+        input.len().div_ceil(SOLVE_SLICE).max(1)
+    );
+    prop_assert_eq!(sliced, whole, "{:?} sliced", fb);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn cascade_is_exact_for_i64_over_the_full_range(
+        q in 1usize..=4,
+        input in proptest::collection::vec(i64::MIN..=i64::MAX, 0..(3 * SOLVE_SLICE + 8)),
+        history in proptest::collection::vec(i64::MIN..=i64::MAX, 4..5),
+    ) {
+        check_cascade(BINOMIALS[q - 1], &input, &history)?;
+    }
+
+    #[test]
+    fn cascade_is_exact_for_i32_over_the_full_range(
+        q in 1usize..=4,
+        input in proptest::collection::vec(i32::MIN..=i32::MAX, 0..(3 * SOLVE_SLICE + 8)),
+        history in proptest::collection::vec(i32::MIN..=i32::MAX, 4..5),
+    ) {
+        let fb: Vec<i32> = BINOMIALS[q - 1].iter().map(|&b| b as i32).collect();
+        check_cascade(&fb, &input, &history)?;
+    }
+}
+
+/// Near misses of the binomial family, its float instances and the
+/// max-plus semiring never reach the cascade; forced tiers never do.
+#[test]
+fn cascade_is_only_for_integer_binomials_under_auto() {
+    let auto = |fb: &[i64]| SolveKernel::select_with_tier(fb, KernelTier::Auto).kind();
+    for fb in [&[2i64, -2][..], &[1, 1], &[0, 1], &[5, -10, 10, -5, 1]] {
+        assert_ne!(auto(fb), KernelKind::Cascade, "{fb:?}");
+    }
+    assert_ne!(
+        SolveKernel::select_with_tier(&[2.0f32, -1.0], KernelTier::Auto).kind(),
+        KernelKind::Cascade
+    );
+    assert_ne!(
+        SolveKernel::select_with_tier(&[2.0f64, -1.0], KernelTier::Auto).kind(),
+        KernelKind::Cascade
+    );
+    for fb in [
+        &[MaxPlus::new(0.0)][..],
+        &[MaxPlus::new(2.0), MaxPlus::new(-1.0)],
+    ] {
+        assert_ne!(
+            SolveKernel::select_with_tier(fb, KernelTier::Auto).kind(),
+            KernelKind::Cascade
+        );
+    }
+    for fb in BINOMIALS {
+        for tier in [KernelTier::Scalar, KernelTier::Blocked] {
+            let kind = SolveKernel::select_with_tier(fb, tier).kind();
+            assert_ne!(kind, KernelKind::Cascade, "{fb:?} {tier:?}");
+        }
     }
 }

@@ -8,6 +8,7 @@
 
 use plr_core::blocked::{SolveKernel, SOLVE_SLICE};
 use plr_core::kernel::KernelKind;
+use plr_core::plan::{PlanKind, PlanMode};
 use plr_core::serial;
 use plr_core::signature::Signature;
 use plr_core::{set_kernel_override, KernelTier};
@@ -124,6 +125,42 @@ fn forced_tiers_surface_in_stats() {
             stats.kernel
         );
         assert_eq!(got, expect, "{tier:?}");
+    }
+    set_kernel_override(None);
+}
+
+/// The ledger's psum2 request under auto: the cascade solves, the
+/// polynomial plan corrects, and both surface in the stats; the dense
+/// plan mode keeps the table correction with the same output.
+#[test]
+fn psum2_reports_cascade_and_polynomial_under_auto() {
+    let _g = serialize();
+    let _restore = TierGuard;
+    set_kernel_override(Some(KernelTier::Auto));
+    let sig: Signature<i64> = "1:2,-1".parse().unwrap();
+    let data: Vec<i64> = (0..200_000)
+        .map(|i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) as i64)
+        .collect();
+    let expect = serial::run(&sig, &data);
+    for (mode, plan_kind) in [
+        (PlanMode::Auto, PlanKind::Polynomial),
+        (PlanMode::Dense, PlanKind::Dense),
+    ] {
+        let runner = ParallelRunner::with_config(
+            sig.clone(),
+            RunnerConfig {
+                chunk_size: 1 << 14,
+                threads: 2,
+                plan: mode,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut got = data.clone();
+        let stats = runner.run_in_place(&mut got).unwrap();
+        assert_eq!(stats.kernel, KernelKind::Cascade, "{mode:?}");
+        assert_eq!(stats.plan_kind, plan_kind, "{mode:?}");
+        assert_eq!(got, expect, "{mode:?}");
     }
     set_kernel_override(None);
 }

@@ -11,8 +11,13 @@
 //! cache must key on everything that shapes the plan — including the
 //! feedforward taps, which don't affect the correction table but do pick
 //! the FIR kernel.
+//!
+//! The polynomial correction of the integer binomial prefix sums is
+//! checked against the dense plan call by call, with full-range carries,
+//! every chunk length and the prefix-limited calls of segmented runs.
 
-use plr_core::plan::{self, PlanKind, PlanMode};
+use plr_core::plan::{self, CorrectionPlan, PlanKind, PlanMode, PlanRequest};
+use plr_core::segmented::{SegmentedPlan, Segments};
 use plr_core::serial;
 use plr_core::signature::Signature;
 use plr_core::Element;
@@ -168,7 +173,14 @@ fn plan_kinds_and_reset_counters_surface_in_stats() {
     assert_eq!(kind_of("1:1", 64).plan_kind, PlanKind::ScalarFold);
     assert_eq!(kind_of("1:0,1", 64).plan_kind, PlanKind::ConditionalAdd);
     assert_eq!(kind_of("1:-1", 64).plan_kind, PlanKind::Periodic);
-    assert_eq!(kind_of("1:2,-1", 64).plan_kind, PlanKind::Dense);
+    assert_eq!(kind_of("1:2,-1", 64).plan_kind, PlanKind::Polynomial);
+    assert_eq!(kind_of("1:3,-3,1", 64).plan_kind, PlanKind::Polynomial);
+    // The dense baseline stays dense for the binomial family.
+    for text in ["1:2,-1", "1:3,-3,1", "1:4,-6,4,-1"] {
+        let sig: Signature<i64> = text.parse().unwrap();
+        let (_, dense) = run_with(&sig, &data, 64, 2, PlanMode::Dense);
+        assert_eq!(dense.plan_kind, PlanKind::Dense, "{text}");
+    }
 
     // Stable IIR at a chunk past the decay depth: truncated plan, carry
     // chain resets on every full chunk, and the per-element correction
@@ -373,5 +385,92 @@ proptest! {
         let (dense, _) = run_with(&sig, &data, chunk, threads, PlanMode::Dense);
         prop_assert_eq!(&auto, &dense, "auto != dense for {} chunk={}", &sig, chunk);
         prop_assert_eq!(auto, serial::run(&sig, &data), "auto != serial for {}", &sig);
+    }
+}
+
+/// The integer binomial prefix sums of order 2 to 4.
+const POLYNOMIAL_SIGS: [&str; 3] = ["1:2,-1", "1:3,-3,1", "1:4,-6,4,-1"];
+
+/// The Auto (polynomial) and Dense plans of one signature and chunk size.
+fn auto_and_dense<T: Element>(text: &str, m: usize) -> (CorrectionPlan<T>, CorrectionPlan<T>) {
+    let sig: Signature<T> = text.parse().unwrap();
+    let auto = CorrectionPlan::build(&sig, PlanRequest::new::<T>(m));
+    let dense = CorrectionPlan::build(
+        &sig,
+        PlanRequest {
+            mode: PlanMode::Dense,
+            ..PlanRequest::new::<T>(m)
+        },
+    );
+    assert_eq!(auto.kind(), PlanKind::Polynomial, "{text}");
+    assert_eq!(dense.kind(), PlanKind::Dense, "{text}");
+    (auto, dense)
+}
+
+/// Every chunk length `0..=m` of `base`, corrected by both plans.
+fn check_every_length<T: Element>(
+    auto: &CorrectionPlan<T>,
+    dense: &CorrectionPlan<T>,
+    base: &[T],
+    carries: &[T],
+) -> Result<(), TestCaseError> {
+    for len in 0..=auto.chunk_size() {
+        let mut got = base[..len].to_vec();
+        auto.correct_chunk(&mut got, carries);
+        let mut expect = base[..len].to_vec();
+        dense.correct_chunk(&mut expect, carries);
+        prop_assert_eq!(got, expect, "len={} carries={:?}", len, carries);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The forward-difference correction equals the dense table's bit for
+    /// bit, past overflow, with any number of carries up to the order.
+    #[test]
+    fn polynomial_corrections_match_dense_bit_for_bit(
+        which in 0usize..3,
+        m in 1usize..160,
+        base in proptest::collection::vec(i64::MIN..=i64::MAX, 160..161),
+        carries in proptest::collection::vec(i64::MIN..=i64::MAX, 0..5),
+    ) {
+        let (auto, dense) = auto_and_dense::<i64>(POLYNOMIAL_SIGS[which], m);
+        check_every_length(&auto, &dense, &base, &carries)?;
+        let (auto, dense) = auto_and_dense::<i32>(POLYNOMIAL_SIGS[which], m);
+        let base: Vec<i32> = base.iter().map(|&v| v as i32).collect();
+        let carries: Vec<i32> = carries.iter().map(|&v| (v >> 32) as i32).collect();
+        check_every_length(&auto, &dense, &base, &carries)?;
+    }
+
+    /// The calls a segmented run makes: each chunk corrected only up to
+    /// its first boundary, against the dense plan.
+    #[test]
+    fn segmented_prefix_corrections_match_dense(
+        which in 0usize..3,
+        chunk in 4usize..64,
+        starts in proptest::collection::vec(0usize..600, 0..12),
+        data in proptest::collection::vec(i64::MIN..=i64::MAX, 600..601),
+        carries in proptest::collection::vec(i64::MIN..=i64::MAX, 4..5),
+    ) {
+        let sig: Signature<i64> = POLYNOMIAL_SIGS[which].parse().unwrap();
+        let mut starts = starts;
+        starts.sort_unstable();
+        starts.dedup();
+        let segments = Segments::from_starts(starts).unwrap();
+        let plan = SegmentedPlan::build(&sig, segments, data.len(), chunk).unwrap();
+        let (_, dense) = auto_and_dense::<i64>(POLYNOMIAL_SIGS[which], chunk);
+        prop_assert_eq!(plan.correction().kind(), PlanKind::Polynomial);
+        let k = sig.order();
+        for (c, base) in data.chunks(chunk).enumerate() {
+            let limit = plan.map().correct_limit(c, base.len());
+            let carries = &carries[..c % (k + 1)];
+            let mut got = base.to_vec();
+            plan.correction().correct_chunk(&mut got[..limit], carries);
+            let mut expect = base.to_vec();
+            dense.correct_chunk(&mut expect[..limit], carries);
+            prop_assert_eq!(got, expect, "chunk {} limit {}", c, limit);
+        }
     }
 }
