@@ -168,13 +168,19 @@ impl<T: Element> BlockedKernel<T> {
     }
 
     /// One block: triangular-FIR local solution, then carry application.
+    /// Each output adds its terms smallest first, as contractive feedback
+    /// orders them: the farthest impulse taps down to the nearest, then
+    /// the carries, then the input itself. Adding the large input first
+    /// would drop the small terms' low bits and take the forced blocked
+    /// tier past the 4-ULP float bound; wrapping integers are exact in
+    /// any order.
     #[inline]
     fn solve_block(&self, block: &mut [T; BLOCK], carries: &[T; MAX_BLOCKED_ORDER]) {
         let t = *block;
-        // h[0] = 1: every input contributes itself; start from a copy and
-        // add the j ≥ 1 impulse taps. Each j-pass is dependency-free.
-        let mut acc = t;
-        for j in 1..BLOCK {
+        let mut acc = [T::zero(); BLOCK];
+        // The j ≥ 1 impulse taps, farthest first. Each j-pass is
+        // dependency-free.
+        for j in (1..BLOCK).rev() {
             let hj = self.impulse[j];
             for i in 0..BLOCK - j {
                 acc[i + j] = acc[i + j].add(hj.mul(t[i]));
@@ -185,6 +191,10 @@ impl<T: Element> BlockedKernel<T> {
             for (a, &fi) in acc.iter_mut().zip(f) {
                 *a = a.add(fi.mul(c));
             }
+        }
+        // h[0] = 1: every input contributes itself, last.
+        for (a, &x) in acc.iter_mut().zip(&t) {
+            *a = a.add(x);
         }
         *block = acc;
     }

@@ -156,10 +156,10 @@ pub enum EngineError {
     Cancelled,
     /// The run exceeded its configured wall-clock deadline.
     ///
-    /// The worker pool's watchdog converts a run that outlives its budget
-    /// — a wedged stage, an OS-starved worker, a hung spin-wait — into
-    /// this error instead of a hang, via the same cooperative abort
-    /// plumbing cancellation uses.
+    /// Every poll of the run's abort signal checks the deadline, so a run
+    /// that outlives its budget — a wedged stage, an OS-starved worker, a
+    /// hung spin-wait — ends in this error at its next poll instead of a
+    /// hang, via the same cooperative abort plumbing cancellation uses.
     DeadlineExceeded {
         /// The wall-clock budget that was exceeded.
         deadline: core::time::Duration,

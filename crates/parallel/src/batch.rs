@@ -14,7 +14,7 @@
 
 use crate::pipeline::{for_each_chunk, timed};
 use crate::pool::{
-    lock_recover, resolve_threads, AbortReason, AbortSignal, CancelToken, RunControl, WorkerExit,
+    lock_recover, resolve_threads, AbortSignal, CancelToken, RunControl, RunError, WorkerExit,
     WorkerPanic, WorkerPool,
 };
 use crate::runner::{ParallelRunner, RunnerConfig};
@@ -199,13 +199,14 @@ impl<T: Element> RowTask<T> {
     ///
     /// 1. a row whose `ctl` already tripped (cancelled or past its
     ///    deadline while queued) fails fast, without work;
-    /// 2. otherwise a fresh per-row [`AbortSignal`] is linked to the
-    ///    owning drain run's token `run`, the row's own token and its
-    ///    deadline (armed on `pool`'s watchdog), so cancelling either
-    ///    token or missing the deadline lands mid-solve;
+    /// 2. otherwise the row gets a fresh [`AbortSignal`] that observes
+    ///    its own token and deadline and `run`, the owning drain run's
+    ///    token, so cancelling either token or missing the deadline lands
+    ///    at the solve's next abort poll;
     /// 3. the `Row` fault site and [`apply`](Self::apply) run under
     ///    `catch_unwind`, so a panic fails only this row;
-    /// 4. the abort reason, if any, becomes the row's [`EngineError`];
+    /// 4. the signal is polled once more and its reason, if any, becomes
+    ///    the row's [`EngineError`];
     /// 5. a solved row reports the same per-row [`RunStats`] `run_rows`
     ///    aggregates: plan, kernel, chunks and taps, plus its timings;
     /// 6. a simulated thread death ([`WorkerExit`]) trips `run_abort`,
@@ -217,7 +218,6 @@ impl<T: Element> RowTask<T> {
     #[allow(clippy::too_many_arguments)]
     pub fn execute(
         &self,
-        pool: &WorkerPool,
         run: &CancelToken,
         run_abort: &AbortSignal,
         worker: usize,
@@ -230,30 +230,18 @@ impl<T: Element> RowTask<T> {
             complete(data, Err(e.into_engine_error()));
             return;
         }
-        let abort = Arc::new(AbortSignal::default());
-        let run_link = run.attach(&abort);
-        let row_link = ctl.cancel.as_ref().map(|t| t.attach(&abort));
-        let watch = ctl
-            .deadline
-            .and_then(|(at, _)| pool.watchdog_arm(at, &abort));
+        let abort = ctl.signal(Some(run));
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             #[cfg(feature = "fault-inject")]
             crate::fault::check(crate::fault::FaultSite::Row, worker, index, Some(&abort));
             self.apply(&mut data, worker, index, Some(&abort))
         }));
-        // Disarm before reading the reason, mirroring `run_ctl`.
-        drop((watch, row_link, run_link));
         match outcome {
             Ok(timings) => {
-                let result = match abort.reason() {
-                    // A bare WorkerFault is job-owned elsewhere; nothing
-                    // trips it on a per-row signal, so treat it as clean.
-                    None | Some(AbortReason::WorkerFault) => Ok(self.row_stats(timings)),
-                    Some(AbortReason::Cancelled) => Err(EngineError::Cancelled),
-                    Some(AbortReason::DeadlineExceeded) => Err(EngineError::DeadlineExceeded {
-                        deadline: ctl.deadline.map(|(_, b)| b).unwrap_or_default(),
-                    }),
-                };
+                let result = ctl
+                    .outcome(&abort)
+                    .map(|()| self.row_stats(timings))
+                    .map_err(RunError::into_engine_error);
                 complete(data, result);
             }
             Err(payload) => {
@@ -621,7 +609,7 @@ pub(crate) fn run_rows<T: Element>(
         data,
         width,
         &totals,
-        |worker, abort, r, row, tally| {
+        |worker, _width, abort, r, row, tally| {
             absorb_row(
                 tally,
                 &task.row_stats(task.apply(row, worker, r, Some(abort))),

@@ -85,12 +85,14 @@
 //!   [`BatchRunner::run_rows_with_cancel`], or any [`RunControl`] at the
 //!   pool layer); the call returns
 //!   [`EngineError::Cancelled`](plr_core::error::EngineError::Cancelled).
-//! - **Runs are deadline-bounded.** [`RunnerConfig::deadline`] arms a
-//!   watchdog thread *inside the pool* that converts a run outliving its
-//!   wall-clock budget — a wedged stage, an OS-starved worker, a hung
-//!   spin-wait — into
+//! - **Runs are deadline-bounded.** [`RunnerConfig::deadline`] gives
+//!   the run's abort signal a deadline that every poll checks, so a run
+//!   outliving its wall-clock budget — a wedged stage, an OS-starved
+//!   worker, a hung spin-wait — returns
 //!   [`EngineError::DeadlineExceeded`](plr_core::error::EngineError::DeadlineExceeded)
-//!   instead of a hang.
+//!   at its next poll instead of hanging. Cancel tokens reach a run the
+//!   same way: the signal holds them and checks them on every poll, so
+//!   every abort shows up at one of the run's own abort checks.
 //! - **Submission can be non-blocking.** [`WorkerPool::submit`] hands the
 //!   job to a donated driver thread (standing in for the caller's
 //!   worker-0 role) and returns a [`RunHandle`] whose completion is

@@ -132,9 +132,12 @@ pub(crate) trait CarryAlgebra<T: Element>: Sync {
     }
 
     /// Fusion: the history chunk `c` may solve from directly, skipping
-    /// its local publish, look-back and correction, given the pool's
+    /// its local publish, look-back and correction, given the run's
     /// `width` and a probe of its predecessor's published global state
-    /// (only valid for `c > 0`). `None`: solve decoupled.
+    /// (only valid for `c > 0`). `None`: solve decoupled. Past chunk 0 a
+    /// chunk may fuse only on a width-1 run: a look-back walk waits on
+    /// the local states of the chunks past its start, which a fused chunk
+    /// never publishes.
     fn fused_history<'a>(
         &self,
         _c: usize,
@@ -282,23 +285,6 @@ struct Slot<T> {
     global: OnceLock<Vec<T>>,
 }
 
-/// Which cell of a [`Slot`] a waiter found published.
-enum Published<'a, T> {
-    Global(&'a Vec<T>),
-    Local(&'a Vec<T>),
-}
-
-impl<T> Slot<T> {
-    /// The global state if published (it subsumes the local one), else
-    /// the local state if published.
-    fn published(&self) -> Option<Published<'_, T>> {
-        match self.global.get() {
-            Some(g) => Some(Published::Global(g)),
-            None => self.local.get().map(Published::Local),
-        }
-    }
-}
-
 /// Publishes a state, returning the published copy; each cell has
 /// exactly one producer, its chunk's owner.
 fn publish<T>(cell: &OnceLock<Vec<T>>, state: Vec<T>) -> &Vec<T> {
@@ -411,7 +397,6 @@ impl<'a, T: Element, A: CarryAlgebra<T>> Run<'a, T, A> {
         totals: &Mutex<RunStats>,
     ) -> Result<(), EngineError> {
         let alg = self.alg;
-        let width = pool.width();
         let slots: Vec<Slot<T>> = (0..self.num_chunks).map(|_| Slot::default()).collect();
         for_each_chunk(
             pool,
@@ -419,7 +404,7 @@ impl<'a, T: Element, A: CarryAlgebra<T>> Run<'a, T, A> {
             data,
             self.m,
             totals,
-            |_worker, abort, c, chunk, tally| {
+            |_worker, width, abort, c, chunk, tally| {
                 let history = alg.fused_history(c, width, || slots[c - 1].global.get());
                 let fused = history.is_some();
                 let Some(state) = self.settle(_worker, c, chunk, history.as_deref(), abort, tally)
@@ -463,9 +448,11 @@ impl<'a, T: Element, A: CarryAlgebra<T>> Run<'a, T, A> {
 
     /// Derives chunk `j`'s global state from published state: walks back
     /// to the nearest published global state (waiting at the floor if it
-    /// gets there), then fixes forward. A walk waits on *either* cell of
-    /// each later chunk and restarts from a global state that lands
-    /// first — fused chunks never publish a local one.
+    /// gets there), then fixes forward through the local states of the
+    /// chunks after it. Every chunk a walk meets past its start publishes
+    /// a local state: chunk 0, fused and reset chunks, which publish only
+    /// a global one, sit at or below the walk's floor (fusion past chunk
+    /// 0 needs a width-1 run, where no walk runs concurrently).
     ///
     /// `None` when the run was aborted while waiting on state that will
     /// never be published.
@@ -499,10 +486,8 @@ impl<'a, T: Element, A: CarryAlgebra<T>> Run<'a, T, A> {
         tally.lookback_hops += 1;
         tally.max_lookback_depth = tally.max_lookback_depth.max((j - start + 1) as u64);
         for (h, slot) in slots.iter().enumerate().take(j + 1).skip(start + 1) {
-            g = match spin(&mut tally.spin_waits, abort, || slot.published())? {
-                Published::Global(global) => global.clone(),
-                Published::Local(local) => self.advance(h, &g, local),
-            };
+            let local = spin(&mut tally.spin_waits, abort, || slot.local.get())?;
+            g = self.advance(h, &g, local);
             tally.lookback_hops += 1;
         }
         Some(g)
@@ -553,35 +538,40 @@ pub(crate) fn timed<R>(slot: &mut u64, f: impl FnOnce() -> R) -> R {
 
 /// Hands every `m`-element chunk of `data` (the last one ragged) to
 /// `work` exactly once, on whichever pool worker claims its ticket
-/// (claims are strictly increasing). `work(worker, abort, index, chunk,
-/// tally)` returns `false` to stop its worker; that, like finding the run
-/// aborted, counts in [`RunStats::aborts`]. Each worker tallies into its
-/// own [`RunStats`], folded into `totals` once it is done.
+/// (claims are strictly increasing). `work(worker, width, abort, index,
+/// chunk, tally)`, given the run's width, returns `false` to stop its
+/// worker; that, like finding the run aborted, counts in
+/// [`RunStats::aborts`]. Each worker tallies into its own [`RunStats`],
+/// folded into `totals` once it is done.
 pub(crate) fn for_each_chunk<T: Element>(
     pool: &WorkerPool,
     ctl: &RunControl,
     data: &mut [T],
     m: usize,
     totals: &Mutex<RunStats>,
-    work: impl Fn(usize, &AbortSignal, usize, &mut [T], &mut RunStats) -> bool + Sync,
+    work: impl Fn(usize, usize, &AbortSignal, usize, &mut [T], &mut RunStats) -> bool + Sync,
 ) -> Result<(), EngineError> {
     let n = data.len();
     let tickets = Tickets::new(n.div_ceil(m));
     let base = SendPtr::new(data.as_mut_ptr());
-    pool.run_ctl(ctl, |worker, abort| {
-        let mut tally = RunStats::default();
-        while let Some(c) = tickets.claim() {
-            // SAFETY: tickets are unique, so chunk `c` is exclusively
-            // ours; `data` outlives `run_ctl`, which blocks until every
-            // worker finishes, even when one of them panics.
-            let chunk =
-                unsafe { std::slice::from_raw_parts_mut(base.ptr().add(c * m), m.min(n - c * m)) };
-            if abort.is_aborted() || !work(worker, abort, c, chunk, &mut tally) {
-                tally.aborts += 1;
-                break;
+    let (tickets, work) = (&tickets, &work);
+    pool.run_sized(ctl, |width| {
+        move |worker, abort: &AbortSignal| {
+            let mut tally = RunStats::default();
+            while let Some(c) = tickets.claim() {
+                // SAFETY: tickets are unique, so chunk `c` is exclusively
+                // ours; `data` outlives `run_sized`, which blocks until
+                // every worker finishes, even when one of them panics.
+                let chunk = unsafe {
+                    std::slice::from_raw_parts_mut(base.ptr().add(c * m), m.min(n - c * m))
+                };
+                if abort.is_aborted() || !work(worker, width, abort, c, chunk, &mut tally) {
+                    tally.aborts += 1;
+                    break;
+                }
             }
+            lock_recover(totals).absorb(&tally);
         }
-        lock_recover(totals).absorb(&tally);
     })
     .map_err(RunError::into_engine_error)
 }

@@ -25,17 +25,16 @@
 //!
 //! # Run control: cancellation, deadlines, non-blocking submission
 //!
-//! [`WorkerPool::run_ctl`] extends `run` with a [`RunControl`]:
-//!
-//! - a caller-held [`CancelToken`] aborts the run from outside — the
-//!   token trips the run's [`AbortSignal`] directly, so every cooperative
-//!   loop bails at its next poll and the run returns
-//!   [`RunError::Cancelled`];
-//! - a wall-clock deadline is enforced by a lazily-spawned watchdog
-//!   thread *inside the pool*: when the budget expires mid-run, the
-//!   watchdog trips the abort signal and the run returns
-//!   [`RunError::DeadlineExceeded`] instead of hanging on a wedged stage
-//!   or an OS-starved worker.
+//! [`WorkerPool::run_ctl`] extends `run` with a [`RunControl`]: a
+//! caller-held [`CancelToken`] aborts the run from outside, and a
+//! wall-clock deadline bounds it. Both are causes the run's
+//! [`AbortSignal`] holds and checks on every poll, so the run's
+//! cooperative loops — ticket claims, solve slices, spin waits — see a
+//! cancel or an expired deadline at their next poll and bail out, and the
+//! run returns [`RunError::Cancelled`] or [`RunError::DeadlineExceeded`]
+//! instead of hanging on a wedged stage or an OS-starved worker. No
+//! thread pushes either cause into the run: every abort shows up at an
+//! abort check.
 //!
 //! [`WorkerPool::submit`] is the non-blocking variant: the job (which
 //! must be `'static`) is handed to a lazily-spawned *driver* thread that
@@ -64,11 +63,17 @@
 //!
 //! **Precedence.** When several abort causes coincide, a recorded panic
 //! always wins (it is the root-cause evidence); otherwise the *first*
-//! tripped reason decides between [`RunError::Cancelled`] and
-//! [`RunError::DeadlineExceeded`] — [`AbortSignal`] records only the
-//! first reason. A job-level abort (e.g. the runner's finiteness check)
-//! trips the generic [`AbortReason::WorkerFault`], which the pool does
-//! *not* convert into an error — the job's caller owns that diagnosis.
+//! cause decides between [`RunError::Cancelled`] and
+//! [`RunError::DeadlineExceeded`]. A token remembers when it was first
+//! cancelled, so a poll that finds both a cancelled token and a passed
+//! deadline records whichever came first, and [`AbortSignal`] keeps only
+//! the first recorded reason. A job-level abort (e.g. the runner's
+//! finiteness check) trips the generic [`AbortReason::WorkerFault`] after
+//! recording any cancel or deadline that has already happened; the pool
+//! does *not* convert a bare `WorkerFault` into an error — the job's
+//! caller owns that diagnosis. Once the job returns, the run polls its
+//! signal one last time, so a cancel or deadline that came before the
+//! return is still reported.
 //!
 //! [`width`]: WorkerPool::width
 //!
@@ -93,8 +98,9 @@
 //! Together these guarantee the closure (and everything it borrows from
 //! the caller's stack) never outlives the `run` call, on the success path
 //! and on every failure path. Cancellation and deadlines do not weaken
-//! the invariant: they only *request* early bail-out through the abort
-//! flag; the submitter still waits for every worker before returning.
+//! the invariant: they only make the abort signal's polls report an
+//! abort, which *requests* early bail-out; the submitter still waits for
+//! every worker before returning.
 //! ([`WorkerPool::submit`] sidesteps the question entirely by requiring
 //! `'static` jobs.)
 
@@ -103,7 +109,7 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::task::Context;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -156,7 +162,7 @@ pub enum AbortReason {
     WorkerFault,
     /// A caller-held [`CancelToken`] was cancelled.
     Cancelled,
-    /// The pool's watchdog observed the run outliving its deadline.
+    /// A poll found the run past its deadline.
     DeadlineExceeded,
 }
 
@@ -182,52 +188,85 @@ impl AbortReason {
 
 /// Per-run cooperative cancellation flag, passed to every job invocation.
 ///
-/// The pool trips it when any worker panics, when a linked
-/// [`CancelToken`] is cancelled, or when the deadline watchdog fires;
-/// jobs may also trip it themselves (e.g. the runner's finiteness check).
-/// Ticket loops and spin waits are expected to poll
-/// [`is_aborted`](Self::is_aborted) and bail out promptly — that is what
-/// turns a dead worker into a clean error instead of a hang in the
-/// decoupled look-back pipeline.
+/// A signal carries the outside causes of the run or row it belongs to:
+/// its deadline and its cancel tokens (at most two — the run's, or a
+/// row's plus its drain run's). Every poll of
+/// [`is_aborted`](Self::is_aborted) checks them, so nothing has to push a
+/// cancel or an expired deadline into the run. The pool trips the signal
+/// when a worker panics, and jobs may trip it themselves (e.g. the
+/// runner's finiteness check). Ticket loops, solve slices and spin waits
+/// poll it and bail out promptly — that is what turns a dead worker into
+/// a clean error instead of a hang in the decoupled look-back pipeline.
+///
+/// [`AbortSignal::default`] has no outside causes: only a trip aborts it.
 #[derive(Debug, Default)]
-pub struct AbortSignal(AtomicU8);
+pub struct AbortSignal {
+    /// The first recorded [`AbortReason`]'s code; 0 while live.
+    reason: AtomicU8,
+    deadline: Option<Instant>,
+    tokens: [Option<CancelToken>; 2],
+}
 
 impl AbortSignal {
-    /// Whether this run has been aborted (a single relaxed load — cheap
-    /// enough for per-chunk and per-spin polling).
+    /// Whether this run has been aborted. Once a reason is recorded this
+    /// is one relaxed load; before, the signal also checks its tokens and
+    /// reads the clock only if it has a deadline — cheap enough for
+    /// per-chunk and per-spin polling.
     #[inline]
     pub fn is_aborted(&self) -> bool {
-        self.0.load(Ordering::Relaxed) != 0
+        self.reason.load(Ordering::Relaxed) != 0 || self.observe()
     }
 
     /// Trips the abort flag with [`AbortReason::WorkerFault`]; every
     /// cooperating loop in the current run will bail out at its next poll.
+    /// A cancel or deadline that has already happened is recorded first,
+    /// so it keeps its precedence over this later fault.
     pub fn trigger(&self) {
+        self.observe();
         self.trip(AbortReason::WorkerFault);
     }
 
-    /// Trips the abort flag with an explicit reason. The first trip wins;
-    /// later trips (whatever their reason) are no-ops.
-    pub(crate) fn trip(&self, reason: AbortReason) {
-        let _ = self
-            .0
-            .compare_exchange(0, reason.code(), Ordering::Relaxed, Ordering::Relaxed);
+    /// Records the first reason; later trips (whatever their reason) are
+    /// no-ops.
+    fn trip(&self, reason: AbortReason) {
+        let _ =
+            self.reason
+                .compare_exchange(0, reason.code(), Ordering::Relaxed, Ordering::Relaxed);
+    }
+
+    /// Records an outside cause that has already happened — a cancelled
+    /// token or a passed deadline, whichever came first — and reports
+    /// whether there was one.
+    fn observe(&self) -> bool {
+        let cancelled = self
+            .tokens
+            .iter()
+            .flatten()
+            .filter_map(CancelToken::cancelled_at)
+            .min();
+        let reason = match (cancelled, self.deadline) {
+            (Some(at), Some(deadline)) if deadline <= at => AbortReason::DeadlineExceeded,
+            (Some(_), _) => AbortReason::Cancelled,
+            (None, Some(deadline)) if Instant::now() >= deadline => AbortReason::DeadlineExceeded,
+            _ => return false,
+        };
+        self.trip(reason);
+        true
     }
 
     /// The first recorded abort reason, or `None` while the run is live.
     pub fn reason(&self) -> Option<AbortReason> {
-        AbortReason::from_code(self.0.load(Ordering::Relaxed))
+        AbortReason::from_code(self.reason.load(Ordering::Relaxed))
     }
 }
 
 /// A caller-held handle that cancels runs from outside the pool.
 ///
 /// Clone it freely; all clones share one flag. [`cancel`](Self::cancel)
-/// is sticky: every run currently observing the token is aborted
-/// immediately (their [`AbortSignal`]s are tripped directly, so even
-/// spin-waiting workers bail within one poll interval), and every
-/// *future* run handed the token fails fast with [`RunError::Cancelled`]
-/// before doing any work.
+/// is sticky: every run observing the token sees it at its next abort
+/// poll (so even spin-waiting workers bail within one poll interval),
+/// and every *future* run handed the token fails fast with
+/// [`RunError::Cancelled`] before doing any work.
 ///
 /// ```
 /// use plr_parallel::CancelToken;
@@ -240,14 +279,11 @@ impl AbortSignal {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
-    inner: Arc<CancelInner>,
-}
-
-#[derive(Debug, Default)]
-struct CancelInner {
-    cancelled: AtomicBool,
-    /// Abort signals of runs currently observing this token.
-    watchers: Mutex<Vec<Weak<AbortSignal>>>,
+    /// When the first [`cancel`](Self::cancel) happened; polls compare it
+    /// with a deadline to record whichever came first. The cell publishes
+    /// the instant with release ordering and polls read it with acquire;
+    /// the instant is the only data a cancel publishes.
+    cancelled_at: Arc<OnceLock<Instant>>,
 }
 
 impl CancelToken {
@@ -258,51 +294,17 @@ impl CancelToken {
 
     /// Whether [`cancel`](Self::cancel) has been called on any clone.
     pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled.load(Ordering::SeqCst)
+        self.cancelled_at.get().is_some()
     }
 
-    /// Cancels every linked in-flight run and all future runs using this
-    /// token. Idempotent.
+    /// Cancels every in-flight run observing this token and all future
+    /// runs using it. Idempotent.
     pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::SeqCst);
-        for watcher in lock_recover(&self.inner.watchers).iter() {
-            if let Some(abort) = watcher.upgrade() {
-                abort.trip(AbortReason::Cancelled);
-            }
-        }
+        self.cancelled_at.get_or_init(Instant::now);
     }
 
-    /// Links a run's abort signal to this token for the run's duration.
-    /// The returned guard unlinks on drop. A token cancelled concurrently
-    /// with the attach still trips the signal (flag checked after
-    /// publication). The pool links whole runs this way, and the row
-    /// executor ([`RowTask::execute`](crate::RowTask::execute)) links each
-    /// row to its own token and to its drain run's.
-    pub(crate) fn attach(&self, abort: &Arc<AbortSignal>) -> CancelAttachment<'_> {
-        {
-            let mut watchers = lock_recover(&self.inner.watchers);
-            watchers.retain(|w| w.strong_count() > 0);
-            watchers.push(Arc::downgrade(abort));
-        }
-        if self.is_cancelled() {
-            abort.trip(AbortReason::Cancelled);
-        }
-        CancelAttachment {
-            token: self,
-            abort: Arc::downgrade(abort),
-        }
-    }
-}
-
-/// Unlinks a run's abort signal from its [`CancelToken`] on drop.
-pub(crate) struct CancelAttachment<'a> {
-    token: &'a CancelToken,
-    abort: Weak<AbortSignal>,
-}
-
-impl Drop for CancelAttachment<'_> {
-    fn drop(&mut self) {
-        lock_recover(&self.token.inner.watchers).retain(|w| !w.ptr_eq(&self.abort));
+    fn cancelled_at(&self) -> Option<Instant> {
+        self.cancelled_at.get().copied()
     }
 }
 
@@ -358,6 +360,34 @@ impl RunControl {
         }
         Ok(())
     }
+
+    /// A fresh abort signal for one run or row under this control: it
+    /// observes the control's token and deadline, plus `outer`, the token
+    /// of the drain run a row executes on. A fresh signal per run sees
+    /// only these, so a stale token can never abort an unrelated run.
+    pub(crate) fn signal(&self, outer: Option<&CancelToken>) -> AbortSignal {
+        AbortSignal {
+            reason: AtomicU8::new(0),
+            deadline: self.deadline.map(|(at, _)| at),
+            tokens: [self.cancel.clone(), outer.cloned()],
+        }
+    }
+
+    /// How a run or row under this control ended once its job returned:
+    /// `abort` is polled once more, so a cancel or deadline that came
+    /// before the return still counts. A bare
+    /// [`AbortReason::WorkerFault`] is the job owner's to diagnose, not
+    /// an error here.
+    pub(crate) fn outcome(&self, abort: &AbortSignal) -> Result<(), RunError> {
+        abort.observe();
+        match abort.reason() {
+            Some(AbortReason::Cancelled) => Err(RunError::Cancelled),
+            Some(AbortReason::DeadlineExceeded) => Err(RunError::DeadlineExceeded {
+                deadline: self.deadline.map(|(_, b)| b).unwrap_or_default(),
+            }),
+            Some(AbortReason::WorkerFault) | None => Ok(()),
+        }
+    }
 }
 
 /// The first panic captured during a [`WorkerPool::run`] call.
@@ -410,7 +440,8 @@ pub enum RunError {
     Panicked(WorkerPanic),
     /// The run was aborted through its [`CancelToken`].
     Cancelled,
-    /// The run outlived its deadline and was aborted by the watchdog.
+    /// The run outlived its deadline: a poll of its abort signal found the
+    /// deadline passed.
     DeadlineExceeded {
         /// The wall-clock budget that was exceeded.
         deadline: Duration,
@@ -463,8 +494,8 @@ type BorrowedJob<'a> = Arc<dyn Fn(usize, &AbortSignal) + Send + Sync + 'a>;
 struct PoolState {
     /// The current job, present only while a generation is in flight.
     job: Option<Job>,
-    /// The current run's abort signal (a fresh one per submission, so a
-    /// stale [`CancelToken`] link can never abort an unrelated later run).
+    /// The current run's abort signal (a fresh one per submission, built
+    /// from that run's control alone).
     abort: Arc<AbortSignal>,
     /// Bumped once per submitted job so a worker never runs one twice.
     generation: u64,
@@ -517,79 +548,6 @@ struct Workers {
     handles: Vec<Option<JoinHandle<()>>>,
 }
 
-/// The deadline watchdog's shared state. Blocking submissions are
-/// serialized, so they arm at most one watch at a time — but the row
-/// executor behind [`crate::stream::RowStream`] and the service shards
-/// arms one watch *per in-flight row with a deadline*, so the watchdog
-/// tracks a set of watches and always sleeps until the earliest one.
-struct WatchdogShared {
-    state: Mutex<WatchState>,
-    cv: Condvar,
-}
-
-struct WatchState {
-    /// `(id, deadline, abort signal)` for every run or row under watch.
-    watches: Vec<(u64, Instant, Weak<AbortSignal>)>,
-    next_id: u64,
-    shutdown: bool,
-}
-
-fn watchdog_loop(shared: &WatchdogShared) {
-    let mut state = lock_recover(&shared.state);
-    loop {
-        if state.shutdown {
-            return;
-        }
-        let now = Instant::now();
-        // Trip every expired watch under the lock: a disarm (which takes
-        // the same lock) can then never race a trip for a run that
-        // already completed and disarmed.
-        state.watches.retain(|(_, at, weak)| {
-            if now >= *at {
-                if let Some(abort) = weak.upgrade() {
-                    abort.trip(AbortReason::DeadlineExceeded);
-                }
-                false
-            } else {
-                true
-            }
-        });
-        match state.watches.iter().map(|(_, at, _)| *at).min() {
-            None => {
-                state = shared
-                    .cv
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            Some(earliest) => {
-                let wait = earliest - now;
-                state = shared
-                    .cv
-                    .wait_timeout(state, wait)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
-            }
-        }
-    }
-}
-
-/// Disarms the watchdog for a completed run (or executed row) on drop.
-pub(crate) struct WatchGuard<'a> {
-    watchdog: &'a WatchdogShared,
-    id: u64,
-}
-
-impl Drop for WatchGuard<'_> {
-    fn drop(&mut self) {
-        let mut state = lock_recover(&self.watchdog.state);
-        let before = state.watches.len();
-        state.watches.retain(|w| w.0 != self.id);
-        if state.watches.len() != before {
-            self.watchdog.cv.notify_all();
-        }
-    }
-}
-
 /// One queued [`WorkerPool::submit`] task, executed by the driver thread.
 type Submission = Box<dyn FnOnce() + Send>;
 
@@ -631,9 +589,6 @@ fn driver_loop(shared: &DriverShared) {
 pub struct WorkerPool {
     shared: Arc<Shared>,
     workers: Mutex<Workers>,
-    watchdog: Arc<WatchdogShared>,
-    /// Lazily spawned on the first deadline-bearing run.
-    watchdog_thread: Mutex<Option<JoinHandle<()>>>,
     driver: Arc<DriverShared>,
     /// Lazily spawned on the first [`submit`](Self::submit).
     driver_thread: Mutex<Option<JoinHandle<()>>>,
@@ -694,15 +649,6 @@ impl WorkerPool {
         WorkerPool {
             shared,
             workers: Mutex::new(Workers { handles }),
-            watchdog: Arc::new(WatchdogShared {
-                state: Mutex::new(WatchState {
-                    watches: Vec::new(),
-                    next_id: 0,
-                    shutdown: false,
-                }),
-                cv: Condvar::new(),
-            }),
-            watchdog_thread: Mutex::new(None),
             driver: Arc::new(DriverShared {
                 state: Mutex::new(DriverState {
                     queue: VecDeque::new(),
@@ -807,50 +753,6 @@ impl WorkerPool {
         }
     }
 
-    /// Ensures the deadline watchdog thread is running; `false` when it
-    /// could not be spawned (the deadline is then only checked before the
-    /// run starts — graceful degradation, like worker-spawn failure).
-    fn ensure_watchdog(&self) -> bool {
-        let mut slot = lock_recover(&self.watchdog_thread);
-        if slot.is_some() {
-            return true;
-        }
-        let watchdog = Arc::clone(&self.watchdog);
-        match std::thread::Builder::new()
-            .name("plr-watchdog".to_string())
-            .spawn(move || watchdog_loop(&watchdog))
-        {
-            Ok(handle) => {
-                *slot = Some(handle);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Puts a run — or one executing row — under deadline watch; the
-    /// guard disarms on drop. Any number of watches may be armed
-    /// concurrently (the row executor arms one per in-flight row with a
-    /// deadline). `None` when the watchdog thread could not be spawned.
-    pub(crate) fn watchdog_arm(
-        &self,
-        at: Instant,
-        abort: &Arc<AbortSignal>,
-    ) -> Option<WatchGuard<'_>> {
-        if !self.ensure_watchdog() {
-            return None;
-        }
-        let mut state = lock_recover(&self.watchdog.state);
-        let id = state.next_id;
-        state.next_id += 1;
-        state.watches.push((id, at, Arc::downgrade(abort)));
-        self.watchdog.cv.notify_all();
-        Some(WatchGuard {
-            watchdog: &self.watchdog,
-            id,
-        })
-    }
-
     /// Ensures the submit driver thread is running; `false` when it could
     /// not be spawned (submissions then execute synchronously).
     pub(crate) fn ensure_driver(&self) -> bool {
@@ -896,9 +798,9 @@ impl WorkerPool {
 
     /// Like [`run`](Self::run), but observing a [`RunControl`]: the run
     /// can be cancelled from outside through a [`CancelToken`] and is
-    /// bounded by the control's deadline (enforced by the pool's watchdog
-    /// thread, so even a wedged stage or an OS-starved worker converts
-    /// into an error instead of a hang).
+    /// bounded by the control's deadline. Both reach the job through its
+    /// [`AbortSignal`], so a wedged stage or an OS-starved worker that
+    /// polls converts into an error instead of a hang.
     ///
     /// # Errors
     ///
@@ -906,10 +808,25 @@ impl WorkerPool {
     /// [`RunError::Cancelled`] when the token was (or became) cancelled;
     /// [`RunError::DeadlineExceeded`] when the deadline expired before
     /// the run finished. A panic takes precedence over both; otherwise
-    /// the first-tripped reason wins. On every error path the submitter
-    /// still waits for all workers to quiesce before returning, and the
-    /// pool stays reusable.
+    /// the first cause wins. On every error path the submitter still
+    /// waits for all workers to quiesce before returning, and the pool
+    /// stays reusable.
     pub fn run_ctl<F>(&self, ctl: &RunControl, job: F) -> Result<(), RunError>
+    where
+        F: Fn(usize, &AbortSignal) + Send + Sync,
+    {
+        self.run_sized(ctl, |_| job)
+    }
+
+    /// [`run_ctl`](Self::run_ctl) with the job built for the run's width:
+    /// the number of workers that execute it, the calling thread
+    /// included. [`width`](Self::width) read before the call can differ,
+    /// because the run first respawns dead workers.
+    pub(crate) fn run_sized<F>(
+        &self,
+        ctl: &RunControl,
+        job: impl FnOnce(usize) -> F,
+    ) -> Result<(), RunError>
     where
         F: Fn(usize, &AbortSignal) + Send + Sync,
     {
@@ -920,12 +837,9 @@ impl WorkerPool {
             self.note_outcome(&Err(e.clone()));
             return Err(e);
         }
-        let abort = Arc::new(AbortSignal::default());
-        let attachment = ctl.cancel.as_ref().map(|t| t.attach(&abort));
-        let watch = ctl
-            .deadline
-            .and_then(|(at, _)| self.watchdog_arm(at, &abort));
+        let abort = Arc::new(ctl.signal(None));
         let live = lock_recover(&self.shared.state).alive;
+        let job = job(live + 1);
 
         let result = if live == 0 {
             // No spawned workers: run inline. Panics still become errors
@@ -940,23 +854,7 @@ impl WorkerPool {
         } else {
             self.run_on_workers(live, &abort, job)
         };
-        // Disarm before reading the abort reason so the window for a
-        // spurious post-completion deadline trip is as small as possible.
-        drop(watch);
-        drop(attachment);
-        let result = match result {
-            Ok(()) => match abort.reason() {
-                Some(AbortReason::Cancelled) => Err(RunError::Cancelled),
-                Some(AbortReason::DeadlineExceeded) => Err(RunError::DeadlineExceeded {
-                    deadline: ctl.deadline.map(|(_, b)| b).unwrap_or_default(),
-                }),
-                // A plain WorkerFault without a recorded panic is a
-                // job-level abort (e.g. check_finite); the job's caller
-                // owns that error, not the pool.
-                Some(AbortReason::WorkerFault) | None => Ok(()),
-            },
-            err => err,
-        };
+        let result = result.and_then(|()| ctl.outcome(&abort));
         self.note_outcome(&result);
         result
     }
@@ -1082,16 +980,6 @@ impl Drop for WorkerPool {
         // own right after this drop returns.
         let me = std::thread::current().id();
         if let Some(handle) = lock_recover(&self.driver_thread).take() {
-            if handle.thread().id() != me {
-                let _ = handle.join();
-            }
-        }
-        {
-            let mut state = lock_recover(&self.watchdog.state);
-            state.shutdown = true;
-            self.watchdog.cv.notify_all();
-        }
-        if let Some(handle) = lock_recover(&self.watchdog_thread).take() {
             if handle.thread().id() != me {
                 let _ = handle.join();
             }
@@ -1749,7 +1637,7 @@ mod tests {
         let budget = Duration::from_millis(50);
         let start = Instant::now();
         // The job only ever exits through the abort flag — without the
-        // watchdog this run would hang forever.
+        // signal's deadline poll this run would hang forever.
         let err = pool
             .run_ctl(&RunControl::new().with_deadline(budget), |_, abort| {
                 while !abort.is_aborted() {
@@ -1983,34 +1871,70 @@ mod tests {
         assert_eq!(handle.wait(), Err(RunError::Cancelled));
     }
 
-    /// The watchdog tracks any number of concurrent watches (one per
-    /// streamed row with a deadline): the earliest trips first, disarmed
-    /// watches never trip, and later watches still fire.
+    /// Each signal polls its own deadline, so any number of concurrent
+    /// deadlines (one per streamed row with a deadline) stay independent:
+    /// the earliest trips first, a signal whose holder finished before
+    /// its deadline never trips, and a later deadline still trips.
     #[test]
-    fn watchdog_handles_concurrent_watches() {
-        let pool = WorkerPool::new(2);
-        let early = Arc::new(AbortSignal::default());
-        let late = Arc::new(AbortSignal::default());
-        let disarmed = Arc::new(AbortSignal::default());
-        let now = Instant::now();
-        let g_early = pool.watchdog_arm(now + Duration::from_millis(30), &early);
-        let g_late = pool.watchdog_arm(now + Duration::from_millis(120), &late);
-        let g_disarmed = pool.watchdog_arm(now + Duration::from_millis(60), &disarmed);
-        assert!(g_early.is_some() && g_late.is_some() && g_disarmed.is_some());
-        drop(g_disarmed); // completed before its deadline
+    fn signals_trip_on_their_own_deadlines() {
+        let signal = |ms| {
+            RunControl::new()
+                .with_deadline(Duration::from_millis(ms))
+                .signal(None)
+        };
+        let (early, late, finished) = (signal(30), signal(120), signal(60));
+        // The finished holder's last poll, before its deadline.
+        assert!(!finished.is_aborted());
         let deadline = Instant::now() + Duration::from_secs(20);
-        while early.reason().is_none() && Instant::now() < deadline {
+        while !early.is_aborted() && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(early.reason(), Some(AbortReason::DeadlineExceeded));
-        assert_eq!(disarmed.reason(), None, "disarmed watch must not trip");
-        while late.reason().is_none() && Instant::now() < deadline {
+        assert_eq!(finished.reason(), None, "a finished signal must not trip");
+        while !late.is_aborted() && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(late.reason(), Some(AbortReason::DeadlineExceeded));
-        assert_eq!(disarmed.reason(), None);
-        drop(g_early);
-        drop(g_late);
+        assert_eq!(finished.reason(), None);
+    }
+
+    /// A cancel and a deadline that both happen before any worker polls:
+    /// whichever came first decides the run's error.
+    #[test]
+    fn earlier_of_cancel_and_deadline_wins() {
+        let pool = WorkerPool::new(2);
+        let race = |cancel_after: u64, budget: Duration| {
+            let token = CancelToken::new();
+            let canceller = {
+                let token = token.clone();
+                std::thread::spawn(move || {
+                    std::thread::sleep(Duration::from_millis(cancel_after));
+                    token.cancel();
+                })
+            };
+            let ctl = RunControl::new().with_cancel(&token).with_deadline(budget);
+            let expires = Instant::now() + budget;
+            let result = pool.run_ctl(&ctl, |_, abort| {
+                // Sleep past both causes without polling, then spin.
+                while !token.is_cancelled() || Instant::now() < expires {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                while !abort.is_aborted() {
+                    std::thread::yield_now();
+                }
+            });
+            canceller.join().unwrap();
+            result
+        };
+        assert_eq!(
+            race(10, Duration::from_millis(30)),
+            Err(RunError::Cancelled)
+        );
+        let budget = Duration::from_millis(10);
+        assert_eq!(
+            race(30, budget),
+            Err(RunError::DeadlineExceeded { deadline: budget })
+        );
     }
 
     #[test]

@@ -46,12 +46,12 @@ pub struct RunnerConfig {
     /// into the first `d_c` outputs of a chunk whose transition
     /// underflows (see its docs).
     pub check_finite: bool,
-    /// Wall-clock budget per `run` call, enforced by the worker pool's
-    /// watchdog thread: a run that outlives it — even one wedged in a
-    /// spin-wait or starved by the OS — is aborted cooperatively and
-    /// returns [`EngineError::DeadlineExceeded`] instead of hanging. One
-    /// budget covers the whole call (every chunk of the pipeline).
-    /// Default `None` (unbounded).
+    /// Wall-clock budget per `run` call, checked by every poll of the
+    /// run's abort signal: a run that outlives it — even one wedged in a
+    /// spin-wait or starved by the OS — is aborted cooperatively at its
+    /// next poll and returns [`EngineError::DeadlineExceeded`] instead of
+    /// hanging. One budget covers the whole call (every chunk of the
+    /// pipeline). Default `None` (unbounded).
     pub deadline: Option<Duration>,
     /// Correction-plan mode: [`PlanMode::Auto`] (default) picks the
     /// cheapest sound strategy per factor list through the shared plan

@@ -22,8 +22,9 @@ pub struct PoolCounters {
     ///
     /// [`CancelToken`]: crate::CancelToken
     pub cancelled: u64,
-    /// Runs that outlived their deadline and were aborted by the pool's
-    /// watchdog (or rejected because the deadline had already passed).
+    /// Runs that outlived their deadline, found passed by a poll of the
+    /// run's abort signal (or rejected because the deadline had already
+    /// passed).
     pub deadline_exceeded: u64,
     /// Workers revived by lazy respawning over the pool's lifetime (same
     /// number as [`WorkerPool::recovered_workers`]).
@@ -60,8 +61,8 @@ pub struct RunStats {
     pub threads: u64,
     /// Worker loops that bailed out early because the run was aborted —
     /// for *any* reason: a worker panicked or died, a finiteness check
-    /// failed, a [`CancelToken`] was cancelled, or the deadline watchdog
-    /// fired. Always zero for a successful run; nonzero only in
+    /// failed, a [`CancelToken`] was cancelled, or a poll found the
+    /// deadline passed. Always zero for a successful run; nonzero only in
     /// aggregated stats that absorbed an aborted sub-run. To distinguish
     /// the causes, look at the returned error (or, cumulatively, at
     /// [`PoolCounters`]).
@@ -112,10 +113,10 @@ pub struct RunStats {
     /// per slice. Aggregates sum over rows.
     pub solve_slices: u64,
     /// Chunks the time-varying look-back pipeline solved *fused*: the
-    /// predecessor's global state was already published at claim time, so
-    /// the chunk continued from real history — serial-equal work, no
-    /// local solve, no matrix carry, no correction pass. Chunk 0 always
-    /// counts (its history is the zero state). Zero for constant and
+    /// chunk continued from real history — serial-equal work, no local
+    /// solve, no matrix carry, no correction pass. Chunk 0 always counts
+    /// (its history is the zero state), and on a width-1 run every chunk
+    /// does; wider runs fuse no other chunk. Zero for constant and
     /// segmented runs, which never fuse.
     pub fused_chunks: u64,
     /// Chunks of a segmented run that contained at least one segment

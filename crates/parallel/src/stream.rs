@@ -27,8 +27,9 @@
 //! handle implements [`IntoFuture`]), cancel it through its own
 //! [`CancelToken`], or bound it with a per-row deadline via
 //! [`RowStream::push_row_ctl`] — all reusing the [`RunControl`]
-//! machinery, enforced per row by the pool's multi-watch watchdog. Row
-//! and run handles share one first-completion-wins completion cell.
+//! machinery: each row's abort signal holds its token and deadline, and
+//! the row's solve checks them at every abort poll. Row and run handles
+//! share one first-completion-wins completion cell.
 //!
 //! ## Error & ordering guarantees
 //!
@@ -212,11 +213,11 @@ impl<T: Element> RowStream<T> {
         let threads = pool.width() as u64;
         let bound_len = task.bound_len();
         let serve = {
-            let (shared, run_token, pool) = (Arc::clone(&shared), run_token.clone(), pool.clone());
+            let (shared, run_token) = (Arc::clone(&shared), run_token.clone());
             move |row: QueuedRow<T>, worker, abort: &AbortSignal| {
                 let finish = |data, result| finish_row(&shared, row.resolver, data, result);
                 task.execute(
-                    &pool, &run_token, abort, worker, row.index, &row.ctl, row.data, finish,
+                    &run_token, abort, worker, row.index, &row.ctl, row.data, finish,
                 );
             }
         };
@@ -284,8 +285,8 @@ impl<T: Element> RowStream<T> {
 
     /// Like [`push_row`](Self::push_row), with a per-row [`RunControl`]:
     /// the row observes its own [`CancelToken`] and/or wall-clock
-    /// deadline (armed on the pool's watchdog while the row is being
-    /// solved), independently of every other row. A cancelled or expired
+    /// deadline (both checked at every abort poll of the row's solve),
+    /// independently of every other row. A cancelled or expired
     /// row resolves its handle to [`EngineError::Cancelled`] /
     /// [`EngineError::DeadlineExceeded`]; the stream keeps going.
     ///

@@ -12,15 +12,15 @@
 //! [`VaryingRunner::stream`]) behave exactly as they do for constant
 //! signatures.
 //!
-//! One capability is this algebra's alone: *opportunistic fusion*. When
-//! a chunk's predecessor global is already published at claim time
-//! (always true for chunk 0), the chunk is solved directly from real
-//! history — no local publish, no correction pass, no matrix math. On
-//! one thread every chunk fuses and the run degenerates to the serial
-//! sweep, which is exactly the work-optimal behavior. Float
-//! elements fuse only on a width-1 pool: fused and corrected solves round
-//! differently, and fusing on a race would make float outputs depend on
-//! scheduler timing.
+//! One capability is this algebra's alone: *fusion*. Chunk 0, and every
+//! chunk of a width-1 run, is solved directly from real history — no
+//! local publish, no correction pass, no matrix math. On one thread the
+//! run so degenerates to the serial sweep, which is exactly the
+//! work-optimal behavior. Which chunks fuse depends only on the run's
+//! width, never on timing: fusing a chunk whose predecessor happened to
+//! finish first would make float outputs depend on the schedule (fused
+//! and corrected solves round differently), and a concurrent look-back
+//! walk would wait on a local state the fused chunk never publishes.
 
 use crate::batch::RowTask;
 use crate::pipeline::{bound_row_methods, runner_methods, CarryAlgebra, Pipeline, Solved};
@@ -186,7 +186,7 @@ impl<T: Element> CarryAlgebra<T> for VaryingPlan<T> {
     {
         if c == 0 {
             Some(vec![T::zero(); self.order()])
-        } else if !T::IS_FLOAT || width == 1 {
+        } else if width == 1 {
             prev().cloned()
         } else {
             None

@@ -4,7 +4,7 @@
 //! and asserts the three recovery guarantees of the execution layer:
 //!
 //! 1. the run returns `EngineError::WorkerPanicked` — it never hangs
-//!    (every faulted run is bounded by a watchdog timeout);
+//!    (every faulted run is bounded by a `within_secs` timeout);
 //! 2. the same pool instance survives and a fault-free rerun completes;
 //! 3. the rerun's output still validates against the serial reference.
 #![cfg(feature = "fault-inject")]
@@ -17,82 +17,28 @@ use plr_parallel::{
     BatchRunner, CancelToken, ParallelRunner, RunControl, RunError, RunnerConfig, WorkerPool,
 };
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex, PoisonError};
+
+mod common;
+use common::{lock_global, quiet_injected_panics, threads, within_secs};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The fault plan is process-global: tests must not interleave arming.
-/// Recovering from poisoning matters here — a failed assertion under the
-/// lock must not cascade into every later test.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serialize() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Silences the default panic-hook output for panics this suite injects
-/// on purpose; everything else still prints.
-fn quiet_injected_panics() {
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let s = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("");
-            if !s.contains("injected fault") && !payload.is::<plr_parallel::pool::WorkerExit>() {
-                default(info);
-            }
-        }));
-    });
-}
-
-/// Runs `f` on a helper thread, panicking if it does not finish within
-/// `secs` — the bound that turns "the pipeline hangs" into a test
-/// failure instead of a stuck CI job.
-fn watchdog<R: Send + 'static>(secs: u64, f: impl FnOnce() -> R + Send + 'static) -> R {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(r) => {
-            let _ = worker.join();
-            r
-        }
-        Err(_) => panic!("watchdog: faulted run did not return within {secs}s (hang)"),
-    }
-}
 
 const N: usize = 16_384;
 const CHUNK: usize = 256;
 const NUM_CHUNKS: usize = N / CHUNK;
 
-/// Worker count for the suite: the `PLR_THREADS` CI matrix leg when set
-/// (1/2/4 in the workflow), otherwise 4 — so one test body covers the
-/// inline, two-worker, and oversubscribed schedules.
-fn threads() -> usize {
-    std::env::var("PLR_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4)
-}
-
 fn input(n: usize) -> Vec<i64> {
     (0..n).map(|i| ((i * 29) % 19) as i64 - 9).collect()
 }
 
-/// Arms `plan`, runs the runner under a watchdog, and asserts the
+/// Arms `plan`, runs the runner under `within_secs`, and asserts the
 /// fault → `WorkerPanicked` → recovery → revalidation contract.
 fn assert_fault_contract(
     sig: Signature<i64>,
     config: RunnerConfig,
     plan: FaultPlan,
 ) -> Result<(), TestCaseError> {
-    let _serial = serialize();
+    let _serial = lock_global();
     quiet_injected_panics();
     let runner = ParallelRunner::with_config(sig.clone(), config).unwrap();
     let data = input(N);
@@ -104,7 +50,7 @@ fn assert_fault_contract(
     prop_assert_eq!(&warm, &expect, "fault-free warm-up must validate");
 
     fault::arm(plan.clone());
-    let (runner, faulted) = watchdog(60, move || {
+    let (runner, faulted) = within_secs(60, move || {
         let r = runner.run(&data);
         (runner, r)
     });
@@ -122,7 +68,7 @@ fn assert_fault_contract(
 
     // The same pool instance must complete a fault-free rerun correctly.
     let data = input(N);
-    let (stats, got) = watchdog(60, move || {
+    let (stats, got) = within_secs(60, move || {
         let mut data2 = data;
         let stats = runner.run_in_place(&mut data2);
         (stats, data2)
@@ -210,7 +156,7 @@ proptest! {
 /// pool, where the caller is provably the one consulting.
 #[test]
 fn worker_zero_fault_is_an_error_not_an_unwind() {
-    let _serial = serialize();
+    let _serial = lock_global();
     quiet_injected_panics();
     let sig: Signature<i64> = "1:2,-1".parse().unwrap();
     let runner = ParallelRunner::with_config(
@@ -224,7 +170,7 @@ fn worker_zero_fault_is_an_error_not_an_unwind() {
     .unwrap();
     let data = input(N);
     fault::arm(FaultPlan::panic_at_worker(FaultSite::Solve, 0));
-    let (runner, result) = watchdog(60, move || {
+    let (runner, result) = within_secs(60, move || {
         let r = runner.run(&data);
         (runner, r)
     });
@@ -243,7 +189,7 @@ fn worker_zero_fault_is_an_error_not_an_unwind() {
 /// submission: the pool respawns the dead worker and reports it.
 #[test]
 fn dead_worker_is_respawned_and_reported() {
-    let _serial = serialize();
+    let _serial = lock_global();
     quiet_injected_panics();
     let sig: Signature<i64> = "1:1".parse().unwrap();
     let runner = ParallelRunner::with_config(
@@ -259,7 +205,7 @@ fn dead_worker_is_respawned_and_reported() {
     // Warm up, then kill whichever worker claims a middle chunk.
     runner.run(&data).unwrap();
     fault::arm(FaultPlan::exit_at_chunk(FaultSite::Solve, NUM_CHUNKS / 2));
-    let (runner, result) = watchdog(60, move || {
+    let (runner, result) = within_secs(60, move || {
         let r = runner.run(&data);
         (runner, r)
     });
@@ -281,7 +227,7 @@ fn dead_worker_is_respawned_and_reported() {
 /// the look-back spin path; the run must still complete and validate.
 #[test]
 fn delay_injection_covers_the_spin_path() {
-    let _serial = serialize();
+    let _serial = lock_global();
     quiet_injected_panics();
     let sig: Signature<i64> = "1:2,-1".parse().unwrap();
     let runner = ParallelRunner::with_config(
@@ -299,7 +245,7 @@ fn delay_injection_covers_the_spin_path() {
         Duration::from_millis(50),
     ));
     let data = input(N);
-    let (stats, got) = watchdog(60, move || {
+    let (stats, got) = within_secs(60, move || {
         let mut d = data;
         let stats = runner.run_in_place(&mut d).unwrap();
         (stats, d)
@@ -312,7 +258,7 @@ fn delay_injection_covers_the_spin_path() {
 /// The batch executor's whole-rows path obeys the same contract.
 #[test]
 fn batch_row_fault_errors_and_recovers() {
-    let _serial = serialize();
+    let _serial = lock_global();
     quiet_injected_panics();
     let sig: Signature<i64> = "1:2,-1".parse().unwrap();
     let batch = BatchRunner::new(sig.clone(), threads());
@@ -340,7 +286,7 @@ fn batch_row_fault_errors_and_recovers() {
         let (returned, result) = {
             let b = batch;
             let mut d = data.clone();
-            watchdog(60, move || {
+            within_secs(60, move || {
                 let r = b.run_rows(&mut d, width);
                 (b, r)
             })
@@ -364,7 +310,7 @@ fn batch_row_fault_errors_and_recovers() {
 /// sites are inert: results match the serial reference exactly.
 #[test]
 fn unarmed_harness_is_inert() {
-    let _serial = serialize();
+    let _serial = lock_global();
     fault::disarm();
     let sig: Signature<i64> = "1,1:3,-3,1".parse().unwrap();
     let runner = ParallelRunner::with_config(
@@ -390,7 +336,7 @@ fn unarmed_harness_is_inert() {
 /// validates bit-exactly against the serial reference.
 #[test]
 fn cancel_token_cancels_a_wedged_run() {
-    let _serial = serialize();
+    let _serial = lock_global();
     quiet_injected_panics();
     let sig: Signature<i64> = "1:2,-1".parse().unwrap();
     let runner = ParallelRunner::with_config(
@@ -421,7 +367,7 @@ fn cancel_token_cancels_a_wedged_run() {
         })
     };
     let start = Instant::now();
-    let (runner, result) = watchdog(60, move || {
+    let (runner, result) = within_secs(60, move || {
         let r = runner.run_with_cancel(&data, &token);
         (runner, r)
     });
@@ -446,12 +392,12 @@ fn cancel_token_cancels_a_wedged_run() {
 }
 
 /// The same wedge is bounded by `RunnerConfig::deadline` alone: the
-/// pool's watchdog trips the abort, the call returns
-/// `EngineError::DeadlineExceeded` within the test budget, and the rerun
-/// validates bit-exactly.
+/// stalled worker's next abort poll finds the deadline passed, the call
+/// returns `EngineError::DeadlineExceeded` within the test budget, and
+/// the rerun validates bit-exactly.
 #[test]
 fn deadline_trips_a_wedged_run() {
-    let _serial = serialize();
+    let _serial = lock_global();
     quiet_injected_panics();
     let sig: Signature<i64> = "1:2,-1".parse().unwrap();
     let budget = Duration::from_secs(2);
@@ -474,7 +420,7 @@ fn deadline_trips_a_wedged_run() {
         Duration::from_secs(45),
     ));
     let start = Instant::now();
-    let (runner, result) = watchdog(60, move || {
+    let (runner, result) = within_secs(60, move || {
         let r = runner.run(&data);
         (runner, r)
     });
@@ -501,7 +447,7 @@ fn deadline_trips_a_wedged_run() {
 /// until the workers quiesce; the pool is immediately reusable.
 #[test]
 fn dropped_handle_cancels_a_wedged_submission() {
-    let _serial = serialize();
+    let _serial = lock_global();
     quiet_injected_panics();
     let pool = Arc::new(WorkerPool::new(threads()));
     fault::arm(FaultPlan::delay_at_chunk(
@@ -512,7 +458,7 @@ fn dropped_handle_cancels_a_wedged_submission() {
     let start = Instant::now();
     let reusable = {
         let pool = Arc::clone(&pool);
-        watchdog(60, move || {
+        within_secs(60, move || {
             let handle = pool.submit(RunControl::new(), |worker, abort| {
                 // Worker 0 (the donated driver) hits the stall; everyone
                 // else waits for the abort like a spin-wait would.
@@ -538,11 +484,12 @@ fn dropped_handle_cancels_a_wedged_submission() {
 }
 
 /// A stalled *observer* (delay injected at the handle-wait site) does not
-/// mask the run's own deadline: the watchdog lives in the pool, so by the
-/// time the observer recovers, the result is already DeadlineExceeded.
+/// mask the run's own deadline: the run's workers poll it themselves, so
+/// by the time the observer recovers, the result is already
+/// DeadlineExceeded.
 #[test]
 fn handle_wait_stall_does_not_mask_the_deadline() {
-    let _serial = serialize();
+    let _serial = lock_global();
     quiet_injected_panics();
     let pool = Arc::new(WorkerPool::new(threads()));
     let budget = Duration::from_millis(500);
@@ -555,7 +502,7 @@ fn handle_wait_stall_does_not_mask_the_deadline() {
     });
     let result = {
         let pool = Arc::clone(&pool);
-        watchdog(60, move || {
+        within_secs(60, move || {
             let handle = pool.submit(RunControl::new().with_deadline(budget), |_, abort| {
                 while !abort.is_aborted() {
                     std::thread::yield_now();
@@ -577,7 +524,7 @@ fn handle_wait_stall_does_not_mask_the_deadline() {
 /// validate against serial.
 #[test]
 fn long_rows_faults_error_and_recover() {
-    let _serial = serialize();
+    let _serial = lock_global();
     quiet_injected_panics();
     let sig: Signature<i64> = "1:2,-1".parse().unwrap();
     // The long-rows path requires rows < threads, which a PLR_THREADS=1
@@ -617,7 +564,7 @@ fn long_rows_faults_error_and_recover() {
         let (returned, result) = {
             let b = batch;
             let mut d = data.clone();
-            watchdog(60, move || {
+            within_secs(60, move || {
                 let r = b.run_rows(&mut d, width);
                 (b, r)
             })
@@ -646,7 +593,7 @@ fn long_rows_faults_error_and_recover() {
 /// and leaves the runner reusable.
 #[test]
 fn long_rows_cancel_between_rows() {
-    let _serial = serialize();
+    let _serial = lock_global();
     quiet_injected_panics();
     let sig: Signature<i64> = "1:1".parse().unwrap();
     let batch = BatchRunner::new(sig.clone(), 4);
@@ -688,7 +635,7 @@ fn stream_rows(rows: usize, width: usize) -> Vec<Vec<i64>> {
 /// and the same runner's pool heals for a blocking rerun.
 #[test]
 fn stream_row_panic_faults_only_that_row() {
-    let _serial = serialize();
+    let _serial = lock_global();
     quiet_injected_panics();
     let sig: Signature<i64> = "1:2,-1".parse().unwrap();
     let runner = BatchRunner::new(sig.clone(), threads());
@@ -698,7 +645,7 @@ fn stream_row_panic_faults_only_that_row() {
     fault::arm(FaultPlan::panic_at_chunk(FaultSite::Row, 3));
     let (runner, outcomes, finished) = {
         let rows = rows.clone();
-        watchdog(60, move || {
+        within_secs(60, move || {
             let stream = runner.stream();
             let handles: Vec<_> = rows.into_iter().map(|r| stream.push_row(r)).collect();
             stream.close();
@@ -741,7 +688,7 @@ fn stream_row_panic_faults_only_that_row() {
 /// a blocking rerun. Five rounds on one runner.
 #[test]
 fn stream_worker_death_fails_every_later_row() {
-    let _serial = serialize();
+    let _serial = lock_global();
     quiet_injected_panics();
     let sig: Signature<i64> = "1:2,-1".parse().unwrap();
     let mut runner = BatchRunner::new(sig.clone(), threads());
@@ -753,7 +700,7 @@ fn stream_worker_death_fails_every_later_row() {
         fault::arm(FaultPlan::exit_at_chunk(FaultSite::Row, 3));
         let (back, outcomes, late, finished) = {
             let (rows, late_row) = (rows.clone(), late_row.clone());
-            watchdog(60, move || {
+            within_secs(60, move || {
                 let stream = runner.stream_with_window(8);
                 let handles: Vec<_> = rows.into_iter().map(|r| stream.push_row(r)).collect();
                 let _ = handles[3].wait();
@@ -803,7 +750,7 @@ fn stream_worker_death_fails_every_later_row() {
 /// aggregate stats count all rows.
 #[test]
 fn stream_row_delay_keeps_every_row_exact() {
-    let _serial = serialize();
+    let _serial = lock_global();
     quiet_injected_panics();
     let sig: Signature<i64> = "1,1:3,-3,1".parse().unwrap();
     let runner = BatchRunner::new(sig.clone(), threads());
@@ -817,7 +764,7 @@ fn stream_row_delay_keeps_every_row_exact() {
     ));
     let (outcomes, stats) = {
         let rows = rows.clone();
-        watchdog(60, move || {
+        within_secs(60, move || {
             let stream = runner.stream();
             let handles: Vec<_> = rows.into_iter().map(|r| stream.push_row(r)).collect();
             stream.close();
@@ -841,7 +788,7 @@ fn stream_row_delay_keeps_every_row_exact() {
 /// every other row is bit-exact, and the stream keeps flowing.
 #[test]
 fn stream_cancel_one_row_via_token() {
-    let _serial = serialize();
+    let _serial = lock_global();
     quiet_injected_panics();
     let sig: Signature<i64> = "1:1".parse().unwrap();
     let runner = BatchRunner::new(sig.clone(), threads());
@@ -866,7 +813,7 @@ fn stream_cancel_one_row_via_token() {
     let outcomes = {
         let rows = rows.clone();
         let token = token.clone();
-        watchdog(60, move || {
+        within_secs(60, move || {
             let stream = runner.stream();
             let handles: Vec<_> = rows
                 .into_iter()
@@ -908,7 +855,7 @@ fn stream_cancel_one_row_via_token() {
 /// that budget's expiry, and the rest of the stream is unaffected.
 #[test]
 fn stream_per_row_deadline_trips_the_wedged_row() {
-    let _serial = serialize();
+    let _serial = lock_global();
     quiet_injected_panics();
     let sig: Signature<i64> = "1:2,-1".parse().unwrap();
     let runner = BatchRunner::new(sig.clone(), threads());
@@ -924,7 +871,7 @@ fn stream_per_row_deadline_trips_the_wedged_row() {
     let start = Instant::now();
     let outcomes = {
         let rows = rows.clone();
-        watchdog(60, move || {
+        within_secs(60, move || {
             let stream = runner.stream();
             let handles: Vec<_> = rows
                 .into_iter()

@@ -13,14 +13,10 @@ use plr_core::serial;
 use plr_core::signature::Signature;
 use plr_core::{set_kernel_override, KernelTier};
 use plr_parallel::{BatchRunner, CancelToken, ParallelRunner, RunnerConfig};
-use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serialize() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
+mod common;
+use common::lock_global;
 
 /// Restores the ambient tier when a test body panics, so one failure
 /// doesn't cascade into every later test in the binary.
@@ -39,7 +35,7 @@ fn input(n: usize) -> Vec<i64> {
 /// hand out right now, never `Unknown`.
 #[test]
 fn run_stats_report_the_dispatched_kernel() {
-    let _g = serialize();
+    let _g = lock_global();
     let sig: Signature<i64> = "1:2,-1".parse().unwrap();
     let expect = SolveKernel::select(sig.feedback()).kind();
     assert_ne!(expect, KernelKind::Unknown);
@@ -63,7 +59,7 @@ fn run_stats_report_the_dispatched_kernel() {
 /// too (they share one `RowTask`, so they must agree).
 #[test]
 fn batch_and_stream_stats_report_the_kernel() {
-    let _g = serialize();
+    let _g = lock_global();
     let sig: Signature<i64> = "1:2,-1".parse().unwrap();
     let expect = SolveKernel::select(sig.feedback()).kind();
     let width = 256;
@@ -98,7 +94,7 @@ fn batch_and_stream_stats_report_the_kernel() {
 /// bit-identical across tiers.
 #[test]
 fn forced_tiers_surface_in_stats() {
-    let _g = serialize();
+    let _g = lock_global();
     let _restore = TierGuard;
     let sig: Signature<i64> = "1:2,-1".parse().unwrap();
     let data = input(30_000);
@@ -134,7 +130,7 @@ fn forced_tiers_surface_in_stats() {
 /// plan mode keeps the table correction with the same output.
 #[test]
 fn psum2_reports_cascade_and_polynomial_under_auto() {
-    let _g = serialize();
+    let _g = lock_global();
     let _restore = TierGuard;
     set_kernel_override(Some(KernelTier::Auto));
     let sig: Signature<i64> = "1:2,-1".parse().unwrap();
@@ -170,7 +166,7 @@ fn psum2_reports_cascade_and_polynomial_under_auto() {
 /// single-chunk run, one per chunk when chunks are short.
 #[test]
 fn solve_slices_surface_in_stats() {
-    let _g = serialize();
+    let _g = lock_global();
     let sig: Signature<i64> = "1:2,-1".parse().unwrap();
     let n = 3 * SOLVE_SLICE + 421;
     let data = input(n);
@@ -213,7 +209,7 @@ fn solve_slices_surface_in_stats() {
 /// untouched (still the raw input).
 #[test]
 fn cancel_token_interrupts_a_single_chunk_solve() {
-    let _g = serialize();
+    let _g = lock_global();
     let _restore = TierGuard;
     // Forced scalar pins the slowest kernel so the solve comfortably
     // outlives the cancel delay on any hardware (~tens of ms for 16M

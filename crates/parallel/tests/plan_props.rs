@@ -23,12 +23,9 @@ use plr_core::signature::Signature;
 use plr_core::Element;
 use plr_parallel::{BatchRunner, ParallelRunner, RunStats, RunnerConfig};
 use proptest::prelude::*;
-use std::sync::Mutex;
 
-/// Serializes the tests that mutate global plan-cache state (clear,
-/// enable/disable override) against each other; the differential tests
-/// don't assert counters and are unaffected.
-static CACHE_LOCK: Mutex<()> = Mutex::new(());
+mod common;
+use common::{lock_global, ulps32, ulps64};
 
 fn run_with<T: Element>(
     sig: &Signature<T>,
@@ -53,32 +50,6 @@ fn input<T: Element>(n: usize) -> Vec<T> {
     (0..n)
         .map(|i| T::from_i32(((i * 29) % 19) as i32 - 9))
         .collect()
-}
-
-/// Monotone total-order key for ULP distance; maps `-0.0` and `0.0` to
-/// the same point so sign-of-zero differences count as zero ULPs.
-fn ulps32(a: f32, b: f32) -> i64 {
-    let key = |x: f32| -> i64 {
-        let bits = x.to_bits() as i32;
-        if bits >= 0 {
-            bits as i64
-        } else {
-            (i32::MIN as i64) - (bits as i64)
-        }
-    };
-    (key(a) - key(b)).abs()
-}
-
-fn ulps64(a: f64, b: f64) -> i64 {
-    let key = |x: f64| -> i128 {
-        let bits = x.to_bits() as i64;
-        if bits >= 0 {
-            bits as i128
-        } else {
-            (i64::MIN as i128) - (bits as i128)
-        }
-    };
-    (key(a) - key(b)).unsigned_abs().min(i64::MAX as u128) as i64
 }
 
 const CHUNKS: [usize; 3] = [8, 64, 1024];
@@ -204,7 +175,7 @@ fn plan_kinds_and_reset_counters_surface_in_stats() {
 /// Two identical runner constructions share one cached plan.
 #[test]
 fn identical_configs_hit_the_plan_cache() {
-    let _g = CACHE_LOCK.lock().unwrap();
+    let _g = lock_global();
     plan::set_cache_enabled(Some(true));
     plan::clear_cache();
     // Signature and chunk chosen to be unique to this test so a
@@ -225,7 +196,7 @@ fn identical_configs_hit_the_plan_cache() {
 /// results don't change.
 #[test]
 fn disabled_cache_replans_identically() {
-    let _g = CACHE_LOCK.lock().unwrap();
+    let _g = lock_global();
     plan::set_cache_enabled(Some(false));
     let sig: Signature<f32> = "0.3:0.7".parse().unwrap();
     let data = input::<f32>(3000);
@@ -244,7 +215,7 @@ fn disabled_cache_replans_identically() {
 /// parts must not alias to one plan.
 #[test]
 fn cache_key_includes_feedforward() {
-    let _g = CACHE_LOCK.lock().unwrap();
+    let _g = lock_global();
     plan::set_cache_enabled(Some(true));
     plan::clear_cache();
     let a: Signature<i64> = "1:2,-1".parse().unwrap();

@@ -28,30 +28,10 @@ use plr_parallel::pool::CancelToken;
 use plr_parallel::runner::RunnerConfig;
 use plr_parallel::SegmentedRunner;
 use proptest::prelude::*;
-use std::sync::Mutex;
 use std::time::Duration;
 
-/// Serializes tests that flip process-global state (the plan-cache
-/// switch, the fault-injection plan) against each other.
-static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock_global() -> std::sync::MutexGuard<'static, ()> {
-    GLOBAL_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Deterministic xorshift stream, so every executor sees the same data
-/// without an RNG dependency.
-fn xorshift(seed: u64) -> impl FnMut() -> u64 {
-    let mut s = seed | 1;
-    move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
-    }
-}
+mod common;
+use common::{lock_global, ulps64, xorshift};
 
 fn int_input(n: usize) -> Vec<i64> {
     (0..n).map(|i| (i % 23) as i64 - 11).collect()
@@ -61,20 +41,6 @@ fn int_input(n: usize) -> Vec<i64> {
 /// positive, so no cancellation inflates ULP distances.
 fn positive_input(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i % 13) as f64) * 0.1 + 0.5).collect()
-}
-
-/// Monotone total-order key for ULP distance; `-0.0` and `0.0` count as
-/// equal (same idiom as the plan-layer gauntlet).
-fn ulps64(a: f64, b: f64) -> i64 {
-    let key = |x: f64| -> i128 {
-        let bits = x.to_bits() as i64;
-        if bits >= 0 {
-            bits as i128
-        } else {
-            (i64::MIN as i128) - (bits as i128)
-        }
-    };
-    (key(a) - key(b)).unsigned_abs().min(i64::MAX as u128) as i64
 }
 
 /// Pure-feedback integer signatures of orders 1–4 (pure feedback so the
@@ -516,45 +482,9 @@ proptest! {
 #[cfg(feature = "fault-inject")]
 mod fault_legs {
     use super::*;
+    use crate::common::{quiet_injected_panics, within_secs};
     use plr_parallel::fault::{self, FaultPlan, FaultSite};
     use std::time::Instant;
-
-    /// Silences the default panic-hook output for panics this module
-    /// injects on purpose; everything else still prints.
-    fn quiet_injected_panics() {
-        static HOOK: std::sync::Once = std::sync::Once::new();
-        HOOK.call_once(|| {
-            let default = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let payload = info.payload();
-                let s = payload
-                    .downcast_ref::<&str>()
-                    .copied()
-                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                    .unwrap_or("");
-                if !s.contains("injected fault") && !payload.is::<plr_parallel::pool::WorkerExit>()
-                {
-                    default(info);
-                }
-            }));
-        });
-    }
-
-    /// Runs `f` on a helper thread, panicking if it does not finish in
-    /// `secs` — a hang becomes a test failure, not a stuck CI job.
-    fn watchdog<R: Send + 'static>(secs: u64, f: impl FnOnce() -> R + Send + 'static) -> R {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let worker = std::thread::spawn(move || {
-            let _ = tx.send(f());
-        });
-        match rx.recv_timeout(Duration::from_secs(secs)) {
-            Ok(r) => {
-                let _ = worker.join();
-                r
-            }
-            Err(_) => panic!("watchdog: faulted segmented run did not return within {secs}s"),
-        }
-    }
 
     const N: usize = 8192;
     const CHUNK: usize = 256;
@@ -580,7 +510,7 @@ mod fault_legs {
         assert_eq!(runner.run(&data).unwrap(), expect, "warm-up must validate");
 
         fault::arm(plan.clone());
-        let (runner, faulted) = watchdog(60, move || {
+        let (runner, faulted) = within_secs(60, move || {
             let r = runner.run(&data);
             (runner, r)
         });
@@ -594,7 +524,7 @@ mod fault_legs {
 
         // Same pool, fault-free rerun: bit-exact recovery.
         let data = int_input(N);
-        let got = watchdog(60, move || runner.run(&data).unwrap());
+        let got = within_secs(60, move || runner.run(&data).unwrap());
         assert_eq!(got, expect, "rerun after fault must validate");
     }
 
@@ -630,7 +560,7 @@ mod fault_legs {
             (N / CHUNK) / 2,
             Duration::from_millis(50),
         ));
-        let got = watchdog(60, move || runner.run(&data).unwrap());
+        let got = within_secs(60, move || runner.run(&data).unwrap());
         let fired = !fault::is_armed();
         fault::disarm();
         assert!(fired, "delay plan never fired");
@@ -662,7 +592,7 @@ mod fault_legs {
             })
         };
         let start = Instant::now();
-        let (runner, result) = watchdog(60, move || {
+        let (runner, result) = within_secs(60, move || {
             let r = runner.run_with_cancel(&data, &token);
             (runner, r)
         });
@@ -677,12 +607,13 @@ mod fault_legs {
             "cancellation must reclaim the wedged run promptly"
         );
         let data = int_input(N);
-        let got = watchdog(60, move || runner.run(&data).unwrap());
+        let got = within_secs(60, move || runner.run(&data).unwrap());
         assert_eq!(got, expect, "rerun after cancellation must validate");
     }
 
-    /// The deadline watchdog trips a segmented run wedged in a
-    /// 45s injected stall, well inside the test budget.
+    /// The deadline ends a segmented run wedged in a 45s injected stall:
+    /// the stall's abort polls find it passed, well inside the test
+    /// budget.
     #[test]
     fn deadline_trips_a_wedged_segmented_run() {
         let _g = lock_global();
@@ -707,7 +638,7 @@ mod fault_legs {
             Duration::from_secs(45),
         ));
         let start = Instant::now();
-        let result = watchdog(60, move || runner.run(&data));
+        let result = within_secs(60, move || runner.run(&data));
         fault::disarm();
         match result {
             Err(EngineError::DeadlineExceeded { .. }) => {}

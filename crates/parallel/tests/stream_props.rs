@@ -19,32 +19,8 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
-/// Worker count for the suite: the `PLR_THREADS` CI matrix leg when set
-/// (1/2/4 in the workflow), otherwise 4.
-fn env_threads() -> usize {
-    std::env::var("PLR_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4)
-}
-
-/// Runs `f` on a helper thread, panicking if it does not finish within
-/// `secs` — turns "the stream hangs" into a test failure, not a stuck CI
-/// job.
-fn watchdog<R: Send + 'static>(secs: u64, f: impl FnOnce() -> R + Send + 'static) -> R {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(r) => {
-            let _ = worker.join();
-            r
-        }
-        Err(_) => panic!("watchdog: streaming test did not return within {secs}s (hang)"),
-    }
-}
+mod common;
+use common::{threads, within_secs};
 
 /// Integer signatures of order 1–4 with a 1–2 tap FIR part (same family
 /// as the fault suite: wrapping-exact, so every comparison is bit-exact).
@@ -144,7 +120,7 @@ proptest! {
         let (blocking, streamed, stats) = {
             let sig = sig.clone();
             let inputs = inputs.clone();
-            watchdog(120, move || {
+            within_secs(120, move || {
                 let runner = BatchRunner::new(sig, threads);
                 // Blocking reference on the same runner (and pool).
                 let mut blocking: Vec<i64> = inputs.concat();
@@ -189,7 +165,7 @@ proptest! {
         let (blocking, streamed) = {
             let sig = sig.clone();
             let inputs = inputs.clone();
-            watchdog(120, move || {
+            within_secs(120, move || {
                 let runner = BatchRunner::new(sig, threads);
                 let mut blocking: Vec<f64> = inputs.concat();
                 runner.run_rows(&mut blocking, width).expect("blocking run");
@@ -261,7 +237,7 @@ fn stream_on_complete_after_completion_fires_immediately() {
 fn stream_waker_registration_races_never_double_wake() {
     let sig: Signature<i64> = "1:2,-1".parse().unwrap();
     let runner = BatchRunner::new(sig, 4);
-    watchdog(60, move || {
+    within_secs(60, move || {
         for round in 0..20 {
             let stream = runner.stream();
             // A big row so some registrations land mid-run, and with the
@@ -309,7 +285,7 @@ fn stream_waker_registration_races_never_double_wake() {
 fn stream_dropped_unpolled_handles_quiesce() {
     let sig: Signature<i64> = "1:1".parse().unwrap();
     let runner = BatchRunner::new(sig.clone(), 4);
-    let elapsed = watchdog(60, move || {
+    let elapsed = within_secs(60, move || {
         let start = Instant::now();
         {
             let stream = runner.stream_with_window(4);
@@ -379,7 +355,7 @@ fn stream_run_future_does_not_busy_poll() {
     let polls = Arc::new(AtomicUsize::new(0));
     let fut: RunFuture = handle.into_future();
     let start = Instant::now();
-    watchdog(60, {
+    within_secs(60, {
         let polls = Arc::clone(&polls);
         move || block_on(CountPolls { inner: fut, polls }).unwrap()
     });
@@ -405,7 +381,7 @@ fn stream_row_future_does_not_busy_poll() {
     let input: Vec<i64> = (0..500_000).map(|i| (i % 7) as i64 - 3).collect();
     let handle = stream.push_row(input.clone());
     let polls = Arc::new(AtomicUsize::new(0));
-    let (got, result) = watchdog(60, {
+    let (got, result) = within_secs(60, {
         let polls = Arc::clone(&polls);
         move || {
             block_on(CountPolls {
@@ -426,11 +402,11 @@ fn stream_row_future_does_not_busy_poll() {
 /// geometry — a deterministic smoke companion to the proptests above.
 #[test]
 fn stream_env_thread_matrix_smoke() {
-    let threads = env_threads();
+    let threads = threads();
     let sig: Signature<i64> = "1,1:3,-3,1".parse().unwrap();
     let inputs = rows_i64(9, 173, 42);
     let expect: Vec<i64> = inputs.iter().flat_map(|r| serial::run(&sig, r)).collect();
-    watchdog(120, move || {
+    within_secs(120, move || {
         let runner = BatchRunner::new(sig, threads);
         for window in [1, 2 * threads.max(1)] {
             let (outputs, stats) = drive_stream(&runner, &inputs, window, 0b10_01_00_11_01);

@@ -26,29 +26,9 @@ use plr_core::{set_kernel_override, Element, KernelTier};
 use plr_parallel::runner::RunnerConfig;
 use plr_parallel::VaryingRunner;
 use proptest::prelude::*;
-use std::sync::Mutex;
 
-/// Serializes tests that flip process-global state (the kernel-tier
-/// override, the plan-cache switch) against each other.
-static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock_global() -> std::sync::MutexGuard<'static, ()> {
-    GLOBAL_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Deterministic xorshift stream, so every executor sees the same
-/// coefficients without an RNG dependency.
-fn xorshift(seed: u64) -> impl FnMut() -> u64 {
-    let mut s = seed | 1;
-    move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
-    }
-}
+mod common;
+use common::{lock_global, ulps32, ulps64, xorshift};
 
 fn int_coeffs(n: usize, k: usize, seed: u64) -> Vec<i64> {
     let mut rng = xorshift(seed);
@@ -79,20 +59,6 @@ fn wide_gates(n: usize, k: usize, seed: u64) -> Vec<f64> {
 
 fn float_input(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i % 13) as f64) * 0.25 - 1.5).collect()
-}
-
-/// Monotone total-order key for ULP distance; `-0.0` and `0.0` count as
-/// equal (same idiom as the plan-layer gauntlet).
-fn ulps64(a: f64, b: f64) -> i64 {
-    let key = |x: f64| -> i128 {
-        let bits = x.to_bits() as i64;
-        if bits >= 0 {
-            bits as i128
-        } else {
-            (i64::MIN as i128) - (bits as i128)
-        }
-    };
-    (key(a) - key(b)).unsigned_abs().min(i64::MAX as u128) as i64
 }
 
 fn runner_with<T: Element>(
@@ -247,19 +213,6 @@ fn slow_decay_gates(n: usize, k: usize, seed: u64) -> Vec<f64> {
     (0..n * k)
         .map(|_| (0.5 + 0.49 * ((rng() >> 11) as f64 / (1u64 << 53) as f64)) / k as f64)
         .collect()
-}
-
-/// [`ulps64`] for `f32`.
-fn ulps32(a: f32, b: f32) -> i64 {
-    let key = |x: f32| -> i64 {
-        let bits = x.to_bits() as i32;
-        if bits >= 0 {
-            bits as i64
-        } else {
-            (i32::MIN as i64) - (bits as i64)
-        }
-    };
-    (key(a) - key(b)).abs()
 }
 
 /// The slow-decay regime: every full chunk's transition underflows, so
@@ -473,7 +426,8 @@ fn varying_runs_bypass_the_constant_plan_cache() {
 }
 
 /// Lookback fusion accounting: on integers, fused chunks are counted and
-/// the output stays bit-exact; a one-thread run fuses every chunk.
+/// the output stays bit-exact; a one-thread run fuses every chunk, a
+/// wider run only chunk 0.
 #[test]
 fn lookback_fusion_counts_and_stays_exact() {
     let _g = lock_global();
@@ -493,7 +447,7 @@ fn lookback_fusion_counts_and_stays_exact() {
     let mut data = input.clone();
     let stats = four.run_in_place(&mut data).unwrap();
     assert_eq!(data, expect);
-    assert!(stats.fused_chunks >= 1, "chunk 0 always fuses");
+    assert_eq!(stats.fused_chunks, 1, "only chunk 0 fuses on a wider run");
 }
 
 proptest! {
@@ -535,46 +489,9 @@ proptest! {
 #[cfg(feature = "fault-inject")]
 mod fault_legs {
     use super::*;
+    use crate::common::{quiet_injected_panics, within_secs};
     use plr_core::error::EngineError;
     use plr_parallel::fault::{self, FaultPlan, FaultSite};
-    use std::time::Duration;
-
-    /// Silences the default panic-hook output for panics this module
-    /// injects on purpose; everything else still prints.
-    fn quiet_injected_panics() {
-        static HOOK: std::sync::Once = std::sync::Once::new();
-        HOOK.call_once(|| {
-            let default = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let payload = info.payload();
-                let s = payload
-                    .downcast_ref::<&str>()
-                    .copied()
-                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                    .unwrap_or("");
-                if !s.contains("injected fault") && !payload.is::<plr_parallel::pool::WorkerExit>()
-                {
-                    default(info);
-                }
-            }));
-        });
-    }
-
-    /// Runs `f` on a helper thread, panicking if it does not finish in
-    /// `secs` — a hang becomes a test failure, not a stuck CI job.
-    fn watchdog<R: Send + 'static>(secs: u64, f: impl FnOnce() -> R + Send + 'static) -> R {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let worker = std::thread::spawn(move || {
-            let _ = tx.send(f());
-        });
-        match rx.recv_timeout(Duration::from_secs(secs)) {
-            Ok(r) => {
-                let _ = worker.join();
-                r
-            }
-            Err(_) => panic!("watchdog: faulted varying run did not return within {secs}s"),
-        }
-    }
 
     const N: usize = 8192;
     const CHUNK: usize = 256;
@@ -600,7 +517,7 @@ mod fault_legs {
 
         fault::arm(plan.clone());
         let rerun = data.clone();
-        let (runner, faulted) = watchdog(60, move || {
+        let (runner, faulted) = within_secs(60, move || {
             let r = runner.run(&data);
             (runner, r)
         });
@@ -613,7 +530,7 @@ mod fault_legs {
         }
 
         // Same pool, fault-free rerun: bit-exact recovery.
-        let got = watchdog(60, move || runner.run(&rerun).unwrap());
+        let got = within_secs(60, move || runner.run(&rerun).unwrap());
         assert_eq!(got, expect, "rerun after fault must validate");
     }
 

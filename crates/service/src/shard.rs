@@ -6,8 +6,8 @@
 //! every streamed row is served by, over its own queue. Its workers hand
 //! each row to the one per-row executor,
 //! [`RowTask::execute`](plr_parallel::RowTask::execute): a per-row abort
-//! signal linked to the shard's token (so [`abort`](Shard::abort) reaches
-//! rows mid-solve), the row's own token and its watchdog deadline,
+//! signal that polls the shard's token (so [`abort`](Shard::abort) reaches
+//! rows mid-solve), the row's own token and its deadline, and
 //! `catch_unwind` around the solve. What the shard adds is its queue and
 //! bookkeeping:
 //!
@@ -442,10 +442,8 @@ fn process_row<T: Element>(
         }
         resolver.resolve(data, result);
     };
-    let (pool, token) = (&shared.pool, &shared.token);
-    runtime
-        .task
-        .execute(pool, token, run_abort, worker, index, &ctl, data, complete);
+    let (task, token) = (&runtime.task, &shared.token);
+    task.execute(token, run_abort, worker, index, &ctl, data, complete);
 }
 
 /// Serial fallback: marks the shard degraded and executes its whole
