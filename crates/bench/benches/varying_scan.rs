@@ -7,7 +7,14 @@
 //!   `y[i] = x[i] + a[i]·y[i-1]` with per-element gates) — f32, 1M
 //!   elements, with fast-decay gates in `[0.1, 0.5]` and with the
 //!   performance ledger's slow-decay gates in `[0.5, 0.99)`;
-//! * **order-2 adaptive filter** (per-element biquad feedback) — f64.
+//! * **order-2 adaptive filter** (per-element biquad feedback) — f64;
+//! * **the order-1 kernel on its own** (`varying_kernel_order1`): one
+//!   f32 chunk's local solve, `VaryingPlan::solve_chunk(c, None, …)`,
+//!   on the slow-decay gates at chunk lengths from 2 Ki to 64 Ki. `chain`
+//!   builds the plan under a forced `scalar` tier, so every chunk runs
+//!   the dependent chain; `auto` is the default dispatch, which solves
+//!   chunks of at least `MIN_LANE_CHUNK` elements in lanes. This group
+//!   sets `MIN_LANE_CHUNK`.
 //!
 //! The baseline is the *naive* varying evaluator
 //! ([`plr_core::varying::reference`]): the straightforward
@@ -18,9 +25,10 @@
 //! construction is likewise excluded. `PLR_BENCH_QUICK=1` shrinks the
 //! sample counts — the CI smoke mode.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use plr_core::element::Element;
-use plr_core::varying::{reference, VaryingSignature};
+use plr_core::varying::{reference, VaryingPlan, VaryingSignature};
+use plr_core::{set_kernel_override, KernelTier};
 use plr_parallel::{RunnerConfig, VaryingRunner};
 use std::hint::black_box;
 
@@ -132,5 +140,45 @@ fn bench_adaptive_filter(c: &mut Criterion) {
     runner_group(c, &name, sig, &input_f64(n));
 }
 
-criterion_group!(benches, bench_selective_scan, bench_adaptive_filter);
+/// The ladder's kernel rung: one f32 chunk's local solve, chain against
+/// `auto`, at several chunk lengths. Chunk 1 of a two-chunk plan is
+/// timed, so the plan truncates it as it would in a run; the input is
+/// copied afresh, outside the timing, for every iteration.
+fn bench_kernel(c: &mut Criterion) {
+    let mut g = c.benchmark_group("varying_kernel_order1");
+    g.sample_size(if quick() { 10 } else { 40 });
+    let lens: &[usize] = if quick() {
+        &[1 << 12, 1 << 16]
+    } else {
+        &[1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 16]
+    };
+    for &len in lens {
+        let sig = VaryingSignature::first_order(slow_decay_gates_f32(2 * len)).unwrap();
+        let input = input_f32(len);
+        g.throughput(Throughput::Elements(len as u64));
+        for (name, tier) in [("chain", KernelTier::Scalar), ("auto", KernelTier::Auto)] {
+            set_kernel_override(Some(tier));
+            let plan = VaryingPlan::build(sig.clone(), len).unwrap();
+            set_kernel_override(None);
+            g.bench_function(BenchmarkId::new(name, format!("{}k", len >> 10)), |b| {
+                b.iter_batched(
+                    || input.clone(),
+                    |mut chunk| {
+                        plan.solve_chunk(1, None, &mut chunk, &mut || true);
+                        chunk
+                    },
+                    BatchSize::LargeInput,
+                );
+            });
+        }
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_selective_scan,
+    bench_adaptive_filter,
+    bench_kernel
+);
 criterion_main!(benches);

@@ -57,6 +57,10 @@ pub enum KernelKind {
     /// Add-only cascaded running sums for the integer binomial prefix
     /// sums (see [`crate::prefix::CascadeKernel`]).
     Cascade,
+    /// Lane-parallel order-1 varying solve: sub-blocks advanced in
+    /// lockstep as independent chains, then fixed up from their
+    /// predecessors (see [`crate::varying`], "Fast paths").
+    Lanes,
     /// Aggregated statistics absorbed runs with different kernels.
     Mixed,
 }

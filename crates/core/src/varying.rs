@@ -51,6 +51,17 @@
 //! * **Order-1 fused scan** (the Mamba case): the state is one scalar, so
 //!   the local solve is the tight loop `y[i] = a[i]·prev + z[i]` and the
 //!   correction is `v *= a[i]; y[i] += v` — no matrix machinery at all.
+//! * **Lane-parallel order-1 solve** (the paper's chunk trick applied
+//!   inside a chunk, DESIGN §6 "level 0"): the tight loop is one
+//!   dependent chain, one element per multiply-add latency. A float
+//!   order-1 chunk whose rows vary, which the plan truncated (below) and
+//!   which is at least [`MIN_LANE_CHUNK`] long is instead split into
+//!   [`LANES`] sub-blocks, solved in lockstep from zero as independent
+//!   chains. Each sub-block is then fixed up from its predecessor's last
+//!   value by `v *= a[i]; y[i] += v` until `v` flushes to zero: the
+//!   truncation rule again, sound because every row of a truncated float
+//!   chunk is non-expansive. Only [`KernelTier::Auto`] picks it; the
+//!   forced `scalar` and `blocked` tiers keep the chain as baselines.
 //! * **Constant chunks**: a chunk whose coefficient rows are all equal is
 //!   a constant-coefficient solve, so the plan selects a register-blocked
 //!   / SIMD [`SolveKernel`] for it directly (no [`crate::plan`] involved
@@ -70,7 +81,17 @@
 //!   flush threshold cannot regrow; and to integer chunks at an exactly
 //!   zero product, which wrapping arithmetic keeps zero. Every other
 //!   chunk keeps its full transition and full-length correction.
+//!
+//!   Past chunk 0, a truncated float chunk whose history is known (a
+//!   width-1 run, a whole row, the sequential [`VaryingEngine`]) is
+//!   solved as the look-back path solves it: the zero-history local
+//!   solve, [`VaryingPlan::correct_chunk`], then
+//!   [`VaryingPlan::fixup_state`]. So a signature whose chunks past the
+//!   first all truncate gives the same float outputs, bit for bit, on
+//!   every executor and at every width. Other chunks continue from their
+//!   real history directly, which rounds differently.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::blocked::{SolveKernel, MAX_BLOCKED_ORDER, SOLVE_SLICE};
@@ -78,12 +99,24 @@ use crate::companion::Matrix;
 use crate::element::Element;
 use crate::engine::{CarryPropagation, EngineConfig, MAX_INPUT_LEN};
 use crate::error::EngineError;
-use crate::kernel::KernelKind;
+use crate::kernel::{self, KernelKind, KernelTier};
 
 /// Cap on distinct per-chunk constant-row kernels one plan will build;
 /// chunks beyond it fall back to the scalar varying loop. Real workloads
 /// with constant stretches use one or two distinct rows.
 const MAX_DISTINCT_KERNELS: usize = 16;
+
+/// How many sub-blocks the lane-parallel order-1 solve advances in
+/// lockstep (module docs, "Fast paths"). Four chains reach the
+/// multiply-add latency bound; six or eight ran slower on the reference
+/// host (DESIGN §13 has the probe).
+pub const LANES: usize = 4;
+
+/// The shortest chunk the plan solves in lanes. Shorter chunks leave the
+/// serial tail and the fix-ups a large share of the work; at 2 Ki
+/// elements the lanes still beat the chain (`varying_scan`'s
+/// `varying_kernel_order1` group).
+pub const MIN_LANE_CHUNK: usize = 2048;
 
 /// A time-varying (and optionally affine) recurrence of order `k`, bound
 /// to a fixed input length: one `k`-coefficient feedback row per element,
@@ -95,15 +128,16 @@ pub struct VaryingSignature<T> {
     order: usize,
     len: usize,
     /// Row-major: `coeffs[i·k + (j-1)]` is `a_j[i]`, the weight of
-    /// `y[i-j]` when producing `y[i]`.
-    coeffs: Arc<[T]>,
-    offsets: Option<Arc<[T]>>,
+    /// `y[i-j]` when producing `y[i]`. The caller's vector, moved in.
+    coeffs: Arc<Vec<T>>,
+    offsets: Option<Arc<Vec<T>>>,
 }
 
 impl<T: Element> VaryingSignature<T> {
     /// Builds an order-`k` varying signature from row-major coefficients
     /// (`coeffs[i·k + (j-1)] = a_j[i]`); the bound length is
-    /// `coeffs.len() / order`.
+    /// `coeffs.len() / order`. The signature takes `coeffs` over without
+    /// copying it.
     ///
     /// # Errors
     ///
@@ -127,7 +161,7 @@ impl<T: Element> VaryingSignature<T> {
         Ok(VaryingSignature {
             order,
             len,
-            coeffs: coeffs.into(),
+            coeffs: Arc::new(coeffs),
             offsets: None,
         })
     }
@@ -143,7 +177,7 @@ impl<T: Element> VaryingSignature<T> {
     }
 
     /// Attaches a per-element affine offset stream `d` (the recurrence
-    /// gains a `+ d[i]` term).
+    /// gains a `+ d[i]` term), taking `offsets` over without copying it.
     ///
     /// # Errors
     ///
@@ -156,7 +190,7 @@ impl<T: Element> VaryingSignature<T> {
                 got: offsets.len(),
             });
         }
-        self.offsets = Some(offsets.into());
+        self.offsets = Some(Arc::new(offsets));
         Ok(self)
     }
 
@@ -187,7 +221,7 @@ impl<T: Element> VaryingSignature<T> {
 
     /// The affine offset stream, if one is attached.
     pub fn offsets(&self) -> Option<&[T]> {
-        self.offsets.as_deref()
+        self.offsets.as_deref().map(Vec::as_slice)
     }
 
     /// When every row in `[start, end)` is identical, that row.
@@ -349,24 +383,13 @@ pub fn advance_state<T: Element>(prev: &[T], chunk: &[T], k: usize) -> Vec<T> {
 fn solve_span<T: Element>(sig: &VaryingSignature<T>, start: usize, state: &[T], data: &mut [T]) {
     let k = sig.order();
     if k == 1 {
-        // The order-1 fused scan fast path: one scalar of state.
-        let a = sig.coeffs();
-        let mut prev = state[0];
-        match sig.offsets() {
-            Some(d) => {
-                for (i, y) in data.iter_mut().enumerate() {
-                    let gi = start + i;
-                    prev = y.add(d[gi]).add(a[gi].mul(prev));
-                    *y = prev;
-                }
-            }
-            None => {
-                for (i, y) in data.iter_mut().enumerate() {
-                    prev = y.add(a[start + i].mul(prev));
-                    *y = prev;
-                }
-            }
-        }
+        let span = start..start + data.len();
+        chain(
+            &sig.coeffs()[span.clone()],
+            sig.offsets().map(|d| &d[span]),
+            state[0],
+            data,
+        );
         return;
     }
     let head = k.min(data.len());
@@ -393,6 +416,147 @@ fn solve_span<T: Element>(sig: &VaryingSignature<T>, start: usize, state: &[T], 
         }
         data[i] = acc;
     }
+}
+
+/// The order-1 fused scan: `y[i] = z[i] + a[i]·prev` over `data` from
+/// `prev`, with `z = x + d` when offsets `d` are given. `gates` and
+/// `offsets` cover exactly `data`'s elements.
+fn chain<T: Element>(gates: &[T], offsets: Option<&[T]>, mut prev: T, data: &mut [T]) {
+    match offsets {
+        Some(d) => {
+            for ((y, &a), &d) in data.iter_mut().zip(gates).zip(d) {
+                prev = y.add(d).add(a.mul(prev));
+                *y = prev;
+            }
+        }
+        None => {
+            for (y, &a) in data.iter_mut().zip(gates) {
+                prev = y.add(a.mul(prev));
+                *y = prev;
+            }
+        }
+    }
+}
+
+/// The sub-block length of an `n`-element lane solve: an odd number of
+/// cache lines, so the [`LANES`] sub-block starts fall in different cache
+/// sets. (Starts a power of two apart alias to one set and thrash.)
+fn lane_block<T>(n: usize) -> usize {
+    let line = (64 / std::mem::size_of::<T>()).max(1);
+    let lines = (n / (LANES * line)).max(1);
+    (lines - 1 + lines % 2) * line
+}
+
+/// One lockstep stretch over `steps`: every lane's chain advances one
+/// element per step, `y = x (+ d) + a·s`, as [`chain`] does. Lane `j`
+/// holds its outputs (inputs on entry) in `ys[j]`, its gates in `gs[j]`
+/// and its offsets in `ds[j]`, and its running value in `s[j]`.
+fn lockstep<T: Element>(
+    ys: &mut [&mut [T]; LANES],
+    gs: &[&[T]; LANES],
+    ds: Option<&[&[T]; LANES]>,
+    s: &mut [T; LANES],
+    steps: Range<usize>,
+) {
+    // Equal-length windows, so the loops below need no bounds checks.
+    let ys = ys.each_mut().map(|y| &mut y[steps.clone()]);
+    let gs = gs.map(|g| &g[steps.clone()]);
+    let len = steps.len();
+    // The running values stay in registers, not behind `s`.
+    let mut st = *s;
+    match ds {
+        Some(ds) => {
+            let ds = ds.map(|d| &d[steps.clone()]);
+            for i in 0..len {
+                for j in 0..LANES {
+                    st[j] = ys[j][i].add(ds[j][i]).add(gs[j][i].mul(st[j]));
+                    ys[j][i] = st[j];
+                }
+            }
+        }
+        None => {
+            for i in 0..len {
+                for j in 0..LANES {
+                    st[j] = ys[j][i].add(gs[j][i].mul(st[j]));
+                    ys[j][i] = st[j];
+                }
+            }
+        }
+    }
+    *s = st;
+}
+
+/// The lane-parallel order-1 solve of one chunk (module docs, "Fast
+/// paths"), continuing from `seed`: [`LANES`] sub-blocks of
+/// [`lane_block`] elements advance in lockstep from zero (the first from
+/// `seed`), the elements past them continue the last sub-block's chain,
+/// and each later sub-block is then fixed up from its predecessor's last
+/// value until the fix-up flushes to zero. `gates` and `offsets` cover
+/// exactly `data`'s elements, and every gate must be non-expansive.
+///
+/// `keep_going` is polled after every [`SOLVE_SLICE`] elements of
+/// lockstep work, and once more before the fix-ups when the chunk has a
+/// slice left; returns whether the solve completed, and the slices it
+/// ran (`⌈len / SOLVE_SLICE⌉` when it did). An interrupted solve leaves
+/// no usable prefix.
+fn solve_lanes<T: Element>(
+    gates: &[T],
+    offsets: Option<&[T]>,
+    seed: T,
+    data: &mut [T],
+    keep_going: &mut dyn FnMut() -> bool,
+) -> (bool, u64) {
+    let n = data.len();
+    let b = lane_block::<T>(n);
+    let body = LANES * b;
+    let mut s = [T::zero(); LANES];
+    s[0] = seed;
+    let mut slices = 0u64;
+    {
+        let mut blocks = data[..body].chunks_exact_mut(b);
+        let mut ys: [&mut [T]; LANES] =
+            std::array::from_fn(|_| blocks.next().expect("LANES sub-blocks"));
+        let gs: [&[T]; LANES] = std::array::from_fn(|j| &gates[j * b..(j + 1) * b]);
+        let ds: Option<[&[T]; LANES]> =
+            offsets.map(|d| std::array::from_fn(|j| &d[j * b..(j + 1) * b]));
+        let mut step = 0;
+        while step < b {
+            if slices > 0 && !keep_going() {
+                return (false, slices);
+            }
+            let end = (step + SOLVE_SLICE / LANES).min(b);
+            lockstep(&mut ys, &gs, ds.as_ref(), &mut s, step..end);
+            step = end;
+            slices += 1;
+        }
+    }
+    // The tail and the fix-ups close the chunk's last slice. Fewer than
+    // `2·LANES` cache lines lie past the sub-blocks, so at most one slice
+    // is left.
+    if slices < n.div_ceil(SOLVE_SLICE) as u64 {
+        if !keep_going() {
+            return (false, slices);
+        }
+        slices += 1;
+    }
+    chain(
+        &gates[body..],
+        offsets.map(|d| &d[body..]),
+        s[LANES - 1],
+        &mut data[body..],
+    );
+    for j in 1..LANES {
+        let end = if j == LANES - 1 { n } else { (j + 1) * b };
+        let mut v = data[j * b - 1];
+        for (y, &a) in data[j * b..end].iter_mut().zip(&gates[j * b..end]) {
+            v = v.mul(a);
+            if v.flush_denormal().is_zero() {
+                break;
+            }
+            *y = y.add(v);
+        }
+    }
+    (true, slices)
 }
 
 /// `Σ_j |a_j| ≤ 1`: the row cannot grow a state vector's largest entry.
@@ -489,15 +653,18 @@ fn compose<T: Element>(
 /// Outcome of [`VaryingPlan::solve_chunk`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct VaryingSolve<T> {
-    /// `false` when the poll callback stopped the solve early (solved
-    /// prefix, untouched remainder — mirrors
-    /// [`crate::blocked::SlicedSolve`]).
+    /// `false` when the poll callback stopped the solve early. The chain
+    /// and the constant-row kernels leave a solved prefix and an
+    /// untouched remainder (as [`crate::blocked::SlicedSolve`] does); the
+    /// lane solve leaves no usable prefix. Only an aborted run ever sees
+    /// the buffer.
     pub completed: bool,
     /// Poll slices processed.
     pub slices: u64,
     /// Which kernel class solved this chunk: a constant-row
-    /// blocked/SIMD/scalar kernel, or [`KernelKind::Scalar`] for the
-    /// varying loop.
+    /// blocked/SIMD/scalar kernel, [`KernelKind::Lanes`] for the
+    /// lane-parallel order-1 solve, or [`KernelKind::Scalar`] for the
+    /// varying chain.
     pub kernel: KernelKind,
     /// The carry state after the chunk (meaningless when
     /// `completed == false`).
@@ -508,8 +675,9 @@ pub struct VaryingSolve<T> {
 /// depends only on the coefficients hoisted out of the run path: the
 /// chunk transition matrices (the generalized carries), each chunk's
 /// correction length (its decay point where the transition underflows)
-/// and, for chunks whose rows are all equal, a constant-coefficient
-/// [`SolveKernel`].
+/// and how its local solve runs: a constant-coefficient [`SolveKernel`]
+/// for chunks whose rows are all equal, the lane-parallel order-1 solve
+/// (module docs, "Fast paths"), or the chain.
 ///
 /// Kernels are selected directly — a varying plan never consults (or
 /// populates) the constant path's correction-plan cache.
@@ -520,14 +688,28 @@ pub struct VaryingPlan<T> {
     matrices: Vec<Matrix<T>>,
     correction_lens: Vec<usize>,
     kernels: Vec<SolveKernel<T>>,
-    chunk_kernel: Vec<Option<u16>>,
+    solvers: Vec<Solver>,
+}
+
+/// How a chunk's local solve runs.
+#[derive(Debug, Clone, Copy)]
+enum Solver {
+    /// The plan's constant-row kernel at this index.
+    Kernel(u16),
+    /// The dependent chain ([`solve_span`]).
+    Chain,
+    /// The lane-parallel order-1 solve ([`solve_lanes`]).
+    Lanes,
 }
 
 impl<T: Element> VaryingPlan<T> {
     /// Builds the plan: classifies every chunk (constant rows → kernel)
     /// and composes every chunk's transition matrix, truncated at its
     /// decay point where that is sound (module docs, "Truncated
-    /// corrections").
+    /// corrections"). Under [`KernelTier::Auto`], a varying float
+    /// order-1 chunk of at least [`MIN_LANE_CHUNK`] elements that was
+    /// truncated gets the lane-parallel solve; the truncation already
+    /// proved its rows non-expansive, so no gate is read twice.
     ///
     /// # Errors
     ///
@@ -551,7 +733,8 @@ impl<T: Element> VaryingPlan<T> {
         let mut matrices = Vec::with_capacity(num_chunks);
         let mut correction_lens = Vec::with_capacity(num_chunks);
         let mut kernels: Vec<SolveKernel<T>> = Vec::new();
-        let mut chunk_kernel = Vec::with_capacity(num_chunks);
+        let mut solvers = Vec::with_capacity(num_chunks);
+        let lanes = T::IS_FLOAT && k == 1 && kernel::tier() == KernelTier::Auto;
         for c in 0..num_chunks {
             let start = c * m;
             let len = m.min(n - start);
@@ -569,8 +752,12 @@ impl<T: Element> VaryingPlan<T> {
                 }
                 _ => None,
             };
-            chunk_kernel.push(kernel);
             let (matrix, correction_len) = chunk_transition(&sig, start, len, constant);
+            solvers.push(match kernel {
+                Some(i) => Solver::Kernel(i),
+                None if lanes && len >= MIN_LANE_CHUNK && correction_len < len => Solver::Lanes,
+                None => Solver::Chain,
+            });
             matrices.push(matrix);
             correction_lens.push(correction_len);
         }
@@ -580,7 +767,7 @@ impl<T: Element> VaryingPlan<T> {
             matrices,
             correction_lens,
             kernels,
-            chunk_kernel,
+            solvers,
         })
     }
 
@@ -627,17 +814,20 @@ impl<T: Element> VaryingPlan<T> {
         self.correction_lens[c]
     }
 
-    /// The kernel class chunk `c`'s local solve dispatches to.
+    /// The kernel class chunk `c`'s local solve dispatches to: its
+    /// constant-row kernel's, [`KernelKind::Lanes`] for the lane-parallel
+    /// solve, or [`KernelKind::Scalar`] for the chain.
     pub fn chunk_kernel_kind(&self, c: usize) -> KernelKind {
-        match self.chunk_kernel[c] {
-            Some(i) => self.kernels[i as usize].kind(),
-            None => KernelKind::Scalar,
+        match self.solvers[c] {
+            Solver::Kernel(i) => self.kernels[i as usize].kind(),
+            Solver::Chain => KernelKind::Scalar,
+            Solver::Lanes => KernelKind::Lanes,
         }
     }
 
     /// The kernel summary across chunks: the single class every chunk
-    /// shares, or [`KernelKind::Mixed`] when constant-row kernels and the
-    /// varying scalar loop both appear.
+    /// shares, or [`KernelKind::Mixed`] when chunks solve with different
+    /// classes (constant-row kernels, the lanes, the chain).
     pub fn aggregate_kernel_kind(&self) -> KernelKind {
         let mut agg: Option<KernelKind> = None;
         for c in 0..self.num_chunks() {
@@ -670,7 +860,11 @@ impl<T: Element> VaryingPlan<T> {
     /// Solves chunk `c` in place, continuing from `state` (`None` for the
     /// decoupled zero-state local solve). Offsets are folded into the
     /// input on the fly; constant-row chunks dispatch to their selected
-    /// kernel. Time-sliced: `keep_going` is polled between
+    /// kernel, and lane chunks to the lane-parallel solve. Past chunk 0, a
+    /// truncated float chunk continues from `state` the way the look-back
+    /// path does: the local solve, then [`Self::correct_chunk`], and the
+    /// state [`Self::fixup_state`] derives (module docs, "Truncated
+    /// corrections"). Time-sliced: `keep_going` is polled between
     /// [`SOLVE_SLICE`]-element slices so cancels land mid-chunk.
     pub fn solve_chunk(
         &self,
@@ -679,9 +873,42 @@ impl<T: Element> VaryingPlan<T> {
         data: &mut [T],
         keep_going: &mut dyn FnMut() -> bool,
     ) -> VaryingSolve<T> {
-        let k = self.sig.order();
         let start = c * self.chunk_size;
-        let kernel = self.chunk_kernel[c].map(|i| &self.kernels[i as usize]);
+        let len = data.len();
+        if let Some(history) =
+            state.filter(|_| c > 0 && T::IS_FLOAT && self.correction_lens[c] < len)
+        {
+            let local = self.solve_chunk(c, None, data, keep_going);
+            if !local.completed {
+                return local;
+            }
+            self.correct_chunk(c, history, data);
+            return VaryingSolve {
+                state: self.fixup_state(c, history, &local.state),
+                ..local
+            };
+        }
+        let k = self.sig.order();
+        let kernel = match self.solvers[c] {
+            Solver::Kernel(i) => Some(&self.kernels[i as usize]),
+            Solver::Chain => None,
+            Solver::Lanes => {
+                let span = start..start + len;
+                let (completed, slices) = solve_lanes(
+                    &self.sig.coeffs()[span.clone()],
+                    self.sig.offsets().map(|d| &d[span]),
+                    state.map_or(T::zero(), |s| s[0]),
+                    data,
+                    keep_going,
+                );
+                return VaryingSolve {
+                    completed,
+                    slices,
+                    kernel: KernelKind::Lanes,
+                    state: vec![data[len - 1]],
+                };
+            }
+        };
         let kind = kernel.map_or(KernelKind::Scalar, |kn| kn.kind());
         let mut st: Vec<T> = match state {
             Some(s) => s.to_vec(),
@@ -689,7 +916,7 @@ impl<T: Element> VaryingPlan<T> {
         };
         let mut slices = 0u64;
         let mut off = 0;
-        while off < data.len() {
+        while off < len {
             if slices > 0 && !keep_going() {
                 return VaryingSolve {
                     completed: false,
@@ -698,7 +925,7 @@ impl<T: Element> VaryingPlan<T> {
                     state: st,
                 };
             }
-            let end = (off + SOLVE_SLICE).min(data.len());
+            let end = (off + SOLVE_SLICE).min(len);
             let window = &mut data[off..end];
             match kernel {
                 Some(kn) => {
@@ -768,15 +995,16 @@ impl<T: Element> VaryingPlan<T> {
 /// takes.
 ///
 /// `carry_propagation` selects between the fused sequential sweep
-/// (chunks continue from real state — no corrections at all) and the
+/// (chunks continue from real state; only truncated float chunks past
+/// the first are corrected, module docs "Truncated corrections") and the
 /// decoupled three-stage form (local solves, matrix carry chain,
 /// per-chunk corrections) that the parallel strategies distribute.
-/// `local_solve` and `flush_denormals` are inert here: within a chunk
-/// there are no lanes to double across, and the plan's truncation rule
-/// (module docs, "Truncated corrections") decides on its own where
-/// underflowed transitions cut corrections short (`flush_denormals:
-/// false` does not turn it off); the solves use the coefficients
-/// exactly as given.
+/// `local_solve` and `flush_denormals` are inert here: the plan picks
+/// each chunk's local solve itself, the lane-parallel one included
+/// (module docs, "Fast paths"), and its truncation rule decides on its
+/// own where underflowed transitions cut corrections short
+/// (`flush_denormals: false` does not turn it off); the solves use the
+/// coefficients exactly as given.
 #[derive(Debug)]
 pub struct VaryingEngine<T> {
     plan: Arc<VaryingPlan<T>>,
@@ -955,6 +1183,26 @@ mod tests {
                 got: 1
             })
         ));
+    }
+
+    #[test]
+    fn signatures_take_their_streams_without_a_copy() {
+        let gates = vec![0.5f32, 0.25, 0.75];
+        let offsets = vec![1.0f32, 2.0, 3.0];
+        let (g, d) = (gates.as_ptr(), offsets.as_ptr());
+        let sig = VaryingSignature::first_order(gates)
+            .unwrap()
+            .with_offsets(offsets)
+            .unwrap();
+        assert_eq!(sig.coeffs(), &[0.5, 0.25, 0.75]);
+        assert_eq!(sig.offsets(), Some(&[1.0f32, 2.0, 3.0][..]));
+        assert!(std::ptr::eq(sig.coeffs().as_ptr(), g), "gates moved in");
+        assert!(
+            std::ptr::eq(sig.offsets().unwrap().as_ptr(), d),
+            "offsets moved in"
+        );
+        let clone = sig.clone();
+        assert!(std::ptr::eq(clone.coeffs().as_ptr(), g), "clones share");
     }
 
     #[test]

@@ -345,8 +345,8 @@ impl<T: Element> RowTask<T> {
 
     /// The serial solve kernel the task's plan dispatches to (reported in
     /// per-row and aggregate stats). Varying tasks report the per-chunk
-    /// summary: [`KernelKind::Mixed`] when constant-row kernel chunks and
-    /// varying scalar chunks both occur in a row.
+    /// summary: [`KernelKind::Mixed`] when chunks of different kernel
+    /// classes (constant-row kernels, the lanes, the chain) occur in a row.
     pub fn kernel_kind(&self) -> KernelKind {
         match &self.inner {
             TaskInner::Constant { plan, .. } => plan.solve().kind(),

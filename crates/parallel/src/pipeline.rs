@@ -842,9 +842,12 @@ mod tests {
 
     /// Every global state is derived the same way whichever path a
     /// schedule takes, so float runs are bit-identical at every pool
-    /// width, run after run. Varying runs only from width 2: at width 1
-    /// every chunk fuses, solving from real history instead of
-    /// correcting, which rounds differently.
+    /// width, run after run. The varying signature whose chunks never
+    /// decay runs only from width 2: at width 1 its chunks fuse, solving
+    /// from real history instead of correcting, which rounds differently.
+    /// The one whose chunks past the first all truncate, its ragged tail
+    /// included, agrees at width 1 too: there a truncated float chunk is
+    /// solved from its history with the look-back path's arithmetic.
     #[test]
     fn float_runs_agree_bit_for_bit_across_thread_counts() {
         use crate::{ParallelRunner, RunnerConfig, SegmentedRunner, VaryingRunner};
@@ -853,6 +856,20 @@ mod tests {
         let gates: Vec<f64> = (0..n).map(|i| 0.5 + ((i * 7 % 11) as f64) * 0.04).collect();
         let sig: Signature<f64> = "0.04:1.6,-0.64".parse().unwrap();
         let segments = Segments::uniform(3000, n);
+        // Gates in [0.02, 0.14]: every chunk's transition underflows within
+        // a few hundred elements, well inside the 600-element tail.
+        let (trunc_chunk, trunc_n) = (2048, 9 * 2048 + 600);
+        let trunc_sig = VaryingSignature::first_order(
+            (0..trunc_n)
+                .map(|i| 0.02 + ((i * 7 % 11) as f64) * 0.012)
+                .collect(),
+        )
+        .unwrap();
+        let plan = VaryingPlan::build(trunc_sig.clone(), trunc_chunk).unwrap();
+        for c in 1..plan.num_chunks() {
+            let len = trunc_chunk.min(trunc_n - c * trunc_chunk);
+            assert!(plan.correction_len(c) < len, "chunk {c} truncates");
+        }
         let runs = |threads| {
             let config = RunnerConfig {
                 chunk_size: 512,
@@ -867,22 +884,32 @@ mod tests {
                 config,
             )
             .unwrap();
+            let truncating = VaryingRunner::with_config(
+                trunc_sig.clone(),
+                RunnerConfig {
+                    chunk_size: trunc_chunk,
+                    ..config
+                },
+            )
+            .unwrap();
             [
                 constant.run(&input).unwrap(),
                 segmented.run(&input).unwrap(),
                 varying.run(&input).unwrap(),
+                truncating.run(&input[..trunc_n]).unwrap(),
             ]
             .map(|o| o.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
         };
-        let [constant, segmented, varying] = runs(2);
+        let [constant, segmented, varying, truncating] = runs(2);
         for threads in [1, 2, 4] {
             for _ in 0..3 {
-                let [c, s, v] = runs(threads);
+                let [c, s, v, t] = runs(threads);
                 assert!(c == constant, "constant at {threads} threads");
                 assert!(s == segmented, "segmented at {threads} threads");
                 if threads > 1 {
                     assert!(v == varying, "varying at {threads} threads");
                 }
+                assert!(t == truncating, "truncating varying at {threads} threads");
             }
         }
     }

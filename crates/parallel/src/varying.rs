@@ -49,7 +49,10 @@ use std::sync::Arc;
 /// constant-coefficient plan corrects only a prefix. So a NaN or
 /// infinite carry reaches only the first `d_c` outputs of such a chunk,
 /// and the chunk's global state becomes NaN (`0·inf`), where the serial
-/// recurrence is non-finite from the bad value on.
+/// recurrence is non-finite from the bad value on. A width-1 run, whose
+/// chunks past the first solve from their predecessor's state, gives the
+/// same outputs as two threads: a truncated float chunk solved from
+/// known history takes the look-back path's arithmetic.
 /// [`RunnerConfig::check_finite`] rejects such a run at the first chunk
 /// whose state is not finite. No configuration turns the truncation
 /// off; `EngineConfig::flush_denormals` does not control it.
@@ -123,7 +126,7 @@ impl<T: Element> VaryingRunner<T> {
 
 /// The varying algebra: the state is the `k` most recent outputs, carried
 /// across chunk `c` by its affine map `g ↦ M_c·g + local_c`. No FIR stage,
-/// no resets, no skips; fuses when the predecessor is already resolved.
+/// no resets, no skips; fuses chunk 0, and every chunk of a width-1 run.
 impl<T: Element> CarryAlgebra<T> for VaryingPlan<T> {
     fn bound_len(&self) -> Option<usize> {
         Some(self.len())
@@ -131,7 +134,7 @@ impl<T: Element> CarryAlgebra<T> for VaryingPlan<T> {
 
     /// Never touches the correction-plan cache; reports the plan's kernel
     /// summary ([`KernelKind::Mixed`](plr_core::kernel::KernelKind::Mixed)
-    /// when constant-row kernel chunks and varying scalar chunks coexist).
+    /// when chunks of different kernel classes coexist).
     fn base_stats(&self) -> RunStats {
         RunStats {
             plan_kind: PlanKind::MatrixCarry,
@@ -172,9 +175,11 @@ impl<T: Element> CarryAlgebra<T> for VaryingPlan<T> {
     }
 
     /// Chunk 0 always fuses (its history is the zero state); later chunks
-    /// fuse when their predecessor's global is already published — for
-    /// floats only on a width-1 pool, where every chunk fuses
-    /// deterministically. Integer arithmetic is exact either way.
+    /// fuse on a width-1 run only, where each follows its predecessor's
+    /// published global state. The width alone decides, never timing.
+    /// A truncated float chunk given its history still solves locally
+    /// and corrects ([`VaryingPlan::solve_chunk`]), so float outputs match
+    /// wider runs whenever every chunk past the first truncates.
     fn fused_history<'a>(
         &self,
         c: usize,

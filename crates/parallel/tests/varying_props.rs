@@ -15,13 +15,21 @@
 //! Also holds the stats surface to its contract: varying runs report
 //! [`PlanKind::MatrixCarry`], never touch the constant-coefficient
 //! correction-plan cache, and summarize their kernels as
-//! [`KernelKind::Mixed`] exactly when constant-row kernel chunks and
-//! varying scalar chunks coexist in one run.
+//! [`KernelKind::Mixed`] exactly when chunks of different kernel classes
+//! (constant-row kernels, the lane-parallel solve, the chain) coexist in
+//! one run.
+//!
+//! The lane-parallel order-1 solve runs only on chunks of at least
+//! [`MIN_LANE_CHUNK`] elements under [`KernelTier::Auto`], so the tests
+//! that expect it pin that tier under [`lock_global`]: CI's forced
+//! `scalar` and `blocked` legs run them too.
 
+use plr_core::blocked::SOLVE_SLICE;
 use plr_core::engine::{CarryPropagation, EngineConfig, LocalSolve};
+use plr_core::error::EngineError;
 use plr_core::kernel::KernelKind;
 use plr_core::plan::{self, PlanKind};
-use plr_core::varying::{reference, VaryingEngine, VaryingPlan, VaryingSignature};
+use plr_core::varying::{reference, VaryingEngine, VaryingPlan, VaryingSignature, MIN_LANE_CHUNK};
 use plr_core::{set_kernel_override, Element, KernelTier};
 use plr_parallel::runner::RunnerConfig;
 use plr_parallel::VaryingRunner;
@@ -448,6 +456,320 @@ fn lookback_fusion_counts_and_stays_exact() {
     let stats = four.run_in_place(&mut data).unwrap();
     assert_eq!(data, expect);
     assert_eq!(stats.fused_chunks, 1, "only chunk 0 fuses on a wider run");
+}
+
+/// Pins a kernel tier for one test and restores the default on drop,
+/// even when an assertion fails. Hold `lock_global()` alongside it.
+struct PinnedTier;
+
+impl PinnedTier {
+    fn new(tier: KernelTier) -> Self {
+        set_kernel_override(Some(tier));
+        PinnedTier
+    }
+}
+
+impl Drop for PinnedTier {
+    fn drop(&mut self) {
+        set_kernel_override(None);
+    }
+}
+
+/// Builds a plan under `tier`, then lifts the pin.
+fn plan_under<T: Element>(
+    tier: KernelTier,
+    sig: &VaryingSignature<T>,
+    chunk: usize,
+) -> VaryingPlan<T> {
+    let _tier = PinnedTier::new(tier);
+    VaryingPlan::build(sig.clone(), chunk).unwrap()
+}
+
+fn key_bits<T: Element>(v: &[T]) -> Vec<u64> {
+    v.iter().map(|x| x.key_bits()).collect()
+}
+
+/// The lane path's geometry: order-1 float chunks of `MIN_LANE_CHUNK`
+/// and `2·MIN_LANE_CHUNK` elements with contractive gates, offsets and a
+/// ragged tail that truncates too. Every chunk past the first truncates,
+/// so every executor at every width gives the same bits: a truncated
+/// chunk solved from known history takes the look-back path's
+/// arithmetic.
+#[test]
+fn lane_path_outputs_are_bit_identical_across_executors_and_threads() {
+    let _g = lock_global();
+    let _tier = PinnedTier::new(KernelTier::Auto);
+    for chunk in [MIN_LANE_CHUNK, 2 * MIN_LANE_CHUNK] {
+        let n = 3 * chunk + 777;
+        let gates = contractive_gates(n, 1, 0x1a9e + chunk as u64);
+        let offsets: Vec<f64> = (0..n).map(|i| ((i % 7) as f64) * 0.05).collect();
+        let input = positive_input(n);
+        let sig = VaryingSignature::first_order(gates.clone())
+            .unwrap()
+            .with_offsets(offsets.clone())
+            .unwrap();
+        assert_identical_everywhere(&sig, &input, chunk);
+        let sig = VaryingSignature::first_order(gates.iter().map(|&a| a as f32).collect())
+            .unwrap()
+            .with_offsets(offsets.iter().map(|&d| d as f32).collect())
+            .unwrap();
+        let input: Vec<f32> = input.iter().map(|&x| x as f32).collect();
+        assert_identical_everywhere(&sig, &input, chunk);
+    }
+}
+
+fn assert_identical_everywhere<T: Element>(sig: &VaryingSignature<T>, input: &[T], chunk: usize) {
+    let ty = std::any::type_name::<T>();
+    let plan = VaryingPlan::build(sig.clone(), chunk).unwrap();
+    for c in 0..plan.num_chunks() {
+        let len = chunk.min(input.len() - c * chunk);
+        assert!(plan.correction_len(c) < len, "{ty} chunk {c} truncates");
+        if len >= MIN_LANE_CHUNK {
+            assert_eq!(
+                plan.chunk_kernel_kind(c),
+                KernelKind::Lanes,
+                "{ty} chunk {c}"
+            );
+        }
+    }
+    let mut expect: Option<Vec<u64>> = None;
+    for threads in [1usize, 2, 4] {
+        for (label, got) in all_executor_outputs(sig, input, chunk, threads) {
+            let bits = key_bits(&got);
+            match &expect {
+                None => expect = Some(bits),
+                Some(e) => assert!(
+                    *e == bits,
+                    "{label}: {ty} chunk={chunk} threads={threads} differs"
+                ),
+            }
+        }
+    }
+}
+
+/// Contractive and slow-decay gates at chunk sizes at and above the lane
+/// minimum: every executor within 4 ULP of the serial reference, f32 and
+/// f64, at 1, 2 and 4 threads, on positive inputs.
+#[test]
+fn lane_chunks_stay_within_ulps_of_reference() {
+    let _g = lock_global();
+    let _tier = PinnedTier::new(KernelTier::Auto);
+    let n = 5 * 4 * MIN_LANE_CHUNK + 777;
+    let input = positive_input(n);
+    let input32: Vec<f32> = input.iter().map(|&x| x as f32).collect();
+    for (family, gates) in [
+        ("contractive", contractive_gates(n, 1, 0x1a4e)),
+        ("slow-decay", slow_decay_gates(n, 1, 0x1a5d)),
+    ] {
+        for chunk in [MIN_LANE_CHUNK, 4 * MIN_LANE_CHUNK] {
+            let sig = VaryingSignature::first_order(gates.clone()).unwrap();
+            assert_within_ulps(&sig, &input, chunk, ulps64, family);
+            let sig =
+                VaryingSignature::first_order(gates.iter().map(|&a| a as f32).collect()).unwrap();
+            assert_within_ulps(&sig, &input32, chunk, ulps32, family);
+        }
+    }
+}
+
+fn assert_within_ulps<T: Element>(
+    sig: &VaryingSignature<T>,
+    input: &[T],
+    chunk: usize,
+    ulps: fn(T, T) -> i64,
+    family: &str,
+) {
+    let ty = std::any::type_name::<T>();
+    if chunk >= 4 * MIN_LANE_CHUNK {
+        // Long enough to truncate in both widths, so it runs the lanes.
+        let plan = VaryingPlan::build(sig.clone(), chunk).unwrap();
+        assert_eq!(
+            plan.chunk_kernel_kind(1),
+            KernelKind::Lanes,
+            "{family} {ty}"
+        );
+    }
+    let expect = reference(sig, input).unwrap();
+    for threads in [1usize, 2, 4] {
+        for (label, got) in all_executor_outputs(sig, input, chunk, threads) {
+            for (i, (&g, &e)) in got.iter().zip(&expect).enumerate() {
+                let d = ulps(g, e);
+                assert!(
+                    d <= 4,
+                    "{label}: {family} {ty} chunk={chunk} threads={threads} i={i}: \
+                     {g:?} vs {e:?} ({d} ULPs)"
+                );
+            }
+        }
+    }
+}
+
+/// A NaN or infinite input inside a lane chunk makes that chunk's
+/// outputs non-finite from the bad element to the chunk's end, as the
+/// chain does: the sub-block holding it turns non-finite there and seeds
+/// every later sub-block's fix-up, which never flushes. `check_finite`
+/// rejects the run at that chunk.
+#[test]
+fn non_finite_inputs_in_a_lane_chunk_spread_to_its_end() {
+    let _g = lock_global();
+    let _tier = PinnedTier::new(KernelTier::Auto);
+    let m = 2 * MIN_LANE_CHUNK;
+    let n = 4 * m;
+    let gates: Vec<f32> = slow_decay_gates(n, 1, 0xbad)
+        .iter()
+        .map(|&a| a as f32)
+        .collect();
+    let sig = VaryingSignature::first_order(gates).unwrap();
+    let plan = VaryingPlan::build(sig.clone(), m).unwrap();
+    assert_eq!(plan.chunk_kernel_kind(1), KernelKind::Lanes);
+    // Inside the second of the chunk's sub-blocks.
+    let at = m + 3 * m / 8;
+    for bad in [f32::NAN, f32::INFINITY] {
+        let mut input: Vec<f32> = positive_input(n).iter().map(|&x| x as f32).collect();
+        input[at] = bad;
+        let mut local = input[m..2 * m].to_vec();
+        assert!(
+            plan.solve_chunk(1, None, &mut local, &mut || true)
+                .completed
+        );
+        assert!(local[..at - m].iter().all(|y| y.is_finite()), "{bad}");
+        assert!(local[at - m..].iter().all(|y| !y.is_finite()), "{bad}");
+        for threads in [1usize, 2] {
+            let got = runner_with(&sig, m, threads).run(&input).unwrap();
+            assert!(
+                got[..at].iter().all(|y| y.is_finite()),
+                "{bad} threads={threads}"
+            );
+            assert!(
+                got[at..2 * m].iter().all(|y| !y.is_finite()),
+                "{bad} threads={threads}"
+            );
+            let strict = VaryingRunner::with_config(
+                sig.clone(),
+                RunnerConfig {
+                    chunk_size: m,
+                    threads,
+                    check_finite: true,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(
+                strict.run(&input),
+                Err(EngineError::NonFiniteCarry { chunk: 1 }),
+                "{bad} threads={threads}"
+            );
+        }
+    }
+}
+
+/// An expansive (1.5), NaN or infinite gate keeps its chunk from being
+/// truncated, so it stays on the chain and solves exactly as the chain
+/// does; its neighbours still take the lanes and the run reports
+/// [`KernelKind::Mixed`].
+#[test]
+fn hostile_gates_keep_their_chunk_on_the_chain() {
+    let _g = lock_global();
+    let m = 2 * MIN_LANE_CHUNK;
+    let n = 4 * m;
+    let input: Vec<f32> = positive_input(n).iter().map(|&x| x as f32).collect();
+    for hostile in [1.5f32, f32::NAN, f32::INFINITY] {
+        let mut gates: Vec<f32> = slow_decay_gates(n, 1, 0x4057)
+            .iter()
+            .map(|&a| a as f32)
+            .collect();
+        gates[3 * m + m / 2] = hostile;
+        let sig = VaryingSignature::first_order(gates).unwrap();
+        let chain = plan_under(KernelTier::Scalar, &sig, m);
+        let _tier = PinnedTier::new(KernelTier::Auto);
+        let plan = VaryingPlan::build(sig.clone(), m).unwrap();
+        for c in 0..3 {
+            assert_eq!(
+                plan.chunk_kernel_kind(c),
+                KernelKind::Lanes,
+                "{hostile}: chunk {c}"
+            );
+        }
+        assert_eq!(plan.chunk_kernel_kind(3), KernelKind::Scalar, "{hostile}");
+        assert_eq!(plan.correction_len(3), m, "{hostile}");
+        assert_eq!(plan.aggregate_kernel_kind(), KernelKind::Mixed, "{hostile}");
+        let mut lanes_plan = input[3 * m..].to_vec();
+        let mut chain_plan = lanes_plan.clone();
+        plan.solve_chunk(3, None, &mut lanes_plan, &mut || true);
+        chain.solve_chunk(3, None, &mut chain_plan, &mut || true);
+        assert_eq!(key_bits(&lanes_plan), key_bits(&chain_plan), "{hostile}");
+        let stats = runner_with(&sig, m, 2)
+            .run_in_place(&mut input.clone())
+            .unwrap();
+        assert_eq!(stats.kernel, KernelKind::Mixed, "{hostile}");
+    }
+}
+
+/// A lane chunk polls its abort callback once per [`SOLVE_SLICE`]
+/// elements of lockstep work and once more before its fix-ups when a
+/// slice is left: a completed solve reports `⌈len / SOLVE_SLICE⌉`
+/// slices, and a poll that says stop returns `completed == false` with
+/// the slices run so far.
+#[test]
+fn lane_solves_poll_per_slice_and_stop_on_request() {
+    let _g = lock_global();
+    let _tier = PinnedTier::new(KernelTier::Auto);
+    for len in [MIN_LANE_CHUNK, 2 * SOLVE_SLICE + 50, 3 * SOLVE_SLICE + 421] {
+        let gates: Vec<f32> = slow_decay_gates(2 * len, 1, 0x511c)
+            .iter()
+            .map(|&a| a as f32)
+            .collect();
+        let plan = VaryingPlan::build(VaryingSignature::first_order(gates).unwrap(), len).unwrap();
+        assert_eq!(plan.chunk_kernel_kind(1), KernelKind::Lanes, "len {len}");
+        let input: Vec<f32> = positive_input(len).iter().map(|&x| x as f32).collect();
+        let total = len.div_ceil(SOLVE_SLICE) as u64;
+        let mut data = input.clone();
+        let mut polls = 0u64;
+        let full = plan.solve_chunk(1, None, &mut data, &mut || {
+            polls += 1;
+            true
+        });
+        assert!(full.completed, "len {len}");
+        assert_eq!(full.kernel, KernelKind::Lanes);
+        assert_eq!(full.slices, total, "len {len}");
+        assert_eq!(polls, total - 1, "len {len}: one poll between slices");
+        for stop_at in 1..total {
+            let mut data = input.clone();
+            let mut polls = 0u64;
+            let stopped = plan.solve_chunk(1, None, &mut data, &mut || {
+                polls += 1;
+                polls < stop_at
+            });
+            assert!(!stopped.completed, "len {len} stop at poll {stop_at}");
+            assert_eq!(stopped.slices, stop_at, "len {len} stop at poll {stop_at}");
+        }
+    }
+}
+
+/// The ledger's selective-scan shape (order-1 f32 gates in `[0.5, 0.99)`
+/// over 512 Ki elements, 64 Ki chunks) reports [`KernelKind::Lanes`]
+/// under `auto`, from the plan and from a run's stats, and the chain,
+/// [`KernelKind::Scalar`], under forced `scalar` and `blocked`.
+#[test]
+fn ssm_shaped_plans_report_the_lane_solve_under_auto_only() {
+    let _g = lock_global();
+    let n = 1 << 19;
+    let gates: Vec<f32> = slow_decay_gates(n, 1, 0x55a)
+        .iter()
+        .map(|&a| a as f32)
+        .collect();
+    let sig = VaryingSignature::first_order(gates).unwrap();
+    let input: Vec<f32> = positive_input(n).iter().map(|&x| x as f32).collect();
+    for (tier, kind) in [
+        (KernelTier::Auto, KernelKind::Lanes),
+        (KernelTier::Scalar, KernelKind::Scalar),
+        (KernelTier::Blocked, KernelKind::Scalar),
+    ] {
+        let _tier = PinnedTier::new(tier);
+        let runner = runner_with(&sig, 1 << 16, 2);
+        assert_eq!(runner.plan().aggregate_kernel_kind(), kind, "{tier:?}");
+        let stats = runner.run_in_place(&mut input.clone()).unwrap();
+        assert_eq!(stats.kernel, kind, "{tier:?}");
+    }
 }
 
 proptest! {

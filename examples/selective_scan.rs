@@ -14,7 +14,10 @@
 //!
 //! The example gates a token stream the way an SSM does — a gate near 1
 //! retains state across a span, a gate near 0 resets at a boundary — and
-//! checks the parallel result against the naive sequential scan.
+//! checks the parallel result against the naive sequential scan. The
+//! gates decay within every chunk, so the plan solves each chunk in
+//! lanes (independent sub-block chains, fixed up from their
+//! predecessors) and the run reports the kernel as `Lanes`.
 //!
 //! ```text
 //! cargo run --release --example selective_scan
@@ -88,13 +91,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("selective scan over {n} gated elements");
     println!("  sequential: {:7.1} ms", t_seq.as_secs_f64() * 1e3);
     println!(
-        "  parallel:   {:7.1} ms on {} threads ({} chunks, {} fused, kernel {:?})",
+        "  parallel:   {:7.1} ms on {} threads ({} chunks, {} fused)",
         t_par.as_secs_f64() * 1e3,
         runner.threads(),
         stats.chunks,
         stats.fused_chunks,
-        stats.kernel,
     );
+    println!("  kernel:     {:?}", stats.kernel);
     println!("  worst relative deviation: {worst_rel:.2e}");
 
     // State decays across each 1000-element span and resets at the gate-0
