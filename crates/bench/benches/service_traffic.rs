@@ -224,24 +224,27 @@ fn closed_loop(
     for (t, &id) in ids.iter().enumerate() {
         for c in 0..clients_per_tenant {
             let core = Arc::clone(&core);
-            // Cap retry sleeps at the full deadline budget: shed clients
-            // that spin faster than the service drains only steal CPU
-            // from the workers they are waiting on.
-            let mut backoff = plr_parallel::Backoff::with_seed(
-                Duration::from_micros(50),
-                budget,
-                (t as u64 + 1) * 1000 + c as u64,
-            );
+            let mut rng = Rng::new((t as u64 + 1) * 1000 + c as u64);
             threads.push(std::thread::spawn(move || {
                 let mut tally = Tally::default();
                 let data = row(len, t as u64);
+                // Decorrelated jitter: each sleep after a shed is uniform
+                // in [base, 3 × previous], and a success starts the walk
+                // over. Sleeps are capped at the full deadline budget:
+                // shed clients that spin faster than the service drains
+                // only steal CPU from the workers they are waiting on.
+                let base = Duration::from_micros(50);
+                let cap = budget.max(base);
+                let mut prev = base;
                 while Instant::now() < deadline {
                     let shed_before = tally.shed;
                     submit_and_tally(&core, id, data.clone(), budget, &mut tally);
                     if tally.shed > shed_before {
-                        std::thread::sleep(backoff.next_delay());
+                        let span = ((prev * 3).clamp(base, cap) - base).as_nanos() as u64;
+                        prev = base + Duration::from_nanos(rng.next_u64() % (span + 1));
+                        std::thread::sleep(prev);
                     } else {
-                        backoff.reset();
+                        prev = base;
                     }
                 }
                 (t, tally)

@@ -169,8 +169,8 @@ pub enum EngineError {
     /// budget (or the shard's backlog bound): admitting the row would only
     /// wedge the queue and miss the deadline anyway.
     ///
-    /// Retryable — back off (see `plr_parallel::retry`) and resubmit; the
-    /// hint is the service's estimate of when capacity frees up.
+    /// Retryable — back off for the hint and resubmit; the hint is the
+    /// service's estimate of when capacity frees up.
     Overloaded {
         /// Suggested minimum wait before resubmitting.
         retry_after_hint: core::time::Duration,

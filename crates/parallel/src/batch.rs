@@ -14,8 +14,8 @@
 
 use crate::pipeline::{for_each_chunk, timed};
 use crate::pool::{
-    lock_recover, resolve_threads, AbortSignal, CancelToken, RunControl, RunError, WorkerExit,
-    WorkerPanic, WorkerPool,
+    lock_recover, resolve_threads, AbortSignal, CancelToken, RunControl, RunError, WorkerPanic,
+    WorkerPool,
 };
 use crate::runner::{ParallelRunner, RunnerConfig};
 use crate::stats::RunStats;
@@ -28,7 +28,7 @@ use plr_core::plan::{self, CorrectionPlan, PlanKind, PlanRequest};
 use plr_core::segmented::SegmentedPlan;
 use plr_core::signature::Signature;
 use plr_core::varying::VaryingPlan;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// The intra-row runner cached between `run_rows` calls, keyed by the
@@ -208,18 +208,12 @@ impl<T: Element> RowTask<T> {
     /// 4. the signal is polled once more and its reason, if any, becomes
     ///    the row's [`EngineError`];
     /// 5. a solved row reports the same per-row [`RunStats`] `run_rows`
-    ///    aggregates: plan, kernel, chunks and taps, plus its timings;
-    /// 6. a simulated thread death ([`WorkerExit`]) trips `run_abort`,
-    ///    the drain run's signal, *before* `complete` resolves the row,
-    ///    and is re-raised after it: the dying run pops no later row, and
-    ///    the worker still retires through the pool.
+    ///    aggregates: plan, kernel, chunks and taps, plus its timings.
     ///
     /// `worker` and `index` identify the row to the fault harness.
-    #[allow(clippy::too_many_arguments)]
     pub fn execute(
         &self,
         run: &CancelToken,
-        run_abort: &AbortSignal,
         worker: usize,
         index: usize,
         ctl: &RunControl,
@@ -236,31 +230,16 @@ impl<T: Element> RowTask<T> {
             crate::fault::check(crate::fault::FaultSite::Row, worker, index, Some(&abort));
             self.apply(&mut data, worker, index, Some(&abort))
         }));
-        match outcome {
-            Ok(timings) => {
-                let result = ctl
-                    .outcome(&abort)
-                    .map(|()| self.row_stats(timings))
-                    .map_err(RunError::into_engine_error);
-                complete(data, result);
-            }
+        let result = match outcome {
+            Ok(timings) => ctl
+                .outcome(&abort)
+                .map(|()| self.row_stats(timings))
+                .map_err(RunError::into_engine_error),
             Err(payload) => {
-                let err = WorkerPanic::from_payload(worker, payload.as_ref()).into_engine_error();
-                let exit = payload.is::<WorkerExit>();
-                if exit {
-                    // A dying worker ends its drain run. The abort goes
-                    // first, so once this row resolves no later row can
-                    // start on the run.
-                    run_abort.trigger();
-                }
-                complete(data, Err(err));
-                if exit {
-                    // Simulated thread death must still retire the worker
-                    // through the pool's machinery (lazy respawn & co).
-                    resume_unwind(payload);
-                }
+                Err(WorkerPanic::from_payload(worker, payload.as_ref()).into_engine_error())
             }
-        }
+        };
+        complete(data, result);
     }
 
     /// One solved row's stats: [`base_stats(1)`](Self::base_stats) plus

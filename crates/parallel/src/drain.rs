@@ -2,7 +2,7 @@
 //! the resident Phase 2 workers behind both a [`RowStream`](crate::RowStream)
 //! and a `plr-service` shard (see [`Drain`]).
 
-use crate::pool::{lock_recover, AbortSignal, RunControl, RunHandle, WorkerPool};
+use crate::pool::{lock_recover, RunControl, RunHandle, WorkerPool};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -32,10 +32,12 @@ pub trait DrainQueue: Send + 'static {
 /// caller's closure on it; intake is closed and the queue empty → exit;
 /// otherwise park for 10 ms. The loop has no fault policy: the caller
 /// sweeps what is left in the queue once, from a completion callback on
-/// the run's [`RunHandle`]. A worker that dies to a
-/// [`WorkerExit`](crate::pool::WorkerExit) trips the run's abort before
-/// its row resolves ([`RowTask::execute`](crate::RowTask::execute)), so
-/// the dying run pops no later row.
+/// the run's [`RunHandle`]. The run ends when intake closes, when its
+/// token is cancelled, or when a panic escapes the caller's closure; the
+/// run's outcome then carries that panic. A row's own panic does not
+/// escape ([`RowTask::execute`](crate::RowTask::execute) catches it), nor
+/// does a panicking completion callback, which is contained where it
+/// fires.
 pub struct Drain<Q>(Arc<Shared<Q>>);
 
 struct Shared<Q> {
@@ -71,13 +73,13 @@ impl<Q> Drain<Q> {
 
 impl<Q: DrainQueue> Drain<Q> {
     /// Submits the drain run on `pool` under `ctl`; each popped item goes
-    /// to `serve(item, worker, run_abort)`. Returns `None`, submitting
+    /// to `serve(item, worker)`. Returns `None`, submitting
     /// nothing, when the pool cannot spawn its submit driver thread:
     /// `submit` would then run the loop on this thread, where no item
     /// could ever arrive.
     pub fn launch<F>(&self, pool: &Arc<WorkerPool>, ctl: RunControl, serve: F) -> Option<RunHandle>
     where
-        F: Fn(Q::Item, usize, &AbortSignal) + Send + Sync + 'static,
+        F: Fn(Q::Item, usize) + Send + Sync + 'static,
     {
         if !pool.ensure_driver() {
             return None;
@@ -100,7 +102,7 @@ impl<Q: DrainQueue> Drain<Q> {
                     queue = parked.unwrap_or_else(PoisonError::into_inner).0;
                 }
             };
-            serve(item, worker, abort);
+            serve(item, worker);
         }))
     }
 }

@@ -2,11 +2,12 @@
 //! (compiled only with the `fault-inject` cargo feature).
 //!
 //! The decoupled look-back liveness argument rests on every execution
-//! unit eventually publishing its carries; this harness lets tests kill
-//! any stage of the pipeline on purpose — a specific chunk, a specific
-//! worker, or the K-th consultation — and assert that the pool converts
-//! the death into [`EngineError::WorkerPanicked`] instead of hanging, and
-//! that it stays reusable afterwards.
+//! unit eventually publishing its carries; this harness lets tests fail
+//! or stall any stage of the pipeline on purpose — a specific chunk, a
+//! specific worker, or the K-th consultation — and assert that the pool
+//! converts a panic into [`EngineError::WorkerPanicked`] instead of
+//! hanging, and that it stays reusable afterwards. It simulates no
+//! thread death: workers are fail-stop, and a real one ends the process.
 //!
 //! A process-global, one-shot [`FaultPlan`] is armed with [`arm`] and
 //! consulted by the instrumented sites in the runner and batch executor
@@ -18,7 +19,7 @@
 //!
 //! [`EngineError::WorkerPanicked`]: plr_core::error::EngineError::WorkerPanicked
 
-use crate::pool::{lock_recover, AbortSignal, WorkerExit};
+use crate::pool::{lock_recover, AbortSignal};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -61,10 +62,6 @@ pub enum FaultKind {
     ///
     /// [`EngineError::WorkerPanicked`]: plr_core::error::EngineError::WorkerPanicked
     Panic,
-    /// Panic with the [`WorkerExit`] sentinel: the worker thread leaves
-    /// its loop entirely (simulated thread death), and the pool respawns
-    /// it on the next submission.
-    ExitWorker,
     /// Sleep instead of failing — stalls one pipeline stage so tests can
     /// drive successors into their spin-wait paths, or wedge a run long
     /// enough for cancellation/deadline machinery to fire.
@@ -129,14 +126,6 @@ impl FaultPlan {
         }
     }
 
-    /// Simulated thread death at `site` on chunk `chunk`.
-    pub fn exit_at_chunk(site: FaultSite, chunk: usize) -> Self {
-        FaultPlan {
-            kind: FaultKind::ExitWorker,
-            ..Self::panic_at_chunk(site, chunk)
-        }
-    }
-
     /// A stall of `delay` at `site` on chunk `chunk` (spin-path coverage).
     pub fn delay_at_chunk(site: FaultSite, chunk: usize, delay: Duration) -> Self {
         FaultPlan {
@@ -183,8 +172,8 @@ pub fn is_armed() -> bool {
 ///
 /// # Panics
 ///
-/// On purpose, when a [`FaultKind::Panic`] or [`FaultKind::ExitWorker`]
-/// plan fires — that is the injected fault.
+/// On purpose, when a [`FaultKind::Panic`] plan fires — that is the
+/// injected fault.
 pub fn check(site: FaultSite, worker: usize, chunk: usize, abort: Option<&AbortSignal>) {
     let kind = {
         let mut guard = lock_recover(&PLAN);
@@ -214,7 +203,6 @@ pub fn check(site: FaultSite, worker: usize, chunk: usize, abort: Option<&AbortS
         FaultKind::Panic => {
             panic!("injected fault at {site:?} (worker {worker}, chunk {chunk})")
         }
-        FaultKind::ExitWorker => std::panic::panic_any(WorkerExit),
         FaultKind::Delay(d) => {
             // Sleep in short slices so an aborted run reclaims the wedged
             // worker promptly (see `FaultKind::Delay`).

@@ -107,17 +107,18 @@
 //!   first-completion-wins completion cell, which the [`stream`]
 //!   module's runtime-agnostic `Future` adapters ([`RowFuture`],
 //!   [`RunFuture`], [`block_on`]) poll.
-//! - **The pool survives.** Worker threads outlive job panics; a worker
-//!   that genuinely dies is respawned lazily at the next submission, and
-//!   threads that failed to spawn in the first place are retried there
-//!   too ([`RunStats::threads`] reports the effective width). Panic,
-//!   cancel, and deadline outcomes are tallied in
-//!   [`PoolCounters`].
+//! - **The pool survives.** Worker threads outlive job panics and stay
+//!   in their loop until the pool drops: workers are fail-stop, and a
+//!   real thread death ends the process. Threads that failed to spawn
+//!   are retried at each later submission ([`RunStats::threads`] reports
+//!   the effective width), and a panicking completion callback cannot
+//!   kill the thread that fires it. Panic, cancel, and deadline outcomes
+//!   are tallied in [`PoolCounters`].
 //! - **Opt-in value validation.** [`RunnerConfig::check_finite`] aborts
 //!   float runs whose carries go NaN/Inf instead of propagating garbage
 //!   through the look-back chain.
 //! - **Deterministic fault injection.** The `fault-inject` cargo feature
-//!   compiles a process-global [`fault::FaultPlan`] harness that can kill
+//!   compiles a process-global `fault::FaultPlan` harness that can panic
 //!   or stall any pipeline stage (by chunk, worker, or call count) — plus
 //!   batch-row dispatch and handle waits — to test all of the above; its
 //!   consult sites are inert unless a plan is armed.
@@ -151,7 +152,6 @@ mod drain;
 pub mod fault;
 mod pipeline;
 pub mod pool;
-pub mod retry;
 pub mod runner;
 pub mod segmented;
 pub mod stats;
@@ -164,7 +164,6 @@ pub use pool::{
     resolve_threads, AbortReason, AbortSignal, CancelToken, RunControl, RunError, RunHandle,
     WorkerPanic, WorkerPool,
 };
-pub use retry::{retry_with_backoff, Backoff, RetryOutcome};
 pub use runner::{ParallelRunner, RunnerConfig};
 pub use segmented::SegmentedRunner;
 pub use stats::{PoolCounters, RunStats};

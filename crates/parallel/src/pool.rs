@@ -55,11 +55,12 @@
 //! thread — runs under `catch_unwind`. The first panic is recorded, the
 //! per-run [`AbortSignal`] (passed to every job invocation) is tripped so
 //! cooperative loops and spin waits can bail out, and [`WorkerPool::run`]
-//! returns `Err(`[`WorkerPanic`]`)` once every worker has quiesced. A
-//! worker thread never dies from a job panic; the one exception is the
-//! [`WorkerExit`] sentinel payload (used by fault injection to simulate
-//! thread death), after which the dead worker is respawned lazily on the
-//! next submission. The pool stays fully reusable after any failure.
+//! returns `Err(`[`WorkerPanic`]`)` once every worker has quiesced.
+//! Workers are fail-stop: a job never makes a worker leave its loop, and
+//! a real thread death (a stack overflow, a panic while panicking) ends
+//! the process. A submitted run's completion callback runs under
+//! `catch_unwind` too, so a panicking callback cannot kill the submit
+//! driver. The pool stays fully reusable after any failure.
 //!
 //! **Precedence.** When several abort causes coincide, a recorded panic
 //! always wins (it is the root-cause evidence); otherwise the *first*
@@ -155,8 +156,8 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// precedence).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbortReason {
-    /// A worker panicked, died, or a job-level check failed (e.g. the
-    /// runner's finiteness validation). The pool reports panics as
+    /// A worker panicked, or a job-level check failed (e.g. the runner's
+    /// finiteness validation). The pool reports panics as
     /// [`RunError::Panicked`]; job-level faults are the job owner's to
     /// diagnose.
     WorkerFault,
@@ -195,8 +196,9 @@ impl AbortReason {
 /// cancel or an expired deadline into the run. The pool trips the signal
 /// when a worker panics, and jobs may trip it themselves (e.g. the
 /// runner's finiteness check). Ticket loops, solve slices and spin waits
-/// poll it and bail out promptly — that is what turns a dead worker into
-/// a clean error instead of a hang in the decoupled look-back pipeline.
+/// poll it and bail out promptly — that is what turns a panicking worker
+/// into a clean error instead of a hang in the decoupled look-back
+/// pipeline.
 ///
 /// [`AbortSignal::default`] has no outside causes: only a trip aborts it.
 #[derive(Debug, Default)]
@@ -404,9 +406,7 @@ impl WorkerPanic {
     /// Builds a `WorkerPanic` from a caught panic payload (used by every
     /// layer that wraps job execution in `catch_unwind`).
     pub(crate) fn from_payload(worker: usize, payload: &(dyn Any + Send)) -> Self {
-        let payload = if payload.is::<WorkerExit>() {
-            "worker exited (injected thread death)".to_string()
-        } else if let Some(s) = payload.downcast_ref::<&str>() {
+        let payload = if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()
         } else if let Some(s) = payload.downcast_ref::<String>() {
             s.clone()
@@ -475,15 +475,6 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Sentinel panic payload that makes a pool worker exit its loop after
-/// reporting, simulating thread death (the execution-unit loss the
-/// decoupled look-back liveness argument must survive).
-///
-/// Used by the `fault-inject` harness via `std::panic::panic_any`; the
-/// dead worker is respawned lazily on the pool's next submission.
-#[derive(Debug)]
-pub struct WorkerExit;
-
 /// The type-erased job executed by every worker; the arguments are the
 /// worker id in `0..width` and the run's abort signal.
 type Job = BorrowedJob<'static>;
@@ -501,11 +492,8 @@ struct PoolState {
     generation: u64,
     /// Spawned workers still executing the current job.
     running: usize,
-    /// Spawned workers currently inside their loop (dead ones excluded).
+    /// Spawned workers; each stays in its loop until shutdown.
     alive: usize,
-    /// Worker ids that exited their loop (via [`WorkerExit`]); joined and
-    /// respawned on the next submission.
-    dead: Vec<usize>,
     /// First panic captured in the current generation.
     panic: Option<WorkerPanic>,
     /// Set by `Drop` to retire the workers.
@@ -518,8 +506,8 @@ struct Shared {
     work_ready: Condvar,
     /// Signals the submitter that `running` reached zero.
     work_done: Condvar,
-    /// Cumulative count of workers respawned after death or a failed
-    /// earlier spawn; see [`WorkerPool::recovered_workers`].
+    /// Cumulative count of failed spawns that a later submission retried
+    /// successfully; see [`WorkerPool::recovered_workers`].
     recovered: AtomicU64,
     /// Cumulative run-outcome counters; see [`WorkerPool::counters`].
     runs: AtomicU64,
@@ -593,8 +581,8 @@ pub struct WorkerPool {
     /// Lazily spawned on the first [`submit`](Self::submit).
     driver_thread: Mutex<Option<JoinHandle<()>>>,
     /// Test hook ([`new_degraded`](Self::new_degraded)): while set, `heal`
-    /// still reaps dead workers but does not respawn missing slots, so the
-    /// zero-worker serial path stays observable across submissions.
+    /// does not retry missing slots, so the zero-worker serial path stays
+    /// observable across submissions.
     inhibit_respawn: AtomicBool,
 }
 
@@ -630,7 +618,6 @@ impl WorkerPool {
                 generation: 0,
                 running: 0,
                 alive: 0,
-                dead: Vec::new(),
                 panic: None,
                 shutdown: false,
             }),
@@ -666,7 +653,7 @@ impl WorkerPool {
     /// spawned workers, exactly the state [`new`](Self::new) leaves behind
     /// when every `thread::spawn` fails. Runs degrade to the
     /// caller-as-worker-0 serial path until a later submission's heal pass
-    /// respawns the missing workers.
+    /// spawns the missing workers.
     #[doc(hidden)]
     pub fn new_degraded(width: usize) -> Self {
         let width = width.max(1);
@@ -688,16 +675,16 @@ impl WorkerPool {
     }
 
     /// Effective worker count, including the thread that calls
-    /// [`run`](Self::run) (live spawned workers plus one). Shrinks when a
-    /// spawn failed or a worker died, grows back when a later submission
-    /// respawns it.
+    /// [`run`](Self::run) (spawned workers plus one). Narrower than
+    /// requested while a spawn has failed; grows back when a later
+    /// submission's retry succeeds.
     pub fn width(&self) -> usize {
         lock_recover(&self.shared.state).alive + 1
     }
 
-    /// Cumulative number of workers revived by lazy respawning — dead
-    /// workers joined and replaced, or initially-failed spawns that later
-    /// succeeded.
+    /// Cumulative number of worker spawns that failed (at construction or
+    /// at an earlier retry) and succeeded when a later submission retried
+    /// them.
     pub fn recovered_workers(&self) -> u64 {
         self.shared.recovered.load(Ordering::Relaxed)
     }
@@ -725,20 +712,9 @@ impl WorkerPool {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Reaps dead workers and retries every missing slot; called at each
-    /// submission with the submission lock held.
+    /// Retries every slot whose spawn failed; called at each submission
+    /// with the submission lock held.
     fn heal(&self, workers: &mut Workers) {
-        let dead = {
-            let mut state = lock_recover(&self.shared.state);
-            std::mem::take(&mut state.dead)
-        };
-        for id in dead {
-            // The worker marked itself dead as its final locked action, so
-            // the join only waits out thread teardown.
-            if let Some(handle) = workers.handles[id - 1].take() {
-                let _ = handle.join();
-            }
-        }
         if self.inhibit_respawn.load(Ordering::Relaxed) {
             return;
         }
@@ -821,7 +797,7 @@ impl WorkerPool {
     /// [`run_ctl`](Self::run_ctl) with the job built for the run's width:
     /// the number of workers that execute it, the calling thread
     /// included. [`width`](Self::width) read before the call can differ,
-    /// because the run first respawns dead workers.
+    /// because the run first retries failed spawns.
     pub(crate) fn run_sized<F>(
         &self,
         ctl: &RunControl,
@@ -1027,7 +1003,9 @@ impl<V> Completion<V> {
 
     /// Publishes `value`, wakes blocked waiters, and fires the waker
     /// outside the lock. The first completion wins; later ones are
-    /// ignored.
+    /// ignored. A panicking waker is contained here, after the panic hook
+    /// has reported it: the cell has resolved, and the thread resolving
+    /// it — the submit driver, or a drain run's worker — must go on.
     pub(crate) fn complete(&self, value: V) {
         let waker = {
             let mut state = lock_recover(&self.state);
@@ -1039,7 +1017,7 @@ impl<V> Completion<V> {
             state.waker.take()
         };
         if let Some(wake) = waker {
-            wake();
+            let _ = catch_unwind(AssertUnwindSafe(wake));
         }
     }
 
@@ -1168,7 +1146,8 @@ impl RunHandle {
     /// Registers a callback invoked exactly once when the run completes
     /// (immediately if it already has) — the waker hook an async executor
     /// needs to `poll` the handle without spinning. A second registration
-    /// replaces the first.
+    /// replaces the first. A callback that panics when the run completes
+    /// is contained on the driver thread, which goes on serving.
     pub fn on_complete(&self, wake: impl FnOnce() + Send + 'static) {
         self.cell.on_complete(wake);
     }
@@ -1185,23 +1164,15 @@ impl Drop for RunHandle {
 
 /// Drop guard that reports one worker's completion: decrements `running`
 /// (waking the submitter at zero) even if the code between its creation
-/// and its drop unwinds, and — when the worker is exiting — retires it in
-/// the same critical section, so a submitter can never observe the
-/// decrement without the death.
+/// and its drop unwinds.
 struct CompletionGuard<'a> {
     shared: &'a Shared,
-    id: usize,
-    exiting: bool,
 }
 
 impl Drop for CompletionGuard<'_> {
     fn drop(&mut self) {
         let mut state = lock_recover(&self.shared.state);
         state.running -= 1;
-        if self.exiting {
-            state.alive -= 1;
-            state.dead.push(self.id);
-        }
         if state.running == 0 {
             self.shared.work_done.notify_all();
         }
@@ -1229,29 +1200,17 @@ fn worker_loop(shared: &Shared, id: usize) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let mut guard = CompletionGuard {
-            shared,
-            id,
-            exiting: false,
-        };
+        let guard = CompletionGuard { shared };
         let outcome = catch_unwind(AssertUnwindSafe(|| job(id, &abort)));
         // The clone must die before completion is reported: `run` treats
         // `running == 0` as "no live borrows of the caller's stack".
         drop(job);
-        let exiting = match outcome {
-            Ok(()) => false,
-            Err(payload) => {
-                // Record before the guard's decrement so the submitter
-                // sees the panic the moment `running` hits zero.
-                shared.record_panic(id, payload.as_ref());
-                payload.is::<WorkerExit>()
-            }
-        };
-        guard.exiting = exiting;
-        drop(guard);
-        if exiting {
-            return;
+        if let Err(payload) = outcome {
+            // Record before the guard's decrement so the submitter sees
+            // the panic the moment `running` hits zero.
+            shared.record_panic(id, payload.as_ref());
         }
+        drop(guard);
     }
 }
 
@@ -1320,7 +1279,7 @@ mod tests {
                     .copied()
                     .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
                     .unwrap_or("");
-                if !s.contains("deliberate") && !payload.is::<WorkerExit>() {
+                if !s.contains("deliberate") {
                     default(info);
                 }
             }));
@@ -1511,31 +1470,6 @@ mod tests {
             .unwrap_err();
         assert!(err.payload.contains("abort-signal"));
         assert_eq!(bailed.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn worker_exit_is_respawned_on_next_submission() {
-        quiet_expected_panics();
-        let pool = WorkerPool::new(4);
-        assert_eq!(pool.width(), 4);
-        let err = pool
-            .run(|id, _abort| {
-                if id == 2 {
-                    std::panic::panic_any(WorkerExit);
-                }
-            })
-            .unwrap_err();
-        assert_eq!(err.worker, 2);
-        // The worker is gone until the next submission heals the pool.
-        assert_eq!(pool.width(), 3);
-        let hits = AtomicU64::new(0);
-        pool.run(|_, _| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap();
-        assert_eq!(hits.load(Ordering::Relaxed), 4);
-        assert_eq!(pool.width(), 4);
-        assert_eq!(pool.recovered_workers(), 1);
     }
 
     #[test]
@@ -1788,6 +1722,36 @@ mod tests {
             waker_woken.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(woken.load(Ordering::Relaxed), 2);
+    }
+
+    /// A completion callback fires on the submit driver, so a panicking
+    /// one must not kill the driver: a later submission on the same pool
+    /// still resolves.
+    #[test]
+    fn panicking_completion_callback_leaves_the_driver_serving() {
+        quiet_expected_panics();
+        let pool = Arc::new(WorkerPool::new(2));
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        // The job holds the run open until the callback is registered, so
+        // the callback fires on the driver when the run completes.
+        let first = pool.submit(RunControl::new(), move |id, _| {
+            if id == 0 {
+                let _ = gate.lock().unwrap().recv();
+            }
+        });
+        first.on_complete(|| panic!("deliberate completion-callback panic"));
+        release.send(()).unwrap();
+        assert_eq!(first.wait(), Ok(()));
+        let second = pool.submit(RunControl::new(), |_, _| {});
+        let outcome = second.wait_timeout(Duration::from_secs(10));
+        if outcome.is_none() {
+            // Dropping an unresolved handle blocks until its run resolves,
+            // which nothing would do here.
+            std::mem::forget(second);
+            panic!("a submission after a panicking callback never resolved");
+        }
+        assert_eq!(outcome, Some(Ok(())));
     }
 
     #[test]

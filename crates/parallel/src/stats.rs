@@ -26,8 +26,9 @@ pub struct PoolCounters {
     /// run's abort signal (or rejected because the deadline had already
     /// passed).
     pub deadline_exceeded: u64,
-    /// Workers revived by lazy respawning over the pool's lifetime (same
-    /// number as [`WorkerPool::recovered_workers`]).
+    /// Worker spawns that failed and later succeeded when a submission
+    /// retried them, over the pool's lifetime (same number as
+    /// [`WorkerPool::recovered_workers`]).
     ///
     /// [`WorkerPool::recovered_workers`]: crate::WorkerPool::recovered_workers
     pub workers_recovered: u64,
@@ -60,7 +61,7 @@ pub struct RunStats {
     /// which shrinks when worker threads could not be spawned).
     pub threads: u64,
     /// Worker loops that bailed out early because the run was aborted —
-    /// for *any* reason: a worker panicked or died, a finiteness check
+    /// for *any* reason: a worker panicked, a finiteness check
     /// failed, a [`CancelToken`] was cancelled, or a poll found the
     /// deadline passed. Always zero for a successful run; nonzero only in
     /// aggregated stats that absorbed an aborted sub-run. To distinguish
@@ -69,10 +70,10 @@ pub struct RunStats {
     ///
     /// [`CancelToken`]: crate::CancelToken
     pub aborts: u64,
-    /// Workers revived by the pool at this run's submission — dead
-    /// workers respawned after an injected thread death, or previously
-    /// failed spawns that succeeded this time. (Approximate when several
-    /// runners share one pool concurrently.)
+    /// Workers the pool added at this run's submission: spawns that had
+    /// failed before (at construction or an earlier retry) and succeeded
+    /// this time. (Approximate when several runners share one pool
+    /// concurrently.)
     pub workers_recovered: u64,
     /// Wall time spent in the FIR map stage, summed across workers
     /// (nanoseconds; zero for pure-feedback signatures).

@@ -35,9 +35,12 @@
 //!
 //! - A failed row (panic, cancel, deadline) resolves **only its own
 //!   handle**; the workers and every other row are unaffected, and the
-//!   pool stays usable afterwards.
-//! - A worker thread's death ends the stream: its row, the rows still
-//!   queued and every later push resolve to
+//!   pool stays usable afterwards. A panicking completion callback (an
+//!   `on_complete` callback or an awaiting task's waker) is contained
+//!   where it fires: its row has resolved, and the stream goes on.
+//! - Only a panic in the stream's own loop code, outside every row, ends
+//!   the stream: the rows still queued, every later push and
+//!   [`RowStream::finish`] resolve to that panic's
 //!   [`EngineError::WorkerPanicked`]. Rows already being solved on other
 //!   workers finish normally.
 //! - Rows complete in whatever order workers finish them; handles are
@@ -64,7 +67,7 @@
 
 use crate::batch::{absorb_row, RowTask};
 use crate::drain::{Drain, DrainQueue};
-use crate::pool::{AbortSignal, CancelToken, Completion, RunControl, RunHandle, WorkerPool};
+use crate::pool::{CancelToken, Completion, RunControl, RunHandle, WorkerPool};
 use crate::stats::RunStats;
 use plr_core::element::Element;
 use plr_core::error::EngineError;
@@ -115,8 +118,9 @@ struct StreamState<T> {
     /// backpressure window bounds this, not just the queue length.
     in_flight: usize,
     closed: bool,
-    /// Set when the underlying run died (abort, worker loss, drop): every
-    /// later push fails fast with this error instead of queueing forever.
+    /// Set when the drain run ended (close, cancel, drop, or a panic in
+    /// its loop code): every later push fails fast with this error instead
+    /// of queueing forever.
     dead: Option<EngineError>,
     /// First per-row failure, surfaced by [`RowStream::finish`].
     first_error: Option<EngineError>,
@@ -140,8 +144,8 @@ impl<T: Element> DrainQueue for StreamState<T> {
 
 struct StreamShared<T> {
     drain: Drain<StreamState<T>>,
-    /// Signalled when a row completes or the stream dies (pushers blocked
-    /// on the window wait here, under the drain's lock).
+    /// Signalled when a row completes or the stream's run ends (pushers
+    /// blocked on the window wait here, under the drain's lock).
     space: Condvar,
     window: usize,
 }
@@ -154,9 +158,9 @@ struct StreamShared<T> {
 /// still queued or in flight (their handles resolve to
 /// [`EngineError::Cancelled`]) and blocks until the workers quiesce.
 ///
-/// A worker thread's death ends the stream: its row, the rows still
-/// queued and every later push resolve to [`EngineError::WorkerPanicked`],
-/// and so does [`finish`](Self::finish).
+/// A panic in the stream's own loop code, outside every row, ends the
+/// stream: the rows still queued and every later push resolve to
+/// [`EngineError::WorkerPanicked`], and so does [`finish`](Self::finish).
 ///
 /// [`BatchRunner`]: crate::BatchRunner
 /// [`BatchRunner::stream`]: crate::BatchRunner::stream
@@ -214,31 +218,26 @@ impl<T: Element> RowStream<T> {
         let bound_len = task.bound_len();
         let serve = {
             let (shared, run_token) = (Arc::clone(&shared), run_token.clone());
-            move |row: QueuedRow<T>, worker, abort: &AbortSignal| {
+            move |row: QueuedRow<T>, worker| {
                 let finish = |data, result| finish_row(&shared, row.resolver, data, result);
-                task.execute(
-                    &run_token, abort, worker, row.index, &row.ctl, row.data, finish,
-                );
+                task.execute(&run_token, worker, row.index, &row.ctl, row.data, finish);
             }
         };
         let ctl = RunControl::new().with_cancel(&run_token);
         let handle = shared.drain.launch(&pool, ctl, serve);
-        // The one sweep, once the run is over (close, cancel or a worker's
-        // death): anything still queued will never be popped — complete
-        // those handles and unblock pushers, so no handle and no
-        // `push_row` can wedge on a finished run. Without a run the
-        // stream is dead at once.
+        // The one sweep, once the run is over: anything still queued will
+        // never be popped — resolve those handles with the run's own
+        // outcome and unblock pushers, so no handle and no `push_row` can
+        // wedge on a finished run. A run that ended cleanly was closed
+        // with its queue empty. Without a run the stream is dead at once.
         match &handle {
             Some(handle) => {
-                let (shared, run_token) = (Arc::clone(&shared), run_token.clone());
+                let (shared, cell) = (Arc::clone(&shared), Arc::downgrade(&handle.cell));
                 handle.on_complete(move || {
-                    let err = if run_token.is_cancelled() {
-                        EngineError::Cancelled
-                    } else {
-                        EngineError::WorkerPanicked {
-                            worker: 0,
-                            payload: "a worker died; the stream run ended".to_string(),
-                        }
+                    let outcome = cell.upgrade().map(|cell| cell.wait(Clone::clone));
+                    let err = match outcome {
+                        Some(Err(e)) => e.into_engine_error(),
+                        _ => EngineError::Cancelled,
                     };
                     drain_pending(&shared, err);
                 });
@@ -443,11 +442,11 @@ impl<T: Element> RowStream<T> {
     }
 
     /// Closes the stream, waits for every pushed row to complete, and
-    /// returns the aggregate [`RunStats`] — or the first error: a
-    /// stream-level failure if the run itself died, otherwise the first
-    /// per-row error (including deliberate per-row cancellations and
-    /// deadline trips). Per-row outcomes remain available on the
-    /// individual handles either way.
+    /// returns the aggregate [`RunStats`] — or the first error: the run's
+    /// own error if it ended early (cancelled, or a panic in its loop
+    /// code), otherwise the first per-row error (including deliberate
+    /// per-row cancellations and deadline trips). Per-row outcomes remain
+    /// available on the individual handles either way.
     pub fn finish(self) -> Result<RunStats, EngineError> {
         self.close();
         if let Some(Err(e)) = self.handle.as_ref().map(RunHandle::wait) {
@@ -651,7 +650,8 @@ impl<T> RowHandle<T> {
     /// Registers a callback invoked exactly once when the row completes
     /// (immediately if it already has) — a completion waker for callers
     /// that drive the handle themselves. A second registration replaces
-    /// the first.
+    /// the first. A callback that panics when the row completes is
+    /// contained on the worker that resolved the row.
     pub fn on_complete(&self, wake: impl FnOnce() + Send + 'static) {
         self.cell.on_complete(wake);
     }

@@ -46,8 +46,7 @@ pub fn within_secs<R: Send + 'static>(secs: u64, f: impl FnOnce() -> R + Send + 
 }
 
 /// Silences the default panic-hook output for panics a suite injects on
-/// purpose (fault-site panics and simulated thread deaths); everything
-/// else still prints.
+/// purpose (fault-site panics); everything else still prints.
 pub fn quiet_injected_panics() {
     static HOOK: std::sync::Once = std::sync::Once::new();
     HOOK.call_once(|| {
@@ -59,7 +58,7 @@ pub fn quiet_injected_panics() {
                 .copied()
                 .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
                 .unwrap_or("");
-            if !s.contains("injected fault") && !payload.is::<plr_parallel::pool::WorkerExit>() {
+            if !s.contains("injected fault") {
                 default(info);
             }
         }));

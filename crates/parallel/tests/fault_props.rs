@@ -104,14 +104,13 @@ fn signature() -> impl Strategy<Value = Signature<i64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any (signature, site, chunk, kind) combination obeys the
+    /// Any (signature, site, chunk) combination obeys the
     /// fault → error → recovery contract.
     #[test]
     fn injected_faults_error_and_recover(
         sig in signature(),
         lookback_site in proptest::bool::ANY,
         position in 0usize..3,
-        exit_worker in proptest::bool::ANY,
     ) {
         let site = if lookback_site { FaultSite::Lookback } else { FaultSite::Solve };
         // First / middle / last chunk — except the look-back site, which
@@ -122,11 +121,7 @@ proptest! {
             1 => NUM_CHUNKS / 2,
             _ => NUM_CHUNKS - 1,
         };
-        let plan = if exit_worker {
-            FaultPlan::exit_at_chunk(site, chunk)
-        } else {
-            FaultPlan::panic_at_chunk(site, chunk)
-        };
+        let plan = FaultPlan::panic_at_chunk(site, chunk);
         let config = RunnerConfig {
             chunk_size: CHUNK,
             threads: threads(),
@@ -185,44 +180,6 @@ fn worker_zero_fault_is_an_error_not_an_unwind() {
     assert!(runner.run(&input(100)).is_ok());
 }
 
-/// A simulated thread death mid-pipeline is healed by the next
-/// submission: the pool respawns the dead worker and reports it.
-#[test]
-fn dead_worker_is_respawned_and_reported() {
-    let _serial = lock_global();
-    quiet_injected_panics();
-    let sig: Signature<i64> = "1:1".parse().unwrap();
-    let runner = ParallelRunner::with_config(
-        sig.clone(),
-        RunnerConfig {
-            chunk_size: CHUNK,
-            threads: threads(),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let data = input(N);
-    // Warm up, then kill whichever worker claims a middle chunk.
-    runner.run(&data).unwrap();
-    fault::arm(FaultPlan::exit_at_chunk(FaultSite::Solve, NUM_CHUNKS / 2));
-    let (runner, result) = within_secs(60, move || {
-        let r = runner.run(&data);
-        (runner, r)
-    });
-    fault::disarm();
-    assert!(
-        matches!(result, Err(EngineError::WorkerPanicked { .. })),
-        "{result:?}"
-    );
-    let mut data = input(N);
-    let stats = runner.run_in_place(&mut data).unwrap();
-    assert_eq!(data, serial::run(&sig, &input(N)));
-    // Whether the victim was a spawned worker (now respawned) or the
-    // caller (nothing to respawn), the effective width is back to full.
-    assert_eq!(stats.threads, threads() as u64);
-    assert!(stats.workers_recovered <= 1);
-}
-
 /// Delay injection stalls chunk 0's solve so every other worker lands in
 /// the look-back spin path; the run must still complete and validate.
 #[test]
@@ -269,41 +226,30 @@ fn batch_row_fault_errors_and_recovers() {
         .chunks(width)
         .flat_map(|row| serial::run(&sig, row))
         .collect();
-    let mut batch = batch;
-    for kind in [FaultKind::Panic, FaultKind::ExitWorker] {
-        // Warm the pool so the fault hits resident, parked workers.
-        let mut warm = data.clone();
-        batch.run_rows(&mut warm, width).unwrap();
-        assert_eq!(warm, reference);
+    // Warm the pool so the fault hits resident, parked workers.
+    let mut warm = data.clone();
+    batch.run_rows(&mut warm, width).unwrap();
+    assert_eq!(warm, reference);
 
-        fault::arm(FaultPlan {
-            site: FaultSite::Solve,
-            worker: None,
-            chunk: Some(rows / 2),
-            nth_call: None,
-            kind,
-        });
-        let (returned, result) = {
-            let b = batch;
-            let mut d = data.clone();
-            within_secs(60, move || {
-                let r = b.run_rows(&mut d, width);
-                (b, r)
-            })
-        };
-        batch = returned;
-        fault::disarm();
-        assert!(
-            matches!(result, Err(EngineError::WorkerPanicked { .. })),
-            "{result:?}"
-        );
-
-        // The same batch runner (same pool) must rerun cleanly.
+    fault::arm(FaultPlan::panic_at_chunk(FaultSite::Solve, rows / 2));
+    let (batch, result) = {
         let mut d = data.clone();
-        let stats = batch.run_rows(&mut d, width).unwrap();
-        assert_eq!(d, reference, "batch rerun after fault must validate");
-        assert_eq!(stats.threads, threads() as u64);
-    }
+        within_secs(60, move || {
+            let r = batch.run_rows(&mut d, width);
+            (batch, r)
+        })
+    };
+    fault::disarm();
+    assert!(
+        matches!(result, Err(EngineError::WorkerPanicked { .. })),
+        "{result:?}"
+    );
+
+    // The same batch runner (same pool) must rerun cleanly.
+    let mut d = data.clone();
+    let stats = batch.run_rows(&mut d, width).unwrap();
+    assert_eq!(d, reference, "batch rerun after fault must validate");
+    assert_eq!(stats.threads, threads() as u64);
 }
 
 /// With the feature compiled in but no plan armed, the instrumented
@@ -543,12 +489,9 @@ fn long_rows_faults_error_and_recover() {
     let plans = [
         // Caller-thread dispatch of the second row.
         FaultPlan::panic_at_chunk(FaultSite::Row, 1),
-        // Simulated thread death on the dispatch path.
-        FaultPlan::exit_at_chunk(FaultSite::Row, 0),
         // Inside the cached intra-row runner's pipeline.
         FaultPlan::panic_at_chunk(FaultSite::Solve, 5),
         FaultPlan::panic_at_chunk(FaultSite::Lookback, 3),
-        FaultPlan::exit_at_chunk(FaultSite::Solve, 2),
     ];
     for plan in plans {
         // Warm (also proves recovery from the previous iteration).
@@ -680,69 +623,46 @@ fn stream_row_panic_faults_only_that_row() {
     assert_eq!(stats.threads, threads() as u64, "pool width must be healed");
 }
 
-/// A worker thread's death on a streamed row ends the stream before any
-/// later row can run on the dying drain run: the dead row resolves
-/// `WorkerPanicked`, and so do a row pushed the moment its handle
-/// resolves and `finish`. Rows solved before the death stay bit-exact,
-/// rows still queued either ran before it or fail, and the pool heals for
-/// a blocking rerun. Five rounds on one runner.
+/// A panicking completion callback on a streamed row is contained where
+/// it fires: the row still resolves, every later row solves bit-exact, and
+/// `finish` succeeds. Row 0 is held at its `Row` site so the callback is
+/// registered before the row resolves, and so fires on the worker.
 #[test]
-fn stream_worker_death_fails_every_later_row() {
+fn stream_row_callback_panic_is_contained() {
     let _serial = lock_global();
     quiet_injected_panics();
     let sig: Signature<i64> = "1:2,-1".parse().unwrap();
-    let mut runner = BatchRunner::new(sig.clone(), threads());
-    let mut rows = stream_rows(9, 512);
-    let late_row = rows.pop().expect("nine rows");
+    let runner = BatchRunner::new(sig.clone(), threads());
+    let rows = stream_rows(8, 512);
     let expect: Vec<Vec<i64>> = rows.iter().map(|r| serial::run(&sig, r)).collect();
 
-    for round in 0..5 {
-        fault::arm(FaultPlan::exit_at_chunk(FaultSite::Row, 3));
-        let (back, outcomes, late, finished) = {
-            let (rows, late_row) = (rows.clone(), late_row.clone());
-            within_secs(60, move || {
-                let stream = runner.stream_with_window(8);
-                let handles: Vec<_> = rows.into_iter().map(|r| stream.push_row(r)).collect();
-                let _ = handles[3].wait();
-                let late = stream.push_row(late_row).join().1;
-                let outcomes: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-                let finished = stream.finish();
-                (runner, outcomes, late, finished)
-            })
-        };
-        runner = back;
-        let fired = !fault::is_armed();
-        fault::disarm();
-        assert!(fired, "round {round}: the exit plan must fire on row 3");
-        for (i, ((data, result), expect)) in outcomes.into_iter().zip(&expect).enumerate() {
-            match result {
-                Ok(_) if i != 3 => assert_eq!(&data, expect, "round {round}: row {i} bit-exact"),
-                Err(EngineError::WorkerPanicked { .. }) if i >= 3 => {}
-                other => panic!("round {round}: unexpected outcome for row {i}: {other:?}"),
-            }
-        }
-        match late {
-            Err(EngineError::WorkerPanicked { .. }) => {}
-            other => panic!("round {round}: a row pushed after the death ran: {other:?}"),
-        }
-        match finished {
-            Err(EngineError::WorkerPanicked { .. }) => {}
-            other => panic!("round {round}: finish must surface the death, got {other:?}"),
-        }
-
-        let mut rerun: Vec<i64> = rows.concat();
-        let stats = runner.run_rows(&mut rerun, 512).unwrap();
-        assert_eq!(
-            rerun,
-            expect.concat(),
-            "round {round}: post-fault blocking rerun"
-        );
-        assert_eq!(
-            stats.threads,
-            threads() as u64,
-            "round {round}: pool healed"
-        );
+    fault::arm(FaultPlan::delay_at_chunk(
+        FaultSite::Row,
+        0,
+        Duration::from_millis(500),
+    ));
+    let (outcomes, finished) = {
+        let rows = rows.clone();
+        within_secs(60, move || {
+            let stream = runner.stream();
+            let mut rows = rows.into_iter();
+            let held = stream.push_row(rows.next().expect("eight rows"));
+            held.on_complete(|| panic!("injected fault in a row's completion callback"));
+            let mut handles = vec![held];
+            handles.extend(rows.map(|r| stream.push_row(r)));
+            let outcomes: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            (outcomes, stream.finish())
+        })
+    };
+    let fired = !fault::is_armed();
+    fault::disarm();
+    assert!(fired, "the delay plan must hold row 0");
+    for (i, ((data, result), expect)) in outcomes.into_iter().zip(&expect).enumerate() {
+        result.unwrap_or_else(|e| panic!("row {i} must survive the callback panic: {e:?}"));
+        assert_eq!(&data, expect, "row {i} must stay bit-exact");
     }
+    let stats = finished.expect("a callback panic must not end the stream");
+    assert_eq!(stats.rows, 8);
 }
 
 /// A delay injected into a mid-stream row stalls that row but corrupts

@@ -865,9 +865,10 @@ mod fault_legs {
         );
     }
 
-    /// The look-back site is skipped by chunks that fuse, which integers
-    /// do opportunistically; float chunks past the first never fuse on a
-    /// pool wider than 1, so a float run pins the site every time.
+    /// The look-back site is skipped by chunks that fuse: chunk 0, and
+    /// every chunk of a width-1 run. This runner is four wide, so every
+    /// chunk past the first consults the site, float or integer, and this
+    /// float run pins it every time.
     #[test]
     fn lookback_fault_errors_and_recovers() {
         assert_fault_contract(

@@ -159,9 +159,10 @@ impl<T: Element> ServiceCore<T> {
     ///    half the row's deadline budget (the other half is reserved for
     ///    the solve itself and for estimate error).
     ///
-    /// Both rejection errors are [`EngineError::is_retryable`]; pair them
-    /// with [`plr_parallel::retry_with_backoff`]. The input buffer is
-    /// consumed either way — clone it first if you intend to retry.
+    /// Both rejection errors are [`EngineError::is_retryable`]: sleep
+    /// their [`retry_after_hint`](EngineError::retry_after_hint) and
+    /// resubmit. The input buffer is consumed either way — clone it first
+    /// if you intend to retry.
     ///
     /// # Panics
     ///

@@ -29,13 +29,13 @@
 //!   [`EngineError::Overloaded`](plr_core::error::EngineError) and a
 //!   retry hint — shedding the cheap way (before any work) instead of
 //!   the expensive way (timing out after queueing). Both rejection
-//!   errors are retryable; pair them with
-//!   [`plr_parallel::retry_with_backoff`].
-//! - **Graceful degradation**: a shard relaunches a run that died to a
-//!   worker fault, a bounded number of times between observed progress;
-//!   past that bound, or when its pool cannot spawn the thread that
-//!   drives the run, it falls back to executing admitted rows serially
-//!   on the submitter's thread — reduced throughput, never a black hole.
+//!   errors are retryable: sleep the error's `retry_after_hint` and
+//!   resubmit.
+//! - **Graceful degradation**: a panicking row fails only its own
+//!   handle. When a shard's pool cannot spawn the thread that drives its
+//!   run, or a panic in the drain loop's own code ends the run, the shard
+//!   falls back to executing admitted rows serially on the submitter's
+//!   thread — reduced throughput, never a black hole.
 //!
 //! ```
 //! use plr_service::{ServiceConfig, ServiceCore, SubmitOptions, TenantSpec};

@@ -1,6 +1,6 @@
 //! One service shard: a private [`WorkerPool`] draining a weighted-fair
-//! queue of admitted rows, with service-time estimation, relaunch-on-fault,
-//! and a serial degraded mode.
+//! queue of admitted rows, with service-time estimation and a serial
+//! degraded mode.
 //!
 //! The shard runs the execution layer's drain run ([`Drain`]), the loop
 //! every streamed row is served by, over its own queue. Its workers hand
@@ -11,17 +11,16 @@
 //! `catch_unwind` around the solve. What the shard adds is its queue and
 //! bookkeeping:
 //!
-//! - rows come out of a [`Wfq`] (per-tenant weighted shares), not a FIFO,
-//!   and a run that dies to a worker fault leaves the queue intact;
+//! - rows come out of a [`Wfq`] (per-tenant weighted shares), not a FIFO;
 //! - every executed row feeds a per-shard EWMA of service time, which is
 //!   what admission control turns into queue-delay estimates;
-//! - a run that dies to a worker fault is **relaunched** (bounded times
-//!   between observed progress) instead of killing the shard, and past
-//!   the bound the shard *degrades* to executing admitted rows serially
-//!   on the submitter's thread — through the same executor — rather than
-//!   going dark. A worker fault resolves its row first, which counts as
-//!   progress, so in practice only a pool that cannot spawn its submit
-//!   driver thread degrades a shard.
+//! - a drain run that cannot start (the pool cannot spawn its submit
+//!   driver thread) or that ends outside close and abort (a panic in the
+//!   drain loop's own code) *degrades* the shard to executing admitted
+//!   rows serially on the submitter's thread — through the same executor
+//!   — rather than going dark. A row's panic fails only that row, and a
+//!   panicking completion callback is contained where it fires, so
+//!   neither ends the run.
 
 use crate::core::SubmitOptions;
 use crate::tenant::{TenantCounters, TenantRuntime};
@@ -29,19 +28,13 @@ use crate::wfq::Wfq;
 use plr_core::element::Element;
 use plr_core::error::EngineError;
 use plr_parallel::{
-    AbortSignal, CancelToken, Drain, DrainQueue, RowHandle, RowResolver, RunControl, RunHandle,
-    RunStats, WorkerPool,
+    CancelToken, Drain, DrainQueue, RowHandle, RowResolver, RunControl, RunHandle, RunStats,
+    WorkerPool,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Consecutive run relaunches tolerated without a single row of progress
-/// before the shard degrades to serial fallback. Any processed row resets
-/// the streak, so a long-lived shard can survive arbitrarily many faults
-/// as long as it keeps doing work between them.
-const MAX_RELAUNCHES: u32 = 16;
 
 /// One admitted row queued on a shard.
 struct ServiceRow<T> {
@@ -56,13 +49,6 @@ struct ShardState<T> {
     wfq: Wfq<ServiceRow<T>>,
     closed: bool,
     degraded: bool,
-    /// Relaunches since the last observed progress.
-    relaunches: u32,
-    /// `processed` snapshot at the last relaunch decision.
-    last_processed: u64,
-    /// Monotonic run generation; guards the handle slot against the
-    /// relaunch-during-launch race (see `submit_run`).
-    run_gen: u64,
     run: Option<RunHandle>,
 }
 
@@ -90,13 +76,10 @@ pub(crate) struct ShardShared<T> {
     queued: AtomicUsize,
     /// Rows popped but not yet resolved.
     in_service: AtomicUsize,
-    /// Rows resolved by the executor (including degraded-inline ones);
-    /// progress signal for the relaunch bound.
+    /// Rows resolved by the executor (including degraded-inline ones).
     processed: AtomicU64,
     /// Per-shard row sequence for fault-site targeting and diagnostics.
     next_index: AtomicUsize,
-    /// Cumulative drain-run relaunches (reported in stats).
-    total_relaunches: AtomicU64,
     /// Nominal pool width used by delay estimation.
     width: usize,
 }
@@ -123,7 +106,10 @@ pub struct ShardStats {
     /// that failed fast because they were cancelled or expired in the
     /// queue).
     pub processed: u64,
-    /// Times the drain run was relaunched after a worker fault.
+    /// Drain-run relaunches: always 0. A shard never relaunches its run
+    /// (a run that ends outside close or abort degrades the shard), and
+    /// the field stays for readers of the snapshot, such as the
+    /// performance ledger's `service.relaunches`.
     pub relaunches: u64,
     /// Whether the shard has fallen back to serial inline execution.
     pub degraded: bool,
@@ -136,9 +122,6 @@ impl<T: Element> Shard<T> {
                 wfq: Wfq::new(),
                 closed: false,
                 degraded: false,
-                relaunches: 0,
-                last_processed: 0,
-                run_gen: 0,
                 run: None,
             }),
             pool: Arc::new(WorkerPool::new(width.max(1))),
@@ -148,7 +131,6 @@ impl<T: Element> Shard<T> {
             in_service: AtomicUsize::new(0),
             processed: AtomicU64::new(0),
             next_index: AtomicUsize::new(0),
-            total_relaunches: AtomicU64::new(0),
             width: width.max(1),
         });
         submit_run(&shared);
@@ -176,7 +158,7 @@ impl<T: Element> Shard<T> {
             in_service: self.shared.in_service.load(Ordering::Relaxed),
             ewma_service_nanos: self.shared.ewma_ns.load(Ordering::Relaxed),
             processed: self.shared.processed.load(Ordering::Relaxed),
-            relaunches: self.shared.total_relaunches.load(Ordering::Relaxed),
+            relaunches: 0,
             degraded,
         }
     }
@@ -323,27 +305,15 @@ impl<T: Element> Shard<T> {
     }
 }
 
-/// Launches (or relaunches) the shard's drain run; a pool without a
-/// submit driver degrades the shard instead. The generation counter
-/// closes the race between storing the new [`RunHandle`] and the previous
-/// run's completion callback relaunching concurrently: the handle slot
-/// only accepts the handle of the *current* generation, and a stale
-/// handle is dropped only after its run has already finished (so the
-/// drop-cancels semantics cannot kill a live run).
+/// Launches the shard's drain run; a pool without a submit driver
+/// degrades the shard instead.
 fn submit_run<T: Element>(shared: &Arc<ShardShared<T>>) {
-    let gen = {
-        let mut st = shared.drain.lock();
-        st.run_gen += 1;
-        st.run_gen
-    };
     let job_shared = Arc::clone(shared);
     let ctl = RunControl::new().with_cancel(&shared.token);
-    let launched = shared
-        .drain
-        .launch(&shared.pool, ctl, move |row, worker, abort| {
-            job_shared.queued.fetch_sub(1, Ordering::Relaxed);
-            process_row(&job_shared, worker, abort, row);
-        });
+    let launched = shared.drain.launch(&shared.pool, ctl, move |row, worker| {
+        job_shared.queued.fetch_sub(1, Ordering::Relaxed);
+        process_row(&job_shared, worker, row);
+    });
     let Some(handle) = launched else {
         run_inline(shared, shared.drain.lock());
         return;
@@ -354,42 +324,21 @@ fn submit_run<T: Element>(shared: &Arc<ShardShared<T>>) {
             on_run_complete(&shared);
         }
     });
-    let mut st = shared.drain.lock();
-    if st.run_gen == gen {
-        st.run = Some(handle);
-    }
-    // Otherwise the run already completed and its callback launched a
-    // newer generation; `handle` is finished and safe to drop here.
+    shared.drain.lock().run = Some(handle);
 }
 
-/// Decides what happens when a drain run ends, the one place its
-/// leftover rows are handled: graceful close or abort → resolve them
-/// `Cancelled`; worker fault with budget left → relaunch, keeping them
-/// queued; budget exhausted → degrade to serial and execute them inline.
-fn on_run_complete<T: Element>(shared: &Arc<ShardShared<T>>) {
-    let mut st = shared.drain.lock();
+/// Decides what happens when the drain run ends, the one place its
+/// leftover rows are handled: after close or abort they resolve
+/// `Cancelled`; otherwise a panic in the drain loop's own code ended the
+/// run, and the shard degrades to serial, executing them inline.
+fn on_run_complete<T: Element>(shared: &ShardShared<T>) {
+    let st = shared.drain.lock();
     if st.closed || shared.token.is_cancelled() {
         drop(st);
         drain_with(shared, EngineError::Cancelled);
-        return;
-    }
-    // The run died to a worker fault. Relaunch while the shard is making
-    // progress; give up (degrade) after MAX_RELAUNCHES barren attempts.
-    // The faulted row itself counts as progress, so this bound holds the
-    // ladder's last rung, not a path any fault site reaches.
-    let processed = shared.processed.load(Ordering::Relaxed);
-    if processed > st.last_processed {
-        st.relaunches = 0;
-        st.last_processed = processed;
-    }
-    if st.relaunches >= MAX_RELAUNCHES {
+    } else {
         run_inline(shared, st);
-        return;
     }
-    st.relaunches += 1;
-    shared.total_relaunches.fetch_add(1, Ordering::Relaxed);
-    drop(st);
-    submit_run(shared);
 }
 
 /// Pops everything out of the queue (state lock held by the caller).
@@ -411,16 +360,11 @@ fn drain_with<T: Element>(shared: &ShardShared<T>, err: EngineError) {
     }
 }
 
-/// Runs one popped row through the shared row executor, on `worker` of
-/// the drain run aborted through `run_abort`. Before the row's handle
-/// resolves, the shard does its bookkeeping: in-service and processed
-/// counts, the service-time EWMA and the tenant's counters.
-fn process_row<T: Element>(
-    shared: &ShardShared<T>,
-    worker: usize,
-    run_abort: &AbortSignal,
-    row: ServiceRow<T>,
-) {
+/// Runs one popped row through the shared row executor on `worker`.
+/// Before the row's handle resolves, the shard does its bookkeeping:
+/// in-service and processed counts, the service-time EWMA and the
+/// tenant's counters.
+fn process_row<T: Element>(shared: &ShardShared<T>, worker: usize, row: ServiceRow<T>) {
     shared.in_service.fetch_add(1, Ordering::Relaxed);
     let ServiceRow {
         index,
@@ -443,20 +387,19 @@ fn process_row<T: Element>(
         resolver.resolve(data, result);
     };
     let (task, token) = (&runtime.task, &shared.token);
-    task.execute(token, run_abort, worker, index, &ctl, data, complete);
+    task.execute(token, worker, index, &ctl, data, complete);
 }
 
 /// Serial fallback: marks the shard degraded and executes its whole
 /// backlog synchronously on the current thread, through the same
 /// executor. Worker id 0 — the caller is the worker, exactly like a
-/// width-1 pool — under an abort signal of its own, as no drain run is
-/// left to abort.
+/// width-1 pool.
 fn run_inline<T: Element>(shared: &ShardShared<T>, mut st: MutexGuard<'_, ShardState<T>>) {
     st.degraded = true;
     let rows = take_rows(&mut st, shared);
     drop(st);
     for row in rows {
-        process_row(shared, 0, &AbortSignal::default(), row);
+        process_row(shared, 0, row);
     }
 }
 

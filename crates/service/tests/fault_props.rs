@@ -1,12 +1,11 @@
 //! Fault-injection isolation properties for the service core (require
 //! `--features fault-inject`).
 //!
-//! The contract under test: a fault in one tenant's row — an injected
-//! panic or a simulated worker-thread death — fails *that row's handle
-//! only*. Every other tenant's admitted rows complete and validate, the
-//! shard relaunches its drain run if the fault killed it, and the core
-//! keeps serving afterwards. No fault may stall (hang) or shed
-//! (retroactively reject) rows that were already admitted.
+//! The contract under test: an injected panic in one tenant's row fails
+//! *that row's handle only*. Every other tenant's admitted rows complete
+//! and validate, and the core keeps serving afterwards. No fault may
+//! stall (hang) or shed (retroactively reject) rows that were already
+//! admitted.
 #![cfg(feature = "fault-inject")]
 
 use plr_core::error::EngineError;
@@ -38,7 +37,7 @@ fn quiet_injected_panics() {
                 .copied()
                 .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
                 .unwrap_or("");
-            if !s.contains("injected fault") && !payload.is::<plr_parallel::pool::WorkerExit>() {
+            if !s.contains("injected fault") {
                 default(info);
             }
         }));
@@ -78,16 +77,14 @@ fn input(n: usize, salt: usize) -> Vec<i64> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
-    /// Inject a fault (plain panic or simulated thread death) into
-    /// tenant A's first row while tenant B has `b_rows` rows admitted
-    /// behind it. A's row must fail with `WorkerPanicked`; every one of
+    /// Inject a panic into tenant A's first row while tenant B has
+    /// `b_rows` rows admitted behind it. A's row must fail with `WorkerPanicked`; every one of
     /// B's rows must complete and validate against the serial reference;
     /// and the core must still serve a fresh fault-free row for A
     /// afterwards.
     #[test]
     fn a_faulted_tenant_row_never_stalls_or_sheds_another_tenants_rows(
         b_rows in 4usize..20,
-        kill_thread in 0usize..2,
     ) {
         let _serial = serialize();
         quiet_injected_panics();
@@ -105,12 +102,7 @@ proptest! {
 
         // Row index 0 on the (only) shard is A's first row; the plan
         // fires exactly there.
-        let plan = if kill_thread == 1 {
-            FaultPlan::exit_at_chunk(FaultSite::Row, 0)
-        } else {
-            FaultPlan::panic_at_chunk(FaultSite::Row, 0)
-        };
-        fault::arm(plan);
+        fault::arm(FaultPlan::panic_at_chunk(FaultSite::Row, 0));
 
         let doomed = core
             .submit(a, input(4096, 99), SubmitOptions::default())
@@ -154,14 +146,6 @@ proptest! {
         prop_assert_eq!(stats.tenants[a.index()].failed, 1);
         prop_assert_eq!(stats.tenants[b.index()].failed, 0);
         prop_assert_eq!(stats.tenants[b.index()].completed, b_rows as u64);
-        if kill_thread == 1 {
-            // Thread death ends the drain run; the shard must have
-            // relaunched it rather than going dark.
-            prop_assert!(
-                stats.shards[0].relaunches >= 1,
-                "worker death must trigger a relaunch, stats: {:?}", stats.shards
-            );
-        }
         core.shutdown();
     }
 }

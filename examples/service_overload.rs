@@ -13,7 +13,6 @@
 //! cargo run --release --example service_overload
 //! ```
 
-use plr::parallel::retry::{retry_with_backoff, Backoff, RetryOutcome};
 use plr::{ServiceConfig, ServiceCore, SubmitOptions, TenantSpec};
 use std::time::Duration;
 
@@ -95,19 +94,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("storm: every admitted row completed within budget");
 
-    // 4. A well-behaved client wraps submission in decorrelated-jitter
-    // backoff: sheds become sleeps, and the row lands once the queue
-    // drains. `retry_with_backoff` honours the rejection's hint.
-    let mut backoff = Backoff::new(Duration::from_millis(1), Duration::from_millis(50));
-    let outcome = retry_with_backoff(16, &mut backoff, || {
-        core.submit(gold, row(101), SubmitOptions::default())
-    });
-    match outcome {
-        RetryOutcome::Ok(h) => {
-            h.join().1?;
-            println!("patient client: admitted after backoff");
+    // 4. A well-behaved client sleeps each rejection's hint and tries
+    // again, a bounded number of times: sheds become sleeps, and the row
+    // lands once the queue drains.
+    for attempt in 1..=16 {
+        match core.submit(gold, row(101), SubmitOptions::default()) {
+            Ok(h) => {
+                h.join().1?;
+                println!("patient client: admitted on attempt {attempt}");
+                break;
+            }
+            Err(e) if e.is_retryable() && attempt < 16 => {
+                std::thread::sleep(e.retry_after_hint().unwrap_or_default());
+            }
+            Err(e) => {
+                println!("patient client: gave up ({e})");
+                break;
+            }
         }
-        other => println!("patient client: gave up ({other:?})"),
     }
 
     // 5. The ledger: per-tenant admission/shed/goodput counters and
