@@ -31,17 +31,6 @@ pub enum FaultSite {
     /// Just before a chunk's variable look-back resolution (chunk 0,
     /// fused chunks and reset chunks with nothing to correct skip it).
     Lookback,
-    /// At the start of [`RunHandle::wait`] / [`RunHandle::wait_timeout`]
-    /// and their [`RowHandle`] counterparts — the *observer* side of a
-    /// non-blocking submission (consulted with worker id 0 and no abort
-    /// signal: a stalled waiter must not be rescued by the run's own
-    /// cancellation; `chunk` is 0 for run handles, the row index for row
-    /// handles).
-    ///
-    /// [`RunHandle::wait`]: crate::RunHandle::wait
-    /// [`RunHandle::wait_timeout`]: crate::RunHandle::wait_timeout
-    /// [`RowHandle`]: crate::RowHandle
-    HandleWait,
     /// At the top of each per-row dispatch: the long-rows path of
     /// [`BatchRunner::run_rows`] (cached intra-row runner; worker id 0,
     /// row index as `chunk`) and each row the per-row executor runs, a
@@ -168,7 +157,8 @@ pub fn is_armed() -> bool {
 /// `abort` is the consulting run's abort signal, when the site has one:
 /// a firing [`FaultKind::Delay`] polls it so an injected stall ends
 /// early once the run is cancelled, deadline-tripped, or panicking
-/// elsewhere. Pass `None` at sites outside any run (e.g. handle waits).
+/// elsewhere. Pass `None` at sites outside any run (the long-rows path's
+/// per-row dispatch on the calling thread).
 ///
 /// # Panics
 ///

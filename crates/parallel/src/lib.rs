@@ -93,20 +93,15 @@
 //!   at its next poll instead of hanging. Cancel tokens reach a run the
 //!   same way: the signal holds them and checks them on every poll, so
 //!   every abort shows up at one of the run's own abort checks.
-//! - **Submission can be non-blocking.** [`WorkerPool::submit`] hands the
-//!   job to a donated driver thread (standing in for the caller's
-//!   worker-0 role) and returns a [`RunHandle`] whose completion is
-//!   signalled — poll it, wait with a timeout, register a waker, or
-//!   `await` it (the handle implements `IntoFuture`). Dropping an
-//!   unfinished handle cancels the run and blocks until it quiesces.
 //! - **Rows can be streamed.** [`BatchRunner::stream`] opens a
 //!   [`RowStream`]: rows go in one at a time under a bounded
 //!   backpressure window, each returning a [`RowHandle`] with its own
 //!   result, [`RunStats`], cancel token, and deadline; a failed row
-//!   resolves only its own handle. Row and run handles share one
+//!   resolves only its own handle. The stream's drain run drives itself
+//!   on a thread of its own, and every row handle reads one
 //!   first-completion-wins completion cell, which the [`stream`]
-//!   module's runtime-agnostic `Future` adapters ([`RowFuture`],
-//!   [`RunFuture`], [`block_on`]) poll.
+//!   module's runtime-agnostic `Future` adapter ([`RowFuture`], with
+//!   [`block_on`]) polls.
 //! - **The pool survives.** Worker threads outlive job panics and stay
 //!   in their loop until the pool drops: workers are fail-stop, and a
 //!   real thread death ends the process. Threads that failed to spawn
@@ -120,8 +115,8 @@
 //! - **Deterministic fault injection.** The `fault-inject` cargo feature
 //!   compiles a process-global `fault::FaultPlan` harness that can panic
 //!   or stall any pipeline stage (by chunk, worker, or call count) — plus
-//!   batch-row dispatch and handle waits — to test all of the above; its
-//!   consult sites are inert unless a plan is armed.
+//!   row dispatch — to test all of the above; its consult sites are
+//!   inert unless a plan is armed.
 //!
 //! When several causes coincide, a recorded panic always wins; otherwise
 //! the first-tripped abort reason decides between cancelled and
@@ -159,13 +154,13 @@ pub mod stream;
 pub mod varying;
 
 pub use batch::{BatchRunner, RowTask};
-pub use drain::{Drain, DrainQueue};
+pub use drain::{Drain, DrainQueue, DrainRun};
 pub use pool::{
-    resolve_threads, AbortReason, AbortSignal, CancelToken, RunControl, RunError, RunHandle,
-    WorkerPanic, WorkerPool,
+    resolve_threads, AbortReason, AbortSignal, CancelToken, RunControl, RunError, WorkerPanic,
+    WorkerPool,
 };
 pub use runner::{ParallelRunner, RunnerConfig};
 pub use segmented::SegmentedRunner;
 pub use stats::{PoolCounters, RunStats};
-pub use stream::{block_on, PushError, RowFuture, RowHandle, RowResolver, RowStream, RunFuture};
+pub use stream::{block_on, PushError, RowFuture, RowHandle, RowResolver, RowStream};
 pub use varying::VaryingRunner;

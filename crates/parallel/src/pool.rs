@@ -17,13 +17,15 @@
 //! - [`WorkerPool::run`] publishes one type-erased job, wakes the workers,
 //!   executes the job on the calling thread too, and blocks until every
 //!   worker has finished. Job submission is serialized internally, so a
-//!   pool shared by several runners is safe (calls queue up).
+//!   pool shared by several runners is safe (calls queue up). A stream
+//!   or a service shard, whose caller must not block, calls it from a
+//!   thread of its own ([`Drain::launch`](crate::Drain::launch)).
 //! - Work distribution inside a job is the callers' business; the runner
 //!   uses an atomic ticket counter over chunk indices, which preserves the
 //!   in-order claiming the decoupled look-back progress argument needs
 //!   (a chunk is only claimed after every earlier chunk has been claimed).
 //!
-//! # Run control: cancellation, deadlines, non-blocking submission
+//! # Run control: cancellation and deadlines
 //!
 //! [`WorkerPool::run_ctl`] extends `run` with a [`RunControl`]: a
 //! caller-held [`CancelToken`] aborts the run from outside, and a
@@ -36,19 +38,6 @@
 //! thread pushes either cause into the run: every abort shows up at an
 //! abort check.
 //!
-//! [`WorkerPool::submit`] is the non-blocking variant: the job (which
-//! must be `'static`) is handed to a lazily-spawned *driver* thread that
-//! plays the caller's worker-0 role — a donated worker standing in for
-//! the caller-participates design — and the caller gets a [`RunHandle`]
-//! whose completion is signalled (condvar + [`RunHandle::is_finished`] /
-//! [`RunHandle::wait_timeout`], plus an optional waker callback for
-//! async executors) instead of joined.
-//!
-//! **Handle-drop invariant.** Dropping a [`RunHandle`] before completion
-//! cancels the run and *blocks until its workers quiesce* — the same
-//! lifetime-erasure discipline as the caller-panic path below: a run must
-//! never be left executing with nobody obligated to wait for it.
-//!
 //! # Failure model
 //!
 //! Every job invocation — on the spawned workers *and* on the calling
@@ -58,9 +47,7 @@
 //! returns `Err(`[`WorkerPanic`]`)` once every worker has quiesced.
 //! Workers are fail-stop: a job never makes a worker leave its loop, and
 //! a real thread death (a stack overflow, a panic while panicking) ends
-//! the process. A submitted run's completion callback runs under
-//! `catch_unwind` too, so a panicking callback cannot kill the submit
-//! driver. The pool stays fully reusable after any failure.
+//! the process. The pool stays fully reusable after any failure.
 //!
 //! **Precedence.** When several abort causes coincide, a recorded panic
 //! always wins (it is the root-cause evidence); otherwise the *first*
@@ -102,12 +89,9 @@
 //! the invariant: they only make the abort signal's polls report an
 //! abort, which *requests* early bail-out; the submitter still waits for
 //! every worker before returning.
-//! ([`WorkerPool::submit`] sidesteps the question entirely by requiring
-//! `'static` jobs.)
 
 use crate::stats::PoolCounters;
 use std::any::Any;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -536,50 +520,10 @@ struct Workers {
     handles: Vec<Option<JoinHandle<()>>>,
 }
 
-/// One queued [`WorkerPool::submit`] task, executed by the driver thread.
-type Submission = Box<dyn FnOnce() + Send>;
-
-/// The submit driver's shared state.
-struct DriverShared {
-    state: Mutex<DriverState>,
-    cv: Condvar,
-}
-
-struct DriverState {
-    queue: VecDeque<Submission>,
-    shutdown: bool,
-}
-
-fn driver_loop(shared: &DriverShared) {
-    loop {
-        let task = {
-            let mut state = lock_recover(&shared.state);
-            loop {
-                // Drain the queue even during shutdown: every queued task
-                // completes a RunHandle somebody may be waiting on.
-                if let Some(task) = state.queue.pop_front() {
-                    break task;
-                }
-                if state.shutdown {
-                    return;
-                }
-                state = shared
-                    .cv
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        task();
-    }
-}
-
 /// A fixed-width pool of persistent worker threads (see the module docs).
 pub struct WorkerPool {
     shared: Arc<Shared>,
     workers: Mutex<Workers>,
-    driver: Arc<DriverShared>,
-    /// Lazily spawned on the first [`submit`](Self::submit).
-    driver_thread: Mutex<Option<JoinHandle<()>>>,
     /// Test hook ([`new_degraded`](Self::new_degraded)): while set, `heal`
     /// does not retry missing slots, so the zero-worker serial path stays
     /// observable across submissions.
@@ -636,14 +580,6 @@ impl WorkerPool {
         WorkerPool {
             shared,
             workers: Mutex::new(Workers { handles }),
-            driver: Arc::new(DriverShared {
-                state: Mutex::new(DriverState {
-                    queue: VecDeque::new(),
-                    shutdown: false,
-                }),
-                cv: Condvar::new(),
-            }),
-            driver_thread: Mutex::new(None),
             inhibit_respawn: AtomicBool::new(false),
         }
     }
@@ -726,26 +662,6 @@ impl WorkerPool {
                     self.shared.recovered.fetch_add(1, Ordering::Relaxed);
                 }
             }
-        }
-    }
-
-    /// Ensures the submit driver thread is running; `false` when it could
-    /// not be spawned (submissions then execute synchronously).
-    pub(crate) fn ensure_driver(&self) -> bool {
-        let mut slot = lock_recover(&self.driver_thread);
-        if slot.is_some() {
-            return true;
-        }
-        let driver = Arc::clone(&self.driver);
-        match std::thread::Builder::new()
-            .name("plr-driver".to_string())
-            .spawn(move || driver_loop(&driver))
-        {
-            Ok(handle) => {
-                *slot = Some(handle);
-                true
-            }
-            Err(_) => false,
         }
     }
 
@@ -892,79 +808,19 @@ impl WorkerPool {
             },
         }
     }
-
-    /// Submits `job` without blocking: a lazily-spawned driver thread
-    /// stands in for the caller as worker 0 (the donated-worker fallback
-    /// of the caller-participates design) and the returned [`RunHandle`]
-    /// signals completion instead of joining it.
-    ///
-    /// Submissions execute in order, serialized with blocking
-    /// [`run`](Self::run) calls on the same pool. If the driver thread
-    /// cannot be spawned, the run executes synchronously inside `submit`
-    /// and the returned handle is already finished (graceful
-    /// degradation).
-    ///
-    /// The handle's token (the control's, or a fresh one when the control
-    /// has none) cancels the run; *dropping the handle before completion
-    /// cancels the run and blocks until it quiesces* (see the module
-    /// docs).
-    pub fn submit<F>(self: &Arc<Self>, ctl: RunControl, job: F) -> RunHandle
-    where
-        F: Fn(usize, &AbortSignal) + Send + Sync + 'static,
-    {
-        let cancel = ctl.cancel.clone().unwrap_or_default();
-        let ctl = RunControl {
-            cancel: Some(cancel.clone()),
-            deadline: ctl.deadline,
-        };
-        let cell = Arc::new(Completion::new());
-        let task: Submission = {
-            let pool = Arc::clone(self);
-            let cell = Arc::clone(&cell);
-            Box::new(move || cell.complete(pool.run_ctl(&ctl, job)))
-        };
-        if self.ensure_driver() {
-            let mut state = lock_recover(&self.driver.state);
-            state.queue.push_back(task);
-            self.driver.cv.notify_all();
-        } else {
-            task();
-        }
-        RunHandle {
-            cell,
-            cancel,
-            _pool: Arc::clone(self),
-        }
-    }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // The driver goes first: queued submissions hold an `Arc` to this
-        // pool, so by the time `Drop` runs the queue is empty and the
-        // driver is parked (or never spawned).
-        {
-            let mut state = lock_recover(&self.driver.state);
-            state.shutdown = true;
-            self.driver.cv.notify_all();
-        }
-        // The last `Arc<WorkerPool>` can be dropped from a thread the
-        // pool itself owns — e.g. a completion callback running on the
-        // driver thread releasing the final clone. Joining the current
-        // thread would deadlock (and panics in std), so such threads are
-        // detached instead: they observe `shutdown` and exit on their
-        // own right after this drop returns.
-        let me = std::thread::current().id();
-        if let Some(handle) = lock_recover(&self.driver_thread).take() {
-            if handle.thread().id() != me {
-                let _ = handle.join();
-            }
-        }
         {
             let mut state = lock_recover(&self.shared.state);
             state.shutdown = true;
             self.shared.work_ready.notify_all();
         }
+        // A thread never joins itself (that would deadlock, and panics in
+        // std); a pool thread releasing the last handle is left to exit
+        // on its own once it sees `shutdown`.
+        let me = std::thread::current().id();
         let mut workers = lock_recover(&self.workers);
         for handle in workers.handles.iter_mut().filter_map(Option::take) {
             if handle.thread().id() != me {
@@ -975,9 +831,8 @@ impl Drop for WorkerPool {
 }
 
 /// A first-completion-wins result cell shared by a handle and whoever
-/// resolves it: the one completion cell behind [`RunHandle`], the
-/// streaming layer's [`RowHandle`](crate::RowHandle) and the service
-/// core's handles. Waiters block on it (optionally with a bound), one
+/// resolves it: the one completion cell behind the streaming layer's
+/// [`RowHandle`](crate::RowHandle) and the service core's handles. Waiters block on it (optionally with a bound), one
 /// waker callback fires when it resolves, and the owner can move the
 /// value out.
 pub(crate) struct Completion<V> {
@@ -1005,7 +860,7 @@ impl<V> Completion<V> {
     /// outside the lock. The first completion wins; later ones are
     /// ignored. A panicking waker is contained here, after the panic hook
     /// has reported it: the cell has resolved, and the thread resolving
-    /// it — the submit driver, or a drain run's worker — must go on.
+    /// it — a drain run's worker, or an inline caller — must go on.
     pub(crate) fn complete(&self, value: V) {
         let waker = {
             let mut state = lock_recover(&self.state);
@@ -1076,88 +931,6 @@ impl<V> Completion<V> {
             wake();
         } else {
             state.waker = Some(Box::new(wake));
-        }
-    }
-}
-
-/// A non-blocking run in flight (see [`WorkerPool::submit`]).
-///
-/// Completion is signalled, not joined: poll
-/// [`is_finished`](Self::is_finished), block with [`wait`](Self::wait) /
-/// [`wait_timeout`](Self::wait_timeout), or register a waker callback
-/// with [`on_complete`](Self::on_complete) so an async executor can be
-/// woken to poll again.
-///
-/// Dropping the handle before completion **cancels the run and blocks
-/// until its workers quiesce** — the execution layer never leaves a run
-/// executing with nobody obligated to observe it (the same invariant the
-/// caller-panic path upholds for borrowed jobs).
-pub struct RunHandle {
-    pub(crate) cell: Arc<Completion<Result<(), RunError>>>,
-    cancel: CancelToken,
-    /// Keeps the pool (and its driver) alive until the run is observed.
-    _pool: Arc<WorkerPool>,
-}
-
-impl std::fmt::Debug for RunHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunHandle")
-            .field("finished", &self.is_finished())
-            .field("cancelled", &self.cancel.is_cancelled())
-            .finish()
-    }
-}
-
-impl RunHandle {
-    /// Whether the run has completed (successfully or not).
-    pub fn is_finished(&self) -> bool {
-        self.cell.is_complete()
-    }
-
-    /// Blocks until the run completes and returns its outcome. Callable
-    /// repeatedly; every call returns the same outcome.
-    pub fn wait(&self) -> Result<(), RunError> {
-        #[cfg(feature = "fault-inject")]
-        crate::fault::check(crate::fault::FaultSite::HandleWait, 0, 0, None);
-        self.cell.wait(Clone::clone)
-    }
-
-    /// Blocks up to `budget` for completion; `None` on timeout (the run
-    /// keeps going — pair with [`cancel`](Self::cancel) to give up on
-    /// it).
-    pub fn wait_timeout(&self, budget: Duration) -> Option<Result<(), RunError>> {
-        #[cfg(feature = "fault-inject")]
-        crate::fault::check(crate::fault::FaultSite::HandleWait, 0, 0, None);
-        self.cell.wait_timeout(budget, Clone::clone)
-    }
-
-    /// Cancels the run through its token (idempotent; the run still has
-    /// to quiesce, so follow with [`wait`](Self::wait) or let the drop
-    /// block).
-    pub fn cancel(&self) {
-        self.cancel.cancel();
-    }
-
-    /// A clone of the run's cancel token (cancel it from anywhere).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    /// Registers a callback invoked exactly once when the run completes
-    /// (immediately if it already has) — the waker hook an async executor
-    /// needs to `poll` the handle without spinning. A second registration
-    /// replaces the first. A callback that panics when the run completes
-    /// is contained on the driver thread, which goes on serving.
-    pub fn on_complete(&self, wake: impl FnOnce() + Send + 'static) {
-        self.cell.on_complete(wake);
-    }
-}
-
-impl Drop for RunHandle {
-    fn drop(&mut self) {
-        if !self.is_finished() {
-            self.cancel.cancel();
-            self.cell.wait(|_| ());
         }
     }
 }
@@ -1489,7 +1262,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Run control: cancellation, deadlines, submission handles.
+    // Run control: cancellation and deadlines.
     // ------------------------------------------------------------------
 
     #[test]
@@ -1660,179 +1433,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(bailed.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn submit_signals_completion_without_joining() {
-        let pool = Arc::new(WorkerPool::new(4));
-        let hits = Arc::new(AtomicU64::new(0));
-        let job_hits = Arc::clone(&hits);
-        let handle = pool.submit(RunControl::new(), move |_, _| {
-            job_hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(handle.wait(), Ok(()));
-        assert!(handle.is_finished());
-        assert_eq!(hits.load(Ordering::Relaxed), 4);
-        // wait() is idempotent.
-        assert_eq!(handle.wait(), Ok(()));
-    }
-
-    #[test]
-    fn submit_wait_timeout_expires_then_cancel_finishes() {
-        let pool = Arc::new(WorkerPool::new(4));
-        let handle = pool.submit(RunControl::new(), |_, abort| {
-            while !abort.is_aborted() {
-                std::thread::yield_now();
-            }
-        });
-        // The job never finishes on its own: the timeout must expire.
-        assert_eq!(handle.wait_timeout(Duration::from_millis(30)), None);
-        assert!(!handle.is_finished());
-        handle.cancel();
-        assert_eq!(handle.wait(), Err(RunError::Cancelled));
-    }
-
-    #[test]
-    fn submit_invokes_the_waker_on_completion() {
-        let pool = Arc::new(WorkerPool::new(2));
-        let token = CancelToken::new();
-        let handle = pool.submit(RunControl::new().with_cancel(&token), |_, abort| {
-            while !abort.is_aborted() {
-                std::thread::yield_now();
-            }
-        });
-        let woken = Arc::new(AtomicU64::new(0));
-        let waker_woken = Arc::clone(&woken);
-        handle.on_complete(move || {
-            waker_woken.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(woken.load(Ordering::Relaxed), 0, "not complete yet");
-        token.cancel();
-        assert_eq!(handle.wait(), Err(RunError::Cancelled));
-        // The waker runs outside the handle lock, so it may land a beat
-        // after wait() returns; give it a bounded moment.
-        let waker_deadline = Instant::now() + Duration::from_secs(10);
-        while woken.load(Ordering::Relaxed) == 0 && Instant::now() < waker_deadline {
-            std::thread::yield_now();
-        }
-        assert_eq!(woken.load(Ordering::Relaxed), 1);
-        // Registering after completion fires immediately.
-        let waker_woken = Arc::clone(&woken);
-        handle.on_complete(move || {
-            waker_woken.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(woken.load(Ordering::Relaxed), 2);
-    }
-
-    /// A completion callback fires on the submit driver, so a panicking
-    /// one must not kill the driver: a later submission on the same pool
-    /// still resolves.
-    #[test]
-    fn panicking_completion_callback_leaves_the_driver_serving() {
-        quiet_expected_panics();
-        let pool = Arc::new(WorkerPool::new(2));
-        let (release, gate) = std::sync::mpsc::channel::<()>();
-        let gate = Mutex::new(gate);
-        // The job holds the run open until the callback is registered, so
-        // the callback fires on the driver when the run completes.
-        let first = pool.submit(RunControl::new(), move |id, _| {
-            if id == 0 {
-                let _ = gate.lock().unwrap().recv();
-            }
-        });
-        first.on_complete(|| panic!("deliberate completion-callback panic"));
-        release.send(()).unwrap();
-        assert_eq!(first.wait(), Ok(()));
-        let second = pool.submit(RunControl::new(), |_, _| {});
-        let outcome = second.wait_timeout(Duration::from_secs(10));
-        if outcome.is_none() {
-            // Dropping an unresolved handle blocks until its run resolves,
-            // which nothing would do here.
-            std::mem::forget(second);
-            panic!("a submission after a panicking callback never resolved");
-        }
-        assert_eq!(outcome, Some(Ok(())));
-    }
-
-    #[test]
-    fn dropping_an_unfinished_handle_cancels_and_quiesces() {
-        let pool = Arc::new(WorkerPool::new(4));
-        let entered = Arc::new(AtomicU64::new(0));
-        let exited = Arc::new(AtomicU64::new(0));
-        let (job_entered, job_exited) = (Arc::clone(&entered), Arc::clone(&exited));
-        let handle = pool.submit(RunControl::new(), move |_, abort| {
-            job_entered.fetch_add(1, Ordering::Relaxed);
-            while !abort.is_aborted() {
-                std::thread::yield_now();
-            }
-            job_exited.fetch_add(1, Ordering::Relaxed);
-        });
-        drop(handle);
-        // Drop must have blocked until the run quiesced: every worker
-        // that entered the job has also left it.
-        assert_eq!(
-            entered.load(Ordering::Relaxed),
-            exited.load(Ordering::Relaxed)
-        );
-        assert_eq!(pool.counters().cancelled, 1);
-        pool.run(|_, _| {}).unwrap();
-    }
-
-    #[test]
-    fn submitted_runs_execute_in_order_with_blocking_runs() {
-        let pool = Arc::new(WorkerPool::new(3));
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let l1 = Arc::clone(&log);
-        let h1 = pool.submit(RunControl::new(), move |id, _| {
-            if id == 0 {
-                l1.lock().unwrap().push(1);
-            }
-        });
-        h1.wait().unwrap();
-        pool.run(|id, _| {
-            if id == 0 {
-                log.lock().unwrap().push(2);
-            }
-        })
-        .unwrap();
-        let l3 = Arc::clone(&log);
-        let h3 = pool.submit(RunControl::new(), move |id, _| {
-            if id == 0 {
-                l3.lock().unwrap().push(3);
-            }
-        });
-        h3.wait().unwrap();
-        assert_eq!(*log.lock().unwrap(), vec![1, 2, 3]);
-        assert_eq!(pool.counters().runs, 3);
-    }
-
-    /// Regression guard for `RunHandle::wait_timeout`: after any condvar
-    /// wakeup the loop must re-wait with the *remaining* budget, never
-    /// the full one, so the total wait is bounded by the budget plus
-    /// scheduling slack — not by `budget × wakeups`.
-    #[test]
-    fn wait_timeout_total_wait_is_bounded() {
-        let pool = Arc::new(WorkerPool::new(2));
-        let handle = pool.submit(RunControl::new(), |_, abort| {
-            while !abort.is_aborted() {
-                std::thread::yield_now();
-            }
-        });
-        let budget = Duration::from_millis(80);
-        let start = Instant::now();
-        // Repeated expiring waits on the same never-finishing handle:
-        // each one must consume (roughly) its own budget and no more.
-        for _ in 0..3 {
-            assert_eq!(handle.wait_timeout(budget), None);
-        }
-        let elapsed = start.elapsed();
-        assert!(elapsed >= budget, "three waits cannot beat one budget");
-        assert!(
-            elapsed < Duration::from_secs(20),
-            "timeouts must expire near their budget, took {elapsed:?}"
-        );
-        handle.cancel();
-        assert_eq!(handle.wait(), Err(RunError::Cancelled));
     }
 
     /// Each signal polls its own deadline, so any number of concurrent

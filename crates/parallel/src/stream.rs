@@ -11,7 +11,7 @@
 //! ## Execution model
 //!
 //! `stream()` launches **one drain run** ([`Drain`]) over the stream's
-//! bounded FIFO: one long-lived [`WorkerPool::submit`] run, so the
+//! bounded FIFO: one long-lived pool run on a thread of its own, so the
 //! caller's thread is never borrowed, whose workers pop rows and run each
 //! through [`RowTask::execute`] — the one per-row executor, which the
 //! service core's shards use too, around the solve blocking `run_rows`
@@ -28,8 +28,8 @@
 //! [`CancelToken`], or bound it with a per-row deadline via
 //! [`RowStream::push_row_ctl`] — all reusing the [`RunControl`]
 //! machinery: each row's abort signal holds its token and deadline, and
-//! the row's solve checks them at every abort poll. Row and run handles
-//! share one first-completion-wins completion cell.
+//! the row's solve checks them at every abort poll. Every row handle
+//! reads one first-completion-wins completion cell.
 //!
 //! ## Error & ordering guarantees
 //!
@@ -54,10 +54,10 @@
 //!
 //! ## The `Future` adapter
 //!
-//! [`RowFuture`] / [`RunFuture`] turn a [`RowHandle`] / [`RunHandle`]
-//! into a runtime-agnostic `std` future — no executor dependency, no busy
-//! polling: `poll` registers the task waker with the handle's completion
-//! cell and returns `Pending` exactly until the cell resolves.
+//! [`RowFuture`] turns a [`RowHandle`] into a runtime-agnostic `std`
+//! future — no executor dependency, no busy polling: `poll` registers the
+//! task waker with the handle's completion cell and returns `Pending`
+//! exactly until the cell resolves.
 //! [`block_on`] is a minimal park-based executor for synchronous callers
 //! and tests.
 //!
@@ -66,8 +66,8 @@
 //! [`RowTask::execute`]: crate::batch::RowTask::execute
 
 use crate::batch::{absorb_row, RowTask};
-use crate::drain::{Drain, DrainQueue};
-use crate::pool::{CancelToken, Completion, RunControl, RunHandle, WorkerPool};
+use crate::drain::{Drain, DrainQueue, DrainRun};
+use crate::pool::{CancelToken, Completion, RunControl, RunError, WorkerPool};
 use crate::stats::RunStats;
 use plr_core::element::Element;
 use plr_core::error::EngineError;
@@ -170,9 +170,9 @@ pub struct RowStream<T> {
     /// Cancelling this token aborts the whole stream run.
     run_token: CancelToken,
     /// The drain run serving the queue; dropping it (stream drop without
-    /// `finish`) cancels and quiesces. `None` when the pool could not
-    /// spawn its submit driver, which leaves the stream dead from birth.
-    handle: Option<RunHandle>,
+    /// `finish`) cancels and quiesces. `None` when its thread could not
+    /// spawn, which leaves the stream dead from birth.
+    run: Option<DrainRun>,
     /// Pool width at launch, reported in the aggregate stats.
     threads: u64,
     /// The length every row must have, if the task binds one.
@@ -223,31 +223,29 @@ impl<T: Element> RowStream<T> {
                 task.execute(&run_token, worker, row.index, &row.ctl, row.data, finish);
             }
         };
-        let ctl = RunControl::new().with_cancel(&run_token);
-        let handle = shared.drain.launch(&pool, ctl, serve);
         // The one sweep, once the run is over: anything still queued will
         // never be popped — resolve those handles with the run's own
         // outcome and unblock pushers, so no handle and no `push_row` can
         // wedge on a finished run. A run that ended cleanly was closed
         // with its queue empty. Without a run the stream is dead at once.
-        match &handle {
-            Some(handle) => {
-                let (shared, cell) = (Arc::clone(&shared), Arc::downgrade(&handle.cell));
-                handle.on_complete(move || {
-                    let outcome = cell.upgrade().map(|cell| cell.wait(Clone::clone));
-                    let err = match outcome {
-                        Some(Err(e)) => e.into_engine_error(),
-                        _ => EngineError::Cancelled,
-                    };
-                    drain_pending(&shared, err);
-                });
+        let end = {
+            let shared = Arc::clone(&shared);
+            move |outcome: &Result<(), RunError>| {
+                let err = match outcome {
+                    Err(e) => e.clone().into_engine_error(),
+                    Ok(()) => EngineError::Cancelled,
+                };
+                drain_pending(&shared, err);
             }
-            None => drain_pending(&shared, EngineError::Cancelled),
+        };
+        let run = shared.drain.launch(&pool, &run_token, serve, end);
+        if run.is_none() {
+            drain_pending(&shared, EngineError::Cancelled);
         }
         RowStream {
             shared,
             run_token,
-            handle,
+            run,
             threads,
             bound_len,
         }
@@ -447,9 +445,9 @@ impl<T: Element> RowStream<T> {
     /// code), otherwise the first per-row error (including deliberate
     /// per-row cancellations and deadline trips). Per-row outcomes remain
     /// available on the individual handles either way.
-    pub fn finish(self) -> Result<RunStats, EngineError> {
+    pub fn finish(mut self) -> Result<RunStats, EngineError> {
         self.close();
-        if let Some(Err(e)) = self.handle.as_ref().map(RunHandle::wait) {
+        if let Some(Err(e)) = self.run.take().map(DrainRun::join) {
             return Err(e.into_engine_error());
         }
         let state = self.shared.drain.lock();
@@ -611,8 +609,6 @@ impl<T> RowHandle<T> {
     /// [`RunStats`], or the per-row error). Callable repeatedly; the
     /// solved buffer stays inside the handle until [`join`](Self::join).
     pub fn wait(&self) -> Result<RunStats, EngineError> {
-        #[cfg(feature = "fault-inject")]
-        crate::fault::check(crate::fault::FaultSite::HandleWait, 0, self.index, None);
         self.cell.wait(|(_, result)| result.clone())
     }
 
@@ -621,8 +617,6 @@ impl<T> RowHandle<T> {
     /// it). Re-waits with the *remaining* budget after spurious wakeups,
     /// so the total wait is bounded by `budget` plus scheduling slack.
     pub fn wait_timeout(&self, budget: Duration) -> Option<Result<RunStats, EngineError>> {
-        #[cfg(feature = "fault-inject")]
-        crate::fault::check(crate::fault::FaultSite::HandleWait, 0, self.index, None);
         self.cell.wait_timeout(budget, |(_, result)| result.clone())
     }
 
@@ -675,7 +669,7 @@ impl<T> Drop for RowHandle<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Future adapters
+// Future adapter
 // ---------------------------------------------------------------------------
 
 /// A [`RowHandle`] as a runtime-agnostic [`Future`], created by
@@ -710,39 +704,6 @@ impl<T: Element> IntoFuture for RowHandle<T> {
 
     fn into_future(self) -> RowFuture<T> {
         RowFuture { handle: Some(self) }
-    }
-}
-
-/// A [`RunHandle`] as a runtime-agnostic [`Future`], created by
-/// `await`ing the handle — resolves to the run's outcome, woken by the
-/// run's completion cell.
-pub struct RunFuture {
-    handle: Option<RunHandle>,
-}
-
-impl Future for RunFuture {
-    type Output = Result<(), crate::pool::RunError>;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let handle = self
-            .handle
-            .as_ref()
-            .expect("RunFuture polled after completion");
-        if !handle.cell.poll_ready(cx) {
-            return Poll::Pending;
-        }
-        // Finished: wait() returns without blocking; dropping the handle
-        // afterwards is a no-op.
-        Poll::Ready(self.handle.take().expect("checked above").wait())
-    }
-}
-
-impl IntoFuture for RunHandle {
-    type Output = Result<(), crate::pool::RunError>;
-    type IntoFuture = RunFuture;
-
-    fn into_future(self) -> RunFuture {
-        RunFuture { handle: Some(self) }
     }
 }
 
@@ -876,11 +837,27 @@ mod tests {
         stream.finish().unwrap();
     }
 
+    /// Regression guard for the completion cell's `wait_timeout`: after
+    /// any condvar wakeup it must re-wait with the *remaining* budget,
+    /// never the full one, so the total wait is bounded by the budget
+    /// plus scheduling slack — not by `budget × wakeups`.
     #[test]
-    fn run_future_awaits_pool_submissions() {
-        let pool = Arc::new(WorkerPool::new(2));
-        let handle = pool.submit(RunControl::new(), |_, _| {});
-        block_on(handle.into_future()).unwrap();
+    fn stream_row_wait_timeout_total_wait_is_bounded() {
+        // The resolver stays alive and unused: the row never resolves.
+        let (handle, _resolver) = RowHandle::<i64>::pending(CancelToken::new(), 0);
+        let budget = Duration::from_millis(80);
+        let start = Instant::now();
+        // Repeated expiring waits on the same never-finishing handle:
+        // each one must consume (roughly) its own budget and no more.
+        for _ in 0..3 {
+            assert!(handle.wait_timeout(budget).is_none());
+        }
+        let elapsed = start.elapsed();
+        assert!(elapsed >= budget, "three waits cannot beat one budget");
+        assert!(
+            elapsed < Duration::from_secs(20),
+            "timeouts must expire near their budget, took {elapsed:?}"
+        );
     }
 
     #[test]

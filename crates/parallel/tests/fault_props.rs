@@ -12,15 +12,12 @@
 use plr_core::error::EngineError;
 use plr_core::serial;
 use plr_core::signature::Signature;
-use plr_parallel::fault::{self, FaultKind, FaultPlan, FaultSite};
-use plr_parallel::{
-    BatchRunner, CancelToken, ParallelRunner, RunControl, RunError, RunnerConfig, WorkerPool,
-};
+use plr_parallel::fault::{self, FaultPlan, FaultSite};
+use plr_parallel::{BatchRunner, CancelToken, ParallelRunner, RunControl, RunnerConfig};
 use proptest::prelude::*;
 
 mod common;
 use common::{lock_global, quiet_injected_panics, threads, within_secs};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const N: usize = 16_384;
@@ -386,81 +383,6 @@ fn deadline_trips_a_wedged_run() {
     assert_eq!(rerun, serial::run(&sig, &input(N)));
     assert_eq!(stats.threads, threads() as u64);
     assert_eq!(stats.aborts, 0);
-}
-
-/// Dropping a `RunHandle` without ever waiting on it — while its run is
-/// wedged in an injected 30s stall — cancels the run and blocks only
-/// until the workers quiesce; the pool is immediately reusable.
-#[test]
-fn dropped_handle_cancels_a_wedged_submission() {
-    let _serial = lock_global();
-    quiet_injected_panics();
-    let pool = Arc::new(WorkerPool::new(threads()));
-    fault::arm(FaultPlan::delay_at_chunk(
-        FaultSite::Solve,
-        0,
-        Duration::from_secs(30),
-    ));
-    let start = Instant::now();
-    let reusable = {
-        let pool = Arc::clone(&pool);
-        within_secs(60, move || {
-            let handle = pool.submit(RunControl::new(), |worker, abort| {
-                // Worker 0 (the donated driver) hits the stall; everyone
-                // else waits for the abort like a spin-wait would.
-                if worker == 0 {
-                    plr_parallel::fault::check(FaultSite::Solve, worker, 0, Some(abort));
-                }
-                while !abort.is_aborted() {
-                    std::thread::yield_now();
-                }
-            });
-            drop(handle); // never waited on: must cancel + quiesce
-            pool.run(|_, _| {}).is_ok()
-        })
-    };
-    let elapsed = start.elapsed();
-    fault::disarm();
-    assert!(reusable, "pool must be reusable after a dropped handle");
-    assert!(
-        elapsed < Duration::from_secs(20),
-        "handle drop must not ride out the 30s stall, took {elapsed:?}"
-    );
-    assert_eq!(pool.counters().cancelled, 1);
-}
-
-/// A stalled *observer* (delay injected at the handle-wait site) does not
-/// mask the run's own deadline: the run's workers poll it themselves, so
-/// by the time the observer recovers, the result is already
-/// DeadlineExceeded.
-#[test]
-fn handle_wait_stall_does_not_mask_the_deadline() {
-    let _serial = lock_global();
-    quiet_injected_panics();
-    let pool = Arc::new(WorkerPool::new(threads()));
-    let budget = Duration::from_millis(500);
-    fault::arm(FaultPlan {
-        site: FaultSite::HandleWait,
-        worker: None,
-        chunk: None,
-        nth_call: None,
-        kind: FaultKind::Delay(Duration::from_secs(2)),
-    });
-    let result = {
-        let pool = Arc::clone(&pool);
-        within_secs(60, move || {
-            let handle = pool.submit(RunControl::new().with_deadline(budget), |_, abort| {
-                while !abort.is_aborted() {
-                    std::thread::yield_now();
-                }
-            });
-            handle.wait() // stalls 2s at the injected site first
-        })
-    };
-    fault::disarm();
-    assert_eq!(result, Err(RunError::DeadlineExceeded { deadline: budget }));
-    assert_eq!(pool.counters().deadline_exceeded, 1);
-    assert!(pool.run(|_, _| {}).is_ok());
 }
 
 /// The batch executor's *long-rows* path (cached intra-row runner) obeys
@@ -829,4 +751,79 @@ fn stream_per_row_deadline_trips_the_wedged_row() {
             assert_eq!(&data, expect, "row {i} must stay bit-exact");
         }
     }
+}
+
+/// Dropping an unfinished stream whose row sits in an injected 30s stall
+/// at the `Row` site cancels the stream's run and blocks only until its
+/// workers quiesce: the wedged row resolves `Cancelled`, and the runner's
+/// pool is immediately reusable for a blocking batch.
+#[test]
+fn stream_drop_cancels_a_wedged_row() {
+    let _serial = lock_global();
+    quiet_injected_panics();
+    let sig: Signature<i64> = "1:2,-1".parse().unwrap();
+    let runner = BatchRunner::new(sig.clone(), threads());
+    let row = input(256);
+    let expect = serial::run(&sig, &row);
+
+    fault::arm(FaultPlan::delay_at_chunk(
+        FaultSite::Row,
+        0,
+        Duration::from_secs(30),
+    ));
+    let (runner, outcome, elapsed) = within_secs(60, move || {
+        let stream = runner.stream();
+        let handle = stream.push_row(row);
+        // The plan disarms as it fires: from then on the row is wedged.
+        while fault::is_armed() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let start = Instant::now();
+        drop(stream); // never finished: must cancel + quiesce
+        let elapsed = start.elapsed();
+        (runner, handle.join().1, elapsed)
+    });
+    fault::disarm();
+    assert!(
+        elapsed < Duration::from_secs(20),
+        "stream drop must not ride out the 30s stall, took {elapsed:?}"
+    );
+    assert_eq!(outcome.map(|_| ()), Err(EngineError::Cancelled));
+
+    let mut rerun = input(256 * 4);
+    runner
+        .run_rows(&mut rerun, 256)
+        .expect("the pool must be reusable after a dropped stream");
+    assert_eq!(&rerun[..256], &expect[..], "post-drop blocking rerun");
+}
+
+/// A stalled *observer* does not mask a streamed row's own deadline: the
+/// row's worker polls it, so by the time a waiter that slept 2s calls
+/// `wait()`, the row wedged at the `Row` site already reads
+/// `DeadlineExceeded` with its 500ms budget.
+#[test]
+fn stream_waiter_stall_does_not_mask_the_row_deadline() {
+    let _serial = lock_global();
+    quiet_injected_panics();
+    let sig: Signature<i64> = "1:2,-1".parse().unwrap();
+    let runner = BatchRunner::new(sig, threads());
+    let budget = Duration::from_millis(500);
+    fault::arm(FaultPlan::delay_at_chunk(
+        FaultSite::Row,
+        0,
+        Duration::from_secs(30),
+    ));
+    let result = within_secs(60, move || {
+        let stream = runner.stream();
+        let handle = stream.push_row_ctl(input(256), RunControl::new().with_deadline(budget));
+        std::thread::sleep(Duration::from_secs(2)); // the stalled waiter
+        handle.wait()
+    });
+    let fired = !fault::is_armed();
+    fault::disarm();
+    assert!(fired, "the wedge must fire on the deadlined row");
+    assert_eq!(
+        result.map(|_| ()),
+        Err(EngineError::DeadlineExceeded { deadline: budget })
+    );
 }

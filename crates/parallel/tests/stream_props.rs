@@ -10,11 +10,11 @@
 use plr_core::serial;
 use plr_core::signature::Signature;
 use plr_core::validate::validate;
-use plr_parallel::{block_on, BatchRunner, RowHandle, RunControl, RunFuture, WorkerPool};
+use plr_parallel::{block_on, BatchRunner, RowHandle};
 use proptest::prelude::*;
 use std::future::{Future, IntoFuture};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
@@ -330,49 +330,9 @@ impl<F: Future + Unpin> Future for CountPolls<F> {
     }
 }
 
-/// The `Future` adapter resolves through the waker, not by spinning: a
-/// run that takes ~150ms completes with a handful of polls, not
-/// thousands.
-#[test]
-fn stream_run_future_does_not_busy_poll() {
-    let pool = Arc::new(WorkerPool::new(2));
-    let gate = Arc::new(AtomicBool::new(false));
-    let handle = {
-        let gate = Arc::clone(&gate);
-        pool.submit(RunControl::new(), move |_, abort| {
-            while !gate.load(Ordering::SeqCst) && !abort.is_aborted() {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        })
-    };
-    let releaser = {
-        let gate = Arc::clone(&gate);
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(150));
-            gate.store(true, Ordering::SeqCst);
-        })
-    };
-    let polls = Arc::new(AtomicUsize::new(0));
-    let fut: RunFuture = handle.into_future();
-    let start = Instant::now();
-    within_secs(60, {
-        let polls = Arc::clone(&polls);
-        move || block_on(CountPolls { inner: fut, polls }).unwrap()
-    });
-    releaser.join().unwrap();
-    assert!(
-        start.elapsed() >= Duration::from_millis(100),
-        "the future resolved before the gate opened?"
-    );
-    let polls = polls.load(Ordering::SeqCst);
-    assert!(
-        polls <= 4,
-        "a waker-driven future needs ~2 polls for a 150ms run, got {polls}"
-    );
-}
-
-/// Same property at the row level: awaiting a `RowHandle` polls a
-/// bounded number of times regardless of how long the row takes.
+/// The `Future` adapter resolves through the waker, not by spinning:
+/// awaiting a `RowHandle` polls a bounded number of times regardless of
+/// how long the row takes.
 #[test]
 fn stream_row_future_does_not_busy_poll() {
     let sig: Signature<i64> = "1:2,-1".parse().unwrap();

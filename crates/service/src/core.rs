@@ -114,8 +114,9 @@ pub struct ServiceCore<T: Element> {
 }
 
 impl<T: Element> ServiceCore<T> {
-    /// Builds the core and spins up its shards (worker threads spawn
-    /// lazily on first submission, so an idle core is cheap).
+    /// Builds the core and its shards. Each shard starts its width of
+    /// threads here, before any submission: its pool's `width − 1`
+    /// workers plus the thread of its drain run.
     pub fn new(config: ServiceConfig) -> Self {
         let n = config.shards_or_default();
         let width = config.width_or_default(n);

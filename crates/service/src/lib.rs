@@ -6,7 +6,8 @@
 //!
 //! The execution fabric is a set of **shards**, each a private
 //! [`plr_parallel::WorkerPool`] serving its queue with the streaming
-//! layer's drain run ([`plr_parallel::Drain`]) and per-row executor
+//! layer's drain run ([`plr_parallel::Drain`], on a thread of its own
+//! that joins the pool's workers as worker 0) and per-row executor
 //! ([`plr_parallel::RowTask::execute`]) and handing back the streaming
 //! layer's row handle — the service changes *which rows run when*, never
 //! *how a row runs*.
@@ -32,10 +33,10 @@
 //!   errors are retryable: sleep the error's `retry_after_hint` and
 //!   resubmit.
 //! - **Graceful degradation**: a panicking row fails only its own
-//!   handle. When a shard's pool cannot spawn the thread that drives its
-//!   run, or a panic in the drain loop's own code ends the run, the shard
-//!   falls back to executing admitted rows serially on the submitter's
-//!   thread — reduced throughput, never a black hole.
+//!   handle. When a shard's drain run cannot spawn its thread, or a panic
+//!   in the drain loop's own code ends the run, the shard falls back to
+//!   executing admitted rows serially on the submitter's thread —
+//!   reduced throughput, never a black hole.
 //!
 //! ```
 //! use plr_service::{ServiceConfig, ServiceCore, SubmitOptions, TenantSpec};

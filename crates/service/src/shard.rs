@@ -14,13 +14,12 @@
 //! - rows come out of a [`Wfq`] (per-tenant weighted shares), not a FIFO;
 //! - every executed row feeds a per-shard EWMA of service time, which is
 //!   what admission control turns into queue-delay estimates;
-//! - a drain run that cannot start (the pool cannot spawn its submit
-//!   driver thread) or that ends outside close and abort (a panic in the
-//!   drain loop's own code) *degrades* the shard to executing admitted
-//!   rows serially on the submitter's thread — through the same executor
-//!   — rather than going dark. A row's panic fails only that row, and a
-//!   panicking completion callback is contained where it fires, so
-//!   neither ends the run.
+//! - a drain run that cannot start (its thread cannot spawn) or that ends
+//!   outside close and abort (a panic in the drain loop's own code)
+//!   *degrades* the shard to executing admitted rows serially on the
+//!   submitter's thread — through the same executor — rather than going
+//!   dark. A row's panic fails only that row, and a panicking completion
+//!   callback is contained where it fires, so neither ends the run.
 
 use crate::core::SubmitOptions;
 use crate::tenant::{TenantCounters, TenantRuntime};
@@ -28,7 +27,7 @@ use crate::wfq::Wfq;
 use plr_core::element::Element;
 use plr_core::error::EngineError;
 use plr_parallel::{
-    CancelToken, Drain, DrainQueue, RowHandle, RowResolver, RunControl, RunHandle, RunStats,
+    CancelToken, Drain, DrainQueue, DrainRun, RowHandle, RowResolver, RunControl, RunStats,
     WorkerPool,
 };
 use std::collections::VecDeque;
@@ -49,7 +48,7 @@ struct ShardState<T> {
     wfq: Wfq<ServiceRow<T>>,
     closed: bool,
     degraded: bool,
-    run: Option<RunHandle>,
+    run: Option<DrainRun>,
 }
 
 impl<T: Element> DrainQueue for ShardState<T> {
@@ -85,7 +84,7 @@ pub(crate) struct ShardShared<T> {
 }
 
 /// One shard: pool, drain state and shutdown token, shared with the
-/// drain run and its completion callback.
+/// drain run and its `end` sweep.
 pub(crate) struct Shard<T: Element> {
     shared: Arc<ShardShared<T>>,
 }
@@ -94,7 +93,7 @@ pub(crate) struct Shard<T: Element> {
 /// [`ServiceCore::stats`](crate::ServiceCore::stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Nominal worker count (the calling thread included).
+    /// Nominal worker count (the drain thread included).
     pub width: usize,
     /// Rows admitted but not yet popped by a worker.
     pub queued: usize,
@@ -133,7 +132,7 @@ impl<T: Element> Shard<T> {
             next_index: AtomicUsize::new(0),
             width: width.max(1),
         });
-        submit_run(&shared);
+        launch_run(&shared);
         Shard { shared }
     }
 
@@ -296,42 +295,35 @@ impl<T: Element> Shard<T> {
     /// `Cancelled`.
     pub fn join(&self) {
         let run = self.shared.drain.lock().run.take();
-        if let Some(handle) = run {
-            let _ = handle.wait();
+        if let Some(run) = run {
+            let _ = run.join();
         }
-        // Defensive final sweep — normally the run's completion callback
-        // has already drained.
+        // Defensive final sweep — normally the run's `end` sweep has
+        // already drained.
         drain_with(&self.shared, EngineError::Cancelled);
     }
 }
 
-/// Launches the shard's drain run; a pool without a submit driver
+/// Launches the shard's drain run; a drain thread that cannot spawn
 /// degrades the shard instead.
-fn submit_run<T: Element>(shared: &Arc<ShardShared<T>>) {
-    let job_shared = Arc::clone(shared);
-    let ctl = RunControl::new().with_cancel(&shared.token);
-    let launched = shared.drain.launch(&shared.pool, ctl, move |row, worker| {
-        job_shared.queued.fetch_sub(1, Ordering::Relaxed);
-        process_row(&job_shared, worker, row);
-    });
-    let Some(handle) = launched else {
-        run_inline(shared, shared.drain.lock());
-        return;
+fn launch_run<T: Element>(shared: &Arc<ShardShared<T>>) {
+    let (serve_shared, end_shared) = (Arc::clone(shared), Arc::clone(shared));
+    let serve = move |row, worker| {
+        serve_shared.queued.fetch_sub(1, Ordering::Relaxed);
+        process_row(&serve_shared, worker, row);
     };
-    let cb_shared = Arc::downgrade(shared);
-    handle.on_complete(move || {
-        if let Some(shared) = cb_shared.upgrade() {
-            on_run_complete(&shared);
-        }
-    });
-    shared.drain.lock().run = Some(handle);
+    let end = move |_: &_| on_run_end(&end_shared);
+    match shared.drain.launch(&shared.pool, &shared.token, serve, end) {
+        Some(run) => shared.drain.lock().run = Some(run),
+        None => run_inline(shared, shared.drain.lock()),
+    }
 }
 
 /// Decides what happens when the drain run ends, the one place its
 /// leftover rows are handled: after close or abort they resolve
 /// `Cancelled`; otherwise a panic in the drain loop's own code ended the
 /// run, and the shard degrades to serial, executing them inline.
-fn on_run_complete<T: Element>(shared: &ShardShared<T>) {
+fn on_run_end<T: Element>(shared: &ShardShared<T>) {
     let st = shared.drain.lock();
     if st.closed || shared.token.is_cancelled() {
         drop(st);

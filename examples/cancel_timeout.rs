@@ -1,5 +1,5 @@
-//! Bounded-latency recurrence runs — cancellation, deadlines, and
-//! non-blocking submission.
+//! Bounded-latency recurrence runs — cancellation, deadlines, and rows
+//! that do not block the caller.
 //!
 //! A service that computes filters inline (audio effects, telemetry
 //! smoothing) cannot let one wedged run hold its request thread hostage.
@@ -9,8 +9,9 @@
 //!   wall-clock budget into an error instead of a hang,
 //! * a caller-held [`CancelToken`] that aborts an in-flight run from
 //!   another thread, and
-//! * [`WorkerPool::submit`], which hands a job to a donated driver thread
-//!   and returns a [`RunHandle`] the caller can poll with a timeout.
+//! * a row pushed onto a [`BatchRunner::stream`], whose [`RowHandle`]
+//!   the caller polls with [`RowHandle::wait_timeout`] and can give up
+//!   on with [`RowHandle::cancel`].
 //!
 //! Timing-dependent outcomes (did the cancel land before the run
 //! finished?) are printed either way — both are correct behaviour.
@@ -19,10 +20,7 @@
 //! cargo run --release --example cancel_timeout
 //! ```
 
-use plr::parallel::{AbortSignal, RunError, WorkerPool};
-use plr::{CancelToken, ParallelRunner, RunControl, RunnerConfig, Signature};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use plr::{BatchRunner, CancelToken, ParallelRunner, RunnerConfig, Signature};
 use std::time::{Duration, Instant};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -92,44 +90,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out = runner.run(&input)?; // the pool healed; reruns are exact
     println!("rerun after cancel: y[last] = {:.3}", out.last().unwrap());
 
-    // 3. Non-blocking submission at the pool layer: the caller keeps its
-    // thread, polls the handle with a timeout, and can give up (drop the
-    // handle) knowing the run will be cancelled and quiesced.
-    let pool = Arc::new(WorkerPool::new(4));
-    let progress = Arc::new(AtomicU64::new(0));
-    let handle = {
-        let progress = Arc::clone(&progress);
-        pool.submit(
-            RunControl::new(),
-            move |_worker: usize, abort: &AbortSignal| {
-                // Stand-in for a long pipeline stage: cooperative slices that
-                // poll the per-run abort signal between units of work.
-                for _ in 0..20 {
-                    if abort.is_aborted() {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                    progress.fetch_add(1, Ordering::Relaxed);
-                }
-            },
-        )
-    };
+    // 3. A row that does not block the caller: the stream solves it on
+    // its own drain run, and the caller keeps its thread, polling the
+    // row's handle with a timeout. `handle.cancel()` would give up on the
+    // row instead: it resolves `Cancelled` at its next abort poll, and the
+    // stream's other rows are unaffected.
+    let batch = BatchRunner::new(sig, 0);
+    let stream = batch.stream();
+    let handle = stream.push_row(input);
     let mut polls = 0u32;
     let verdict = loop {
         polls += 1;
-        match handle.wait_timeout(Duration::from_millis(25)) {
+        match handle.wait_timeout(Duration::from_millis(2)) {
             Some(result) => break result,
-            None => println!(
-                "  still running after poll {polls} ({} slices done)",
-                progress.load(Ordering::Relaxed)
-            ),
+            None => println!("  row still running after poll {polls}"),
         }
     };
     match verdict {
-        Ok(()) => println!("submitted run finished after {polls} poll(s)"),
-        Err(RunError::Cancelled) => println!("submitted run was cancelled"),
-        Err(e) => println!("submitted run failed: {e}"),
+        Ok(stats) => println!(
+            "streamed row finished after {polls} poll(s): {} chunk(s) in {:.1?} of solve",
+            stats.chunks,
+            Duration::from_nanos(stats.solve_nanos)
+        ),
+        Err(e) => println!("streamed row failed: {e}"),
     }
-    println!("pool counters: {:?}", pool.counters());
+    let (out, _) = handle.join();
+    println!("streamed row: y[last] = {:.3}", out.last().unwrap());
+    stream.finish()?;
     Ok(())
 }

@@ -57,7 +57,7 @@ pub use plr_core::{
     CorrectionPlan, Element, Engine, PlanKind, PlanMode, SegmentedPlan, Segments, Signature,
 };
 pub use plr_parallel::{
-    BatchRunner, CancelToken, ParallelRunner, RowHandle, RowStream, RunControl, RunHandle,
-    RunnerConfig, SegmentedRunner, VaryingRunner,
+    BatchRunner, CancelToken, ParallelRunner, RowHandle, RowStream, RunControl, RunnerConfig,
+    SegmentedRunner, VaryingRunner,
 };
 pub use plr_service::{ServiceConfig, ServiceCore, SubmitOptions, TenantSpec};
