@@ -15,21 +15,31 @@
 //!   the dependent chain; `auto` is the default dispatch, which solves
 //!   chunks of at least `MIN_LANE_CHUNK` elements in lanes. This group
 //!   sets `MIN_LANE_CHUNK`.
+//! * **one selective-scan request, set-up included**
+//!   (`varying_request_512k`): the `ssm_f32_512ki` ledger workload's
+//!   request — 512 Ki f32 on the slow-decay gates, 64 Ki chunks — at 1
+//!   and 2 workers. `fresh` builds a new signature and runner for every
+//!   request and runs it, dropping the previous request's runner after
+//!   the run as the ledger does; `warm` reruns one runner built outside
+//!   the timing, the control. The gates and the input are copied in
+//!   outside the timing.
 //!
 //! The baseline is the *naive* varying evaluator
 //! ([`plr_core::varying::reference`]): the straightforward
 //! bounds-checked tap loop anyone would write first. The parallel rows
-//! measure [`VaryingRunner`] at 1/2/4 workers; plan construction
-//! (transition matrices, kernel dedupe) happens once outside the timed
-//! loop, mirroring the constant-coefficient benches where runner
-//! construction is likewise excluded. `PLR_BENCH_QUICK=1` shrinks the
-//! sample counts — the CI smoke mode.
+//! measure [`VaryingRunner`] at 1/2/4 workers; runner construction (its
+//! row classification and kernel dedupe) happens once outside the timed
+//! loop, and each chunk's plan work (its transition) runs on the
+//! runner's first run, in the warm-up, mirroring the constant-coefficient
+//! benches where runner construction is likewise excluded.
+//! `PLR_BENCH_QUICK=1` shrinks the sample counts — the CI smoke mode.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use plr_core::element::Element;
 use plr_core::varying::{reference, VaryingPlan, VaryingSignature};
 use plr_core::{set_kernel_override, KernelTier};
 use plr_parallel::{RunnerConfig, VaryingRunner};
+use std::cell::RefCell;
 use std::hint::black_box;
 
 fn quick() -> bool {
@@ -175,10 +185,60 @@ fn bench_kernel(c: &mut Criterion) {
     g.finish();
 }
 
+/// The ledger's selective-scan request end to end: a fresh signature and
+/// runner per request (`fresh`) against one warm runner (`warm`), at 1
+/// and 2 workers. Each request solves the same refreshed buffer in place.
+fn bench_request(c: &mut Criterion) {
+    let n = 1 << 19;
+    let mut g = c.benchmark_group("varying_request_512k");
+    g.throughput(Throughput::Elements(n as u64));
+    g.sample_size(if quick() { 10 } else { 40 });
+    let gates = slow_decay_gates_f32(n);
+    let input = input_f32(n);
+    let buf = RefCell::new(input.clone());
+    let refresh = || buf.borrow_mut().copy_from_slice(&input);
+    for threads in [1usize, 2] {
+        let config = RunnerConfig {
+            chunk_size: 1 << 16,
+            threads,
+            ..Default::default()
+        };
+        let mut last = None;
+        g.bench_function(BenchmarkId::new("fresh", threads), |b| {
+            b.iter_batched(
+                || {
+                    refresh();
+                    gates.clone()
+                },
+                |gates| {
+                    let sig = VaryingSignature::first_order(gates).unwrap();
+                    let runner = VaryingRunner::with_config(sig, config).unwrap();
+                    let stats = runner.run_in_place(&mut buf.borrow_mut()).unwrap();
+                    last = Some(runner);
+                    stats
+                },
+                BatchSize::LargeInput,
+            );
+        });
+        drop(last);
+        let sig = VaryingSignature::first_order(gates.clone()).unwrap();
+        let runner = VaryingRunner::with_config(sig, config).unwrap();
+        g.bench_function(BenchmarkId::new("warm", threads), |b| {
+            b.iter_batched(
+                refresh,
+                |()| runner.run_in_place(&mut buf.borrow_mut()).unwrap(),
+                BatchSize::LargeInput,
+            );
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_selective_scan,
     bench_adaptive_filter,
-    bench_kernel
+    bench_kernel,
+    bench_request
 );
 criterion_main!(benches);

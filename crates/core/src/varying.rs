@@ -28,12 +28,17 @@
 //!
 //! with `s_local` the state the chunk produces from a zero start (its
 //! *local* solve). `M_chunk` depends only on the coefficients — never the
-//! input — so [`VaryingPlan::build`] hoists every chunk's transition
-//! matrix to plan time via the incremental `O(k²)`-per-element
-//! [`Matrix::companion_push`] product, exactly as the constant path
-//! hoists its factor tables. At run time the carry chain is `k`-vector
-//! fix-ups (`M·g + local`), and each chunk's per-element correction is a
-//! forward companion pass (`O(k)` per element), not a matrix product.
+//! input — so a [`VaryingPlan`] composes each chunk's transition once,
+//! via the incremental `O(k²)`-per-element [`Matrix::companion_push`]
+//! product, and keeps it for every later run, as the constant path keeps
+//! its factor tables. It does so per chunk, on first use: the worker that
+//! solves a chunk composes its transition just before the solve, with
+//! the chunk's coefficients then in cache, so no serial pass over the
+//! coefficients precedes a run. The `(M_chunk, s_local)` pair is the
+//! element of the associative scan over affine maps (below) that the
+//! chunk publishes. At run time the carry chain is `k`-vector fix-ups
+//! (`M·g + local`), and each chunk's per-element correction is a forward
+//! companion pass (`O(k)` per element), not a matrix product.
 //!
 //! ## The affine term as a homogeneous block
 //!
@@ -54,33 +59,42 @@
 //! * **Lane-parallel order-1 solve** (the paper's chunk trick applied
 //!   inside a chunk, DESIGN §6 "level 0"): the tight loop is one
 //!   dependent chain, one element per multiply-add latency. A float
-//!   order-1 chunk whose rows vary, which the plan truncated (below) and
-//!   which is at least [`MIN_LANE_CHUNK`] long is instead split into
+//!   order-1 chunk whose rows vary, which its plan work truncated (below)
+//!   and which is at least [`MIN_LANE_CHUNK`] long is instead split into
 //!   [`LANES`] sub-blocks, solved in lockstep from zero as independent
 //!   chains. Each sub-block is then fixed up from its predecessor's last
 //!   value by `v *= a[i]; y[i] += v` until `v` flushes to zero: the
 //!   truncation rule again, sound because every row of a truncated float
-//!   chunk is non-expansive. Only [`KernelTier::Auto`] picks it; the
-//!   forced `scalar` and `blocked` tiers keep the chain as baselines.
+//!   chunk is non-expansive. Only [`KernelTier::Auto`] picks it (the tier
+//!   in effect at [`VaryingPlan::build`]); the forced `scalar` and
+//!   `blocked` tiers keep the chain as baselines. The choice is made with
+//!   the chunk's truncation, on first use, so it is a function of the
+//!   coefficients, the chunk length and the tier alone.
 //! * **Constant chunks**: a chunk whose coefficient rows are all equal is
-//!   a constant-coefficient solve, so the plan selects a register-blocked
-//!   / SIMD [`SolveKernel`] for it directly (no [`crate::plan`] involved
-//!   — varying signatures never touch the correction-plan cache) and its
-//!   transition matrix collapses to a companion power.
+//!   a constant-coefficient solve, so [`VaryingPlan::build`] classifies it
+//!   and selects a register-blocked / SIMD [`SolveKernel`] for it directly
+//!   (no [`crate::plan`] involved — varying signatures never touch the
+//!   correction-plan cache), and its transition matrix collapses to a
+//!   companion power.
 //! * **Truncated corrections** (the paper's decay truncation, which a
 //!   [`crate::plan::PlanKind::Truncated`] constant plan applies to its
-//!   factor lists): [`VaryingPlan::build`] composes each chunk's
-//!   transition and stops at the first element `d_c` where every entry
-//!   of the product flushes to zero ([`Element::flush_denormal`]: below
-//!   `MIN_POSITIVE` for floats, exactly zero for integers). That chunk's
-//!   matrix is zero, and [`VaryingPlan::correct_chunk`] corrects only
-//!   its first `d_c` elements ([`VaryingPlan::correction_len`]). The rule
-//!   applies only where the dropped tail is provably negligible: to float
-//!   chunks whose every row is non-expansive (`Σ_j |a_j[i]| ≤ 1`, false
-//!   for a NaN or infinite coefficient), where a transition below the
-//!   flush threshold cannot regrow; and to integer chunks at an exactly
-//!   zero product, which wrapping arithmetic keeps zero. Every other
-//!   chunk keeps its full transition and full-length correction.
+//!   factor lists): each chunk's plan work, done once on its first use
+//!   (in a run, by the worker that solves it, just before the solve),
+//!   composes the chunk's transition and stops at the first element
+//!   `d_c` where every entry of the product flushes to zero
+//!   ([`Element::flush_denormal`]: below `MIN_POSITIVE` for floats,
+//!   exactly zero for integers). That chunk's matrix is zero, and
+//!   [`VaryingPlan::correct_chunk`] corrects only its first `d_c`
+//!   elements ([`VaryingPlan::correction_len`]). The rule applies only
+//!   where the dropped tail is provably negligible: to float chunks whose
+//!   every row is non-expansive (`Σ_j |a_j[i]| ≤ 1`, false for a NaN or
+//!   infinite coefficient; the plan work scans the chunk's rows for it),
+//!   where a transition below the flush threshold cannot regrow; and to
+//!   integer chunks at an exactly zero product, which wrapping arithmetic
+//!   keeps zero. Every other chunk keeps its full transition and
+//!   full-length correction. Which chunk does its plan work first, and on
+//!   which thread, never changes the result: the work reads only the
+//!   coefficients, and its cell is filled once.
 //!
 //!   Past chunk 0, a truncated float chunk whose history is known (a
 //!   width-1 run, a whole row, the sequential [`VaryingEngine`]) is
@@ -92,7 +106,7 @@
 //!   real history directly, which rounds differently.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::blocked::{SolveKernel, MAX_BLOCKED_ORDER, SOLVE_SLICE};
 use crate::companion::Matrix;
@@ -672,12 +686,21 @@ pub struct VaryingSolve<T> {
 }
 
 /// Per-chunk geometry of a [`VaryingSignature`], with everything that
-/// depends only on the coefficients hoisted out of the run path: the
+/// depends only on the coefficients kept out of the run's hot path: the
 /// chunk transition matrices (the generalized carries), each chunk's
 /// correction length (its decay point where the transition underflows)
 /// and how its local solve runs: a constant-coefficient [`SolveKernel`]
 /// for chunks whose rows are all equal, the lane-parallel order-1 solve
 /// (module docs, "Fast paths"), or the chain.
+///
+/// [`build`](Self::build) only validates and classifies rows. Each
+/// chunk's plan work — the non-expansive scan of its rows, the
+/// composition of its transition up to the decay point, the
+/// lanes-or-chain choice — fills a per-chunk cell once, on first use:
+/// in a run, on the worker that solves the chunk, just before the solve
+/// ([`solve_chunk`](Self::solve_chunk)). Every accessor fills the cells
+/// it needs, so chunks may be visited in any order, and a reused plan
+/// does each chunk's work once.
 ///
 /// Kernels are selected directly — a varying plan never consults (or
 /// populates) the constant path's correction-plan cache.
@@ -685,10 +708,38 @@ pub struct VaryingSolve<T> {
 pub struct VaryingPlan<T> {
     sig: VaryingSignature<T>,
     chunk_size: usize,
-    matrices: Vec<Matrix<T>>,
-    correction_lens: Vec<usize>,
+    /// Whether a truncated order-1 float chunk may solve in lanes: the
+    /// kernel tier at build was [`KernelTier::Auto`].
+    lanes: bool,
     kernels: Vec<SolveKernel<T>>,
-    solvers: Vec<Solver>,
+    chunks: Vec<Chunk<T>>,
+}
+
+/// One chunk of a [`VaryingPlan`]: its rows' classification, made at
+/// build, and its plan work, done on first use.
+#[derive(Debug)]
+struct Chunk<T> {
+    rows: Rows,
+    work: OnceLock<ChunkWork<T>>,
+}
+
+/// How a chunk's coefficient rows were classified.
+#[derive(Debug, Clone, Copy)]
+enum Rows {
+    /// The rows differ.
+    Varying,
+    /// Every row equals the first; the index of the plan's constant-row
+    /// kernel for it, when one was built.
+    Constant(Option<u16>),
+}
+
+/// A chunk's plan work: its transition (zero when truncated), how many
+/// of its leading elements the correction reaches, and its solver.
+#[derive(Debug)]
+struct ChunkWork<T> {
+    matrix: Matrix<T>,
+    correction_len: usize,
+    solver: Solver,
 }
 
 /// How a chunk's local solve runs.
@@ -703,13 +754,15 @@ enum Solver {
 }
 
 impl<T: Element> VaryingPlan<T> {
-    /// Builds the plan: classifies every chunk (constant rows → kernel)
-    /// and composes every chunk's transition matrix, truncated at its
-    /// decay point where that is sound (module docs, "Truncated
-    /// corrections"). Under [`KernelTier::Auto`], a varying float
-    /// order-1 chunk of at least [`MIN_LANE_CHUNK`] elements that was
-    /// truncated gets the lane-parallel solve; the truncation already
-    /// proved its rows non-expansive, so no gate is read twice.
+    /// Builds the plan: validates the shape and classifies every chunk's
+    /// rows (constant rows → kernel). Each chunk's transition and solver
+    /// wait for the chunk's first use (type docs): there its transition
+    /// is composed and truncated at its decay point where that is sound
+    /// (module docs, "Truncated corrections"), and, under
+    /// [`KernelTier::Auto`] as in effect here, a varying float order-1
+    /// chunk of at least [`MIN_LANE_CHUNK`] elements that was truncated
+    /// gets the lane-parallel solve; the truncation already proved its
+    /// rows non-expansive.
     ///
     /// # Errors
     ///
@@ -729,45 +782,65 @@ impl<T: Element> VaryingPlan<T> {
         let k = sig.order();
         let n = sig.len();
         let m = chunk_size;
-        let num_chunks = n.div_ceil(m);
-        let mut matrices = Vec::with_capacity(num_chunks);
-        let mut correction_lens = Vec::with_capacity(num_chunks);
         let mut kernels: Vec<SolveKernel<T>> = Vec::new();
-        let mut solvers = Vec::with_capacity(num_chunks);
-        let lanes = T::IS_FLOAT && k == 1 && kernel::tier() == KernelTier::Auto;
-        for c in 0..num_chunks {
-            let start = c * m;
-            let len = m.min(n - start);
-            let constant = sig.constant_row_in(start, start + len);
-            let kernel = match constant {
-                Some(row) if T::BLOCKABLE && k <= MAX_BLOCKED_ORDER => {
-                    match kernels.iter().position(|kn| kn.feedback() == row) {
-                        Some(i) => Some(i as u16),
-                        None if kernels.len() < MAX_DISTINCT_KERNELS => {
-                            kernels.push(SolveKernel::select(row));
-                            Some((kernels.len() - 1) as u16)
-                        }
-                        None => None,
+        let chunks = (0..n.div_ceil(m))
+            .map(|c| {
+                let start = c * m;
+                let rows = match sig.constant_row_in(start, start + m.min(n - start)) {
+                    None => Rows::Varying,
+                    Some(row) if T::BLOCKABLE && k <= MAX_BLOCKED_ORDER => {
+                        Rows::Constant(match kernels.iter().position(|kn| kn.feedback() == row) {
+                            Some(i) => Some(i as u16),
+                            None if kernels.len() < MAX_DISTINCT_KERNELS => {
+                                kernels.push(SolveKernel::select(row));
+                                Some((kernels.len() - 1) as u16)
+                            }
+                            None => None,
+                        })
                     }
+                    Some(_) => Rows::Constant(None),
+                };
+                Chunk {
+                    rows,
+                    work: OnceLock::new(),
                 }
-                _ => None,
-            };
-            let (matrix, correction_len) = chunk_transition(&sig, start, len, constant);
-            solvers.push(match kernel {
-                Some(i) => Solver::Kernel(i),
-                None if lanes && len >= MIN_LANE_CHUNK && correction_len < len => Solver::Lanes,
-                None => Solver::Chain,
-            });
-            matrices.push(matrix);
-            correction_lens.push(correction_len);
-        }
+            })
+            .collect();
         Ok(VaryingPlan {
+            lanes: T::IS_FLOAT && k == 1 && kernel::tier() == KernelTier::Auto,
             sig,
             chunk_size,
-            matrices,
-            correction_lens,
             kernels,
-            solvers,
+            chunks,
+        })
+    }
+
+    /// Chunk `c`'s plan work, done by its first caller (type docs): the
+    /// transition, truncated where sound ([`chunk_transition`]), and the
+    /// solver. Later callers read the cell, so every run and every
+    /// accessor sees the same matrix, decay point and solver.
+    fn work(&self, c: usize) -> &ChunkWork<T> {
+        let chunk = &self.chunks[c];
+        chunk.work.get_or_init(|| {
+            let start = c * self.chunk_size;
+            let len = self.chunk_size.min(self.len() - start);
+            let (constant, kernel) = match chunk.rows {
+                Rows::Varying => (None, None),
+                Rows::Constant(kernel) => (Some(self.sig.row(start)), kernel),
+            };
+            let (matrix, correction_len) = chunk_transition(&self.sig, start, len, constant);
+            let solver = match kernel {
+                Some(i) => Solver::Kernel(i),
+                None if self.lanes && len >= MIN_LANE_CHUNK && correction_len < len => {
+                    Solver::Lanes
+                }
+                None => Solver::Chain,
+            };
+            ChunkWork {
+                matrix,
+                correction_len,
+                solver,
+            }
         })
     }
 
@@ -791,34 +864,34 @@ impl<T: Element> VaryingPlan<T> {
         self.sig.is_empty()
     }
 
-    /// The chunk size the matrices were composed for.
+    /// The chunk size the matrices are composed for.
     pub fn chunk_size(&self) -> usize {
         self.chunk_size
     }
 
     /// Number of chunks.
     pub fn num_chunks(&self) -> usize {
-        self.matrices.len()
+        self.chunks.len()
     }
 
-    /// Chunk `c`'s precomputed transition matrix `M_c` (zero for a chunk
-    /// truncated at its decay point).
+    /// Chunk `c`'s transition matrix `M_c` (zero for a chunk truncated at
+    /// its decay point), composed on first use.
     pub fn matrix(&self, c: usize) -> &Matrix<T> {
-        &self.matrices[c]
+        &self.work(c).matrix
     }
 
     /// How many leading elements of chunk `c` [`Self::correct_chunk`]
     /// corrects: the decay point `d_c` of a truncated chunk, else the
     /// chunk's length.
     pub fn correction_len(&self, c: usize) -> usize {
-        self.correction_lens[c]
+        self.work(c).correction_len
     }
 
     /// The kernel class chunk `c`'s local solve dispatches to: its
     /// constant-row kernel's, [`KernelKind::Lanes`] for the lane-parallel
     /// solve, or [`KernelKind::Scalar`] for the chain.
     pub fn chunk_kernel_kind(&self, c: usize) -> KernelKind {
-        match self.solvers[c] {
+        match self.work(c).solver {
             Solver::Kernel(i) => self.kernels[i as usize].kind(),
             Solver::Chain => KernelKind::Scalar,
             Solver::Lanes => KernelKind::Lanes,
@@ -827,7 +900,8 @@ impl<T: Element> VaryingPlan<T> {
 
     /// The kernel summary across chunks: the single class every chunk
     /// shares, or [`KernelKind::Mixed`] when chunks solve with different
-    /// classes (constant-row kernels, the lanes, the chain).
+    /// classes (constant-row kernels, the lanes, the chain). Does every
+    /// chunk's plan work not yet done.
     pub fn aggregate_kernel_kind(&self) -> KernelKind {
         let mut agg: Option<KernelKind> = None;
         for c in 0..self.num_chunks() {
@@ -844,13 +918,13 @@ impl<T: Element> VaryingPlan<T> {
     /// Chunk `c`'s action on the incoming carry state once its local
     /// state is known: `g ↦ M_c·g + local`.
     pub fn chunk_map(&self, c: usize, local: Vec<T>) -> AffineMap<T> {
-        AffineMap::new(self.matrices[c].clone(), local)
+        AffineMap::new(self.matrix(c).clone(), local)
     }
 
     /// Fixes chunk `c`'s incoming global state forward: `M_c·prev + local`
     /// (the in-place form of [`Self::chunk_map`]'s application).
     pub fn fixup_state(&self, c: usize, prev: &[T], local: &[T]) -> Vec<T> {
-        let mut g = self.matrices[c].apply(prev);
+        let mut g = self.matrix(c).apply(prev);
         for (g, &l) in g.iter_mut().zip(local) {
             *g = g.add(l);
         }
@@ -866,6 +940,10 @@ impl<T: Element> VaryingPlan<T> {
     /// state [`Self::fixup_state`] derives (module docs, "Truncated
     /// corrections"). Time-sliced: `keep_going` is polled between
     /// [`SOLVE_SLICE`]-element slices so cancels land mid-chunk.
+    ///
+    /// The chunk's plan work comes first when no caller has done it yet
+    /// (type docs), so the solve reads coefficients the plan work just
+    /// brought into cache.
     pub fn solve_chunk(
         &self,
         c: usize,
@@ -875,9 +953,8 @@ impl<T: Element> VaryingPlan<T> {
     ) -> VaryingSolve<T> {
         let start = c * self.chunk_size;
         let len = data.len();
-        if let Some(history) =
-            state.filter(|_| c > 0 && T::IS_FLOAT && self.correction_lens[c] < len)
-        {
+        let work = self.work(c);
+        if let Some(history) = state.filter(|_| c > 0 && T::IS_FLOAT && work.correction_len < len) {
             let local = self.solve_chunk(c, None, data, keep_going);
             if !local.completed {
                 return local;
@@ -889,7 +966,7 @@ impl<T: Element> VaryingPlan<T> {
             };
         }
         let k = self.sig.order();
-        let kernel = match self.solvers[c] {
+        let kernel = match work.solver {
             Solver::Kernel(i) => Some(&self.kernels[i as usize]),
             Solver::Chain => None,
             Solver::Lanes => {
@@ -962,7 +1039,7 @@ impl<T: Element> VaryingPlan<T> {
     pub fn correct_chunk(&self, c: usize, carry: &[T], data: &mut [T]) {
         let k = self.sig.order();
         let start = c * self.chunk_size;
-        let reach = self.correction_lens[c].min(data.len());
+        let reach = self.correction_len(c).min(data.len());
         let data = &mut data[..reach];
         if k == 1 {
             let a = self.sig.coeffs();
@@ -1561,6 +1638,225 @@ mod tests {
                 assert_eq!(engine.run(&input).unwrap(), expect, "k={k}");
             }
         }
+    }
+
+    /// The bits of every entry of `mtx`.
+    fn matrix_bits<T: Element>(mtx: &Matrix<T>) -> Vec<u64> {
+        let k = mtx.dim();
+        (0..k * k)
+            .map(|e| mtx.get(e / k, e % k).key_bits())
+            .collect()
+    }
+
+    /// Each chunk's plan work as the eager build did it, every chunk in
+    /// chunk order before any solve: the transition's bits, the decay
+    /// point and the kernel class. The tier and the constant-row kernels
+    /// are the ones `plan` selected at build, so a tier flip by a test
+    /// running alongside cannot move the comparison.
+    fn eager_work<T: Element>(plan: &VaryingPlan<T>) -> Vec<(Vec<u64>, usize, KernelKind)> {
+        let sig = plan.signature();
+        let (m, n) = (plan.chunk_size(), plan.len());
+        (0..plan.num_chunks())
+            .map(|c| {
+                let start = c * m;
+                let len = m.min(n - start);
+                let constant = sig.constant_row_in(start, start + len);
+                let (matrix, d) = chunk_transition(sig, start, len, constant);
+                let kind = match plan.chunks[c].rows {
+                    Rows::Constant(Some(i)) => plan.kernels[i as usize].kind(),
+                    _ if plan.lanes && len >= MIN_LANE_CHUNK && d < len => KernelKind::Lanes,
+                    _ => KernelKind::Scalar,
+                };
+                (matrix_bits(&matrix), d, kind)
+            })
+            .collect()
+    }
+
+    /// What the accessors report for chunk `c` of `plan`.
+    fn lazy_work<T: Element>(plan: &VaryingPlan<T>, c: usize) -> (Vec<u64>, usize, KernelKind) {
+        (
+            matrix_bits(plan.matrix(c)),
+            plan.correction_len(c),
+            plan.chunk_kernel_kind(c),
+        )
+    }
+
+    /// A chunk order that is neither forward nor reverse.
+    fn shuffled(chunks: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..chunks).collect();
+        let mut x = 0x9E37_79B9u64;
+        for i in (1..chunks).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            order.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        order
+    }
+
+    /// On fresh plans whose chunks are first touched in reverse or
+    /// shuffled order, by any accessor or from several threads at once,
+    /// every chunk's matrix, decay point and kernel class equal what the
+    /// eager build computed, for clean gates and for the hostile gates
+    /// 1.5, NaN and infinity, at orders 1 and 2, on floats and integers.
+    #[test]
+    fn lazy_plan_work_matches_the_eager_build() {
+        fn check<T: Element>(sig: &VaryingSignature<T>, m: usize, label: &str) {
+            let expect = eager_work(&VaryingPlan::build(sig.clone(), m).unwrap());
+            let chunks = expect.len();
+            let orders = [
+                (0..chunks).collect::<Vec<_>>(),
+                (0..chunks).rev().collect(),
+                shuffled(chunks),
+            ];
+            type Touch<T> = fn(&VaryingPlan<T>, usize);
+            let touches: [Touch<T>; 5] = [
+                |p, c| {
+                    p.matrix(c);
+                },
+                |p, c| {
+                    p.correction_len(c);
+                },
+                |p, c| {
+                    p.chunk_kernel_kind(c);
+                },
+                |p, c| {
+                    p.fixup_state(c, &vec![T::one(); p.order()], &vec![T::zero(); p.order()]);
+                },
+                |p, c| {
+                    let start = c * p.chunk_size();
+                    let len = p.chunk_size().min(p.len() - start);
+                    let mut data = vec![T::one(); len];
+                    p.solve_chunk(c, None, &mut data, &mut || true);
+                },
+            ];
+            for order in &orders {
+                for touch in touches {
+                    let plan = VaryingPlan::build(sig.clone(), m).unwrap();
+                    for &c in order {
+                        touch(&plan, c);
+                    }
+                    for (c, want) in expect.iter().enumerate() {
+                        assert_eq!(&lazy_work(&plan, c), want, "{label}: chunk {c}, {order:?}");
+                    }
+                }
+            }
+            let plan = VaryingPlan::build(sig.clone(), m).unwrap();
+            std::thread::scope(|s| {
+                for order in &orders {
+                    let plan = &plan;
+                    s.spawn(move || {
+                        for &c in order {
+                            plan.matrix(c);
+                        }
+                    });
+                }
+            });
+            assert_eq!(plan.aggregate_kernel_kind(), {
+                let fresh = VaryingPlan::build(sig.clone(), m).unwrap();
+                fresh.aggregate_kernel_kind()
+            });
+            for (c, want) in expect.iter().enumerate() {
+                assert_eq!(&lazy_work(&plan, c), want, "{label}: chunk {c}, threads");
+            }
+        }
+        let m = MIN_LANE_CHUNK;
+        let n = 5 * m + 300;
+        // Chunk 1 constant, chunk 3 hostile past its decay point.
+        let clean = {
+            let mut gates = decaying_gates(n);
+            gates[m..2 * m].fill(0.75);
+            gates
+        };
+        check(
+            &VaryingSignature::first_order(clean.clone()).unwrap(),
+            m,
+            "clean",
+        );
+        for hostile in [1.5f32, f32::NAN, f32::INFINITY] {
+            let mut gates = clean.clone();
+            gates[3 * m + 1700] = hostile;
+            let sig = VaryingSignature::first_order(gates).unwrap();
+            check(&sig, m, &format!("{hostile}"));
+            let plan = VaryingPlan::build(sig, m).unwrap();
+            assert_eq!(plan.correction_len(3), m, "{hostile}: never truncated");
+            assert_eq!(plan.chunk_kernel_kind(3), KernelKind::Scalar, "{hostile}");
+        }
+        for hostile in [[0.75f32, 0.75], [f32::NAN, 0.0]] {
+            let mut coeffs: Vec<f32> = decaying_gates(2 * n).iter().map(|a| a / 2.0).collect();
+            coeffs[2 * (3 * m + 1700)..2 * (3 * m + 1701)].copy_from_slice(&hostile);
+            let sig = VaryingSignature::new(2, coeffs).unwrap();
+            check(&sig, m, &format!("order 2, {hostile:?}"));
+        }
+        for k in [1usize, 2] {
+            let (m, n) = (64, 4 * 64 + 10);
+            let mut coeffs: Vec<i64> = int_pattern(24 + k as u64, n * k, 4)
+                .iter()
+                .map(|&a| a | 1)
+                .collect();
+            coeffs[(2 * m + 37) * k..(2 * m + 37 + k) * k].fill(0);
+            coeffs[..m * k].fill(1);
+            check(
+                &VaryingSignature::new(k, coeffs).unwrap(),
+                m,
+                &format!("i64 k={k}"),
+            );
+        }
+    }
+
+    /// A decoupled pass whose local solves and corrections visit the
+    /// chunks in forward, reverse or shuffled order, on a fresh plan each
+    /// time (so the visiting order is also the order the chunks' plan
+    /// work runs in), gives the same output and state bits; so does the
+    /// sequential engine on a plan whose work ran in shuffled order.
+    #[test]
+    fn lazy_plan_work_gives_the_same_bits_in_any_chunk_order() {
+        let m = MIN_LANE_CHUNK;
+        let n = 5 * m + 300;
+        let mut gates = decaying_gates(n);
+        gates[m..2 * m].fill(0.75);
+        gates[3 * m + 1700] = f32::NAN;
+        let sig = VaryingSignature::first_order(gates)
+            .unwrap()
+            .with_offsets(pattern(31, n).iter().map(|&v| v as f32).collect())
+            .unwrap();
+        let input: Vec<f32> = pattern(32, n).iter().map(|&v| v as f32).collect();
+        let chunks = n.div_ceil(m);
+        let span = |c: usize| c * m..(c * m + m).min(n);
+        let decoupled = |order: &[usize]| {
+            let plan = VaryingPlan::build(sig.clone(), m).unwrap();
+            let mut data = input.clone();
+            let mut locals = vec![Vec::new(); chunks];
+            for &c in order {
+                locals[c] = plan
+                    .solve_chunk(c, None, &mut data[span(c)], &mut || true)
+                    .state;
+            }
+            let mut globals = vec![locals[0].clone()];
+            for c in 1..chunks {
+                globals.push(plan.fixup_state(c, &globals[c - 1], &locals[c]));
+            }
+            for &c in order.iter().filter(|&&c| c > 0) {
+                plan.correct_chunk(c, &globals[c - 1], &mut data[span(c)]);
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (bits(&data), bits(&globals.concat()))
+        };
+        let forward = decoupled(&(0..chunks).collect::<Vec<_>>());
+        assert_eq!(decoupled(&(0..chunks).rev().collect::<Vec<_>>()), forward);
+        assert_eq!(decoupled(&shuffled(chunks)), forward);
+
+        let sequential = |touch: Option<Vec<usize>>| {
+            let engine = VaryingEngine::with_config(sig.clone(), sequential(m)).unwrap();
+            for c in touch.into_iter().flatten() {
+                engine.plan().correction_len(c);
+            }
+            engine.run(&input).unwrap()
+        };
+        assert!(same_bits(
+            &sequential(Some(shuffled(chunks))),
+            &sequential(None)
+        ));
     }
 
     #[test]

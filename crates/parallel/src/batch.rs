@@ -18,7 +18,7 @@ use crate::pool::{
     WorkerPool,
 };
 use crate::runner::{ParallelRunner, RunnerConfig};
-use crate::stats::RunStats;
+use crate::stats::{fold_kernel, RunStats};
 use crate::stream::RowStream;
 use plr_core::blocked::fir_in_place;
 use plr_core::element::Element;
@@ -121,11 +121,14 @@ impl<T: Element> RowTask<T> {
         }
     }
 
-    /// Solves one row in place, returning `(fir_nanos, solve_nanos,
-    /// solve_slices)`. The local solve is time-sliced against `abort`, so
-    /// a cancel or deadline lands mid-row instead of after it; on an
-    /// abort the row is left partially solved and the caller's
-    /// reason-derived resolution reports the outcome.
+    /// Solves one row in place, returning what the row adds to its
+    /// stats: `fir_nanos`, `solve_nanos`, `solve_slices` and, for a
+    /// varying row, the `kernel` its chunks solved with (other tasks
+    /// report their one kernel in the row's base stats). The local solve
+    /// is time-sliced against `abort`, so a cancel or deadline lands
+    /// mid-row instead of after it; on an abort the row is left
+    /// partially solved and the caller's reason-derived resolution
+    /// reports the outcome.
     ///
     /// The worker/row indices feed the fault harness's `Solve` site (the
     /// same site the blocking path consults); they are unused otherwise.
@@ -141,7 +144,7 @@ impl<T: Element> RowTask<T> {
         _worker: usize,
         _index: usize,
         abort: Option<&AbortSignal>,
-    ) -> (u64, u64, u64) {
+    ) -> RunStats {
         if let Some(len) = self.bound_len() {
             assert_eq!(
                 row.len(),
@@ -163,6 +166,7 @@ impl<T: Element> RowTask<T> {
         crate::fault::check(crate::fault::FaultSite::Solve, _worker, _index, abort);
         let keep_going = &mut || abort.is_none_or(|a| !a.is_aborted());
         let mut solve_ns = 0u64;
+        let mut kernel = KernelKind::Unknown;
         // Rows are independent, so every row solves from zero (real)
         // history and needs no correction.
         let slices = timed(&mut solve_ns, || match &self.inner {
@@ -181,6 +185,7 @@ impl<T: Element> RowTask<T> {
                 for (c, chunk) in row.chunks_mut(m).enumerate() {
                     let out = plan.solve_chunk(c, Some(&state), chunk, keep_going);
                     slices += out.slices;
+                    kernel = fold_kernel(kernel, out.kernel);
                     if !out.completed {
                         break;
                     }
@@ -189,7 +194,13 @@ impl<T: Element> RowTask<T> {
                 slices
             }
         });
-        (fir_ns, solve_ns, slices)
+        RunStats {
+            fir_nanos: fir_ns,
+            solve_nanos: solve_ns,
+            solve_slices: slices,
+            kernel,
+            ..RunStats::default()
+        }
     }
 
     /// Runs one queued row through the per-row protocol every row
@@ -231,9 +242,9 @@ impl<T: Element> RowTask<T> {
             self.apply(&mut data, worker, index, Some(&abort))
         }));
         let result = match outcome {
-            Ok(timings) => ctl
+            Ok(solved) => ctl
                 .outcome(&abort)
-                .map(|()| self.row_stats(timings))
+                .map(|()| self.row_stats(&solved))
                 .map_err(RunError::into_engine_error),
             Err(payload) => {
                 Err(WorkerPanic::from_payload(worker, payload.as_ref()).into_engine_error())
@@ -243,15 +254,14 @@ impl<T: Element> RowTask<T> {
     }
 
     /// One solved row's stats: [`base_stats(1)`](Self::base_stats) plus
-    /// the `(fir, solve, slices)` timings [`apply`](Self::apply) returned.
-    fn row_stats(&self, (fir_nanos, solve_nanos, solve_slices): (u64, u64, u64)) -> RunStats {
-        RunStats {
+    /// what [`apply`](Self::apply) returned.
+    fn row_stats(&self, solved: &RunStats) -> RunStats {
+        let mut stats = RunStats {
             threads: 1,
-            fir_nanos,
-            solve_nanos,
-            solve_slices,
             ..self.base_stats(1)
-        }
+        };
+        stats.absorb(solved);
+        stats
     }
 
     /// The length every row must have: the plan's bound length for
@@ -268,7 +278,9 @@ impl<T: Element> RowTask<T> {
     /// The stats every whole-row run of `rows` rows reports: plan and
     /// kernel summary, cache outcome, and chunks (the plan's chunks per
     /// varying or segmented row, whose correction taps are reported too;
-    /// one per constant row).
+    /// one per constant row). A varying task leaves the kernel to its
+    /// rows' solves ([`apply`](Self::apply)), so no chunk's plan work
+    /// runs before a row reaches the chunk.
     pub(crate) fn base_stats(&self, rows: usize) -> RunStats {
         let (correction_taps, chunks_per_row) = match &self.inner {
             TaskInner::Constant { .. } => (0, 1),
@@ -283,7 +295,10 @@ impl<T: Element> RowTask<T> {
             plan_cache_hits: self.plan_cache_hits(),
             plan_cache_misses: self.plan_cache_misses(),
             plan_kind: self.plan_kind(),
-            kernel: self.kernel_kind(),
+            kernel: match &self.inner {
+                TaskInner::Varying { .. } => KernelKind::Unknown,
+                _ => self.kernel_kind(),
+            },
             correction_taps: correction_taps as u64,
             ..RunStats::default()
         }
@@ -364,7 +379,7 @@ pub struct BatchRunner<T> {
     /// The shared per-row work unit (FIR + local solve).
     task: RowTask<T>,
     threads: usize,
-    /// Persistent workers, spawned on first use and shared with the
+    /// Persistent workers, leased on first use and shared with the
     /// cached intra-row runner.
     pool: OnceLock<Arc<WorkerPool>>,
     inner: Mutex<Option<CachedInner<T>>>,
@@ -391,10 +406,11 @@ impl<T: Element> BatchRunner<T> {
         resolve_threads(self.threads)
     }
 
-    /// The persistent pool, spawning it on first use.
+    /// The persistent pool, leased on first use: an idle pool of the
+    /// runner's width when the process has one, else a new one
+    /// (`WorkerPool::lease`).
     fn pool(&self) -> &Arc<WorkerPool> {
-        self.pool
-            .get_or_init(|| Arc::new(WorkerPool::new(self.threads())))
+        self.pool.get_or_init(|| WorkerPool::lease(self.threads()))
     }
 
     /// Applies the recurrence to each row of a row-major matrix in place.
@@ -561,6 +577,17 @@ impl<T: Element> BatchRunner<T> {
     }
 }
 
+/// The cached intra-row runner, which shares the pool, goes first; the
+/// pool then goes back to the idle list (`WorkerPool::release`).
+impl<T> Drop for BatchRunner<T> {
+    fn drop(&mut self) {
+        *self.inner.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
+        if let Some(pool) = self.pool.take() {
+            WorkerPool::release(pool);
+        }
+    }
+}
+
 /// The one whole-row dispatch loop, behind [`BatchRunner::run_rows`],
 /// `VaryingRunner::run_rows` and `SegmentedRunner::run_rows`: rows of
 /// `width` elements are claimed whole by the pool's workers and solved in
@@ -591,7 +618,7 @@ pub(crate) fn run_rows<T: Element>(
         |worker, _width, abort, r, row, tally| {
             absorb_row(
                 tally,
-                &task.row_stats(task.apply(row, worker, r, Some(abort))),
+                &task.row_stats(&task.apply(row, worker, r, Some(abort))),
             );
             true
         },

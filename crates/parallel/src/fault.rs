@@ -212,12 +212,14 @@ pub fn check(site: FaultSite, worker: usize, chunk: usize, abort: Option<&AbortS
     }
 }
 
+/// The plan is process-global; the crate's unit tests that arm it hold
+/// this lock so they do not interleave.
+#[cfg(test)]
+pub(crate) static SERIAL: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The plan is process-global; tests touching it must not interleave.
-    static SERIAL: Mutex<()> = Mutex::new(());
 
     // Unit tests for the matching logic run the real `check` but with
     // Delay plans (zero duration), so nothing panics and the global plan

@@ -43,9 +43,12 @@
 //! scheduled once per kernel, not once per chunk. This crate mirrors that
 //! with a persistent [`pool::WorkerPool`]:
 //!
-//! - **Spawn once, run many.** Every runner lazily spawns its workers on
-//!   the first run and parks them on a condvar between calls; repeated
-//!   runs pay a wake-up, not a spawn. The calling thread participates as
+//! - **Spawn once, run many.** Every runner takes its pool on the first
+//!   run and parks the workers on a condvar between calls; repeated runs
+//!   pay a wake-up, not a spawn. A pool whose runner drops goes to a
+//!   small process-wide idle list, where the next fresh runner of its
+//!   width finds it, so a stream of short-lived runners spawns no thread
+//!   after the first two (DESIGN §8). The calling thread participates as
 //!   worker 0, so one-thread configs run inline with zero synchronization.
 //! - **Ticket scheduling.** Within a run, workers claim chunk indices
 //!   from an atomic ticket counter. Claims are strictly increasing, which

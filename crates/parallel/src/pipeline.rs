@@ -31,10 +31,11 @@ use crate::pool::{
     Tickets, WorkerPool,
 };
 use crate::runner::RunnerConfig;
-use crate::stats::RunStats;
+use crate::stats::{fold_kernel, RunStats};
 use plr_core::element::Element;
 use plr_core::engine::MAX_INPUT_LEN;
 use plr_core::error::EngineError;
+use plr_core::kernel::KernelKind;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -46,6 +47,10 @@ pub(crate) struct Solved<T> {
     /// the global state of a fused solve); `None` when the abort poll
     /// stopped the solve early.
     pub(crate) state: Option<Vec<T>>,
+    /// The kernel class the solve ran, for an algebra whose chunks solve
+    /// with different kernels; [`KernelKind::Unknown`] where the algebra
+    /// reports its one kernel in [`CarryAlgebra::base_stats`].
+    pub(crate) kernel: KernelKind,
 }
 
 /// The per-chunk operations of one recurrence family: everything the
@@ -59,7 +64,8 @@ pub(crate) trait CarryAlgebra<T: Element>: Sync {
     }
 
     /// The plan-describing fields every run reports: plan kind, kernel,
-    /// correction taps.
+    /// correction taps. The run's kernel also folds in what each chunk's
+    /// [`Solved::kernel`] reports.
     fn base_stats(&self) -> RunStats;
 
     /// Whether chunks have a FIR map stage (only then is it timed).
@@ -152,7 +158,7 @@ pub(crate) trait CarryAlgebra<T: Element>: Sync {
 }
 
 /// One chunked runner: a carry algebra (a precomputed plan), its
-/// configuration, and a persistent pool spawned on first use.
+/// configuration, and a persistent pool leased on first use.
 #[derive(Debug)]
 pub(crate) struct Pipeline<A> {
     /// The algebra, shared with row tasks built from the same plan.
@@ -162,6 +168,9 @@ pub(crate) struct Pipeline<A> {
     /// families that never consult it (both cache counters stay 0).
     cache_hit: Option<bool>,
     pool: OnceLock<Arc<WorkerPool>>,
+    /// Whether `pool` was handed in ([`with_pool`](Self::with_pool)):
+    /// its owner, not this pipeline, decides what becomes of it.
+    inherited: bool,
 }
 
 impl<A> Pipeline<A> {
@@ -171,12 +180,14 @@ impl<A> Pipeline<A> {
             config,
             cache_hit,
             pool: OnceLock::new(),
+            inherited: false,
         }
     }
 
-    /// Runs on `pool` instead of lazily spawning a private one.
-    pub(crate) fn with_pool(self, pool: Arc<WorkerPool>) -> Self {
+    /// Runs on `pool` instead of leasing one of its own.
+    pub(crate) fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
         let _ = self.pool.set(pool);
+        self.inherited = true;
         self
     }
 
@@ -185,10 +196,11 @@ impl<A> Pipeline<A> {
         resolve_threads(self.config.threads)
     }
 
-    /// The persistent pool, spawning it on first use.
+    /// The persistent pool, leased on first use: an idle pool of the
+    /// configured width when the process has one, else a new one
+    /// ([`WorkerPool::lease`]).
     pub(crate) fn pool(&self) -> &Arc<WorkerPool> {
-        self.pool
-            .get_or_init(|| Arc::new(WorkerPool::new(self.threads())))
+        self.pool.get_or_init(|| WorkerPool::lease(self.threads()))
     }
 
     /// A call's run control: the caller's cancel token plus the
@@ -275,6 +287,16 @@ impl<A> Pipeline<A> {
         };
         stats.absorb(&totals.into_inner().unwrap_or_else(PoisonError::into_inner));
         Ok(stats)
+    }
+}
+
+/// A leased pool goes back to the idle list when its runner drops
+/// ([`WorkerPool::release`]); an inherited one stays with its owner.
+impl<A> Drop for Pipeline<A> {
+    fn drop(&mut self) {
+        if let Some(pool) = self.pool.take().filter(|_| !self.inherited) {
+            WorkerPool::release(pool);
+        }
     }
 }
 
@@ -382,6 +404,7 @@ impl<'a, T: Element, A: CarryAlgebra<T>> Run<'a, T, A> {
                 alg.solve(c, chunk, history, &mut || !abort.is_aborted())
             });
             tally.solve_slices += solved.slices;
+            tally.kernel = fold_kernel(tally.kernel, solved.kernel);
             solved.state?
         };
         tally.reset_chunks += u64::from(alg.is_reset(c));
@@ -594,6 +617,9 @@ macro_rules! runner_methods {
         }
 
         /// Computes the recurrence over `input`, allocating the output.
+        /// The input is copied into the output before the run starts, so
+        /// the copy comes before the run's first abort poll: a cancel or
+        /// deadline lands only after it.
         ///
         /// # Errors
         ///
@@ -616,7 +642,10 @@ macro_rules! runner_methods {
         /// (the same bail-out paths a worker panic uses; even carry
         /// spin-waits notice within one poll interval) and the call
         /// returns [`EngineError::Cancelled`]. The runner and its pool stay
-        /// fully usable afterwards.
+        /// fully usable afterwards. As in [`run`](Self::run), the input
+        /// copy comes before the first abort poll; a caller that needs
+        /// the cancel to land sooner passes its own buffer to
+        /// [`run_in_place_with_cancel`](Self::run_in_place_with_cancel).
         ///
         /// # Errors
         ///

@@ -25,6 +25,32 @@
 //!   in-order claiming the decoupled look-back progress argument needs
 //!   (a chunk is only claimed after every earlier chunk has been claimed).
 //!
+//! # Idle pools
+//!
+//! A runner that owns its pool gets it from `WorkerPool::lease` and
+//! hands it back through `WorkerPool::release` when it drops: the
+//! runners' private `Pipeline` and [`BatchRunner`](crate::BatchRunner).
+//! Released pools wait, parked, on one process-wide idle list keyed by
+//! width, and `lease` takes one of the asked width before it spawns a
+//! new pool. A caller that builds a fresh runner per request — a
+//! selective-scan request brings fresh gates — so pays for spawning and
+//! joining threads only in its first two requests. The list keeps at most
+//! two pools of each width; a released pool past that bound drops, and
+//! joins its workers, as a pool always did. Never listed:
+//!
+//! - a pool handed to a runner by its owner (the batch runner's cached
+//!   intra-row runner, a test's degraded pool): the owner decides;
+//! - a pool anything else still holds when its runner drops, such as an
+//!   open [`RowStream`](crate::RowStream), which drops it in the end;
+//! - a pool below its full width (a spawn failed and no run has healed
+//!   it yet).
+//!
+//! A listed pool is idle and unshared by construction, so concurrent
+//! runners never share a busy pool. Pools of `plr-service` shards are
+//! built directly and never listed. A pool whose run panicked is listed
+//! like any other: workers are fail-stop, and a job's panic leaves them
+//! ready for the next run.
+//!
 //! # Run control: cancellation and deadlines
 //!
 //! [`WorkerPool::run_ctl`] extends `run` with a [`RunControl`]: a
@@ -333,18 +359,21 @@ impl RunControl {
     }
 
     /// Fails fast when the control is already cancelled or past its
-    /// deadline; used by the pool before starting a run and by the
-    /// per-row executor before each row.
+    /// deadline, naming whichever came first as the run's abort signal
+    /// would; used by the pool before starting a run and by the per-row
+    /// executor before each row.
     pub fn status(&self) -> Result<(), RunError> {
-        if self.is_cancelled() {
-            return Err(RunError::Cancelled);
-        }
-        if let Some((at, budget)) = self.deadline {
-            if Instant::now() >= at {
-                return Err(RunError::DeadlineExceeded { deadline: budget });
+        let cancelled = self.cancel.as_ref().and_then(CancelToken::cancelled_at);
+        match (cancelled, self.deadline) {
+            (Some(at), Some((deadline, budget))) if deadline <= at => {
+                Err(RunError::DeadlineExceeded { deadline: budget })
             }
+            (Some(_), _) => Err(RunError::Cancelled),
+            (None, Some((deadline, budget))) if Instant::now() >= deadline => {
+                Err(RunError::DeadlineExceeded { deadline: budget })
+            }
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// A fresh abort signal for one run or row under this control: it
@@ -523,6 +552,9 @@ struct Workers {
 /// A fixed-width pool of persistent worker threads (see the module docs).
 pub struct WorkerPool {
     shared: Arc<Shared>,
+    /// The width the pool was built for; [`width`](Self::width) is below
+    /// it while a spawn has failed.
+    full_width: usize,
     workers: Mutex<Workers>,
     /// Test hook ([`new_degraded`](Self::new_degraded)): while set, `heal`
     /// does not retry missing slots, so the zero-worker serial path stays
@@ -538,7 +570,24 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
+/// Pools whose runner dropped, waiting for the next runner of their
+/// width (`WorkerPool::lease`, `WorkerPool::release`).
+static IDLE: Mutex<Vec<Arc<WorkerPool>>> = Mutex::new(Vec::new());
+
+/// The most idle pools the process keeps of one width. A caller that
+/// builds each request's runner before it drops the last one holds one
+/// pool while it hands the other back, so two pools serve such a stream.
+const IDLE_PER_WIDTH: usize = 2;
+
+#[cfg(test)]
+thread_local! {
+    /// Worker threads this thread has spawned, for the idle-list tests.
+    pub(crate) static SPAWNED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 fn spawn_worker(shared: &Arc<Shared>, id: usize) -> std::io::Result<JoinHandle<()>> {
+    #[cfg(test)]
+    SPAWNED.with(|n| n.set(n.get() + 1));
     let shared = Arc::clone(shared);
     std::thread::Builder::new()
         .name(format!("plr-worker-{id}"))
@@ -579,9 +628,72 @@ impl WorkerPool {
         lock_recover(&shared.state).alive = handles.iter().flatten().count();
         WorkerPool {
             shared,
+            full_width: width,
             workers: Mutex::new(Workers { handles }),
             inhibit_respawn: AtomicBool::new(false),
         }
+    }
+
+    /// A pool of `width` for a runner of its own: an idle pool of that
+    /// width when the process has one, else a new one. Hand it back with
+    /// [`release`](Self::release) when the runner drops.
+    pub(crate) fn lease(width: usize) -> Arc<WorkerPool> {
+        let width = width.max(1);
+        let idle = {
+            let mut list = lock_recover(&IDLE);
+            let at = list.iter().rposition(|p| p.full_width == width);
+            at.map(|i| list.swap_remove(i))
+        };
+        idle.unwrap_or_else(|| Arc::new(WorkerPool::new(width)))
+    }
+
+    /// Hands back a pool from [`lease`](Self::lease) when its runner
+    /// drops. The pool joins the idle list only when nothing else holds
+    /// it (a stream or anything else), it has its full width, and the
+    /// list has fewer than two pools of that width; otherwise it drops
+    /// here, joining its workers.
+    pub(crate) fn release(mut pool: Arc<WorkerPool>) {
+        if Arc::get_mut(&mut pool).is_none() || pool.width() < pool.full_width {
+            return;
+        }
+        let mut list = lock_recover(&IDLE);
+        let width = pool.full_width;
+        if list.iter().filter(|p| p.full_width == width).count() < IDLE_PER_WIDTH {
+            list.push(pool);
+        }
+        // An unlisted `pool` drops after the lock is released.
+    }
+
+    /// How many idle pools of `width` the process keeps now.
+    #[cfg(test)]
+    pub(crate) fn idle(width: usize) -> usize {
+        lock_recover(&IDLE)
+            .iter()
+            .filter(|p| p.full_width == width)
+            .count()
+    }
+
+    /// For the tests that read the idle list: keeps them apart from each
+    /// other and returns a width whose idle pools only they touch, with
+    /// none listed. The width is odd and above twice the resolved default
+    /// (the `PLR_THREADS` leg); every other test in this crate runs its
+    /// pools at 1, 2, 4 or 8 workers or at that default, so no test
+    /// running alongside takes or lists a pool of this width.
+    #[cfg(test)]
+    pub(crate) fn idle_test_width() -> (MutexGuard<'static, ()>, usize) {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        let guard = lock_recover(&SERIAL);
+        let width = 2 * resolve_threads(0) + 1;
+        let mine: Vec<Arc<WorkerPool>> = {
+            let mut list = lock_recover(&IDLE);
+            let (mine, rest) = std::mem::take(&mut *list)
+                .into_iter()
+                .partition(|p| p.full_width == width);
+            *list = rest;
+            mine
+        };
+        drop(mine);
+        (guard, width)
     }
 
     /// Test-only constructor simulating total spawn failure at
@@ -593,12 +705,13 @@ impl WorkerPool {
     #[doc(hidden)]
     pub fn new_degraded(width: usize) -> Self {
         let width = width.max(1);
-        let pool = Self::new(1);
+        let mut pool = Self::new(1);
         // Record the missing workers as never-spawned slots so `heal` can
         // retry them, mirroring the spawn-failure bookkeeping in `new`.
         lock_recover(&pool.workers)
             .handles
             .extend((1..width).map(|_| None));
+        pool.full_width = width;
         pool.inhibit_respawn.store(true, Ordering::Relaxed);
         pool
     }
@@ -1463,24 +1576,37 @@ mod tests {
     }
 
     /// A cancel and a deadline that both happen before any worker polls:
-    /// whichever came first decides the run's error.
+    /// whichever came first decides the run's error. Each leg reads the
+    /// order its run recorded — the token's cancel instant against the
+    /// control's deadline — and expects the earlier cause's error, so no
+    /// leg depends on how long a sleep takes. The deadline-first leg
+    /// cancels only once the deadline has passed, so its order holds by
+    /// program order. A canceller starved past the 30 ms deadline turns
+    /// the cancel-first leg into a checked deadline-first case.
     #[test]
     fn earlier_of_cancel_and_deadline_wins() {
         let pool = WorkerPool::new(2);
-        let race = |cancel_after: u64, budget: Duration| {
+        // Runs one race; returns whether the deadline came first.
+        let race = |budget: Duration, deadline_first: bool| {
             let token = CancelToken::new();
+            let ctl = RunControl::new().with_cancel(&token).with_deadline(budget);
+            let (deadline, _) = ctl.deadline.expect("a deadline was set");
             let canceller = {
                 let token = token.clone();
                 std::thread::spawn(move || {
-                    std::thread::sleep(Duration::from_millis(cancel_after));
+                    if deadline_first {
+                        while Instant::now() <= deadline {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                    } else {
+                        std::thread::sleep(Duration::from_millis(10));
+                    }
                     token.cancel();
                 })
             };
-            let ctl = RunControl::new().with_cancel(&token).with_deadline(budget);
-            let expires = Instant::now() + budget;
             let result = pool.run_ctl(&ctl, |_, abort| {
                 // Sleep past both causes without polling, then spin.
-                while !token.is_cancelled() || Instant::now() < expires {
+                while !token.is_cancelled() || Instant::now() < deadline {
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 while !abort.is_aborted() {
@@ -1488,16 +1614,19 @@ mod tests {
                 }
             });
             canceller.join().unwrap();
-            result
+            let cancelled = token.cancelled_at().expect("the canceller ran");
+            let expect = if deadline <= cancelled {
+                RunError::DeadlineExceeded { deadline: budget }
+            } else {
+                RunError::Cancelled
+            };
+            assert_eq!(result, Err(expect), "budget {budget:?}");
+            deadline <= cancelled
         };
-        assert_eq!(
-            race(10, Duration::from_millis(30)),
-            Err(RunError::Cancelled)
-        );
-        let budget = Duration::from_millis(10);
-        assert_eq!(
-            race(30, budget),
-            Err(RunError::DeadlineExceeded { deadline: budget })
+        race(Duration::from_millis(30), false);
+        assert!(
+            race(Duration::from_millis(10), true),
+            "this leg cancels after its deadline"
         );
     }
 

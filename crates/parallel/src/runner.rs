@@ -22,6 +22,7 @@ use crate::stats::RunStats;
 use plr_core::blocked::fir_in_place;
 use plr_core::element::Element;
 use plr_core::error::EngineError;
+use plr_core::kernel::KernelKind;
 use plr_core::nacci::carries_of;
 use plr_core::plan::{self, CorrectionPlan, PlanMode, PlanRequest};
 use plr_core::signature::Signature;
@@ -130,7 +131,8 @@ impl<T: Element> ParallelRunner<T> {
     }
 
     /// Like [`ParallelRunner::with_config`], but executing on an existing
-    /// pool instead of lazily spawning a private one.
+    /// pool instead of leasing one of its own. The pool stays its
+    /// owner's: this runner never hands it to the idle list.
     pub(crate) fn with_config_and_pool(
         signature: Signature<T>,
         config: RunnerConfig,
@@ -212,6 +214,7 @@ impl<T: Element> CarryAlgebra<T> for CorrectionPlan<T> {
         Solved {
             slices: solved.slices,
             state: solved.completed.then(|| self.local_state(c, chunk)),
+            kernel: KernelKind::Unknown,
         }
     }
 
@@ -736,5 +739,152 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(runner.run(&input).unwrap(), serial::run(&sig, &input));
         }
+    }
+
+    /// Fresh runners built and run from four threads at once (a barrier
+    /// lines up each round's leases): each takes an idle pool or spawns
+    /// one, never a pool another runner is using, and every output
+    /// matches `serial::run`. The threads record what they find instead
+    /// of panicking, so one failure cannot strand the others at the
+    /// barrier.
+    #[test]
+    fn idle_pool_never_shares_a_busy_pool() {
+        use crate::pool::lock_recover;
+        use std::collections::HashSet;
+        use std::sync::{Barrier, Mutex};
+        let (_serial, width) = WorkerPool::idle_test_width();
+        let sig: Signature<i64> = "1:2,-1".parse().unwrap();
+        let busy = Mutex::new(HashSet::new());
+        let faults = Mutex::new(Vec::new());
+        let round = Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (sig, busy, faults, round) = (&sig, &busy, &faults, &round);
+                s.spawn(move || {
+                    for i in 0..16 {
+                        let input: Vec<i64> = (0..20_000)
+                            .map(|j| ((j * 7 + t + i) % 13) as i64 - 6)
+                            .collect();
+                        round.wait();
+                        let config = RunnerConfig {
+                            chunk_size: 1 << 10,
+                            threads: width,
+                            ..Default::default()
+                        };
+                        let runner = ParallelRunner::with_config(sig.clone(), config).unwrap();
+                        let pool = Arc::as_ptr(runner.pipeline.pool()) as usize;
+                        if !lock_recover(busy).insert(pool) {
+                            lock_recover(faults).push(format!("thread {t} round {i}: shared"));
+                        }
+                        if runner.run(&input).ok() != Some(serial::run(sig, &input)) {
+                            lock_recover(faults).push(format!("thread {t} round {i}: output"));
+                        }
+                        lock_recover(busy).remove(&pool);
+                        drop(runner);
+                    }
+                });
+            }
+        });
+        assert_eq!(faults.into_inner().unwrap(), Vec::<String>::new());
+        assert!(
+            WorkerPool::idle(width) <= 2,
+            "the list keeps two pools a width"
+        );
+    }
+
+    /// A pool handed in through `with_config_and_pool` belongs to whoever
+    /// handed it in: the runner never lists it, even as its last holder.
+    /// Nor is a pool below its full width listed. A batch runner lists
+    /// its own pool once, after its cached intra-row runner, which
+    /// inherited that pool, has gone.
+    #[test]
+    fn idle_pool_never_lists_an_inherited_pool() {
+        let (_serial, width) = WorkerPool::idle_test_width();
+        let sig: Signature<i64> = "1:2,-1".parse().unwrap();
+        let input: Vec<i64> = (0..50_000).map(|i| (i % 17) as i64 - 8).collect();
+        let expect = serial::run(&sig, &input);
+        let pool = Arc::new(WorkerPool::new_degraded(width));
+        let runner = ParallelRunner::with_config_and_pool(
+            sig.clone(),
+            RunnerConfig {
+                chunk_size: 1 << 10,
+                threads: width,
+                ..Default::default()
+            },
+            Arc::clone(&pool),
+        )
+        .unwrap();
+        assert_eq!(runner.run(&input).unwrap(), expect);
+        pool.allow_respawn();
+        assert_eq!(runner.run(&input).unwrap(), expect);
+        assert_eq!(pool.width(), width, "healed to its full width");
+        drop(pool);
+        drop(runner);
+        assert_eq!(
+            WorkerPool::idle(width),
+            0,
+            "an inherited pool is never listed"
+        );
+        WorkerPool::release(Arc::new(WorkerPool::new_degraded(width)));
+        assert_eq!(
+            WorkerPool::idle(width),
+            0,
+            "a narrowed pool is never listed"
+        );
+
+        let batch = crate::BatchRunner::new(sig.clone(), width);
+        let mut rows = input.clone();
+        let half = input.len() / 2;
+        let stats = batch.run_rows(&mut rows, half).unwrap();
+        assert!(stats.lookback_hops > 0, "two long rows run chunked");
+        for (got, row) in rows.chunks(half).zip(input.chunks(half)) {
+            assert_eq!(got, serial::run(&sig, row));
+        }
+        drop(batch);
+        assert_eq!(
+            WorkerPool::idle(width),
+            1,
+            "the batch runner lists its pool"
+        );
+    }
+
+    /// A run that panicked leaves its pool reusable: the runner lists it
+    /// on drop, and a fresh runner takes it and runs correctly.
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn idle_pool_reuses_a_pool_whose_run_panicked() {
+        use crate::fault::{self, FaultPlan, FaultSite};
+        let (_serial, width) = WorkerPool::idle_test_width();
+        let _fault = crate::pool::lock_recover(&fault::SERIAL);
+        // Eight-element chunks, so the faulted chunk lies past every chunk
+        // index the crate's other unit tests reach.
+        let (m, late) = (8, 6000);
+        let sig: Signature<i64> = "1:2,-1".parse().unwrap();
+        let input: Vec<i64> = (0..(late + 100) * m).map(|i| (i % 11) as i64 - 5).collect();
+        let config = RunnerConfig {
+            chunk_size: m,
+            threads: width,
+            ..Default::default()
+        };
+        let runner = ParallelRunner::with_config(sig.clone(), config).unwrap();
+        let pool = Arc::as_ptr(runner.pipeline.pool()) as usize;
+        fault::arm(FaultPlan::panic_at_chunk(FaultSite::Lookback, late));
+        let faulted = runner.run(&input);
+        let fired = !fault::is_armed();
+        fault::disarm();
+        assert!(fired, "the fault fired");
+        assert!(
+            matches!(faulted, Err(EngineError::WorkerPanicked { .. })),
+            "{faulted:?}"
+        );
+        drop(runner);
+        assert_eq!(
+            WorkerPool::idle(width),
+            1,
+            "the panicked run's pool is listed"
+        );
+        let fresh = ParallelRunner::with_config(sig.clone(), config).unwrap();
+        assert_eq!(Arc::as_ptr(fresh.pipeline.pool()) as usize, pool);
+        assert_eq!(fresh.run(&input).unwrap(), serial::run(&sig, &input));
     }
 }

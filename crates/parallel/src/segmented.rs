@@ -30,6 +30,7 @@ use crate::stats::RunStats;
 use crate::stream::RowStream;
 use plr_core::element::Element;
 use plr_core::error::EngineError;
+use plr_core::kernel::KernelKind;
 use plr_core::nacci::carries_of;
 use plr_core::segmented::{all_zero, SegmentedPlan, Segments};
 use plr_core::signature::Signature;
@@ -161,6 +162,7 @@ impl<T: Element> CarryAlgebra<T> for SegmentedPlan<T> {
         Solved {
             slices: solved.slices,
             state: solved.completed.then(|| self.local_state(c, chunk)),
+            kernel: KernelKind::Unknown,
         }
     }
 

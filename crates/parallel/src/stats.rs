@@ -186,15 +186,24 @@ impl RunStats {
         }
         self.correction_taps = self.correction_taps.max(other.correction_taps);
         self.carry_resets += other.carry_resets;
-        if self.kernel == KernelKind::Unknown {
-            self.kernel = other.kernel;
-        } else if other.kernel != KernelKind::Unknown && other.kernel != self.kernel {
-            self.kernel = KernelKind::Mixed;
-        }
+        self.kernel = fold_kernel(self.kernel, other.kernel);
         self.solve_slices += other.solve_slices;
         self.fused_chunks += other.fused_chunks;
         self.reset_chunks += other.reset_chunks;
         self.skipped_chunks += other.skipped_chunks;
+    }
+}
+
+/// Folds one more solve's kernel class `kind` into the summary `agg`
+/// ([`RunStats::kernel`]): `Unknown` adds nothing, and a class other than
+/// the one recorded makes it `Mixed`.
+pub(crate) fn fold_kernel(agg: KernelKind, kind: KernelKind) -> KernelKind {
+    if agg == KernelKind::Unknown {
+        kind
+    } else if kind != KernelKind::Unknown && kind != agg {
+        KernelKind::Mixed
+    } else {
+        agg
     }
 }
 

@@ -5,8 +5,12 @@
 //! lowering ([`plr_core::varying`]) as its carry algebra: chunks are
 //! stitched together through per-chunk *affine carry maps*
 //! `g ↦ M_c·g + local_c` instead of n-nacci correction factors. The
-//! transition matrices `M_c` depend only on the coefficients, so they are
-//! precomputed once per [`VaryingPlan`] and shared by every run. Cancel
+//! transition matrices `M_c` depend only on the coefficients, so each is
+//! composed once per [`VaryingPlan`] and shared by every run: by the
+//! worker that first solves the chunk, just before the solve, so the
+//! plan work runs in parallel and no serial pass over the gates precedes
+//! a run (the chunk then publishes its local state, which look-back
+//! already waits on). Cancel
 //! tokens, deadlines, `check_finite`, fault injection, and the
 //! batch/stream layers ([`VaryingRunner::run_rows`],
 //! [`VaryingRunner::stream`]) behave exactly as they do for constant
@@ -35,9 +39,11 @@ use plr_core::plan::PlanKind;
 use plr_core::varying::{VaryingPlan, VaryingSignature};
 use std::sync::Arc;
 
-/// A multithreaded executor for one time-varying signature: transition
-/// matrices and constant-chunk kernels precomputed once, worker threads
-/// spawned once and reused across runs.
+/// A multithreaded executor for one time-varying signature: constant-row
+/// kernels selected at construction, each chunk's transition matrix
+/// composed once on its first solve, worker threads taken once (from the
+/// idle pools a dropped runner leaves, else spawned) and reused across
+/// runs.
 ///
 /// Unlike [`ParallelRunner`](crate::ParallelRunner), the signature binds
 /// the *input length* (coefficients are positional), so every run must
@@ -72,8 +78,9 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug)]
 pub struct VaryingRunner<T> {
-    /// The precomputed lowering (per-chunk transition matrices and
-    /// deduplicated constant-row kernels) driving the shared pipeline.
+    /// The lowering (deduplicated constant-row kernels, and per-chunk
+    /// transition matrices composed on first use) driving the shared
+    /// pipeline.
     pipeline: Pipeline<VaryingPlan<T>>,
 }
 
@@ -113,7 +120,7 @@ impl<T: Element> VaryingRunner<T> {
         self.pipeline.plan.signature()
     }
 
-    /// The precomputed matrix-carry plan (shared with every run and with
+    /// The matrix-carry plan (shared with every run and with
     /// rows dispatched through [`VaryingRunner::run_rows`] /
     /// [`VaryingRunner::stream`]).
     pub fn plan(&self) -> &Arc<VaryingPlan<T>> {
@@ -132,13 +139,14 @@ impl<T: Element> CarryAlgebra<T> for VaryingPlan<T> {
         Some(self.len())
     }
 
-    /// Never touches the correction-plan cache; reports the plan's kernel
-    /// summary ([`KernelKind::Mixed`](plr_core::kernel::KernelKind::Mixed)
-    /// when chunks of different kernel classes coexist).
+    /// Never touches the correction-plan cache. The run's kernel is
+    /// folded from its chunks' solves ([`Solved::kernel`]:
+    /// [`KernelKind::Mixed`](plr_core::kernel::KernelKind::Mixed) when
+    /// chunks of different kernel classes coexist), so no chunk's plan
+    /// work runs before its worker solves it.
     fn base_stats(&self) -> RunStats {
         RunStats {
             plan_kind: PlanKind::MatrixCarry,
-            kernel: self.aggregate_kernel_kind(),
             correction_taps: self.order() as u64,
             ..RunStats::default()
         }
@@ -155,6 +163,7 @@ impl<T: Element> CarryAlgebra<T> for VaryingPlan<T> {
         Solved {
             slices: out.slices,
             state: out.completed.then_some(out.state),
+            kernel: out.kernel,
         }
     }
 
@@ -630,6 +639,86 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The ledger's selective-scan request order: each request builds a
+    /// fresh runner on fresh gates and runs it before the previous
+    /// request's runner drops, and every 8th request drops the previous
+    /// runner first. Past the first requests, two pools take turns
+    /// through the idle list, and no request spawns a worker thread.
+    #[test]
+    fn idle_pool_serves_a_steady_stream_of_fresh_runners() {
+        use crate::pool::{WorkerPool, SPAWNED};
+        let (_serial, width) = WorkerPool::idle_test_width();
+        let n = 1 << 14;
+        let input: Vec<f32> = (0..n).map(|i| (i % 17) as f32 * 0.1 - 0.8).collect();
+        let config = RunnerConfig {
+            chunk_size: 1 << 11,
+            threads: width,
+            ..Default::default()
+        };
+        let request = |i: usize| {
+            let gates = slow_decay_gates(n + i)[i..].to_vec();
+            let sig = VaryingSignature::first_order(gates).unwrap();
+            let runner = VaryingRunner::with_config(sig.clone(), config).unwrap();
+            let mut data = input.clone();
+            let stats = runner.run_in_place(&mut data).unwrap();
+            assert_eq!(stats.threads, width as u64, "request {i}");
+            let expect = reference(&sig, &input).unwrap();
+            plr_core::validate::validate(&expect, &data, 1e-4).unwrap();
+            runner
+        };
+        let spawned = || SPAWNED.with(std::cell::Cell::get);
+        let mut last = None;
+        let mut warm = 0;
+        for i in 0..64 {
+            if i == 8 {
+                warm = spawned();
+            }
+            if i % 8 == 0 {
+                drop(last.take());
+            }
+            last = Some(request(i));
+        }
+        assert!(warm > 0, "the first requests spawn the pools");
+        assert_eq!(spawned(), warm, "no worker spawned after warm-up");
+        drop(last);
+        assert_eq!(WorkerPool::idle(width), 2, "both pools are idle");
+    }
+
+    /// A runner that drops while one of its streams is still open leaves
+    /// the pool to the stream: it is never listed, neither then nor when
+    /// the stream drops it.
+    #[test]
+    fn idle_pool_never_lists_a_pool_a_stream_holds() {
+        use crate::pool::WorkerPool;
+        let (_serial, width) = WorkerPool::idle_test_width();
+        let n = 4096;
+        let sig = VaryingSignature::first_order(coeffs_i64(n, 1)).unwrap();
+        let runner = VaryingRunner::with_config(
+            sig.clone(),
+            RunnerConfig {
+                chunk_size: 512,
+                threads: width,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let stream = runner.stream();
+        drop(runner);
+        assert_eq!(WorkerPool::idle(width), 0, "the stream holds the pool");
+        let input = input_i64(n);
+        for _ in 0..3 {
+            let (got, outcome) = stream.push_row(input.clone()).join();
+            outcome.unwrap();
+            assert_eq!(got, reference(&sig, &input).unwrap());
+        }
+        assert_eq!(stream.finish().unwrap().rows, 3);
+        assert_eq!(
+            WorkerPool::idle(width),
+            0,
+            "a stream's pool is never listed"
+        );
     }
 
     #[test]
