@@ -17,11 +17,20 @@
 //! paper's evaluation (stable, so values stay in range however many
 //! samples run). `PLR_BENCH_QUICK=1` shrinks the sweep to one small size
 //! with few samples — the CI smoke mode.
+//!
+//! The `serial_map_solve` groups time a signature with FIR taps two
+//! ways: `two_pass`, the in-place FIR map followed by the sliced solve,
+//! and `fused`, `CorrectionPlan::map_solve_sliced`, which under the
+//! default `auto` tier folds the map into the SIMD solve.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use plr_core::blocked::{BlockedKernel, SolveKernel};
+use plr_core::blocked::{fir_in_place, BlockedKernel, SolveKernel};
+use plr_core::element::Element;
+use plr_core::plan::{CorrectionPlan, PlanRequest};
 use plr_core::serial;
+use plr_core::signature::Signature;
 use plr_core::simd::SimdKernel;
+use plr_core::validate::validate;
 use std::hint::black_box;
 
 /// Stable feedback vectors: 1–4 cascaded `(1 : 0.8)` stages.
@@ -188,5 +197,68 @@ fn bench_solve_kernels_int(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_solve_kernels, bench_solve_kernels_int);
+fn bench_map_solve(c: &mut Criterion) {
+    let quick = std::env::var("PLR_BENCH_QUICK").is_ok();
+    let n: usize = if quick { 1 << 16 } else { 1 << 20 };
+    map_solve_group::<f32>(c, "f32_taps1_order2", "0.04 : 1.6, -0.64", n, quick);
+    map_solve_group::<f64>(
+        c,
+        "f64_taps3_order2",
+        "0.81, -1.62, 0.81 : 1.6, -0.64",
+        n,
+        quick,
+    );
+}
+
+/// One whole-row map + solve of `n` elements, fused against two passes.
+fn map_solve_group<T: Element>(c: &mut Criterion, name: &str, text: &str, n: usize, quick: bool)
+where
+    Signature<T>: std::str::FromStr,
+    <Signature<T> as std::str::FromStr>::Err: std::fmt::Debug,
+{
+    let sig: Signature<T> = text.parse().unwrap();
+    let plan = CorrectionPlan::build(&sig, PlanRequest::new::<T>(0));
+    let input: Vec<T> = noise(n).into_iter().map(T::from_f64).collect();
+    let two_pass = |buf: &mut [T]| {
+        fir_in_place(plan.fir(), &[], 0, buf);
+        plan.solve().solve_in_place_sliced(buf, &mut || true)
+    };
+    let fused = |buf: &mut [T]| plan.map_solve_sliced(buf, &[], &mut || true);
+    let (mut a, mut b) = (input.clone(), input.clone());
+    two_pass(&mut a);
+    fused(&mut b);
+    validate(&a, &b, 1e-4).unwrap_or_else(|e| panic!("{name}: fused disagrees: {e}"));
+
+    let mut g = c.benchmark_group(format!("serial_map_solve_{name}_{}k", n >> 10));
+    g.throughput(Throughput::Elements(n as u64));
+    g.sample_size(if quick { 5 } else { 20 });
+    g.bench_function("two_pass", |bench| {
+        bench.iter_batched(
+            || input.clone(),
+            |mut buf| {
+                two_pass(black_box(&mut buf));
+                buf
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    g.bench_function("fused", |bench| {
+        bench.iter_batched(
+            || input.clone(),
+            |mut buf| {
+                fused(black_box(&mut buf));
+                buf
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_solve_kernels,
+    bench_solve_kernels_int,
+    bench_map_solve
+);
 criterion_main!(benches);

@@ -189,20 +189,30 @@ impl<T: Element> Engine<T> {
                 max: MAX_INPUT_LEN,
             });
         }
-        // Stage 1: the map operation eliminating the non-recursive
-        // coefficients (paper equation (2)), in place — the whole input is
-        // one "chunk" with nothing to its left.
-        if !self.signature.is_pure_feedback() {
-            blocked::fir_in_place(self.plan.fir(), &[], 0, data);
-        }
         let m = self.config.chunk_size;
 
-        // Stage 2: local solutions per chunk.
+        // Stages 1 and 2: the map operation eliminating the non-recursive
+        // coefficients (paper equation (2)), then local solutions per
+        // chunk. Hierarchical doubling needs the whole input mapped first;
+        // the serial solve maps each chunk inside its solve, handing each
+        // chunk the raw inputs its taps read across its left boundary.
+        let pure = self.signature.is_pure_feedback();
         match self.config.local_solve {
-            LocalSolve::HierarchicalDoubling => phase1::run(self.plan.table(), data, m),
+            LocalSolve::HierarchicalDoubling => {
+                if !pure {
+                    blocked::fir_in_place(self.plan.fir(), &[], 0, data);
+                }
+                phase1::run(self.plan.table(), data, m);
+            }
             LocalSolve::Serial => {
+                let reach = if pure { 0 } else { self.plan.fir().len() - 1 };
+                let mut prev: Vec<T> = Vec::new();
                 for chunk in data.chunks_mut(m) {
-                    self.plan.solve().solve_in_place(chunk);
+                    let mut next = prev.clone();
+                    next.extend_from_slice(&chunk[chunk.len().saturating_sub(reach)..]);
+                    next.drain(..next.len().saturating_sub(reach));
+                    self.plan.map_solve_sliced(chunk, &prev, &mut || true);
+                    prev = next;
                 }
             }
         }

@@ -51,13 +51,13 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::analysis::{classify, FactorPattern};
-use crate::blocked::SolveKernel;
+use crate::blocked::{fir_in_place, SlicedSolve, SolveKernel};
 use crate::element::Element;
 use crate::kernel::{self, KernelTier};
 use crate::nacci::{carries_of, CorrectionTable};
 use crate::prefix::CascadeKernel;
 use crate::signature::Signature;
-use crate::simd;
+use crate::simd::{self, MapSolveKernel};
 use crate::stability::{self, StabilityReport};
 
 /// How close to the unit circle a spectral radius may be before the plan
@@ -148,7 +148,8 @@ impl PlanRequest {
 
 /// A signature analysed once: per-list correction strategies, the (possibly
 /// truncated) factor table, the FIR coefficients and the selected local
-/// solve kernel.
+/// solve kernel, with the FIR map fused into it where the SIMD kernel
+/// runs.
 ///
 /// Plans are immutable and shared (`Arc`) through the global cache; every
 /// consumer — `Engine`, `ParallelRunner`, `BatchRunner`, `RowStream` — asks
@@ -158,6 +159,10 @@ pub struct CorrectionPlan<T> {
     signature: Signature<T>,
     fir: Vec<T>,
     solve: SolveKernel<T>,
+    /// The FIR map fused into `solve`: set when `solve` is the SIMD kernel
+    /// and the signature has 1 to [`simd::MAX_FIR_TAPS`] feedforward taps
+    /// other than the identity `[1]`.
+    map_solve: Option<MapSolveKernel<T>>,
     table: CorrectionTable<T>,
     strategies: Vec<FactorPattern<T>>,
     /// Set for [`PlanKind::Polynomial`] plans: corrects every list at once.
@@ -182,6 +187,12 @@ impl<T: Element> CorrectionPlan<T> {
         let (fir, recursive) = signature.split();
         let feedback: Vec<T> = recursive.feedback().to_vec();
         let solve = SolveKernel::select(&feedback);
+        let map_solve = match solve {
+            SolveKernel::Simd(_) if !signature.is_pure_feedback() => {
+                MapSolveKernel::try_new(&fir, &feedback)
+            }
+            _ => None,
+        };
         let k = feedback.len();
         let m = req.chunk_size;
 
@@ -284,6 +295,7 @@ impl<T: Element> CorrectionPlan<T> {
             signature: signature.clone(),
             fir,
             solve,
+            map_solve,
             table,
             strategies,
             polynomial,
@@ -309,6 +321,37 @@ impl<T: Element> CorrectionPlan<T> {
     /// The selected local-solve kernel (register-blocked when eligible).
     pub fn solve(&self) -> &SolveKernel<T> {
         &self.solve
+    }
+
+    /// Maps `chunk` through the FIR and solves it from zero history, in
+    /// place, in [`SOLVE_SLICE`](crate::blocked::SOLVE_SLICE)-sized slices
+    /// with `keep_going` polled before each slice after the first (see
+    /// [`SolveKernel::solve_in_place_sliced`]). `prev_raw` holds the raw
+    /// inputs just before the chunk, most recent last; a shorter one than
+    /// the `p − 1` the taps reach (the head of the data) reads zeros
+    /// beyond it.
+    ///
+    /// Where the plan selected the SIMD kernel and the signature has at
+    /// most [`simd::MAX_FIR_TAPS`] taps, one fused pass reads and writes
+    /// each element once (see [`simd::map_solve_ungated`]). Otherwise —
+    /// the forced `scalar` and `blocked` tiers, the cascade, more taps —
+    /// [`fir_in_place`] runs first and the solve second. A pure-feedback
+    /// signature only solves. On an early stop the finished slices hold
+    /// their final values; the rest of the chunk holds raw input when the
+    /// map is fused and mapped input otherwise.
+    pub fn map_solve_sliced(
+        &self,
+        chunk: &mut [T],
+        prev_raw: &[T],
+        keep_going: &mut dyn FnMut() -> bool,
+    ) -> SlicedSolve {
+        if let Some(fused) = &self.map_solve {
+            return fused.map_solve_sliced(prev_raw, &[], chunk, keep_going);
+        }
+        if !self.signature.is_pure_feedback() {
+            fir_in_place(&self.fir, prev_raw, prev_raw.len(), chunk);
+        }
+        self.solve.solve_in_place_sliced(chunk, keep_going)
     }
 
     /// The physical factor table (shorter than [`chunk_size`] for

@@ -19,8 +19,9 @@
 //! as *interior* (ordinary look-back correction) or *reset* (its tail past
 //! the last in-chunk boundary is globally final the moment its local solve
 //! lands, and its prefix before the first boundary is all that ever gets
-//! corrected). Chunks whose post-FIR input is entirely zero can skip their
-//! local solve outright — the correction pass *is* their output and their
+//! corrected). Chunks whose raw input, with the raw inputs their FIR reads
+//! before them, is entirely zero can skip their map and local solve
+//! outright — the correction pass *is* their output and their
 //! carries reduce to the factor-table fix-up (a companion-power multiply)
 //! of zero locals.
 
@@ -369,63 +370,70 @@ impl<T: Element> SegmentedPlan<T> {
         c: usize,
         keep_going: &mut dyn FnMut() -> bool,
     ) -> SlicedSolve {
-        let mut total = SlicedSolve {
-            completed: true,
-            slices: 0,
-        };
-        for w in self.piece_cuts(c, chunk.len()).windows(2) {
-            let (a, b) = (w[0], w[1]);
-            if a >= b {
-                continue;
-            }
-            let out = self
-                .plan
-                .solve()
-                .solve_in_place_sliced(&mut chunk[a..b], keep_going);
-            total.slices += out.slices;
-            if !out.completed {
-                total.completed = false;
-                return total;
-            }
-        }
-        total
+        let cuts = self.piece_cuts(c, chunk.len());
+        pieces(chunk, cuts.windows(2).map(|w| (w[0], w[1])), |_, piece| {
+            self.plan.solve().solve_in_place_sliced(piece, keep_going)
+        })
+    }
+
+    /// The fused form of [`fir_chunk`](Self::fir_chunk) then
+    /// [`solve_chunk`](Self::solve_chunk): every piece of chunk `c` maps
+    /// and solves in one pass where the correction plan fuses them
+    /// ([`CorrectionPlan::map_solve_sliced`]). `prev_raw` is the chunk's
+    /// entry in [`stash_boundaries`](Self::stash_boundaries) (empty for
+    /// chunk 0); only the first piece, which continues the segment of
+    /// earlier chunks, reads it.
+    pub fn map_solve_chunk(
+        &self,
+        chunk: &mut [T],
+        c: usize,
+        prev_raw: &[T],
+        keep_going: &mut dyn FnMut() -> bool,
+    ) -> SlicedSolve {
+        let continues = self.map.resets(c).first() != Some(&0);
+        let cuts = self.piece_cuts(c, chunk.len());
+        pieces(chunk, cuts.windows(2).map(|w| (w[0], w[1])), |a, piece| {
+            let prev = if a == 0 && continues { prev_raw } else { &[] };
+            self.plan.map_solve_sliced(piece, prev, keep_going)
+        })
     }
 
     /// The whole-row serial sweep shared by the batch and streaming
-    /// layers' segmented rows: segment-aware FIR over the full row.
-    pub fn fir_row_in_place(&self, row: &mut [T]) {
-        if self.is_pure_feedback() {
-            return;
-        }
-        for (a, b) in self.segments.ranges(row.len()) {
-            fir_in_place(self.plan.fir(), &[], 0, &mut row[a..b]);
-        }
-    }
-
-    /// The whole-row serial solve: each segment solves from zero history,
-    /// time-sliced against `keep_going`.
-    pub fn solve_row_in_place(
+    /// layers' segmented rows: each segment maps and solves as its own
+    /// sequence from zero history, time-sliced against `keep_going`.
+    pub fn map_solve_row(
         &self,
         row: &mut [T],
         keep_going: &mut dyn FnMut() -> bool,
     ) -> SlicedSolve {
-        let mut total = SlicedSolve {
-            completed: true,
-            slices: 0,
-        };
-        for (a, b) in self.segments.ranges(row.len()) {
-            let out = self
-                .plan
-                .solve()
-                .solve_in_place_sliced(&mut row[a..b], keep_going);
-            total.slices += out.slices;
-            if !out.completed {
-                total.completed = false;
-                return total;
-            }
-        }
-        total
+        pieces(
+            row,
+            self.segments.ranges(row.len()).into_iter(),
+            |_, piece| self.plan.map_solve_sliced(piece, &[], keep_going),
+        )
     }
+}
+
+/// Runs `op(a, &mut data[a..b])` on each non-empty `[a, b)` piece in
+/// order, summing the slices, until one stops early.
+fn pieces<T>(
+    data: &mut [T],
+    pieces: impl Iterator<Item = (usize, usize)>,
+    mut op: impl FnMut(usize, &mut [T]) -> SlicedSolve,
+) -> SlicedSolve {
+    let mut total = SlicedSolve {
+        completed: true,
+        slices: 0,
+    };
+    for (a, b) in pieces.filter(|(a, b)| a < b) {
+        let out = op(a, &mut data[a..b]);
+        total.slices += out.slices;
+        if !out.completed {
+            total.completed = false;
+            break;
+        }
+    }
+    total
 }
 
 /// Whether every element of the chunk is exactly zero (the sparse-skip
@@ -660,8 +668,7 @@ mod tests {
         let input: Vec<f64> = (0..300).map(|i| ((i % 17) as f64) * 0.25 - 2.0).collect();
         let plan = SegmentedPlan::build(&sig, segments.clone(), input.len(), 64).unwrap();
         let mut row = input.clone();
-        plan.fir_row_in_place(&mut row);
-        let out = plan.solve_row_in_place(&mut row, &mut || true);
+        let out = plan.map_solve_row(&mut row, &mut || true);
         assert!(out.completed);
         let expect = run_serial(&sig, &segments, &input);
         for (i, (&g, &e)) in row.iter().zip(&expect).enumerate() {

@@ -20,9 +20,19 @@
 //!   only serial dependency, and its carries never leave the register
 //!   file: the next block's broadcasts are lane permutes of the top
 //!   accumulator, not a store + scalar reload.
+//! * **map + solve** — the same kernel with the FIR map folded in, so a
+//!   chunk is read and written once ([`map_solve_ungated`], and
+//!   [`CorrectionPlan::map_solve_sliced`](crate::plan::CorrectionPlan::map_solve_sliced)
+//!   under the tier gate). With taps `f` the block's outputs are
+//!   `y[i] = Σ_m x[m]·g[i−m]` over the raw inputs `x`, with the combined
+//!   table `g = f ⊛ h`, plus `p−1` cross-block tables that carry the
+//!   previous block's last raw inputs into this block's first outputs.
+//!   For one tap the combined table is the scaled impulse response and
+//!   the inner loop is the plain solve's.
 //! * **steady-state FIR map** — the `fir_in_place` top-of-chunk loop,
 //!   vectorized in descending windows so every load still sees original
-//!   input.
+//!   input (the map of the forced tiers and of the cases the fused
+//!   kernel does not cover).
 //! * **correction apply** — the dense / truncated-tail
 //!   `chunk[i] += list[i]·carry` folds from [`crate::plan`].
 //!
@@ -43,7 +53,9 @@
 //! `*_ungated` entry points here ignore the tier, so differential tests
 //! and benches reach the vector kernels under any `PLR_KERNEL` setting.
 
-use crate::blocked::{BlockedKernel, BLOCK, MAX_BLOCKED_ORDER};
+use crate::blocked::{
+    fir_in_place, BlockedKernel, SlicedSolve, BLOCK, MAX_BLOCKED_ORDER, SOLVE_SLICE,
+};
 use crate::element::Element;
 use crate::kernel::{self, KernelTier};
 use crate::serial;
@@ -52,6 +64,9 @@ use std::any::TypeId;
 /// Maximum FIR tap count served by the vector map kernels (matches the
 /// unrolled scalar specializations in [`crate::blocked::fir_in_place`]).
 pub const MAX_FIR_TAPS: usize = 4;
+
+/// Raw inputs a map + solve carries across a block boundary (`p − 1`).
+const MAX_CROSS: usize = MAX_FIR_TAPS - 1;
 
 /// The vector instruction set an explicit kernel runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -132,11 +147,9 @@ fn cast_ref<T: 'static, U: 'static>(data: &[T]) -> Option<&[U]> {
     is::<T, U>().then(|| unsafe { &*(data as *const [T] as *const [U]) })
 }
 
-fn cast_carries<T: 'static, U: 'static>(
-    c: &mut [T; MAX_BLOCKED_ORDER],
-) -> Option<&mut [U; MAX_BLOCKED_ORDER]> {
+fn cast_array<T: 'static, U: 'static, const N: usize>(c: &mut [T; N]) -> Option<&mut [U; N]> {
     // SAFETY: as above.
-    is::<T, U>().then(|| unsafe { &mut *(c as *mut [T; MAX_BLOCKED_ORDER]).cast() })
+    is::<T, U>().then(|| unsafe { &mut *(c as *mut [T; N]).cast() })
 }
 
 fn cast_block<T: 'static, U: 'static>(b: &[T; BLOCK]) -> Option<&[U; BLOCK]> {
@@ -206,56 +219,223 @@ impl<T: Element> SimdKernel<T> {
     /// [`serial::recursive_in_place_with_history`].
     pub fn solve_in_place_with_history(&self, history: &[T], data: &mut [T]) {
         let k = self.order();
-        let mut carries = [T::zero(); MAX_BLOCKED_ORDER];
-        for (c, &h) in carries.iter_mut().zip(history.iter().take(k)) {
-            *c = h;
-        }
-        let done = self.solve_vector_blocks(&mut carries, data);
+        let mut carries = carries_from(history, k);
+        let done = self.vector_blocks(
+            self.inner.impulse(),
+            &[],
+            &mut carries,
+            &mut [T::zero(); MAX_CROSS],
+            data,
+        );
         let tail = &mut data[done..];
         if !tail.is_empty() {
             serial::recursive_in_place_with_history(self.feedback(), &carries[..k], tail);
         }
     }
 
-    /// Runs the vector kernel over as many full `B`-blocks as fit,
-    /// updating `carries` (most recent output first) and returning the
-    /// element count processed.
-    fn solve_vector_blocks(&self, carries: &mut [T; MAX_BLOCKED_ORDER], data: &mut [T]) -> usize {
+    /// Runs the vector kernel over as many full `B`-blocks as fit, with
+    /// `table` as the in-block convolution table and one `cross` row per
+    /// raw input carried in from before each block (`raw`, most recent
+    /// first; none for a plain solve). Updates `carries` (most recent
+    /// output first) and `raw`, and returns the element count processed.
+    fn vector_blocks(
+        &self,
+        table: &[T; BLOCK],
+        cross: &[[T; BLOCK]],
+        carries: &mut [T; MAX_BLOCKED_ORDER],
+        raw: &mut [T; MAX_CROSS],
+        data: &mut [T],
+    ) -> usize {
         #[cfg(target_arch = "x86_64")]
         {
             let k = self.order();
-            let imp = self.inner.impulse();
             let rows = self.inner.factors();
-            if let (Some(d), Some(c)) = (cast_mut::<T, f64>(data), cast_carries::<T, f64>(carries))
-            {
-                let (imp, rows) = (cast_block(imp).unwrap(), cast_rows(rows).unwrap());
-                // SAFETY: construction checked `best_isa`: AVX2+FMA here.
-                return unsafe { x86::solve_f64_avx2(imp, rows, k, c, d) };
+            macro_rules! dispatch {
+                ($u:ty, $kernel:ident) => {
+                    if let (Some(d), Some(c), Some(r)) = (
+                        cast_mut::<T, $u>(data),
+                        cast_array::<T, $u, MAX_BLOCKED_ORDER>(carries),
+                        cast_array::<T, $u, MAX_CROSS>(raw),
+                    ) {
+                        let t = cast_block(table).unwrap();
+                        let (rows, x) = (cast_rows(rows).unwrap(), cast_rows(cross).unwrap());
+                        // SAFETY: construction checked `best_isa`, which is
+                        // the ISA this kernel is compiled for.
+                        return unsafe {
+                            match x.len() {
+                                0 => x86::$kernel::<0>(t, rows, k, c, x, r, d),
+                                1 => x86::$kernel::<1>(t, rows, k, c, x, r, d),
+                                2 => x86::$kernel::<2>(t, rows, k, c, x, r, d),
+                                _ => x86::$kernel::<3>(t, rows, k, c, x, r, d),
+                            }
+                        };
+                    }
+                };
             }
-            if let (Some(d), Some(c)) = (cast_mut::<T, f32>(data), cast_carries::<T, f32>(carries))
-            {
-                let (imp, rows) = (cast_block(imp).unwrap(), cast_rows(rows).unwrap());
-                // SAFETY: as above.
-                return unsafe { x86::solve_f32_avx2(imp, rows, k, c, d) };
-            }
-            if let (Some(d), Some(c)) = (cast_mut::<T, i32>(data), cast_carries::<T, i32>(carries))
-            {
-                let (imp, rows) = (cast_block(imp).unwrap(), cast_rows(rows).unwrap());
-                // SAFETY: as above.
-                return unsafe { x86::solve_i32_avx2(imp, rows, k, c, d) };
-            }
-            if let (Some(d), Some(c)) = (cast_mut::<T, i64>(data), cast_carries::<T, i64>(carries))
-            {
-                let (imp, rows) = (cast_block(imp).unwrap(), cast_rows(rows).unwrap());
-                // SAFETY: construction checked `best_isa`: AVX-512VL+DQ here.
-                return unsafe { x86::solve_i64_avx512(imp, rows, k, c, d) };
-            }
+            dispatch!(f64, solve_f64_avx2);
+            dispatch!(f32, solve_f32_avx2);
+            dispatch!(i32, solve_i32_avx2);
+            dispatch!(i64, solve_i64_avx512);
         }
         // Unreachable: kernels exist only for the four builtin types on
         // x86-64. Returning 0 leaves everything to the serial tail.
-        let _ = (carries, data);
+        let _ = (table, cross, carries, raw, data);
         0
     }
+}
+
+/// The first `k` history values (most recent first), zero-filled.
+fn carries_from<T: Element>(history: &[T], k: usize) -> [T; MAX_BLOCKED_ORDER] {
+    let mut carries = [T::zero(); MAX_BLOCKED_ORDER];
+    for (c, &h) in carries.iter_mut().zip(history.iter().take(k)) {
+        *c = h;
+    }
+    carries
+}
+
+/// The FIR map of `p ≤` [`MAX_FIR_TAPS`] taps fused into the explicit-SIMD
+/// local solve: one read and one write per element instead of two of
+/// each.
+///
+/// Inside a block the two-pass result `y[i] = Σ_j h[i−j]·u[j]`, with
+/// `u[j] = Σ_q f[q]·x[j−q]`, regroups by raw input into
+/// `y[i] = Σ_{m ≥ 0} g[i−m]·x[m] + Σ_{s=1}^{p−1} e_s[i]·x[−s]`, where
+/// `g = f ⊛ h` is the combined table and `e_s[i] = Σ_{q ≥ s} f[q]·h[i+s−q]`
+/// weighs the raw input `s` places before the block. The kernel keeps
+/// those `p − 1` raw inputs across blocks (and slices), and takes them
+/// from the chunk's boundary stash at its start. The rewrite is exact
+/// for the wrapping integers; floats differ from the two passes by
+/// reassociation and the table's rounding.
+#[derive(Debug, Clone)]
+pub(crate) struct MapSolveKernel<T> {
+    solve: SimdKernel<T>,
+    fir: Vec<T>,
+    /// `g[d] = Σ_{q ≤ min(d, p−1)} f[q]·h[d−q]`.
+    combined: [T; BLOCK],
+    /// `cross[s−1] = e_s`, `s = 1..p`.
+    cross: Vec<[T; BLOCK]>,
+}
+
+impl<T: Element> MapSolveKernel<T> {
+    /// Builds the kernel on `T`'s [`best_isa`], whatever the tier; `None`
+    /// when the tap count is outside `1..=`[`MAX_FIR_TAPS`] or
+    /// [`SimdKernel::try_new`] declines the feedback.
+    pub(crate) fn try_new(fir: &[T], feedback: &[T]) -> Option<Self> {
+        let p = fir.len();
+        if p == 0 || p > MAX_FIR_TAPS {
+            return None;
+        }
+        let solve = SimdKernel::try_new(feedback)?;
+        let h = solve.inner.impulse();
+        let mut combined = [T::zero(); BLOCK];
+        for (d, g) in combined.iter_mut().enumerate() {
+            for (q, &f) in fir.iter().enumerate().take(d + 1) {
+                *g = g.add(f.mul(h[d - q]));
+            }
+        }
+        let cross = (1..p)
+            .map(|s| {
+                let mut e = [T::zero(); BLOCK];
+                for (i, v) in e.iter_mut().enumerate() {
+                    for (q, &f) in fir.iter().enumerate().take(i + s + 1).skip(s) {
+                        *v = v.add(f.mul(h[i + s - q]));
+                    }
+                }
+                e
+            })
+            .collect();
+        Some(MapSolveKernel {
+            solve,
+            fir: fir.to_vec(),
+            combined,
+            cross,
+        })
+    }
+
+    /// Maps and solves `data` in place from `history` (most recent output
+    /// first), in [`SOLVE_SLICE`]-sized slices with `keep_going` polled
+    /// before each slice after the first, like
+    /// [`SolveKernel::solve_in_place_sliced`](crate::blocked::SolveKernel::solve_in_place_sliced).
+    /// `prev_raw` holds the raw inputs just before `data`, most recent
+    /// last; a shorter one (the head of the data) reads zeros beyond it.
+    /// Each slice hands its carries and last raw inputs straight to the
+    /// next, so the output does not depend on the slicing.
+    pub(crate) fn map_solve_sliced(
+        &self,
+        prev_raw: &[T],
+        history: &[T],
+        data: &mut [T],
+        keep_going: &mut dyn FnMut() -> bool,
+    ) -> SlicedSolve {
+        let p = self.fir.len();
+        let k = self.solve.order();
+        let mut carries = carries_from(history, k);
+        // Most recent first, like the carries; `have` of them are real.
+        let mut raw = [T::zero(); MAX_CROSS];
+        let mut have = prev_raw.len().min(p - 1);
+        for (r, &x) in raw.iter_mut().zip(prev_raw.iter().rev()).take(have) {
+            *r = x;
+        }
+        let mut slices = 0u64;
+        let mut rest = data;
+        loop {
+            let (slice, next) = rest.split_at_mut(rest.len().min(SOLVE_SLICE));
+            let done = self.solve.vector_blocks(
+                &self.combined,
+                &self.cross,
+                &mut carries,
+                &mut raw,
+                slice,
+            );
+            if done > 0 {
+                have = p - 1;
+            }
+            // Only the last slice can end off a block boundary.
+            let tail = &mut slice[done..];
+            if !tail.is_empty() {
+                let mut prev = [T::zero(); MAX_CROSS];
+                for s in 0..have {
+                    prev[have - 1 - s] = raw[s];
+                }
+                fir_in_place(&self.fir, &prev[..have], have, tail);
+                serial::recursive_in_place_with_history(self.solve.feedback(), &carries[..k], tail);
+            }
+            slices += 1;
+            rest = next;
+            if rest.is_empty() {
+                return SlicedSolve {
+                    completed: true,
+                    slices,
+                };
+            }
+            if !keep_going() {
+                return SlicedSolve {
+                    completed: false,
+                    slices,
+                };
+            }
+        }
+    }
+}
+
+/// The fused map + solve of [`CorrectionPlan::map_solve_sliced`] without
+/// the tier gate — differential tests and benches. Maps `data` with the
+/// taps `fir` (`prev_raw`: the raw inputs just before it, most recent
+/// last) and solves the feedback from `history` (most recent output
+/// first). `None`, touching nothing, when `T`'s [`best_isa`] is missing
+/// or the taps or order are out of the kernel's range.
+///
+/// [`CorrectionPlan::map_solve_sliced`]: crate::plan::CorrectionPlan::map_solve_sliced
+pub fn map_solve_ungated<T: Element>(
+    fir: &[T],
+    feedback: &[T],
+    prev_raw: &[T],
+    history: &[T],
+    data: &mut [T],
+    keep_going: &mut dyn FnMut() -> bool,
+) -> Option<SlicedSolve> {
+    MapSolveKernel::try_new(fir, feedback)
+        .map(|kernel| kernel.map_solve_sliced(prev_raw, history, data, keep_going))
 }
 
 /// `true` when the effective kernel tier is `Auto`: forcing `scalar` or
@@ -270,8 +450,6 @@ fn tier_allows() -> bool {
 /// descending vector windows and returns how many it handled (0 when the
 /// tier, type, tap count or CPU rule it out). The caller finishes
 /// `[head, len−returned)` with the scalar steady loop.
-///
-/// [`fir_in_place`]: crate::blocked::fir_in_place
 pub fn fir_steady_in_place<T: Element>(fir: &[T], chunk: &mut [T], head: usize) -> usize {
     if tier_allows() {
         fir_steady_ungated(fir, chunk, head)
@@ -421,23 +599,31 @@ mod x86 {
     /// The triangular FIR is computed as the transposed convolution
     /// `y[i] = Σ_j t[j]·h[i−j]`: each input is broadcast once and
     /// multiply-added against a shifted unaligned window of `hpad`, the
-    /// impulse response padded with `BLOCK−1` leading zeros (negative
-    /// indices read zero). `hpad` is written once per call and only read
-    /// in the loop, so — unlike a per-block staging copy — the loads
-    /// never collide with an in-flight store. The carry fold is the only
+    /// table `h` padded with `BLOCK−1` leading zeros (negative indices
+    /// read zero). `hpad` is written once per call and only read in the
+    /// loop, so — unlike a per-block staging copy — the loads never
+    /// collide with an in-flight store. The carry fold is the only
     /// cross-block dependency, and its chain stays in registers: the
     /// next block's carry broadcasts are lane permutes of the top
     /// accumulator; the scalar `carries` array is materialized once
     /// after the loop.
+    ///
+    /// `h` is the impulse response for a plain solve (`NP = 0`) and the
+    /// combined table `f ⊛ h` for a map + solve, whose `NP = p − 1`
+    /// `cross` rows weigh the previous block's last raw inputs (`raw`,
+    /// most recent first). Those are read off the block before its
+    /// outputs overwrite it, and added farthest first.
     macro_rules! float_solve {
         ($name:ident, $feat:literal, $elem:ty, $lanes:expr,
          $loadu:ident, $storeu:ident, $set1:ident, $fmadd:ident, $zero:ident, $bcast:ident) => {
             #[target_feature(enable = $feat)]
-            pub(super) unsafe fn $name(
-                impulse: &[$elem; BLOCK],
+            pub(super) unsafe fn $name<const NP: usize>(
+                table: &[$elem; BLOCK],
                 factors: &[[$elem; BLOCK]],
                 k: usize,
                 carries: &mut [$elem; 4],
+                cross: &[[$elem; BLOCK]],
+                raw: &mut [$elem; 3],
                 data: &mut [$elem],
             ) -> usize {
                 const L: usize = $lanes;
@@ -447,7 +633,7 @@ mod x86 {
                     return 0;
                 }
                 let mut hpad = [0 as $elem; 2 * BLOCK - 1];
-                hpad[BLOCK - 1..].copy_from_slice(impulse);
+                hpad[BLOCK - 1..].copy_from_slice(table);
                 let hp = hpad.as_ptr().add(BLOCK - 1); // &h[0]
                 let mut f = [[$zero(); V]; 4];
                 for r in 0..k {
@@ -455,6 +641,14 @@ mod x86 {
                         f[r][m] = $loadu(factors[r].as_ptr().add(m * L));
                     }
                 }
+                let mut e = [[$zero(); V]; NP];
+                for s in 0..NP {
+                    for m in 0..V {
+                        e[s][m] = $loadu(cross[s].as_ptr().add(m * L));
+                    }
+                }
+                let mut prev = [0 as $elem; NP];
+                prev.copy_from_slice(&raw[..NP]);
                 // Seed the register-resident carry vector: lane L-1-r
                 // is where block outputs leave carry r.
                 let mut seed = [0 as $elem; L];
@@ -465,11 +659,20 @@ mod x86 {
                 for b in 0..nblocks {
                     let ptr = data.as_mut_ptr().add(b * BLOCK);
                     let mut acc = [$zero(); V];
+                    for s in (0..NP).rev() {
+                        let t = $set1(prev[s]);
+                        for m in 0..V {
+                            acc[m] = $fmadd(e[s][m], t, acc[m]);
+                        }
+                    }
                     for j in 0..BLOCK {
                         let t = $set1(*ptr.add(j));
                         for m in (j / L)..V {
                             acc[m] = $fmadd(t, $loadu(hp.add(m * L).sub(j)), acc[m]);
                         }
+                    }
+                    for s in 0..NP {
+                        prev[s] = *ptr.add(BLOCK - 1 - s);
                     }
                     for r in 0..k {
                         let c = $bcast(top, L - 1 - r);
@@ -487,6 +690,7 @@ mod x86 {
                 for r in 0..k {
                     carries[r] = fin[L - 1 - r];
                 }
+                raw[..NP].copy_from_slice(&prev);
                 nblocks * BLOCK
             }
         };
@@ -498,11 +702,13 @@ mod x86 {
         ($name:ident, $feat:literal, $elem:ty, $lanes:expr,
          $set1:ident, $add:ident, $mul:path, $bcast:ident) => {
             #[target_feature(enable = $feat)]
-            pub(super) unsafe fn $name(
-                impulse: &[$elem; BLOCK],
+            pub(super) unsafe fn $name<const NP: usize>(
+                table: &[$elem; BLOCK],
                 factors: &[[$elem; BLOCK]],
                 k: usize,
                 carries: &mut [$elem; 4],
+                cross: &[[$elem; BLOCK]],
+                raw: &mut [$elem; 3],
                 data: &mut [$elem],
             ) -> usize {
                 const L: usize = $lanes;
@@ -512,7 +718,7 @@ mod x86 {
                     return 0;
                 }
                 let mut hpad = [0 as $elem; 2 * BLOCK - 1];
-                hpad[BLOCK - 1..].copy_from_slice(impulse);
+                hpad[BLOCK - 1..].copy_from_slice(table);
                 let hp = hpad.as_ptr().add(BLOCK - 1); // &h[0]
                 let mut f = [[_mm256_setzero_si256(); V]; 4];
                 for r in 0..k {
@@ -521,6 +727,15 @@ mod x86 {
                             _mm256_loadu_si256(factors[r].as_ptr().add(m * L) as *const __m256i);
                     }
                 }
+                let mut e = [[_mm256_setzero_si256(); V]; NP];
+                for s in 0..NP {
+                    for m in 0..V {
+                        e[s][m] =
+                            _mm256_loadu_si256(cross[s].as_ptr().add(m * L) as *const __m256i);
+                    }
+                }
+                let mut prev = [0 as $elem; NP];
+                prev.copy_from_slice(&raw[..NP]);
                 let mut seed = [0 as $elem; L];
                 for r in 0..k {
                     seed[L - 1 - r] = carries[r];
@@ -529,12 +744,21 @@ mod x86 {
                 for b in 0..nblocks {
                     let ptr = data.as_mut_ptr().add(b * BLOCK);
                     let mut acc = [_mm256_setzero_si256(); V];
+                    for s in (0..NP).rev() {
+                        let t = $set1(prev[s]);
+                        for m in 0..V {
+                            acc[m] = $add(acc[m], $mul(e[s][m], t));
+                        }
+                    }
                     for j in 0..BLOCK {
                         let t = $set1(*ptr.add(j));
                         for m in (j / L)..V {
                             let x = _mm256_loadu_si256(hp.add(m * L).sub(j) as *const __m256i);
                             acc[m] = $add(acc[m], $mul(t, x));
                         }
+                    }
+                    for s in 0..NP {
+                        prev[s] = *ptr.add(BLOCK - 1 - s);
                     }
                     for r in 0..k {
                         let c = $bcast(top, L - 1 - r);
@@ -552,6 +776,7 @@ mod x86 {
                 for r in 0..k {
                     carries[r] = fin[L - 1 - r];
                 }
+                raw[..NP].copy_from_slice(&prev);
                 nblocks * BLOCK
             }
         };
@@ -807,6 +1032,17 @@ mod tests {
         assert!(supported::<i32>() && supported::<i64>());
         assert!(!supported::<crate::tropical::MaxPlus>());
         assert!(best_isa::<crate::tropical::MaxPlus>().is_none());
+    }
+
+    #[test]
+    fn map_solve_runs_where_the_isa_exists() {
+        let mut data = vec![1.0f64; 40];
+        let out = map_solve_ungated(&[0.5, 0.5], &[0.8], &[], &[], &mut data, &mut || true);
+        assert_eq!(out.is_some(), best_isa::<f64>().is_some());
+        // Five taps, or an order past the blocked cap, take two passes.
+        assert!(map_solve_ungated(&[1.0; 5], &[0.8], &[], &[], &mut data, &mut || true).is_none());
+        let high = [0.1f64; MAX_BLOCKED_ORDER + 1];
+        assert!(map_solve_ungated(&[0.5], &high, &[], &[], &mut data, &mut || true).is_none());
     }
 
     #[test]

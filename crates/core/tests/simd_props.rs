@@ -11,7 +11,8 @@
 //!
 //! The same treatment covers the two steady-state helpers the executors
 //! lean on: the FIR map tail ([`fir_steady_ungated`]) and the correction
-//! fold ([`axpy_ungated`]).
+//! fold ([`axpy_ungated`]); and the FIR map fused into the local solve
+//! ([`map_solve_ungated`]), against the two passes it replaces.
 //!
 //! These tests pick tiers through `select_with_tier` and the `*_ungated`
 //! entry points rather than the process-global `PLR_KERNEL` override, so
@@ -19,11 +20,11 @@
 //!
 //! [`SimdKernel`]: plr_core::simd::SimdKernel
 
-use plr_core::blocked::{SolveKernel, BLOCK, MAX_BLOCKED_ORDER};
+use plr_core::blocked::{fir_in_place, SolveKernel, BLOCK, MAX_BLOCKED_ORDER, SOLVE_SLICE};
 use plr_core::element::Element;
 use plr_core::kernel::KernelTier;
 use plr_core::serial;
-use plr_core::simd::{axpy_ungated, fir_steady_ungated, MAX_FIR_TAPS};
+use plr_core::simd::{axpy_ungated, fir_steady_ungated, map_solve_ungated, MAX_FIR_TAPS};
 use proptest::prelude::*;
 
 /// Lengths exercising every vector-block boundary around a random base.
@@ -95,6 +96,43 @@ fn all_solvers<T: Element>(fb: &[T]) -> Vec<(String, SolveKernel<T>)> {
             SolveKernel::select_with_tier(fb, KernelTier::Auto),
         ),
     ]
+}
+
+/// The two passes a fused map + solve replaces: [`fir_in_place`] (with
+/// `prev_raw` as the inputs before the data), then the scalar solve from
+/// `history`.
+fn two_pass<T: Element>(fir: &[T], fb: &[T], prev_raw: &[T], history: &[T], input: &[T]) -> Vec<T> {
+    let mut mapped = input.to_vec();
+    fir_in_place(fir, prev_raw, prev_raw.len(), &mut mapped);
+    scalar_ref(fb, history, &mapped)
+}
+
+/// The fused map + solve of `input`, `None` where this CPU has no kernel
+/// for `T`.
+fn fused<T: Element>(
+    fir: &[T],
+    fb: &[T],
+    prev_raw: &[T],
+    history: &[T],
+    input: &[T],
+) -> Option<Vec<T>> {
+    let mut got = input.to_vec();
+    map_solve_ungated(fir, fb, prev_raw, history, &mut got, &mut || true).map(|out| {
+        assert!(out.completed);
+        got
+    })
+}
+
+/// Integer taps `1..=MAX_FIR_TAPS` long.
+fn int_taps() -> impl Strategy<Value = Vec<i64>> {
+    proptest::collection::vec(-3i64..=3, 1..MAX_FIR_TAPS + 1)
+}
+
+/// A deterministic input of `n` small values.
+fn long_input(n: usize, seed: u64) -> Vec<i64> {
+    (0..n as u64)
+        .map(|i| ((i.wrapping_mul(2654435761).wrapping_add(seed) >> 7) % 19) as i64 - 9)
+        .collect()
 }
 
 /// ULP-scaled closeness: reassociation and FMA contraction move each
@@ -310,6 +348,135 @@ proptest! {
         if axpy_ungated(&mut got[..lim], &list, carry) {
             assert_close(&expect[..lim], &got[..lim], 64.0, &format!("lim={lim}"))?;
             prop_assert_eq!(&got[lim..], &dst[lim..], "tail touched");
+        }
+    }
+
+    #[test]
+    fn map_solve_is_bit_exact_for_i64(
+        fir in int_taps(),
+        fb in int_feedback(),
+        input in proptest::collection::vec(-9i64..9, 0..(6 * BLOCK)),
+        prev_raw in proptest::collection::vec(-9i64..9, 0..MAX_FIR_TAPS),
+        history in proptest::collection::vec(-9i64..9, 0..MAX_BLOCKED_ORDER),
+    ) {
+        // `prev_raw` runs from empty to `MAX_FIR_TAPS - 1` values, so it is
+        // often shorter than the `p - 1` the taps reach: the head of the
+        // data, where the missing inputs read zero.
+        let history = &history[..history.len().min(fb.len())];
+        for n in boundary_lengths(input.len()) {
+            let input = &input[..n.min(input.len())];
+            let expect = two_pass(&fir, &fb, &prev_raw, history, input);
+            if let Some(got) = fused(&fir, &fb, &prev_raw, history, input) {
+                prop_assert_eq!(&got, &expect, "fir={:?} fb={:?} prev={:?} history={:?} n={}",
+                    &fir, &fb, &prev_raw, history, input.len());
+            }
+        }
+    }
+
+    #[test]
+    fn map_solve_is_bit_exact_for_i32(
+        fir64 in int_taps(),
+        fb64 in int_feedback(),
+        input64 in proptest::collection::vec(-9i64..9, 0..(6 * BLOCK)),
+        prev64 in proptest::collection::vec(-9i64..9, 0..MAX_FIR_TAPS),
+        history64 in proptest::collection::vec(-9i64..9, 0..MAX_BLOCKED_ORDER),
+    ) {
+        let narrow = |v: &[i64]| v.iter().map(|&x| x as i32).collect::<Vec<i32>>();
+        let (fir, fb, input) = (narrow(&fir64), narrow(&fb64), narrow(&input64));
+        let (prev_raw, history) = (narrow(&prev64), narrow(&history64));
+        let history = &history[..history.len().min(fb.len())];
+        for n in boundary_lengths(input.len()) {
+            let input = &input[..n.min(input.len())];
+            let expect = two_pass(&fir, &fb, &prev_raw, history, input);
+            if let Some(got) = fused(&fir, &fb, &prev_raw, history, input) {
+                prop_assert_eq!(&got, &expect, "fir={:?} fb={:?} prev={:?} n={}",
+                    &fir, &fb, &prev_raw, input.len());
+            }
+        }
+    }
+
+    #[test]
+    fn map_solve_matches_two_passes_for_f64(
+        fir in proptest::collection::vec(-1.5f64..1.5, 1..MAX_FIR_TAPS + 1),
+        fb in stable_float_feedback(),
+        input in proptest::collection::vec(-4.0f64..4.0, 0..(6 * BLOCK)),
+        prev_raw in proptest::collection::vec(-4.0f64..4.0, 0..MAX_FIR_TAPS),
+        history in proptest::collection::vec(-4.0f64..4.0, 0..MAX_BLOCKED_ORDER),
+    ) {
+        let history = &history[..history.len().min(fb.len())];
+        for n in boundary_lengths(input.len()) {
+            let input = &input[..n.min(input.len())];
+            let expect = two_pass(&fir, &fb, &prev_raw, history, input);
+            if let Some(got) = fused(&fir, &fb, &prev_raw, history, input) {
+                assert_close(&expect, &got, 4096.0,
+                    &format!("fir={fir:?} fb={fb:?} prev={prev_raw:?} n={}", input.len()))?;
+            }
+        }
+    }
+
+    #[test]
+    fn map_solve_matches_two_passes_for_f32(
+        fir64 in proptest::collection::vec(-1.5f64..1.5, 1..MAX_FIR_TAPS + 1),
+        fb64 in stable_float_feedback(),
+        input64 in proptest::collection::vec(-4.0f64..4.0, 0..(6 * BLOCK)),
+        prev64 in proptest::collection::vec(-4.0f64..4.0, 0..MAX_FIR_TAPS),
+    ) {
+        let narrow = |v: &[f64]| v.iter().map(|&x| x as f32).collect::<Vec<f32>>();
+        let (fir, fb, input, prev_raw) = (narrow(&fir64), narrow(&fb64), narrow(&input64), narrow(&prev64));
+        for n in boundary_lengths(input.len()) {
+            let input = &input[..n.min(input.len())];
+            let expect = two_pass(&fir, &fb, &prev_raw, &[], input);
+            if let Some(got) = fused(&fir, &fb, &prev_raw, &[], input) {
+                let scale = expect.iter().fold(1.0f32, |m, v| m.max(v.abs()));
+                for (i, (a, b)) in expect.iter().zip(&got).enumerate() {
+                    prop_assert!(
+                        (a - b).abs() <= 4096.0 * f32::EPSILON * scale,
+                        "fir={:?} fb={:?} n={} index {}: {} vs {}", &fir, &fb, input.len(), i, a, b
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn map_solve_slices_hand_on_carries_and_raw_inputs(
+        fir in int_taps(),
+        fb in int_feedback(),
+        prev_raw in proptest::collection::vec(-9i64..9, 0..MAX_FIR_TAPS),
+        seed in 0u64..1000,
+        extra in 0usize..(3 * BLOCK),
+    ) {
+        // Lengths across one and two slice boundaries, on and off a block
+        // boundary: the slices must agree with the unsliced two passes,
+        // polling once before each slice after the first.
+        for n in [SOLVE_SLICE - 1, SOLVE_SLICE + extra, 2 * SOLVE_SLICE + BLOCK + extra] {
+            let input = long_input(n, seed);
+            let expect = two_pass(&fir, &fb, &prev_raw, &[], &input);
+            let mut got = input.clone();
+            let mut polls = 0u64;
+            let Some(out) = map_solve_ungated(&fir, &fb, &prev_raw, &[], &mut got, &mut || {
+                polls += 1;
+                true
+            }) else {
+                return Ok(());
+            };
+            prop_assert!(out.completed);
+            prop_assert_eq!(out.slices, n.div_ceil(SOLVE_SLICE) as u64);
+            prop_assert_eq!(polls, out.slices - 1);
+            prop_assert!(got == expect, "fir={:?} fb={:?} n={}", &fir, &fb, n);
+            // A refused poll stops after the first slice, which is final.
+            let mut stopped = input.clone();
+            let out = map_solve_ungated(&fir, &fb, &prev_raw, &[], &mut stopped, &mut || false)
+                .expect("the kernel exists");
+            prop_assert_eq!(out.completed, n <= SOLVE_SLICE);
+            prop_assert_eq!(out.slices, 1);
+            let first = n.min(SOLVE_SLICE);
+            prop_assert!(stopped[..first] == expect[..first], "first slice n={}", n);
+            prop_assert!(stopped[first..] == input[first..], "rest untouched n={}", n);
         }
     }
 }

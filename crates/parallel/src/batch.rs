@@ -20,7 +20,6 @@ use crate::pool::{
 use crate::runner::{ParallelRunner, RunnerConfig};
 use crate::stats::{fold_kernel, RunStats};
 use crate::stream::RowStream;
-use plr_core::blocked::fir_in_place;
 use plr_core::element::Element;
 use plr_core::error::EngineError;
 use plr_core::kernel::KernelKind;
@@ -40,9 +39,9 @@ struct CachedInner<T> {
 }
 
 /// The per-row unit of work shared by the blocking whole-rows path, the
-/// streaming layer and the service core: in-place FIR map (skipped for
-/// pure-feedback signatures) followed by the in-place local solve, both
-/// timed.
+/// streaming layer and the service core: the in-place FIR map and local
+/// solve, fused into one pass where the plan fuses them and timed as the
+/// solve.
 ///
 /// Every whole-row path — `run_rows` of the batch, varying and segmented
 /// runners, [`RowStream`] and the service core's shards — solves rows
@@ -66,8 +65,6 @@ enum TaskInner<T> {
         plan: Arc<CorrectionPlan<T>>,
         /// Whether the plan came from the shared cache (reported in stats).
         cache_hit: bool,
-        /// Pure-feedback signatures have no FIR map stage at all.
-        pure: bool,
     },
     /// Per-element coefficients: the matrix-carry chunk plan, solved as a
     /// fused sequential sweep within the row (rows are independent, so
@@ -95,11 +92,7 @@ impl<T: Element> RowTask<T> {
     pub fn new(signature: &Signature<T>) -> Self {
         let (plan, cache_hit) = plan::plan_for(signature, PlanRequest::new::<T>(0));
         RowTask {
-            inner: TaskInner::Constant {
-                plan,
-                cache_hit,
-                pure: signature.is_pure_feedback(),
-            },
+            inner: TaskInner::Constant { plan, cache_hit },
         }
     }
 
@@ -121,14 +114,14 @@ impl<T: Element> RowTask<T> {
         }
     }
 
-    /// Solves one row in place, returning what the row adds to its
-    /// stats: `fir_nanos`, `solve_nanos`, `solve_slices` and, for a
-    /// varying row, the `kernel` its chunks solved with (other tasks
-    /// report their one kernel in the row's base stats). The local solve
-    /// is time-sliced against `abort`, so a cancel or deadline lands
-    /// mid-row instead of after it; on an abort the row is left
-    /// partially solved and the caller's reason-derived resolution
-    /// reports the outcome.
+    /// Maps and solves one row in place, returning what the row adds to
+    /// its stats: `solve_nanos` (the map's time included),
+    /// `solve_slices` and, for a varying row, the `kernel` its chunks
+    /// solved with (other tasks report their one kernel in the row's
+    /// base stats). The solve is time-sliced against `abort`, so a
+    /// cancel or deadline lands mid-row instead of after it; on an abort
+    /// the row is left partially solved and the caller's reason-derived
+    /// resolution reports the outcome.
     ///
     /// The worker/row indices feed the fault harness's `Solve` site (the
     /// same site the blocking path consults); they are unused otherwise.
@@ -152,16 +145,6 @@ impl<T: Element> RowTask<T> {
                 "row length must match the task's bound length"
             );
         }
-        let mut fir_ns = 0u64;
-        match &self.inner {
-            TaskInner::Constant { plan, pure, .. } if !pure => {
-                timed(&mut fir_ns, || fir_in_place(plan.fir(), &[], 0, row));
-            }
-            TaskInner::Segmented { plan } if !plan.is_pure_feedback() => {
-                timed(&mut fir_ns, || plan.fir_row_in_place(row));
-            }
-            _ => {}
-        }
         #[cfg(feature = "fault-inject")]
         crate::fault::check(crate::fault::FaultSite::Solve, _worker, _index, abort);
         let keep_going = &mut || abort.is_none_or(|a| !a.is_aborted());
@@ -170,11 +153,9 @@ impl<T: Element> RowTask<T> {
         // Rows are independent, so every row solves from zero (real)
         // history and needs no correction.
         let slices = timed(&mut solve_ns, || match &self.inner {
-            TaskInner::Constant { plan, .. } => {
-                plan.solve().solve_in_place_sliced(row, keep_going).slices
-            }
+            TaskInner::Constant { plan, .. } => plan.map_solve_sliced(row, &[], keep_going).slices,
             // Each segment restarts from zero history.
-            TaskInner::Segmented { plan } => plan.solve_row_in_place(row, keep_going).slices,
+            TaskInner::Segmented { plan } => plan.map_solve_row(row, keep_going).slices,
             // A fused sweep over the plan's chunks: each continues from the
             // previous chunk's real state, reusing constant-row kernels
             // where the plan selected them.
@@ -195,7 +176,6 @@ impl<T: Element> RowTask<T> {
             }
         });
         RunStats {
-            fir_nanos: fir_ns,
             solve_nanos: solve_ns,
             solve_slices: slices,
             kernel,
@@ -376,7 +356,7 @@ impl<T: Element> RowTask<T> {
 #[derive(Debug)]
 pub struct BatchRunner<T> {
     signature: Signature<T>,
-    /// The shared per-row work unit (FIR + local solve).
+    /// The shared per-row work unit (map + local solve).
     task: RowTask<T>,
     threads: usize,
     /// Persistent workers, leased on first use and shared with the
@@ -675,8 +655,8 @@ mod tests {
 
     #[test]
     fn fir_rows_match_reference() {
-        // A signature with a real map stage exercises the in-place FIR on
-        // the whole-rows path.
+        // A signature with a real map stage exercises the map on the
+        // whole-rows path, timed inside the solve.
         let sig: Signature<f64> = "0.81,-1.62,0.81:1.6,-0.64".parse().unwrap();
         let width = 96;
         let rows = 40;
@@ -686,10 +666,8 @@ mod tests {
         let mut got = data.clone();
         let runner = BatchRunner::new(sig.clone(), 4);
         let stats = runner.run_rows(&mut got, width).unwrap();
-        assert!(
-            stats.fir_nanos > 0,
-            "FIR stage must be timed on the rows path"
-        );
+        assert!(stats.solve_nanos > 0, "map and solve must be timed");
+        assert_eq!(stats.fir_nanos, 0, "the map's time is inside the solve's");
         validate(&reference(&sig, &data, width), &got, 1e-9).unwrap();
     }
 

@@ -22,8 +22,8 @@
 //!   a [`CorrectionPlan`](plr_core::plan::CorrectionPlan).
 //! - [`SegmentedRunner`] — the same carries, clipped at segment
 //!   boundaries: a chunk holding a boundary publishes its global carries
-//!   at once and floors every later look-back; all-zero chunks skip their
-//!   local solve.
+//!   at once and floors every later look-back; all-zero chunks whose map
+//!   reads only zeros skip their local solve.
 //! - [`VaryingRunner`] — time-varying coefficients: the state crosses a
 //!   chunk through its affine map, and a chunk whose predecessor is
 //!   already resolved solves from real history instead (fusion).
@@ -58,17 +58,20 @@
 //!   unconditionally. At most `pool width` chunks are in flight, so
 //!   look-back depth — the paper's dynamic `c` — is bounded by the worker
 //!   count.
-//! - **In-place map stage.** Signatures with a feed-forward part apply
-//!   the FIR filter in place, fused into the same chunk pass as the local
-//!   solve: each chunk's few cross-boundary inputs are stashed up front,
-//!   and the chunk is mapped right-to-left so every read still sees
-//!   original input. No second full-size buffer, no copy-back.
+//! - **No separate map stage.** Signatures with a feed-forward part map
+//!   each chunk inside its local solve
+//!   ([`CorrectionPlan::map_solve_sliced`](plr_core::plan::CorrectionPlan::map_solve_sliced)):
+//!   where the plan runs the SIMD kernel, the FIR map and the solve are
+//!   one pass that reads and writes each element once; elsewhere the
+//!   in-place FIR runs just before the solve. Each chunk's few
+//!   cross-boundary raw inputs are stashed up front, so no second
+//!   full-size buffer and no copy-back is needed.
 //! - **Shared infrastructure.** [`BatchRunner`] runs whole rows on the
 //!   same pool, and its intra-row fallback caches a [`ParallelRunner`]
 //!   (correction table included) across `run_rows` calls, rebuilding only
 //!   when the row geometry changes the chunk size.
 //!
-//! Per-phase wall times (FIR map, local solve, look-back, correction) are
+//! Per-phase wall times (map and local solve, look-back, correction) are
 //! accumulated per worker and reported through [`RunStats`].
 //!
 //! ## Failure & cancellation model

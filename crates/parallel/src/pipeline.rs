@@ -12,7 +12,13 @@
 //! beside their runners: [`CorrectionPlan`] (constant coefficients,
 //! `runner.rs`), [`SegmentedPlan`] (segmented inputs, `segmented.rs`) and
 //! [`VaryingPlan`] (time-varying coefficients, `varying.rs`, the only one
-//! that fuses); DESIGN.md §13 tabulates what each supplies.
+//! that fuses chunks onto their history); DESIGN.md §13 tabulates what
+//! each supplies.
+//!
+//! There is no separate map stage: an algebra whose signature has FIR
+//! taps maps each chunk inside its solve — one pass where the plan fuses
+//! the map into the SIMD kernel — reading the raw inputs left of the
+//! chunk from a stash taken before any chunk runs.
 //!
 //! Progress: tickets are claimed in increasing order; every chunk
 //! publishes something before it waits on anything (its local state, or
@@ -68,28 +74,23 @@ pub(crate) trait CarryAlgebra<T: Element>: Sync {
     /// [`Solved::kernel`] reports.
     fn base_stats(&self) -> RunStats;
 
-    /// Whether chunks have a FIR map stage (only then is it timed).
-    fn has_fir(&self) -> bool {
-        false
-    }
-
-    /// The inputs each chunk's in-place FIR reads from across its left
+    /// The raw inputs each chunk's map reads from across its left
     /// boundary, captured before any chunk is mapped (entry `c - 1`
-    /// belongs to chunk `c`; empty when no FIR reaches back).
+    /// belongs to chunk `c`; empty when no map reaches back).
     fn stash(&self, _data: &[T]) -> Vec<Vec<T>> {
         Vec::new()
     }
 
-    /// The FIR map of chunk `c`, in place.
-    fn fir(&self, _chunk: &mut [T], _c: usize, _stash: &[Vec<T>]) {}
-
-    /// Solves chunk `c` in place — from zero history (`history: None`,
-    /// the decoupled local solve) or, for a fused chunk, from its real
-    /// history — polling `keep_going` between slices.
+    /// Maps (where the family has a map stage) and solves chunk `c` in
+    /// place — from zero history (`history: None`, the decoupled local
+    /// solve) or, for a fused chunk, from its real history — polling
+    /// `keep_going` between slices. `prev_raw` is the chunk's
+    /// [`stash`](Self::stash) entry (empty for chunk 0 or without one).
     fn solve(
         &self,
         c: usize,
         chunk: &mut [T],
+        prev_raw: &[T],
         history: Option<&[T]>,
         keep_going: &mut dyn FnMut() -> bool,
     ) -> Solved<T>;
@@ -112,10 +113,11 @@ pub(crate) trait CarryAlgebra<T: Element>: Sync {
         false
     }
 
-    /// Whether a FIR-mapped chunk may skip its local solve. Sound only
-    /// because the algebra solves an all-zero chunk to the zero state
-    /// (`solve(0) == 0`); never asked of fused chunks.
-    fn is_skippable(&self, _chunk: &[T]) -> bool {
+    /// Whether a raw chunk may skip its map and local solve, given the
+    /// raw inputs its map reads before it (`prev_raw`). Sound only
+    /// because the algebra maps and solves all-zero inputs to the zero
+    /// state (`solve(0) == 0`); never asked of fused chunks.
+    fn is_skippable(&self, _chunk: &[T], _prev_raw: &[T]) -> bool {
         false
     }
 
@@ -347,6 +349,13 @@ impl<'a, T: Element, A: CarryAlgebra<T>> Run<'a, T, A> {
         self.m.min(self.n - c * self.m)
     }
 
+    /// The raw inputs chunk `c`'s map reads before it.
+    fn prev_raw(&self, c: usize) -> &[T] {
+        c.checked_sub(1)
+            .and_then(|p| self.stash.get(p))
+            .map_or(&[], Vec::as_slice)
+    }
+
     /// Chunk `c`'s global state from its predecessor's and its own local
     /// state. Every path derives it this way — a look-back walk or a
     /// chunk publishing its own — so float runs agree bit for bit
@@ -376,8 +385,8 @@ impl<'a, T: Element, A: CarryAlgebra<T>> Run<'a, T, A> {
         Some(state)
     }
 
-    /// What the pipeline does to a claimed chunk first: FIR, the
-    /// `Solve` fault site, the sparse skip or the solve itself, and the
+    /// What the pipeline does to a claimed chunk first: the `Solve`
+    /// fault site, the sparse skip or the map and solve, and the
     /// finiteness check of the state the chunk publishes. `None`: stop
     /// this worker (the solve was interrupted, or the check failed).
     fn settle(
@@ -390,18 +399,16 @@ impl<'a, T: Element, A: CarryAlgebra<T>> Run<'a, T, A> {
         tally: &mut RunStats,
     ) -> Option<Vec<T>> {
         let alg = self.alg;
-        if alg.has_fir() {
-            timed(&mut tally.fir_nanos, || alg.fir(chunk, c, &self.stash));
-        }
+        let prev_raw = self.prev_raw(c);
         #[cfg(feature = "fault-inject")]
         crate::fault::check(crate::fault::FaultSite::Solve, _worker, c, Some(abort));
-        let state = if history.is_none() && alg.is_skippable(chunk) {
+        let state = if history.is_none() && alg.is_skippable(chunk, prev_raw) {
             tally.skipped_chunks += 1;
             alg.local_state(c, chunk)
         } else {
             // Time-sliced, so a cancel or deadline lands mid-chunk.
             let solved = timed(&mut tally.solve_nanos, || {
-                alg.solve(c, chunk, history, &mut || !abort.is_aborted())
+                alg.solve(c, chunk, prev_raw, history, &mut || !abort.is_aborted())
             });
             tally.solve_slices += solved.slices;
             tally.kernel = fold_kernel(tally.kernel, solved.kernel);
@@ -780,7 +787,8 @@ mod tests {
 
     /// Checks, for every chunk of `input` under `alg` (chunk size `m`,
     /// order `k`):
-    /// 1. an all-zero chunk solves to an all-zero chunk and zero state;
+    /// 1. an all-zero chunk with no raw inputs before it maps and solves
+    ///    to an all-zero chunk and zero state;
     /// 2. fixing a zero predecessor state forward returns the chunk's
     ///    local state unchanged;
     /// 3. resolving a chunk by look-back from any admissible published
@@ -797,11 +805,16 @@ mod tests {
         for c in 0..run.num_chunks {
             let len = run.len(c);
             let chunk = &mut data[c * m..c * m + len];
-            alg.fir(chunk, c, &run.stash);
-            let local = alg.solve(c, chunk, None, &mut || true).state.unwrap();
+            let local = alg
+                .solve(c, chunk, run.prev_raw(c), None, &mut || true)
+                .state
+                .unwrap();
 
             let mut zeros = vec![0i64; len];
-            let zero_state = alg.solve(c, &mut zeros, None, &mut || true).state.unwrap();
+            let zero_state = alg
+                .solve(c, &mut zeros, &[], None, &mut || true)
+                .state
+                .unwrap();
             prop_assert!(zeros.iter().all(|&v| v == 0), "chunk {c}: solve(0) != 0");
             prop_assert!(zero_state.iter().all(|&v| v == 0), "chunk {c}: state");
             prop_assert_eq!(alg.local_state(c, &zeros), zero_state, "chunk {}", c);

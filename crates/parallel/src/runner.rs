@@ -5,21 +5,21 @@
 //! reproduction environment actually has — CPU threads. [`ParallelRunner`]
 //! is a thin constructor over the crate's one chunk pipeline (the private
 //! `pipeline` module), whose carry algebra here is the [`CorrectionPlan`]:
-//! workers claim chunks in order from an atomic ticket counter, apply the
-//! FIR map *in place* (cross-boundary inputs are stashed up front), solve
-//! their chunk locally, publish its `k` local carries, derive the
-//! predecessor's *global* carries by variable look-back with `O(k²)`
-//! n-nacci fix-ups, correct the chunk with the precomputed factors, and
-//! publish their own global carries. A decay-truncated plan whose
-//! correction cannot reach a chunk's own carries resets the look-back
-//! chain there. The same pipeline, over other algebras, runs
-//! [`SegmentedRunner`](crate::SegmentedRunner) and
+//! workers claim chunks in order from an atomic ticket counter, map and
+//! solve their chunk locally — one pass where the plan fuses the FIR map
+//! into the SIMD solve ([`CorrectionPlan::map_solve_sliced`];
+//! cross-boundary raw inputs are stashed up front) — publish its `k`
+//! local carries, derive the predecessor's *global* carries by variable
+//! look-back with `O(k²)` n-nacci fix-ups, correct the chunk with the
+//! precomputed factors, and publish their own global carries. A
+//! decay-truncated plan whose correction cannot reach a chunk's own
+//! carries resets the look-back chain there. The same pipeline, over
+//! other algebras, runs [`SegmentedRunner`](crate::SegmentedRunner) and
 //! [`VaryingRunner`](crate::VaryingRunner).
 
 use crate::pipeline::{runner_methods, CarryAlgebra, Pipeline, Solved};
 use crate::pool::{CancelToken, WorkerPool};
 use crate::stats::RunStats;
-use plr_core::blocked::fir_in_place;
 use plr_core::element::Element;
 use plr_core::error::EngineError;
 use plr_core::kernel::KernelKind;
@@ -175,17 +175,13 @@ impl<T: Element> CarryAlgebra<T> for CorrectionPlan<T> {
         }
     }
 
-    fn has_fir(&self) -> bool {
-        !self.signature().is_pure_feedback()
-    }
-
     /// The `p - 1` original inputs before each chunk start (fewer near
     /// the front of the data): by the time a worker maps across its left
     /// boundary, the owner of that data may already have overwritten it.
     /// A one-tap FIR never reads across a boundary.
     fn stash(&self, data: &[T]) -> Vec<Vec<T>> {
         let p = self.fir().len();
-        if !CarryAlgebra::has_fir(self) || p <= 1 {
+        if self.signature().is_pure_feedback() || p <= 1 {
             return Vec::new();
         }
         let m = self.chunk_size();
@@ -194,23 +190,17 @@ impl<T: Element> CarryAlgebra<T> for CorrectionPlan<T> {
             .collect()
     }
 
-    fn fir(&self, chunk: &mut [T], c: usize, stash: &[Vec<T>]) {
-        let prev: &[T] = if c == 0 || stash.is_empty() {
-            &[]
-        } else {
-            &stash[c - 1]
-        };
-        fir_in_place(self.fir(), prev, c * self.chunk_size(), chunk);
-    }
-
+    /// One pass where the plan fuses the map into the solve, two
+    /// otherwise ([`CorrectionPlan::map_solve_sliced`]).
     fn solve(
         &self,
         c: usize,
         chunk: &mut [T],
+        prev_raw: &[T],
         _history: Option<&[T]>,
         keep_going: &mut dyn FnMut() -> bool,
     ) -> Solved<T> {
-        let solved = self.solve().solve_in_place_sliced(chunk, keep_going);
+        let solved = self.map_solve_sliced(chunk, prev_raw, keep_going);
         Solved {
             slices: solved.slices,
             state: solved.completed.then(|| self.local_state(c, chunk)),
@@ -238,6 +228,7 @@ impl<T: Element> CarryAlgebra<T> for CorrectionPlan<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plr_core::blocked::fir_in_place;
     use plr_core::serial;
     use plr_core::validate::validate;
 
@@ -507,8 +498,8 @@ mod tests {
         )
         .unwrap();
         let stats = runner.run_in_place(&mut input).unwrap();
-        assert!(stats.solve_nanos > 0, "local solve must be timed");
-        assert!(stats.fir_nanos > 0, "FIR stage must be timed");
+        assert!(stats.solve_nanos > 0, "map and local solve must be timed");
+        assert_eq!(stats.fir_nanos, 0, "the map's time is inside the solve's");
         assert!(stats.correct_nanos > 0, "correction must be timed");
         assert!(
             stats.busy_nanos() >= stats.solve_nanos,

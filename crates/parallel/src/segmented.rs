@@ -13,10 +13,11 @@
 //! run the ordinary pipeline, with the one twist that a correction is
 //! clipped at the first in-chunk boundary.
 //!
-//! The sparse fast path rides the same classification: a chunk whose
-//! post-FIR input is entirely zero solves to zero bit-exactly, so its
-//! local solve is skipped outright — the correction pass *is* its output,
-//! and its global carries reduce to the factor-table fix-up (a
+//! The sparse fast path rides the same classification: a chunk whose raw
+//! input, and the stashed raw inputs its map reads across its left
+//! boundary, are entirely zero maps and solves to zero bit-exactly, so
+//! its local solve is skipped outright — the correction pass *is* its
+//! output, and its global carries reduce to the factor-table fix-up (a
 //! companion-power multiply) of zero locals. `RunStats` reports both
 //! classifications (`reset_chunks`, `skipped_chunks`).
 //!
@@ -139,26 +140,19 @@ impl<T: Element> CarryAlgebra<T> for SegmentedPlan<T> {
         }
     }
 
-    fn has_fir(&self) -> bool {
-        !self.is_pure_feedback()
-    }
-
     fn stash(&self, data: &[T]) -> Vec<Vec<T>> {
         self.stash_boundaries(data)
-    }
-
-    fn fir(&self, chunk: &mut [T], c: usize, stash: &[Vec<T>]) {
-        self.fir_chunk(chunk, c, stash);
     }
 
     fn solve(
         &self,
         c: usize,
         chunk: &mut [T],
+        prev_raw: &[T],
         _history: Option<&[T]>,
         keep_going: &mut dyn FnMut() -> bool,
     ) -> Solved<T> {
-        let solved = self.solve_chunk(chunk, c, keep_going);
+        let solved = self.map_solve_chunk(chunk, c, prev_raw, keep_going);
         Solved {
             slices: solved.slices,
             state: solved.completed.then(|| self.local_state(c, chunk)),
@@ -190,8 +184,10 @@ impl<T: Element> CarryAlgebra<T> for SegmentedPlan<T> {
         self.map().has_resets(c)
     }
 
-    fn is_skippable(&self, chunk: &[T]) -> bool {
-        self.sparse() && all_zero(chunk)
+    /// The map reads the raw chunk and its stash: a chunk is zero after
+    /// it only when both are, so a nonzero stash keeps a zero chunk.
+    fn is_skippable(&self, chunk: &[T], prev_raw: &[T]) -> bool {
+        self.sparse() && all_zero(prev_raw) && all_zero(chunk)
     }
 
     fn carries_reset(&self, len: usize) -> bool {

@@ -75,11 +75,15 @@ pub struct RunStats {
     /// this time. (Approximate when several runners share one pool
     /// concurrently.)
     pub workers_recovered: u64,
-    /// Wall time spent in the FIR map stage, summed across workers
-    /// (nanoseconds; zero for pure-feedback signatures).
+    /// Wall time spent in a separate FIR map stage, summed across workers
+    /// (nanoseconds). The runners and row tasks map each chunk or row
+    /// inside its solve — one fused pass where the plan fuses them
+    /// (`CorrectionPlan::map_solve_sliced`) — so the map's time is in
+    /// [`solve_nanos`](RunStats::solve_nanos) and this reads 0. The field
+    /// stays for readers of the per-phase split that predates the fusion.
     pub fir_nanos: u64,
-    /// Wall time spent in per-chunk local solves, summed across workers
-    /// (nanoseconds).
+    /// Wall time spent in per-chunk local solves, the FIR map included,
+    /// summed across workers (nanoseconds).
     pub solve_nanos: u64,
     /// Wall time spent resolving global carries by look-back — the walks
     /// and their spin waits — summed across workers (nanoseconds).

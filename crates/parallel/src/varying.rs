@@ -156,6 +156,7 @@ impl<T: Element> CarryAlgebra<T> for VaryingPlan<T> {
         &self,
         c: usize,
         chunk: &mut [T],
+        _prev_raw: &[T],
         history: Option<&[T]>,
         keep_going: &mut dyn FnMut() -> bool,
     ) -> Solved<T> {
