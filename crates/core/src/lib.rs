@@ -66,6 +66,8 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// `unsafe` lives in `simd` alone: the vector kernels and their prefetch.
+#![deny(unsafe_code)]
 
 pub mod analysis;
 pub mod anticausal;
@@ -87,6 +89,7 @@ pub mod response;
 pub mod segmented;
 pub mod serial;
 pub mod signature;
+#[allow(unsafe_code)]
 pub mod simd;
 pub mod stability;
 pub mod stream;

@@ -5,6 +5,7 @@
 use crate::element::Element;
 use crate::filters;
 use crate::signature::Signature;
+use crate::simd::{prefetch_ahead, LINE_BYTES};
 
 /// The standard prefix sum `(1 : 1)`.
 ///
@@ -255,14 +256,20 @@ fn levels<T: Element, const Q: usize>(history: &[T]) -> [T; Q] {
     level
 }
 
+/// Walks `data` one cache line at a time, prefetching ahead of each
+/// line: the cascade streams a whole chunk from memory.
 fn cascade_solve<T: Element, const Q: usize>(mut level: [T; Q], data: &mut [T]) {
-    for v in data.iter_mut() {
-        let mut x = *v;
-        for s in level.iter_mut() {
-            *s = s.add(x);
-            x = *s;
+    let per_line = (LINE_BYTES / std::mem::size_of::<T>()).max(1);
+    for line in data.chunks_mut(per_line) {
+        prefetch_ahead(line.as_ptr(), LINE_BYTES);
+        for v in line {
+            let mut x = *v;
+            for s in level.iter_mut() {
+                *s = s.add(x);
+                x = *s;
+            }
+            *v = x;
         }
-        *v = x;
     }
 }
 

@@ -33,6 +33,7 @@ use crate::nacci::{carries_of, CorrectionTable};
 use crate::plan::{CorrectionPlan, PlanRequest};
 use crate::serial;
 use crate::signature::Signature;
+use crate::simd::prefetch_ahead;
 
 /// Segment boundaries: sorted start indices (index 0 is implicit for any
 /// non-empty input; an *empty* boundary set — only produced by
@@ -440,9 +441,11 @@ fn pieces<T>(
 /// predicate; short-circuits on the first nonzero).
 pub fn all_zero<T: Element>(chunk: &[T]) -> bool {
     // Branch-free within each block so the scan vectorizes; the block
-    // granularity keeps the early exit for clearly-nonzero chunks.
+    // granularity keeps the early exit for clearly-nonzero chunks. The
+    // scan streams the chunk from memory, so it prefetches ahead.
     let mut blocks = chunk.chunks_exact(64);
     for block in &mut blocks {
+        prefetch_ahead(block.as_ptr(), std::mem::size_of_val(block));
         let mut nonzero = false;
         for x in block {
             nonzero |= !x.is_zero();

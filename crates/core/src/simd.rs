@@ -36,6 +36,15 @@
 //! * **correction apply** — the dense / truncated-tail
 //!   `chunk[i] += list[i]·carry` folds from [`crate::plan`].
 //!
+//! The passes that stream a chunk from memory prefetch a fixed distance
+//! ahead of their reads, one hint per cache line: the local solve and
+//! map + solve here, the add-only cascade
+//! ([`CascadeKernel`](crate::prefix::CascadeKernel)) and the segmented
+//! zero scan ([`all_zero`](crate::segmented::all_zero)). The correction
+//! folds (over a chunk just solved, so in cache), the steady-state map
+//! and the forced `scalar` / `blocked` tiers do not. A prefetch moves no
+//! arithmetic, so the output bits are the same either way.
+//!
 //! Each builtin element type has exactly one vector ISA, its
 //! [`best_isa`]: AVX2+FMA for `f32`, `f64` and `i32`, and AVX-512VL+DQ
 //! for `i64`, whose kernels need the native 64-bit lane multiply
@@ -67,6 +76,35 @@ pub const MAX_FIR_TAPS: usize = 4;
 
 /// Raw inputs a map + solve carries across a block boundary (`p − 1`).
 const MAX_CROSS: usize = MAX_FIR_TAPS - 1;
+
+/// How far ahead of its reads a streaming pass prefetches, in bytes
+/// (chosen by a sweep of 1–16 KiB on the ledger's lowpass and psum2).
+pub(crate) const PREFETCH_BYTES: usize = 4096;
+
+/// The cache-line size the prefetch steps by.
+pub(crate) const LINE_BYTES: usize = 64;
+
+/// Asks for the lines [`PREFETCH_BYTES`] past the `bytes` bytes starting
+/// at `at`, one prefetch per [`LINE_BYTES`]: the software prefetch of
+/// the passes that stream a chunk from memory, so its loads are in
+/// flight while the arithmetic on earlier lines runs. A hint only: the
+/// address is formed with `wrapping_add` and may lie past the slice, or
+/// past any allocation, and nothing is read. A no-op off x86-64.
+#[inline(always)]
+pub(crate) fn prefetch_ahead<T>(at: *const T, bytes: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let ahead = at.cast::<i8>().wrapping_add(PREFETCH_BYTES);
+        for line in (0..bytes).step_by(LINE_BYTES) {
+            // SAFETY: SSE is in the x86-64 baseline, and a prefetch does
+            // not dereference its address or fault on an unmapped one.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(line)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (at, bytes);
+}
 
 /// The vector instruction set an explicit kernel runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -554,7 +592,7 @@ mod x86 {
     //! the runtime-detection guards in the parent module.
     #![allow(unsafe_op_in_unsafe_fn)]
 
-    use super::BLOCK;
+    use super::{prefetch_ahead, BLOCK};
     use core::arch::x86_64::*;
 
     /// AVX-512VL+DQ native wrapping 64-bit lane multiply.
@@ -658,6 +696,7 @@ mod x86 {
                 let mut top = $loadu(seed.as_ptr());
                 for b in 0..nblocks {
                     let ptr = data.as_mut_ptr().add(b * BLOCK);
+                    prefetch_ahead(ptr, BLOCK * size_of::<$elem>());
                     let mut acc = [$zero(); V];
                     for s in (0..NP).rev() {
                         let t = $set1(prev[s]);
@@ -743,6 +782,7 @@ mod x86 {
                 let mut top = _mm256_loadu_si256(seed.as_ptr() as *const __m256i);
                 for b in 0..nblocks {
                     let ptr = data.as_mut_ptr().add(b * BLOCK);
+                    prefetch_ahead(ptr, BLOCK * size_of::<$elem>());
                     let mut acc = [_mm256_setzero_si256(); V];
                     for s in (0..NP).rev() {
                         let t = $set1(prev[s]);

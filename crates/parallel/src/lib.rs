@@ -146,12 +146,16 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// `unsafe` lives in `pool` and in one block of `pipeline` (a chunk's
+// slice from its unique ticket).
+#![deny(unsafe_code)]
 
 pub mod batch;
 mod drain;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 mod pipeline;
+#[allow(unsafe_code)]
 pub mod pool;
 pub mod runner;
 pub mod segmented;

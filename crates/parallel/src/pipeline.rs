@@ -592,6 +592,7 @@ pub(crate) fn for_each_chunk<T: Element>(
                 // SAFETY: tickets are unique, so chunk `c` is exclusively
                 // ours; `data` outlives `run_sized`, which blocks until
                 // every worker finishes, even when one of them panics.
+                #[allow(unsafe_code)]
                 let chunk = unsafe {
                     std::slice::from_raw_parts_mut(base.ptr().add(c * m), m.min(n - c * m))
                 };

@@ -44,6 +44,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub use plr_baselines as baselines;
 pub use plr_codegen as codegen;
