@@ -2,10 +2,17 @@
 //! speedup of the chunked decoupled-look-back algorithm over the serial
 //! loop, across thread counts, recurrence types, and correction-plan
 //! modes. This is the reproduction's genuine (non-modelled) parallel
-//! measurement. `PLR_BENCH_QUICK=1` shrinks every group to 1M elements
-//! with few samples — the CI smoke mode.
+//! measurement. Every runner row times `ParallelRunner::run_in_place`
+//! on one buffer that `iter_batched` refreshes from the input outside
+//! the timed region, as the ledger does, so a row holds neither an
+//! output allocation nor the first touch of its fresh pages; the
+//! `serial` rows stay the allocating reference loop.
+//! `PLR_BENCH_QUICK=1` shrinks every group to 1M elements with few
+//! samples — the CI smoke mode.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
+use criterion::{
+    criterion_group, criterion_main, BatchSize, Bencher, BenchmarkId, Criterion, Throughput,
+};
 use plr_core::plan::PlanMode;
 use plr_core::serial;
 use plr_core::signature::Signature;
@@ -27,9 +34,25 @@ fn float_input(n: usize) -> Vec<f32> {
     (0..n).map(|i| ((i % 17) as f32) * 0.25 - 2.0).collect()
 }
 
+/// Times `solve` on `buf`, refreshed from `data` before each iteration
+/// outside the timed region.
+fn time_in_place<T: Copy, R>(
+    b: &mut Bencher,
+    buf: &RefCell<Vec<T>>,
+    data: &[T],
+    mut solve: impl FnMut(&mut [T]) -> R,
+) {
+    b.iter_batched(
+        || buf.borrow_mut().copy_from_slice(data),
+        |()| solve(black_box(&mut buf.borrow_mut())),
+        BatchSize::LargeInput,
+    );
+}
+
 fn bench_speedup_int(c: &mut Criterion) {
     let n = if quick() { 1 << 20 } else { 1 << 23 };
     let data = int_input(n);
+    let buf = RefCell::new(data.clone());
     let mut g = c.benchmark_group(format!("parallel_order2_{}M", n >> 20));
     g.throughput(Throughput::Elements(n as u64));
     g.sample_size(if quick() { 10 } else { 15 });
@@ -49,17 +72,13 @@ fn bench_speedup_int(c: &mut Criterion) {
         )
         .unwrap();
         g.bench_function(BenchmarkId::new("plr", threads), |b| {
-            b.iter(|| runner.run(black_box(&data)).unwrap());
+            time_in_place(b, &buf, &data, |d| runner.run_in_place(d).unwrap());
         });
     }
     g.finish();
 }
 
-/// The lowpass pipeline on its own: each `plr` row times
-/// `ParallelRunner::run_in_place` on one buffer that `iter_batched`
-/// refreshes from the input outside the timed region, as the ledger
-/// does, so the row holds no output allocation. `serial` stays the
-/// allocating reference loop.
+/// The lowpass pipeline on its own.
 fn bench_speedup_filter(c: &mut Criterion) {
     let n = if quick() { 1 << 20 } else { 1 << 23 };
     let data = float_input(n);
@@ -83,15 +102,7 @@ fn bench_speedup_filter(c: &mut Criterion) {
         )
         .unwrap();
         g.bench_function(BenchmarkId::new("plr", threads), |b| {
-            b.iter_batched(
-                || buf.borrow_mut().copy_from_slice(&data),
-                |()| {
-                    runner
-                        .run_in_place(black_box(&mut buf.borrow_mut()))
-                        .unwrap()
-                },
-                BatchSize::LargeInput,
-            );
+            time_in_place(b, &buf, &data, |d| runner.run_in_place(d).unwrap());
         });
     }
     g.finish();
@@ -101,6 +112,7 @@ fn bench_prefix_sum(c: &mut Criterion) {
     // 16M full / 1M quick: bandwidth-bound on a CPU too.
     let n = if quick() { 1 << 20 } else { 1 << 24 };
     let data = int_input(n);
+    let buf = RefCell::new(data.clone());
     let mut g = c.benchmark_group(format!("parallel_prefix_sum_{}M", n >> 20));
     g.throughput(Throughput::Elements(n as u64));
     g.sample_size(if quick() { 10 } else { 15 });
@@ -118,7 +130,7 @@ fn bench_prefix_sum(c: &mut Criterion) {
     )
     .unwrap();
     g.bench_function("plr_all_cores", |b| {
-        b.iter(|| runner.run(black_box(&data)).unwrap());
+        time_in_place(b, &buf, &data, |d| runner.run_in_place(d).unwrap());
     });
     g.finish();
 }
@@ -133,6 +145,7 @@ fn bench_plan_modes(c: &mut Criterion) {
     // layer's whole contribution.
     let n = if quick() { 1 << 20 } else { 1 << 23 };
     let data = float_input(n);
+    let buf = RefCell::new(data.clone());
     let mut g = c.benchmark_group(format!("plan_stable_iir_{}M", n >> 20));
     g.throughput(Throughput::Elements(n as u64));
     g.sample_size(if quick() { 10 } else { 15 });
@@ -157,7 +170,7 @@ fn bench_plan_modes(c: &mut Criterion) {
             )
             .unwrap();
             g.bench_function(BenchmarkId::new(name, chunk), |b| {
-                b.iter(|| runner.run(black_box(&data)).unwrap());
+                time_in_place(b, &buf, &data, |d| runner.run_in_place(d).unwrap());
             });
         }
     }

@@ -10,11 +10,16 @@
 //! * **order-2 adaptive filter** (per-element biquad feedback) — f64;
 //! * **the order-1 kernel on its own** (`varying_kernel_order1`): one
 //!   f32 chunk's local solve, `VaryingPlan::solve_chunk(c, None, …)`,
-//!   on the slow-decay gates at chunk lengths from 2 Ki to 64 Ki. `chain`
+//!   at chunk lengths from 2 Ki to 64 Ki, on three gate regimes: the
+//!   ledger's `[0.5, 0.99)` (decay point near 280 elements), `[0.9,
+//!   0.99)` (near 1.5 Ki) and `[0.99, 0.999)` (near 16 Ki). `chain`
 //!   builds the plan under a forced `scalar` tier, so every chunk runs
 //!   the dependent chain; `auto` is the default dispatch, which solves
-//!   chunks of at least `MIN_LANE_CHUNK` elements in lanes. This group
-//!   sets `MIN_LANE_CHUNK`.
+//!   chunks of at least `MIN_LANE_CHUNK` elements in lanes, 4 or 16 by
+//!   the plan's lane rule. `lanes4` and `lanes16` time the same chunk's
+//!   lane solve at a fixed lane count (`solve_lanes_ungated`; `lanes16`
+//!   on AVX-512F only), whatever the rule picks. This group sets
+//!   `MIN_LANE_CHUNK` and the lane rule's threshold.
 //! * **one selective-scan request, set-up included**
 //!   (`varying_request_512k`): the `ssm_f32_512ki` ledger workload's
 //!   request — 512 Ki f32 on the slow-decay gates, 64 Ki chunks — at 1
@@ -27,8 +32,11 @@
 //! The baseline is the *naive* varying evaluator
 //! ([`plr_core::varying::reference`]): the straightforward
 //! bounds-checked tap loop anyone would write first. The parallel rows
-//! measure [`VaryingRunner`] at 1/2/4 workers; runner construction (its
-//! row classification and kernel dedupe) happens once outside the timed
+//! measure [`VaryingRunner::run_in_place`] at 1/2/4 workers on one
+//! buffer that `iter_batched` refreshes from the input outside the
+//! timed region, so a row holds neither an output allocation nor the
+//! first touch of its fresh pages; runner construction (its row
+//! classification and kernel dedupe) happens once outside the timed
 //! loop, and each chunk's plan work (its transition) runs on the
 //! runner's first run, in the warm-up, mirroring the constant-coefficient
 //! benches where runner construction is likewise excluded.
@@ -36,7 +44,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use plr_core::element::Element;
-use plr_core::varying::{reference, VaryingPlan, VaryingSignature};
+use plr_core::varying::{reference, solve_lanes_ungated, VaryingPlan, VaryingSignature};
 use plr_core::{set_kernel_override, KernelTier};
 use plr_parallel::{RunnerConfig, VaryingRunner};
 use std::cell::RefCell;
@@ -64,13 +72,18 @@ fn gates_f32(n: usize) -> Vec<f32> {
 /// workload's regime: each chunk's transition product underflows within a
 /// few hundred elements, where the plan truncates the correction.
 fn slow_decay_gates_f32(n: usize) -> Vec<f32> {
+    gates_from_f32(n, 0.5, 0.49)
+}
+
+/// Deterministic gates in `[lo, lo + span)`.
+fn gates_from_f32(n: usize, lo: f32, span: f32) -> Vec<f32> {
     let mut s = 0x853c49e6748fea9bu64;
     (0..n)
         .map(|_| {
             s ^= s << 13;
             s ^= s >> 7;
             s ^= s << 17;
-            0.5 + 0.49 * ((s >> 40) as f32 / (1u64 << 24) as f32)
+            lo + span * ((s >> 40) as f32 / (1u64 << 24) as f32)
         })
         .collect()
 }
@@ -102,8 +115,10 @@ fn input_f64(n: usize) -> Vec<f64> {
 }
 
 /// One group: the naive serial evaluator, then the matrix-carry runner
-/// at 1/2/4 workers with 64 Ki-element chunks.
+/// at 1/2/4 workers with 64 Ki-element chunks, solving a refreshed
+/// buffer in place.
 fn runner_group<T: Element>(c: &mut Criterion, name: &str, sig: VaryingSignature<T>, data: &[T]) {
+    let buf = RefCell::new(data.to_vec());
     let mut g = c.benchmark_group(name);
     g.throughput(Throughput::Elements(data.len() as u64));
     g.sample_size(if quick() { 10 } else { 20 });
@@ -121,7 +136,15 @@ fn runner_group<T: Element>(c: &mut Criterion, name: &str, sig: VaryingSignature
         )
         .unwrap();
         g.bench_function(BenchmarkId::new("plr", threads), |b| {
-            b.iter(|| runner.run(black_box(data)).unwrap());
+            b.iter_batched(
+                || buf.borrow_mut().copy_from_slice(data),
+                |()| {
+                    runner
+                        .run_in_place(black_box(&mut buf.borrow_mut()))
+                        .unwrap()
+                },
+                BatchSize::LargeInput,
+            );
         });
     }
     g.finish();
@@ -150,10 +173,12 @@ fn bench_adaptive_filter(c: &mut Criterion) {
     runner_group(c, &name, sig, &input_f64(n));
 }
 
-/// The ladder's kernel rung: one f32 chunk's local solve, chain against
-/// `auto`, at several chunk lengths. Chunk 1 of a two-chunk plan is
-/// timed, so the plan truncates it as it would in a run; the input is
-/// copied afresh, outside the timing, for every iteration.
+/// The ladder's kernel rung: one f32 chunk's local solve at several
+/// chunk lengths and gate regimes. Chunk 1 of a two-chunk plan is timed,
+/// so the plan truncates it as it would in a run; the input is copied
+/// afresh, outside the timing, for every iteration. `chain` and `auto`
+/// solve through the plan; `lanes4` and `lanes16` run the lane solve on
+/// the chunk's gates at a fixed lane count.
 fn bench_kernel(c: &mut Criterion) {
     let mut g = c.benchmark_group("varying_kernel_order1");
     g.sample_size(if quick() { 10 } else { 40 });
@@ -162,24 +187,60 @@ fn bench_kernel(c: &mut Criterion) {
     } else {
         &[1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 16]
     };
-    for &len in lens {
-        let sig = VaryingSignature::first_order(slow_decay_gates_f32(2 * len)).unwrap();
-        let input = input_f32(len);
-        g.throughput(Throughput::Elements(len as u64));
-        for (name, tier) in [("chain", KernelTier::Scalar), ("auto", KernelTier::Auto)] {
-            set_kernel_override(Some(tier));
-            let plan = VaryingPlan::build(sig.clone(), len).unwrap();
-            set_kernel_override(None);
-            g.bench_function(BenchmarkId::new(name, format!("{}k", len >> 10)), |b| {
-                b.iter_batched(
-                    || input.clone(),
-                    |mut chunk| {
-                        plan.solve_chunk(1, None, &mut chunk, &mut || true);
-                        chunk
-                    },
-                    BatchSize::LargeInput,
-                );
-            });
+    let regimes = [
+        ("g0.5-0.99", 0.5f32, 0.49f32),
+        ("g0.9-0.99", 0.9, 0.09),
+        ("g0.99-0.999", 0.99, 0.009),
+    ];
+    for (regime, lo, span) in regimes {
+        for &len in lens {
+            let gates = gates_from_f32(2 * len, lo, span);
+            let sig = VaryingSignature::first_order(gates.clone()).unwrap();
+            let input = input_f32(len);
+            let id = |name: &str| BenchmarkId::new(name, format!("{regime}/{}k", len >> 10));
+            g.throughput(Throughput::Elements(len as u64));
+            for (name, tier) in [("chain", KernelTier::Scalar), ("auto", KernelTier::Auto)] {
+                set_kernel_override(Some(tier));
+                let plan = VaryingPlan::build(sig.clone(), len).unwrap();
+                set_kernel_override(None);
+                g.bench_function(id(name), |b| {
+                    b.iter_batched(
+                        || input.clone(),
+                        |mut chunk| {
+                            plan.solve_chunk(1, None, &mut chunk, &mut || true);
+                            chunk
+                        },
+                        BatchSize::LargeInput,
+                    );
+                });
+            }
+            let chunk_gates = &gates[len..];
+            let lanes = |avx512: bool, chunk: &mut [f32]| {
+                if avx512 {
+                    solve_lanes_ungated::<f32, 16>(true, chunk_gates, None, 0.0, chunk, &mut || {
+                        true
+                    })
+                } else {
+                    solve_lanes_ungated::<f32, 4>(false, chunk_gates, None, 0.0, chunk, &mut || {
+                        true
+                    })
+                }
+            };
+            for (name, avx512) in [("lanes4", false), ("lanes16", true)] {
+                if lanes(avx512, &mut input.clone()).is_none() {
+                    continue;
+                }
+                g.bench_function(id(name), |b| {
+                    b.iter_batched(
+                        || input.clone(),
+                        |mut chunk| {
+                            lanes(avx512, &mut chunk);
+                            chunk
+                        },
+                        BatchSize::LargeInput,
+                    );
+                });
+            }
         }
     }
     g.finish();

@@ -35,6 +35,16 @@
 //!   kernel does not cover).
 //! * **correction apply** — the dense / truncated-tail
 //!   `chunk[i] += list[i]·carry` folds from [`crate::plan`].
+//! * **the varying lane solve at 16 lanes** — the lockstep and the
+//!   fix-ups of [`crate::varying`]'s lane-parallel order-1 solve for
+//!   `f32` on AVX-512F, one chain per lane of a 512-bit register: each
+//!   step of 16 loads one 16-element row from each of the 16 sub-blocks,
+//!   transposes the tile in registers (`unpacklo/hi_ps`,
+//!   `unpacklo/hi_pd`, `shuffle_f32x4`), advances all 16 chains with one
+//!   multiply and one add (no FMA), and transposes back. Its bits are the
+//!   portable loops' at 16 lanes
+//!   ([`solve_lanes_ungated`](crate::varying::solve_lanes_ungated)
+//!   reaches both).
 //!
 //! The passes that stream a chunk from memory prefetch a fixed distance
 //! ahead of their reads, one hint per cache line: the local solve and
@@ -45,15 +55,19 @@
 //! and the forced `scalar` / `blocked` tiers do not. A prefetch moves no
 //! arithmetic, so the output bits are the same either way.
 //!
-//! Each builtin element type has exactly one vector ISA, its
-//! [`best_isa`]: AVX2+FMA for `f32`, `f64` and `i32`, and AVX-512VL+DQ
-//! for `i64`, whose kernels need the native 64-bit lane multiply
-//! (`_mm256_mullo_epi64`, `vpmullq`) that AVX2 lacks. Integer kernels are
-//! **exact** (wrapping lane arithmetic matches the scalar loops bit for
-//! bit). Float kernels contract multiply-adds with FMA, so they differ
-//! from the scalar reference at the ULP level (same class of
-//! reassociation the blocked kernels already accept). Without the ISA —
-//! on other CPUs and non-x86 targets — the blocked and scalar kernels
+//! Each builtin element type's solve, map and fold kernels have exactly
+//! one vector ISA, its [`best_isa`]: AVX2+FMA for `f32`, `f64` and
+//! `i32`, and AVX-512VL+DQ for `i64`, whose kernels need the native
+//! 64-bit lane multiply (`_mm256_mullo_epi64`, `vpmullq`) that AVX2
+//! lacks. The one exception is the `f32` lane kernel above, which runs
+//! on AVX-512F alone: its 16 chains fill a 512-bit register, while the
+//! constant `f32` kernels stay on AVX2. Integer kernels are **exact**
+//! (wrapping lane arithmetic matches the scalar loops bit for bit).
+//! Float solve, map and fold kernels contract multiply-adds with FMA,
+//! so they differ from the scalar reference at the ULP level (same
+//! class of reassociation the blocked kernels already accept); the lane
+//! kernel does not, and matches its loops bit for bit. Without the ISA
+//! — on other CPUs and non-x86 targets — the blocked and scalar kernels
 //! serve.
 //!
 //! Which tier actually runs is governed by [`crate::kernel`]
@@ -129,6 +143,11 @@ fn have_avx512() -> bool {
         && std::arch::is_x86_feature_detected!("avx512vl")
 }
 
+#[cfg(target_arch = "x86_64")]
+fn have_avx512f() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+}
+
 #[cfg(not(target_arch = "x86_64"))]
 fn have_avx2() -> bool {
     false
@@ -136,6 +155,11 @@ fn have_avx2() -> bool {
 
 #[cfg(not(target_arch = "x86_64"))]
 fn have_avx512() -> bool {
+    false
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn have_avx512f() -> bool {
     false
 }
 
@@ -585,6 +609,104 @@ pub fn axpy_ungated<T: Element>(dst: &mut [T], list: &[T], carry: T) -> bool {
     false
 }
 
+/// How many chains the wide lane kernel advances at once: the `f32`
+/// lanes of one AVX-512 register.
+pub(crate) const WIDE_LANES: usize = 16;
+
+/// Whether the wide lane kernel runs here: `T` is `f32` and the CPU has
+/// AVX-512F. Unlike the solve kernels this needs no AVX2, so it is not
+/// `T`'s [`best_isa`].
+pub(crate) fn wide_lanes<T: Element>() -> bool {
+    is::<T, f32>() && have_avx512f()
+}
+
+/// The lockstep of the varying lane solve
+/// ([`crate::varying`], "Fast paths") at [`WIDE_LANES`] lanes on
+/// AVX-512F. `body` holds the lanes' sub-blocks of `b` elements each,
+/// lane `j`'s at `body[j·b..(j+1)·b]`, with its gates and offsets at the
+/// same indices of `gates` and `offsets`; `s[j]` is lane `j`'s running
+/// value. Every lane's chain advances over `steps` as the scalar
+/// lockstep does, `y = (x + d) + a·s`, one multiply and one add with no
+/// FMA, so the bits are the scalar lockstep's. Returns `false`, touching
+/// nothing, where [`wide_lanes`] is false or the shapes disagree.
+pub(crate) fn lockstep_wide<T: Element>(
+    body: &mut [T],
+    gates: &[T],
+    offsets: Option<&[T]>,
+    b: usize,
+    s: &mut [T],
+    steps: std::ops::Range<usize>,
+) -> bool {
+    let span = WIDE_LANES * b;
+    if !wide_lanes::<T>()
+        || steps.end > b
+        || steps.start > steps.end
+        || body.len() < span
+        || gates.len() < span
+        || offsets.is_some_and(|d| d.len() < span)
+    {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        if let (Some(y), Some(g), Some(s)) = (
+            cast_mut::<T, f32>(body),
+            cast_ref::<T, f32>(gates),
+            cast_mut::<T, f32>(s).and_then(|s| <&mut [f32; WIDE_LANES]>::try_from(s).ok()),
+        ) {
+            let d = offsets.map(|d| cast_ref::<T, f32>(d).expect("offsets are gates' type"));
+            // SAFETY: `wide_lanes` checked AVX-512F, and every lane's
+            // window `j·b + steps` lies inside the `16·b` elements
+            // checked above.
+            unsafe { x86::lockstep_f32_avx512(y, g, d, b, s, steps) };
+            return true;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (body, gates, offsets, s, steps);
+    false
+}
+
+/// The fix-ups of a [`WIDE_LANES`]-lane solve on AVX-512F, bit-identical
+/// to running them one sub-block after another. `data` is the whole
+/// chunk: the lanes' sub-blocks of `b` elements each, solved from zero,
+/// then the elements past them, which continue the last lane's chain.
+/// Each fix-up `v *= a[i]; y[i] += v` starts from its predecessor's last
+/// value and stops where `v` flushes to zero; the last lane's runs on to
+/// the chunk's end.
+///
+/// The in-order rule seeds fix-up `j` with sub-block `j − 1`'s value
+/// after that sub-block's own fix-up, which moved it only if the fix-up
+/// ran to the sub-block's end. So a first pass, over the gates alone,
+/// advances all fifteen fix-ups from the lockstep values at once and
+/// finds where each flushes. If any but the last fails to flush inside
+/// its own sub-block, it returns `false` having written nothing, and the
+/// caller runs the fix-ups in order. Otherwise every seed was final, and
+/// a second pass recomputes the same products and adds each where its
+/// fix-up is still live. Returns `false` too, touching nothing, where
+/// [`wide_lanes`] is false or the shapes disagree.
+pub(crate) fn fixups_wide<T: Element>(data: &mut [T], gates: &[T], b: usize) -> bool {
+    if !wide_lanes::<T>()
+        || b == 0
+        || !b.is_multiple_of(WIDE_LANES)
+        || data.len() < WIDE_LANES * b
+        || gates.len() != data.len()
+    {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        if let (Some(y), Some(g)) = (cast_mut::<T, f32>(data), cast_ref::<T, f32>(gates)) {
+            // SAFETY: `wide_lanes` checked AVX-512F; the sub-blocks are
+            // whole 16-step groups inside `data`, checked above.
+            return unsafe { x86::fixups_f32_avx512(y, g, b) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (data, gates);
+    false
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The `core::arch` kernel bodies. Every function is gated by a
@@ -592,8 +714,209 @@ mod x86 {
     //! the runtime-detection guards in the parent module.
     #![allow(unsafe_op_in_unsafe_fn)]
 
-    use super::{prefetch_ahead, BLOCK};
+    use super::{prefetch_ahead, BLOCK, WIDE_LANES};
     use core::arch::x86_64::*;
+
+    /// Transposes the 16×16 `f32` tile held as 16 row registers in place:
+    /// afterwards `r[k]` holds what was column `k`. Four rounds of
+    /// two-source shuffles: `unpacklo/hi_ps` interleaves row pairs,
+    /// `unpacklo/hi_pd` completes 4×4 transposes inside each 128-bit
+    /// lane, and two rounds of `shuffle_f32x4` move the 128-bit blocks.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have AVX-512F.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn transpose16(r: &mut [__m512; 16]) {
+        let pd = _mm512_castps_pd;
+        let ps = _mm512_castpd_ps;
+        let mut t = [_mm512_setzero_ps(); 16];
+        for i in 0..8 {
+            t[2 * i] = _mm512_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+            t[2 * i + 1] = _mm512_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+        }
+        for i in 0..4 {
+            let (a, b) = (pd(t[4 * i]), pd(t[4 * i + 1]));
+            let (c, d) = (pd(t[4 * i + 2]), pd(t[4 * i + 3]));
+            r[4 * i] = ps(_mm512_unpacklo_pd(a, c));
+            r[4 * i + 1] = ps(_mm512_unpackhi_pd(a, c));
+            r[4 * i + 2] = ps(_mm512_unpacklo_pd(b, d));
+            r[4 * i + 3] = ps(_mm512_unpackhi_pd(b, d));
+        }
+        for i in 0..2 {
+            for q in 0..4 {
+                let (a, b) = (r[8 * i + q], r[8 * i + q + 4]);
+                t[8 * i + q] = _mm512_shuffle_f32x4::<0x88>(a, b);
+                t[8 * i + q + 4] = _mm512_shuffle_f32x4::<0xdd>(a, b);
+            }
+        }
+        for q in 0..8 {
+            r[q] = _mm512_shuffle_f32x4::<0x88>(t[q], t[q + 8]);
+            r[q + 8] = _mm512_shuffle_f32x4::<0xdd>(t[q], t[q + 8]);
+        }
+    }
+
+    /// Loads the 16-element row at step `t` of each of the 16 lanes
+    /// (`b` apart) and transposes them: `r[i]` then holds step `t + i`
+    /// of every lane.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have AVX-512F, and `p + j·b + t + 15` must be in
+    /// bounds of `p`'s allocation for every `j < 16`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn load_steps(p: *const f32, b: usize, t: usize) -> [__m512; 16] {
+        let mut r = [_mm512_setzero_ps(); 16];
+        for (j, row) in r.iter_mut().enumerate() {
+            *row = _mm512_loadu_ps(p.add(j * b + t));
+        }
+        transpose16(&mut r);
+        r
+    }
+
+    /// See [`super::lockstep_wide`]: 16 steps at a time, each lane's
+    /// rows transposed in, advanced with one multiply and one add per
+    /// step, transposed back. A range that is not a multiple of 16 long
+    /// ends in the scalar lockstep's loop.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have AVX-512F; `steps.start <= steps.end <= b`, and
+    /// `body`, `gates` and `offsets` hold at least `16·b` elements.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn lockstep_f32_avx512(
+        body: &mut [f32],
+        gates: &[f32],
+        offsets: Option<&[f32]>,
+        b: usize,
+        s: &mut [f32; WIDE_LANES],
+        steps: std::ops::Range<usize>,
+    ) {
+        const L: usize = WIDE_LANES;
+        let y = body.as_mut_ptr();
+        let mut st = _mm512_loadu_ps(s.as_ptr());
+        let mut t = steps.start;
+        while t + L <= steps.end {
+            let g = load_steps(gates.as_ptr(), b, t);
+            let mut z = [_mm512_setzero_ps(); L];
+            for (j, row) in z.iter_mut().enumerate() {
+                *row = _mm512_loadu_ps(y.add(j * b + t));
+                if let Some(d) = offsets {
+                    *row = _mm512_add_ps(*row, _mm512_loadu_ps(d.as_ptr().add(j * b + t)));
+                }
+            }
+            transpose16(&mut z);
+            for i in 0..L {
+                st = _mm512_add_ps(z[i], _mm512_mul_ps(g[i], st));
+                z[i] = st;
+            }
+            transpose16(&mut z);
+            for (j, row) in z.iter().enumerate() {
+                _mm512_storeu_ps(y.add(j * b + t), *row);
+            }
+            t += L;
+        }
+        _mm512_storeu_ps(s.as_mut_ptr(), st);
+        for i in t..steps.end {
+            for (j, sj) in s.iter_mut().enumerate() {
+                let at = j * b + i;
+                let x = match offsets {
+                    Some(d) => body[at] + d[at],
+                    None => body[at],
+                };
+                *sj = x + gates[at] * *sj;
+                body[at] = *sj;
+            }
+        }
+    }
+
+    /// See [`super::fixups_wide`]. Lane `j` of the vectors is sub-block
+    /// `j`'s fix-up; lane 0 has none (its seed is zero, which flushes at
+    /// once).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have AVX-512F; `b` is a positive multiple of 16, and
+    /// `gates` is as long as `data`, which holds at least `16·b`
+    /// elements.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn fixups_f32_avx512(data: &mut [f32], gates: &[f32], b: usize) -> bool {
+        const L: usize = WIDE_LANES;
+        let mut seeds = [0f32; L];
+        for (j, seed) in seeds.iter_mut().enumerate().skip(1) {
+            *seed = data[j * b - 1];
+        }
+        let seed = _mm512_loadu_ps(seeds.as_ptr());
+        let tiny = _mm512_set1_ps(f32::MIN_POSITIVE);
+        // Pass 1, gates only: the step at which each fix-up flushes, `b`
+        // for one still live at its sub-block's end. A flushed lane is
+        // set to zero, which keeps the later multiplies off denormals
+        // (each costs a microcode assist); `min` keeps its first flush.
+        let never = _mm512_set1_epi32(b as i32);
+        let mut stop = never;
+        let mut v = seed;
+        let mut t = 0;
+        while t < b && _mm512_cmplt_epi32_mask(stop, never) | 1 != !0 {
+            let g = load_steps(gates.as_ptr(), b, t);
+            for (i, gi) in g.iter().enumerate() {
+                v = _mm512_mul_ps(v, *gi);
+                let flushed = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(_mm512_abs_ps(v), tiny);
+                stop =
+                    _mm512_mask_min_epi32(stop, flushed, stop, _mm512_set1_epi32((t + i) as i32));
+                v = _mm512_maskz_mov_ps(!flushed, v);
+            }
+            t += L;
+        }
+        let mut stops = [0i32; L];
+        _mm512_storeu_si512(stops.as_mut_ptr().cast(), stop);
+        let stops = stops.map(|f| f as usize);
+        if stops[1..L - 1].iter().any(|&f| f >= b) {
+            return false;
+        }
+        // Pass 2: the same products, added where each fix-up is live.
+        let end = stops[1..].iter().copied().max().unwrap_or(0);
+        let y = data.as_mut_ptr();
+        let mut v = seed;
+        let mut t = 0;
+        while t < end {
+            let g = load_steps(gates.as_ptr(), b, t);
+            let mut vs = [_mm512_setzero_ps(); L];
+            for (i, (vi, gi)) in vs.iter_mut().zip(&g).enumerate() {
+                // Lanes whose fix-up has stopped multiply nothing (a
+                // masked-off lane takes no assist) and add nothing.
+                let live = _mm512_cmpgt_epi32_mask(stop, _mm512_set1_epi32((t + i) as i32));
+                v = _mm512_maskz_mul_ps(live, v, *gi);
+                *vi = v;
+            }
+            transpose16(&mut vs);
+            for (j, row) in vs.iter().enumerate().skip(1) {
+                let live = stops[j].saturating_sub(t).min(L);
+                if live > 0 {
+                    let mask = (u32::MAX >> (32 - live)) as __mmask16;
+                    let p = y.add(j * b + t);
+                    _mm512_mask_storeu_ps(p, mask, _mm512_add_ps(_mm512_loadu_ps(p), *row));
+                }
+            }
+            t += L;
+        }
+        if stops[L - 1] >= b {
+            // The last fix-up is live past its sub-block: it continues
+            // over the elements past the body, one at a time.
+            let mut fin = [0f32; L];
+            _mm512_storeu_ps(fin.as_mut_ptr(), v);
+            let mut v = fin[L - 1];
+            for (y, &a) in data[L * b..].iter_mut().zip(&gates[L * b..]) {
+                v *= a;
+                if v.abs() < f32::MIN_POSITIVE {
+                    break;
+                }
+                *y += v;
+            }
+        }
+        true
+    }
 
     /// AVX-512VL+DQ native wrapping 64-bit lane multiply.
     #[inline]

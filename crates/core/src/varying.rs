@@ -67,9 +67,13 @@
 //!   truncation rule again, sound because every row of a truncated float
 //!   chunk is non-expansive. Only [`KernelTier::Auto`] picks it (the tier
 //!   in effect at [`VaryingPlan::build`]); the forced `scalar` and
-//!   `blocked` tiers keep the chain as baselines. The choice is made with
-//!   the chunk's truncation, on first use, so it is a function of the
-//!   coefficients, the chunk length and the tier alone.
+//!   `blocked` tiers keep the chain as baselines. An `f32` chunk on a
+//!   CPU with AVX-512F whose decay point is at most half its 16-lane
+//!   sub-block takes 16 lanes instead, one AVX-512 register of chains
+//!   ([`crate::simd`]), with the same bits as these loops at 16 lanes.
+//!   The choice is made with the chunk's truncation, on first use, so it
+//!   is a function of the coefficients, the chunk length, the tier and
+//!   the CPU alone, never of timing or the run's width.
 //! * **Constant chunks**: a chunk whose coefficient rows are all equal is
 //!   a constant-coefficient solve, so [`VaryingPlan::build`] classifies it
 //!   and selects a register-blocked / SIMD [`SolveKernel`] for it directly
@@ -108,29 +112,47 @@
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use crate::blocked::{SolveKernel, MAX_BLOCKED_ORDER, SOLVE_SLICE};
+use crate::blocked::{SlicedSolve, SolveKernel, MAX_BLOCKED_ORDER, SOLVE_SLICE};
 use crate::companion::Matrix;
 use crate::element::Element;
 use crate::engine::{CarryPropagation, EngineConfig, MAX_INPUT_LEN};
 use crate::error::EngineError;
 use crate::kernel::{self, KernelKind, KernelTier};
+use crate::simd::{self, WIDE_LANES};
 
 /// Cap on distinct per-chunk constant-row kernels one plan will build;
 /// chunks beyond it fall back to the scalar varying loop. Real workloads
 /// with constant stretches use one or two distinct rows.
 const MAX_DISTINCT_KERNELS: usize = 16;
 
-/// How many sub-blocks the lane-parallel order-1 solve advances in
-/// lockstep (module docs, "Fast paths"). Four chains reach the
+/// How many sub-blocks the scalar lane-parallel order-1 solve advances
+/// in lockstep (module docs, "Fast paths"). Four chains reach the
 /// multiply-add latency bound; six or eight ran slower on the reference
-/// host (DESIGN §13 has the probe).
+/// host (DESIGN §13 has the probe). An `f32` chunk on AVX-512F may take
+/// 16 lanes instead, one vector register's worth, where its decay point
+/// is short against the 16-lane sub-block ([`VaryingPlan::build`]): on
+/// the ledger's gates at 64 Ki, 0.43 against four lanes' 0.74 ns/elem
+/// (`varying_kernel_order1`, DESIGN §13).
 pub const LANES: usize = 4;
 
-/// The shortest chunk the plan solves in lanes. Shorter chunks leave the
-/// serial tail and the fix-ups a large share of the work; at 2 Ki
-/// elements the lanes still beat the chain (`varying_scan`'s
-/// `varying_kernel_order1` group).
+/// The shortest chunk the plan solves in lanes, at either lane count.
+/// Shorter chunks leave the serial tail and the fix-ups a large share of
+/// the work; at 2 Ki elements the four lanes still beat the chain
+/// (`varying_scan`'s `varying_kernel_order1` group: 1.5 against 2.7
+/// ns/elem on the ledger's gates). The 16-lane sub-block of a 2 Ki chunk
+/// is 112 elements, shorter than any decay point on the rung's gates, so
+/// 16 lanes start at longer chunks.
 pub const MIN_LANE_CHUNK: usize = 2048;
+
+/// The lane rule's threshold: an `f32` chunk takes the 16-lane solve
+/// when its decay point ([`VaryingPlan::correction_len`]) times this is
+/// at most its 16-lane sub-block. Each of the 15 fix-ups runs about a
+/// decay length, and one that reaches its sub-block's end sends all of
+/// them back to the serial loop, so the decay point must be short
+/// against the sub-block. `varying_kernel_order1`'s gate regimes set
+/// it: 16 lanes won at decays of 0.07, 0.28 and 0.38 of the sub-block
+/// and tied at 0.58 (DESIGN §13 has the rows).
+const WIDE_DECAY_SHARE: usize = 2;
 
 /// A time-varying (and optionally affine) recurrence of order `k`, bound
 /// to a fixed input length: one `k`-coefficient feedback row per element,
@@ -452,10 +474,11 @@ fn chain<T: Element>(gates: &[T], offsets: Option<&[T]>, mut prev: T, data: &mut
     }
 }
 
-/// The sub-block length of an `n`-element lane solve: an odd number of
-/// cache lines, so the [`LANES`] sub-block starts fall in different cache
-/// sets. (Starts a power of two apart alias to one set and thrash.)
-fn lane_block<T>(n: usize) -> usize {
+/// The sub-block length of an `n`-element solve in `LANES` lanes: an
+/// odd number of cache lines, so the sub-block starts fall in different
+/// cache sets. (Starts a power of two apart alias to one set and
+/// thrash.)
+fn lane_block<T, const LANES: usize>(n: usize) -> usize {
     let line = (64 / std::mem::size_of::<T>()).max(1);
     let lines = (n / (LANES * line)).max(1);
     (lines - 1 + lines % 2) * line
@@ -465,7 +488,7 @@ fn lane_block<T>(n: usize) -> usize {
 /// element per step, `y = x (+ d) + a·s`, as [`chain`] does. Lane `j`
 /// holds its outputs (inputs on entry) in `ys[j]`, its gates in `gs[j]`
 /// and its offsets in `ds[j]`, and its running value in `s[j]`.
-fn lockstep<T: Element>(
+fn lockstep<T: Element, const LANES: usize>(
     ys: &mut [&mut [T]; LANES],
     gs: &[&[T]; LANES],
     ds: Option<&[&[T]; LANES]>,
@@ -500,20 +523,38 @@ fn lockstep<T: Element>(
     *s = st;
 }
 
+/// The fix-up of one sub-block from its predecessor's last value `v`:
+/// `v *= a[i]; y[i] += v` until `v` flushes to zero.
+fn fix_up<T: Element>(mut v: T, data: &mut [T], gates: &[T]) {
+    for (y, &a) in data.iter_mut().zip(gates) {
+        v = v.mul(a);
+        if v.flush_denormal().is_zero() {
+            break;
+        }
+        *y = y.add(v);
+    }
+}
+
 /// The lane-parallel order-1 solve of one chunk (module docs, "Fast
-/// paths"), continuing from `seed`: [`LANES`] sub-blocks of
+/// paths"), continuing from `seed`: `LANES` sub-blocks of
 /// [`lane_block`] elements advance in lockstep from zero (the first from
 /// `seed`), the elements past them continue the last sub-block's chain,
-/// and each later sub-block is then fixed up from its predecessor's last
-/// value until the fix-up flushes to zero. `gates` and `offsets` cover
-/// exactly `data`'s elements, and every gate must be non-expansive.
+/// and each later sub-block is then fixed up, in order, from its
+/// predecessor's last value until the fix-up flushes to zero. `gates`
+/// and `offsets` cover exactly `data`'s elements, and every gate must be
+/// non-expansive.
+///
+/// With `wide` (only at [`WIDE_LANES`] lanes, on `f32`, where the CPU
+/// has AVX-512F) the lockstep and the fix-ups run on the vector kernels
+/// of [`simd`], which give these loops' bits; everything else is shared.
 ///
 /// `keep_going` is polled after every [`SOLVE_SLICE`] elements of
 /// lockstep work, and once more before the fix-ups when the chunk has a
 /// slice left; returns whether the solve completed, and the slices it
 /// ran (`⌈len / SOLVE_SLICE⌉` when it did). An interrupted solve leaves
 /// no usable prefix.
-fn solve_lanes<T: Element>(
+fn solve_lanes<T: Element, const LANES: usize>(
+    wide: bool,
     gates: &[T],
     offsets: Option<&[T]>,
     seed: T,
@@ -521,28 +562,29 @@ fn solve_lanes<T: Element>(
     keep_going: &mut dyn FnMut() -> bool,
 ) -> (bool, u64) {
     let n = data.len();
-    let b = lane_block::<T>(n);
+    let b = lane_block::<T, LANES>(n);
     let body = LANES * b;
     let mut s = [T::zero(); LANES];
     s[0] = seed;
     let mut slices = 0u64;
-    {
-        let mut blocks = data[..body].chunks_exact_mut(b);
-        let mut ys: [&mut [T]; LANES] =
-            std::array::from_fn(|_| blocks.next().expect("LANES sub-blocks"));
-        let gs: [&[T]; LANES] = std::array::from_fn(|j| &gates[j * b..(j + 1) * b]);
-        let ds: Option<[&[T]; LANES]> =
-            offsets.map(|d| std::array::from_fn(|j| &d[j * b..(j + 1) * b]));
-        let mut step = 0;
-        while step < b {
-            if slices > 0 && !keep_going() {
-                return (false, slices);
-            }
-            let end = (step + SOLVE_SLICE / LANES).min(b);
-            lockstep(&mut ys, &gs, ds.as_ref(), &mut s, step..end);
-            step = end;
-            slices += 1;
+    let mut step = 0;
+    while step < b {
+        if slices > 0 && !keep_going() {
+            return (false, slices);
         }
+        let end = (step + SOLVE_SLICE / LANES).min(b);
+        let body_data = &mut data[..body];
+        if !(wide && simd::lockstep_wide(body_data, gates, offsets, b, &mut s, step..end)) {
+            let mut blocks = body_data.chunks_exact_mut(b);
+            let mut ys: [&mut [T]; LANES] =
+                std::array::from_fn(|_| blocks.next().expect("LANES sub-blocks"));
+            let gs: [&[T]; LANES] = std::array::from_fn(|j| &gates[j * b..(j + 1) * b]);
+            let ds: Option<[&[T]; LANES]> =
+                offsets.map(|d| std::array::from_fn(|j| &d[j * b..(j + 1) * b]));
+            lockstep(&mut ys, &gs, ds.as_ref(), &mut s, step..end);
+        }
+        step = end;
+        slices += 1;
     }
     // The tail and the fix-ups close the chunk's last slice. Fewer than
     // `2·LANES` cache lines lie past the sub-blocks, so at most one slice
@@ -559,18 +601,49 @@ fn solve_lanes<T: Element>(
         s[LANES - 1],
         &mut data[body..],
     );
-    for j in 1..LANES {
-        let end = if j == LANES - 1 { n } else { (j + 1) * b };
-        let mut v = data[j * b - 1];
-        for (y, &a) in data[j * b..end].iter_mut().zip(&gates[j * b..end]) {
-            v = v.mul(a);
-            if v.flush_denormal().is_zero() {
-                break;
-            }
-            *y = y.add(v);
+    if !(wide && simd::fixups_wide(data, gates, b)) {
+        for j in 1..LANES {
+            let end = if j == LANES - 1 { n } else { (j + 1) * b };
+            let v = data[j * b - 1];
+            fix_up(v, &mut data[j * b..end], &gates[j * b..end]);
         }
     }
     (true, slices)
+}
+
+/// The lane-parallel order-1 solve of one chunk at `LANES` lanes
+/// ([`VaryingPlan`]'s lane chunks; module docs, "Fast paths") without
+/// the tier gate or the plan's lane rule — differential tests and
+/// benches. Solves `y[i] = x[i] (+ d[i]) + a[i]·y[i-1]` over `data` in
+/// place from `seed`, with `gates` the `a` and `offsets` the `d`; every
+/// gate should be non-expansive, or the fix-ups' truncation is not
+/// sound. `keep_going` is polled as [`VaryingPlan::solve_chunk`] polls a
+/// lane chunk.
+///
+/// With `avx512` the 16-lane lockstep and fix-ups run on AVX-512F;
+/// without, the portable loops run, the lane solve's spec at any lane
+/// count. `None`, touching nothing, when `avx512` is asked for and
+/// `LANES` is not 16, `T` is not `f32` or the CPU lacks AVX-512F, when
+/// `data` is shorter than [`MIN_LANE_CHUNK`] or than `LANES` cache
+/// lines, or when `gates` or `offsets` do not cover exactly `data`.
+pub fn solve_lanes_ungated<T: Element, const LANES: usize>(
+    avx512: bool,
+    gates: &[T],
+    offsets: Option<&[T]>,
+    seed: T,
+    data: &mut [T],
+    keep_going: &mut dyn FnMut() -> bool,
+) -> Option<SlicedSolve> {
+    let n = data.len();
+    let fits = LANES > 0 && n >= MIN_LANE_CHUNK && LANES * lane_block::<T, LANES>(n) <= n;
+    let covered = gates.len() == n && offsets.is_none_or(|d| d.len() == n);
+    let isa = !avx512 || (LANES == WIDE_LANES && simd::wide_lanes::<T>());
+    if !(fits && covered && isa) {
+        return None;
+    }
+    let (completed, slices) =
+        solve_lanes::<T, LANES>(avx512, gates, offsets, seed, data, keep_going);
+    Some(SlicedSolve { completed, slices })
 }
 
 /// `Σ_j |a_j| ≤ 1`: the row cannot grow a state vector's largest entry.
@@ -711,6 +784,9 @@ pub struct VaryingPlan<T> {
     /// Whether a truncated order-1 float chunk may solve in lanes: the
     /// kernel tier at build was [`KernelTier::Auto`].
     lanes: bool,
+    /// Whether such a chunk may take [`WIDE_LANES`] lanes: it may solve
+    /// in lanes, its elements are `f32` and the CPU has AVX-512F.
+    wide: bool,
     kernels: Vec<SolveKernel<T>>,
     chunks: Vec<Chunk<T>>,
 }
@@ -749,8 +825,11 @@ enum Solver {
     Kernel(u16),
     /// The dependent chain ([`solve_span`]).
     Chain,
-    /// The lane-parallel order-1 solve ([`solve_lanes`]).
+    /// The lane-parallel order-1 solve ([`solve_lanes`]) at [`LANES`]
+    /// lanes.
     Lanes,
+    /// The same solve at [`WIDE_LANES`] lanes on AVX-512F.
+    WideLanes,
 }
 
 impl<T: Element> VaryingPlan<T> {
@@ -762,7 +841,9 @@ impl<T: Element> VaryingPlan<T> {
     /// [`KernelTier::Auto`] as in effect here, a varying float order-1
     /// chunk of at least [`MIN_LANE_CHUNK`] elements that was truncated
     /// gets the lane-parallel solve; the truncation already proved its
-    /// rows non-expansive.
+    /// rows non-expansive. It runs 16 lanes where the element is `f32`,
+    /// the CPU has AVX-512F and the decay point is short against the
+    /// 16-lane sub-block (at most half of it), and [`LANES`] otherwise.
     ///
     /// # Errors
     ///
@@ -806,8 +887,10 @@ impl<T: Element> VaryingPlan<T> {
                 }
             })
             .collect();
+        let lanes = T::IS_FLOAT && k == 1 && kernel::tier() == KernelTier::Auto;
         Ok(VaryingPlan {
-            lanes: T::IS_FLOAT && k == 1 && kernel::tier() == KernelTier::Auto,
+            lanes,
+            wide: lanes && simd::wide_lanes::<T>(),
             sig,
             chunk_size,
             kernels,
@@ -832,7 +915,12 @@ impl<T: Element> VaryingPlan<T> {
             let solver = match kernel {
                 Some(i) => Solver::Kernel(i),
                 None if self.lanes && len >= MIN_LANE_CHUNK && correction_len < len => {
-                    Solver::Lanes
+                    let wide_block = lane_block::<T, WIDE_LANES>(len);
+                    if self.wide && correction_len * WIDE_DECAY_SHARE <= wide_block {
+                        Solver::WideLanes
+                    } else {
+                        Solver::Lanes
+                    }
                 }
                 None => Solver::Chain,
             };
@@ -894,7 +982,7 @@ impl<T: Element> VaryingPlan<T> {
         match self.work(c).solver {
             Solver::Kernel(i) => self.kernels[i as usize].kind(),
             Solver::Chain => KernelKind::Scalar,
-            Solver::Lanes => KernelKind::Lanes,
+            Solver::Lanes | Solver::WideLanes => KernelKind::Lanes,
         }
     }
 
@@ -969,15 +1057,17 @@ impl<T: Element> VaryingPlan<T> {
         let kernel = match work.solver {
             Solver::Kernel(i) => Some(&self.kernels[i as usize]),
             Solver::Chain => None,
-            Solver::Lanes => {
+            Solver::Lanes | Solver::WideLanes => {
                 let span = start..start + len;
-                let (completed, slices) = solve_lanes(
-                    &self.sig.coeffs()[span.clone()],
-                    self.sig.offsets().map(|d| &d[span]),
-                    state.map_or(T::zero(), |s| s[0]),
-                    data,
-                    keep_going,
-                );
+                let gates = &self.sig.coeffs()[span.clone()];
+                let offsets = self.sig.offsets().map(|d| &d[span]);
+                let seed = state.map_or(T::zero(), |s| s[0]);
+                let (completed, slices) = match work.solver {
+                    Solver::WideLanes => {
+                        solve_lanes::<T, WIDE_LANES>(true, gates, offsets, seed, data, keep_going)
+                    }
+                    _ => solve_lanes::<T, LANES>(false, gates, offsets, seed, data, keep_going),
+                };
                 return VaryingSolve {
                     completed,
                     slices,
@@ -1857,6 +1947,57 @@ mod tests {
             &sequential(Some(shuffled(chunks))),
             &sequential(None)
         ));
+    }
+
+    /// f32 gates in `[lo, hi)`.
+    fn gates_in(n: usize, lo: f64, hi: f64) -> Vec<f32> {
+        pattern(41, n)
+            .iter()
+            .map(|v| (lo + (hi - lo) * (v + 0.5)) as f32)
+            .collect()
+    }
+
+    /// The lane rule: under `auto`, a long `f32` chunk whose decay point
+    /// is short against its 16-lane sub-block takes 16 lanes where the
+    /// CPU has AVX-512F; a chunk decaying too slowly for that, a short
+    /// chunk and an `f64` chunk take four; a forced tier keeps the
+    /// chain. The plans take the tier as `build` would record it, so the
+    /// process-wide override stays untouched.
+    #[test]
+    fn each_chunk_picks_its_lane_count_from_its_decay_point() {
+        fn solver_of<T: Element>(sig: VaryingSignature<T>, m: usize, auto: bool) -> Solver {
+            let mut plan = VaryingPlan::build(sig, m).unwrap();
+            plan.lanes = auto;
+            plan.wide = auto && simd::wide_lanes::<T>();
+            assert_eq!(plan.chunk_kernel_kind(1) == KernelKind::Lanes, auto);
+            plan.work(1).solver
+        }
+        let m = 1 << 16;
+        let ledger = VaryingSignature::first_order(gates_in(2 * m, 0.5, 0.99)).unwrap();
+        let slow = VaryingSignature::first_order(gates_in(2 * m, 0.99, 0.999)).unwrap();
+        let short = VaryingSignature::first_order(gates_in(2 * 4096, 0.5, 0.99)).unwrap();
+        let ledger64 = VaryingSignature::first_order(
+            gates_in(2 * m, 0.5, 0.99)
+                .iter()
+                .map(|&a| f64::from(a))
+                .collect(),
+        )
+        .unwrap();
+        let wide = if simd::wide_lanes::<f32>() {
+            Solver::WideLanes
+        } else {
+            Solver::Lanes
+        };
+        let cases = [
+            ("ledger f32", solver_of(ledger.clone(), m, true), wide),
+            ("[0.99, 0.999) f32", solver_of(slow, m, true), Solver::Lanes),
+            ("4 Ki f32", solver_of(short, 4096, true), Solver::Lanes),
+            ("ledger f64", solver_of(ledger64, m, true), Solver::Lanes),
+            ("forced tier", solver_of(ledger, m, false), Solver::Chain),
+        ];
+        for (label, got, want) in cases {
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{label}");
+        }
     }
 
     #[test]

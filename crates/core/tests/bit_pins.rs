@@ -15,10 +15,18 @@
 //! solve and the scalar tail. They run where `T`'s best ISA is AVX2, the
 //! one the float kernels exist for; elsewhere they print why they
 //! skipped.
+//!
+//! The varying lane solve has pins of its own: an `f64` lane chunk, which
+//! runs four scalar lanes on every host, and a ledger-shaped 64 Ki `f32`
+//! chunk at 16 lanes, whose digest the portable loops must give
+//! everywhere and the AVX-512F kernel wherever the CPU has it.
 
 use plr_core::blocked::SOLVE_SLICE;
 use plr_core::element::Element;
+use plr_core::kernel::KernelKind;
 use plr_core::simd::{best_isa, map_solve_ungated, Isa, SimdKernel};
+use plr_core::varying::{solve_lanes_ungated, VaryingPlan, VaryingSignature};
+use plr_core::{set_kernel_override, KernelTier};
 
 /// Elements per case: three solve slices and an odd tail.
 const LEN: usize = 3 * SOLVE_SLICE + 13;
@@ -159,5 +167,77 @@ fn map_solve_f64_three_taps_bits_are_pinned() {
             0x3F64,
         );
         check("map_solve_f64_three_taps", got, 0xc4a4_5605_9e15_8af2);
+    }
+}
+
+/// Gates in `[0.5, 0.99)`, the selective-scan ledger's regime, from the
+/// same stream as [`input`].
+fn ledger_gates<T: Bits>(seed: u64, n: usize) -> Vec<T> {
+    let mut gates = Vec::with_capacity(n);
+    let mut k = 0;
+    while gates.len() < n {
+        let x = input::<T>(seed + k);
+        gates.extend(x.iter().map(|&v| T::from_f64(0.745 + 0.245 * v.to_f64())));
+        k += 1;
+    }
+    gates.truncate(n);
+    gates
+}
+
+/// Chunk 1 of a two-chunk `f64` plan, solved from zero with offsets under
+/// `auto`: the four-lane solve on every host. The plan is built with the
+/// tier pinned, which no other test in this binary reads.
+#[test]
+fn lane_solve_f64_bits_are_pinned() {
+    let gates = ledger_gates::<f64>(0x1A4E, 2 * LEN);
+    let offsets: Vec<f64> = [input::<f64>(0x0FF5), input::<f64>(0x0FF6)].concat();
+    let sig = VaryingSignature::first_order(gates)
+        .unwrap()
+        .with_offsets(offsets)
+        .unwrap();
+    set_kernel_override(Some(KernelTier::Auto));
+    let plan = VaryingPlan::build(sig, LEN);
+    set_kernel_override(None);
+    let plan = plan.unwrap();
+    let mut data = input::<f64>(0x1F64);
+    let mut polls = 0;
+    let out = plan.solve_chunk(1, None, &mut data, &mut || {
+        polls += 1;
+        true
+    });
+    assert!(out.completed);
+    assert_eq!(out.kernel, KernelKind::Lanes);
+    assert_eq!((out.slices, polls), (4, 3));
+    check("lane_solve_f64", digest(&data), 0xf98c_8da4_a735_1dae);
+}
+
+/// A ledger-shaped chunk at 16 lanes: 64 Ki `f32` inputs in `[-1, 1)`,
+/// gates in `[0.5, 0.99)`, from zero. The portable loops give the digest
+/// on every host; the AVX-512F kernel gives it where it runs.
+#[test]
+fn wide_lane_solve_f32_ledger_bits_are_pinned() {
+    let n = 1 << 16;
+    let gates = ledger_gates::<f32>(0x55A, n);
+    let x = ledger_gates::<f32>(0x55B, n)
+        .iter()
+        .map(|&g| (g - 0.745) / 0.245)
+        .collect::<Vec<f32>>();
+    for avx512 in [false, true] {
+        let mut data = x.clone();
+        let Some(out) =
+            solve_lanes_ungated::<f32, 16>(avx512, &gates, None, 0.0, &mut data, &mut || true)
+        else {
+            eprintln!(
+                "wide_lane_solve_f32_ledger: the AVX-512F leg skipped, this CPU lacks AVX-512F"
+            );
+            continue;
+        };
+        assert!(out.completed);
+        assert_eq!(out.slices, 8);
+        check(
+            "wide_lane_solve_f32_ledger",
+            digest(&data),
+            0x4fdf_1f83_9a03_90d2,
+        );
     }
 }

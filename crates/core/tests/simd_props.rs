@@ -11,8 +11,10 @@
 //!
 //! The same treatment covers the two steady-state helpers the executors
 //! lean on: the FIR map tail ([`fir_steady_ungated`]) and the correction
-//! fold ([`axpy_ungated`]); and the FIR map fused into the local solve
-//! ([`map_solve_ungated`]), against the two passes it replaces.
+//! fold ([`axpy_ungated`]); the FIR map fused into the local solve
+//! ([`map_solve_ungated`]), against the two passes it replaces; and the
+//! 16-lane varying lane solve on AVX-512F ([`solve_lanes_ungated`]),
+//! against the portable loops at 16 lanes, bit for bit.
 //!
 //! These tests pick tiers through `select_with_tier` and the `*_ungated`
 //! entry points rather than the process-global `PLR_KERNEL` override, so
@@ -25,6 +27,7 @@ use plr_core::element::Element;
 use plr_core::kernel::KernelTier;
 use plr_core::serial;
 use plr_core::simd::{axpy_ungated, fir_steady_ungated, map_solve_ungated, MAX_FIR_TAPS};
+use plr_core::varying::{solve_lanes_ungated, MIN_LANE_CHUNK};
 use proptest::prelude::*;
 
 /// Lengths exercising every vector-block boundary around a random base.
@@ -477,6 +480,194 @@ proptest! {
             let first = n.min(SOLVE_SLICE);
             prop_assert!(stopped[..first] == expect[..first], "first slice n={}", n);
             prop_assert!(stopped[first..] == input[first..], "rest untouched n={}", n);
+        }
+    }
+}
+
+/// Seeded values in `[lo, hi)` from a SplitMix64 stream.
+fn uniform32(n: usize, seed: u64, lo: f32, hi: f32) -> Vec<f32> {
+    let mut state = seed;
+    (0..n)
+        .map(|_| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            lo + (hi - lo) * ((z >> 40) as f32 / (1u64 << 24) as f32)
+        })
+        .collect()
+}
+
+/// The first index where `a` and `b` differ in bits; two NaNs count as
+/// equal, since Rust leaves NaN payloads unspecified.
+fn first_mismatch(a: &[f32], b: &[f32]) -> Option<usize> {
+    a.iter()
+        .zip(b)
+        .position(|(x, y)| x.to_bits() != y.to_bits() && !(x.is_nan() && y.is_nan()))
+}
+
+/// `true` when the 16-lane AVX-512F lane solve runs here; otherwise says
+/// why the test is skipped.
+fn wide_lanes_run(name: &str) -> bool {
+    let mut probe = vec![0.5f32; MIN_LANE_CHUNK];
+    let gates = vec![0.5f32; MIN_LANE_CHUNK];
+    let runs =
+        solve_lanes_ungated::<f32, 16>(true, &gates, None, 0.0, &mut probe, &mut || true).is_some();
+    if !runs {
+        eprintln!("{name}: skipped, this CPU has no AVX-512F for the 16-lane solve");
+    }
+    runs
+}
+
+/// Solves `input` both ways, the AVX-512F kernel and the portable loops
+/// at 16 lanes, polling with `stop_at` (stop on that poll, 0 = never),
+/// and checks outputs, completion, slices and polls agree.
+fn wide_against_portable(
+    gates: &[f32],
+    offsets: Option<&[f32]>,
+    seed: f32,
+    input: &[f32],
+    stop_at: u64,
+    ctx: &str,
+) -> bool {
+    let run = |avx512: bool| {
+        let mut data = input.to_vec();
+        let mut polls = 0u64;
+        let out =
+            solve_lanes_ungated::<f32, 16>(avx512, gates, offsets, seed, &mut data, &mut || {
+                polls += 1;
+                stop_at == 0 || polls < stop_at
+            })
+            .expect("the 16-lane solve runs on this input");
+        (data, out.completed, out.slices, polls)
+    };
+    let (want, want_done, want_slices, want_polls) = run(false);
+    let (got, done, slices, polls) = run(true);
+    assert_eq!(
+        (done, slices, polls),
+        (want_done, want_slices, want_polls),
+        "{ctx}: completion, slices and polls"
+    );
+    if let Some(i) = first_mismatch(&want, &got) {
+        panic!("{ctx}: index {i}: {} vs portable {}", got[i], want[i]);
+    }
+    done
+}
+
+/// The 16-lane sub-block of an `n`-element `f32` lane solve: an odd
+/// number of 16-element cache lines.
+fn wide_block(n: usize) -> usize {
+    let lines = n / 256;
+    (lines - 1 + lines % 2) * 16
+}
+
+/// `input` with every odd sub-block zeroed, `+0.0` and `-0.0` by turns:
+/// there a fix-up's every addition, its smallest included, shows in the
+/// output bits, and so does an addition at its flush point.
+fn zero_odd_blocks(input: &[f32]) -> Vec<f32> {
+    let b = wide_block(input.len());
+    let mut out = input.to_vec();
+    for j in (1..16).step_by(2) {
+        out[j * b..(j + 1) * b].fill(if j % 4 == 1 { 0.0 } else { -0.0 });
+    }
+    out
+}
+
+/// Lengths at and above `MIN_LANE_CHUNK`, odd tails past the 16
+/// sub-blocks, and slices across `SOLVE_SLICE`; gates in `[0.5, 0.99)`,
+/// whose fix-ups flush inside their sub-blocks at the longer lengths,
+/// and in `[0.9, 0.995)`, whose fix-ups reach a sub-block's end at the
+/// shorter ones; with and without offsets and a seed, and with zeroed
+/// sub-blocks under those gates and their negations. The AVX-512F solve
+/// matches the portable loops at 16 lanes bit for bit, with the same
+/// slices and polls.
+#[test]
+fn wide_lane_solve_matches_the_portable_loops() {
+    if !wide_lanes_run("wide_lane_solve_matches_the_portable_loops") {
+        return;
+    }
+    let lengths = [
+        MIN_LANE_CHUNK,
+        MIN_LANE_CHUNK + 1,
+        4096 + 333,
+        SOLVE_SLICE + 17,
+        2 * SOLVE_SLICE + 50,
+        3 * SOLVE_SLICE + 421,
+        1 << 16,
+        (1 << 16) + 255,
+    ];
+    for (r, (lo, hi)) in [(0.5f32, 0.99f32), (0.9, 0.995)].into_iter().enumerate() {
+        for (k, &n) in lengths.iter().enumerate() {
+            let seed = 17 * r as u64 + k as u64;
+            let gates = uniform32(n, 0x6a7e + seed, lo, hi);
+            let input = uniform32(n, 0x1b9 + seed, -1.0, 1.0);
+            let offsets = uniform32(n, 0x0ff + seed, -0.5, 0.5);
+            for (d, s) in [(None, 0.0f32), (Some(&offsets[..]), 0.75), (None, -3.5)] {
+                let ctx = format!("gates [{lo}, {hi}) n={n} offsets={} seed={s}", d.is_some());
+                assert!(wide_against_portable(&gates, d, s, &input, 0, &ctx));
+            }
+            // Negated gates keep some zeros `-0.0` through the lockstep.
+            let zeroed = zero_odd_blocks(&input);
+            let negated: Vec<f32> = gates.iter().map(|a| -a).collect();
+            for (sign, g) in [("", &gates), ("-", &negated)] {
+                let ctx = format!("gates {sign}[{lo}, {hi}) n={n}, odd sub-blocks zero");
+                assert!(wide_against_portable(g, None, 0.0, &zeroed, 0, &ctx));
+            }
+        }
+    }
+}
+
+/// A poll that says stop ends both solves after the same slices, with
+/// the same partial buffer.
+#[test]
+fn wide_lane_solve_stops_where_the_portable_loops_stop() {
+    if !wide_lanes_run("wide_lane_solve_stops_where_the_portable_loops_stop") {
+        return;
+    }
+    for n in [2 * SOLVE_SLICE + 50, 3 * SOLVE_SLICE + 421, 1 << 16] {
+        let gates = uniform32(n, 0x570, 0.5, 0.99);
+        let input = uniform32(n, 0x571, -1.0, 1.0);
+        let offsets = uniform32(n, 0x572, -0.5, 0.5);
+        let total = n.div_ceil(SOLVE_SLICE) as u64;
+        for stop_at in 1..total {
+            let ctx = format!("n={n} stop at poll {stop_at}");
+            assert!(!wide_against_portable(
+                &gates,
+                Some(&offsets),
+                0.25,
+                &input,
+                stop_at,
+                &ctx
+            ));
+        }
+    }
+}
+
+/// NaN, infinite and `-0.0` inputs and seeds, placed inside a sub-block,
+/// on a sub-block's last element (which seeds the next fix-up) and past
+/// the sub-blocks: a non-finite value never flushes, so its fix-ups run
+/// to the end and the solve falls back to the in-order fix-ups.
+#[test]
+fn wide_lane_solve_matches_the_portable_loops_on_non_finite_inputs() {
+    if !wide_lanes_run("wide_lane_solve_matches_the_portable_loops_on_non_finite_inputs") {
+        return;
+    }
+    for n in [MIN_LANE_CHUNK + 77, 1 << 16] {
+        let gates = uniform32(n, 0x9a7, 0.5, 0.99);
+        let clean = uniform32(n, 0x9a8, -1.0, 1.0);
+        let b = wide_block(n);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0] {
+            for at in [3 * b + b / 2, 5 * b - 1, 16 * b - 1, n - 1] {
+                let mut input = clean.clone();
+                input[at] = bad;
+                let ctx = format!("n={n} input[{at}] = {bad}");
+                assert!(wide_against_portable(&gates, None, 0.0, &input, 0, &ctx));
+            }
+            let mut zeros = clean.clone();
+            zeros[..b].fill(-0.0);
+            let ctx = format!("n={n} seed {bad}, first sub-block -0.0");
+            assert!(wide_against_portable(&gates, None, bad, &zeros, 0, &ctx));
         }
     }
 }
