@@ -78,7 +78,11 @@ fn bench_speedup_int(c: &mut Criterion) {
     g.finish();
 }
 
-/// The lowpass pipeline on its own.
+/// The lowpass pipeline on its own. It times the in-cache pipeline, not
+/// DRAM: the refreshed 32 MiB buffer (8M `f32`) stays in an L3 as large
+/// as the reference host's 300 MiB, so a memory-side change such as the
+/// streaming kernels' prefetch shows in the ledger's 256 MiB
+/// `lowpass_f32_64mi`, not here (EXPERIMENTS.md).
 fn bench_speedup_filter(c: &mut Criterion) {
     let n = if quick() { 1 << 20 } else { 1 << 23 };
     let data = float_input(n);

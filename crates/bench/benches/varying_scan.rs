@@ -18,8 +18,16 @@
 //!   chunks of at least `MIN_LANE_CHUNK` elements in lanes, 4 or 16 by
 //!   the plan's lane rule. `lanes4` and `lanes16` time the same chunk's
 //!   lane solve at a fixed lane count (`solve_lanes_ungated`; `lanes16`
-//!   on AVX-512F only), whatever the rule picks. This group sets
-//!   `MIN_LANE_CHUNK` and the lane rule's threshold.
+//!   on AVX-512F only), whatever the rule picks; it always proves its
+//!   gates, as a fresh plan's chunk does. These rows reuse one plan, so
+//!   the chunk's plan work is done in the warm-up. `fresh` (the ledger's
+//!   gates, 16 Ki and 64 Ki) builds a new plan for every iteration and
+//!   writes an 8 MiB buffer before it, both outside the timing, so the
+//!   row times a request's chunk: plan work plus solve, with the gates
+//!   and the input evicted from L2 to L3. `hostile` is the `fresh` row at
+//!   64 Ki with one 1.5 gate mid-chunk, which fails the proof and leaves
+//!   the chunk untruncated. This group sets `MIN_LANE_CHUNK` and the lane
+//!   rule's threshold.
 //! * **one selective-scan request, set-up included**
 //!   (`varying_request_512k`): the `ssm_f32_512ki` ledger workload's
 //!   request — 512 Ki f32 on the slow-decay gates, 64 Ki chunks — at 1
@@ -178,7 +186,8 @@ fn bench_adaptive_filter(c: &mut Criterion) {
 /// so the plan truncates it as it would in a run; the input is copied
 /// afresh, outside the timing, for every iteration. `chain` and `auto`
 /// solve through the plan; `lanes4` and `lanes16` run the lane solve on
-/// the chunk's gates at a fixed lane count.
+/// the chunk's gates at a fixed lane count; `fresh` and `hostile` solve
+/// through a new plan each time, from L3 ([`fresh_rows`]).
 fn bench_kernel(c: &mut Criterion) {
     let mut g = c.benchmark_group("varying_kernel_order1");
     g.sample_size(if quick() { 10 } else { 40 });
@@ -241,9 +250,58 @@ fn bench_kernel(c: &mut Criterion) {
                     );
                 });
             }
+            if regime == "g0.5-0.99" && len >= 1 << 14 {
+                fresh_rows(&mut g, &gates, &input, &id);
+            }
         }
     }
     g.finish();
+}
+
+/// The `fresh` row, and at 64 Ki the `hostile` row (one 1.5 gate
+/// mid-chunk): chunk 1 of a new `auto` plan over `gates` per iteration,
+/// its plan work done by the timed solve as in a request. Outside the
+/// timing each iteration builds the plan, copies the input, and writes
+/// an 8 MiB buffer, twice the host's L2, so the gates and the input are
+/// read from L3.
+fn fresh_rows(
+    g: &mut criterion::BenchmarkGroup<'_>,
+    gates: &[f32],
+    input: &[f32],
+    id: &dyn Fn(&str) -> BenchmarkId,
+) {
+    let len = input.len();
+    let mut hostile = gates.to_vec();
+    hostile[len + len / 2] = 1.5;
+    let rows: &[(&str, &[f32])] = if len >= 1 << 16 {
+        &[("fresh", gates), ("hostile", &hostile)]
+    } else {
+        &[("fresh", gates)]
+    };
+    let mut evict = vec![0u8; 8 << 20];
+    set_kernel_override(Some(KernelTier::Auto));
+    for &(name, gates) in rows {
+        let sig = VaryingSignature::first_order(gates.to_vec()).unwrap();
+        g.bench_function(id(name), |b| {
+            b.iter_batched(
+                || {
+                    let plan = VaryingPlan::build(sig.clone(), len).unwrap();
+                    let chunk = input.to_vec();
+                    for (i, line) in evict.chunks_mut(64).enumerate() {
+                        line[0] = i as u8;
+                    }
+                    (plan, chunk)
+                },
+                |(plan, mut chunk)| {
+                    plan.solve_chunk(1, None, &mut chunk, &mut || true);
+                    (plan, chunk)
+                },
+                BatchSize::LargeInput,
+            );
+        });
+    }
+    set_kernel_override(None);
+    black_box(&evict);
 }
 
 /// The ledger's selective-scan request end to end: a fresh signature and

@@ -41,8 +41,11 @@
 //!   step of 16 loads one 16-element row from each of the 16 sub-blocks,
 //!   transposes the tile in registers (`unpacklo/hi_ps`,
 //!   `unpacklo/hi_pd`, `shuffle_f32x4`), advances all 16 chains with one
-//!   multiply and one add (no FMA), and transposes back. Its bits are the
-//!   portable loops' at 16 lanes
+//!   multiply and one add (no FMA), and transposes back. Where asked, it
+//!   also proves the gates it loads: a running unsigned max of the
+//!   transposed gate vectors' sign-cleared bits gives each sub-block a
+//!   verdict on whether all its gates are in `[-1, 1]`. Its bits and
+//!   verdicts are the portable loops' at 16 lanes
 //!   ([`solve_lanes_ungated`](crate::varying::solve_lanes_ungated)
 //!   reaches both).
 //!
@@ -627,8 +630,11 @@ pub(crate) fn wide_lanes<T: Element>() -> bool {
 /// same indices of `gates` and `offsets`; `s[j]` is lane `j`'s running
 /// value. Every lane's chain advances over `steps` as the scalar
 /// lockstep does, `y = (x + d) + a·s`, one multiply and one add with no
-/// FMA, so the bits are the scalar lockstep's. Returns `false`, touching
-/// nothing, where [`wide_lanes`] is false or the shapes disagree.
+/// FMA, so the bits are the scalar lockstep's. With `bad`, the kernel
+/// also proves the gates it loads, as the scalar lockstep does: bit `j`
+/// is set when lane `j`'s window holds a gate outside `[-1, 1]` or a
+/// NaN. Returns `false`, touching nothing, where [`wide_lanes`] is false
+/// or the shapes disagree.
 pub(crate) fn lockstep_wide<T: Element>(
     body: &mut [T],
     gates: &[T],
@@ -636,6 +642,7 @@ pub(crate) fn lockstep_wide<T: Element>(
     b: usize,
     s: &mut [T],
     steps: std::ops::Range<usize>,
+    bad: Option<&mut u32>,
 ) -> bool {
     let span = WIDE_LANES * b;
     if !wide_lanes::<T>()
@@ -658,12 +665,17 @@ pub(crate) fn lockstep_wide<T: Element>(
             // SAFETY: `wide_lanes` checked AVX-512F, and every lane's
             // window `j·b + steps` lies inside the `16·b` elements
             // checked above.
-            unsafe { x86::lockstep_f32_avx512(y, g, d, b, s, steps) };
+            unsafe {
+                match bad {
+                    Some(bad) => x86::lockstep_f32_avx512::<true>(y, g, d, b, s, steps, bad),
+                    None => x86::lockstep_f32_avx512::<false>(y, g, d, b, s, steps, &mut 0),
+                }
+            };
             return true;
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = (body, gates, offsets, s, steps);
+    let _ = (body, gates, offsets, s, steps, bad);
     false
 }
 
@@ -673,7 +685,8 @@ pub(crate) fn lockstep_wide<T: Element>(
 /// then the elements past them, which continue the last lane's chain.
 /// Each fix-up `v *= a[i]; y[i] += v` starts from its predecessor's last
 /// value and stops where `v` flushes to zero; the last lane's runs on to
-/// the chunk's end.
+/// the chunk's end. Every gate must be in `[-1, 1]`: the lane solve
+/// calls this only when every sub-block's verdict holds.
 ///
 /// The in-order rule seeds fix-up `j` with sub-block `j − 1`'s value
 /// after that sub-block's own fix-up, which moved it only if the fix-up
@@ -779,27 +792,40 @@ mod x86 {
     /// See [`super::lockstep_wide`]: 16 steps at a time, each lane's
     /// rows transposed in, advanced with one multiply and one add per
     /// step, transposed back. A range that is not a multiple of 16 long
-    /// ends in the scalar lockstep's loop.
+    /// ends in the scalar lockstep's loop. With `PROVE`, a running
+    /// unsigned max of the transposed gate vectors' sign-cleared bits
+    /// (lane `j` is sub-block `j`; above `1.0`'s bits means a gate
+    /// outside `[-1, 1]` or a NaN) sets `bad`'s bits, and the scalar
+    /// remainder checks its own gates.
     ///
     /// # Safety
     ///
     /// The CPU must have AVX-512F; `steps.start <= steps.end <= b`, and
     /// `body`, `gates` and `offsets` hold at least `16·b` elements.
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn lockstep_f32_avx512(
+    pub(super) unsafe fn lockstep_f32_avx512<const PROVE: bool>(
         body: &mut [f32],
         gates: &[f32],
         offsets: Option<&[f32]>,
         b: usize,
         s: &mut [f32; WIDE_LANES],
         steps: std::ops::Range<usize>,
+        bad: &mut u32,
     ) {
         const L: usize = WIDE_LANES;
         let y = body.as_mut_ptr();
         let mut st = _mm512_loadu_ps(s.as_ptr());
+        let magnitude = _mm512_set1_epi32(i32::MAX);
+        let mut top = _mm512_setzero_si512();
         let mut t = steps.start;
         while t + L <= steps.end {
             let g = load_steps(gates.as_ptr(), b, t);
+            if PROVE {
+                for gi in &g {
+                    let bits = _mm512_and_si512(_mm512_castps_si512(*gi), magnitude);
+                    top = _mm512_max_epu32(top, bits);
+                }
+            }
             let mut z = [_mm512_setzero_ps(); L];
             for (j, row) in z.iter_mut().enumerate() {
                 *row = _mm512_loadu_ps(y.add(j * b + t));
@@ -819,6 +845,10 @@ mod x86 {
             t += L;
         }
         _mm512_storeu_ps(s.as_mut_ptr(), st);
+        if PROVE {
+            let one = _mm512_set1_epi32(1f32.to_bits() as i32);
+            *bad |= u32::from(_mm512_cmpgt_epu32_mask(top, one));
+        }
         for i in t..steps.end {
             for (j, sj) in s.iter_mut().enumerate() {
                 let at = j * b + i;
@@ -826,6 +856,9 @@ mod x86 {
                     Some(d) => body[at] + d[at],
                     None => body[at],
                 };
+                if PROVE && gates[at].to_bits() & i32::MAX as u32 > 1f32.to_bits() {
+                    *bad |= 1 << j;
+                }
                 *sj = x + gates[at] * *sj;
                 body[at] = *sj;
             }

@@ -59,21 +59,27 @@
 //! * **Lane-parallel order-1 solve** (the paper's chunk trick applied
 //!   inside a chunk, DESIGN §6 "level 0"): the tight loop is one
 //!   dependent chain, one element per multiply-add latency. A float
-//!   order-1 chunk whose rows vary, which its plan work truncated (below)
-//!   and which is at least [`MIN_LANE_CHUNK`] long is instead split into
-//!   [`LANES`] sub-blocks, solved in lockstep from zero as independent
-//!   chains. Each sub-block is then fixed up from its predecessor's last
-//!   value by `v *= a[i]; y[i] += v` until `v` flushes to zero: the
-//!   truncation rule again, sound because every row of a truncated float
-//!   chunk is non-expansive. Only [`KernelTier::Auto`] picks it (the tier
-//!   in effect at [`VaryingPlan::build`]); the forced `scalar` and
-//!   `blocked` tiers keep the chain as baselines. An `f32` chunk on a
-//!   CPU with AVX-512F whose decay point is at most half its 16-lane
-//!   sub-block takes 16 lanes instead, one AVX-512 register of chains
-//!   ([`crate::simd`]), with the same bits as these loops at 16 lanes.
-//!   The choice is made with the chunk's truncation, on first use, so it
-//!   is a function of the coefficients, the chunk length, the tier and
-//!   the CPU alone, never of timing or the run's width.
+//!   order-1 chunk with no constant-row kernel, at least
+//!   [`MIN_LANE_CHUNK`] long, whose *prefix decay point* lies inside it
+//!   (the first element where the running product of its gates flushes
+//!   to zero, found by reading the gates up to there) is instead split
+//!   into [`LANES`] sub-blocks, solved in lockstep from zero as
+//!   independent chains. The lockstep also proves the gates it loads,
+//!   one verdict per sub-block: whether every gate of the sub-block (the
+//!   last one's with the elements past the body) is in `[-1, 1]`. Each
+//!   sub-block is then fixed up from its predecessor's last value by
+//!   `v *= a[i]; y[i] += v`, and stops where `v` flushes to zero only if
+//!   its verdict holds: the truncation rule again, sound because past a
+//!   non-expansive gate a flushed value cannot regrow. A sub-block
+//!   holding an expansive, NaN or infinite gate runs its fix-up to its
+//!   end. Only [`KernelTier::Auto`] picks the lanes (the tier in effect
+//!   at [`VaryingPlan::build`]); the forced `scalar` and `blocked` tiers
+//!   keep the chain as baselines. An `f32` chunk on a CPU with AVX-512F
+//!   whose prefix decay point is at most half its 16-lane sub-block
+//!   takes 16 lanes instead, one AVX-512 register of chains
+//!   ([`crate::simd`]), with the same bits and verdicts as these loops at
+//!   16 lanes. The choice reads only the coefficients, the chunk length,
+//!   the tier and the CPU, never timing or the run's width.
 //! * **Constant chunks**: a chunk whose coefficient rows are all equal is
 //!   a constant-coefficient solve, so [`VaryingPlan::build`] classifies it
 //!   and selects a register-blocked / SIMD [`SolveKernel`] for it directly
@@ -83,22 +89,33 @@
 //! * **Truncated corrections** (the paper's decay truncation, which a
 //!   [`crate::plan::PlanKind::Truncated`] constant plan applies to its
 //!   factor lists): each chunk's plan work, done once on its first use
-//!   (in a run, by the worker that solves it, just before the solve),
-//!   composes the chunk's transition and stops at the first element
-//!   `d_c` where every entry of the product flushes to zero
-//!   ([`Element::flush_denormal`]: below `MIN_POSITIVE` for floats,
-//!   exactly zero for integers). That chunk's matrix is zero, and
-//!   [`VaryingPlan::correct_chunk`] corrects only its first `d_c`
-//!   elements ([`VaryingPlan::correction_len`]). The rule applies only
-//!   where the dropped tail is provably negligible: to float chunks whose
-//!   every row is non-expansive (`Σ_j |a_j[i]| ≤ 1`, false for a NaN or
-//!   infinite coefficient; the plan work scans the chunk's rows for it),
-//!   where a transition below the flush threshold cannot regrow; and to
-//!   integer chunks at an exactly zero product, which wrapping arithmetic
-//!   keeps zero. Every other chunk keeps its full transition and
-//!   full-length correction. Which chunk does its plan work first, and on
-//!   which thread, never changes the result: the work reads only the
-//!   coefficients, and its cell is filled once.
+//!   (in a run, by the worker that solves it), composes the chunk's
+//!   transition and stops at the first element `d_c` where every entry
+//!   of the product flushes to zero ([`Element::flush_denormal`]: below
+//!   `MIN_POSITIVE` for floats, exactly zero for integers). That chunk's
+//!   matrix is zero, and [`VaryingPlan::correct_chunk`] corrects only its
+//!   first `d_c` elements ([`VaryingPlan::correction_len`]). The rule
+//!   applies only where the dropped tail is provably negligible: to float
+//!   chunks whose every row is non-expansive (`Σ_j |a_j[i]| ≤ 1`, false
+//!   for a NaN or infinite coefficient), where a transition below the
+//!   flush threshold cannot regrow; and to integer chunks at an exactly
+//!   zero product, which wrapping arithmetic keeps zero. Every other
+//!   chunk keeps its full transition and full-length correction.
+//!
+//!   The proof that every row is non-expansive reads every coefficient.
+//!   A lane chunk whose plan work has not run yet (every chunk of a fresh
+//!   plan that the lane rule puts in lanes) gets it from its lockstep's
+//!   verdicts, which load every gate anyway, so its gates are read once:
+//!   the solve reads the prefix decay point, runs the lockstep, and fills
+//!   the chunk's plan work from the verdicts, with the zero matrix and
+//!   `d_c` when all hold and through the eager work when one fails. Every
+//!   other first use (an accessor, a constant-row or chain chunk, a chunk
+//!   solved from a real history past chunk 0) does the eager work: a
+//!   scan of the chunk's rows, then the composition. Either way the cell
+//!   gets the same values, and a solve whose cell is already filled and
+//!   truncated skips the proof. Which chunk does its plan work first, by
+//!   which path and on which thread, never changes the result: the work
+//!   reads only the coefficients, and its cell is filled once.
 //!
 //!   Past chunk 0, a truncated float chunk whose history is known (a
 //!   width-1 run, a whole row, the sequential [`VaryingEngine`]) is
@@ -129,9 +146,9 @@ const MAX_DISTINCT_KERNELS: usize = 16;
 /// in lockstep (module docs, "Fast paths"). Four chains reach the
 /// multiply-add latency bound; six or eight ran slower on the reference
 /// host (DESIGN §13 has the probe). An `f32` chunk on AVX-512F may take
-/// 16 lanes instead, one vector register's worth, where its decay point
-/// is short against the 16-lane sub-block ([`VaryingPlan::build`]): on
-/// the ledger's gates at 64 Ki, 0.43 against four lanes' 0.74 ns/elem
+/// 16 lanes instead, one vector register's worth, where its prefix decay
+/// point is short against the 16-lane sub-block ([`VaryingPlan::build`]):
+/// on the ledger's gates at 64 Ki, 0.43 against four lanes' 0.74 ns/elem
 /// (`varying_kernel_order1`, DESIGN §13).
 pub const LANES: usize = 4;
 
@@ -145,8 +162,9 @@ pub const LANES: usize = 4;
 pub const MIN_LANE_CHUNK: usize = 2048;
 
 /// The lane rule's threshold: an `f32` chunk takes the 16-lane solve
-/// when its decay point ([`VaryingPlan::correction_len`]) times this is
-/// at most its 16-lane sub-block. Each of the 15 fix-ups runs about a
+/// when its prefix decay point (on a truncated chunk, its
+/// [`VaryingPlan::correction_len`]) times this is at most its 16-lane
+/// sub-block. Each of the 15 fix-ups runs about a
 /// decay length, and one that reaches its sub-block's end sends all of
 /// them back to the serial loop, so the decay point must be short
 /// against the sub-block. `varying_kernel_order1`'s gate regimes set
@@ -487,17 +505,25 @@ fn lane_block<T, const LANES: usize>(n: usize) -> usize {
 /// One lockstep stretch over `steps`: every lane's chain advances one
 /// element per step, `y = x (+ d) + a·s`, as [`chain`] does. Lane `j`
 /// holds its outputs (inputs on entry) in `ys[j]`, its gates in `gs[j]`
-/// and its offsets in `ds[j]`, and its running value in `s[j]`.
+/// and its offsets in `ds[j]`, and its running value in `s[j]`. With
+/// `bad`, the stretch also proves its gates: bit `j` is set when lane
+/// `j`'s window holds a gate outside `[-1, 1]`, NaN included.
 fn lockstep<T: Element, const LANES: usize>(
     ys: &mut [&mut [T]; LANES],
     gs: &[&[T]; LANES],
     ds: Option<&[&[T]; LANES]>,
     s: &mut [T; LANES],
     steps: Range<usize>,
+    bad: Option<&mut u32>,
 ) {
     // Equal-length windows, so the loops below need no bounds checks.
     let ys = ys.each_mut().map(|y| &mut y[steps.clone()]);
     let gs = gs.map(|g| &g[steps.clone()]);
+    if let Some(bad) = bad {
+        for (j, g) in gs.iter().enumerate() {
+            *bad |= u32::from(!all_non_expansive(g, 1)) << j;
+        }
+    }
     let len = steps.len();
     // The running values stay in registers, not behind `s`.
     let mut st = *s;
@@ -524,15 +550,28 @@ fn lockstep<T: Element, const LANES: usize>(
 }
 
 /// The fix-up of one sub-block from its predecessor's last value `v`:
-/// `v *= a[i]; y[i] += v` until `v` flushes to zero.
-fn fix_up<T: Element>(mut v: T, data: &mut [T], gates: &[T]) {
+/// `v *= a[i]; y[i] += v`, with `truncate` only until `v` flushes to
+/// zero. Truncation is sound only where the sub-block's every gate is
+/// non-expansive: past a gate outside `[-1, 1]` a flushed value could
+/// regrow, so such a sub-block's fix-up runs to its end.
+fn fix_up<T: Element>(mut v: T, data: &mut [T], gates: &[T], truncate: bool) {
     for (y, &a) in data.iter_mut().zip(gates) {
         v = v.mul(a);
-        if v.flush_denormal().is_zero() {
+        if truncate && v.flush_denormal().is_zero() {
             break;
         }
         *y = y.add(v);
     }
+}
+
+/// What [`solve_lanes`] reports: whether the solve completed, the poll
+/// slices it ran, and, when it proved its gates, one bit per sub-block
+/// whose gates are not all in `[-1, 1]` (the elements past the body
+/// count toward the last sub-block).
+struct LaneSolve {
+    completed: bool,
+    slices: u64,
+    bad: u32,
 }
 
 /// The lane-parallel order-1 solve of one chunk (module docs, "Fast
@@ -540,48 +579,63 @@ fn fix_up<T: Element>(mut v: T, data: &mut [T], gates: &[T]) {
 /// [`lane_block`] elements advance in lockstep from zero (the first from
 /// `seed`), the elements past them continue the last sub-block's chain,
 /// and each later sub-block is then fixed up, in order, from its
-/// predecessor's last value until the fix-up flushes to zero. `gates`
-/// and `offsets` cover exactly `data`'s elements, and every gate must be
-/// non-expansive.
+/// predecessor's last value. `gates` and `offsets` cover exactly
+/// `data`'s elements.
+///
+/// With `prove`, the lockstep proves the gates it loads, one verdict per
+/// sub-block ([`LaneSolve::bad`]): a sub-block's fix-up stops where it
+/// flushes to zero only if its verdict holds, and otherwise runs to its
+/// end. Without, every gate must be known non-expansive (its chunk's
+/// plan work truncated it), and every fix-up stops where it flushes.
 ///
 /// With `wide` (only at [`WIDE_LANES`] lanes, on `f32`, where the CPU
 /// has AVX-512F) the lockstep and the fix-ups run on the vector kernels
-/// of [`simd`], which give these loops' bits; everything else is shared.
+/// of [`simd`], which give these loops' bits and verdicts; the vector
+/// fix-ups run only when every verdict holds. Everything else is shared.
 ///
 /// `keep_going` is polled after every [`SOLVE_SLICE`] elements of
 /// lockstep work, and once more before the fix-ups when the chunk has a
-/// slice left; returns whether the solve completed, and the slices it
+/// slice left; reports whether the solve completed, and the slices it
 /// ran (`⌈len / SOLVE_SLICE⌉` when it did). An interrupted solve leaves
-/// no usable prefix.
+/// no usable prefix and no verdicts.
 fn solve_lanes<T: Element, const LANES: usize>(
     wide: bool,
+    prove: bool,
     gates: &[T],
     offsets: Option<&[T]>,
     seed: T,
     data: &mut [T],
     keep_going: &mut dyn FnMut() -> bool,
-) -> (bool, u64) {
+) -> LaneSolve {
     let n = data.len();
     let b = lane_block::<T, LANES>(n);
     let body = LANES * b;
     let mut s = [T::zero(); LANES];
     s[0] = seed;
+    let mut bad = 0u32;
     let mut slices = 0u64;
     let mut step = 0;
+    let stopped = |slices| LaneSolve {
+        completed: false,
+        slices,
+        bad: 0,
+    };
     while step < b {
         if slices > 0 && !keep_going() {
-            return (false, slices);
+            return stopped(slices);
         }
         let end = (step + SOLVE_SLICE / LANES).min(b);
         let body_data = &mut data[..body];
-        if !(wide && simd::lockstep_wide(body_data, gates, offsets, b, &mut s, step..end)) {
+        let proof = prove.then_some(&mut bad);
+        if !(wide && simd::lockstep_wide(body_data, gates, offsets, b, &mut s, step..end, proof)) {
             let mut blocks = body_data.chunks_exact_mut(b);
             let mut ys: [&mut [T]; LANES] =
                 std::array::from_fn(|_| blocks.next().expect("LANES sub-blocks"));
             let gs: [&[T]; LANES] = std::array::from_fn(|j| &gates[j * b..(j + 1) * b]);
             let ds: Option<[&[T]; LANES]> =
                 offsets.map(|d| std::array::from_fn(|j| &d[j * b..(j + 1) * b]));
-            lockstep(&mut ys, &gs, ds.as_ref(), &mut s, step..end);
+            let proof = prove.then_some(&mut bad);
+            lockstep(&mut ys, &gs, ds.as_ref(), &mut s, step..end, proof);
         }
         step = end;
         slices += 1;
@@ -591,9 +645,12 @@ fn solve_lanes<T: Element, const LANES: usize>(
     // is left.
     if slices < n.div_ceil(SOLVE_SLICE) as u64 {
         if !keep_going() {
-            return (false, slices);
+            return stopped(slices);
         }
         slices += 1;
+    }
+    if prove && !all_non_expansive(&gates[body..], 1) {
+        bad |= 1 << (LANES - 1);
     }
     chain(
         &gates[body..],
@@ -601,24 +658,31 @@ fn solve_lanes<T: Element, const LANES: usize>(
         s[LANES - 1],
         &mut data[body..],
     );
-    if !(wide && simd::fixups_wide(data, gates, b)) {
+    if !(wide && bad == 0 && simd::fixups_wide(data, gates, b)) {
         for j in 1..LANES {
             let end = if j == LANES - 1 { n } else { (j + 1) * b };
             let v = data[j * b - 1];
-            fix_up(v, &mut data[j * b..end], &gates[j * b..end]);
+            let truncate = bad >> j & 1 == 0;
+            fix_up(v, &mut data[j * b..end], &gates[j * b..end], truncate);
         }
     }
-    (true, slices)
+    LaneSolve {
+        completed: true,
+        slices,
+        bad,
+    }
 }
 
 /// The lane-parallel order-1 solve of one chunk at `LANES` lanes
 /// ([`VaryingPlan`]'s lane chunks; module docs, "Fast paths") without
 /// the tier gate or the plan's lane rule — differential tests and
 /// benches. Solves `y[i] = x[i] (+ d[i]) + a[i]·y[i-1]` over `data` in
-/// place from `seed`, with `gates` the `a` and `offsets` the `d`; every
-/// gate should be non-expansive, or the fix-ups' truncation is not
-/// sound. `keep_going` is polled as [`VaryingPlan::solve_chunk`] polls a
-/// lane chunk.
+/// place from `seed`, with `gates` the `a` and `offsets` the `d`. It
+/// always proves its gates in the lockstep, as a fresh plan chunk does,
+/// so it is sound for any gates: a sub-block holding a gate outside
+/// `[-1, 1]` (NaN and the infinities included) runs its fix-up to its
+/// end instead of stopping where it flushes. `keep_going` is polled as
+/// [`VaryingPlan::solve_chunk`] polls a lane chunk.
 ///
 /// With `avx512` the 16-lane lockstep and fix-ups run on AVX-512F;
 /// without, the portable loops run, the lane solve's spec at any lane
@@ -641,9 +705,11 @@ pub fn solve_lanes_ungated<T: Element, const LANES: usize>(
     if !(fits && covered && isa) {
         return None;
     }
-    let (completed, slices) =
-        solve_lanes::<T, LANES>(avx512, gates, offsets, seed, data, keep_going);
-    Some(SlicedSolve { completed, slices })
+    let out = solve_lanes::<T, LANES>(avx512, true, gates, offsets, seed, data, keep_going);
+    Some(SlicedSolve {
+        completed: out.completed,
+        slices: out.slices,
+    })
 }
 
 /// `Σ_j |a_j| ≤ 1`: the row cannot grow a state vector's largest entry.
@@ -702,6 +768,21 @@ fn chunk_transition<T: Element>(
     compose(sig, start, len, truncatable)
 }
 
+/// The prefix decay point of order-1 `gates`: the first index where
+/// their running product flushes to zero ([`Element::flush_denormal`]),
+/// or `gates.len()` when it never does, with the product there. It reads
+/// only the gates up to that point, and proves nothing about the rest.
+fn decay_point<T: Element>(gates: &[T]) -> (usize, T) {
+    let mut p = T::one();
+    for (i, &a) in gates.iter().enumerate() {
+        p = p.mul(a);
+        if p.flush_denormal().is_zero() {
+            return (i, p);
+        }
+    }
+    (gates.len(), p)
+}
+
 /// Composes the transition of the `len` rows from `start`. With
 /// `truncate`, composition stops at the first element `d` whose product
 /// has [`underflowed`] and returns a zero matrix and `d`; otherwise it
@@ -718,14 +799,10 @@ fn compose<T: Element>(
         // The scalar form of `companion_push`, equal to it bit for bit on
         // a truncatable chunk's rows (finite for floats) until the
         // product underflows.
-        let mut p = T::one();
-        for (i, &a) in sig.coeffs()[start..start + len].iter().enumerate() {
-            p = p.mul(a);
-            if p.flush_denormal().is_zero() {
-                return (zero(), i);
-            }
-        }
-        return (Matrix::from_parts(1, vec![p]), len);
+        return match decay_point(&sig.coeffs()[start..start + len]) {
+            (d, _) if d < len => (zero(), d),
+            (_, p) => (Matrix::from_parts(1, vec![p]), len),
+        };
     }
     let mut mtx = Matrix::identity(k);
     for i in 0..len {
@@ -767,13 +844,15 @@ pub struct VaryingSolve<T> {
 /// (module docs, "Fast paths"), or the chain.
 ///
 /// [`build`](Self::build) only validates and classifies rows. Each
-/// chunk's plan work — the non-expansive scan of its rows, the
+/// chunk's plan work — the proof that its rows are non-expansive, the
 /// composition of its transition up to the decay point, the
 /// lanes-or-chain choice — fills a per-chunk cell once, on first use:
-/// in a run, on the worker that solves the chunk, just before the solve
-/// ([`solve_chunk`](Self::solve_chunk)). Every accessor fills the cells
-/// it needs, so chunks may be visited in any order, and a reused plan
-/// does each chunk's work once.
+/// in a run, on the worker that solves the chunk
+/// ([`solve_chunk`](Self::solve_chunk)), just before the solve or, for a
+/// lane chunk, inside it, where the lockstep proves the gates as it
+/// loads them (module docs, "Truncated corrections"). Every accessor
+/// fills the cells it needs, so chunks may be visited in any order, and
+/// a reused plan does each chunk's work once.
 ///
 /// Kernels are selected directly — a varying plan never consults (or
 /// populates) the constant path's correction-plan cache.
@@ -781,8 +860,8 @@ pub struct VaryingSolve<T> {
 pub struct VaryingPlan<T> {
     sig: VaryingSignature<T>,
     chunk_size: usize,
-    /// Whether a truncated order-1 float chunk may solve in lanes: the
-    /// kernel tier at build was [`KernelTier::Auto`].
+    /// Whether an order-1 float chunk may solve in lanes: the kernel
+    /// tier at build was [`KernelTier::Auto`].
     lanes: bool,
     /// Whether such a chunk may take [`WIDE_LANES`] lanes: it may solve
     /// in lanes, its elements are `f32` and the CPU has AVX-512F.
@@ -838,12 +917,14 @@ impl<T: Element> VaryingPlan<T> {
     /// wait for the chunk's first use (type docs): there its transition
     /// is composed and truncated at its decay point where that is sound
     /// (module docs, "Truncated corrections"), and, under
-    /// [`KernelTier::Auto`] as in effect here, a varying float order-1
-    /// chunk of at least [`MIN_LANE_CHUNK`] elements that was truncated
-    /// gets the lane-parallel solve; the truncation already proved its
-    /// rows non-expansive. It runs 16 lanes where the element is `f32`,
-    /// the CPU has AVX-512F and the decay point is short against the
-    /// 16-lane sub-block (at most half of it), and [`LANES`] otherwise.
+    /// [`KernelTier::Auto`] as in effect here, a float order-1 chunk of
+    /// at least [`MIN_LANE_CHUNK`] elements with no constant-row kernel,
+    /// whose prefix decay point lies inside it, gets the lane-parallel
+    /// solve, truncated or not; its lockstep proves the gates each
+    /// fix-up's truncation needs. It runs 16 lanes where the element is
+    /// `f32`, the CPU has AVX-512F and the prefix decay point is short
+    /// against the 16-lane sub-block (at most half of it), and [`LANES`]
+    /// otherwise.
     ///
     /// # Errors
     ///
@@ -898,10 +979,12 @@ impl<T: Element> VaryingPlan<T> {
         })
     }
 
-    /// Chunk `c`'s plan work, done by its first caller (type docs): the
-    /// transition, truncated where sound ([`chunk_transition`]), and the
-    /// solver. Later callers read the cell, so every run and every
-    /// accessor sees the same matrix, decay point and solver.
+    /// Chunk `c`'s plan work, done eagerly by its first caller (type
+    /// docs): the transition, truncated where sound ([`chunk_transition`]),
+    /// and the solver. Later callers read the cell, so every run and
+    /// every accessor sees the same matrix, decay point and solver. A
+    /// fresh lane chunk's solve may fill the cell instead, with the same
+    /// values ([`Self::solve_chunk`]).
     fn work(&self, c: usize) -> &ChunkWork<T> {
         let chunk = &self.chunks[c];
         chunk.work.get_or_init(|| {
@@ -914,15 +997,11 @@ impl<T: Element> VaryingPlan<T> {
             let (matrix, correction_len) = chunk_transition(&self.sig, start, len, constant);
             let solver = match kernel {
                 Some(i) => Solver::Kernel(i),
-                None if self.lanes && len >= MIN_LANE_CHUNK && correction_len < len => {
-                    let wide_block = lane_block::<T, WIDE_LANES>(len);
-                    if self.wide && correction_len * WIDE_DECAY_SHARE <= wide_block {
-                        Solver::WideLanes
-                    } else {
-                        Solver::Lanes
-                    }
-                }
-                None => Solver::Chain,
+                // A truncated chunk's correction stops at its decay point.
+                None if correction_len < len => self.lane_solver(len, || correction_len),
+                None => self.lane_solver(len, || {
+                    decay_point(&self.sig.coeffs()[start..start + len]).0
+                }),
             };
             ChunkWork {
                 matrix,
@@ -930,6 +1009,42 @@ impl<T: Element> VaryingPlan<T> {
                 solver,
             }
         })
+    }
+
+    /// The lane rule (module docs, "Fast paths") for a chunk of `len`
+    /// elements with no constant-row kernel, whose prefix decay point
+    /// ([`decay_point`]) `decay` returns: lanes when that point lies
+    /// inside the chunk, 16 of them where the plan may take
+    /// [`WIDE_LANES`] and the point is short against the 16-lane
+    /// sub-block, else [`LANES`]; the chain otherwise. `decay` runs only
+    /// where the plan and the length allow lanes, so only on order-1
+    /// float rows.
+    fn lane_solver(&self, len: usize, decay: impl FnOnce() -> usize) -> Solver {
+        if !(self.lanes && len >= MIN_LANE_CHUNK) {
+            return Solver::Chain;
+        }
+        match decay() {
+            d if d >= len => Solver::Chain,
+            d if self.wide && d * WIDE_DECAY_SHARE <= lane_block::<T, WIDE_LANES>(len) => {
+                Solver::WideLanes
+            }
+            _ => Solver::Lanes,
+        }
+    }
+
+    /// The prefix decay point of chunk `c`, `len` elements long, when its
+    /// solve may do its plan work: its cell is still empty, its rows
+    /// vary, and the lane rule puts it in lanes. Such a chunk proves its
+    /// gates in the lockstep instead of a scan before it.
+    fn fresh_lane_decay(&self, c: usize, len: usize) -> Option<usize> {
+        let chunk = &self.chunks[c];
+        let lanes = self.lanes && len >= MIN_LANE_CHUNK && matches!(chunk.rows, Rows::Varying);
+        if !lanes || chunk.work.get().is_some() {
+            return None;
+        }
+        let start = c * self.chunk_size;
+        let d = decay_point(&self.sig.coeffs()[start..start + len]).0;
+        (d < len).then_some(d)
     }
 
     /// The signature this plan lowers.
@@ -1031,7 +1146,11 @@ impl<T: Element> VaryingPlan<T> {
     ///
     /// The chunk's plan work comes first when no caller has done it yet
     /// (type docs), so the solve reads coefficients the plan work just
-    /// brought into cache.
+    /// brought into cache. A varying chunk the lane rule puts in lanes
+    /// does it inside the solve instead: it reads only its prefix decay
+    /// point before the lockstep, which proves the gates as it loads them
+    /// (module docs, "Truncated corrections"). A chunk given a real
+    /// history past chunk 0 always does the work first.
     pub fn solve_chunk(
         &self,
         c: usize,
@@ -1041,20 +1160,31 @@ impl<T: Element> VaryingPlan<T> {
     ) -> VaryingSolve<T> {
         let start = c * self.chunk_size;
         let len = data.len();
-        let work = self.work(c);
-        if let Some(history) = state.filter(|_| c > 0 && T::IS_FLOAT && work.correction_len < len) {
-            let local = self.solve_chunk(c, None, data, keep_going);
-            if !local.completed {
-                return local;
+        if let Some(history) = state.filter(|_| c > 0 && T::IS_FLOAT) {
+            if self.work(c).correction_len < len {
+                let local = self.solve_chunk(c, None, data, keep_going);
+                if !local.completed {
+                    return local;
+                }
+                self.correct_chunk(c, history, data);
+                return VaryingSolve {
+                    state: self.fixup_state(c, history, &local.state),
+                    ..local
+                };
             }
-            self.correct_chunk(c, history, data);
-            return VaryingSolve {
-                state: self.fixup_state(c, history, &local.state),
-                ..local
-            };
         }
+        // A fresh lane chunk proves its gates; so does one whose eager
+        // work found a gate outside `[-1, 1]` and left it untruncated.
+        let fresh = self.fresh_lane_decay(c, len);
+        let (solver, prove) = match fresh {
+            Some(d) => (self.lane_solver(len, || d), true),
+            None => {
+                let work = self.work(c);
+                (work.solver, work.correction_len == len)
+            }
+        };
         let k = self.sig.order();
-        let kernel = match work.solver {
+        let kernel = match solver {
             Solver::Kernel(i) => Some(&self.kernels[i as usize]),
             Solver::Chain => None,
             Solver::Lanes | Solver::WideLanes => {
@@ -1062,15 +1192,30 @@ impl<T: Element> VaryingPlan<T> {
                 let gates = &self.sig.coeffs()[span.clone()];
                 let offsets = self.sig.offsets().map(|d| &d[span]);
                 let seed = state.map_or(T::zero(), |s| s[0]);
-                let (completed, slices) = match work.solver {
-                    Solver::WideLanes => {
-                        solve_lanes::<T, WIDE_LANES>(true, gates, offsets, seed, data, keep_going)
-                    }
-                    _ => solve_lanes::<T, LANES>(false, gates, offsets, seed, data, keep_going),
+                let out = match solver {
+                    Solver::WideLanes => solve_lanes::<T, WIDE_LANES>(
+                        true, prove, gates, offsets, seed, data, keep_going,
+                    ),
+                    _ => solve_lanes::<T, LANES>(
+                        false, prove, gates, offsets, seed, data, keep_going,
+                    ),
                 };
+                if let Some(d) = fresh.filter(|_| out.completed) {
+                    if out.bad == 0 {
+                        // Every gate is non-expansive: the eager work's
+                        // truncation, without its scan.
+                        self.chunks[c].work.get_or_init(|| ChunkWork {
+                            matrix: Matrix::from_parts(1, vec![T::zero()]),
+                            correction_len: d,
+                            solver,
+                        });
+                    } else {
+                        self.work(c);
+                    }
+                }
                 return VaryingSolve {
-                    completed,
-                    slices,
+                    completed: out.completed,
+                    slices: out.slices,
                     kernel: KernelKind::Lanes,
                     state: vec![data[len - 1]],
                 };
@@ -1740,9 +1885,11 @@ mod tests {
 
     /// Each chunk's plan work as the eager build did it, every chunk in
     /// chunk order before any solve: the transition's bits, the decay
-    /// point and the kernel class. The tier and the constant-row kernels
-    /// are the ones `plan` selected at build, so a tier flip by a test
-    /// running alongside cannot move the comparison.
+    /// point and the kernel class, lanes where the prefix decay point
+    /// lies inside a long enough chunk, whatever its later gates. The
+    /// tier and the constant-row kernels are the ones `plan` selected at
+    /// build, so a tier flip by a test running alongside cannot move the
+    /// comparison.
     fn eager_work<T: Element>(plan: &VaryingPlan<T>) -> Vec<(Vec<u64>, usize, KernelKind)> {
         let sig = plan.signature();
         let (m, n) = (plan.chunk_size(), plan.len());
@@ -1752,9 +1899,10 @@ mod tests {
                 let len = m.min(n - start);
                 let constant = sig.constant_row_in(start, start + len);
                 let (matrix, d) = chunk_transition(sig, start, len, constant);
+                let decays = || decay_point(&sig.coeffs()[start..start + len]).0 < len;
                 let kind = match plan.chunks[c].rows {
                     Rows::Constant(Some(i)) => plan.kernels[i as usize].kind(),
-                    _ if plan.lanes && len >= MIN_LANE_CHUNK && d < len => KernelKind::Lanes,
+                    _ if plan.lanes && len >= MIN_LANE_CHUNK && decays() => KernelKind::Lanes,
                     _ => KernelKind::Scalar,
                 };
                 (matrix_bits(&matrix), d, kind)
@@ -1785,10 +1933,13 @@ mod tests {
     }
 
     /// On fresh plans whose chunks are first touched in reverse or
-    /// shuffled order, by any accessor or from several threads at once,
-    /// every chunk's matrix, decay point and kernel class equal what the
-    /// eager build computed, for clean gates and for the hostile gates
-    /// 1.5, NaN and infinity, at orders 1 and 2, on floats and integers.
+    /// shuffled order, by any accessor, a solve included, or from several
+    /// threads at once, every chunk's matrix, decay point and kernel
+    /// class equal what the eager build computed: for clean gates, and
+    /// for one hostile gate (1.5, 1.0000001, NaN, ±infinity, -1.5) on a
+    /// lane sub-block's first or last step, at a poll slice's boundary or
+    /// past the sub-blocks, at both lane counts; at orders 1 and 2, on
+    /// floats and integers.
     #[test]
     fn lazy_plan_work_matches_the_eager_build() {
         fn check<T: Element>(sig: &VaryingSignature<T>, m: usize, label: &str) {
@@ -1850,28 +2001,52 @@ mod tests {
                 assert_eq!(&lazy_work(&plan, c), want, "{label}: chunk {c}, threads");
             }
         }
-        let m = MIN_LANE_CHUNK;
-        let n = 5 * m + 300;
-        // Chunk 1 constant, chunk 3 hostile past its decay point.
-        let clean = {
-            let mut gates = decaying_gates(n);
-            gates[m..2 * m].fill(0.75);
-            gates
-        };
-        check(
-            &VaryingSignature::first_order(clean.clone()).unwrap(),
-            m,
-            "clean",
-        );
-        for hostile in [1.5f32, f32::NAN, f32::INFINITY] {
-            let mut gates = clean.clone();
-            gates[3 * m + 1700] = hostile;
-            let sig = VaryingSignature::first_order(gates).unwrap();
-            check(&sig, m, &format!("{hostile}"));
-            let plan = VaryingPlan::build(sig, m).unwrap();
-            assert_eq!(plan.correction_len(3), m, "{hostile}: never truncated");
-            assert_eq!(plan.chunk_kernel_kind(3), KernelKind::Scalar, "{hostile}");
+        let hostiles = [
+            1.5f32,
+            1.000_000_1,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -1.5,
+        ];
+        // Four lanes at 2 Ki; 16 at 16 Ki where the CPU has AVX-512F.
+        for m in [MIN_LANE_CHUNK, 1 << 14] {
+            let n = 5 * m + 300;
+            // Chunk 1 constant, chunk 3 hostile past its decay point.
+            let clean = {
+                let mut gates = decaying_gates(n);
+                gates[m..2 * m].fill(0.75);
+                gates
+            };
+            let clean_sig = VaryingSignature::first_order(clean.clone()).unwrap();
+            check(&clean_sig, m, &format!("clean, m={m}"));
+            let (lanes, b) = match VaryingPlan::build(clean_sig, m).unwrap().work(3).solver {
+                Solver::WideLanes => (WIDE_LANES, lane_block::<f32, WIDE_LANES>(m)),
+                _ => (LANES, lane_block::<f32, LANES>(m)),
+            };
+            let mut places = vec![2 * b, 3 * b - 1, lanes * b + 5];
+            if SOLVE_SLICE / lanes < b {
+                places.push(b + SOLVE_SLICE / lanes);
+            }
+            for at in places {
+                for hostile in hostiles {
+                    let mut gates = clean.clone();
+                    gates[3 * m + at] = hostile;
+                    let sig = VaryingSignature::first_order(gates).unwrap();
+                    let label = format!("{hostile} at {at}, m={m}");
+                    check(&sig, m, &label);
+                    let plan = VaryingPlan::build(sig, m).unwrap();
+                    assert_eq!(plan.correction_len(3), m, "{label}: never truncated");
+                    let want = if plan.lanes {
+                        KernelKind::Lanes
+                    } else {
+                        KernelKind::Scalar
+                    };
+                    assert_eq!(plan.chunk_kernel_kind(3), want, "{label}");
+                }
+            }
         }
+        let (m, n) = (MIN_LANE_CHUNK, 5 * MIN_LANE_CHUNK + 300);
         for hostile in [[0.75f32, 0.75], [f32::NAN, 0.0]] {
             let mut coeffs: Vec<f32> = decaying_gates(2 * n).iter().map(|a| a / 2.0).collect();
             coeffs[2 * (3 * m + 1700)..2 * (3 * m + 1701)].copy_from_slice(&hostile);
@@ -1997,6 +2172,79 @@ mod tests {
         ];
         for (label, got, want) in cases {
             assert_eq!(format!("{got:?}"), format!("{want:?}"), "{label}");
+        }
+    }
+
+    /// The lockstep's verdicts, one bit per lane: a gate outside
+    /// `[-1, 1]` (1.5, 1.0000001, NaN, ±infinity, -1.5) inside the
+    /// stretch sets its lane's bit, while ±1, a denormal and -0.0 pass,
+    /// and a gate outside the stretch sets none, in the portable loops at
+    /// 16 lanes. Where AVX-512F runs, its kernel gives the same verdicts,
+    /// outputs and running values, on a stretch that ends in its scalar
+    /// remainder (one not a whole number of 16-step groups, which the
+    /// lane solve's sub-blocks and slices never hand it) as well as in
+    /// its vector part.
+    #[test]
+    fn the_lockstep_proves_each_lane_and_the_wide_kernel_agrees() {
+        let wide = simd::wide_lanes::<f32>();
+        if !wide {
+            eprintln!("the AVX-512F half skipped: this CPU has no AVX-512F");
+        }
+        let n = 1 << 14;
+        let b = lane_block::<f32, WIDE_LANES>(n);
+        let steps = 32..b - 7;
+        let input: Vec<f32> = pattern(51, n).iter().map(|&v| v as f32).collect();
+        let hostile = [
+            1.5f32,
+            1.000_000_1,
+            f32::NAN,
+            f32::INFINITY,
+            -f32::INFINITY,
+            -1.5,
+        ];
+        let border = [1.0f32, -1.0, 1e-40, -0.0];
+        let places = [(5, 40), (5, b - 9), (11, b - 16), (15, b - 8), (7, 10)];
+        for (gate, (lane, step)) in hostile
+            .into_iter()
+            .chain(border)
+            .flat_map(|g| places.map(|p| (g, p)))
+        {
+            let ctx = format!("gate {gate:e} in lane {lane} at step {step}");
+            let mut gates = decaying_gates(n);
+            gates[lane * b + step] = gate;
+            let mut want = input.clone();
+            let (mut want_s, mut want_bad) = ([0.25f32; WIDE_LANES], 0u32);
+            let mut blocks = want[..WIDE_LANES * b].chunks_exact_mut(b);
+            let mut ys: [&mut [f32]; WIDE_LANES] = std::array::from_fn(|_| blocks.next().unwrap());
+            let gs: [&[f32]; WIDE_LANES] = std::array::from_fn(|j| &gates[j * b..(j + 1) * b]);
+            let proof = Some(&mut want_bad);
+            lockstep(&mut ys, &gs, None, &mut want_s, steps.clone(), proof);
+            let caught = gate.is_nan() || gate.abs() > 1.0;
+            let flagged = if caught && steps.contains(&step) {
+                1 << lane
+            } else {
+                0
+            };
+            assert_eq!(want_bad, flagged, "portable: {ctx}");
+            if !wide {
+                continue;
+            }
+            let mut got = input.clone();
+            let (mut got_s, mut got_bad) = ([0.25f32; WIDE_LANES], 0u32);
+            let body = &mut got[..WIDE_LANES * b];
+            let proof = Some(&mut got_bad);
+            assert!(simd::lockstep_wide(
+                body,
+                &gates,
+                None,
+                b,
+                &mut got_s,
+                steps.clone(),
+                proof
+            ));
+            assert_eq!(got_bad, flagged, "AVX-512F: {ctx}");
+            assert!(same_bits(&got, &want), "{ctx}");
+            assert!(same_bits(&got_s, &want_s), "{ctx}");
         }
     }
 

@@ -14,7 +14,9 @@
 //! fold ([`axpy_ungated`]); the FIR map fused into the local solve
 //! ([`map_solve_ungated`]), against the two passes it replaces; and the
 //! 16-lane varying lane solve on AVX-512F ([`solve_lanes_ungated`]),
-//! against the portable loops at 16 lanes, bit for bit.
+//! against the portable loops at 16 lanes, bit for bit, with the proof
+//! its lockstep makes of the gates: one gate outside `[-1, 1]` anywhere
+//! in the chunk, against the serial reference.
 //!
 //! These tests pick tiers through `select_with_tier` and the `*_ungated`
 //! entry points rather than the process-global `PLR_KERNEL` override, so
@@ -27,7 +29,7 @@ use plr_core::element::Element;
 use plr_core::kernel::KernelTier;
 use plr_core::serial;
 use plr_core::simd::{axpy_ungated, fir_steady_ungated, map_solve_ungated, MAX_FIR_TAPS};
-use plr_core::varying::{solve_lanes_ungated, MIN_LANE_CHUNK};
+use plr_core::varying::{reference, solve_lanes_ungated, VaryingSignature, MIN_LANE_CHUNK};
 use proptest::prelude::*;
 
 /// Lengths exercising every vector-block boundary around a random base.
@@ -668,6 +670,148 @@ fn wide_lane_solve_matches_the_portable_loops_on_non_finite_inputs() {
             zeros[..b].fill(-0.0);
             let ctx = format!("n={n} seed {bad}, first sub-block -0.0");
             assert!(wide_against_portable(&gates, None, bad, &zeros, 0, &ctx));
+        }
+    }
+}
+
+/// Gates the lane solve's proof must catch: expansive, NaN, infinite.
+const HOSTILE_GATES: [f32; 6] = [
+    1.5,
+    1.000_000_1,
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    -1.5,
+];
+
+/// Gates on or inside `[-1, 1]` that must pass it: ±1 and a denormal.
+const BORDER_GATES: [f32; 3] = [1.0, -1.0, 1e-40];
+
+/// The ordered-integer distance between two `f32`s, in ULPs.
+fn ulps(a: f32, b: f32) -> i64 {
+    let key = |x: f32| {
+        let bits = i64::from(x.to_bits() as i32);
+        if bits < 0 {
+            i64::from(i32::MIN) - bits
+        } else {
+            bits
+        }
+    };
+    (key(a) - key(b)).abs()
+}
+
+/// Where the proof treats one gate apart in an `n`-element 16-lane
+/// solve: a sub-block's first and last steps, the first step past a
+/// poll slice's boundary (where one exists inside a sub-block), and past
+/// the sub-blocks, in the tail the last lane's fix-up covers.
+fn placements(n: usize) -> Vec<(&'static str, usize)> {
+    let b = wide_block(n);
+    let mut at = vec![
+        ("a sub-block's first step", 3 * b),
+        ("a sub-block's last step", 6 * b - 1),
+        ("the tail", 16 * b + (n - 16 * b) / 2),
+    ];
+    let slice = SOLVE_SLICE / 16;
+    if slice < b {
+        at.push(("a slice boundary", 9 * b + slice));
+    }
+    at
+}
+
+/// One gate of every hostile and border kind at every placement, on
+/// positive inputs and the ledger's `[0.5, 0.99)` gates, at lengths
+/// whose sub-blocks hold several poll slices or fewer steps than the
+/// decay point, one of them not a multiple of 16. The 16-lane solve,
+/// which proves its gates as a fresh plan chunk does, is non-finite
+/// exactly where the serial reference is, and elsewhere within 4 ULP of
+/// it. A negative gate flips the chain's sign, and where the chain then
+/// crosses zero the lanes' local solve and fix-up cancel, as signed
+/// inputs do, so there the bound is 4 ULP of the largest magnitude the
+/// reference reaches. The AVX-512F kernel, where it runs, gives the
+/// portable loops' bits.
+#[test]
+fn the_lane_proof_catches_a_hostile_gate_anywhere() {
+    let avx512 = wide_lanes_run("the_lane_proof_catches_a_hostile_gate_anywhere");
+    for (k, n) in [1 << 16, (1 << 16) + 7, 4096 + 333].into_iter().enumerate() {
+        let clean = uniform32(n, 0x9a70 + k as u64, 0.5, 0.99);
+        let input = uniform32(n, 0x9a71 + k as u64, 0.5, 1.5);
+        for (place, at) in placements(n) {
+            for gate in HOSTILE_GATES.into_iter().chain(BORDER_GATES) {
+                let mut gates = clean.clone();
+                gates[at] = gate;
+                let ctx = format!("n={n} gate {gate:e} at {at} ({place})");
+                let mut got = input.clone();
+                solve_lanes_ungated::<f32, 16>(false, &gates, None, 0.0, &mut got, &mut || true)
+                    .expect("the 16-lane solve runs on this input");
+                let sig = VaryingSignature::first_order(gates.clone()).unwrap();
+                let want = reference(&sig, &input).unwrap();
+                let scale = want
+                    .iter()
+                    .filter(|w| w.is_finite())
+                    .fold(0f32, |m, w| m.max(w.abs()));
+                for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.is_finite(), w.is_finite(), "{ctx}: i={i}: {g} vs {w}");
+                    if !w.is_finite() {
+                        continue;
+                    }
+                    let d = ulps(g, w);
+                    let cancels =
+                        gate.is_sign_negative() && (g - w).abs() <= 4.0 * scale * f32::EPSILON;
+                    assert!(d <= 4 || cancels, "{ctx}: i={i}: {g} vs {w} ({d} ULPs)");
+                }
+                if avx512 {
+                    assert!(wide_against_portable(&gates, None, 0.0, &input, 0, &ctx));
+                }
+            }
+        }
+    }
+}
+
+/// The per-sub-block verdict, on the case a fix-up cut at its flush
+/// point gets wrong: zero inputs over a sub-block's first 400 steps,
+/// where the chain decays past the smallest normal and sticks at the
+/// smallest denormal (every gate is above one half), then one `1e38`
+/// gate, which regrows that denormal to about `1.4e-7` in the chain. The
+/// lanes' local solve is zero there, so the output is what the fix-up
+/// carries: the chain's value only when that sub-block's fix-up runs on
+/// past its flush point. At 4 and 16 lanes, and on AVX-512F.
+#[test]
+fn a_hostile_gate_regrows_a_fix_up_past_its_flush_point() {
+    let avx512 = wide_lanes_run("a_hostile_gate_regrows_a_fix_up_past_its_flush_point");
+    let n = 1 << 16;
+    let clean = uniform32(n, 0xad7, 0.5, 0.99);
+    let positive = uniform32(n, 0xad8, 0.5, 1.5);
+    for lanes in [4usize, 16] {
+        let lines = n / (lanes * 16);
+        let b = (lines - 1 + lines % 2) * 16;
+        let at = 3 * b + 400;
+        let mut gates = clean.clone();
+        gates[at] = 1e38;
+        let mut input = positive.clone();
+        input[3 * b..=at].fill(0.0);
+        let sig = VaryingSignature::first_order(gates.clone()).unwrap();
+        let want = reference(&sig, &input).unwrap();
+        assert!(want[at] > 1e-8, "the chain regrows: {}", want[at]);
+        let mut paths = vec![false];
+        if avx512 && lanes == 16 {
+            paths.push(true);
+        }
+        for avx in paths {
+            let mut got = input.clone();
+            match lanes {
+                4 => {
+                    solve_lanes_ungated::<f32, 4>(false, &gates, None, 0.0, &mut got, &mut || true)
+                }
+                _ => solve_lanes_ungated::<f32, 16>(avx, &gates, None, 0.0, &mut got, &mut || true),
+            }
+            .expect("the lane solve runs on this input");
+            assert_eq!(
+                got[at].to_bits(),
+                want[at].to_bits(),
+                "{lanes} lanes, avx512={avx}: {} vs {}",
+                got[at],
+                want[at]
+            );
         }
     }
 }

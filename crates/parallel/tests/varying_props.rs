@@ -662,45 +662,101 @@ fn non_finite_inputs_in_a_lane_chunk_spread_to_its_end() {
     }
 }
 
-/// An expansive (1.5), NaN or infinite gate keeps its chunk from being
-/// truncated, so it stays on the chain and solves exactly as the chain
-/// does; its neighbours still take the lanes and the run reports
-/// [`KernelKind::Mixed`].
+/// An expansive (1.5), NaN or infinite gate past a chunk's decay point
+/// fails the proof its lanes make, so the chunk solves in lanes but is
+/// never truncated: its correction runs the whole chunk through the
+/// untruncated transition, and the run reports [`KernelKind::Lanes`].
+/// The runner gives the decoupled engine's bits. Its outputs stay within
+/// 4 ULP of the chain's where finite and are non-finite exactly where
+/// the chain's are, the chunk's local solve too, and `check_finite`
+/// gives the chain's verdict.
 #[test]
-fn hostile_gates_keep_their_chunk_on_the_chain() {
+fn hostile_gates_solve_their_chunk_in_lanes_untruncated() {
     let _g = lock_global();
-    let m = 2 * MIN_LANE_CHUNK;
-    let n = 4 * m;
-    let input: Vec<f32> = positive_input(n).iter().map(|&x| x as f32).collect();
-    for hostile in [1.5f32, f32::NAN, f32::INFINITY] {
-        let mut gates: Vec<f32> = slow_decay_gates(n, 1, 0x4057)
-            .iter()
-            .map(|&a| a as f32)
-            .collect();
-        gates[3 * m + m / 2] = hostile;
-        let sig = VaryingSignature::first_order(gates).unwrap();
-        let chain = plan_under(KernelTier::Scalar, &sig, m);
-        let _tier = PinnedTier::new(KernelTier::Auto);
-        let plan = VaryingPlan::build(sig.clone(), m).unwrap();
-        for c in 0..3 {
+    for m in [2 * MIN_LANE_CHUNK, 1 << 16] {
+        let n = 4 * m;
+        let input: Vec<f32> = positive_input(n).iter().map(|&x| x as f32).collect();
+        for hostile in [1.5f32, f32::NAN, f32::INFINITY] {
+            let mut gates: Vec<f32> = slow_decay_gates(n, 1, 0x4057)
+                .iter()
+                .map(|&a| a as f32)
+                .collect();
+            gates[3 * m + m / 2] = hostile;
+            let sig = VaryingSignature::first_order(gates).unwrap();
+            let label = format!("{hostile} m={m}");
+            let chain = plan_under(KernelTier::Scalar, &sig, m);
+            let chain_run = |check_finite: bool| {
+                let _tier = PinnedTier::new(KernelTier::Scalar);
+                checked_runner(&sig, m, check_finite).run(&input)
+            };
+            let (chain_out, chain_verdict) = (chain_run(false).unwrap(), chain_run(true));
+            let _tier = PinnedTier::new(KernelTier::Auto);
+            let plan = VaryingPlan::build(sig.clone(), m).unwrap();
+            let mut lanes_plan = input[3 * m..].to_vec();
+            let mut chain_plan = lanes_plan.clone();
+            plan.solve_chunk(3, None, &mut lanes_plan, &mut || true);
+            chain.solve_chunk(3, None, &mut chain_plan, &mut || true);
+            assert_within_4_ulps(&lanes_plan, &chain_plan, &format!("{label}: chunk 3"));
+            assert_eq!(plan.chunk_kernel_kind(3), KernelKind::Lanes, "{label}");
+            assert_eq!(plan.correction_len(3), m, "{label}");
+            let mut untruncated = plr_core::companion::Matrix::identity(1);
+            for a in &sig.coeffs()[3 * m..] {
+                untruncated.companion_push(std::slice::from_ref(a));
+            }
             assert_eq!(
-                plan.chunk_kernel_kind(c),
-                KernelKind::Lanes,
-                "{hostile}: chunk {c}"
+                plan.matrix(3).get(0, 0).to_bits(),
+                untruncated.get(0, 0).to_bits(),
+                "{label}"
+            );
+            let runner = runner_with(&sig, m, 2);
+            let mut got = input.clone();
+            let stats = runner.run_in_place(&mut got).unwrap();
+            assert_eq!(stats.kernel, KernelKind::Lanes, "{label}");
+            assert_eq!(runner.plan().correction_len(3), m, "{label}");
+            let engine = engine_with(&sig, m, CarryPropagation::Decoupled);
+            assert_eq!(
+                key_bits(&got),
+                key_bits(&engine.run(&input).unwrap()),
+                "{label}"
+            );
+            assert_within_4_ulps(&got, &chain_out, &label);
+            assert_eq!(
+                checked_runner(&sig, m, true).run(&input).err(),
+                chain_verdict.err(),
+                "{label}: check_finite"
             );
         }
-        assert_eq!(plan.chunk_kernel_kind(3), KernelKind::Scalar, "{hostile}");
-        assert_eq!(plan.correction_len(3), m, "{hostile}");
-        assert_eq!(plan.aggregate_kernel_kind(), KernelKind::Mixed, "{hostile}");
-        let mut lanes_plan = input[3 * m..].to_vec();
-        let mut chain_plan = lanes_plan.clone();
-        plan.solve_chunk(3, None, &mut lanes_plan, &mut || true);
-        chain.solve_chunk(3, None, &mut chain_plan, &mut || true);
-        assert_eq!(key_bits(&lanes_plan), key_bits(&chain_plan), "{hostile}");
-        let stats = runner_with(&sig, m, 2)
-            .run_in_place(&mut input.clone())
-            .unwrap();
-        assert_eq!(stats.kernel, KernelKind::Mixed, "{hostile}");
+    }
+}
+
+/// A two-thread runner on `m`-element chunks, with `check_finite` as given.
+fn checked_runner(sig: &VaryingSignature<f32>, m: usize, check_finite: bool) -> VaryingRunner<f32> {
+    VaryingRunner::with_config(
+        sig.clone(),
+        RunnerConfig {
+            chunk_size: m,
+            threads: 2,
+            check_finite,
+            ..Default::default()
+        },
+    )
+    .unwrap()
+}
+
+/// `got` is within 4 ULP of `want` where `want` is finite, and
+/// non-finite exactly where `want` is.
+fn assert_within_4_ulps(got: &[f32], want: &[f32], label: &str) {
+    assert_eq!(got.len(), want.len(), "{label}");
+    for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(
+            g.is_finite(),
+            w.is_finite(),
+            "{label} i={i}: {g:?} vs {w:?}"
+        );
+        if w.is_finite() {
+            let d = ulps32(g, w);
+            assert!(d <= 4, "{label} i={i}: {g:?} vs {w:?} ({d} ULPs)");
+        }
     }
 }
 
