@@ -22,11 +22,20 @@
 //! ways: `two_pass`, the in-place FIR map followed by the sliced solve,
 //! and `fused`, `CorrectionPlan::map_solve_sliced`, which under the
 //! default `auto` tier folds the map into the SIMD solve.
+//!
+//! The `cascade_chunks` group is the kernel rung of one psum2 chunk:
+//! a buffer well past the L3 walked in 64 Ki chunks on one thread, each
+//! chunk solved from zero history and corrected with carries, as a
+//! worker of the chunk pipeline does. `solve` times the solve alone,
+//! `solve_then_correct` corrects each chunk in a second pass, from
+//! cache, and `fused` corrects each chunk inside the next chunk's solve
+//! (`CascadeKernel::solve_and_correct_sliced`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use plr_core::blocked::{fir_in_place, BlockedKernel, SolveKernel};
 use plr_core::element::Element;
 use plr_core::plan::{CorrectionPlan, PlanRequest};
+use plr_core::prefix::CascadeKernel;
 use plr_core::serial;
 use plr_core::signature::Signature;
 use plr_core::simd::SimdKernel;
@@ -255,10 +264,67 @@ where
     g.finish();
 }
 
+/// One psum2 chunk's solve and correction, apart and fused (module
+/// docs): 32 Mi `i64` (256 MiB) in 64 Ki chunks, 1 Mi in quick mode.
+fn bench_cascade_chunks(c: &mut Criterion) {
+    let quick = std::env::var("PLR_BENCH_QUICK").is_ok();
+    let n: usize = if quick { 1 << 20 } else { 1 << 25 };
+    let m = 1 << 16;
+    let kernel = CascadeKernel::try_new(&[2i64, -1]).expect("(1: 2, -1) is a cascade");
+    let carries = [3i64, -5];
+    let solve = |buf: &mut [i64]| {
+        for chunk in buf.chunks_mut(m) {
+            kernel.solve_in_place(chunk);
+        }
+    };
+    let solve_then_correct = |buf: &mut [i64]| {
+        for chunk in buf.chunks_mut(m) {
+            kernel.solve_in_place(chunk);
+            kernel.add_carry_response(&carries, chunk);
+        }
+    };
+    let fused = |buf: &mut [i64]| {
+        let mut held: Option<&mut [i64]> = None;
+        for chunk in buf.chunks_mut(m) {
+            match held.take() {
+                Some(prev) => {
+                    kernel.solve_and_correct_sliced(&carries, prev, chunk, &mut || true);
+                }
+                None => kernel.solve_in_place(chunk),
+            }
+            held = Some(chunk);
+        }
+        if let Some(last) = held {
+            kernel.add_carry_response(&carries, last);
+        }
+    };
+    let input: Vec<i64> = (0..n as i64)
+        .map(|i| (i.wrapping_mul(31) % 17) - 8)
+        .collect();
+    let (mut a, mut b) = (input[..3 * m + 5].to_vec(), input[..3 * m + 5].to_vec());
+    solve_then_correct(&mut a);
+    fused(&mut b);
+    assert_eq!(a, b, "fused must equal the two passes exactly");
+
+    // One buffer, solved in place again each iteration: the values wrap,
+    // and a copy per iteration would double the footprint.
+    let mut buf = input;
+    let mut g = c.benchmark_group(format!("cascade_chunks_i64_order2_{}k", n >> 10));
+    g.throughput(Throughput::Elements(n as u64));
+    g.sample_size(if quick { 5 } else { 20 });
+    g.bench_function("solve", |bench| bench.iter(|| solve(black_box(&mut buf))));
+    g.bench_function("solve_then_correct", |bench| {
+        bench.iter(|| solve_then_correct(black_box(&mut buf)))
+    });
+    g.bench_function("fused", |bench| bench.iter(|| fused(black_box(&mut buf))));
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_solve_kernels,
     bench_solve_kernels_int,
-    bench_map_solve
+    bench_map_solve,
+    bench_cascade_chunks
 );
 criterion_main!(benches);

@@ -43,7 +43,10 @@
 //! In wrapping integer arithmetic this is the same sum in another order,
 //! so its output is bit-identical to the dense table's. The table stays:
 //! [`CorrectionPlan::fixup_carries`] reads its entries near each chunk's
-//! end.
+//! end. Where the plan's solve is the cascade too, the pass need not be
+//! a pass of its own: [`CorrectionPlan::correct_map_solve_sliced`]
+//! applies one chunk's correction inside the next chunk's solve
+//! ([`CascadeKernel::solve_and_correct_sliced`]).
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -352,6 +355,58 @@ impl<T: Element> CorrectionPlan<T> {
             fir_in_place(&self.fir, prev_raw, prev_raw.len(), chunk);
         }
         self.solve.solve_in_place_sliced(chunk, keep_going)
+    }
+
+    /// Whether [`correct_map_solve_sliced`](Self::correct_map_solve_sliced)
+    /// corrects inside the solve: the plan is [`PlanKind::Polynomial`]
+    /// and its solve the cascade, which the forced `scalar` and `blocked`
+    /// tiers never select.
+    pub fn fuses_correction(&self) -> bool {
+        self.polynomial.is_some() && matches!(self.solve, SolveKernel::Cascade(_))
+    }
+
+    /// Corrects `prev`, a chunk solved from zero history, with its
+    /// predecessor's global `carries`, as
+    /// [`correct_chunk`](Self::correct_chunk) does, then maps and solves
+    /// `chunk` as [`map_solve_sliced`](Self::map_solve_sliced) does. Where
+    /// the plan [fuses the correction](Self::fuses_correction), after the
+    /// map (a pure-feedback signature has none) one loop solves `chunk`
+    /// and corrects `prev` a line of each at a time
+    /// ([`CascadeKernel::solve_and_correct_sliced`]); `prev` is then read
+    /// from cache while `chunk` streams from memory. Elsewhere the
+    /// correction runs first, on its own. The outputs are the two calls'
+    /// either way, bit for bit; an early stop leaves `prev` partly
+    /// corrected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prev.len()` exceeds the plan's chunk size.
+    pub fn correct_map_solve_sliced(
+        &self,
+        prev: &mut [T],
+        carries: &[T],
+        chunk: &mut [T],
+        prev_raw: &[T],
+        keep_going: &mut dyn FnMut() -> bool,
+    ) -> SlicedSolve {
+        match &self.polynomial {
+            Some(cascade) if self.fuses_correction() => {
+                assert!(
+                    prev.len() <= self.chunk_size,
+                    "chunk of {} exceeds plan chunk size {}",
+                    prev.len(),
+                    self.chunk_size
+                );
+                if !self.signature.is_pure_feedback() {
+                    fir_in_place(&self.fir, prev_raw, prev_raw.len(), chunk);
+                }
+                cascade.solve_and_correct_sliced(carries, prev, chunk, keep_going)
+            }
+            _ => {
+                self.correct_chunk(prev, carries);
+                self.map_solve_sliced(chunk, prev_raw, keep_going)
+            }
+        }
     }
 
     /// The physical factor table (shorter than [`chunk_size`] for
@@ -824,6 +879,52 @@ mod tests {
             PlanKind::Dense
         );
         assert_eq!(auto_plan::<i64>("1:2,-1", 0).kind(), PlanKind::Unplanned);
+    }
+
+    /// The entry that corrects one chunk and solves the next equals the
+    /// two calls it replaces, for the plans that fuse them (the
+    /// polynomial ones under `auto`, with and without a map) and for
+    /// those that do not.
+    #[test]
+    fn correct_map_solve_equals_correct_then_map_solve() {
+        let m = 3 * crate::blocked::SOLVE_SLICE + 77;
+        for text in [
+            "1:2,-1",
+            "1:4,-6,4,-1",
+            "2,-1:3,-3,1",
+            "1:1",
+            "1:0,1",
+            "3:2,1",
+        ] {
+            let plan = auto_plan::<i64>(text, m);
+            let fused = plan.kind() == PlanKind::Polynomial
+                && plan.solve().kind() == kernel::KernelKind::Cascade;
+            assert_eq!(plan.fuses_correction(), fused, "{text}");
+            let input: Vec<i64> = (0..2 * m as i64).map(|i| (i * 7919) % 1013 - 506).collect();
+            let (prev_raw, rest) = input.split_at(m);
+            for (len, carries) in [
+                (m, [5i64, -9, 4, 1]),
+                (m / 3, [0; 4]),
+                (m - 1, [-7, 0, 0, 2]),
+            ] {
+                let carries = &carries[..plan.order()];
+                let mut solved = prev_raw.to_vec();
+                plan.map_solve_sliced(&mut solved, &[], &mut || true);
+                let (mut want_prev, mut want) = (solved.clone(), rest[..len].to_vec());
+                plan.correct_chunk(&mut want_prev, carries);
+                plan.map_solve_sliced(&mut want, &prev_raw[m - 3..], &mut || true);
+                let (mut got_prev, mut got) = (solved, rest[..len].to_vec());
+                let out = plan.correct_map_solve_sliced(
+                    &mut got_prev,
+                    carries,
+                    &mut got,
+                    &prev_raw[m - 3..],
+                    &mut || true,
+                );
+                assert!(out.completed, "{text}");
+                assert!(got_prev == want_prev && got == want, "{text} len={len}");
+            }
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! cascade kernels for its binomial members, and the paper's Table 1
 //! catalog.
 
+use crate::blocked::{SlicedSolve, SOLVE_SLICE};
 use crate::element::Element;
 use crate::filters;
 use crate::signature::Signature;
@@ -236,6 +237,216 @@ impl<T: Element> CascadeKernel<T> {
             _ => unreachable!("built only for orders 1..=MAX_CASCADE_ORDER"),
         }
     }
+
+    /// Solves `data` from zero history, as
+    /// [`solve_in_place`](Self::solve_in_place) does, and adds the
+    /// zero-input response of `carries` to `prev`, as
+    /// [`add_carry_response`](Self::add_carry_response) does, in one
+    /// loop: each step solves one 64-byte line of `data` and corrects one
+    /// line of `prev`. The correction reads a chunk solved just before,
+    /// from cache, so its work fills the solve's waits on memory instead
+    /// of costing a pass of its own. The outputs are those of the two
+    /// calls, bit for bit, whatever the lengths (`prev` may be shorter or
+    /// longer than `data`).
+    ///
+    /// The correction steps a table of the response's forward differences
+    /// at a stride of one line (8 `i64` or 16 `i32` lanes), held in
+    /// vector registers, and runs a little ahead of the solve: far enough that the two streams' addresses
+    /// differ by about half a page modulo 4 KiB. Where they agree there
+    /// (two 64 Ki-element chunks of one buffer do), the core takes each
+    /// load of one stream for a reload of the other's pending store,
+    /// and the fused loop runs slower than the two passes.
+    ///
+    /// `keep_going` is polled before each [`SOLVE_SLICE`] of `data` after
+    /// the first. On an early stop the finished slices of `data` hold
+    /// their final values and the rest of `data` is untouched; `prev` is
+    /// left partly corrected.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use plr_core::prefix::CascadeKernel;
+    ///
+    /// let kernel = CascadeKernel::try_new(&[2i64, -1]).unwrap();
+    /// let input: Vec<i64> = (0..300).map(|i| (i % 7) - 3).collect();
+    /// let (mut prev, mut data) = (input.clone(), input.clone());
+    /// kernel.solve_in_place(&mut prev);
+    /// let (mut fused_prev, mut fused_data) = (prev.clone(), data.clone());
+    /// kernel.add_carry_response(&[5, -2], &mut prev);
+    /// kernel.solve_in_place(&mut data);
+    /// kernel.solve_and_correct_sliced(&[5, -2], &mut fused_prev, &mut fused_data, &mut || true);
+    /// assert_eq!((fused_prev, fused_data), (prev, data));
+    /// ```
+    pub fn solve_and_correct_sliced(
+        &self,
+        carries: &[T],
+        prev: &mut [T],
+        data: &mut [T],
+        keep_going: &mut dyn FnMut() -> bool,
+    ) -> SlicedSolve {
+        // Zero carries respond with zeros: only the solve is left.
+        let prev: &mut [T] = if carries.iter().take(self.order()).all(|c| c.is_zero()) {
+            &mut []
+        } else {
+            prev
+        };
+        // One 64-byte line: 8 `i64` or 16 `i32`.
+        match (self.order(), std::mem::size_of::<T>()) {
+            (1, 4) => solve_correcting::<T, 1, 16>(carries, prev, data, keep_going),
+            (2, 4) => solve_correcting::<T, 2, 16>(carries, prev, data, keep_going),
+            (3, 4) => solve_correcting::<T, 3, 16>(carries, prev, data, keep_going),
+            (4, 4) => solve_correcting::<T, 4, 16>(carries, prev, data, keep_going),
+            (1, _) => solve_correcting::<T, 1, 8>(carries, prev, data, keep_going),
+            (2, _) => solve_correcting::<T, 2, 8>(carries, prev, data, keep_going),
+            (3, _) => solve_correcting::<T, 3, 8>(carries, prev, data, keep_going),
+            (4, _) => solve_correcting::<T, 4, 8>(carries, prev, data, keep_going),
+            _ => unreachable!("built only for orders 1..=MAX_CASCADE_ORDER"),
+        }
+    }
+}
+
+/// Bytes the fused kernel keeps between its two streams, modulo
+/// [`ALIAS_SPAN`]: half of it, the farthest from both ends.
+const STREAM_GAP: usize = 2048;
+
+/// The span of address bits below which the core matches a load against
+/// the stores still in flight before it has the full address (4K
+/// aliasing).
+const ALIAS_SPAN: usize = 4096;
+
+/// How many elements of `prev` the fused kernel corrects before it
+/// starts solving `data`, a whole number of lines: after it, the
+/// correction stream runs [`STREAM_GAP`] bytes, modulo [`ALIAS_SPAN`],
+/// ahead of the solve stream (less up to a line).
+fn stream_offset<T>(prev: *const T, data: *const T) -> usize {
+    let gap = (prev as usize).wrapping_sub(data as usize) % ALIAS_SPAN;
+    let lead = (STREAM_GAP + ALIAS_SPAN - gap) % ALIAS_SPAN;
+    lead / LINE_BYTES * LINE_BYTES / std::mem::size_of::<T>().max(1)
+}
+
+/// The zero-input response of `Q` cascaded running sums, one line of `L`
+/// positions at a time: row `d` holds the response's `d`-th forward
+/// difference at a stride of `L`, lane `j` at the `j`-th position of the
+/// next line. A step adds row 0 to a line and then row `d + 1` into row
+/// `d`, which moves every row one line on. The response is an
+/// integer-valued polynomial of degree `Q − 1` in the position, so row
+/// `Q − 1` is constant and each step is exact in wrapping arithmetic, a
+/// ring.
+struct Response<T, const Q: usize, const L: usize> {
+    rows: [[T; L]; Q],
+}
+
+impl<T: Element, const Q: usize, const L: usize> Response<T, Q, L> {
+    /// The table at the first position, from the carries' level states.
+    fn new(level: [T; Q]) -> Self {
+        let mut rows = [[T::zero(); L]; Q];
+        let mut lvl = level;
+        for row in rows.iter_mut() {
+            cascade_respond_from(&mut lvl, row);
+        }
+        // Newton's table in place: row `d` becomes the `d`-th difference.
+        for d in 1..Q {
+            for r in (d..Q).rev() {
+                let (below, from) = rows.split_at_mut(r);
+                for (v, &w) in from[0].iter_mut().zip(&below[r - 1]) {
+                    *v = v.sub(w);
+                }
+            }
+        }
+        Response { rows }
+    }
+
+    /// Adds the response to one whole line and steps on. `top` is row
+    /// `Q − 1`, which never changes.
+    #[inline(always)]
+    fn step(&mut self, top: &[T; L], line: &mut [T; L]) {
+        for (v, &r) in line.iter_mut().zip(&self.rows[0]) {
+            *v = v.add(r);
+        }
+        for d in 1..Q {
+            let next = if d == Q - 1 { *top } else { self.rows[d] };
+            for (v, &w) in self.rows[d - 1].iter_mut().zip(&next) {
+                *v = v.add(w);
+            }
+        }
+    }
+
+    /// Adds the response to `tail`, shorter than a line: the stream's
+    /// end.
+    fn end(self, tail: &mut [T]) {
+        for (v, &r) in tail.iter_mut().zip(&self.rows[0]) {
+            *v = v.add(r);
+        }
+    }
+}
+
+/// The cascade over `line`, a line of `L` elements or a shorter tail.
+#[inline(always)]
+fn cascade_line<T: Element, const Q: usize>(level: &mut [T; Q], line: &mut [T]) {
+    for v in line {
+        let mut x = *v;
+        for s in level.iter_mut() {
+            *s = s.add(x);
+            x = *s;
+        }
+        *v = x;
+    }
+}
+
+/// The fused kernel behind [`CascadeKernel::solve_and_correct_sliced`],
+/// `L` elements to a 64-byte line.
+fn solve_correcting<T: Element, const Q: usize, const L: usize>(
+    carries: &[T],
+    prev: &mut [T],
+    data: &mut [T],
+    keep_going: &mut dyn FnMut() -> bool,
+) -> SlicedSolve {
+    // Left to itself, LLVM takes the table's lanes for polynomial
+    // induction variables and keeps them scalar, in general-purpose
+    // registers and on the stack: the fused loop then gained little or
+    // nothing over two passes. A table that enters the loop through
+    // memory, with its constant row read through a reference the
+    // optimizer cannot see through, it keeps in vector registers, for
+    // every order.
+    let table = Response::<T, Q, L>::new(levels::<T, Q>(carries));
+    let top_row = table.rows[Q - 1];
+    let (mut response, top) = std::hint::black_box((table, &top_row));
+    let lead = stream_offset(prev.as_ptr(), data.as_ptr()).min(prev.len());
+    let mut pending = prev.chunks_exact_mut(L);
+    for line in pending.by_ref().take(lead / L) {
+        response.step(top, line.try_into().expect("whole line"));
+    }
+    let mut level = [T::zero(); Q];
+    let mut slices = 0;
+    for (s, slice) in data.chunks_mut(SOLVE_SLICE).enumerate() {
+        if s > 0 && !keep_going() {
+            return SlicedSolve {
+                completed: false,
+                slices,
+            };
+        }
+        let mut lines = slice.chunks_exact_mut(L);
+        let both = lines.len().min(pending.len());
+        for (line, corrected) in lines.by_ref().take(both).zip(pending.by_ref()) {
+            prefetch_ahead(line.as_ptr(), LINE_BYTES);
+            cascade_line(&mut level, line);
+            response.step(top, corrected.try_into().expect("whole line"));
+        }
+        for line in lines.by_ref() {
+            prefetch_ahead(line.as_ptr(), LINE_BYTES);
+            cascade_line(&mut level, line);
+        }
+        cascade_line(&mut level, lines.into_remainder());
+        slices += 1;
+    }
+    for line in pending.by_ref() {
+        response.step(top, line.try_into().expect("whole line"));
+    }
+    response.end(pending.into_remainder());
+    SlicedSolve {
+        completed: true,
+        slices: slices.max(1),
+    }
 }
 
 /// The cascade's level states just before the data, from the history
@@ -274,6 +485,12 @@ fn cascade_solve<T: Element, const Q: usize>(mut level: [T; Q], data: &mut [T]) 
 }
 
 fn cascade_respond<T: Element, const Q: usize>(mut level: [T; Q], chunk: &mut [T]) {
+    cascade_respond_from(&mut level, chunk);
+}
+
+/// [`cascade_respond`] from `level`, left where the chunk ends.
+#[inline(always)]
+fn cascade_respond_from<T: Element, const Q: usize>(level: &mut [T; Q], chunk: &mut [T]) {
     for v in chunk.iter_mut() {
         for l in 1..Q {
             level[l] = level[l].add(level[l - 1]);
@@ -506,6 +723,146 @@ mod tests {
             .collect();
         let sig = Signature::new(vec![1.0], feedback).unwrap();
         assert_eq!(classify_prefix_family(&sig), None);
+    }
+
+    /// Wrapping-scale inputs: products of two large `i32`s, so the
+    /// cascade's sums overflow within a few steps.
+    fn wide<T: Element>(n: usize, seed: i32) -> Vec<T> {
+        (0..n as i32)
+            .map(|i| {
+                let a = i.wrapping_mul(1_103_515_245).wrapping_add(seed) >> 1;
+                T::from_i32(a).mul(T::from_i32(a ^ 0x5bd1_e995))
+            })
+            .collect()
+    }
+
+    /// `data` at the front of one buffer and `prev` after it, `skew`
+    /// elements past the next 4 KiB multiple: skew 0 is two chunks of
+    /// one buffer, whose streams alias unless the kernel offsets them.
+    fn layout<T: Element>(buf: &mut [T], n: usize, p: usize, skew: usize) -> (&mut [T], &mut [T]) {
+        let page = ALIAS_SPAN / std::mem::size_of::<T>();
+        let (data, rest) = buf.split_at_mut(n.div_ceil(page) * page + skew);
+        (&mut rest[..p], &mut data[..n])
+    }
+
+    /// The fused kernel on one (`prev`, `data`) pair against
+    /// `add_carry_response` then `solve_in_place`; with `stop`, the
+    /// poll stops it after its first slice.
+    fn check_fused<T: Element>(q: usize, n: usize, p: usize, skew: usize, zero: bool, stop: bool) {
+        let fb: Vec<T> = higher_order_prefix_sum::<T>(q).feedback().to_vec();
+        let kernel = CascadeKernel::try_new(&fb).unwrap();
+        let carries: Vec<T> = if zero {
+            vec![T::zero(); q]
+        } else {
+            wide(q, 77)
+        };
+        let (raw_prev, raw_data) = (wide::<T>(p, 1), wide::<T>(n, 2));
+        let mut solved_prev = raw_prev.clone();
+        kernel.solve_in_place(&mut solved_prev);
+        let mut want_prev = solved_prev.clone();
+        kernel.add_carry_response(&carries, &mut want_prev);
+        let mut want_data = raw_data.clone();
+        kernel.solve_in_place(&mut want_data);
+
+        let page = ALIAS_SPAN / std::mem::size_of::<T>();
+        let mut buf = vec![T::zero(); n.div_ceil(page) * page + skew + p];
+        let (prev, data) = layout(&mut buf, n, p, skew);
+        prev.copy_from_slice(&solved_prev);
+        data.copy_from_slice(&raw_data);
+        let lead = stream_offset(prev.as_ptr(), data.as_ptr());
+        let mut polls = 0;
+        let out = kernel.solve_and_correct_sliced(&carries, prev, data, &mut || {
+            polls += 1;
+            !stop
+        });
+        let what = format!("{} q={q} n={n} p={p} skew={skew} zero={zero}", T::CUDA_NAME);
+        let slices = n.div_ceil(SOLVE_SLICE).max(1);
+        if !stop || slices == 1 {
+            assert!(out.completed, "{what}");
+            assert_eq!(out.slices, slices as u64, "{what}");
+            assert!(data == want_data.as_slice(), "{what}: solve");
+            assert!(prev == want_prev.as_slice(), "{what}: correction");
+            return;
+        }
+        assert_eq!((out.completed, out.slices, polls), (false, 1, 1), "{what}");
+        // The first slice of each stream is final; the rest untouched.
+        let done = SOLVE_SLICE;
+        assert!(data[..done] == want_data[..done], "{what}: solved slice");
+        assert!(data[done..] == raw_data[done..], "{what}: unsolved rest");
+        // Whole lines only: a last partial line waits for the end.
+        let line = LINE_BYTES / std::mem::size_of::<T>();
+        let fixed = if zero {
+            0
+        } else {
+            (lead + done).min(p) / line * line
+        };
+        assert!(
+            prev[..fixed] == want_prev[..fixed],
+            "{what}: corrected head"
+        );
+        assert!(
+            prev[fixed..] == solved_prev[fixed..],
+            "{what}: uncorrected rest"
+        );
+    }
+
+    fn fused_kernel_matches_the_two_calls<T: Element>() {
+        let line = LINE_BYTES / std::mem::size_of::<T>();
+        let lead = STREAM_GAP / std::mem::size_of::<T>();
+        let mut lengths = vec![0, 1, 5];
+        // A lane group: one 256-bit vector's lanes.
+        let group = 32 / std::mem::size_of::<T>();
+        for edge in [line, group, lead, SOLVE_SLICE] {
+            lengths.extend([edge - 1, edge, edge + 1]);
+        }
+        lengths.push(2 * SOLVE_SLICE + 3 * line + 5);
+        for q in 2..=MAX_CASCADE_ORDER {
+            for &n in &lengths {
+                for &p in &lengths {
+                    check_fused::<T>(q, n, p, 0, false, false);
+                }
+            }
+            // Other gaps between the streams, a short lead among them.
+            let half = STREAM_GAP / std::mem::size_of::<T>();
+            for skew in [1, line, half - line, half, half + 3, 2 * half - 1] {
+                check_fused::<T>(q, 3 * SOLVE_SLICE, 3 * SOLVE_SLICE, skew, false, false);
+                check_fused::<T>(q, lead + 7, 3 * lead, skew, false, false);
+            }
+            // The ragged last chunk after a whole one; zero carries.
+            check_fused::<T>(q, SOLVE_SLICE + 9, 4 * SOLVE_SLICE, 0, false, false);
+            check_fused::<T>(q, 4 * SOLVE_SLICE, 4 * SOLVE_SLICE, 0, true, false);
+            // Stopped after the first slice.
+            for (n, p) in [
+                (3 * SOLVE_SLICE + 5, 4 * SOLVE_SLICE),
+                (2 * SOLVE_SLICE, 100),
+            ] {
+                check_fused::<T>(q, n, p, 0, false, true);
+                check_fused::<T>(q, n, p, 0, true, true);
+            }
+        }
+    }
+
+    #[test]
+    fn fused_solve_and_correct_equals_the_two_calls_i64() {
+        fused_kernel_matches_the_two_calls::<i64>();
+    }
+
+    #[test]
+    fn fused_solve_and_correct_equals_the_two_calls_i32() {
+        fused_kernel_matches_the_two_calls::<i32>();
+    }
+
+    #[test]
+    fn the_streams_sit_half_a_page_apart() {
+        let buf = vec![0i64; 3 * 512];
+        let base = buf.as_ptr();
+        // Two chunks 4 KiB apart: the correction leads by half a page.
+        assert_eq!(stream_offset(base.wrapping_add(1024), base), 256);
+        // Already half a page apart: no lead.
+        assert_eq!(stream_offset(base.wrapping_add(256), base), 0);
+        // One element short of half a page: a lead of whole lines only.
+        assert_eq!(stream_offset(base.wrapping_add(255), base), 0);
+        assert_eq!(stream_offset(base.wrapping_add(257), base), 504);
     }
 
     #[test]

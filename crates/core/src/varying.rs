@@ -719,8 +719,18 @@ fn non_expansive<T: Element>(row: &[T]) -> bool {
 }
 
 /// [`non_expansive`] over every `k`-coefficient row of `rows`. The folds
-/// are branch-free so the order-1 pass vectorizes.
+/// are branch-free so the order-1 pass vectorizes. At order 1 a builtin
+/// float is compared as IEEE bits, as the AVX-512F lockstep does: with
+/// its sign cleared it is at most 1.0's bits exactly when `|a| ≤ 1`,
+/// the infinities and NaN above them, so no gate is widened to `f64`.
 fn all_non_expansive<T: Element>(rows: &[T], k: usize) -> bool {
+    if k == 1 && T::IS_FLOAT && T::BLOCKABLE {
+        let magnitude = !(1u64 << (8 * T::BYTES - 1));
+        let one = T::one().key_bits();
+        return rows
+            .iter()
+            .fold(true, |ok, a| ok & (a.key_bits() & magnitude <= one));
+    }
     if k == 1 {
         return rows
             .iter()
@@ -1447,6 +1457,64 @@ mod tests {
                 ((x >> 11) as f64 / (1u64 << 53) as f64) - 0.5
             })
             .collect()
+    }
+
+    /// The order-1 proof on IEEE bits agrees with `|a| ≤ 1` on the edge
+    /// values, alone and among clean gates.
+    #[test]
+    fn the_bit_proof_passes_exactly_the_non_expansive_gates() {
+        fn check<T: Element>(pass: &[T], fail: &[T]) {
+            let clean = [T::from_f64(0.5); 9];
+            for (&a, ok) in pass
+                .iter()
+                .map(|a| (a, true))
+                .chain(fail.iter().map(|a| (a, false)))
+            {
+                let mut gates = clean;
+                gates[4] = a;
+                assert_eq!(all_non_expansive(&[a], 1), ok, "{}", a.to_f64());
+                assert_eq!(all_non_expansive(&gates, 1), ok, "{}", a.to_f64());
+                assert_eq!(non_expansive(&[a]), ok, "{}", a.to_f64());
+            }
+        }
+        check::<f32>(
+            &[
+                0.0,
+                -0.0,
+                1.0,
+                -1.0,
+                f32::MIN_POSITIVE / 2.0,
+                -1e-45,
+                0.999_999_94,
+            ],
+            &[
+                f32::NAN,
+                -f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                1.000_000_1,
+                -2.0,
+            ],
+        );
+        check::<f64>(
+            &[
+                0.0,
+                -0.0,
+                1.0,
+                -1.0,
+                f64::MIN_POSITIVE / 2.0,
+                -5e-324,
+                0.999_999_999_999_999_9,
+            ],
+            &[
+                f64::NAN,
+                -f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                1.000_000_000_000_000_2,
+                -2.0,
+            ],
+        );
     }
 
     fn int_pattern(seed: u64, n: usize, span: i64) -> Vec<i64> {

@@ -595,13 +595,15 @@ pub(crate) fn run_rows<T: Element>(
         data,
         width,
         &totals,
-        |worker, _width, abort, r, row, tally| {
+        |worker, _width, abort, r, row, _held, tally| {
             absorb_row(
                 tally,
                 &task.row_stats(&task.apply(row, worker, r, Some(abort))),
             );
             true
         },
+        // Rows owe nothing to a later claim.
+        |_, _| {},
     )?;
     let mut stats = RunStats {
         threads: pool.width() as u64,

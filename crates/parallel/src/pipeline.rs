@@ -3,7 +3,7 @@
 //! The paper's Phase 2 is a single algorithm whatever the carry looks
 //! like: chunks publish their local state, look back to the nearest
 //! published global state, fix it forward through the local states in
-//! between, correct themselves, and publish their own global state.
+//! between, publish their own global state, and correct themselves.
 //! [`Pipeline`] implements that once — the `execute` prologue, the
 //! look-back ticket loop, one look-back resolver over one spin-wait loop,
 //! the abort / fault-site / `check_finite` plumbing and the run's
@@ -19,6 +19,16 @@
 //! taps maps each chunk inside its solve — one pass where the plan fuses
 //! the map into the SIMD kernel — reading the raw inputs left of the
 //! chunk from a stash taken before any chunk runs.
+//!
+//! Nor is the correction a stage of its own chunk. A chunk's global
+//! state comes from its local state, never from its corrected data, so
+//! a chunk publishes it as soon as its look-back resolves and leaves its
+//! correction with its worker ([`Held`]). The worker applies it in its
+//! next solve ([`CarryAlgebra::correct_then_solve`]) — inside the
+//! solve's loop where the plan fuses the two, so the correction, read
+//! from cache, fills the solve's waits on memory — or on its own once
+//! the tickets run out. An aborted run drops it: its data is left
+//! partially processed anyway.
 //!
 //! Progress: tickets are claimed in increasing order; every chunk
 //! publishes something before it waits on anything (its local state, or
@@ -59,6 +69,23 @@ pub(crate) struct Solved<T> {
     pub(crate) kernel: KernelKind,
 }
 
+/// A chunk whose correction waits for its worker's next solve: its
+/// index, its locally-solved data and its predecessor's global state.
+pub(crate) struct Held<'d, T> {
+    pub(crate) c: usize,
+    pub(crate) chunk: &'d mut [T],
+    pub(crate) prev: Vec<T>,
+}
+
+impl<T: Element> Held<'_, T> {
+    /// Applies the correction on its own, timed as a correction.
+    pub(crate) fn correct<A: CarryAlgebra<T> + ?Sized>(self, alg: &A, tally: &mut RunStats) {
+        timed(&mut tally.correct_nanos, || {
+            alg.correct(self.c, self.chunk, &self.prev)
+        });
+    }
+}
+
 /// The per-chunk operations of one recurrence family: everything the
 /// [`Pipeline`] needs to know about its carry. Chunk `c` covers the
 /// run's elements from `c·m` (`m` the configured chunk size); a *state*
@@ -94,6 +121,30 @@ pub(crate) trait CarryAlgebra<T: Element>: Sync {
         history: Option<&[T]>,
         keep_going: &mut dyn FnMut() -> bool,
     ) -> Solved<T>;
+
+    /// [`solve`](Self::solve), first applying the correction `held`
+    /// defers from the worker's previous chunk, if any. The default
+    /// corrects on its own, timed in [`RunStats::correct_nanos`], then
+    /// solves, timed in [`RunStats::solve_nanos`]; an algebra that fuses
+    /// the two times both as the solve.
+    #[allow(clippy::too_many_arguments)]
+    fn correct_then_solve(
+        &self,
+        held: Option<Held<'_, T>>,
+        c: usize,
+        chunk: &mut [T],
+        prev_raw: &[T],
+        history: Option<&[T]>,
+        keep_going: &mut dyn FnMut() -> bool,
+        tally: &mut RunStats,
+    ) -> Solved<T> {
+        if let Some(held) = held {
+            held.correct(self, tally);
+        }
+        timed(&mut tally.solve_nanos, || {
+            self.solve(c, chunk, prev_raw, history, keep_going)
+        })
+    }
 
     /// The state a locally-solved chunk `c` publishes: its local state
     /// or, for a reset chunk, its (already final) global state.
@@ -386,14 +437,17 @@ impl<'a, T: Element, A: CarryAlgebra<T>> Run<'a, T, A> {
     }
 
     /// What the pipeline does to a claimed chunk first: the `Solve`
-    /// fault site, the sparse skip or the map and solve, and the
+    /// fault site, the sparse skip or the map and solve, either one
+    /// applying the correction the worker `held` back, and the
     /// finiteness check of the state the chunk publishes. `None`: stop
     /// this worker (the solve was interrupted, or the check failed).
+    #[allow(clippy::too_many_arguments)]
     fn settle(
         &self,
         _worker: usize,
         c: usize,
         chunk: &mut [T],
+        held: Option<Held<'_, T>>,
         history: Option<&[T]>,
         abort: &AbortSignal,
         tally: &mut RunStats,
@@ -403,13 +457,16 @@ impl<'a, T: Element, A: CarryAlgebra<T>> Run<'a, T, A> {
         #[cfg(feature = "fault-inject")]
         crate::fault::check(crate::fault::FaultSite::Solve, _worker, c, Some(abort));
         let state = if history.is_none() && alg.is_skippable(chunk, prev_raw) {
+            if let Some(held) = held {
+                held.correct(alg, tally);
+            }
             tally.skipped_chunks += 1;
             alg.local_state(c, chunk)
         } else {
             // Time-sliced, so a cancel or deadline lands mid-chunk.
-            let solved = timed(&mut tally.solve_nanos, || {
-                alg.solve(c, chunk, prev_raw, history, &mut || !abort.is_aborted())
-            });
+            let keep_going = &mut || !abort.is_aborted();
+            let solved =
+                alg.correct_then_solve(held, c, chunk, prev_raw, history, keep_going, tally);
             tally.solve_slices += solved.slices;
             tally.kernel = fold_kernel(tally.kernel, solved.kernel);
             solved.state?
@@ -434,11 +491,18 @@ impl<'a, T: Element, A: CarryAlgebra<T>> Run<'a, T, A> {
             data,
             self.m,
             totals,
-            |_worker, width, abort, c, chunk, tally| {
+            |_worker, width, abort, c, chunk, held, tally| {
                 let history = alg.fused_history(c, width, || slots[c - 1].global.get());
                 let fused = history.is_some();
-                let Some(state) = self.settle(_worker, c, chunk, history.as_deref(), abort, tally)
-                else {
+                let Some(state) = self.settle(
+                    _worker,
+                    c,
+                    chunk,
+                    held.take(),
+                    history.as_deref(),
+                    abort,
+                    tally,
+                ) else {
                     return false;
                 };
                 // Chunk 0, fused and reset chunks already know their global
@@ -460,18 +524,19 @@ impl<'a, T: Element, A: CarryAlgebra<T>> Run<'a, T, A> {
                 let resolved = self.resolve(&slots, c - 1, abort, tally);
                 tally.lookback_nanos += start.elapsed().as_nanos() as u64;
                 // `None`: aborted while waiting on state that will never come.
-                let Some(g) = resolved else { return false };
-                timed(&mut tally.correct_nanos, || alg.correct(c, chunk, &g));
-                // A reset chunk's global state is already out.
-                let Some(local) = local else { return true };
-                match self.finite(c, self.advance(c, &g, local), abort) {
-                    Some(global) => {
-                        publish(&slots[c].global, global);
-                        true
-                    }
-                    None => false,
+                let Some(prev) = resolved else { return false };
+                // A reset chunk's global state is already out; everyone
+                // else's goes out before the correction it owes.
+                if let Some(local) = local {
+                    let Some(global) = self.finite(c, self.advance(c, &prev, local), abort) else {
+                        return false;
+                    };
+                    publish(&slots[c].global, global);
                 }
+                *held = Some(Held { c, chunk, prev });
+                true
             },
+            |held, tally| held.correct(alg, tally),
         )?;
         self.outcome()
     }
@@ -569,37 +634,58 @@ pub(crate) fn timed<R>(slot: &mut u64, f: impl FnOnce() -> R) -> R {
 /// Hands every `m`-element chunk of `data` (the last one ragged) to
 /// `work` exactly once, on whichever pool worker claims its ticket
 /// (claims are strictly increasing). `work(worker, width, abort, index,
-/// chunk, tally)`, given the run's width, returns `false` to stop its
-/// worker; that, like finding the run aborted, counts in
-/// [`RunStats::aborts`]. Each worker tallies into its own [`RunStats`],
-/// folded into `totals` once it is done.
+/// chunk, held, tally)`, given the run's width, returns `false` to stop
+/// its worker; that, like finding the run aborted, counts in
+/// [`RunStats::aborts`]. `held` is the worker's own: `work` may leave a
+/// chunk there for the worker's next call, and once the tickets run out
+/// the worker hands what is left to `flush`. A stopped worker, or one
+/// that finds the run aborted, drops it. Each worker tallies into its
+/// own [`RunStats`], folded into `totals` once it is done.
 pub(crate) fn for_each_chunk<T: Element>(
     pool: &WorkerPool,
     ctl: &RunControl,
     data: &mut [T],
     m: usize,
     totals: &Mutex<RunStats>,
-    work: impl Fn(usize, usize, &AbortSignal, usize, &mut [T], &mut RunStats) -> bool + Sync,
+    work: impl for<'d> Fn(
+            usize,
+            usize,
+            &AbortSignal,
+            usize,
+            &'d mut [T],
+            &mut Option<Held<'d, T>>,
+            &mut RunStats,
+        ) -> bool
+        + Sync,
+    flush: impl for<'d> Fn(Held<'d, T>, &mut RunStats) + Sync,
 ) -> Result<(), EngineError> {
     let n = data.len();
     let tickets = Tickets::new(n.div_ceil(m));
     let base = SendPtr::new(data.as_mut_ptr());
-    let (tickets, work) = (&tickets, &work);
+    let (tickets, work, flush) = (&tickets, &work, &flush);
     pool.run_sized(ctl, |width| {
         move |worker, abort: &AbortSignal| {
             let mut tally = RunStats::default();
+            let mut held = None;
             while let Some(c) = tickets.claim() {
                 // SAFETY: tickets are unique, so chunk `c` is exclusively
-                // ours; `data` outlives `run_sized`, which blocks until
+                // ours, and a chunk `held` back is one this worker claimed
+                // before; `data` outlives `run_sized`, which blocks until
                 // every worker finishes, even when one of them panics.
                 #[allow(unsafe_code)]
                 let chunk = unsafe {
                     std::slice::from_raw_parts_mut(base.ptr().add(c * m), m.min(n - c * m))
                 };
-                if abort.is_aborted() || !work(worker, width, abort, c, chunk, &mut tally) {
+                if abort.is_aborted()
+                    || !work(worker, width, abort, c, chunk, &mut held, &mut tally)
+                {
                     tally.aborts += 1;
+                    held = None;
                     break;
                 }
+            }
+            if let Some(last) = held.filter(|_| !abort.is_aborted()) {
+                flush(last, &mut tally);
             }
             lock_recover(totals).absorb(&tally);
         }

@@ -17,7 +17,7 @@
 //! other algebras, runs [`SegmentedRunner`](crate::SegmentedRunner) and
 //! [`VaryingRunner`](crate::VaryingRunner).
 
-use crate::pipeline::{runner_methods, CarryAlgebra, Pipeline, Solved};
+use crate::pipeline::{runner_methods, timed, CarryAlgebra, Held, Pipeline, Solved};
 use crate::pool::{CancelToken, WorkerPool};
 use crate::stats::RunStats;
 use plr_core::element::Element;
@@ -201,6 +201,39 @@ impl<T: Element> CarryAlgebra<T> for CorrectionPlan<T> {
         keep_going: &mut dyn FnMut() -> bool,
     ) -> Solved<T> {
         let solved = self.map_solve_sliced(chunk, prev_raw, keep_going);
+        Solved {
+            slices: solved.slices,
+            state: solved.completed.then(|| self.local_state(c, chunk)),
+            kernel: KernelKind::Unknown,
+        }
+    }
+
+    /// Inside the cascade's loop where the plan fuses the correction into
+    /// the solve ([`CorrectionPlan::correct_map_solve_sliced`]), its time
+    /// then counted as the solve's; apart otherwise.
+    fn correct_then_solve(
+        &self,
+        held: Option<Held<'_, T>>,
+        c: usize,
+        chunk: &mut [T],
+        prev_raw: &[T],
+        _history: Option<&[T]>,
+        keep_going: &mut dyn FnMut() -> bool,
+        tally: &mut RunStats,
+    ) -> Solved<T> {
+        let solved = match held {
+            Some(held) if self.fuses_correction() => timed(&mut tally.solve_nanos, || {
+                self.correct_map_solve_sliced(held.chunk, &held.prev, chunk, prev_raw, keep_going)
+            }),
+            held => {
+                if let Some(held) = held {
+                    held.correct(self, tally);
+                }
+                timed(&mut tally.solve_nanos, || {
+                    self.map_solve_sliced(chunk, prev_raw, keep_going)
+                })
+            }
+        };
         Solved {
             slices: solved.slices,
             state: solved.completed.then(|| self.local_state(c, chunk)),

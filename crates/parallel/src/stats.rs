@@ -83,13 +83,20 @@ pub struct RunStats {
     /// stays for readers of the per-phase split that predates the fusion.
     pub fir_nanos: u64,
     /// Wall time spent in per-chunk local solves, the FIR map included,
-    /// summed across workers (nanoseconds).
+    /// summed across workers (nanoseconds). A correction the plan fuses
+    /// into the next solve (the cascade's, [`PlanKind::Polynomial`]) is
+    /// included too.
     pub solve_nanos: u64,
     /// Wall time spent resolving global carries by look-back — the walks
     /// and their spin waits — summed across workers (nanoseconds).
     pub lookback_nanos: u64,
-    /// Wall time spent applying n-nacci corrections, summed across
-    /// workers (nanoseconds).
+    /// Wall time spent applying corrections on their own, summed across
+    /// workers (nanoseconds). A chunk's correction waits for its worker's
+    /// next solve; where the plan fuses the two (the cascade's,
+    /// [`PlanKind::Polynomial`]) its time counts in
+    /// [`solve_nanos`](RunStats::solve_nanos) instead, and only each
+    /// worker's last correction, applied once the chunks run out, counts
+    /// here.
     pub correct_nanos: u64,
     /// `1` when the runner's correction plan was served from the shared
     /// plan cache, `0` when it was built fresh. Aggregates sum over rows.

@@ -143,6 +143,29 @@ proptest! {
     }
 }
 
+/// A worker holds back each chunk's correction for its next solve. A
+/// panic at the `Solve` site of worker 0's third chunk, which comes after
+/// two chunks of its own and so after one past chunk 0 whose correction
+/// it still owes, resolves as that panic: the run returns
+/// `WorkerPanicked` and never waits on the correction it dropped. The
+/// binomial prefix sums fuse that correction into the solve under the
+/// `auto` tier.
+#[test]
+fn solve_fault_while_a_correction_is_held_is_that_panic() {
+    for text in ["1:2,-1", "1:3,-3,1", "1:4,-6,4,-1"] {
+        let config = RunnerConfig {
+            chunk_size: CHUNK,
+            threads: threads(),
+            ..Default::default()
+        };
+        let plan = FaultPlan {
+            nth_call: Some(3),
+            ..FaultPlan::panic_at_worker(FaultSite::Solve, 0)
+        };
+        assert_fault_contract(text.parse().unwrap(), config, plan).unwrap();
+    }
+}
+
 /// Worker 0 (the calling thread) is just another worker: a fault pinned
 /// to it must come back as `WorkerPanicked { worker: 0 }` on a width-1
 /// pool, where the caller is provably the one consulting.

@@ -445,3 +445,127 @@ proptest! {
         }
     }
 }
+
+/// Wrapping-scale inputs: products of two large `i32`s, so the binomial
+/// prefix sums overflow within a few elements.
+fn wide_input<T: Element>(n: usize) -> Vec<T> {
+    (0..n as i32)
+        .map(|i| {
+            let a = i.wrapping_mul(1_103_515_245).wrapping_add(12_345) >> 1;
+            T::from_i32(a).mul(T::from_i32(a ^ 0x5bd1_e995))
+        })
+        .collect()
+}
+
+/// Chunk sizes for [`deferred_runs_match_serial`]: the first group's byte
+/// stride is a multiple of 4 KiB, the second's is not.
+fn check_deferred<T: Element>(aligned: &[usize], unaligned: &[usize]) {
+    for text in POLYNOMIAL_SIGS {
+        let sig: Signature<T> = text.parse().unwrap();
+        for &m in aligned.iter().chain(unaligned) {
+            // Nine whole chunks and a ragged one.
+            let input = wide_input::<T>(9 * m + m / 3 + 1);
+            let expect = serial::run(&sig, &input);
+            for threads in [2, 4] {
+                let (got, stats) = run_with(&sig, &input, m, threads, PlanMode::Auto);
+                assert!(got == expect, "{text} m={m} threads={threads}");
+                assert_eq!(stats.plan_kind, PlanKind::Polynomial, "{text}");
+            }
+        }
+    }
+}
+
+/// A chunk publishes its global state as soon as its look-back resolves
+/// and leaves its correction to its worker's next solve, which under
+/// `auto` applies it inside the cascade's loop, or to the end of the
+/// run. Integer runs still equal the serial reference at widths 2 and 4,
+/// for q = 2–4 on `i32` and `i64`: chunks one 4 KiB page apart or a
+/// multiple of it, whose two streams alias unless the fused kernel
+/// offsets them, chunks of several solve slices, and chunks at other
+/// strides.
+#[test]
+fn deferred_runs_match_serial() {
+    check_deferred::<i64>(&[512, 2048, 12_288], &[1000, 3077]);
+    check_deferred::<i32>(&[1024, 4096], &[1000, 2047]);
+}
+
+/// The same through `BatchRunner` on fewer rows than workers: each row
+/// runs chunked, with its corrections held back.
+#[test]
+fn long_rows_with_deferred_corrections_match_serial() {
+    for text in POLYNOMIAL_SIGS {
+        let sig: Signature<i64> = text.parse().unwrap();
+        for threads in [2, 4] {
+            let runner = BatchRunner::new(sig.clone(), threads);
+            // Chunks of 4 Ki elements and a ragged last one.
+            let width = 40_007;
+            let mut data = wide_input::<i64>((threads - 1) * width);
+            let expect: Vec<i64> = data
+                .chunks(width)
+                .flat_map(|row| serial::run(&sig, row))
+                .collect();
+            let stats = runner.run_rows(&mut data, width).unwrap();
+            assert!(data == expect, "{text} threads={threads}");
+            assert!(stats.lookback_hops > 0, "long rows run chunked");
+        }
+    }
+}
+
+/// A deadline that passes mid-run, and a cancel, end a run whose workers
+/// hold corrections back with their own errors, and the runner stays
+/// usable after the cancel (fault_props wedges a run to check the same
+/// after a deadline). The cancel lands after a shorter delay each time
+/// until it lands before the run ends; a run it misses must be exact.
+#[test]
+fn abort_mid_run_with_held_corrections_leaves_the_runner_usable() {
+    use plr_core::error::EngineError;
+    use plr_parallel::CancelToken;
+    use std::time::Duration;
+    let sig: Signature<i64> = "1:2,-1".parse().unwrap();
+    let input = wide_input::<i64>(1 << 22);
+    let expect = serial::run(&sig, &input);
+    let config = RunnerConfig {
+        chunk_size: 1 << 12,
+        threads: 2,
+        ..Default::default()
+    };
+    let late = ParallelRunner::with_config(
+        sig.clone(),
+        RunnerConfig {
+            deadline: Some(Duration::from_micros(200)),
+            ..config
+        },
+    )
+    .unwrap();
+    match late.run(&input) {
+        Err(EngineError::DeadlineExceeded { .. }) => {}
+        other => panic!("expected DeadlineExceeded, got {:?}", other.map(|_| ())),
+    }
+    let runner = ParallelRunner::with_config(sig.clone(), config).unwrap();
+    let mut cancelled = false;
+    for delay in [500, 100, 20, 0] {
+        let token = CancelToken::new();
+        let canceller = {
+            let token = token.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_micros(delay));
+                token.cancel();
+            })
+        };
+        let mut data = input.clone();
+        let result = runner.run_in_place_with_cancel(&mut data, &token);
+        canceller.join().unwrap();
+        match result {
+            Err(EngineError::Cancelled) => {
+                cancelled = true;
+                break;
+            }
+            Ok(_) => assert!(data == expect, "a run the cancel missed"),
+            Err(other) => panic!("expected Cancelled, got {other:?}"),
+        }
+    }
+    assert!(cancelled, "a cancel before the run ends must land");
+    let mut data = input.clone();
+    runner.run_in_place(&mut data).unwrap();
+    assert!(data == expect, "the runner after the cancel");
+}
